@@ -1,5 +1,6 @@
 (** Guest address spaces: byte-addressed COW data pages plus a
-    word-addressed text table (Harvard simplification; DESIGN.md §6). *)
+    word-addressed, paged text map (Harvard simplification; DESIGN.md
+    §6). *)
 
 type access = Read | Write | Exec
 
@@ -21,10 +22,15 @@ type region = {
   shared : bool;
 }
 
+type text
+(** The paged text map and its one-page fetch cache.  Only this module
+    knows the layout: read it through [text_get], [text_fold] and
+    [text_count]. *)
+
 type t = {
   id : int;
   pages : (int, Mem.page) Hashtbl.t;
-  text : (int, Insn.t) Hashtbl.t;
+  text : text;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list;
@@ -74,8 +80,19 @@ val loaded_insns : int ref
     for instrumentation cost models. *)
 
 val text_get : t -> int -> Insn.t option
+(** The instruction fetch.  It neither hashes nor allocates while it
+    stays on the page of the previous fetch. *)
+
 val text_set : t -> int -> Insn.t -> unit
+(** Writes the slot in place: the next [text_get] of [addr] sees it. *)
+
 val text_load : t -> base:int -> Insn.t array -> unit
+
+val text_fold : (int -> Insn.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over every instruction, in ascending address order. *)
+
+val text_count : t -> int
+(** The number of addresses holding an instruction. *)
 
 val text_write : t -> int -> Insn.t -> unit
 (** A {e run-time} code write ([Emit]): also marks the address in
@@ -87,9 +104,11 @@ val bp_set : t -> int -> unit
 val bp_clear : t -> int -> unit
 val bp_is_set : t -> int -> bool
 val bp_any : t -> bool
+(** Constant time: the interpreter probes [bp_is_set] only when true. *)
 
 val fork : t -> id:int -> t
-(** COW-share every frame; the basis of cheap checkpoints. *)
+(** COW-share every frame; the basis of cheap checkpoints.  Text pages
+    are copied, so text writes on either side stay private. *)
 
 val release : t -> unit
 

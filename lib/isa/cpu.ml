@@ -55,8 +55,22 @@ let operand ctx = function Insn.Imm v -> v | Insn.Reg r -> ctx.regs.(r)
 
 let mask_shift v = v land 63
 
+(* The caller rules out a zero divisor. *)
+let alu op a b =
+  match op with
+  | Insn.Add -> a + b
+  | Insn.Sub -> a - b
+  | Insn.Mul -> a * b
+  | Insn.Div -> a / b
+  | Insn.Rem -> a mod b
+  | Insn.And -> a land b
+  | Insn.Or -> a lor b
+  | Insn.Xor -> a lxor b
+  | Insn.Shl -> a lsl mask_shift b
+  | Insn.Shr -> a lsr mask_shift b
+
 (* Execute exactly one instruction; assumes no breakpoint at pc.
-   Returns [None] for ordinary retirement. *)
+   Returns [None] for ordinary retirement, which allocates nothing. *)
 let exec_one env ctx insn =
   let module I = Insn in
   let regs = ctx.regs in
@@ -70,27 +84,12 @@ let exec_one env ctx insn =
     regs.(r) <- operand ctx o;
     ctx.pc <- ctx.pc + 1;
     None
+  | I.Alu ((I.Div | I.Rem), _, o) when operand ctx o = 0 ->
+    Some (Stop_fault (F_div ctx.pc))
   | I.Alu (op, r, o) ->
-    let a = regs.(r) and b = operand ctx o in
-    let result =
-      match op with
-      | I.Add -> Some (a + b)
-      | I.Sub -> Some (a - b)
-      | I.Mul -> Some (a * b)
-      | I.Div -> if b = 0 then None else Some (a / b)
-      | I.Rem -> if b = 0 then None else Some (a mod b)
-      | I.And -> Some (a land b)
-      | I.Or -> Some (a lor b)
-      | I.Xor -> Some (a lxor b)
-      | I.Shl -> Some (a lsl mask_shift b)
-      | I.Shr -> Some (a lsr mask_shift b)
-    in
-    (match result with
-    | None -> Some (Stop_fault (F_div ctx.pc))
-    | Some v ->
-      regs.(r) <- v;
-      ctx.pc <- ctx.pc + 1;
-      None)
+    regs.(r) <- alu op regs.(r) (operand ctx o);
+    ctx.pc <- ctx.pc + 1;
+    None
   | I.Load (d, b, off) ->
     regs.(d) <- Addr_space.read_u64 ctx.space (regs.(b) + off);
     ctx.pc <- ctx.pc + 1;
@@ -195,34 +194,46 @@ let exec_one env ctx insn =
   | I.Halt -> Some (Stop_fault (F_ill ctx.pc))
 
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
-   (None if fuel ran out) and the number of instructions retired. *)
+   (None if fuel ran out) and the number of instructions retired.  An
+   instruction that retires normally costs no hashing and no allocation:
+   breakpoints are probed only while any are set, the PMU is ticked only
+   while its interrupt is armed, and the fetch hits the space's cached
+   text page.  The supervisor sets breakpoints and programs the PMU
+   between runs, never during one, so both checks are read once. *)
 let run env ctx ~fuel =
+  let space = ctx.space in
+  let probe_bp = Addr_space.bp_any space in
+  let armed = Pmu.interrupt_armed ctx.pmu in
   let steps = ref 0 in
-  let stop = ref None in
-  (try
-     while !stop = None && !steps < fuel do
-       if Addr_space.bp_is_set ctx.space ctx.pc then stop := Some Stop_bkpt
-       else begin
-         match Addr_space.text_get ctx.space ctx.pc with
-         | None -> stop := Some (Stop_fault (F_ill ctx.pc))
-         | Some insn ->
-           let s = exec_one env ctx insn in
-           incr steps;
-           (* The PMU interrupt takes priority over synchronous stops only
-              if the instruction retired normally; a syscall/hook stop is
-              delivered first and the interrupt stays pending. *)
-           let fired = Pmu.tick_interrupt ctx.pmu in
-           (match s with
-           | Some _ -> stop := s
-           | None ->
-             if fired then stop := Some Stop_pmu
-             else if ctx.single_step then stop := Some Stop_singlestep)
-       end
-     done
-   with Addr_space.Segv { addr; access } ->
-     incr steps;
-     stop := Some (Stop_fault (F_segv { addr; access })));
-  (!stop, !steps)
+  let rec loop () =
+    if !steps >= fuel then None
+    else
+      let pc = ctx.pc in
+      if probe_bp && Addr_space.bp_is_set space pc then Some Stop_bkpt
+      else
+        match Addr_space.text_get space pc with
+        | None -> Some (Stop_fault (F_ill pc))
+        | Some insn -> (
+          let s = exec_one env ctx insn in
+          incr steps;
+          (* The PMU interrupt takes priority over synchronous stops only
+             if the instruction retired normally; a syscall/hook stop is
+             delivered first and the interrupt stays pending. *)
+          let fired = armed && Pmu.tick_interrupt ctx.pmu in
+          match s with
+          | Some _ -> s
+          | None ->
+            if fired then Some Stop_pmu
+            else if ctx.single_step then Some Stop_singlestep
+            else loop ())
+  in
+  let stop =
+    try loop ()
+    with Addr_space.Segv { addr; access } ->
+      incr steps;
+      Some (Stop_fault (F_segv { addr; access }))
+  in
+  (stop, !steps)
 
 let pp_fault ppf = function
   | F_segv { addr; access } ->

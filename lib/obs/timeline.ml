@@ -375,33 +375,35 @@ type summary = {
 
 let is_session name = String.length name > 8 && Filename.check_suffix name ".session"
 
-(* Stages are *self* times grouped by scope name over the whole merged
-   tree — time attributed to exactly one stage, so stages sum to the
-   instrumented fraction of the window.  [*.session] roots are the
-   window itself, not a stage: the total is the sum of session
-   durations when any were recorded (each session runs its own virtual
-   clock from ~0, so summing — not spanning — is what keeps a combined
-   record+replay buffer honest), falling back to the raw virtual-time
-   span of the buffer when no session scope exists. *)
-let attribution () =
-  let root = tree () in
+(* The measurement window: [*.session] roots are the window itself, not
+   a stage.  It is the sum of session durations when any were recorded
+   (each session runs its own virtual clock from ~0, so summing — not
+   spanning — is what keeps a combined record+replay buffer honest),
+   falling back to the raw virtual-time span of the buffer when no
+   session scope exists. *)
+let window_ns root =
   let session_total =
     Hashtbl.fold
       (fun name n acc -> if is_session name then acc + n.n_total_ns else acc)
       root.n_kids 0
   in
-  let total =
-    if session_total > 0 then session_total
-    else begin
-      let evs = events () in
-      let min_ts, max_ts =
-        List.fold_left
-          (fun (lo, hi) e -> (min lo e.ev_vts, max hi e.ev_vts))
-          (max_int, 0) evs
-      in
-      if min_ts = max_int then 0 else max 0 (max_ts - min_ts)
-    end
-  in
+  if session_total > 0 then session_total
+  else begin
+    let evs = events () in
+    let min_ts, max_ts =
+      List.fold_left
+        (fun (lo, hi) e -> (min lo e.ev_vts, max hi e.ev_vts))
+        (max_int, 0) evs
+    in
+    if min_ts = max_int then 0 else max 0 (max_ts - min_ts)
+  end
+
+(* Stages are *self* times grouped by scope name over the whole merged
+   tree — time attributed to exactly one stage, so stages sum to the
+   instrumented fraction of the window. *)
+let attribution () =
+  let root = tree () in
+  let total = window_ns root in
   let selfs : (string, int * int) Hashtbl.t = Hashtbl.create 32 in
   let rec walk n =
     if n.n_name <> "" && not (is_session n.n_name) then begin
@@ -436,11 +438,12 @@ let pct ~total v =
 
 (* ---- rendering ------------------------------------------------------- *)
 
+(* Shares are of the attribution ledger's window, not of the sum of the
+   roots: a task lane's [kern.run] root runs inside the lane-0 session,
+   so summing the roots would count that time twice. *)
 let pp_flamegraph ppf () =
   let root = tree () in
-  let total =
-    List.fold_left (fun acc c -> acc + c.n_total_ns) 0 (node_children root)
-  in
+  let total = window_ns root in
   Fmt.pf ppf "@[<v>";
   Fmt.pf ppf "%-44s %7s %14s %8s@," "scope" "share" "total ns" "count";
   let rec render depth n =

@@ -139,7 +139,8 @@ val attribution_to_json : summary -> string
 
 val pp_flamegraph : Format.formatter -> unit -> unit
 (** Self-contained text flamegraph: the merged scope tree with share,
-    inclusive ns and count per node. *)
+    inclusive ns and count per node.  Shares are of the same window
+    {!attribution} uses, so a session root reads 100%. *)
 
 val pp_attribution : Format.formatter -> unit -> unit
 (** The attribution ledger as a text table. *)

@@ -555,11 +555,11 @@ let patch_site task ~site =
 (* Scan a freshly exec'd image for RDRAND instructions; returns the sites
    (the recorder patches them and records patch frames). *)
 let find_rdrand_sites task =
-  Hashtbl.fold
+  A.text_fold
     (fun addr insn acc ->
       match insn with Insn.Rdrand _ -> addr :: acc | _ -> acc)
-    (space task).A.text []
-  |> List.sort compare
+    (space task) []
+  |> List.rev
 
 (* Scan a freshly exec'd image for patchable syscall sites, for eager
    patching at exec time (§3.2): patching up front means the first
@@ -569,10 +569,10 @@ let find_rdrand_sites task =
    cannot buffer, so patching is always safe when the follower shape
    is. *)
 let find_syscall_sites task =
-  Hashtbl.fold
+  A.text_fold
     (fun addr insn acc ->
       match insn with
       | Insn.Syscall when can_patch task ~site:addr -> addr :: acc
       | _ -> acc)
-    (space task).A.text []
-  |> List.sort compare
+    (space task) []
+  |> List.rev

@@ -162,9 +162,21 @@ let test_cpu_div_zero_faults () =
     run_program_stop
       [ Asm.movi 1 10; Asm.I (Insn.Alu (Insn.Div, 1, Insn.Imm 0)) ]
   in
-  match stop with
+  (match stop with
   | Some (Cpu.Stop_fault (Cpu.F_div _)) -> ()
-  | other -> Alcotest.failf "expected div fault, got %a" pp_stop_opt other
+  | other -> Alcotest.failf "expected div fault, got %a" pp_stop_opt other);
+  (* rem by a zero register: faults on the rem itself, nothing written *)
+  let ctx, stop, steps =
+    run_program_full
+      [ Asm.movi 1 10; Asm.I (Insn.Alu (Insn.Rem, 1, Insn.Reg 2)) ]
+  in
+  (match stop with
+  | Some (Cpu.Stop_fault (Cpu.F_div pc)) ->
+    Alcotest.(check int) "fault pc is the rem" 0x1001 pc
+  | other -> Alcotest.failf "expected rem fault, got %a" pp_stop_opt other);
+  Alcotest.(check int) "pc stays on the rem" 0x1001 ctx.Cpu.pc;
+  Alcotest.(check int) "dividend untouched" 10 ctx.Cpu.regs.(1);
+  Alcotest.(check int) "the faulting insn counts as a step" 2 steps
 
 let test_cpu_breakpoint () =
   let space = fresh_space () in
@@ -198,24 +210,21 @@ let test_cpu_singlestep () =
   | Some Cpu.Stop_singlestep -> ()
   | other -> Alcotest.failf "expected singlestep, got %a" pp_stop_opt other
 
+let enc insn =
+  match Insn.encode insn with
+  | Some w -> w
+  | None -> Alcotest.failf "unencodable: %a" Insn.pp insn
+
 let test_cpu_emit_jit () =
   (* Emit "mov r5, 77" at a fresh text address, then jump to it. *)
-  let mov_encoded =
-    match Insn.encode (Insn.Mov (5, Insn.Imm 77)) with
-    | Some v -> v
-    | None -> Alcotest.fail "encode"
-  in
-  let ret_encoded =
-    match Insn.encode Insn.Ret with Some v -> v | None -> assert false
-  in
   let ctx =
     run_program
       [ Asm.movi 15 0x5000;
         Asm.movi 1 0x9000; (* jit target *)
-        Asm.movi 2 mov_encoded;
+        Asm.movi 2 (enc (Insn.Mov (5, Insn.Imm 77)));
         Asm.I (Insn.Emit (1, 2));
         Asm.movi 1 0x9001;
-        Asm.movi 2 ret_encoded;
+        Asm.movi 2 (enc Insn.Ret);
         Asm.I (Insn.Emit (1, 2));
         Asm.movi 6 0x9000;
         Asm.I (Insn.Callr 6);
@@ -235,6 +244,183 @@ let test_emit_marks_written_text () =
     (Addr_space.text_was_written ctx.Cpu.space 0x9000);
   Alcotest.(check bool) "static text not marked" false
     (Addr_space.text_was_written ctx.Cpu.space 0x1000)
+
+(* ---- the paged text map and the fetch cache ------------------------- *)
+
+let test_bkpt_on_just_fetched () =
+  let space = fresh_space () in
+  let prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 1 5; Asm.label "loop"; Asm.subi 1 1; Asm.jnz 1 "loop";
+        Asm.I Insn.Halt ]
+  in
+  Addr_space.text_load space ~base:0x1000 prog.Asm.code;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- 0x1000;
+  (* movi, subi: the subi at 0x1001 was the last fetch *)
+  ignore (Cpu.run null_env ctx ~fuel:2);
+  Addr_space.bp_set space 0x1001;
+  let stop, steps = Cpu.run null_env ctx ~fuel:100 in
+  (match stop with
+  | Some Cpu.Stop_bkpt -> ()
+  | other -> Alcotest.failf "expected bkpt, got %a" pp_stop_opt other);
+  Alcotest.(check int) "only the jnz ran" 1 steps;
+  Alcotest.(check int) "pc on the breakpoint" 0x1001 ctx.Cpu.pc;
+  Alcotest.(check int) "subi not re-executed" 4 ctx.Cpu.regs.(1)
+
+let test_emit_over_just_fetched () =
+  (* The loop's first instruction rewrites itself: the second pass must
+     run the emitted instruction, not the one the first pass fetched. *)
+  let items =
+    [ Asm.movi 6 2;
+      Asm.movi 7 0;
+      Asm.label "x";
+      Asm.movi 5 1;
+      Asm.movi 1 0x1002;
+      Asm.movi 2 (enc (Insn.Mov (5, Insn.Imm 99)));
+      Asm.I (Insn.Alu (Insn.Add, 7, Insn.Reg 5));
+      Asm.I (Insn.Emit (1, 2));
+      Asm.subi 6 1;
+      Asm.jnz 6 "x";
+      Asm.I Insn.Halt ]
+  in
+  let ctx = run_program items in
+  Alcotest.(check int) "original, then emitted insn" (1 + 99) ctx.Cpu.regs.(7);
+  Alcotest.(check bool) "slot written in place" true
+    (Addr_space.text_get ctx.Cpu.space 0x1002 = Some (Insn.Mov (5, Insn.Imm 99)))
+
+let test_fork_isolates_text () =
+  let parent = Addr_space.create ~id:1 in
+  Addr_space.text_load parent ~base:0x1000 [| Insn.Nop; Insn.Ret |];
+  (* warm the parent's cache on the page the child will write *)
+  ignore (Addr_space.text_get parent 0x1000);
+  let child = Addr_space.fork parent ~id:2 in
+  Alcotest.(check bool) "child inherits text" true
+    (Addr_space.text_get child 0x1001 = Some Insn.Ret);
+  Addr_space.text_write child 0x1000 Insn.Pause;
+  Alcotest.(check bool) "child sees its write" true
+    (Addr_space.text_get child 0x1000 = Some Insn.Pause);
+  Alcotest.(check bool) "parent unchanged by child write" true
+    (Addr_space.text_get parent 0x1000 = Some Insn.Nop);
+  Addr_space.text_set parent 0x1001 Insn.Syscall;
+  Addr_space.text_set parent 0x9000 Insn.Nop;
+  Alcotest.(check bool) "child unchanged by parent write" true
+    (Addr_space.text_get child 0x1001 = Some Insn.Ret);
+  Alcotest.(check bool) "parent's new page not in child" true
+    (Addr_space.text_get child 0x9000 = None);
+  Alcotest.(check int) "child text count" 2 (Addr_space.text_count child);
+  Alcotest.(check int) "parent text count" 3 (Addr_space.text_count parent)
+
+let test_unmap_all_drops_fetched_text () =
+  let space = fresh_space () in
+  Addr_space.text_load space ~base:0x1000 [| Insn.Nop; Insn.Ret |];
+  Alcotest.(check bool) "fetched" true
+    (Addr_space.text_get space 0x1001 = Some Insn.Ret);
+  Addr_space.unmap_all space;
+  Alcotest.(check bool) "gone after exec" true
+    (Addr_space.text_get space 0x1001 = None);
+  Alcotest.(check int) "empty" 0 (Addr_space.text_count space)
+
+let test_text_fold_ascending () =
+  let space = Addr_space.create ~id:1 in
+  List.iter
+    (fun a -> Addr_space.text_set space a Insn.Nop)
+    [ 0x9001; 0x13ff; -5; 0x1400; 0x9000; 0 ];
+  Alcotest.(check (list int)) "ascending across pages"
+    [ -5; 0; 0x13ff; 0x1400; 0x9000; 0x9001 ]
+    (List.rev (Addr_space.text_fold (fun a _ acc -> a :: acc) space []))
+
+(* Random programs whose code straddles a text-page boundary and which
+   JIT-emit into a third page and call there, mixed with loads, stores,
+   every ALU op (div/rem by registers that may hold 0) and counted Jcc
+   loops.  Running them in one [Cpu.run] and in [~fuel:1] slices must
+   end in the same machine state: the fetch cache and the hoisted
+   breakpoint/PMU checks are invisible. *)
+let paged_base = 0x1400 - 24 (* straddles the page boundary at 0x1400 *)
+let jit_addr = 0x2000
+
+let paged_program_gen =
+  QCheck.Gen.(
+    let reg = int_range 3 10 in
+    let op =
+      oneofl
+        Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+    in
+    let src =
+      oneof
+        [ map (fun r -> Insn.Reg r) reg;
+          map (fun v -> Insn.Imm (v land 0xff)) int ]
+    in
+    let simple =
+      frequency
+        [ (4, map3 (fun o r s -> [ Asm.I (Insn.Alu (o, r, s)) ]) op reg src);
+          (2, map2 (fun r off -> [ Asm.store r 14 (off land 0xff0) ]) reg int);
+          (2, map2 (fun r off -> [ Asm.load r 14 (off land 0xff0) ]) reg int) ]
+    in
+    let jit =
+      (* emit "mov r, v; add r, w; ret" at jit_addr and call it *)
+      map3
+        (fun r v w ->
+          let emit_at k insn =
+            [ Asm.movi 1 (jit_addr + k); Asm.movi 2 (enc insn);
+              Asm.I (Insn.Emit (1, 2)) ]
+          in
+          emit_at 0 (Insn.Mov (r, Insn.Imm v))
+          @ emit_at 1 (Insn.Alu (Insn.Add, r, Insn.Imm w))
+          @ emit_at 2 Insn.Ret
+          @ [ Asm.movi 11 jit_addr; Asm.I (Insn.Callr 11) ])
+        reg (int_bound 0xffff) (int_bound 0xffff)
+    in
+    let straight = frequency [ (5, simple); (1, jit) ] in
+    let block =
+      frequency
+        [ (4, map (fun b -> `Straight b) straight);
+          (1, map2 (fun n body -> `Loop (n, List.concat body))
+                (int_range 1 12) (list_size (1 -- 4) straight)) ]
+    in
+    map2
+      (fun inits blocks ->
+        [ Asm.movi 14 0x4000; Asm.movi 15 0x5000 ]
+        @ List.mapi (fun i v -> Asm.movi (3 + i) v) inits
+        @ List.concat
+            (List.mapi
+               (fun i -> function
+                 | `Straight b -> b
+                 | `Loop (n, body) ->
+                   let l = Printf.sprintf "loop%d" i in
+                   (Asm.movi 12 n :: Asm.label l :: body)
+                   @ [ Asm.subi 12 1; Asm.jnz 12 l ])
+               blocks)
+        @ [ Asm.I Insn.Halt ])
+      (list_repeat 8 (int_bound 3))
+      (list_size (1 -- 25) block))
+
+let run_paged ~sliced items =
+  let space = fresh_space () in
+  let prog = Asm.assemble ~base:paged_base items in
+  Addr_space.text_load space ~base:paged_base prog.Asm.code;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- paged_base;
+  let fuel = 100_000 in
+  let stop, steps =
+    if not sliced then Cpu.run null_env ctx ~fuel
+    else
+      let rec go steps =
+        if steps >= fuel then (None, steps)
+        else
+          match Cpu.run null_env ctx ~fuel:1 with
+          | None, n -> go (steps + n)
+          | stop, n -> (stop, steps + n)
+      in
+      go 0
+  in
+  (stop, steps, Array.to_list (Cpu.copy_regs ctx), ctx.Cpu.pc,
+   Pmu.snapshot ctx.Cpu.pmu)
+
+let qcheck_paged_fetch_sliced =
+  QCheck.Test.make ~name:"paged fetch: one run = fuel:1 slices" ~count:200
+    (QCheck.make paged_program_gen) (fun items ->
+      run_paged ~sliced:false items = run_paged ~sliced:true items)
 
 let test_pmu_interrupt_fires_with_skid () =
   let space = fresh_space () in
@@ -416,6 +602,18 @@ let suites =
         Alcotest.test_case "emit + run jitted code" `Quick test_cpu_emit_jit;
         Alcotest.test_case "emit marks written text" `Quick
           test_emit_marks_written_text ] );
+    ( "isa.text",
+      [ Alcotest.test_case "breakpoint on a just-fetched address" `Quick
+          test_bkpt_on_just_fetched;
+        Alcotest.test_case "emit over a just-fetched address" `Quick
+          test_emit_over_just_fetched;
+        Alcotest.test_case "fork isolates text both ways" `Quick
+          test_fork_isolates_text;
+        Alcotest.test_case "unmap_all drops fetched text" `Quick
+          test_unmap_all_drops_fetched_text;
+        Alcotest.test_case "text_fold is ascending" `Quick
+          test_text_fold_ascending;
+        QCheck_alcotest.to_alcotest qcheck_paged_fetch_sliced ] );
     ( "isa.pmu",
       [ Alcotest.test_case "interrupt fires late (skid)" `Quick
           test_pmu_interrupt_fires_with_skid;

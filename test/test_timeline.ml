@@ -49,6 +49,36 @@ let test_nesting_and_attribution () =
   Alcotest.(check int) "covered + untracked = total" s.Tl.at_total_ns
     (s.Tl.at_covered_ns + s.Tl.at_untracked_ns)
 
+(* A task lane's kern.run is its own root in the merged tree but runs
+   inside the lane-0 session: its share is of the session window, not
+   of the session plus itself. *)
+let test_flamegraph_shares_of_window () =
+  with_clock @@ fun now ->
+  Tl.start ();
+  Tl.begin_scope "record.session";
+  now := 200;
+  Tl.scope ~lane:7 "kern.run" (fun () -> now := 600);
+  now := 1000;
+  Tl.end_scope "record.session";
+  Tl.stop ();
+  let out = Fmt.str "%a" Tl.pp_flamegraph () in
+  let share name =
+    let row l =
+      List.filter (( <> ) "") (String.split_on_char ' ' (String.trim l))
+    in
+    match
+      List.find_opt
+        (fun l -> match row l with n :: _ -> n = name | [] -> false)
+        (String.split_on_char '\n' out)
+    with
+    | Some l -> List.nth (row l) 1
+    | None -> Alcotest.failf "no %s row in:\n%s" name out
+  in
+  Alcotest.(check string) "session is the whole window" "100.0%"
+    (share "record.session");
+  Alcotest.(check string) "task-lane scope reads its true share" "40.0%"
+    (share "kern.run")
+
 let test_exception_safety () =
   with_clock @@ fun now ->
   Tl.start ();
@@ -193,10 +223,10 @@ let test_export_property =
 
 (* ---- concurrency ------------------------------------------------------ *)
 
-(* Two pool domains hammering scopes concurrently with the supervisor:
+(* Two pool jobs hammering scopes concurrently with the supervisor:
    per-domain stacks must keep each domain's B/E properly nested in the
-   export, on distinct lanes, with zero mismatches.  Uses a Pool — the
-   only sanctioned way to get extra domains (check_format.sh). *)
+   export, off the supervisor's lane, with zero mismatches.  Uses a Pool
+   — the only sanctioned way to get extra domains (check_format.sh). *)
 let test_two_domain_hammer () =
   with_clock @@ fun now ->
   Tl.start ~capacity:(1 lsl 16) ();
@@ -223,17 +253,17 @@ let test_two_domain_hammer () =
   let lanes =
     List.sort_uniq compare (List.map (fun e -> e.Tl.ev_lane) (Tl.events ()))
   in
-  (* On a multicore host the pool spawns real domains: their pool.run
-     scopes land on worker lanes (>= 10_000) next to the supervisor's
-     lane 0.  On a 1-core host the pool degrades to the inline serial
-     path (everything on lane 0) — the nesting/balance checks above
-     still exercise the interleaving, so only the lane split is
-     conditional. *)
-  if Pool.jobs p > 1 then begin
-    Alcotest.(check bool) "three distinct lanes" true (List.length lanes >= 3);
+  (* Only what the pool guarantees: the supervisor stays on lane 0, and
+     with real domains every job runs on a worker lane (>= 10_000).
+     Which worker takes which job is scheduling luck — one worker may
+     take both — so the number of worker lanes is not asserted.  On a
+     1-core host the pool degrades to the inline serial path
+     (everything on lane 0); the nesting/balance checks above still
+     exercise the interleaving. *)
+  Alcotest.(check bool) "supervisor lane 0 present" true (List.mem 0 lanes);
+  if Pool.jobs p > 1 then
     Alcotest.(check bool) "worker lanes disjoint from tids" true
       (List.exists (fun l -> l >= 10_000) lanes)
-  end
   else
     Alcotest.(check (list int)) "inline path stays on lane 0" [ 0 ] lanes;
   let deflates =
@@ -248,6 +278,8 @@ let suites =
   [ ( "timeline",
       [ Alcotest.test_case "nesting + attribution ledger" `Quick
           test_nesting_and_attribution;
+        Alcotest.test_case "flamegraph shares are of the window" `Quick
+          test_flamegraph_shares_of_window;
         Alcotest.test_case "scope closes on exception" `Quick
           test_exception_safety;
         Alcotest.test_case "mismatched end closes frame" `Quick

@@ -132,6 +132,19 @@ check_file() {
     fi
     ;;
   esac
+  # The text map's layout (paged slots plus a one-page fetch cache) has
+  # one owner, lib/isa: everything else reads guest code through
+  # Addr_space.text_get / text_fold / text_count, so the layout can
+  # change without touching a caller.
+  case "$f" in
+  *lib/isa/*) ;;
+  *)
+    if grep -qE '\.(A|Addr_space)\.text\b' "$f"; then
+      echo "format: $f reads the Addr_space text field; use text_get/text_fold/text_count" >&2
+      status=1
+    fi
+    ;;
+  esac
   # Connection-key derivation — parsing datagram source ports out of
   # recorded frames — lives in lib/rr/conn_track.ml and nowhere else:
   # one place to get the recvfrom write-layout subtleties right.  The
