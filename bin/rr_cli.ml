@@ -867,10 +867,14 @@ let index_cmd =
         let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
         let out = Option.value out ~default:path in
         Trace.save_exn trace out;
+        let cps = Trace_index.checkpoints ix in
+        let cp_bytes =
+          Array.fold_left (fun acc (_, blob) -> acc + String.length blob) 0 cps
+        in
         Fmt.pr
-          "indexed %d frames (%d durable checkpoints); saved to %s@."
-          (Trace.n_events trace)
-          (Array.length (Trace_index.checkpoints ix))
+          "indexed %d frames (%d durable checkpoints, %.1f MB); saved to %s@."
+          (Trace.n_events trace) (Array.length cps)
+          (float_of_int cp_bytes /. 1e6)
           out
     end
   in

@@ -365,11 +365,11 @@ let bp_clear t addr = Hashtbl.remove t.breakpoints addr
 let bp_is_set t addr = Hashtbl.mem t.breakpoints addr
 let bp_any t = Hashtbl.length t.breakpoints > 0
 
-(* Fork: COW-share every frame.  Cheap by construction — this is what
-   makes rr-style checkpoints take "less than ten milliseconds".  Text
-   pages are copied whole (one array per 1024 slots; the instructions
-   themselves are immutable and shared). *)
-let fork t ~id =
+(* Both forks copy the text pages whole (one array per 1024 slots; the
+   instructions themselves are immutable and shared) and map each data
+   frame through [frame].  Cheap by construction — this is what makes
+   rr-style checkpoints take "less than ten milliseconds". *)
+let fork_with frame t ~id =
   let text_pages = Hashtbl.create (Hashtbl.length t.text.text_pages) in
   Hashtbl.iter
     (fun key page -> Hashtbl.replace text_pages key (Array.copy page))
@@ -383,12 +383,39 @@ let fork t ~id =
       regions = t.regions;
       mmap_cursor = t.mmap_cursor }
   in
-  Hashtbl.iter
-    (fun idx p ->
-      Mem.incref p;
-      Hashtbl.replace child.pages idx p)
-    t.pages;
+  Hashtbl.iter (fun idx p -> Hashtbl.replace child.pages idx (frame p)) t.pages;
   child
+
+let cow_share p =
+  Mem.incref p;
+  p
+
+(* Process fork: COW-share every private frame and alias every shared
+   one. *)
+let fork t ~id = fork_with cow_share t ~id
+
+(* A checkpoint must not alias a MAP_SHARED frame: the session it was
+   taken from keeps writing that frame in place, so the checkpoint would
+   read the future.  Like rr's session clone, it copies each shared
+   frame once per table, so the spaces of one checkpoint (parent and
+   child after fork) still alias each other's copy. *)
+type shared_copies = Mem.page Mem.Identity.t
+
+let shared_copies () = Mem.Identity.create ()
+
+let fork_checkpoint copies t ~id =
+  fork_with
+    (fun p ->
+      if p.Mem.shared then begin
+        let q =
+          Mem.Identity.find_or_add copies p (fun () ->
+              { p with Mem.bytes = Bytes.copy p.Mem.bytes; refs = 0 })
+        in
+        Mem.incref q;
+        q
+      end
+      else cow_share p)
+    t ~id
 
 let release t = unmap_all t
 

@@ -107,8 +107,20 @@ val bp_any : t -> bool
 (** Constant time: the interpreter probes [bp_is_set] only when true. *)
 
 val fork : t -> id:int -> t
-(** COW-share every frame; the basis of cheap checkpoints.  Text pages
-    are copied, so text writes on either side stay private. *)
+(** Process fork: COW-share every private frame and alias every
+    [MAP_SHARED] one.  Text pages are copied, so text writes on either
+    side stay private. *)
+
+type shared_copies
+(** One checkpoint's copies of [MAP_SHARED] frames. *)
+
+val shared_copies : unit -> shared_copies
+
+val fork_checkpoint : shared_copies -> t -> id:int -> t
+(** A checkpoint's fork, the basis of cheap checkpoints: like {!fork}
+    for private frames, but each [MAP_SHARED] frame is replaced by a
+    copy made once per [shared_copies], so the spaces forked with one
+    table alias each other's copies and never the source's frames. *)
 
 val release : t -> unit
 

@@ -41,5 +41,37 @@ let unshare p =
   decref p;
   { bytes = Bytes.copy p.bytes; refs = 1; prot = p.prot; shared = p.shared }
 
+(* Never written: the all-zero frame contents [is_zero] compares
+   against (a word-at-a-time compare in the runtime). *)
+let zero_bytes = Bytes.make page_size '\000'
+
+let is_zero p = Bytes.equal p.bytes zero_bytes
+
+(* There is no identity stamp on a frame, so frames are bucketed by a
+   hash of their contents and told apart with [==]: frames with equal
+   contents share a bucket and cost a linear scan of it. *)
+module Identity = struct
+  type 'a t = (int, (page * 'a) list ref) Hashtbl.t
+
+  let create () : 'a t = Hashtbl.create 16
+
+  let find_or_add t p make =
+    let h = Hashtbl.hash p.bytes in
+    let bucket =
+      match Hashtbl.find t h with
+      | b -> b
+      | exception Not_found ->
+        let b = ref [] in
+        Hashtbl.replace t h b;
+        b
+    in
+    match List.find_opt (fun (q, _) -> q == p) !bucket with
+    | Some (_, v) -> v
+    | None ->
+      let v = make () in
+      bucket := (p, v) :: !bucket;
+      v
+end
+
 let get_u8 p off = Char.code (Bytes.get p.bytes off)
 let set_u8 p off v = Bytes.set p.bytes off (Char.chr (v land 0xff))

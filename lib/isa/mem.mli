@@ -28,5 +28,20 @@ val decref : page -> unit
 val unshare : page -> page
 (** Copy a COW page for the caller; other mappers keep the original. *)
 
+val is_zero : page -> bool
+(** Every byte of the frame is zero. *)
+
+(** Frames keyed by physical identity.  A frame's contents must not
+    change while it is a key. *)
+module Identity : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find_or_add : 'a t -> page -> (unit -> 'a) -> 'a
+  (** The value bound to this very frame, made by [make] and bound on
+      first sight. *)
+end
+
 val get_u8 : page -> int -> int
 val set_u8 : page -> int -> int -> unit

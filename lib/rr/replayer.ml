@@ -697,8 +697,11 @@ let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
    A checkpoint is a COW snapshot of the whole replay: address spaces are
    forked (copy-on-write page sharing, so this is cheap no matter the
    tracee size), task registers/counters and the replayer's own cursor
-   are copied.  Restoring builds a fresh kernel around the shared
-   pages — the mechanism behind rr's reverse execution. *)
+   are copied.  [MAP_SHARED] frames are the exception: the session
+   writes them in place, so the checkpoint fork copies each one
+   ([A.fork_checkpoint]), and so does every restore.  Restoring builds a
+   fresh kernel around the shared pages — the mechanism behind rr's
+   reverse execution. *)
 
 type snap_task = {
   sn_tid : int;
@@ -731,7 +734,7 @@ type snap_task = {
 type snap_proc = {
   sp_pid : int;
   sp_parent : int;
-  sp_space : A.t; (* a COW fork taken at snapshot time *)
+  sp_space : A.t; (* a checkpoint fork taken at snapshot time *)
   sp_threads : int list;
   sp_exit : int option;
   sp_reaped : bool;
@@ -769,6 +772,7 @@ type snapshot = {
 let snapshot r =
   Telemetry.incr tm_ckpt_save;
   Timeline.scope "replay.ckpt_save" @@ fun () ->
+  let copies = A.shared_copies () in
   let procs =
     List.filter_map
       (fun (p : T.process) ->
@@ -779,7 +783,7 @@ let snapshot r =
               sp_parent = p.T.parent;
               sp_space =
                 (if p.T.exit_code = None then
-                   A.fork p.T.space ~id:p.T.space.A.id
+                   A.fork_checkpoint copies p.T.space ~id:p.T.space.A.id
                  else A.create ~id:p.T.space.A.id);
               sp_threads = p.T.threads;
               sp_exit = p.T.exit_code;
@@ -901,12 +905,13 @@ let restore_unchecked ?(opts = default_opts) trace snap =
   k.K.clock <- snap.snap_clock;
   Entropy.set_state k.K.entropy snap.snap_entropy;
   k.K.tsc <- snap.snap_ktsc;
-  (* Processes first (spaces COW-forked again so the snapshot stays
-     immutable and reusable). *)
+  (* Processes first (spaces forked again, shared frames copied again,
+     so the snapshot stays immutable and reusable). *)
+  let copies = A.shared_copies () in
   List.iter
     (fun sp ->
       K.reserve_id k sp.sp_pid;
-      let space = A.fork sp.sp_space ~id:sp.sp_space.A.id in
+      let space = A.fork_checkpoint copies sp.sp_space ~id:sp.sp_space.A.id in
       let p = T.make_process ~pid:sp.sp_pid ~parent:sp.sp_parent ~space in
       p.T.threads <- sp.sp_threads;
       p.T.exit_code <- sp.sp_exit;
@@ -973,12 +978,17 @@ let restore_exn ?opts trace snap =
 
    Durable checkpoints: a snapshot flattened to bytes so the trace can
    carry it ('K' records) and a *future process* can restore without
-   replaying from frame 0.  COW page sharing is preserved through an
-   identity table — each distinct page frame is emitted once and spaces
-   reference it by id, so decoding re-creates the same sharing (and the
-   same PSS) the live snapshot had. *)
+   replaying from frame 0.  Each blob stands alone: its page table is
+   content-addressed within the blob (see [Page_table]), and every space
+   maps page indexes to table entries.  Decoding attaches all mappings
+   of an entry to one frame whose [refs] counts them, so the first write
+   through any of them copies it, exactly like a COW fork.  Equal
+   private frames merge, so a restored space can have a lower PSS than
+   the live one had; shared frames never merge.  A blob of another
+   version raises [Codec.Corrupt] (the debugger's [index.fallback]
+   path) until [rr_cli index] rebuilds the index. *)
 
-let snapshot_codec_version = 1
+let snapshot_codec_version = 2
 
 let put_bpf_insn b (i : Bpf.insn) =
   let open Bpf in
@@ -1101,55 +1111,110 @@ let get_region s : A.region =
   let shared = Codec.get_bool s in
   { A.start; len; prot; kind; shared }
 
-(* Distinct page frames by physical identity: content-hash buckets
-   disambiguated with [==].  COW sharing across spaces becomes shared
-   ids in the encoding. *)
-module Page_ids = struct
+(* The page table of one blob.  An entry is a frame's flags, prot and,
+   unless it is all zero, its 4096 bytes:
+   - a private frame is keyed by (prot, bytes), so equal private frames
+     are one entry, whichever spaces and addresses map them: a write
+     copies before it lands, so merging cannot be observed;
+   - an all-zero private frame is keyed by prot alone and its entry
+     carries the zero flag instead of the bytes;
+   - a [MAP_SHARED] frame keeps its physical identity and is never
+     merged: a write lands in place, so two shared frames with equal
+     bytes must stay two frames. *)
+module Page_table = struct
+  let flag_shared = 1
+  let flag_zero = 2
+
   type t = {
-    buckets : (int, (Mem.page * int) list ref) Hashtbl.t;
-    mutable rev_pages : Mem.page list;
+    zeros : (Mem.prot, int) Hashtbl.t;
+    privates : (Mem.prot * Bytes.t, int) Hashtbl.t;
+    shareds : int Mem.Identity.t;
+    mutable rev_entries : (Mem.page * bool) list; (* frame, all zero *)
     mutable next : int;
   }
 
   let create () =
-    { buckets = Hashtbl.create 256; rev_pages = []; next = 0 }
+    { zeros = Hashtbl.create 4;
+      privates = Hashtbl.create 64;
+      shareds = Mem.Identity.create ();
+      rev_entries = [];
+      next = 0 }
 
-  let id_of t p =
-    let h = Hashtbl.hash p in
-    let bucket =
-      match Hashtbl.find_opt t.buckets h with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace t.buckets h b;
-        b
-    in
-    match List.find_opt (fun (q, _) -> q == p) !bucket with
-    | Some (_, id) -> id
-    | None ->
-      let id = t.next in
-      t.next <- id + 1;
-      bucket := (p, id) :: !bucket;
-      t.rev_pages <- p :: t.rev_pages;
-      id
+  let add t p ~zero =
+    let id = t.next in
+    t.next <- id + 1;
+    t.rev_entries <- (p, zero) :: t.rev_entries;
+    id
 
-  let pages t = Array.of_list (List.rev t.rev_pages)
+  let id_of t (p : Mem.page) =
+    if p.Mem.shared then
+      Mem.Identity.find_or_add t.shareds p (fun () ->
+          add t p ~zero:(Mem.is_zero p))
+    else if Mem.is_zero p then begin
+      match Hashtbl.find t.zeros p.Mem.prot with
+      | id -> id
+      | exception Not_found ->
+        let id = add t p ~zero:true in
+        Hashtbl.replace t.zeros p.Mem.prot id;
+        id
+    end
+    else begin
+      let key = (p.Mem.prot, p.Mem.bytes) in
+      match Hashtbl.find t.privates key with
+      | id -> id
+      | exception Not_found ->
+        let id = add t p ~zero:false in
+        Hashtbl.replace t.privates key id;
+        id
+    end
+
+  let put b t =
+    let entries = List.rev t.rev_entries in
+    Codec.put_uvarint b (List.length entries);
+    List.iter
+      (fun ((p : Mem.page), zero) ->
+        Codec.put_uvarint b
+          ((if p.Mem.shared then flag_shared else 0)
+          lor if zero then flag_zero else 0);
+        Codec.put_int b p.Mem.prot;
+        if not zero then Buffer.add_bytes b p.Mem.bytes)
+      entries
+
+  (* [refs] starts at 0: every mapping increfs. *)
+  let get s =
+    Codec.get_array s (fun s ->
+        let flags = Codec.get_uvarint s in
+        if flags land lnot (flag_shared lor flag_zero) <> 0 then
+          raise
+            (Codec.Corrupt (Printf.sprintf "snapshot: page flags %d" flags));
+        let prot = Codec.get_int s in
+        let bytes =
+          if flags land flag_zero <> 0 then Bytes.make Mem.page_size '\000'
+          else Bytes.of_string (Codec.take s Mem.page_size)
+        in
+        { Mem.bytes; refs = 0; prot; shared = flags land flag_shared <> 0 })
 end
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
-let put_space ids b (a : A.t) =
+(* Mappings are (page index, entry id) in ascending index order, each
+   index as its distance from the previous one: a run of pages costs
+   about two bytes a page. *)
+let put_space table b (a : A.t) =
   Codec.put_int b a.A.id;
   Codec.put_int b a.A.mmap_cursor;
   Codec.put_list b put_region a.A.regions;
   let page_idxs = sorted_keys a.A.pages in
   Codec.put_uvarint b (List.length page_idxs);
-  List.iter
-    (fun idx ->
-      Codec.put_int b idx;
-      Codec.put_uvarint b (Page_ids.id_of ids (Hashtbl.find a.A.pages idx)))
-    page_idxs;
+  ignore
+    (List.fold_left
+       (fun prev idx ->
+         Codec.put_uvarint b (idx - prev - 1);
+         Codec.put_uvarint b
+           (Page_table.id_of table (Hashtbl.find a.A.pages idx));
+         idx)
+       (-1) page_idxs);
   Codec.put_uvarint b (A.text_count a);
   A.text_fold
     (fun addr insn () ->
@@ -1165,8 +1230,11 @@ let get_space pages s : A.t =
   a.A.mmap_cursor <- Codec.get_int s;
   a.A.regions <- Codec.get_list s get_region;
   let n_pages = Codec.get_uvarint s in
+  let prev = ref (-1) in
   for _ = 1 to n_pages do
-    let idx = Codec.get_int s in
+    let idx = !prev + 1 + Codec.get_uvarint s in
+    if idx <= !prev then raise (Codec.Corrupt "snapshot: page index order");
+    prev := idx;
     let pid = Codec.get_uvarint s in
     if pid < 0 || pid >= Array.length pages then
       raise (Codec.Corrupt "snapshot: page id out of range");
@@ -1235,10 +1303,10 @@ let get_sig_action s =
   let flags = Codec.get_int s in
   { Signals.disposition; mask; flags }
 
-let put_snap_proc ids b sp =
+let put_snap_proc table b sp =
   Codec.put_int b sp.sp_pid;
   Codec.put_int b sp.sp_parent;
-  put_space ids b sp.sp_space;
+  put_space table b sp.sp_space;
   Codec.put_list b Codec.put_int sp.sp_threads;
   (match sp.sp_exit with
   | None -> Codec.put_uvarint b 0
@@ -1358,19 +1426,12 @@ let encode_snapshot snap =
       Codec.put_string b path;
       Image_codec.put_image b img)
     snap.snap_installed;
-  (* Two phases: assign page ids while encoding the procs into a side
+  (* Two phases: assign entry ids while encoding the procs into a side
      buffer, then emit the page table first so decoding is one pass. *)
-  let ids = Page_ids.create () in
+  let table = Page_table.create () in
   let procs_b = Codec.sink () in
-  Codec.put_list procs_b (put_snap_proc ids) snap.snap_procs;
-  let pages = Page_ids.pages ids in
-  Codec.put_uvarint b (Array.length pages);
-  Array.iter
-    (fun (p : Mem.page) ->
-      Codec.put_string b (Bytes.to_string p.Mem.bytes);
-      Codec.put_int b p.Mem.prot;
-      Codec.put_bool b p.Mem.shared)
-    pages;
+  Codec.put_list procs_b (put_snap_proc table) snap.snap_procs;
+  Page_table.put b table;
   Buffer.add_buffer b procs_b;
   Codec.put_list b put_snap_task snap.snap_tasks;
   Buffer.contents b
@@ -1398,21 +1459,7 @@ let decode_snapshot blob =
         let img = Image_codec.get_image s in
         (path, img))
   in
-  let n_pages = Codec.get_uvarint s in
-  if n_pages < 0 || n_pages > Sys.max_array_length then
-    raise (Codec.Corrupt "snapshot: bad page count");
-  let pages =
-    Array.init n_pages (fun _ ->
-        let bytes = Bytes.of_string (Codec.get_string s) in
-        let prot = Codec.get_int s in
-        let shared = Codec.get_bool s in
-        if Bytes.length bytes <> Mem.page_size then
-          raise (Codec.Corrupt "snapshot: page frame of the wrong size");
-        (* refs starts at 0: every space attachment increfs, so the
-           decoded sharing graph carries the same counts a live fork
-           chain would. *)
-        { Mem.bytes; refs = 0; prot; shared })
-  in
+  let pages = Page_table.get s in
   let snap_procs = Codec.get_list s (get_snap_proc pages) in
   let snap_tasks = Codec.get_list s get_snap_task in
   if not (Codec.eof s) then

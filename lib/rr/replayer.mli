@@ -77,8 +77,10 @@ val trace : t -> Trace.t
     are forked (copy-on-write page sharing — creating one is cheap no
     matter the tracee size), task registers/counters and the replayer's
     frame index are copied; restore re-seeks the trace cursor through the
-    chunk index.  "Most checkpoints are never resumed", so creation cost
-    is what matters. *)
+    chunk index.  [MAP_SHARED] frames are copied, at the snapshot and
+    again at every restore ({!Addr_space.fork_checkpoint}), so a later
+    write through a shared mapping never reaches a checkpoint.  "Most
+    checkpoints are never resumed", so creation cost is what matters. *)
 
 type snapshot
 
@@ -110,12 +112,16 @@ val restore_exn : ?opts:opts -> Trace.t -> snapshot -> t
 
 val encode_snapshot : snapshot -> string
 (** Flatten a snapshot to bytes (the trace's durable-checkpoint blob
-    format).  COW page sharing is preserved: each distinct page frame is
-    emitted once and referenced by id. *)
+    format, version 2).  The blob stands alone: its page table writes
+    equal private frames once and an all-zero private frame as a flag,
+    while each [MAP_SHARED] frame keeps its identity, so aliasing
+    between spaces survives and distinct shared frames stay distinct. *)
 
 val decode_snapshot : string -> snapshot
 (** Inverse of {!encode_snapshot}; the decoded snapshot restores like a
-    live one.  Raises {!Codec.Corrupt} on malformed input. *)
+    live one, except that frames which were merely equal are now one
+    frame (a write through any mapping still copies it first).  Raises
+    {!Codec.Corrupt} on malformed input or another codec version. *)
 
 val snapshot_index : snapshot -> int
 (** The frame position the snapshot restores to. *)

@@ -13,9 +13,10 @@ module A = Addr_space
 let tm_build = Telemetry.counter "index.build"
 let tm_build_span = Telemetry.span "index.build_time"
 
-(* Cap the durable-checkpoint count by default: each blob carries a full
-   page image (no cross-blob sharing), so "a handful per trace" is the
-   deployable default and tests shrink the interval explicitly. *)
+(* Cap the durable-checkpoint count by default: each blob stands alone,
+   so it repeats every distinct non-zero page of every live process (no
+   page pool across blobs), and "a handful per trace" is the deployable
+   default; tests shrink the interval explicitly. *)
 let default_every n = max 1 ((n + 15) / 16)
 
 let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =

@@ -258,6 +258,59 @@ let test_checkpoint_every_clamped () =
   Alcotest.(check int) "literal opts re-clamped by create" 1
     (Debugger.checkpoint_every d)
 
+(* A MAP_SHARED page written between syscalls.  Process fork must alias
+   a shared frame, but a checkpoint must not: the session keeps writing
+   the frame in place, so an aliasing checkpoint would hand reverse
+   execution the future's bytes. *)
+let shared_cell = 0x300000
+
+(* The simulator's MAP_ANON | MAP_SHARED | MAP_FIXED (Kernel.sys_mmap). *)
+let map_anon_shared_fixed = 1 lor 2 lor 4
+
+let record_shared_stores () =
+  let setup k =
+    Vfs.mkdir_p (K.vfs k) "/bin";
+    let b = G.create () in
+    let store v =
+      [ Asm.movi 9 shared_cell; Asm.movi 10 v; Asm.store 10 9 0 ]
+      @. G.sc Sysno.getpid []
+    in
+    G.emit b
+      (G.sc Sysno.mmap
+         [ G.imm shared_cell; G.imm Mem.page_size; G.imm Mem.prot_rw;
+           G.imm map_anon_shared_fixed; G.imm 0; G.imm 0 ]
+      @. G.sc Sysno.getpid []
+      @. store 1 @. store 2 @. store 3
+      @. G.sys_exit_group 0);
+    K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ())
+  in
+  let opts = { Recorder.default_opts with intercept = false } in
+  let trace, _, _ = Recorder.record ~opts ~setup ~exe:"/bin/t" () in
+  trace
+
+let test_reverse_reads_shared_page_past () =
+  let trace = record_shared_stores () in
+  let d = dbg ~every:1 ~use_index:false trace in
+  let n = Debugger.n_events d in
+  let cell () =
+    try Debugger.read_word d 100 shared_cell with Debugger.Debug_error _ -> -1
+  in
+  let forward =
+    List.init (n + 1) (fun f ->
+        Debugger.seek d f;
+        cell ())
+  in
+  Alcotest.(check bool) "forward replay sees every store" true
+    (List.for_all (fun v -> List.mem v forward) [ 0; 1; 2; 3 ]);
+  let reverse =
+    List.rev
+      (List.init (n + 1) (fun i ->
+           Debugger.seek d (n - i);
+           cell ()))
+  in
+  Alcotest.(check (list int)) "reverse seeks read what forward seeks read"
+    forward reverse
+
 let suites =
   [ ( "rr.debugger",
       [ Alcotest.test_case "seek + inspect" `Quick test_seek_and_inspect;
@@ -276,4 +329,6 @@ let suites =
           test_reverse_at_frame_zero;
         Alcotest.test_case "checkpoint_every clamped" `Quick
           test_checkpoint_every_clamped;
+        Alcotest.test_case "reverse seeks read a shared page's past" `Quick
+          test_reverse_reads_shared_page_past;
         QCheck_alcotest.to_alcotest qcheck_random_seeks ] ) ]

@@ -145,6 +145,19 @@ check_file() {
     fi
     ;;
   esac
+  # Process fork aliases MAP_SHARED frames, which a checkpoint must
+  # not: a checkpoint that shares a frame the session keeps writing
+  # reads the future.  Under lib/, only the kernel's fork(2) and lib/isa
+  # itself call the plain fork; checkpoints take A.fork_checkpoint.
+  case "$f" in
+  *lib/isa/* | *lib/kern/kernel.ml) ;;
+  *lib/*)
+    if grep -qE '\b(A|Addr_space)\.fork\b' "$f"; then
+      echo "format: $f calls the process fork; checkpoints use Addr_space.fork_checkpoint" >&2
+      status=1
+    fi
+    ;;
+  esac
   # Connection-key derivation — parsing datagram source ports out of
   # recorded frames — lives in lib/rr/conn_track.ml and nowhere else:
   # one place to get the recvfrom write-layout subtleties right.  The
