@@ -44,7 +44,7 @@ type kind =
 type region = {
   start : int;
   len : int;
-  mutable prot : Mem.prot;
+  prot : Mem.prot;
   kind : kind;
   shared : bool;
 }
@@ -175,14 +175,18 @@ let unmap_all t =
   t.mmap_cursor <- mmap_base
 
 (* mprotect: per-frame protection.  A COW frame shared with another space
-   must be unshared first so the other space's protections are unaffected. *)
+   must be unshared first so the other space's protections are unaffected.
+   Region records are immutable and shared by forks and checkpoints, so
+   each overlapping one is replaced, never updated in place. *)
 let protect t ~addr ~len ~prot =
   let addr = addr land lnot (Mem.page_size - 1) in
   let len = (len + Mem.page_size - 1) land lnot (Mem.page_size - 1) in
-  List.iter
-    (fun r ->
-      if addr < r.start + r.len && r.start < addr + len then r.prot <- prot)
-    t.regions;
+  t.regions <-
+    List.map
+      (fun r ->
+        if addr < r.start + r.len && r.start < addr + len then { r with prot }
+        else r)
+      t.regions;
   let first = Mem.page_index addr in
   for i = first to first + page_count addr len - 1 do
     match Hashtbl.find_opt t.pages i with

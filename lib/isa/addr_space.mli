@@ -17,7 +17,7 @@ type kind =
 type region = {
   start : int;
   len : int;
-  mutable prot : Mem.prot;
+  prot : Mem.prot;
   kind : kind;
   shared : bool;
 }

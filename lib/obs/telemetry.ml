@@ -6,8 +6,7 @@
    valid across runs, which is what lets the bench harness snapshot one
    workload at a time.
 
-   Domain safety: worker domains (the {!Pool} in lib/exec — trace
-   compression, replay readahead) report through the same registry as
+   Domain safety: any domain may report through the same registry as
    the main thread.  Counters and gauges are single atomics, so the hot
    increment path never takes a lock; histograms, spans, the event ring,
    registration, [reset] and [snapshot] serialize on one registry mutex

@@ -40,12 +40,11 @@
     valid, only values are zeroed.  All operations on the hot path are
     O(1) field updates.
 
-    The registry is domain-safe: worker domains (the pool in [lib/exec]
-    that deflates trace chunks and prefetches replay chunks) share it
-    with the main thread.  Counters and gauges are lock-free atomics;
+    The registry is domain-safe: any domain may share it with the main
+    thread.  Counters and gauges are lock-free atomics;
     histograms, spans, the event ring, registration, {!reset} and
     {!snapshot} serialize on an internal registry mutex.  {!set_clock}
-    installs a closure that worker domains may call concurrently — time
+    installs a closure that other domains may call concurrently — time
     sources must tolerate that (the kernel's virtual-ns clock is a
     plain field read, so a racing read is merely slightly stale). *)
 

@@ -2,8 +2,8 @@
 
    Hot-path design: one preallocated event array and one atomic write
    cursor.  Emitting an event is a clock read, a fetch-and-add and a
-   slot write — no locks, so worker domains (lib/exec pool) record into
-   the same buffer as the supervisor without serializing on anything.
+   slot write — no locks, so other domains record into the same buffer
+   as the supervisor without serializing on anything.
    When the buffer fills, events are counted as dropped instead of
    blocking; the exporter closes any scope whose end fell off the
    buffer, so exports are always well formed.
@@ -15,9 +15,9 @@
    per-lane begin/end streams therefore always nest properly (a subset
    of a properly nested interval family is itself properly nested).
 
-   Readers ([events], exporters) must run after {!stop} with worker
+   Readers ([events], exporters) must run after {!stop} with other
    domains quiesced: slot writes are plain stores and are only
-   published by the happens-before edges of pool shutdown/await. *)
+   published by the happens-before edge of [Domain.join]. *)
 
 type kind = B | E | I | C
 
@@ -89,7 +89,7 @@ let events () =
 (* ---- lanes ----------------------------------------------------------- *)
 
 (* Lane 0 is the supervisor ("main"); kernel tasks report on their tid;
-   unnamed worker domains land at [10_000 + domain id] so they can never
+   any other domain lands at [10_000 + domain id] so it can never
    collide with guest tids. *)
 
 let lanes_m = Mutex.create ()
@@ -192,7 +192,6 @@ let layer_of name =
   | "kern" -> "kern"
   | "trace" | "salvage" | "reader" | "io" | "compress" -> "rrtrace"
   | "record" | "replay" | "index" | "sched" | "syscallbuf" | "task" -> "rr"
-  | "pool" -> "exec"
   | "gdb" -> "gdbstub"
   | s -> s
 

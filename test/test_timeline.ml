@@ -1,5 +1,5 @@
 (* The timeline tracer (lib/obs): scope nesting, lanes, exception
-   safety, concurrent emission from worker domains, Chrome trace-event
+   safety, concurrent emission from spawned domains, Chrome trace-event
    export invariants (every B balanced by a matching E, parseable
    JSON), and the per-stage attribution ledger. *)
 
@@ -205,7 +205,7 @@ let prop_export_balanced ops =
         if !depth > 0 then decr depth
       end
       else if op = 5 then Tl.instant "kern.sched_switch"
-      else Tl.sample "pool.queue_depth" !now)
+      else Tl.sample "ring.resident_bytes" !now)
     ops;
   Tl.stop ();
   let n = check_balanced (Tl.to_chrome_json ()) in
@@ -223,14 +223,12 @@ let test_export_property =
 
 (* ---- concurrency ------------------------------------------------------ *)
 
-(* Two pool jobs hammering scopes concurrently with the supervisor:
+(* Two domains hammering scopes concurrently with the supervisor:
    per-domain stacks must keep each domain's B/E properly nested in the
-   export, off the supervisor's lane, with zero mismatches.  Uses a Pool
-   — the only sanctioned way to get extra domains (check_format.sh). *)
+   export, off the supervisor's lane, with zero mismatches. *)
 let test_two_domain_hammer () =
   with_clock @@ fun now ->
   Tl.start ~capacity:(1 lsl 16) ();
-  let p = Pool.create ~jobs:2 () in
   let work () =
     for i = 1 to 500 do
       Tl.scope "trace.deflate" (fun () ->
@@ -238,14 +236,13 @@ let test_two_domain_hammer () =
           if i mod 50 = 0 then Tl.instant "kern.sched_switch")
     done
   in
-  let a = Pool.submit p work and b = Pool.submit p work in
+  let a = Domain.spawn work and b = Domain.spawn work in
   for _ = 1 to 200 do
     now := !now + 3;
     Tl.scope "record.stop" (fun () -> ())
   done;
-  Pool.await a;
-  Pool.await b;
-  Pool.shutdown p;
+  Domain.join a;
+  Domain.join b;
   Tl.stop ();
   Alcotest.(check int) "no mismatches" 0 (Tl.mismatches ());
   Alcotest.(check int) "no drops" 0 (Tl.dropped ());
@@ -253,19 +250,13 @@ let test_two_domain_hammer () =
   let lanes =
     List.sort_uniq compare (List.map (fun e -> e.Tl.ev_lane) (Tl.events ()))
   in
-  (* Only what the pool guarantees: the supervisor stays on lane 0, and
-     with real domains every job runs on a worker lane (>= 10_000).
-     Which worker takes which job is scheduling luck — one worker may
-     take both — so the number of worker lanes is not asserted.  On a
-     1-core host the pool degrades to the inline serial path
-     (everything on lane 0); the nesting/balance checks above still
-     exercise the interleaving. *)
-  Alcotest.(check bool) "supervisor lane 0 present" true (List.mem 0 lanes);
-  if Pool.jobs p > 1 then
-    Alcotest.(check bool) "worker lanes disjoint from tids" true
-      (List.exists (fun l -> l >= 10_000) lanes)
-  else
-    Alcotest.(check (list int)) "inline path stays on lane 0" [ 0 ] lanes;
+  (* The supervisor stays on lane 0 and each spawned domain records on
+     its own default lane, [10_000 + domain id].  Domain ids are never
+     reused, so this holds on any core count and any interleaving. *)
+  let domain_lane d = 10_000 + (Domain.get_id d :> int) in
+  Alcotest.(check (list int)) "lane 0 plus one lane per domain"
+    (List.sort compare [ 0; domain_lane a; domain_lane b ])
+    lanes;
   let deflates =
     List.length
       (List.filter

@@ -354,136 +354,6 @@ let test_checkpoint_restore_after_seek () =
   Alcotest.(check (option int)) "restored replay reaches the same exit"
     full.Replayer.exit_status (Replayer.stats_of r2).Replayer.exit_status
 
-(* ---- the multicore pipeline ------------------------------------------
-
-   Two properties anchor the pipeline: (1) a Writer with background
-   compression domains produces a byte-identical file to the serial
-   Writer, and (2) readahead changes only *when* chunks are inflated,
-   never what the reader returns — including across seeks. *)
-
-(* A randomized frame stream: kinds, register contents and write
-   payload sizes all drawn from [rng], so each seed exercises different
-   chunk boundaries and deflate input. *)
-let rand_event rng i =
-  let r n = Random.State.int rng n in
-  match r 4 with
-  | 0 ->
-    Event.E_sched
-      { tid = 100 + r 3;
-        point =
-          { Event.rcb = r 1_000_000;
-            point_regs = Array.init 17 (fun _ -> r 0xffff);
-            stack_extra = r 64 } }
-  | 1 ->
-    Event.E_syscall
-      { tid = 100;
-        nr = Sysno.read;
-        site = 0x1000 + i;
-        writable_site = r 2 = 0;
-        via_abort = false;
-        regs_after = Array.init 17 (fun _ -> r 0xffff);
-        writes =
-          [ { Event.addr = 0x4000 + r 0x1000;
-              data = String.init (1 + r 200) (fun _ -> Char.chr (r 256)) } ];
-        kind = Event.K_emulate }
-  | 2 -> Event.E_insn_trap { tid = 100; reg = r 16; value = r 1_000_000 }
-  | _ -> Event.E_checksum { tid = 100; value = r 1_000_000 }
-
-let write_with ~jobs events =
-  let w =
-    Trace.Writer.create ~chunk_limit:512
-      ~opts:(Trace.make_opts ~jobs ())
-      ~initial_exe:"/bin/x" ()
-  in
-  List.iter (fun e -> ignore (Trace.Writer.event w e)) events;
-  Trace.Writer.finish w
-
-let file_bytes path = In_channel.with_open_bin path In_channel.input_all
-
-let test_parallel_save_identical () =
-  List.iter
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 200 + Random.State.int rng 300 in
-      let events = List.init n (rand_event rng) in
-      let serial = write_with ~jobs:1 events in
-      let parallel = write_with ~jobs:4 events in
-      with_temp_file @@ fun p1 ->
-      with_temp_file @@ fun p2 ->
-      Trace.save_exn serial p1;
-      Trace.save_exn parallel p2;
-      if not (String.equal (file_bytes p1) (file_bytes p2)) then
-        Alcotest.failf "seed %d: parallel save differs from serial" seed;
-      (* The parallel writer must also account identically. *)
-      let s1 = Trace.stats serial and s2 = Trace.stats parallel in
-      Alcotest.(check int) "raw bytes equal" s1.Trace.raw_bytes
-        s2.Trace.raw_bytes;
-      Alcotest.(check int) "compressed bytes equal" s1.Trace.compressed_bytes
-        s2.Trace.compressed_bytes;
-      Alcotest.(check int) "chunk count equal" s1.Trace.n_chunks
-        s2.Trace.n_chunks)
-    [ 1; 2; 3; 4; 5 ]
-
-let test_readahead_identical () =
-  let t = synth_trace ~n:600 () in
-  with_temp_file @@ fun path ->
-  Trace.save_exn t path;
-  let plain = Trace.load_exn path in
-  let ahead = Trace.load_exn ~opts:(Trace.make_opts ~jobs:2 ~readahead:8 ()) path in
-  let baseline = Trace.Reader.to_array plain in
-  (* Sequential walk under readahead: same frames in the same order. *)
-  let c = Trace.Reader.open_ ahead in
-  Array.iteri
-    (fun i e ->
-      if Trace.Reader.next c <> e then
-        Alcotest.failf "frame %d differs under readahead" i)
-    baseline;
-  Alcotest.(check bool) "cursor at end" true (Trace.Reader.at_end c);
-  (* Random seeks: prefetch state must never leak a wrong chunk. *)
-  let rng = Random.State.make [| 7 |] in
-  for _ = 1 to 150 do
-    let i = Random.State.int rng (Array.length baseline) in
-    Trace.Reader.seek c i;
-    if Trace.Reader.next c <> baseline.(i) then
-      Alcotest.failf "frame %d differs under readahead after seek" i
-  done;
-  (* Background prefetch decodes count as decodes, never as corruption:
-     the stats stay coherent. *)
-  let st = Trace.stats ahead in
-  Alcotest.(check bool) "reader stats coherent" true
-    (st.Trace.lru_misses > 0 && st.Trace.lru_hits > 0)
-
-(* Corruption under readahead: a prefetch worker that hits a corrupt
-   chunk drops it; the error must still surface as a clean Format_error
-   on the demand path (same observable behavior as readahead = 0),
-   never a hang or an uncaught decode exception. *)
-let test_corrupt_chunk_under_readahead () =
-  let t = synth_trace () in
-  let original = Trace.Reader.to_array t in
-  with_temp_file @@ fun path ->
-  Trace.save_exn t path;
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  let detected = ref 0 in
-  List.iter
-    (fun frac ->
-      let b = Bytes.of_string full in
-      let off = Bytes.length b * frac / 10 in
-      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      match Trace.load_exn ~opts:(Trace.make_opts ~jobs:2 ~readahead:8 ()) path with
-      | exception Trace.Format_error _ -> incr detected
-      | loaded -> (
-        match Trace.Reader.to_array loaded with
-        | exception Trace.Format_error _ -> incr detected
-        | frames -> if frames <> original then incr detected))
-    [ 3; 4; 5; 6; 7; 8; 9 ];
-  Alcotest.(check bool)
-    (Printf.sprintf "corruption detected under readahead (%d/7 flips)"
-       !detected)
-    true (!detected >= 1)
-
 let suites =
   [ ( "trace.store",
       [ Alcotest.test_case "multi-chunk index" `Quick test_multi_chunk_index;
@@ -522,11 +392,4 @@ let suites =
           test_restore_rejects_mismatched_trace ] );
     ( "trace.checkpoint",
       [ Alcotest.test_case "restore re-seeks the cursor" `Quick
-          test_checkpoint_restore_after_seek ] );
-    ( "trace.pipeline",
-      [ Alcotest.test_case "parallel save is byte-identical" `Quick
-          test_parallel_save_identical;
-        Alcotest.test_case "readahead returns identical frames" `Quick
-          test_readahead_identical;
-        Alcotest.test_case "corrupt chunk under readahead" `Quick
-          test_corrupt_chunk_under_readahead ] ) ]
+          test_checkpoint_restore_after_seek ] ) ]

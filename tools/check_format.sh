@@ -35,20 +35,6 @@ check_file() {
     fi
     ;;
   esac
-  # Reader/recorder options must be built through make_opts so the
-  # clamps (jobs >= 1, readahead >= 0, ...) are never bypassed.  A bare
-  # record literal starting at the [jobs] field (or a record update of
-  # it) is the tell; module-qualified fields like { Wl_make.jobs = ... }
-  # belong to other types and are fine.
-  case "$f" in
-  *lib/*) ;;
-  *)
-    if grep -qE '\{ *jobs *=|with +jobs *=' "$f"; then
-      echo "format: $f builds an opts record literally; use make_opts" >&2
-      status=1
-    fi
-    ;;
-  esac
   # Host networking is confined to the gdb stub's socket transport (and
   # the CLI): the simulated kernel must never open real sockets, so a
   # listening-socket call anywhere else is a layering leak.
@@ -61,14 +47,13 @@ check_file() {
     fi
     ;;
   esac
-  # All parallelism goes through the lib/exec pool: bare Domain.spawn
-  # anywhere else scatters concurrency policy (worker counts, queue
-  # bounds, shutdown) across the tree.
+  # The program is single-domain: only tests spawn domains (to check
+  # that Telemetry and Timeline stay domain-safe).
   case "$f" in
-  *lib/exec/*) ;;
+  *test/*) ;;
   *)
     if grep -qE 'Domain\.spawn' "$f"; then
-      echo "format: $f calls Domain.spawn directly; use exec's Pool" >&2
+      echo "format: $f calls Domain.spawn; only tests under test/ may" >&2
       status=1
     fi
     ;;
@@ -116,18 +101,6 @@ check_file() {
   *)
     if grep -qE 'rfind_event' "$f"; then
       echo "format: $f scans with rfind_event; use Debugger.Query" >&2
-      status=1
-    fi
-    ;;
-  esac
-  # record_result is the deprecated spelling of Recorder.run; it only
-  # survives inside lib/rr (the definition and its deprecation stanza).
-  # Everything else takes the result-typed entry point by its new name.
-  case "$f" in
-  *lib/rr/*) ;;
-  *)
-    if grep -qE 'record_result' "$f"; then
-      echo "format: $f calls record_result; use Recorder.run" >&2
       status=1
     fi
     ;;
