@@ -611,7 +611,12 @@ let micro () =
            Printf.sprintf "frame tid=%d result=%d;" i (i * 7)))
   in
   let compressed = Compress.deflate payload in
+  let crc_input =
+    String.init (8 lsl 20) (fun i -> Char.chr (i * 131 land 0xff))
+  in
   let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 64 } () in
+  (* Recording cost per byte of cloned reads (paper §3.9). *)
+  let w_big = Wl_cp.make ~params:{ Wl_cp.files = 16; file_kb = 256 } () in
   let recd, _ = Workload.record w in
   let r0 = Replayer.start recd.Workload.trace in
   for _ = 1 to 10 do
@@ -623,10 +628,14 @@ let micro () =
           (Staged.stage (fun () -> ignore (Compress.deflate payload)));
         Test.make ~name:"inflate-10KB"
           (Staged.stage (fun () -> ignore (Compress.inflate compressed)));
+        Test.make ~name:"crc32-8MiB"
+          (Staged.stage (fun () -> ignore (Crc32.string crc_input)));
         Test.make ~name:"checkpoint-snapshot"
           (Staged.stage (fun () -> ignore (Replayer.snapshot r0)));
         Test.make ~name:"record-cp-small"
           (Staged.stage (fun () -> ignore (Workload.record w)));
+        Test.make ~name:"record-cp-16x256KiB"
+          (Staged.stage (fun () -> ignore (Workload.record w_big)));
         Test.make ~name:"replay-cp-small"
           (Staged.stage (fun () -> ignore (Workload.replay recd))) ]
   in

@@ -290,20 +290,8 @@ let clone_read r k task ~fd ~len =
         in
         st.cloned_off <- st.cloned_off + ((len + 4095) land lnot 4095);
         let data = Bytes.to_string (Vfs.read vfs reg ~off:entry.T.pos ~len) in
-        let contents =
-          match Trace.Writer.find_file r.w path with
-          | Some existing ->
-            let need = cref.E.cr_off + len in
-            let b = Bytes.make (max need (String.length existing)) '\000' in
-            Bytes.blit_string existing 0 b 0 (String.length existing);
-            Bytes.blit_string data 0 b cref.E.cr_off len;
-            Bytes.to_string b
-          | None ->
-            let b = Bytes.make (cref.E.cr_off + len) '\000' in
-            Bytes.blit_string data 0 b cref.E.cr_off len;
-            Bytes.to_string b
-        in
-        Trace.Writer.add_file r.w ~path ~cloned:(shared > 0) contents;
+        Trace.Writer.append_file r.w ~path ~cloned:(shared > 0)
+          ~off:cref.E.cr_off data;
         Some cref
       end
     | Some _ | None -> None

@@ -679,7 +679,7 @@ let pp_stats ppf s =
 type sink_state = {
   mutable ss_header : (bool * string * int) option;
   mutable ss_images : (string * string) list; (* reversed (path, key) *)
-  ss_files : (string, Buffer.t) Hashtbl.t;
+  mutable ss_files : Trace.File_deltas.t;
   mutable ss_chunks : (int * int * int * string) list; (* reversed *)
   ss_acc : store_result ref;
 }
@@ -687,7 +687,8 @@ type sink_state = {
 let sink t ~name =
   if not (valid_name name) then raise (Repo_error (invalid_name name));
   let ss =
-    { ss_header = None; ss_images = []; ss_files = Hashtbl.create 8;
+    { ss_header = None; ss_images = [];
+      ss_files = Trace.File_deltas.create ();
       ss_chunks = [];
       ss_acc =
         ref
@@ -702,20 +703,7 @@ let sink t ~name =
     | Trace.Sink.Image { path; img } ->
       ss.ss_images <- (path, store (encode_image img)) :: ss.ss_images
     | Trace.Sink.File_delta { path; offset; data } ->
-      let b =
-        match Hashtbl.find_opt ss.ss_files path with
-        | Some b -> b
-        | None ->
-          let b = Buffer.create (String.length data) in
-          Hashtbl.add ss.ss_files path b;
-          b
-      in
-      if offset < Buffer.length b then begin
-        let prefix = Buffer.sub b 0 offset in
-        Buffer.clear b;
-        Buffer.add_string b prefix
-      end;
-      Buffer.add_string b data
+      Trace.File_deltas.apply ss.ss_files ~path ~offset data
     | Trace.Sink.Chunk { first_frame; n_frames; kinds; stored } ->
       ss.ss_chunks <-
         (first_frame, n_frames, kinds, store stored) :: ss.ss_chunks
@@ -728,8 +716,7 @@ let sink t ~name =
       | None -> (false, "<unknown>", 2) (* unreachable: Header precedes commit *)
     in
     let m_files =
-      Hashtbl.fold (fun p b acc -> (p, Buffer.contents b) :: acc) ss.ss_files []
-      |> List.sort compare
+      Trace.File_deltas.contents ss.ss_files
       |> List.map (fun (p, data) ->
              ( p, String.length data,
                List.map (fun blk -> store blk) (split_blocks data) ))
@@ -745,7 +732,7 @@ let sink t ~name =
   in
   let close () =
     (* no manifest: whatever objects landed are orphans until gc *)
-    Hashtbl.reset ss.ss_files;
+    ss.ss_files <- Trace.File_deltas.create ();
     ss.ss_chunks <- [];
     ss.ss_images <- []
   in

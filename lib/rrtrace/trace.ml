@@ -160,6 +160,59 @@ let make_t ?(trusted = false) ?(origin = "<memory>") ?(event_version = 1)
 let default_chunk_limit = 1 lsl 16
 let cache_slots = 8
 
+(* ---- file snapshots rebuilt from deltas -------------------------------
+
+   A file snapshot travels as 'D' deltas: bytes that replace the file
+   from an offset, in practice a suffix appended at its current length.
+   The writer, the loader and salvage scanner, the ring and the
+   repository sink all keep files here, so a file grown by k appends
+   costs its final size once, not k times.  A file that arrives in one
+   piece (what {!save} writes) keeps that piece's string uncopied; the
+   first append moves it into a buffer. *)
+module File_deltas = struct
+  type file = Whole of string | Growing of Buffer.t
+  type t = (string, file) Hashtbl.t
+
+  let create () : t = Hashtbl.create 8
+
+  let file_length = function
+    | Whole s -> String.length s
+    | Growing b -> Buffer.length b
+
+  let length t path =
+    match Hashtbl.find_opt t path with Some f -> file_length f | None -> 0
+
+  let apply t ~path ~offset data =
+    let past_end () =
+      raise (Codec.Corrupt "file delta offset past current length")
+    in
+    match Hashtbl.find_opt t path with
+    | _ when offset = 0 -> Hashtbl.replace t path (Whole data)
+    | None -> past_end ()
+    | Some f when offset < 0 || offset > file_length f -> past_end ()
+    | Some (Growing b) ->
+      Buffer.truncate b offset;
+      Buffer.add_string b data
+    | Some (Whole s) ->
+      let b = Buffer.create (2 * (offset + String.length data)) in
+      Buffer.add_substring b s 0 offset;
+      Buffer.add_string b data;
+      Hashtbl.replace t path (Growing b)
+
+  (* Bytes of [path] from [off] to its end. *)
+  let suffix t path off =
+    match Hashtbl.find t path with
+    | Whole s when off = 0 -> s
+    | Whole s -> String.sub s off (String.length s - off)
+    | Growing b -> Buffer.sub b off (Buffer.length b - off)
+
+  let paths t =
+    Hashtbl.fold (fun p _ acc -> p :: acc) t [] |> List.sort compare
+
+  let contents t = List.map (fun p -> (p, suffix t p 0)) (paths t)
+  let to_table t = Hashtbl.of_seq (List.to_seq (contents t))
+end
+
 (* ---- v3 record stream ------------------------------------------------
 
    The file is a stream of self-delimiting records between an 8-byte
@@ -416,7 +469,7 @@ type ring = {
   mutable r_group : int; (* current (still-open) watermark group *)
   mutable r_header : (bool * string * int) option;
   r_images : (string, Image.t) Hashtbl.t;
-  r_files : (string, string) Hashtbl.t;
+  r_files : File_deltas.t;
   mutable r_stats : stats option; (* newest journaled stats snapshot *)
 }
 
@@ -445,7 +498,7 @@ let ring ~chunks =
     r_group = 0;
     r_header = None;
     r_images = Hashtbl.create 8;
-    r_files = Hashtbl.create 8;
+    r_files = File_deltas.create ();
     r_stats = None }
 
 let ring_drop_front r =
@@ -460,11 +513,7 @@ let ring_put r = function
     r.r_header <- Some (compressed, initial_exe, event_version)
   | Sink.Image { path; img } -> Hashtbl.replace r.r_images path img
   | Sink.File_delta { path; offset; data } ->
-    let current =
-      match Hashtbl.find_opt r.r_files path with Some d -> d | None -> ""
-    in
-    let offset = min offset (String.length current) in
-    Hashtbl.replace r.r_files path (String.sub current 0 offset ^ data)
+    File_deltas.apply r.r_files ~path ~offset data
   | Sink.Chunk { first_frame; n_frames; kinds; stored } ->
     Queue.push
       { re_first = first_frame;
@@ -534,7 +583,8 @@ let ring_trace r =
   stats.compressed_bytes <- !off;
   let t =
     make_t ~origin:"<ring>" ~event_version ~index ~chunks ~compressed
-      ~images:(Hashtbl.copy r.r_images) ~files:(Hashtbl.copy r.r_files)
+      ~images:(Hashtbl.copy r.r_images)
+      ~files:(File_deltas.to_table r.r_files)
       ~stats ~initial_exe ()
   in
   ( t,
@@ -559,13 +609,13 @@ module Writer = struct
      being recorded*, so a writer killed mid-record leaves a salvageable
      record-stream prefix (file sink), a live ring window (ring sink) or
      a set of content-addressed objects (repo sink) instead of nothing.
-     [j_marks] remembers the (length, crc) of every file snapshot
-     already streamed, so the growing per-task cloned-data files emit
-     suffix deltas rather than full rewrites. *)
+     Files only grow, so [j_marks] keeps the length of every file
+     snapshot already streamed, and the growing per-task cloned-data
+     files emit suffix deltas rather than full rewrites. *)
   type sstate = {
     s_sink : Sink.t;
     mutable j_since_mark : int; (* chunks streamed since the last mark *)
-    j_marks : (string, int * int) Hashtbl.t; (* path -> (len, crc) *)
+    j_marks : (string, int) Hashtbl.t; (* path -> streamed length *)
   }
 
   type w = {
@@ -579,7 +629,7 @@ module Writer = struct
     mutable frames_flushed : int; (* first_frame of the pending chunk *)
     chunk_limit : int;
     images : (string, Image.t) Hashtbl.t;
-    files : (string, string) Hashtbl.t;
+    files : File_deltas.t;
     stats : stats;
     mutable exe : string;
     compress : bool;
@@ -620,7 +670,7 @@ module Writer = struct
       frames_flushed = 0;
       chunk_limit;
       images = Hashtbl.create 8;
-      files = Hashtbl.create 8;
+      files = File_deltas.create ();
       stats = new_stats ();
       exe = initial_exe;
       compress;
@@ -628,38 +678,23 @@ module Writer = struct
       bounded;
       closed = false }
 
-  (* Stream every file snapshot that changed since its last mark.  A
-     pure append (old bytes are a prefix, by length+CRC) emits only the
-     suffix; anything else rewrites from offset 0.  Runs before each
-     chunk event so any persisted prefix satisfies the ordering
-     invariant (chunks never reference file state the stream has not
-     shown). *)
+  (* Stream every file snapshot that is new or grew since its mark: the
+     bytes past the mark, so a new file (even an empty one) goes out
+     whole from offset 0.  Runs before each chunk event so any persisted
+     prefix satisfies the ordering invariant (chunks never reference
+     file state the stream has not shown). *)
   let journal_files w j =
-    let paths =
-      Hashtbl.fold (fun p _ acc -> p :: acc) w.files []
-      |> List.sort compare
-    in
     List.iter
       (fun path ->
-        let data = Hashtbl.find w.files path in
-        let len = String.length data in
-        let crc = Crc32.string data in
-        let old_len, old_crc =
-          match Hashtbl.find_opt j.j_marks path with
-          | Some m -> m
-          | None -> (0, 0)
-        in
-        if len <> old_len || crc <> old_crc then begin
-          let offset, data =
-            if len > old_len
-               && Crc32.sub data ~pos:0 ~len:old_len = old_crc
-            then (old_len, String.sub data old_len (len - old_len))
-            else (0, data)
-          in
+        let len = File_deltas.length w.files path in
+        match Hashtbl.find_opt j.j_marks path with
+        | Some streamed when streamed = len -> ()
+        | mark ->
+          let offset = Option.value mark ~default:0 in
+          let data = File_deltas.suffix w.files path offset in
           j.s_sink.Sink.sk_put (Sink.File_delta { path; offset; data });
-          Hashtbl.replace j.j_marks path (len, crc)
-        end)
-      paths
+          Hashtbl.replace j.j_marks path len)
+      (File_deltas.paths w.files)
 
   (* Seal the pending frames as one chunk: deflate it, build its index
      entry (with CRC), account compression, and — with a sink — stream it
@@ -754,25 +789,35 @@ module Writer = struct
       | None -> ()
     end
 
-  (* Snapshot file bytes.  [cloned] distinguishes free COW clones from
-     real copies (the no-cloning configuration of Table 1).  Re-adding a
-     path (the growing per-task cloned-data file) accounts only the
-     growth. *)
-  let add_file w ~path ~cloned data =
-    let old_size =
-      match Hashtbl.find_opt w.files path with
-      | Some prev -> String.length prev
-      | None -> 0
-    in
-    Hashtbl.replace w.files path data;
-    let delta = max 0 (String.length data - old_size) in
+  (* [cloned] distinguishes free COW clones from real copies (the
+     no-cloning configuration of Table 1); either way only the growth
+     is accounted. *)
+  let account_growth w ~cloned delta =
     if cloned then begin
       w.stats.cloned_bytes <- w.stats.cloned_bytes + delta;
       w.stats.cloned_blocks <- w.stats.cloned_blocks + ((delta + 4095) / 4096)
     end
     else w.stats.copied_file_bytes <- w.stats.copied_file_bytes + delta
 
-  let find_file w path = Hashtbl.find_opt w.files path
+  (* Snapshot a whole file under a fresh path. *)
+  let add_file w ~path ~cloned data =
+    if Hashtbl.mem w.files path then
+      Fmt.invalid_arg "Trace.Writer.add_file: %s already added" path;
+    File_deltas.apply w.files ~path ~offset:0 data;
+    account_growth w ~cloned (String.length data)
+
+  (* Write [data] at [off] of a file that only grows (the per-task
+     cloned-data file), zero-filling any gap past its current end. *)
+  let append_file w ~path ~cloned ~off data =
+    let len = File_deltas.length w.files path in
+    if off < len then
+      Fmt.invalid_arg "Trace.Writer.append_file: %s: offset %d below length %d"
+        path off len;
+    if off > len then
+      File_deltas.apply w.files ~path ~offset:len
+        (String.make (off - len) '\000');
+    File_deltas.apply w.files ~path ~offset:off data;
+    account_growth w ~cloned (off + String.length data - len)
 
   (* Seal the last chunk, assemble the index, and — with a sink —
      commit: final file deltas, then the sink's own commit step (trailer
@@ -802,8 +847,9 @@ module Writer = struct
     | Some t -> t
     | None ->
       make_t ~event_version:(Event.ectx_version w.ectx) ~index ~chunks
-        ~compressed:w.compress ~images:w.images ~files:w.files
-        ~stats:w.stats ~initial_exe:w.exe ()
+        ~compressed:w.compress ~images:w.images
+        ~files:(File_deltas.to_table w.files) ~stats:w.stats
+        ~initial_exe:w.exe ()
 
   (* Release a writer without committing: close the sink (for the file
      sink, the journal fd — the leak a killed recording used to leave
@@ -1317,7 +1363,7 @@ type scan_state = {
   mutable sc_frames : int;
   mutable sc_off : int;
   sc_images : (string, Image.t) Hashtbl.t;
-  sc_files : (string, string) Hashtbl.t;
+  sc_files : File_deltas.t;
   mutable sc_journals : stats list; (* newest first *)
   mutable sc_trailer : (stats * chunk_info list) option;
   mutable sc_index : Trace_index.t option;
@@ -1330,7 +1376,7 @@ let new_scan_state () =
     sc_frames = 0;
     sc_off = 0;
     sc_images = Hashtbl.create 8;
-    sc_files = Hashtbl.create 8;
+    sc_files = File_deltas.create ();
     sc_journals = [];
     sc_trailer = None;
     sc_index = None;
@@ -1369,12 +1415,7 @@ let apply_record st ~path tag payload =
     let offset = Codec.get_uvarint s in
     let suffix = Codec.get_string s in
     check_consumed ();
-    let current =
-      match Hashtbl.find_opt st.sc_files p with Some d -> d | None -> ""
-    in
-    if offset > String.length current then
-      raise (Codec.Corrupt "file delta offset past current length");
-    Hashtbl.replace st.sc_files p (String.sub current 0 offset ^ suffix)
+    File_deltas.apply st.sc_files ~path:p ~offset suffix
   end
   else if tag = tag_chunk then begin
     let first_frame = Codec.get_uvarint s in
@@ -1539,7 +1580,7 @@ let load_v3 ~path data =
         let t =
           make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
             ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-            ~files:st.sc_files ~stats ~initial_exe ()
+            ~files:(File_deltas.to_table st.sc_files) ~stats ~initial_exe ()
         in
         attach_scanned_index st t;
         Ok t
@@ -1730,13 +1771,14 @@ let salvage_v3 ~path data =
             (match !damage with Some d -> d | None -> "empty stream")))
   | Some (compressed, initial_exe, event_version) ->
     let scanned = Array.of_list (List.rev st.sc_rev_chunks) in
+    let files = File_deltas.to_table st.sc_files in
     (* Decode-verify: keep the longest chunk prefix that inflates and
        decodes.  A probe [t] carries the compressed flag and origin for
        error context; its cache fills harmlessly and is discarded. *)
     let probe =
       make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
         ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats:(new_stats ()) ~initial_exe ()
+        ~files ~stats:(new_stats ()) ~initial_exe ()
     in
     let keep = ref (Array.length scanned) in
     (try
@@ -1778,7 +1820,7 @@ let salvage_v3 ~path data =
     let t =
       make_t ~origin:path ~event_version ~index:(Array.map fst kept)
         ~chunks:(Array.map snd kept) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats ~initial_exe ()
+        ~files ~stats ~initial_exe ()
     in
     attach_scanned_index st t;
     let chunks_lost, frames_lost =
@@ -1800,7 +1842,7 @@ let salvage_v3 ~path data =
         sr_frames_recovered = frames_recovered;
         sr_chunks_lost = chunks_lost;
         sr_frames_lost = frames_lost;
-        sr_files_recovered = Hashtbl.length st.sc_files;
+        sr_files_recovered = Hashtbl.length files;
         sr_images_recovered = Hashtbl.length st.sc_images;
         sr_committed = committed;
         sr_damage = !damage }

@@ -100,7 +100,9 @@ module Sink : sig
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : string }
         (** bytes [data] replace the file's contents from [offset];
-            a pure append when [offset] equals the previous length *)
+            a pure append when [offset] equals the previous length.  A
+            {!Writer} sends each file once from offset 0 (even when
+            empty), then only appends. *)
     | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
         (** one sealed chunk's stored (possibly deflated) bytes *)
     | Journal of stats
@@ -130,6 +132,23 @@ module Sink : sig
       writes the trailer and footer and closes the writer, so the
       footer's presence proves completion; a sink killed at any byte
       leaves a salvageable prefix. *)
+end
+
+(** File snapshots rebuilt from {!Sink.File_delta} events (or ['D']
+    records) in time linear in their total size.  A file that arrives
+    in one piece keeps that string uncopied. *)
+module File_deltas : sig
+  type t
+
+  val create : unit -> t
+
+  val apply : t -> path:string -> offset:int -> string -> unit
+  (** Replace [path]'s bytes from [offset] on; a new path starts
+      empty.  Raises [Codec.Corrupt] if [offset] is negative or past
+      the current length. *)
+
+  val contents : t -> (string * string) list
+  (** Every file, sorted by path. *)
 end
 
 type ring
@@ -205,10 +224,25 @@ module Writer : sig
   (** Snapshot an executable by hard link/clone: accounting only. *)
 
   val add_file : w -> path:string -> cloned:bool -> string -> unit
-  (** Snapshot file bytes; re-adding a path (the growing per-task
-      cloned-data file) accounts only the growth. *)
+  (** [add_file w ~path ~cloned data] snapshots a whole file under a
+      fresh [path].  [cloned] says whether the bytes were cloned (free,
+      counted in [cloned_bytes]/[cloned_blocks]) or copied (counted in
+      [copied_file_bytes]).  A journaling writer streams the file as
+      one ['D'] record, from offset 0, before the next chunk.  Raises
+      [Invalid_argument] if [path] was already added. *)
 
-  val find_file : w -> string -> string option
+  val append_file :
+    w -> path:string -> cloned:bool -> off:int -> string -> unit
+  (** [append_file w ~path ~cloned ~off data] writes [data] at [off] of
+      a file that only grows — the per-task cloned-data file of paper
+      §3.9, which starts empty.  Bytes between the file's current end
+      and [off] are zero-filled.  Only the growth is accounted, as in
+      {!add_file}.  The cost is proportional to the bytes added: the
+      file is a growing buffer that becomes a string once, in
+      {!finish}, and a journaling writer streams only the bytes past
+      what it already streamed.  Raises [Invalid_argument] if [off] is
+      below the file's current length. *)
+
   val finish : w -> t
 
   val abort : w -> unit

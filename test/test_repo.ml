@@ -217,6 +217,53 @@ let test_sink_streams_and_commits () =
     (frames loaded = frames recd.Workload.trace);
   ok (Repo.verify repo)
 
+(* A guest that maps an empty regular file, so the recorder snapshots a
+   0-byte files/0.  Every streaming sink must carry it: replay maps it
+   again. *)
+let empty_mmap_setup k =
+  let vfs = Kernel.vfs k in
+  Vfs.mkdir_p vfs "/bin";
+  ignore (Vfs.create_file vfs "/empty");
+  let b = Guest.create () in
+  Guest.emit b
+    (Guest.sys_open b ~path:"/empty" ~flags:Sysno.o_rdonly
+    @ [ Asm.movr 8 0 ]
+    @ Guest.sc Sysno.mmap
+        [ Guest.imm 0; Guest.imm 4096; Guest.imm Mem.prot_r; Guest.imm 0;
+          Guest.reg 8; Guest.imm 0 ]
+    @ Guest.sys_exit_group 7);
+  Kernel.install_image k ~path:"/bin/t" (Guest.build b ~name:"t" ())
+
+let test_empty_file_streams () =
+  let record sink =
+    match
+      Recorder.run ~opts:(Recorder.make_opts ~sink ()) ~setup:empty_mmap_setup
+        ~exe:"/bin/t" ()
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "recording failed: %a" Recorder.pp_error e
+  in
+  let check what t =
+    Alcotest.(check (option string))
+      (what ^ ": files/0 is empty") (Some "")
+      (List.assoc_opt "files/0" (Trace.files t));
+    let st, _ = Replayer.replay t in
+    Alcotest.(check (option int))
+      (what ^ ": replays to exit 7") (Some 7) st.Replayer.exit_status
+  in
+  let path = Filename.temp_file "rr_empty" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      record (Recorder.Sink_file path);
+      match Trace.open_ path with
+      | Ok t -> check "file sink" t
+      | Error e -> Alcotest.failf "reopen: %a" Trace.pp_error e);
+  let ring = Trace.ring ~chunks:64 in
+  record (Recorder.Sink_ring ring);
+  check "ring" (fst (Trace.ring_trace ring));
+  with_temp_repo @@ fun _dir repo ->
+  record (Recorder.Sink_repo (repo, "empty"));
+  check "repo" (ok (Repo.load_trace repo ~name:"empty"))
+
 let suites =
   [ ( "repo",
       [ Alcotest.test_case "store/load round trip" `Quick test_round_trip;
@@ -233,4 +280,6 @@ let suites =
         Alcotest.test_case "crash mid-gc leaves a repairable repo" `Quick
           test_crash_mid_gc;
         Alcotest.test_case "recording sink streams and commits" `Quick
-          test_sink_streams_and_commits ] ) ]
+          test_sink_streams_and_commits;
+        Alcotest.test_case "empty file streams through every sink" `Quick
+          test_empty_file_streams ] ) ]

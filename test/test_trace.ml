@@ -315,8 +315,66 @@ let qcheck_compress_deterministic =
     QCheck.(string_of_size Gen.(0 -- 1000))
     (fun s -> Compress.deflate s = Compress.deflate s)
 
+(* CRC-32 one bit at a time over each byte: the definition the sliced
+   implementation must agree with. *)
+let crc32_reference ?(crc = 0) s ~pos ~len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+let test_crc32_check_values () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  Alcotest.(check int) "reference check value" 0xCBF43926
+    (crc32_reference "123456789" ~pos:0 ~len:9)
+
+(* Short lengths hit the bytewise tail alone; 4 KiB + 0..7 run the
+   eight-byte loop and then every tail length.  Random padding on both
+   sides moves [pos] off the string's start. *)
+let qcheck_crc32_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = oneof [ int_range 0 40; map (( + ) 4096) (int_range 0 7) ] in
+      let* pos = int_range 0 9 in
+      let* after = int_range 0 9 in
+      let+ s = string_size (return (pos + len + after)) in
+      (s, pos, len))
+  in
+  QCheck.Test.make ~name:"sub agrees with the bytewise reference" ~count:300
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "len=%d pos=%d %S" len pos
+           (String.sub s pos (min len 48)))
+       gen)
+    (fun (s, pos, len) ->
+      Crc32.sub s ~pos ~len = crc32_reference s ~pos ~len)
+
+(* The record writer checksums the tag and then the payload through
+   [~crc]; any split must give the one-pass value. *)
+let qcheck_crc32_chains =
+  QCheck.Test.make ~name:"chaining across any split equals one pass"
+    ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
+    (fun (s, k) ->
+      let n = String.length s in
+      let k = if n = 0 then 0 else k mod (n + 1) in
+      let head = Crc32.sub s ~pos:0 ~len:k in
+      Crc32.sub ~crc:head s ~pos:k ~len:(n - k) = Crc32.string s
+      && Crc32.string ~crc:(Crc32.string (String.sub s 0 k))
+           (String.sub s k (n - k))
+         = Crc32.string s)
+
 let suites =
-  [ ( "trace.compress",
+  [ ( "trace.crc32",
+      [ Alcotest.test_case "check values" `Quick test_crc32_check_values;
+        QCheck_alcotest.to_alcotest qcheck_crc32_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_crc32_chains ] );
+    ( "trace.compress",
       [ Alcotest.test_case "simple roundtrip" `Quick test_compress_simple;
         Alcotest.test_case "empty" `Quick test_compress_empty;
         Alcotest.test_case "incompressible" `Quick test_compress_incompressible;

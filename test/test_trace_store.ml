@@ -354,6 +354,90 @@ let test_checkpoint_restore_after_seek () =
   Alcotest.(check (option int)) "restored replay reaches the same exit"
     full.Replayer.exit_status (Replayer.stats_of r2).Replayer.exit_status
 
+(* ---- streamed file deltas --------------------------------------------- *)
+
+(* The number of 'D' records in a v3 record stream: the magic, then
+   [tag, uvarint length, payload, crc32] records up to the trailer. *)
+let count_file_records data =
+  let rec uvarint p shift acc =
+    let b = Char.code data.[p] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, p + 1) else uvarint (p + 1) (shift + 7) acc
+  in
+  let rec go pos n =
+    if data.[pos] = 'T' then n
+    else begin
+      let len, body = uvarint (pos + 1) 0 0 in
+      go (body + len + 4) (if data.[pos] = 'D' then n + 1 else n)
+    end
+  in
+  go 8 0
+
+(* 64 appends to one file, some past its end, each followed by frames
+   until a 256-byte chunk seals: the writer streams one suffix delta per
+   append, and the file sink's reader and the ring rebuild the same
+   file.  [after_seal] sees the file's length after each seal. *)
+let record_appends ?(after_seal = fun _ -> ()) sink =
+  let w =
+    Trace.Writer.create ~chunk_limit:256 ~sink ~initial_exe:"/bin/x" ()
+  in
+  let expected = Buffer.create 4096 in
+  for i = 0 to 63 do
+    let gap = i mod 3 * 512 in
+    Buffer.add_string expected (String.make gap '\000');
+    let data =
+      String.init (100 + (37 * i)) (fun j -> Char.chr ((i + j) land 0xff))
+    in
+    Trace.Writer.append_file w ~path:"cloned/1" ~cloned:true
+      ~off:(Buffer.length expected) data;
+    Buffer.add_string expected data;
+    let rec seal pending =
+      if pending < 256 then
+        seal (pending + Trace.Writer.event w (synth_event i))
+    in
+    seal 0;
+    after_seal (Buffer.length expected)
+  done;
+  (match
+     Trace.Writer.append_file w ~path:"cloned/1" ~cloned:true ~off:0 "x"
+   with
+  | () -> Alcotest.fail "append below the file's length accepted"
+  | exception Invalid_argument _ -> ());
+  let t = Trace.Writer.finish w in
+  Alcotest.(check (list (pair string string)))
+    "writer holds the appended bytes, gaps zero-filled"
+    [ ("cloned/1", Buffer.contents expected) ]
+    (Trace.files t);
+  t
+
+let test_appended_file_streams_as_deltas () =
+  let buf = Buffer.create 65536 in
+  let t = record_appends (Trace.Sink.of_io (Io.buffer_writer buf)) in
+  let data = Buffer.contents buf in
+  Alcotest.(check int) "file sink: one 'D' record per append" 64
+    (count_file_records data);
+  (match Trace.open_io (Io.string_reader data) with
+  | Ok reopened ->
+    Alcotest.(check (list (pair string string)))
+      "open_io rebuilds the writer's files" (Trace.files t)
+      (Trace.files reopened)
+  | Error e -> Alcotest.failf "reopen: %a" Trace.pp_error e);
+  let ring = Trace.ring ~chunks:4 in
+  let seen = ref [] in
+  let windowed =
+    record_appends (Trace.ring_sink ring) ~after_seal:(fun len ->
+        let window, _ = Trace.ring_trace ring in
+        seen := (len, String.length (Trace.file window "cloned/1")) :: !seen)
+  in
+  List.iter
+    (fun (len, got) ->
+      Alcotest.(check int) "ring holds the file as of the last seal" len got)
+    !seen;
+  Alcotest.(check int) "ring: 64 deltas applied" 64 (List.length !seen);
+  Alcotest.(check (list (pair string string)))
+    "ring_trace rebuilds the writer's files" (Trace.files t)
+    (Trace.files windowed)
+
 let suites =
   [ ( "trace.store",
       [ Alcotest.test_case "multi-chunk index" `Quick test_multi_chunk_index;
@@ -362,7 +446,9 @@ let suites =
         Alcotest.test_case "lazy chunk decoding + LRU" `Quick
           test_reader_decodes_lazily;
         Alcotest.test_case "kind mask skips chunks" `Quick
-          test_kind_mask_skips_chunks ] );
+          test_kind_mask_skips_chunks;
+        Alcotest.test_case "appended file streams as deltas" `Quick
+          test_appended_file_streams_as_deltas ] );
     ( "trace.format",
       [ Alcotest.test_case "save/load roundtrip" `Quick
           test_save_load_roundtrip_synthetic;

@@ -106,6 +106,82 @@ let test_cp_cloning_effect () =
     true
     (st_off.Trace.raw_bytes > 4 * st_on.Trace.raw_bytes)
 
+(* §3.9: the cloned-data file holds exactly the bytes cp read.  70 KiB
+   files are read as 64 KiB and then 6 KiB, so each file leaves a 2 KiB
+   zero gap before the next clone lands on a block boundary. *)
+let test_cp_cloned_bytes () =
+  let w = Wl_cp.make ~params:{ Wl_cp.files = 4; file_kb = 70 } () in
+  let recd, _ = W.record w in
+  let t = recd.W.trace in
+  let clones =
+    Trace.Reader.fold
+      (fun _ e acc ->
+        match e with
+        | Event.E_buf_flush { records; _ } ->
+          List.rev_append
+            (List.filter_map (fun br -> br.Event.br_clone) records)
+            acc
+        | _ -> acc)
+      t []
+    |> List.rev
+  in
+  let cloned =
+    String.concat ""
+      (List.map
+         (fun cr ->
+           String.sub (Trace.file t cr.Event.cr_path) cr.Event.cr_off
+             cr.Event.cr_len)
+         clones)
+  in
+  let k = Kernel.create ~seed:1 () in
+  w.W.setup k;
+  let vfs = Kernel.vfs k in
+  let source =
+    String.concat ""
+      (List.init 4 (fun i ->
+           let reg = Vfs.lookup_reg vfs (Printf.sprintf "/src/f%d" i) in
+           Bytes.to_string (Vfs.read vfs reg ~off:0 ~len:(Vfs.file_size reg))))
+  in
+  Alcotest.(check int) "two clones per file" 8 (List.length clones);
+  Alcotest.(check bool) "cloned bytes are the source files" true
+    (cloned = source);
+  List.iter
+    (fun (path, data) ->
+      let covered = Bytes.make (String.length data) '\000' in
+      List.iter
+        (fun cr ->
+          if cr.Event.cr_path = path then
+            Bytes.fill covered cr.Event.cr_off cr.Event.cr_len '\001')
+        clones;
+      String.iteri
+        (fun i c ->
+          if Bytes.get covered i = '\000' && c <> '\000' then
+            Alcotest.failf "%s: gap byte %d is %C" path i c)
+        data)
+    (List.filter
+       (fun (p, _) -> String.starts_with ~prefix:"cloned/" p)
+       (Trace.files t))
+
+(* Recording work grows linearly with the bytes cp reads: doubling the
+   files must not triple the allocation, as rebuilding the cloned-data
+   file on every read did.  Allocation counts are deterministic. *)
+let test_cp_record_alloc_linear () =
+  let alloc files =
+    let w = Wl_cp.make ~params:{ Wl_cp.files; file_kb = 256 } () in
+    let before = Gc.allocated_bytes () in
+    (match Recorder.run ~setup:w.W.setup ~exe:w.W.exe () with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "recording failed: %a" Recorder.pp_error e);
+    Gc.allocated_bytes () -. before
+  in
+  let a8 = alloc 8 in
+  let a16 = alloc 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "16 files allocate %.2fx of 8 (%.0f -> %.0f MB), < 2.5x"
+       (a16 /. a8) (a8 /. 1e6) (a16 /. 1e6))
+    true
+    (a16 /. a8 < 2.5)
+
 (* §4.3: interception reduces recording time and ptrace stops. *)
 let test_intercept_effect_on_samba () =
   let w = small_samba () in
@@ -250,6 +326,10 @@ let suites =
           test_octane_with_checksums ] );
     ( "workloads.effects",
       [ Alcotest.test_case "cp block cloning" `Quick test_cp_cloning_effect;
+        Alcotest.test_case "cp cloned bytes match the sources" `Quick
+          test_cp_cloned_bytes;
+        Alcotest.test_case "cp record allocation is linear" `Quick
+          test_cp_record_alloc_linear;
         Alcotest.test_case "interception speeds samba" `Quick
           test_intercept_effect_on_samba;
         Alcotest.test_case "DBI crashes on octane" `Quick
