@@ -523,82 +523,12 @@ let ablations () =
   scratch_ablation ();
   skid_ablation ()
 
-(* Host seconds of [f ()] — the seek and serve benches time the host,
-   not the cost model. *)
+(* Host seconds of [f ()] — the serve bench times the host, not the
+   cost model. *)
 let host_time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-(* ---- seek latency: indexed vs. scan (host time) ----------------------
-
-   The payoff curve of the persistent trace index: open a saved trace
-   cold and seek straight to the last frame.  Without an index the only
-   base is frame 0 — cost grows linearly with trace length.  With the
-   index ('P'/'K' records) the debugger restores the nearest durable
-   checkpoint, so cost is O(delta to the checkpoint) — sublinear in
-   trace length at a fixed checkpoint cadence (default ~n/16).  Both
-   sessions must land in identical states; checked on every point. *)
-
-let seek_bench ~smoke () =
-  Fmt.pr "@.== Seek latency vs. trace length: indexed vs. scan ==@.";
-  let echoes = if smoke then [ 4; 8 ] else [ 10; 20; 40; 80; 160 ] in
-  let points =
-    List.map
-      (fun e ->
-        let w =
-          Wl_samba.make
-            ~params:
-              { Wl_samba.echoes = e; payload = 64; server_work = 400;
-                client_work = 300 }
-            ()
-        in
-        let recd, _ = Workload.record w in
-        let trace = recd.Workload.trace in
-        ignore (Trace_indexer.build_and_attach trace);
-        let path = Filename.temp_file "rr_seek" ".trace" in
-        Trace.save_exn trace path;
-        let n = Trace.n_events trace in
-        let target = n - 1 in
-        (* Cold open each time: the index must pay off from disk, with
-           no live checkpoints to lean on. *)
-        let cold use_index =
-          let t = Trace.load_exn path in
-          let d = Debugger.create ~opts:(Debugger.make_opts ~use_index ()) t in
-          let (), s = host_time (fun () -> Debugger.seek d target) in
-          (d, s)
-        in
-        let di, indexed_s = cold true in
-        let ds, scan_s = cold false in
-        Sys.remove path;
-        if
-          Debugger.pos di <> Debugger.pos ds
-          || Debugger.clock di <> Debugger.clock ds
-          || Debugger.exit_status di <> Debugger.exit_status ds
-        then begin
-          Fmt.epr
-            "FATAL: indexed and scan seeks to frame %d landed in different \
-             states@."
-            target;
-          exit 1
-        end;
-        Fmt.pr
-          "frames=%6d  cold seek to %6d: indexed %.4fs vs scan %.4fs \
-           (%.1fx); identical=yes@."
-          n target indexed_s scan_s
-          (scan_s /. Float.max indexed_s 1e-9);
-        Printf.sprintf
-          "{\"frames\":%d,\"target\":%d,\"indexed_s\":%.6f,\"scan_s\":%.6f}"
-          n target indexed_s scan_s)
-      echoes
-  in
-  let oc = open_out "BENCH_seek.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\"smoke\":%b,\"points\":[%s]}\n" smoke
-        (String.concat "," points));
-  Fmt.pr "(wrote BENCH_seek.json)@."
 
 (* ---- Bechamel microbenchmarks (host time of core primitives) --------- *)
 
@@ -957,7 +887,6 @@ let () =
       ("fig6", fig6);
       ("fig7", table3);
       ("ablation", ablations);
-      ("seek", seek_bench ~smoke);
       ("fleet", fleet ~smoke);
       ("serve", serve_bench ~smoke);
       ("micro", micro) ]
@@ -972,7 +901,6 @@ let () =
     table2 ();
     table3 ();
     ablations ();
-    seek_bench ~smoke ();
     fleet ~smoke ();
     serve_bench ~smoke ();
     micro ()

@@ -41,10 +41,6 @@ module Flags = struct
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:workload_doc)
 
-  (* For subcommands where --smoke replaces the positional argument. *)
-  let opt_workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:workload_doc)
-
   let trace_file =
     Arg.(
       required
@@ -132,93 +128,18 @@ let open_repo dir =
     Fmt.epr "rr_cli: %a@." Repo.pp_error e;
     exit 1
 
-(* Self-contained flight-recorder check (`record --smoke`): record a
-   reference trace, then (a) kill a roomy-ring recording mid-run via the
-   event-limit guard and require the retained window to be a replayable
-   prefix of the reference whose last frame matches the live run, and
-   (b) run a 2-chunk ring to completion and require the dropped-oldest
-   window to equal the reference's tail, watermark-aligned. *)
-let record_ring_smoke () =
-  let wl () = Wl_cp.make ~params:{ Wl_cp.files = 16; file_kb = 64 } () in
-  let fail fmt =
-    Fmt.kstr
-      (fun m ->
-        Fmt.epr "record --smoke: %s@." m;
-        exit 1)
-      fmt
-  in
-  (* Small chunks and no syscall interception, so the trace is many
-     small frames and the ring turns over on a small workload. *)
-  let mk ?max_events ?sink () =
-    Recorder.make_opts ~intercept:false ~chunk_limit:256 ?max_events ?sink ()
-  in
-  let w = wl () in
-  let ref_trace, _, _ =
-    Recorder.record ~opts:(mk ()) ~setup:w.Workload.setup ~exe:w.Workload.exe
-      ()
-  in
-  let reference = Trace.Reader.to_array ref_trace in
-  let total = Array.length reference in
-  if Array.length (Trace.chunk_index ref_trace) < 4 then
-    fail "reference trace too small to exercise the ring (%d chunks, %d frames, %a)"
-      (Array.length (Trace.chunk_index ref_trace))
-      total Trace.pp_stats (Trace.stats ref_trace);
-  (* (a) killed mid-run, no drops: the window is a pure prefix. *)
-  let ring = Trace.ring ~chunks:4096 in
-  let w = wl () in
-  let opts =
-    mk ~max_events:(total / 2) ~sink:(Recorder.Sink_ring ring) ()
-  in
-  (match Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe () with
-  | Error (Recorder.Rec_failure _) -> ()
-  | Error (Recorder.Rec_trace e) ->
-    fail "kill run: wrong error class: %s" (Trace.error_to_string e)
-  | Ok _ -> fail "kill run: the event-limit guard never fired");
-  let window, report = Trace.ring_trace ring in
-  if report.Trace.rr_dropped_chunks <> 0 || report.Trace.rr_base_frame <> 0 then
-    fail "kill run: roomy ring dropped chunks (%a)" Trace.pp_ring_report report;
-  let frames = Trace.Reader.to_array window in
-  let n = Array.length frames in
-  if n = 0 then fail "kill run: empty window";
-  Array.iteri
-    (fun i e ->
-      if e <> reference.(i) then fail "kill run: window frame %d diverges" i)
-    frames;
-  (match Replayer.replay window with
-  | (_ : Replayer.stats * Kernel.t) -> ()
-  | exception e ->
-    fail "kill run: salvaged window does not replay: %s" (Printexc.to_string e));
-  Fmt.pr
-    "record --smoke: killed at event %d/%d; window of %d frames is a \
-     replayable prefix (last frame matches the live run)@."
-    (total / 2) total n;
-  (* (b) bounded ring on a full run: drop-oldest, watermark-aligned. *)
-  let ring = Trace.ring ~chunks:2 in
-  let w = wl () in
-  let opts = mk ~sink:(Recorder.Sink_ring ring) () in
-  (match Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe () with
-  | Ok _ -> ()
-  | Error e -> fail "bounded run failed: %s" (Recorder.error_to_string e));
-  let window, report = Trace.ring_trace ring in
-  if report.Trace.rr_dropped_chunks = 0 || report.Trace.rr_base_frame = 0 then
-    fail "bounded run: 2-chunk ring never dropped (%a)" Trace.pp_ring_report
-      report;
-  let frames = Trace.Reader.to_array window in
-  let base_frame = report.Trace.rr_base_frame in
-  if base_frame + Array.length frames <> total then
-    fail "bounded run: window [%d, %d) does not end at the live run's end (%d)"
-      base_frame
-      (base_frame + Array.length frames)
-      total;
-  Array.iteri
-    (fun i e ->
-      if e <> reference.(base_frame + i) then
-        fail "bounded run: window frame %d diverges from live frame %d" i
-          (base_frame + i))
-    frames;
-  Fmt.pr "record --smoke: 2-chunk ring retained the tail [%d, %d) of %d \
-          frames; %a@."
-    base_frame total total Trace.pp_ring_report report
+(* The TARGET of replay, dump and debug: a saved trace file, or a
+   workload name recorded on the spot by [record].  A recording also
+   returns its root exit status, for replay to check against. *)
+let trace_of_target ~record target =
+  if Sys.file_exists target then (Trace.open_exn target, None)
+  else
+    let recd = record (workload_of_name target) in
+    (recd.Workload.trace, Some recd.Workload.rec_stats.Recorder.exit_status)
+
+let target_arg =
+  let doc = "A saved trace file, or a workload name to record first." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
 
 let record_cmd =
   let ring_arg =
@@ -251,14 +172,6 @@ let record_cmd =
             "Store the trace (or the dumped ring window) \
              content-addressed in the repository at $(docv), created if \
              missing; shared chunks dedup against what is already there.")
-  in
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in flight-recorder check instead: a recording \
-         killed mid-run must salvage its ring window into a replayable \
-         prefix, and a 2-chunk ring must retain exactly the live run's \
-         tail."
   in
   let record_plain w opts out repo =
     let recd =
@@ -350,21 +263,12 @@ let record_cmd =
       | Some where -> Fmt.pr "  window dumped  : %s@." where
       | None -> ())
   in
-  let run name opts out ring dump_on repo smoke =
+  let run name opts out ring dump_on repo =
     with_trace_errors @@ fun () ->
-    if smoke then record_ring_smoke ()
-    else begin
-      let w =
-        match name with
-        | Some n -> workload_of_name n
-        | None ->
-          Fmt.epr "rr_cli: record needs a WORKLOAD argument (or --smoke)@.";
-          exit 2
-      in
-      match ring with
-      | Some chunks -> record_flight w opts out repo chunks dump_on
-      | None -> record_plain w opts out repo
-    end
+    let w = workload_of_name name in
+    match ring with
+    | Some chunks -> record_flight w opts out repo chunks dump_on
+    | None -> record_plain w opts out repo
   in
   Cmd.v
     (Cmd.info "record"
@@ -374,9 +278,9 @@ let record_cmd =
           when a --dump-on trigger fires.  With --repo, the trace is \
           stored content-addressed.")
     Term.(
-      const run $ Flags.opt_workload $ Flags.record_opts
+      const run $ Flags.workload $ Flags.record_opts
       $ Flags.out ~doc:"Save the trace (or the dumped ring window) to FILE."
-      $ ring_arg $ dump_on_arg $ repo_arg $ smoke_arg)
+      $ ring_arg $ dump_on_arg $ repo_arg)
 
 (* replay_cmd is defined after the shard helpers below: its --conn mode
    extracts and replays a single connection's sub-trace. *)
@@ -385,12 +289,15 @@ let dump_cmd =
   let n_arg =
     Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of frames to print.")
   in
-  let run name n =
-    let w = workload_of_name name in
-    let recd, _ = Workload.record w in
-    let trace = recd.Workload.trace in
+  let run target n =
+    with_trace_errors @@ fun () ->
+    let trace, _ =
+      trace_of_target ~record:(fun w -> fst (Workload.record w)) target
+    in
     let total = Trace.n_events trace in
-    Fmt.pr "trace of %s: %d frames@." w.Workload.name total;
+    Fmt.pr "%s: %d frames, %a@." target total Trace.pp_stats
+      (Trace.stats trace);
+    (* Only the chunks covering the first [n] frames are inflated. *)
     let c = Trace.Reader.open_ trace in
     while Trace.Reader.pos c < min n total do
       let i = Trace.Reader.pos c in
@@ -404,8 +311,9 @@ let dump_cmd =
       st.Trace.lru_hits st.Trace.lru_misses st.Trace.lru_evictions
   in
   Cmd.v
-    (Cmd.info "dump" ~doc:"Record a workload and print its trace frames.")
-    Term.(const run $ Flags.workload $ n_arg)
+    (Cmd.info "dump"
+       ~doc:"Print the frames of a saved trace, or of a workload recorded first.")
+    Term.(const run $ target_arg $ n_arg)
 
 (* debug TARGET: TARGET is a saved trace file, or a workload name that
    is recorded on the spot (interception off so every syscall is its own
@@ -451,16 +359,6 @@ let debug_cmd =
       value & opt int 16
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Checkpoint cadence in frames (clamped to >= 1).")
-  in
-  let trace_of_target target =
-    if Sys.file_exists target then Trace.load_exn target
-    else begin
-      let w = workload_of_name target in
-      let recd, _ =
-        Workload.record ~opts:(Recorder.make_opts ~intercept:false ()) w
-      in
-      recd.Workload.trace
-    end
   in
   let serve_transport trace checkpoint_every tr =
     let d =
@@ -541,7 +439,10 @@ let debug_cmd =
   in
   let run target watch port sockpath script checkpoint_every =
     with_trace_errors @@ fun () ->
-    let trace = trace_of_target target in
+    let opts = Recorder.make_opts ~intercept:false () in
+    let trace, _ =
+      trace_of_target target ~record:(fun w -> fst (Workload.record ~opts w))
+    in
     match (script, port, sockpath) with
     | Some file, None, None -> run_script trace checkpoint_every file
     | None, Some port, None ->
@@ -556,10 +457,6 @@ let debug_cmd =
       Fmt.epr "rr_cli: choose at most one of --port, --socket, --script@.";
       exit 2
   in
-  let target_arg =
-    let doc = "A saved trace file, or a workload name to record first." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
-  in
   Cmd.v
     (Cmd.info "debug"
        ~doc:
@@ -570,49 +467,6 @@ let debug_cmd =
     Term.(
       const run $ target_arg $ watch_arg $ port_arg $ sockpath_arg
       $ script_arg $ cp_every_arg)
-
-let replay_file_cmd =
-  let run path =
-    with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
-    let stats, _ = Replayer.replay trace in
-    Fmt.pr "replayed %s: exit=%a, %d frames@." path
-      Fmt.(option ~none:(any "?") int)
-      stats.Replayer.exit_status stats.Replayer.events_applied
-  in
-  Cmd.v
-    (Cmd.info "replay-file" ~doc:"Replay a trace saved with record -o.")
-    Term.(const run $ Flags.trace_file)
-
-let dump_file_cmd =
-  let n_arg =
-    Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of frames to print.")
-  in
-  let run path n =
-    with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
-    let total = Trace.n_events trace in
-    Fmt.pr "%s: %d frames, %a@." path total Trace.pp_stats
-      (Trace.stats trace);
-    Fmt.pr "integrity: %s@."
-      (match Trace.integrity trace with
-      | `Crc_checked -> "crc-checked"
-      | `Trusted -> "trusted (pre-CRC v2 format)");
-    (* Only the chunks covering the first [n] frames are inflated. *)
-    let c = Trace.Reader.open_ trace in
-    while Trace.Reader.pos c < min n total do
-      let i = Trace.Reader.pos c in
-      Fmt.pr "%5d  %a@." i Event.pp (Trace.Reader.next c)
-    done;
-    let st = Trace.stats trace in
-    Fmt.pr "(decoded %d of %d chunks; lru %d hits / %d misses / %d evictions)@."
-      (Trace.decoded_chunks trace)
-      (Array.length (Trace.chunk_index trace))
-      st.Trace.lru_hits st.Trace.lru_misses st.Trace.lru_evictions
-  in
-  Cmd.v
-    (Cmd.info "dump-file" ~doc:"Print the frames of a saved trace.")
-    Term.(const run $ Flags.trace_file $ n_arg)
 
 (* Self-contained durability check: record sambatest, save it, guillotine
    the file at several offsets inside the record stream, and require
@@ -740,7 +594,7 @@ let index_smoke () =
   ignore (Trace_indexer.build_and_attach ~checkpoint_every:8 trace);
   let path = Filename.temp_file "rr_index" ".trace" in
   Trace.save_exn trace path;
-  let t2 = Trace.load_exn path in
+  let t2 = Trace.open_exn path in
   Sys.remove path;
   if Trace.index t2 = None then begin
     Fmt.epr "index --smoke: reopened trace carries no index@.";
@@ -847,7 +701,7 @@ let index_cmd =
         Fmt.epr "rr_cli: index needs a TRACE argument (or --smoke)@.";
         exit 2
       | Some path ->
-        let trace = Trace.load_exn path in
+        let trace = Trace.open_exn path in
         let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
         let out = Option.value out ~default:path in
         Trace.save_exn trace out;
@@ -895,7 +749,7 @@ let seek_cmd =
   in
   let run path frame time no_index =
     with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
+    let trace = Trace.open_exn path in
     let d =
       Debugger.create
         ~opts:(Debugger.make_opts ~use_index:(not no_index) ()) trace
@@ -1498,7 +1352,7 @@ let shard_cmd =
         exit 124
       | Some path ->
         with_trace_errors @@ fun () ->
-        let trace = Trace.load_exn path in
+        let trace = Trace.open_exn path in
         let ct = Conn_track.derive trace in
         let conns = Conn_track.connections ct in
         Fmt.pr "%s: %d frames, %d connections, %d requests@." path
@@ -1616,30 +1470,29 @@ let replay_cmd =
         Fmt.failwith "--conn targets a connection: it requires the serve \
                       workload";
       replay_conn opts c
-    | None ->
-      let w = workload_of_name name in
-      let recd = do_record w opts in
-      let rep, _ = Workload.replay recd in
-      let st = rep.Workload.rep_stats in
-      Fmt.pr "replayed %s: exit=%a (events applied: %d, wall %d)@."
-        w.Workload.name
+    | None -> (
+      let trace, recorded_exit =
+        trace_of_target ~record:(fun w -> do_record w opts) name
+      in
+      let st, _ = Replayer.replay trace in
+      Fmt.pr "replayed %s: exit=%a (events applied: %d, wall %d)@." name
         Fmt.(option ~none:(any "?") int)
         st.Replayer.exit_status st.Replayer.events_applied
         st.Replayer.wall_time;
-      if
-        st.Replayer.exit_status
-        = recd.Workload.rec_stats.Recorder.exit_status
-      then Fmt.pr "replay matches the recording.@."
-      else Fmt.failwith "replay DIVERGED from the recording"
+      match recorded_exit with
+      | Some e when e = st.Replayer.exit_status ->
+        Fmt.pr "replay matches the recording.@."
+      | Some _ -> Fmt.failwith "replay DIVERGED from the recording"
+      | None -> ())
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Record a workload, replay the trace, verify equivalence.  With \
-          --conn, replay a single connection's shard and report \
-          time-to-first-replay.")
+         "Replay a saved trace, or record a workload and replay it, \
+          verifying equivalence.  With --conn, replay a single \
+          connection's shard and report time-to-first-replay.")
     Term.(
-      const run $ Flags.workload $ Flags.record_opts $ conn_arg)
+      const run $ target_arg $ Flags.record_opts $ conn_arg)
 
 let repo_cmd =
   let init_cmd =
@@ -1749,8 +1602,8 @@ let main =
           'Engineering Record and Replay for Deployability', USENIX ATC \
           2017).")
     [ record_cmd; replay_cmd; serve_cmd; shard_cmd; dump_cmd; debug_cmd;
-      stats_cmd; profile_cmd; list_cmd; replay_file_cmd; dump_file_cmd;
-      repair_cmd; index_cmd; seek_cmd; repo_cmd ]
+      stats_cmd; profile_cmd; list_cmd; repair_cmd; index_cmd; seek_cmd;
+      repo_cmd ]
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());

@@ -189,8 +189,6 @@ let conn ?(rle = false) tr =
   { tr; rle; ack = true; pending = ""; last_sent = None; at_eof = false }
 
 let set_ack_mode c on = c.ack <- on
-let ack_mode c = c.ack
-let eof c = c.at_eof
 let transport c = c.tr
 
 let send c payload =

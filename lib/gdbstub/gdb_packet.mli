@@ -70,6 +70,4 @@ val poll : conn -> [ `Packet of string | `Empty | `Eof ]
     or [`Eof]. *)
 
 val set_ack_mode : conn -> bool -> unit
-val ack_mode : conn -> bool
-val eof : conn -> bool
 val transport : conn -> Gdb_transport.t

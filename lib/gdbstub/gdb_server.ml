@@ -54,9 +54,6 @@ let create ?(rle = true) dbg tr =
     next_cp = 1;
     finished = false }
 
-let finished t = t.finished
-let debugger t = t.dbg
-
 (* ---- stop replies ---------------------------------------------------- *)
 
 type stop =

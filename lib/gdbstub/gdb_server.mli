@@ -14,7 +14,7 @@
       (frames are the time axis, so a hit is "a frame whose recorded
       registers land on addr")
     - [Z2..Z4/z2..z4 addr,len] — watchpoints; reverse hits resolve
-      through {!Debugger.last_change}, forward hits through sampling
+      through {!Debugger.Query.last_write}, forward hits through sampling
     - [H], [T tid], [qfThreadInfo]/[qsThreadInfo] — threads from
       {!Debugger.live_tids}; stop replies carry [thread:<tid>;]
     - [qRcmd,<hex>] — monitor commands [checkpoint], [restart N],
@@ -46,11 +46,6 @@ val run : t -> unit
 (** Serve until detach/kill or transport EOF — the drive mode for
     blocking (socket) transports.  On a drained non-blocking transport
     this returns instead of spinning. *)
-
-val finished : t -> bool
-(** The client detached ([D]) or killed ([k]) the session. *)
-
-val debugger : t -> Debugger.t
 
 val frame_pc : Event.t -> int option
 (** The program counter a frame's recorded registers land on — the

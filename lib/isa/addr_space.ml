@@ -429,6 +429,3 @@ let pss t =
   Hashtbl.fold
     (fun _ p acc -> acc +. (float_of_int Mem.page_size /. float_of_int p.Mem.refs))
     t.pages 0.
-
-let mapped_bytes t =
-  List.fold_left (fun acc r -> acc + r.len) 0 t.regions

@@ -37,7 +37,6 @@ type t = {
   mutable mmap_cursor : int;
 }
 
-val mmap_base : int
 val stack_top : int
 
 val create : id:int -> t
@@ -126,5 +125,3 @@ val release : t -> unit
 
 val pss : t -> float
 (** Proportional set size in bytes (each frame counts size/refs). *)
-
-val mapped_bytes : t -> int

@@ -72,12 +72,8 @@ let muli r v = I (Insn.Alu (Insn.Mul, r, Insn.Imm v))
 let load r b off = I (Insn.Load (r, b, off))
 let store r b off = I (Insn.Store (r, b, off))
 let load8 r b off = I (Insn.Load8 (r, b, off))
-let store8 r b off = I (Insn.Store8 (r, b, off))
-let push o = I (Insn.Push o)
-let pop r = I (Insn.Pop r)
 let syscall = I Insn.Syscall
 let ret = I Insn.Ret
-let nop = I Insn.Nop
 let label l = Label l
 let jmp l = Jmp_l l
 let jcc c r o l = Jcc_l (c, r, o, l)

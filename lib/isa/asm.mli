@@ -34,12 +34,8 @@ val muli : Insn.reg -> int -> item
 val load : Insn.reg -> Insn.reg -> int -> item
 val store : Insn.reg -> Insn.reg -> int -> item
 val load8 : Insn.reg -> Insn.reg -> int -> item
-val store8 : Insn.reg -> Insn.reg -> int -> item
-val push : Insn.operand -> item
-val pop : Insn.reg -> item
 val syscall : item
 val ret : item
-val nop : item
 val label : string -> item
 val jmp : string -> item
 val jcc : Insn.cond -> Insn.reg -> Insn.operand -> string -> item

@@ -49,8 +49,6 @@ let create ~space =
 
 let copy_regs ctx = Array.copy ctx.regs
 
-let set_regs ctx regs = Array.blit regs 0 ctx.regs 0 Insn.num_regs
-
 let operand ctx = function Insn.Imm v -> v | Insn.Reg r -> ctx.regs.(r)
 
 let mask_shift v = v land 63

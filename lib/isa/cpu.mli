@@ -34,11 +34,9 @@ val jit_writes : int ref
 
 val create : space:Addr_space.t -> ctx
 val copy_regs : ctx -> int array
-val set_regs : ctx -> int array -> unit
 
 val run : env -> ctx -> fuel:int -> stop option * int
 (** Run until a stop or fuel exhaustion ([None]); also returns the number
     of instructions retired. *)
 
 val pp_stop : stop Fmt.t
-val pp_fault : fault Fmt.t

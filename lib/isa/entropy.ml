@@ -34,7 +34,5 @@ let bool t = bits t land 1 = 1
 
 let byte t = bits t land 0xff
 
-let split t = create (bits t)
-
 let state t = t.state
 let set_state t s = t.state <- s

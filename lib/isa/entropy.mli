@@ -23,9 +23,6 @@ val bool : t -> bool
 val byte : t -> int
 (** In [\[0, 255\]]. *)
 
-val split : t -> t
-(** An independent child generator. *)
-
 val state : t -> int64
 (** The raw generator state, for checkpoint snapshots. *)
 

@@ -42,5 +42,3 @@ let load t space =
     (Addr_space.map space ~addr:stack_base ~len:t.stack_size ~prot:Mem.prot_rw
        ~kind:Addr_space.Stack ());
   ()
-
-let symbol t name = Asm.symbol t.prog name

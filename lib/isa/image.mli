@@ -26,5 +26,3 @@ val byte_size : t -> int
 val load : t -> Addr_space.t -> unit
 (** Populate a fresh address space: text, data regions, stack.  Does not
     touch registers; the kernel sets pc/sp. *)
-
-val symbol : t -> string -> int

@@ -18,7 +18,6 @@ type reg = int (* 0..15 *)
 
 let num_regs = 16
 let reg_sp = 15
-let reg_tp = 13
 
 type operand = Imm of int | Reg of reg
 
@@ -59,8 +58,6 @@ let eval_cond c a b =
   | Le -> a <= b
   | Gt -> a > b
   | Ge -> a >= b
-
-let is_conditional_branch = function Jcc _ -> true | _ -> false
 
 (* Encoding for run-time code generation ([Emit]).  Only the shapes a JIT
    plausibly emits are encodable; [decode] refuses everything else, which

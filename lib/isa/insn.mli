@@ -11,9 +11,6 @@ val num_regs : int
 val reg_sp : reg
 (** Stack pointer (r15). *)
 
-val reg_tp : reg
-(** Thread pointer (r13). *)
-
 type operand = Imm of int | Reg of reg
 
 type cond = Eq | Ne | Lt | Le | Gt | Ge
@@ -47,10 +44,6 @@ type t =
 
 val eval_cond : cond -> int -> int -> bool
 
-val is_conditional_branch : t -> bool
-(** True exactly for the instructions counted by the deterministic
-    retired-conditional-branch (RCB) performance counter. *)
-
 val encode : t -> int option
 (** Encode an instruction for run-time emission ([Emit]).  Only a small
     JIT-friendly subset is encodable. *)
@@ -58,4 +51,3 @@ val encode : t -> int option
 val decode : int -> t option
 
 val pp : t Fmt.t
-val pp_operand : operand Fmt.t

@@ -13,10 +13,7 @@ type prot = int
 
 let prot_r = 1
 let prot_w = 2
-let prot_x = 4
 let prot_rw = prot_r lor prot_w
-let prot_rwx = prot_r lor prot_w lor prot_x
-let prot_none = 0
 
 type page = {
   mutable bytes : Bytes.t;

@@ -1,16 +1,12 @@
 (** Physical page frames with copy-on-write reference counting. *)
 
 val page_size : int
-val page_shift : int
 
 type prot = int
 
 val prot_r : prot
 val prot_w : prot
-val prot_x : prot
 val prot_rw : prot
-val prot_rwx : prot
-val prot_none : prot
 
 type page = {
   mutable bytes : Bytes.t;

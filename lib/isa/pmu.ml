@@ -58,6 +58,3 @@ let add_noise t entropy =
   t.branches <- t.branches + Entropy.range entropy 0 2
 
 let snapshot t = (t.rcb, t.insns, t.branches)
-
-let copy t =
-  { rcb = t.rcb; insns = t.insns; branches = t.branches; interrupt = None }

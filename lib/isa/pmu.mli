@@ -32,6 +32,3 @@ val add_noise : t -> Entropy.t -> unit
 
 val snapshot : t -> int * int * int
 (** [(rcb, insns, branches)]. *)
-
-val copy : t -> t
-(** Counter values only; any armed interrupt is dropped. *)

@@ -131,5 +131,3 @@ let patch_with_prologue ~privileged_ip (prog : program) : program =
   Array.append
     [| Ld_abs data_ip; Jeq (privileged_ip, 0, 1); Ret ret_allow |]
     prog
-
-let length = Array.length

@@ -23,17 +23,11 @@ type insn =
 
 type program = insn array
 
-val data_nr : int
-val data_arch : int
-val data_ip : int
-val data_arg : int -> int
-
 val ret_kill : int
 val ret_trap : int
 val ret_errno : int -> int
 val ret_trace : int
 val ret_allow : int
-val action_mask : int
 val action_of : int -> int
 val errno_of : int -> int
 
@@ -56,5 +50,3 @@ val rr_filter : untraced_ip:int -> program
 
 val patch_with_prologue : privileged_ip:int -> program -> program
 (** Prepend the allow-at-privileged-PC prologue to a tracee filter. *)
-
-val length : program -> int

@@ -17,7 +17,6 @@ let src = Logs.Src.create "kern" ~doc:"simulated kernel"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-
 type t = {
   tasks : (int, T.t) Hashtbl.t;
   procs : (int, T.process) Hashtbl.t;
@@ -1664,8 +1663,6 @@ let supervisor_map k task ~len ~prot ~kind ?(shared = false) ?addr () =
   A.map space ~addr ~len ~prot ~kind ~shared ()
 
 let getregs task = Cpu.copy_regs task.T.cpu
-
-let setregs task regs = Cpu.set_regs task.T.cpu regs
 
 (* Perform an untraced syscall on behalf of the interception library
    (the syscallbuf hook).  [ip] must be the untraced-instruction address

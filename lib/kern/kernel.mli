@@ -45,19 +45,16 @@ val charge : t -> int -> unit
 (** Advance the virtual clock (cost-model accounting). *)
 
 val now : t -> int
-val alloc_id : t -> int
 val reserve_id : t -> int -> unit
 (** Claim a specific id (replay mirrors recorded tids). *)
 
 val alloc_obj_id : t -> int
-val alloc_space : t -> Addr_space.t
 
 (** {2 Tasks and processes} *)
 
 val find_task : t -> int -> T.t option
 val task_exn : t -> int -> T.t
 val all_tasks : t -> T.t list
-val live_tasks : t -> T.t list
 val all_procs : t -> T.process list
 val vfs : t -> Vfs.t
 
@@ -75,19 +72,10 @@ val do_clone :
     child tid.  Traced parents beget traced children born in a clone
     stop (rr's PTRACE_O_TRACECLONE). *)
 
-val do_execve : t -> T.t -> string -> int option
-(** Replace the process image; [Some errno] on failure. *)
-
 val kill_task : t -> T.t -> int -> unit
 val kill_process : t -> T.process -> int -> unit
 
 (** {2 Signals} *)
-
-val post_signal : t -> T.t -> Signals.info -> unit
-(** Task-directed signal; interrupts a blocked syscall with the restart
-    sentinel (§2.3.10). *)
-
-val post_process_signal : t -> T.process -> Signals.info -> unit
 
 (** {2 Hooks and nondeterminism} *)
 
@@ -102,10 +90,6 @@ val register_filter : t -> int -> Bpf.program -> unit
 val read_tsc : t -> int
 (** The drifting time-stamp counter: reading it un-recorded is a real
     replay divergence. *)
-
-val eval_seccomp : T.t -> nr:int -> args:int array -> ip:int -> int
-(** Run the task's seccomp filters on (nr, args, program counter);
-    Linux precedence (numerically smallest action wins). *)
 
 val untraced_syscall :
   t -> T.t -> nr:int -> args:int array -> ip:int ->
@@ -151,21 +135,12 @@ val park : t -> T.t -> unit
 (** Stop a runnable task without running it (the recorder's one-task-at-
     a-time discipline). *)
 
-val run_slice : t -> T.t -> fuel:int -> unit
-(** Run one scheduling slice of a runnable task (also used by
-    {!run_baseline}). *)
-
-val wake_sleepers : t -> unit
-
 val supervisor_map :
   t -> T.t -> len:int -> prot:Mem.prot -> kind:Addr_space.kind ->
   ?shared:bool -> ?addr:int -> unit -> int
 (** Map memory in a tracee on the supervisor's behalf — rr does this by
     running syscalls in tracee context (§2.3.3), so the equivalent cost
     is charged. *)
-
-val getregs : T.t -> int array
-val setregs : T.t -> int array -> unit
 
 (** {2 Baseline (untraced) execution} *)
 
@@ -184,7 +159,3 @@ val total_pss : t -> float
 (** {2 Exposed for white-box tests} *)
 
 exception Efault
-
-val check_signals : t -> T.t -> bool
-val really_deliver : t -> T.t -> Signals.info -> unit
-val sigframe_words : int

@@ -7,21 +7,15 @@
    fatal edge case of paper §2.3.9. *)
 
 let sighup = 1
-let sigint = 2
-let sigquit = 3
 let sigill = 4
 let sigtrap = 5
-let sigabrt = 6
-let sigbus = 7
 let sigfpe = 8
 let sigkill = 9
 let sigusr1 = 10
 let sigsegv = 11
 let sigusr2 = 12
 let sigpipe = 13
-let sigalrm = 14
 let sigterm = 15
-let sigstkflt = 16
 let sigchld = 17
 let sigcont = 18
 let sigstop = 19
@@ -47,7 +41,6 @@ let name = function
 (* Bitset operations. *)
 let empty_set = 0
 let add set signo = set lor (1 lsl (signo - 1))
-let remove set signo = set land lnot (1 lsl (signo - 1))
 let mem set signo = set land (1 lsl (signo - 1)) <> 0
 let union = ( lor )
 
@@ -76,8 +69,6 @@ let default_effect signo =
   if signo = sigchld || signo = sigcont (* before stop handling *) then Ign
   else if signo = sigstop then Stop
   else Term
-
-let is_fatal_default signo = default_effect signo = Term
 
 (* Why a signal was generated: rr's recorder needs to distinguish
    kernel-synthesized signals (desched, preempt, trapped-TSC SEGV) from

@@ -5,24 +5,16 @@
     edge case (paper §2.3.9). *)
 
 val sighup : int
-val sigint : int
-val sigquit : int
 val sigill : int
 val sigtrap : int
-val sigabrt : int
-val sigbus : int
 val sigfpe : int
 val sigkill : int
 val sigusr1 : int
 val sigsegv : int
 val sigusr2 : int
 val sigpipe : int
-val sigalrm : int
 val sigterm : int
-val sigstkflt : int
 val sigchld : int
-val sigcont : int
-val sigstop : int
 val sigsys : int
 
 val sigpreempt : int
@@ -39,7 +31,6 @@ val name : int -> string
 
 val empty_set : int
 val add : int -> int -> int
-val remove : int -> int -> int
 val mem : int -> int -> bool
 val union : int -> int -> int
 val of_list : int list -> int
@@ -62,7 +53,6 @@ val default_action : action
 type default_effect = Term | Ign | Stop | Cont
 
 val default_effect : int -> default_effect
-val is_fatal_default : int -> bool
 
 (** {2 Signal provenance}
 

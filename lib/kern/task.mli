@@ -18,8 +18,6 @@ type fd_entry = { mutable pos : int; obj : fd_obj; mutable fl : int }
 
 type fdtab = { mutable next_fd : int; fds : (int, fd_entry) Hashtbl.t }
 
-val make_fdtab : unit -> fdtab
-
 val fdtab_copy : fdtab -> fdtab
 (** Shares the [fd_entry] records, so file offsets stay shared across
     fork, as on Linux. *)

@@ -314,4 +314,3 @@ let set_image reg img = reg.image <- Some img
 let get_image reg = reg.image
 
 let disk_usage t = t.live_blocks * block_size
-let logical_usage t = t.logical_blocks * block_size

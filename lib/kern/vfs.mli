@@ -50,6 +50,3 @@ val get_image : reg -> Image.t option
 
 val disk_usage : t -> int
 (** Unique live blocks × block size: what the "disk" actually holds. *)
-
-val logical_usage : t -> int
-(** Block references × block size: what the files claim to hold. *)

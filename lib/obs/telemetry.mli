@@ -190,5 +190,3 @@ val snapshot_to_json : snapshot -> string
     carries derived [p50]/[p90]/[p99] estimates (from {!hist_quantile})
     alongside its raw buckets.  Hand-rolled, dependency-free, with full
     string escaping. *)
-
-val event_to_json : event -> string

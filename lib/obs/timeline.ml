@@ -19,7 +19,7 @@
    domains quiesced: slot writes are plain stores and are only
    published by the happens-before edge of [Domain.join]. *)
 
-type kind = B | E | I | C
+type kind = B | E | I
 
 type event = {
   ev_kind : kind;
@@ -27,7 +27,6 @@ type event = {
   ev_lane : int;
   ev_vts : int; (* virtual ns (cost model) *)
   ev_hts : int; (* host ns, 0 when no host clock installed *)
-  ev_value : int; (* counter sample value; 0 otherwise *)
 }
 
 (* ---- clocks ---------------------------------------------------------- *)
@@ -43,8 +42,7 @@ let clear_host_clock () = hclock := no_clock
 (* ---- the bounded lock-free buffer ------------------------------------ *)
 
 let dummy =
-  { ev_kind = I; ev_name = ""; ev_lane = -1; ev_vts = 0; ev_hts = 0;
-    ev_value = 0 }
+  { ev_kind = I; ev_name = ""; ev_lane = -1; ev_vts = 0; ev_hts = 0 }
 
 let default_capacity = 1 lsl 18
 
@@ -136,7 +134,7 @@ let begin_scope ?lane name =
     Atomic.get on
     && push
          { ev_kind = B; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
-           ev_hts = !hclock (); ev_value = 0 }
+           ev_hts = !hclock () }
   in
   d.stack <- { f_name = name; f_lane = lane; f_emitted = emitted } :: d.stack
 
@@ -153,7 +151,7 @@ let end_scope name =
       ignore
         (push
            { ev_kind = E; ev_name = f.f_name; ev_lane = f.f_lane;
-             ev_vts = !vclock (); ev_hts = !hclock (); ev_value = 0 })
+             ev_vts = !vclock (); ev_hts = !hclock () })
 
 let scope ?lane name f =
   begin_scope ?lane name;
@@ -165,16 +163,7 @@ let instant ?lane name =
     ignore
       (push
          { ev_kind = I; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
-           ev_hts = !hclock (); ev_value = 0 })
-  end
-
-let sample ?lane name value =
-  if Atomic.get on then begin
-    let lane = match lane with Some l -> l | None -> current_lane () in
-    ignore
-      (push
-         { ev_kind = C; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
-           ev_hts = !hclock (); ev_value = value })
+           ev_hts = !hclock () })
   end
 
 (* ---- layer mapping --------------------------------------------------- *)
@@ -197,7 +186,7 @@ let layer_of name =
 
 (* ---- Chrome trace-event export --------------------------------------- *)
 
-(* One JSON object per event, ph in {B, E, i, C}, ts in microseconds of
+(* One JSON object per event, ph in {B, E, i}, ts in microseconds of
    virtual time, host ns in args.  Per-lane timestamps are clamped
    monotone (worker-domain clock reads may be slightly stale), and any
    scope still open at the end of the buffer — a killed session, or an
@@ -267,11 +256,8 @@ let to_chrome_json () =
         emit
           (common ~ph:"E" ~lane:e.ev_lane ~ts e.ev_name
           ^ Printf.sprintf ",\"args\":{\"host_ns\":%d}}" e.ev_hts)
-      | I -> emit (common ~ph:"i" ~lane:e.ev_lane ~ts e.ev_name ^ ",\"s\":\"t\"}")
-      | C ->
-        emit
-          (common ~ph:"C" ~lane:e.ev_lane ~ts e.ev_name
-          ^ Printf.sprintf ",\"args\":{\"value\":%d}}" e.ev_value))
+      | I ->
+        emit (common ~ph:"i" ~lane:e.ev_lane ~ts e.ev_name ^ ",\"s\":\"t\"}"))
     evs;
   (* Close whatever is still open, innermost first. *)
   Hashtbl.iter
@@ -349,7 +335,7 @@ let tree () =
           n.n_total_ns <- n.n_total_ns + max 0 (e.ev_vts - t0);
           Hashtbl.replace stacks e.ev_lane rest
         | [] -> ())
-      | I | C -> ())
+      | I -> ())
     evs;
   Hashtbl.iter
     (fun _ open_frames ->

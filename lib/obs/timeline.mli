@@ -4,12 +4,12 @@
     [Timeline] answers "when, under what, and on which task": begin/end
     scope events carrying both the virtual cost-model clock and an
     optional host clock, nested per domain, laid out in per-task
-    {e lanes} keyed by guest tid, plus instant markers and counter
-    samples.  Events land in one bounded lock-free buffer shared by all
-    domains; recording is off by default and every emit point is a
-    cheap atomic check when disabled.
+    {e lanes} keyed by guest tid, plus instant markers.  Events land
+    in one bounded lock-free buffer shared by all domains; recording is
+    off by default and every emit point is a cheap atomic check when
+    disabled.
 
-    Naming convention: scope/instant/counter names are dotted
+    Naming convention: scope and instant names are dotted
     [<layer>.<verb>] (["kern.run"], ["trace.deflate"], ["record.stop"])
     — the first segment maps to the owning library and becomes the
     Chrome [cat] field.  [<layer>.session] names are reserved for
@@ -81,12 +81,9 @@ val scope : ?lane:int -> string -> (unit -> 'a) -> 'a
 val instant : ?lane:int -> string -> unit
 (** A zero-duration marker (Chrome [i] event). *)
 
-val sample : ?lane:int -> string -> int -> unit
-(** A counter sample (Chrome [C] event), e.g. queue depth. *)
-
 (** {1 Export} *)
 
-type kind = B | E | I | C
+type kind = B | E | I
 
 type event = {
   ev_kind : kind;
@@ -94,7 +91,6 @@ type event = {
   ev_lane : int;
   ev_vts : int;  (** virtual ns *)
   ev_hts : int;  (** host ns; 0 without a host clock *)
-  ev_value : int;  (** [C] sample value *)
 }
 
 val events : unit -> event list
@@ -102,7 +98,7 @@ val events : unit -> event list
 
 val to_chrome_json : unit -> string
 (** The buffer as a Chrome trace-event document: an object with
-    [traceEvents] (metadata thread names per lane, then [B]/[E]/[i]/[C]
+    [traceEvents] (metadata thread names per lane, then [B]/[E]/[i]
     events with [ts] in µs of virtual time and host ns in [args]) plus
     [otherData] carrying drop/mismatch counts.  Per-lane timestamps are
     clamped monotone and scopes still open at the end of the buffer are

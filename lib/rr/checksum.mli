@@ -3,17 +3,6 @@
     verified during replay so divergence is caught close to its root
     cause. *)
 
-val hash_bytes : int -> bytes -> int
-(** FNV-style rolling hash step. *)
-
-val fnv_offset : int
-(** The hash's initial value. *)
-
-val included_region : Addr_space.region -> bool
-(** Scratch/trace-buffer pages and the supervisor-swapped thread-locals
-    page are excluded: their contents legitimately differ between
-    recording and replay. *)
-
 val space : Addr_space.t -> int
 (** Digest of an address space: included regions in address order,
     bytes in address order. *)

@@ -216,12 +216,7 @@ let observe t e =
   | E.E_clone { parent; child; _ } -> note_clone t ~parent ~child
   | _ -> ()
 
-let n_frames t = t.n
 let tags t = Array.sub t.tag_arr 0 t.n
-
-let tag t i =
-  if i < 0 || i >= t.n then invalid_arg "Conn_track.tag";
-  t.tag_arr.(i)
 
 let connections t =
   Hashtbl.fold (fun _ cs acc -> cs :: acc) t.conns []

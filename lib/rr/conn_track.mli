@@ -52,15 +52,9 @@ val observe : t -> Event.t -> unit
 (** Feed one frame, in trace order.  Suitable as a recorder
     [?on_event] observer or an offline pass. *)
 
-val n_frames : t -> int
-(** Frames observed so far. *)
-
 val tags : t -> int array
 (** One tag per observed frame: 0 = control, otherwise a connection
     id.  Allocates a fresh array. *)
-
-val tag : t -> int -> int
-(** Tag of frame [i] ([0 <= i < n_frames]). *)
 
 val connections : t -> info list
 (** Per-connection summary, in connection-id order. *)

@@ -66,8 +66,6 @@ let at_end d = pos d >= n_events d
 
 let trace d = d.trace
 
-let opts d = d.opts
-
 let checkpoint_every d = d.opts.checkpoint_every
 
 let n_checkpoints d = d.n_checkpoints
@@ -214,18 +212,11 @@ let seek d target =
    stub layer turns it into a "history exhausted" stop reply. *)
 let reverse_step d = if pos d > 0 then seek d (pos d - 1)
 
-(* Static frame searches (frames are data; no execution needed).  Both
-   delegate to the chunk-indexed reader, which decodes lazily and can
-   skip whole chunks when given a kind mask. *)
-let find_event ?kind_mask d ~from p = Trace.Reader.find_from ?kind_mask d.trace from p
-
-let rfind_event ?kind_mask d ~before p =
-  Trace.Reader.rfind_before ?kind_mask d.trace before p
-
 (* Run forward to the next frame satisfying [p]; position lands just
-   after it.  Returns the frame index. *)
+   after it.  Returns the frame index.  Frames are data: the search
+   itself runs through the chunk-indexed reader, executing nothing. *)
 let continue_to d p =
-  match find_event d ~from:(pos d) p with
+  match Trace.Reader.find_from d.trace (pos d) p with
   | None -> None
   | Some i ->
     seek d (i + 1);
@@ -237,7 +228,7 @@ let continue_to d p =
 let reverse_continue_to d p =
   if pos d = 0 then None
   else
-    match rfind_event d ~before:(pos d - 1) p with
+    match Trace.Reader.rfind_before d.trace (pos d - 1) p with
     | None -> None
     | Some i ->
       seek d (i + 1);
@@ -406,7 +397,9 @@ module Query = struct
       | None ->
         Telemetry.incr tm_index_fallback;
         (* [rfind_before] is already exclusive: last frame < [before]. *)
-        Ok (rfind_event d ~before (fun e -> E.frame_pc e = Some pc))
+        Ok
+          (Trace.Reader.rfind_before d.trace before (fun e ->
+               E.frame_pc e = Some pc))
 
   let last_write ?before d ~tid ~addr ~len =
     let before = match before with Some b -> b | None -> pos d in
@@ -432,10 +425,3 @@ module Query = struct
       Telemetry.incr tm_index_fallback;
       Ok (scan_last_write d ~tid ~addr ~len ~upto:before)
 end
-
-(* ---- deprecated scan API (reimplemented over Query) ------------------ *)
-
-let last_change d ~tid ~addr ~len =
-  match Query.last_write d ~tid ~addr ~len with
-  | Ok r -> r
-  | Error _ -> assert false (* [before] defaults to [pos], always in range *)

@@ -59,11 +59,8 @@ val at_end : t -> bool
 
 val trace : t -> Trace.t
 
-val opts : t -> opts
-(** The (re-clamped) options this session was created with. *)
-
 val checkpoint_every : t -> int
-(** [(opts d).checkpoint_every]. *)
+(** The live-checkpoint cadence this session was created with (re-clamped). *)
 
 val indexed : t -> bool
 (** Whether queries can currently answer from a persistent index:
@@ -128,18 +125,6 @@ module Query : sig
       answer is byte-identical to the scan's.  Position is restored. *)
 end
 
-val find_event : ?kind_mask:int -> t -> from:int -> (Event.t -> bool) -> int option
-(** Static frame search (frames are data; nothing executes), scanning
-    through the chunk-indexed reader; [kind_mask] (an OR of
-    {!Event.kind_bit}) skips chunks with no matching frame kinds without
-    inflating them. *)
-
-val rfind_event : ?kind_mask:int -> t -> before:int -> (Event.t -> bool) -> int option
-  [@@deprecated "use Query.prev_exec (indexed) for pc searches"]
-(** Backwards static frame search with an arbitrary predicate.  An
-    arbitrary closure cannot be answered from the index; pc searches —
-    the only in-tree use — go through {!Query.prev_exec}. *)
-
 val continue_to : t -> (Event.t -> bool) -> int option
 (** Run forward to the next matching frame; lands just after it. *)
 
@@ -167,10 +152,6 @@ val read_mem : t -> int -> int -> int -> bytes
     addresses. *)
 
 val read_word : t -> int -> int -> int
-
-val last_change : t -> tid:int -> addr:int -> len:int -> int option
-  [@@deprecated "use Query.last_write"]
-(** {!Query.last_write} at the current position, untyped. *)
 
 (** {2 Checkpoint inspection and control}
 

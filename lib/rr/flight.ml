@@ -34,12 +34,6 @@ let parse_trigger = function
   | "always" -> Some Recorder.On_always
   | _ -> None
 
-let trigger_to_string = function
-  | Recorder.On_signal -> "signal"
-  | Recorder.On_exit_nonzero -> "exit!=0"
-  | Recorder.On_divergence -> "divergence"
-  | Recorder.On_always -> "always"
-
 (* Evaluate [dump_on] against the run, most severe first.  The
    divergence check replays the window and is only meaningful when the
    window still starts at frame 0 — a truncated window has no initial

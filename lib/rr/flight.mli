@@ -46,8 +46,6 @@ val parse_trigger : string -> Recorder.trigger option
 (** ["signal"], ["exit!=0"], ["divergence"], ["always"] — the
     [--dump-on] spellings. *)
 
-val trigger_to_string : Recorder.trigger -> string
-
 val record :
   ?opts:Recorder.opts ->
   ?on_stop:(Kernel.t -> unit) ->

@@ -25,7 +25,6 @@ let tl_locked = 0 (* reentry guard (§3.5) *)
 let tl_scratch_ptr = 8
 let tl_buf_ptr = 16
 let tl_buf_size = 24
-let tl_desched_fd = 32
 let tl_tid = 40
 
 (* The "preload globals" page: per-address-space state of the

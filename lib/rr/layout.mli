@@ -18,7 +18,6 @@ val tl_locked : int
 val tl_scratch_ptr : int
 val tl_buf_ptr : int
 val tl_buf_size : int
-val tl_desched_fd : int
 val tl_tid : int
 
 val globals_page : int
@@ -30,12 +29,8 @@ val gl_fd_bitmap : int
 
 val slot_base : int
 val slot_stride : int
-val scratch_base : int
 val scratch_size : int
-val scratch_stride : int
-val syscallbuf_base : int
 val syscallbuf_size : int
-val syscallbuf_stride : int
 
 val sb_fill : int
 val sb_read_cursor : int

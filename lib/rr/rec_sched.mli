@@ -25,13 +25,6 @@ val prefer : t -> int -> unit
 
 val remove_task : t -> int -> unit
 
-val effective_priority : t -> int -> int -> int
-(** [effective_priority t tid base] is [base], possibly perturbed by a
-    chaos-mode override. *)
-
-val reshuffle : t -> unit
-(** Chaos mode: draw fresh random priority overrides. *)
-
 val pick : t -> runnable:(int -> bool) -> priority:(int -> int) -> int option
 (** Choose the next task among [runnable] tids: best (lowest) effective
     priority, round-robin within the class.  Rotates the chosen task to

@@ -42,7 +42,7 @@ let reraise_typed = function
 
 type sink_spec =
   | Sink_memory
-  | Sink_file of string
+  | Sink_io of Io.writer
   | Sink_ring of Trace.ring
   | Sink_repo of Repo.t * string
 
@@ -1053,20 +1053,16 @@ let handle_stop r task stop =
       fail "unexpected trap signal while recording"
     | Signals.Fault | Signals.User _ -> on_app_signal r task info)
 
-(* Resolve [opts.sink] to a concrete {!Trace.Sink.t}.  An explicit
-   [?journal] (the deprecated calling convention) takes precedence. *)
-let resolve_sink opts journal =
-  match journal with
-  | Some io -> Some (Trace.Sink.of_io io)
-  | None -> (
-    match opts.sink with
-    | Sink_memory -> None
-    | Sink_file path -> Some (Trace.Sink.of_io (Io.file_writer path))
-    | Sink_ring r -> Some (Trace.ring_sink r)
-    | Sink_repo (repo, name) -> Some (Repo.sink repo ~name))
+(* Resolve [opts.sink] to a concrete {!Trace.Sink.t}. *)
+let resolve_sink opts =
+  match opts.sink with
+  | Sink_memory -> None
+  | Sink_io io -> Some (Trace.Sink.of_io io)
+  | Sink_ring r -> Some (Trace.ring_sink r)
+  | Sink_repo (repo, name) -> Some (Repo.sink repo ~name)
 
 let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
-    ?(on_event = fun (_ : E.t) -> ()) ?journal ~setup ~exe () =
+    ?(on_event = fun (_ : E.t) -> ()) ~setup ~exe () =
   let k = K.create ~seed:opts.seed () in
   (* Spans measure virtual ns against this recording's cost model. *)
   Telemetry.set_clock (fun () -> K.now k);
@@ -1075,16 +1071,26 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
      final trace commit nests under it on the supervisor lane. *)
   Timeline.begin_scope "record.session";
   let w =
-    Timeline.scope "record.setup" (fun () ->
-        Vfs.mkdir_p (K.vfs k) "/trace/images";
-        Vfs.mkdir_p (K.vfs k) "/trace/files";
-        Vfs.mkdir_p (K.vfs k) "/trace/cloned";
-        setup k;
-        try
-          Trace.Writer.create ~compress:opts.compress
-            ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts journal)
-            ~initial_exe:exe ()
-        with e -> raise (reraise_typed e))
+    try
+      Timeline.scope "record.setup" (fun () ->
+          Vfs.mkdir_p (K.vfs k) "/trace/images";
+          Vfs.mkdir_p (K.vfs k) "/trace/files";
+          Vfs.mkdir_p (K.vfs k) "/trace/cloned";
+          setup k;
+          try
+            Trace.Writer.create ~compress:opts.compress
+              ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts)
+              ~initial_exe:exe ()
+          with e -> raise (reraise_typed e))
+    with e ->
+      (* Died before there is a writer to abort: the caller-opened
+         journal must still be closed. *)
+      (match opts.sink with
+      | Sink_io io -> ( try Io.close_writer io with Io.Io_error _ -> ())
+      | Sink_memory | Sink_ring _ | Sink_repo _ -> ());
+      Timeline.end_scope "record.session";
+      Telemetry.clear_clock ();
+      raise e
   in
   let r =
     { k;
@@ -1195,7 +1201,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
       telemetry = Telemetry.since tm_base },
     k )
 
-let run ?opts ?on_stop ?on_event ?journal ~setup ~exe () =
-  match record ?opts ?on_stop ?on_event ?journal ~setup ~exe () with
+let run ?opts ?on_stop ?on_event ~setup ~exe () =
+  match record ?opts ?on_stop ?on_event ~setup ~exe () with
   | v -> Ok v
   | exception Record_error e -> Error e

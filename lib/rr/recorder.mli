@@ -36,9 +36,11 @@ val error_to_string : error -> string
     {!Trace.Sink.t} at [record] entry). *)
 type sink_spec =
   | Sink_memory  (** build the trace in memory only (the default) *)
-  | Sink_file of string
-      (** stream the incremental v3 journal to this path; a recorder
-          killed mid-run leaves a salvageable file *)
+  | Sink_io of Io.writer
+      (** stream the incremental journal to this writer; a recorder
+          killed mid-run leaves a salvageable file.  The recording owns
+          the writer from [record] entry: it is closed however the
+          recording ends, even when [setup] raises. *)
   | Sink_ring of Trace.ring
       (** flight-recorder mode: the bounded in-memory window.  The ring
           handle is caller-owned and survives a recording that dies —
@@ -120,7 +122,6 @@ val record :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
   ?on_event:(Event.t -> unit) ->
-  ?journal:Io.writer ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->
@@ -131,10 +132,8 @@ val record :
     invoked after every handled ptrace stop (used for PSS sampling).
     [on_event] observes every frame as it is emitted, before it reaches
     the trace writer — the live half of {!Conn_track}; it must not
-    raise.
-    With [journal], the trace is streamed to that {!Io.writer} while
-    recording (see {!Trace.Writer.create}), so a recorder killed
-    mid-run leaves a salvageable file.  Returns the trace, recording
+    raise.  [opts.sink] selects where the trace streams while recording
+    (see {!Trace.Writer.create}).  Returns the trace, recording
     statistics, and the final kernel.
 
     Raises {!Record_error} on unsupported syscalls (§2.3.6 — the model
@@ -142,17 +141,12 @@ val record :
     ([Rec_failure]), or a trace-store/journal failure ([Rec_trace]).
     On any failure the writer is aborted first: the sink is closed, so
     a journaling recorder that dies never leaks its journal fd (the
-    salvageable prefix stays on disk).
-
-    [journal] is the deprecated spelling of [Sink_file]; it overrides
-    [opts.sink] when given.  New code selects the output through
-    [opts.sink]. *)
+    salvageable prefix stays on disk). *)
 
 val run :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
   ?on_event:(Event.t -> unit) ->
-  ?journal:Io.writer ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->

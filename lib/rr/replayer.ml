@@ -77,7 +77,6 @@ let tm_span_point = Telemetry.span "replay.point"
 
 let cursor_index r = Trace.Reader.pos r.cursor
 let kernel r = r.k
-let trace r = r.trace
 
 type stats = {
   wall_time : int;

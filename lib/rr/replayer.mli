@@ -69,8 +69,6 @@ val cursor_index : t -> int
 val kernel : t -> Kernel.t
 (** The simulated kernel the session replays into. *)
 
-val trace : t -> Trace.t
-
 (** {2 Checkpoints (paper §6.1)}
 
     A checkpoint is a COW snapshot of the whole replay: address spaces
@@ -97,7 +95,6 @@ type restore_error = {
 
 exception Restore_error of restore_error
 
-val pp_restore_error : restore_error Fmt.t
 val restore_error_to_string : restore_error -> string
 
 val restore : ?opts:opts -> Trace.t -> snapshot -> (t, restore_error) result
@@ -125,9 +122,3 @@ val decode_snapshot : string -> snapshot
 
 val snapshot_index : snapshot -> int
 (** The frame position the snapshot restores to. *)
-
-(** {2 Internals exposed for tests} *)
-
-val task : t -> int -> Task.t
-val run_to_point : t -> Task.t -> Event.exec_point -> unit
-val install_rdrand_hooks : Kernel.t -> unit

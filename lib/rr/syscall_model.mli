@@ -12,10 +12,6 @@ val outputs : nr:int -> args:int array -> result:int -> output list
 (** Memory written by a completed syscall, given its entry arguments and
     result.  Raises {!Unsupported} for syscalls outside the model. *)
 
-val may_block : Task.t -> nr:int -> args:int array -> bool
-(** Can this call sleep in the kernel?  Inspects the fd table: regular
-    file reads never block; pipe/socket reads can. *)
-
 val bufferable : ?wide:bool -> nr:int -> unit -> bool
 (** The interception library's fast-path set (paper §3.1).  [wide]
     (default) is the grown wrapper set; [~wide:false] is the original
@@ -43,9 +39,6 @@ val elidable : nr:int -> args:int array -> bool
 val replay_performs : nr:int -> bool
 (** Syscalls whose effects replay must re-perform rather than emulate:
     address-space operations (paper §2.3.8). *)
-
-val is_special : nr:int -> bool
-(** Syscalls with their own trace frame kinds (clone/execve/mmap/exit). *)
 
 val scratch_redirect : Task.t -> nr:int -> args:int array -> (int * int) option
 (** For traced blocking syscalls: (argument index, length) of the output

@@ -6,13 +6,10 @@
 
     Telemetry: counts [index.build], times [index.build_time]. *)
 
-val build :
+val build_and_attach :
   ?opts:Replayer.opts -> ?checkpoint_every:int -> Trace.t -> Trace_index.t
-(** Replay [trace] start to end and return its index.  [checkpoint_every]
+(** Replay [trace] start to end, build its index and attach it with
+    {!Trace.set_index} — persist with {!Trace.save}.  [checkpoint_every]
     (clamped to ≥ 1) defaults to roughly n/16, capping durable
     checkpoints at a handful per trace.  Raises {!Replayer.Divergence}
     if the trace does not replay. *)
-
-val build_and_attach :
-  ?opts:Replayer.opts -> ?checkpoint_every:int -> Trace.t -> Trace_index.t
-(** {!build}, then {!Trace.set_index} — persist with {!Trace.save}. *)

@@ -123,23 +123,17 @@ val frame_pc : t -> int option
 
 (** {1 Frame codec}
 
-    Two event encodings share the frame schema; the trace container's
-    header says which one its chunks use.  v1 stores each register
-    image as a length-prefixed int array; v2 delta-codes it against
-    the same task's previous image within the chunk (a 17-bit change
-    mask plus one zigzag delta per changed slot).  Both directions
-    thread an {!ectx}, which carries the version and the per-task
-    delta state; {!reset_ectx} at every chunk boundary keeps chunks
-    independently decodable.  v1 contexts are stateless, so resetting
-    is always safe. *)
+    Register images are delta-coded against the same task's previous
+    image within the chunk: a 17-bit change mask plus one zigzag delta
+    per changed slot.  Both directions thread an {!ectx}, which carries
+    the per-task delta state; {!reset_ectx} at every chunk boundary
+    keeps chunks independently decodable. *)
 
 type ectx
 
-val ectx : ?version:int -> unit -> ectx
-(** A fresh codec context.  [version] is 1 (default) or 2; anything
-    else raises [Invalid_argument]. *)
+val ectx : unit -> ectx
+(** A fresh codec context. *)
 
-val ectx_version : ectx -> int
 val reset_ectx : ectx -> unit
 
 val encode : ectx -> Codec.sink -> t -> unit
@@ -150,14 +144,9 @@ val get_buf_record : Codec.source -> buf_record
 (** Syscallbuf record codec, exposed for checkpoint serialization
     (pending flush batches are part of a snapshot). *)
 
-val num_kinds : int
-
-val kind_id : t -> int
-(** Stable id (0..[num_kinds]-1) of a frame's constructor — the same tag
-    the chunk encoding uses. *)
-
 val kind_bit : t -> int
-(** [1 lsl kind_id e]; chunk-index kind summaries are ORs of these. *)
+(** One bit per frame constructor, [1 lsl] its encode tag; chunk-index
+    kind summaries are ORs of these. *)
 
 val kind_name : t -> string
 val pp : t Fmt.t

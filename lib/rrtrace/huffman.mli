@@ -7,9 +7,6 @@ val lengths : int array -> int array
 (** Code lengths from symbol frequencies; zero-frequency symbols get 0.
     Lengths never exceed {!max_code_len} (frequency flattening retries). *)
 
-val canonical : int array -> int array
-(** Canonical code assignment from lengths. *)
-
 type encoder = { lens : int array; codes : int array }
 
 val encoder : int array -> encoder

@@ -8,8 +8,5 @@ val put_insn : Codec.sink -> Insn.t -> unit
 val get_insn : Codec.source -> Insn.t
 (** Raises {!Codec.Corrupt} on unknown tags. *)
 
-val put_program : Codec.sink -> Asm.program -> unit
-val get_program : Codec.source -> Asm.program
-
 val put_image : Codec.sink -> Image.t -> unit
 val get_image : Codec.source -> Image.t

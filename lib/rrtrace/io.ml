@@ -13,7 +13,6 @@ exception Io_error of error
 let fail ~op ~path reason = raise (Io_error { op; path; reason })
 
 let pp_error ppf e = Fmt.pf ppf "%s: %s failed: %s" e.path e.op e.reason
-let error_to_string e = Fmt.str "%a" pp_error e
 
 type fault =
   | Write_enospc_after of int
@@ -34,7 +33,6 @@ type writer = {
   mutable w_closed : bool;
 }
 
-let writer_path w = w.w_path
 let written w = w.w_count
 
 let write w s =

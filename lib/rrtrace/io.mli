@@ -26,7 +26,6 @@ type error = {
 exception Io_error of error
 
 val pp_error : error Fmt.t
-val error_to_string : error -> string
 
 (** A deterministic fault, positioned by absolute byte offset in the
     ideal (unfaulted) stream.  Write faults apply to writers, read
@@ -68,8 +67,6 @@ val write : writer -> string -> unit
 
 val written : writer -> int
 (** Bytes accepted so far by this layer. *)
-
-val writer_path : writer -> string
 
 val close_writer : writer -> unit
 (** Flush and close (idempotent).  Raises {!Io_error} on failure. *)

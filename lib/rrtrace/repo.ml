@@ -223,12 +223,16 @@ let load_object t key =
    magic "RRMANIF1" | payload length (8 bytes LE) | payload |
    crc32(payload) (4 bytes LE)
 
-   payload: event_version, compressed, initial_exe, stats (the 9
-   persisted fields), images [(path, key)], files [(path, total_len,
-   block keys)], chunks [(first_frame, n_frames, kinds, key)]. *)
+   payload: event encoding (always [manifest_encoding]), compressed,
+   initial_exe, stats (the 9 persisted fields), images [(path, key)],
+   files [(path, total_len, block keys)], chunks [(first_frame,
+   n_frames, kinds, key)]. *)
+
+(* The chunks' frame encoding: delta-coded registers, the only one
+   {!Event} speaks.  Any other value is a corrupt manifest. *)
+let manifest_encoding = 2
 
 type manifest = {
-  m_event_version : int;
   m_compressed : bool;
   m_initial_exe : string;
   m_stats : Trace.stats;
@@ -260,7 +264,7 @@ let get_manifest_stats s : Trace.stats =
 
 let encode_manifest m =
   let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b m.m_event_version;
+  Codec.put_uvarint b manifest_encoding;
   Codec.put_bool b m.m_compressed;
   Codec.put_string b m.m_initial_exe;
   put_manifest_stats b m.m_stats;
@@ -316,7 +320,10 @@ let decode_manifest ~name data =
       else
         try
           let s = Codec.source payload in
-          let m_event_version = Codec.get_uvarint s in
+          let encoding = Codec.get_uvarint s in
+          if encoding <> manifest_encoding then
+            raise
+              (Codec.Corrupt (Fmt.str "unknown event encoding %d" encoding));
           let m_compressed = Codec.get_bool s in
           let m_initial_exe = Codec.get_string s in
           let m_stats = get_manifest_stats s in
@@ -343,7 +350,7 @@ let decode_manifest ~name data =
           in
           if not (Codec.eof s) then raise (Codec.Corrupt "trailing bytes");
           Ok
-            { m_event_version; m_compressed; m_initial_exe; m_stats; m_images;
+            { m_compressed; m_initial_exe; m_stats; m_images;
               m_files; m_chunks }
         with Codec.Corrupt msg -> fail msg
     end
@@ -385,7 +392,7 @@ let encode_image img =
   Buffer.contents b
 
 (* Store every part; caller holds [t.lock].  Raises {!Io.Io_error}. *)
-let store_parts_exn t ~event_version ~compressed ~initial_exe ~stats ~chunks
+let store_parts_exn t ~compressed ~initial_exe ~stats ~chunks
     ~images ~files =
   let acc =
     ref { new_objects = 0; shared_objects = 0; new_bytes = 0; shared_bytes = 0 }
@@ -403,7 +410,7 @@ let store_parts_exn t ~event_version ~compressed ~initial_exe ~stats ~chunks
         (p, String.length data, List.map store (split_blocks data)))
       files
   in
-  ( { m_event_version = event_version; m_compressed = compressed;
+  ( { m_compressed = compressed;
       m_initial_exe = initial_exe; m_stats = stats; m_images; m_files;
       m_chunks },
     !acc )
@@ -421,7 +428,6 @@ let store_trace t ~name trace =
       in
       let manifest, acc =
         store_parts_exn t
-          ~event_version:(Trace.event_version trace)
           ~compressed:(Trace.compressed trace)
           ~initial_exe:(Trace.initial_exe trace)
           ~stats:(Trace.stats trace) ~chunks ~images:(Trace.images trace)
@@ -499,8 +505,7 @@ let load_trace t ~name =
       m.m_chunks
   in
   match
-    Trace.of_parts ~event_version:m.m_event_version
-      ~origin:(manifest_path t name) ~compressed:m.m_compressed
+    Trace.of_parts ~origin:(manifest_path t name) ~compressed:m.m_compressed
       ~initial_exe:m.m_initial_exe
       ~chunks:(Array.of_list chunks)
       ~images ~files ~stats:m.m_stats ()
@@ -677,7 +682,7 @@ let pp_stats ppf s =
    the manifest.  A recording killed mid-run therefore leaves orphan
    objects and no manifest. *)
 type sink_state = {
-  mutable ss_header : (bool * string * int) option;
+  mutable ss_header : (bool * string) option;
   mutable ss_images : (string * string) list; (* reversed (path, key) *)
   mutable ss_files : Trace.File_deltas.t;
   mutable ss_chunks : (int * int * int * string) list; (* reversed *)
@@ -698,8 +703,8 @@ let sink t ~name =
   let store data = with_lock t (fun () -> store_object_exn t ss.ss_acc data) in
   let put (ev : Trace.Sink.event) =
     match ev with
-    | Trace.Sink.Header { compressed; initial_exe; event_version } ->
-      ss.ss_header <- Some (compressed, initial_exe, event_version)
+    | Trace.Sink.Header { compressed; initial_exe } ->
+      ss.ss_header <- Some (compressed, initial_exe)
     | Trace.Sink.Image { path; img } ->
       ss.ss_images <- (path, store (encode_image img)) :: ss.ss_images
     | Trace.Sink.File_delta { path; offset; data } ->
@@ -710,10 +715,10 @@ let sink t ~name =
     | Trace.Sink.Journal _ -> ()
   in
   let commit (stats : Trace.stats) (_ : Trace.chunk_info array) =
-    let compressed, initial_exe, event_version =
+    let compressed, initial_exe =
       match ss.ss_header with
       | Some h -> h
-      | None -> (false, "<unknown>", 2) (* unreachable: Header precedes commit *)
+      | None -> (false, "<unknown>") (* unreachable: Header precedes commit *)
     in
     let m_files =
       Trace.File_deltas.contents ss.ss_files
@@ -722,7 +727,7 @@ let sink t ~name =
                List.map (fun blk -> store blk) (split_blocks data) ))
     in
     let manifest =
-      { m_event_version = event_version; m_compressed = compressed;
+      { m_compressed = compressed;
         m_initial_exe = initial_exe; m_stats = stats;
         m_images = List.rev ss.ss_images; m_files;
         m_chunks = List.rev ss.ss_chunks }
@@ -736,7 +741,7 @@ let sink t ~name =
     ss.ss_chunks <- [];
     ss.ss_images <- []
   in
-  Trace.Sink.make ~name:("repo:" ^ name) ~put ~commit ~close ()
+  Trace.Sink.make ~put ~commit ~close ()
 
 (* ---- verify ----------------------------------------------------------- *)
 

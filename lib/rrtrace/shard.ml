@@ -39,7 +39,6 @@ let check_tags ~tags trace =
 let shard_writer trace =
   let w =
     Trace.Writer.create ~compress:(Trace.compressed trace)
-      ~event_version:(Trace.event_version trace)
       ~initial_exe:(Trace.initial_exe trace) ()
   in
   List.iter

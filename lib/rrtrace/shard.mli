@@ -38,9 +38,6 @@ type result_ = {
   total_shared_bytes : int;
 }
 
-val shard_name : base:string -> conn:int -> string
-(** [<base>.conn-NNNN]. *)
-
 val extract : tags:int array -> conn:int -> Trace.t -> Trace.t * int array
 (** Build one shard in memory: the filtered trace plus, for each shard
     frame, the index of the original frame it came from (the

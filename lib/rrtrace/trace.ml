@@ -21,7 +21,7 @@
 
    Durability (paper §2.7 "deployability" read as: a trace must survive
    the process that wrote it): all persistence flows through the
-   pluggable {!Io} layer; the on-disk v3 format is a CRC-guarded record
+   pluggable {!Io} layer; the on-disk format is a CRC-guarded record
    stream with a commit footer, optionally journaled incrementally
    during recording, and {!salvage} recovers the longest verifiable
    chunk prefix of a damaged file.  See DESIGN.md §4e. *)
@@ -86,19 +86,10 @@ type error =
 
 exception Format_error of error
 
-let format_version = 3
-
-(* Same container, delta-coded registers inside the chunks (event
-   encoding v2).  The header's version field is the negotiation point:
-   3 = event-encoding v1, 4 = v2.  Builds predating v2 reject a
-   version-4 file with a clean [Version_skew] instead of misdecoding
-   its chunks. *)
-let format_version_delta = 4
-
-let header_version_of_event_version ev =
-  if ev >= 2 then format_version_delta else format_version
-
-let default_event_version = 2
+(* The header record's version field.  Version 4 chunks delta-code
+   register images ({!Event}); any other version, including 3 (plain
+   register arrays), is a {!Version_skew}. *)
+let format_version = 4
 
 let pp_error ppf = function
   | Truncated { path; detail } ->
@@ -119,19 +110,17 @@ type chunk_info = {
   byte_offset : int; (* into the concatenated stored-chunk stream *)
   stored_len : int;
   kinds : int; (* OR of Event.kind_bit for every frame in the chunk *)
-  crc32 : int; (* CRC-32 of the stored bytes; 0 = unknown (v2 trace) *)
+  crc32 : int; (* CRC-32 of the stored bytes *)
 }
 
 type t = {
   index : chunk_info array;
   chunks : string array; (* stored (possibly deflated) chunk bytes *)
   compressed : bool;
-  event_version : int; (* chunk event encoding: 1 = arrays, 2 = deltas *)
   images : (string, Image.t) Hashtbl.t; (* trace path -> executable image *)
   files : (string, string) Hashtbl.t; (* trace path -> snapshotted bytes *)
   stats : stats;
   initial_exe : string;
-  trusted : bool; (* no per-chunk CRCs (pre-v3 file): unchecked reads *)
   origin : string; (* path the trace was loaded from, for error context *)
   (* LRU of decoded chunks, shared by every cursor over this trace; MRU
      first.  [chunk_decodes] counts cache misses — the number of chunks
@@ -141,17 +130,15 @@ type t = {
   mutable sidecar : Trace_index.t option; (* derived index, if built *)
 }
 
-let make_t ?(trusted = false) ?(origin = "<memory>") ?(event_version = 1)
-    ~index ~chunks ~compressed ~images ~files ~stats ~initial_exe () =
+let make_t ?(origin = "<memory>") ~index ~chunks ~compressed ~images ~files
+    ~stats ~initial_exe () =
   { index;
     chunks;
     compressed;
-    event_version;
     images;
     files;
     stats;
     initial_exe;
-    trusted;
     origin;
     cache = [];
     chunk_decodes = 0;
@@ -213,7 +200,7 @@ module File_deltas = struct
   let to_table t = Hashtbl.of_seq (List.to_seq (contents t))
 end
 
-(* ---- v3 record stream ------------------------------------------------
+(* ---- record stream ---------------------------------------------------
 
    The file is a stream of self-delimiting records between an 8-byte
    magic and a 16-byte commit footer:
@@ -251,9 +238,7 @@ end
    knows the writer ran to completion; anything else is salvage
    territory. *)
 
-let magic_v3 = "RRTRACE3"
-let magic_v2 = "RRTRACE2"
-let magic_v1 = "RRTRACE1"
+let magic = "RRTRACE3"
 let footer_magic = "RRCOMMIT"
 
 (* How many chunks a journaling writer streams between 'J' records. *)
@@ -323,9 +308,9 @@ let get_chunk_info s =
   let crc32 = Codec.get_uvarint s in
   { first_frame; n_frames; byte_offset; stored_len; kinds; crc32 }
 
-let header_payload ~compressed ~initial_exe ~event_version =
+let header_payload ~compressed ~initial_exe =
   let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b (header_version_of_event_version event_version);
+  Codec.put_uvarint b format_version;
   Codec.put_bool b compressed;
   Codec.put_string b initial_exe;
   Buffer.contents b
@@ -377,7 +362,7 @@ let footer_bytes ~trailer_off =
    Events arrive in trace-stream order — header first, every image and
    file delta before the first chunk that references it, a stats
    journal mark every few chunks — so a sink that persists events as
-   they arrive reproduces exactly the v3 record stream, and any prefix
+   they arrive reproduces exactly the record stream, and any prefix
    it manages to persist is salvageable. *)
 
 type trace = t
@@ -386,14 +371,13 @@ type trace = t
 
 module Sink = struct
   type event =
-    | Header of { compressed : bool; initial_exe : string; event_version : int }
+    | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : string }
     | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
     | Journal of stats
 
   type t = {
-    sk_name : string;
     sk_put : event -> unit;
     sk_commit : stats -> chunk_info array -> unit;
     sk_close : unit -> unit; (* abort: release resources, commit nothing *)
@@ -401,27 +385,24 @@ module Sink = struct
     sk_result : unit -> trace option; (* bounded sinks build the result *)
   }
 
-  let make ?(bounded = false) ~name ~put ~commit ~close () =
-    { sk_name = name;
-      sk_put = put;
+  let make ~put ~commit ~close () =
+    { sk_put = put;
       sk_commit = commit;
       sk_close = close;
-      sk_bounded = bounded;
+      sk_bounded = false;
       sk_result = (fun () -> None) }
 
-  let name s = s.sk_name
-
-  (* The streaming file sink — exactly the incremental v3 journal.  The
+  (* The streaming file sink — exactly the incremental journal.  The
      magic and header go out on the first event, every image/file/chunk
      record as it arrives, and [commit] writes the trailer and footer
      before closing the writer: a sink killed at any byte leaves a
      salvageable prefix. *)
   let of_io io =
     let put = function
-      | Header { compressed; initial_exe; event_version } ->
-        Io.write io magic_v3;
+      | Header { compressed; initial_exe } ->
+        Io.write io magic;
         write_record io ~tag:tag_header
-          (header_payload ~compressed ~initial_exe ~event_version)
+          (header_payload ~compressed ~initial_exe)
       | Image { path; img } ->
         write_record io ~tag:tag_image (image_payload ~path img)
       | File_delta { path; offset; data } ->
@@ -438,7 +419,7 @@ module Sink = struct
       Io.close_writer io
     in
     let close () = try Io.close_writer io with Io.Io_error _ -> () in
-    make ~name:(Io.writer_path io) ~put ~commit ~close ()
+    make ~put ~commit ~close ()
 end
 
 (* ---- flight-recorder ring --------------------------------------------
@@ -467,7 +448,7 @@ type ring = {
   mutable r_dropped_chunks : int;
   mutable r_dropped_frames : int;
   mutable r_group : int; (* current (still-open) watermark group *)
-  mutable r_header : (bool * string * int) option;
+  mutable r_header : (bool * string) option;
   r_images : (string, Image.t) Hashtbl.t;
   r_files : File_deltas.t;
   mutable r_stats : stats option; (* newest journaled stats snapshot *)
@@ -509,8 +490,8 @@ let ring_drop_front r =
   Telemetry.incr tm_ring_dropped
 
 let ring_put r = function
-  | Sink.Header { compressed; initial_exe; event_version } ->
-    r.r_header <- Some (compressed, initial_exe, event_version)
+  | Sink.Header { compressed; initial_exe } ->
+    r.r_header <- Some (compressed, initial_exe)
   | Sink.Image { path; img } -> Hashtbl.replace r.r_images path img
   | Sink.File_delta { path; offset; data } ->
     File_deltas.apply r.r_files ~path ~offset data
@@ -549,10 +530,8 @@ let ring_put r = function
    saveable and salvageable — DESIGN.md §4j spells out the
    limitation. *)
 let ring_trace r =
-  let compressed, initial_exe, event_version =
-    match r.r_header with
-    | Some h -> h
-    | None -> (true, "", default_event_version)
+  let compressed, initial_exe =
+    match r.r_header with Some h -> h | None -> (true, "")
   in
   let entries = Array.of_seq (Queue.to_seq r.r_q) in
   let n = Array.length entries in
@@ -582,7 +561,7 @@ let ring_trace r =
   stats.n_chunks <- n;
   stats.compressed_bytes <- !off;
   let t =
-    make_t ~origin:"<ring>" ~event_version ~index ~chunks ~compressed
+    make_t ~origin:"<ring>" ~index ~chunks ~compressed
       ~images:(Hashtbl.copy r.r_images)
       ~files:(File_deltas.to_table r.r_files)
       ~stats ~initial_exe ()
@@ -596,13 +575,11 @@ let ring_trace r =
       rr_resident_bytes = r.r_bytes } )
 
 let ring_sink r =
-  { (Sink.make ~bounded:true ~name:"<ring>" ~put:(ring_put r)
-       ~commit:(fun stats _index -> r.r_stats <- Some (copy_stats stats))
-       ~close:(fun () -> ())
-       ())
-    with
-    Sink.sk_result = (fun () -> Some (fst (ring_trace r)))
-  }
+  { Sink.sk_put = ring_put r;
+    sk_commit = (fun stats _index -> r.r_stats <- Some (copy_stats stats));
+    sk_close = (fun () -> ());
+    sk_bounded = true;
+    sk_result = (fun () -> Some (fst (ring_trace r))) }
 
 module Writer = struct
   (* Incremental-sink state: the trace streams to [s_sink] *while it is
@@ -638,16 +615,8 @@ module Writer = struct
     mutable closed : bool; (* finish or abort already ran *)
   }
 
-  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?journal
-      ?sink ?(event_version = default_event_version) ~initial_exe () =
-    (* [?journal] remains as sugar for the streaming file sink; an
-       explicit [?sink] wins when both are given. *)
-    let sink =
-      match (sink, journal) with
-      | Some s, _ -> Some s
-      | None, Some jio -> Some (Sink.of_io jio)
-      | None, None -> None
-    in
+  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?sink
+      ~initial_exe () =
     let bounded =
       match sink with Some s -> s.Sink.sk_bounded | None -> false
     in
@@ -655,16 +624,14 @@ module Writer = struct
       match sink with
       | None -> None
       | Some s ->
-        s.Sink.sk_put
-          (Sink.Header
-             { compressed = compress; initial_exe; event_version });
+        s.Sink.sk_put (Sink.Header { compressed = compress; initial_exe });
         Some { s_sink = s; j_since_mark = 0; j_marks = Hashtbl.create 8 }
     in
     { acc_chunks = [];
       acc_index = [];
       acc_off = 0;
       pending = Codec.sink (); (* chunk-lifecycle *)
-      ectx = Event.ectx ~version:event_version ();
+      ectx = Event.ectx ();
       pending_frames = 0;
       pending_kinds = 0;
       frames_flushed = 0;
@@ -846,10 +813,9 @@ module Writer = struct
     match bounded_result with
     | Some t -> t
     | None ->
-      make_t ~event_version:(Event.ectx_version w.ectx) ~index ~chunks
-        ~compressed:w.compress ~images:w.images
-        ~files:(File_deltas.to_table w.files) ~stats:w.stats
-        ~initial_exe:w.exe ()
+      make_t ~index ~chunks ~compressed:w.compress ~images:w.images
+        ~files:(File_deltas.to_table w.files) ~stats:w.stats ~initial_exe:w.exe
+        ()
 
   (* Release a writer without committing: close the sink (for the file
      sink, the journal fd — the leak a killed recording used to leave
@@ -874,11 +840,7 @@ let decoded_chunks t = t.chunk_decodes
 
 let initial_exe t = t.initial_exe
 
-let event_version t = t.event_version
-
 let compressed t = t.compressed
-
-let integrity t = if t.trusted then `Trusted else `Crc_checked
 
 let index t = t.sidecar
 
@@ -887,8 +849,6 @@ let set_index t ix =
     Fmt.invalid_arg "Trace.set_index: index covers %d frames, trace has %d"
       (Trace_index.n_events ix) t.stats.n_events;
   t.sidecar <- Some ix
-
-let drop_index t = t.sidecar <- None
 
 let image t path =
   match Hashtbl.find_opt t.images path with
@@ -903,7 +863,7 @@ let file t path =
 (* ---- chunk decoding (the only path from stored bytes to frames) ----- *)
 
 let decode_chunk_raw t ~idx ci stored =
-  if ci.crc32 <> 0 && Crc32.string stored <> ci.crc32 then begin
+  if Crc32.string stored <> ci.crc32 then begin
     Telemetry.incr tm_crc_fail;
     raise (Format_error (Chunk_crc idx))
   end;
@@ -914,7 +874,7 @@ let decode_chunk_raw t ~idx ci stored =
       else stored
     in
     let s = Codec.source raw in
-    let ectx = Event.ectx ~version:t.event_version () in
+    let ectx = Event.ectx () in
     let out = Array.make ci.n_frames Event.(E_exit { tid = 0; status = 0 }) in
     for i = 0 to ci.n_frames - 1 do
       out.(i) <- Event.decode ectx s
@@ -972,7 +932,6 @@ module Reader = struct
   let open_ t = { t; pos = 0 }
 
   let pos c = c.pos
-  let length c = n_events c.t
   let at_end c = c.pos >= n_events c.t
 
   let seek c i =
@@ -1071,7 +1030,7 @@ end
    injection); stats carry over with the frame-stream byte counts
    recomputed, and per-chunk CRCs recomputed over the new stored
    bytes. *)
-let map_frames_ev ~event_version f t =
+let map_frames f t =
   let stats =
     { t.stats with
       raw_bytes = 0;
@@ -1081,9 +1040,8 @@ let map_frames_ev ~event_version f t =
       lru_evictions = 0 }
   in
   let remake ~index ~chunks =
-    make_t ~trusted:t.trusted ~event_version ~index ~chunks
-      ~compressed:t.compressed ~images:t.images ~files:t.files ~stats
-      ~initial_exe:t.initial_exe ()
+    make_t ~index ~chunks ~compressed:t.compressed ~images:t.images
+      ~files:t.files ~stats ~initial_exe:t.initial_exe ()
   in
   let n_chunks = Array.length t.index in
   if n_chunks = 0 then remake ~index:t.index ~chunks:t.chunks
@@ -1091,7 +1049,7 @@ let map_frames_ev ~event_version f t =
   let chunks = Array.make n_chunks "" in
   let index = Array.make n_chunks t.index.(0) in
   let byte_offset = ref 0 in
-  let ectx = Event.ectx ~version:event_version () in
+  let ectx = Event.ectx () in
   Array.iteri
     (fun ci_idx ci ->
       let frames = decode_chunk_raw t ~idx:ci_idx ci t.chunks.(ci_idx) in
@@ -1114,13 +1072,11 @@ let map_frames_ev ~event_version f t =
           byte_offset = !byte_offset;
           stored_len = String.length stored;
           kinds = !kinds;
-          crc32 = (if t.trusted then 0 else Crc32.string stored) };
+          crc32 = Crc32.string stored };
       byte_offset := !byte_offset + String.length stored)
     t.index;
   remake ~index ~chunks
   end
-
-let map_frames f t = map_frames_ev ~event_version:t.event_version f t
 
 (* ---- parts access (the repository layer's view) ---------------------- *)
 
@@ -1139,8 +1095,7 @@ let files t =
    loader enforces — chunk contiguity from frame 0, no empty chunks,
    stats agreeing with the chunk stream — checked up front, with
    byte_offset/stored_len/crc32 recomputed from the actual bytes. *)
-let of_parts ?(event_version = default_event_version)
-    ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
+let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
     ~images:imgs ~files:fls ~stats:st () =
   let exception Bad of string in
   try
@@ -1184,8 +1139,8 @@ let of_parts ?(event_version = default_event_version)
     List.iter (fun (p, img) -> Hashtbl.replace images p img) imgs;
     List.iter (fun (p, d) -> Hashtbl.replace files p d) fls;
     Ok
-      (make_t ~origin ~event_version ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ())
+      (make_t ~origin ~index ~chunks ~compressed ~images ~files ~stats
+         ~initial_exe ())
   with Bad detail -> Error (Corrupt { path = origin; detail })
 
 (* ---- saving ---------------------------------------------------------- *)
@@ -1193,10 +1148,9 @@ let of_parts ?(event_version = default_event_version)
 let save_io t io =
   Timeline.scope "trace.save" @@ fun () ->
   try
-    Io.write io magic_v3;
+    Io.write io magic;
     write_record io ~tag:tag_header
-      (header_payload ~compressed:t.compressed ~initial_exe:t.initial_exe
-         ~event_version:t.event_version);
+      (header_payload ~compressed:t.compressed ~initial_exe:t.initial_exe);
     let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
     let by_path (a, _) (b, _) = compare (a : string) b in
     List.iter
@@ -1207,20 +1161,12 @@ let save_io t io =
       (fun (path, data) ->
         write_record io ~tag:tag_file (file_payload ~path ~offset:0 data))
       (List.sort by_path (assoc t.files));
-    (* CRCs are recomputed here rather than copied from the index: a
-       v2-loaded trace has none, and re-saving is exactly the moment to
-       mint them. *)
-    let index =
-      Array.mapi
-        (fun i ci -> { ci with crc32 = Crc32.string t.chunks.(i) })
-        t.index
-    in
     Array.iteri
       (fun i ci ->
         write_record io ~tag:tag_chunk
           (chunk_payload ~first_frame:ci.first_frame ~n_frames:ci.n_frames
              ~kinds:ci.kinds t.chunks.(i)))
-      index;
+      t.index;
     (* Sidecar index records ride after the chunks, before the trailer:
        each is independently CRC'd, so a corrupt index drops on salvage
        while every chunk before it survives. *)
@@ -1237,7 +1183,7 @@ let save_io t io =
           write_record io ~tag:tag_index_cp (Buffer.contents b))
         (Trace_index.checkpoints ix));
     let trailer_off = Io.written io in
-    write_record io ~tag:tag_trailer (trailer_payload t.stats index);
+    write_record io ~tag:tag_trailer (trailer_payload t.stats t.index);
     Io.write io (footer_bytes ~trailer_off);
     Io.close_writer io;
     Ok ()
@@ -1252,58 +1198,6 @@ let save t path =
 
 let save_exn t path =
   match save t path with Ok () -> () | Error e -> raise (Format_error e)
-
-(* Legacy writer for the previous (v2) monolithic-payload layout — kept
-   so compatibility tests can manufacture v2 files without archiving
-   binary fixtures.  No CRCs, no footer: exactly what old builds
-   wrote. *)
-let save_v2 t path =
-  (* v2 containers predate delta-coded chunks; transcode the chunk
-     stream back to event-encoding v1 so old readers decode it. *)
-  let t =
-    if t.event_version = 1 then t
-    else map_frames_ev ~event_version:1 (fun _ e -> e) t
-  in
-  let put_chunk_info_v2 b ci =
-    Codec.put_uvarint b ci.first_frame;
-    Codec.put_uvarint b ci.n_frames;
-    Codec.put_uvarint b ci.byte_offset;
-    Codec.put_uvarint b ci.stored_len;
-    Codec.put_uvarint b ci.kinds
-  in
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b 2;
-  Codec.put_bool b t.compressed;
-  Codec.put_string b t.initial_exe;
-  put_stats b t.stats;
-  Codec.put_list b put_chunk_info_v2 (Array.to_list t.index);
-  let stream_len =
-    Array.fold_left (fun acc c -> acc + String.length c) 0 t.chunks
-  in
-  Codec.put_uvarint b stream_len;
-  Array.iter (Buffer.add_string b) t.chunks;
-  let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  let by_path (a, _) (b, _) = compare (a : string) b in
-  Codec.put_list b
-    (fun b (p, data) ->
-      Codec.put_string b p;
-      Codec.put_string b data)
-    (List.sort by_path (assoc t.files));
-  Codec.put_list b
-    (fun b (p, img) ->
-      Codec.put_string b p;
-      Image_codec.put_image b img)
-    (List.sort by_path (assoc t.images));
-  let payload = Buffer.contents b in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic_v2;
-      let len = Bytes.create 8 in (* chunk-lifecycle *)
-      Bytes.set_int64_le len 0 (Int64.of_int (String.length payload));
-      output_bytes oc len;
-      output_string oc payload)
 
 (* ---- loading --------------------------------------------------------- *)
 
@@ -1357,8 +1251,7 @@ let parse_record data ~limit pos =
    so salvage can pick the newest one consistent with the chunks it
    kept. *)
 type scan_state = {
-  (* compressed, initial_exe, event encoding version *)
-  mutable sc_header : (bool * string * int) option;
+  mutable sc_header : (bool * string) option; (* compressed, initial_exe *)
   mutable sc_rev_chunks : (chunk_info * string) list;
   mutable sc_frames : int;
   mutable sc_off : int;
@@ -1393,16 +1286,14 @@ let apply_record st ~path tag payload =
   in
   if tag = tag_header then begin
     let version = Codec.get_uvarint s in
-    if version <> format_version && version <> format_version_delta then
+    if version <> format_version then
       raise
         (Format_error
-           (Version_skew
-              { path; found = version; expected = format_version_delta }));
-    let event_version = if version = format_version_delta then 2 else 1 in
+           (Version_skew { path; found = version; expected = format_version }));
     let compressed = Codec.get_bool s in
     let exe = Codec.get_string s in
     check_consumed ();
-    st.sc_header <- Some (compressed, exe, event_version)
+    st.sc_header <- Some (compressed, exe)
   end
   else if tag = tag_image then begin
     let p = Codec.get_string s in
@@ -1477,12 +1368,12 @@ let attach_scanned_index st t =
 
 let corrupt ~path detail = Corrupt { path; detail }
 
-(* Strict v3 load: the footer must commit the file, every record must
+(* Strict load: the footer must commit the file, every record must
    be CRC-valid, and the trailer index must agree field-for-field with
    the chunks actually scanned.  No chunk is inflated — frame-level
    validation stays lazy — but every stored byte is CRC-covered by its
    record, so bit rot is caught here, not at first access. *)
-let load_v3 ~path data =
+let load_bytes ~path data =
   let file_len = String.length data in
   if file_len < 8 + 16 then
     Error (Truncated { path; detail = "no room for header and footer" })
@@ -1526,7 +1417,7 @@ let load_v3 ~path data =
         | R_short -> raise (Stop (corrupt ~path "trailer record truncated"))
         | R_bad_crc _ -> raise (Stop (corrupt ~path "trailer CRC mismatch"))
         | R_bad msg -> raise (Stop (corrupt ~path msg)));
-        let compressed, initial_exe, event_version =
+        let compressed, initial_exe =
           match st.sc_header with
           | Some h -> h
           | None -> raise (Stop (corrupt ~path "missing header record"))
@@ -1578,7 +1469,7 @@ let load_v3 ~path data =
                      (Trace_index.n_events ix) stats.n_events)))
         | Some _ | None -> ());
         let t =
-          make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
+          make_t ~origin:path ~index:(Array.map fst scanned)
             ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
             ~files:(File_deltas.to_table st.sc_files) ~stats ~initial_exe ()
         in
@@ -1588,114 +1479,32 @@ let load_v3 ~path data =
     end
   end
 
-(* v2 load: the previous monolithic-payload layout, still readable.  No
-   CRCs exist, so the result is flagged [`Trusted] (checked only by the
-   structural bounds below and lazy frame decoding). *)
-let load_v2 ~path data =
-  let exception Stop of error in
-  let fail detail = raise (Stop (corrupt ~path detail)) in
-  try
-    if String.length data < 16 then
-      raise (Stop (Truncated { path; detail = "no room for payload length" }));
-    let declared = Int64.to_int (String.get_int64_le data 8) in
-    if declared < 0 || String.length data - 16 < declared then
-      raise
-        (Stop
-           (Truncated
-              { path;
-                detail =
-                  Fmt.str "payload declares %d bytes, file has %d" declared
-                    (String.length data - 16) }));
-    let payload = String.sub data 16 declared in
-    let s = Codec.source payload in
-    let version = Codec.get_uvarint s in
-    if version <> 2 then
-      raise (Stop (Version_skew { path; found = version; expected = 2 }));
-    let compressed = Codec.get_bool s in
-    let initial_exe = Codec.get_string s in
-    let stats = get_stats s in
-    let get_chunk_info_v2 s =
-      let first_frame = Codec.get_uvarint s in
-      let n_frames = Codec.get_uvarint s in
-      let byte_offset = Codec.get_uvarint s in
-      let stored_len = Codec.get_uvarint s in
-      let kinds = Codec.get_uvarint s in
-      { first_frame; n_frames; byte_offset; stored_len; kinds; crc32 = 0 }
-    in
-    let index = Array.of_list (Codec.get_list s get_chunk_info_v2) in
-    let stream = Codec.get_string s in
-    (* Index sanity — bounds, contiguity, frame accounting — checked
-       here at open, instead of inflating every chunk to count. *)
-    if Array.length index <> stats.n_chunks then
-      fail
-        (Fmt.str "chunk index length %d, stats claim %d" (Array.length index)
-           stats.n_chunks);
-    let expected_off = ref 0 and expected_frame = ref 0 in
-    Array.iter
-      (fun ci ->
-        if ci.byte_offset <> !expected_off then
-          fail (Fmt.str "chunk stream gap at byte %d" !expected_off);
-        if ci.first_frame <> !expected_frame then
-          fail (Fmt.str "chunk index gap at frame %d" !expected_frame);
-        if ci.byte_offset + ci.stored_len > String.length stream then
-          fail "chunk overruns the stored stream";
-        expected_off := !expected_off + ci.stored_len;
-        expected_frame := !expected_frame + ci.n_frames)
-      index;
-    if !expected_off <> String.length stream then
-      fail
-        (Fmt.str "%d trailing bytes in the chunk stream"
-           (String.length stream - !expected_off));
-    if !expected_frame <> stats.n_events then
-      fail
-        (Fmt.str "index covers %d frames, stats claim %d" !expected_frame
-           stats.n_events);
-    let chunks =
-      Array.map (fun ci -> String.sub stream ci.byte_offset ci.stored_len)
-        index
-    in
-    let files = Hashtbl.create 8 in
-    Codec.get_list s (fun s ->
-        let p = Codec.get_string s in
-        Hashtbl.replace files p (Codec.get_string s))
-    |> ignore;
-    let images = Hashtbl.create 8 in
-    Codec.get_list s (fun s ->
-        let p = Codec.get_string s in
-        Hashtbl.replace images p (Image_codec.get_image s))
-    |> ignore;
-    Ok
-      (make_t ~trusted:true ~origin:path ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ())
-  with
-  | Stop e -> Error e
-  | Codec.Corrupt msg -> Error (corrupt ~path msg)
-
-let load_bytes ~path data =
+(* Dispatch on the 8-byte magic, for both open and salvage: the older
+   RRTRACE1 and RRTRACE2 containers are version skew, not garbage. *)
+let with_magic ~path data k =
+  let skew found =
+    Error (Version_skew { path; found; expected = format_version })
+  in
   if String.length data < 8 then
     Error (Truncated { path; detail = "shorter than the magic" })
-  else begin
+  else
     match String.sub data 0 8 with
-    | m when m = magic_v3 -> load_v3 ~path data
-    | m when m = magic_v2 -> load_v2 ~path data
-    | m when m = magic_v1 ->
-      Error (Version_skew { path; found = 1; expected = format_version })
+    | m when m = magic -> k ()
+    | "RRTRACE1" -> skew 1
+    | "RRTRACE2" -> skew 2
     | _ -> Error (Bad_magic { path })
-  end
 
 let open_io r =
   match Io.read_all r with
-  | data -> load_bytes ~path:(Io.reader_path r) data
+  | data ->
+    let path = Io.reader_path r in
+    with_magic ~path data (fun () -> load_bytes ~path data)
   | exception Io.Io_error e -> Error (Io e)
 
 let open_ path = open_io (Io.file_reader path)
 
-let load = open_
-
 let open_exn path =
   match open_ path with Ok t -> t | Error e -> raise (Format_error e)
-
-let load_exn = open_exn
 
 (* ---- salvage --------------------------------------------------------- *)
 
@@ -1733,7 +1542,7 @@ let pp_salvage_report ppf r =
    stream that is CRC-valid, well-formed *and* whose chunks actually
    inflate and decode.  Everything past the first damage — or the first
    undecodable chunk — is reported lost, never silently included. *)
-let salvage_v3 ~path data =
+let salvage_bytes ~path data =
   let file_len = String.length data in
   let committed =
     file_len >= 24
@@ -1747,6 +1556,7 @@ let salvage_v3 ~path data =
   let st = new_scan_state () in
   let pos = ref 8 in
   let damage = ref None in
+  let skew = ref None in (* the header's version is not ours *)
   while !damage = None && !pos < limit do
     match parse_record data ~limit !pos with
     | R_ok (tag, payload, next) -> (
@@ -1755,6 +1565,7 @@ let salvage_v3 ~path data =
       | exception Codec.Corrupt msg ->
         damage := Some (Fmt.str "byte %d: %s" !pos msg)
       | exception Format_error e ->
+        if st.sc_header = None then skew := Some e;
         damage := Some (Fmt.str "byte %d: %s" !pos (error_to_string e)))
     | R_short -> damage := Some (Fmt.str "byte %d: truncated record" !pos)
     | R_bad_crc tag ->
@@ -1762,21 +1573,22 @@ let salvage_v3 ~path data =
     | R_bad msg -> damage := Some (Fmt.str "byte %d: %s" !pos msg)
   done;
   let valid_bytes = !pos in
-  match st.sc_header with
-  | None ->
+  match (st.sc_header, !skew) with
+  | None, Some e -> Error e
+  | None, None ->
     (* Nothing before the first chunk survived: unrecoverable. *)
     Error
       (corrupt ~path
          (Fmt.str "header record unrecoverable (%s)"
             (match !damage with Some d -> d | None -> "empty stream")))
-  | Some (compressed, initial_exe, event_version) ->
+  | Some (compressed, initial_exe), _ ->
     let scanned = Array.of_list (List.rev st.sc_rev_chunks) in
     let files = File_deltas.to_table st.sc_files in
     (* Decode-verify: keep the longest chunk prefix that inflates and
        decodes.  A probe [t] carries the compressed flag and origin for
        error context; its cache fills harmlessly and is discarded. *)
     let probe =
-      make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
+      make_t ~origin:path ~index:(Array.map fst scanned)
         ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
         ~files ~stats:(new_stats ()) ~initial_exe ()
     in
@@ -1818,7 +1630,7 @@ let salvage_v3 ~path data =
     stats.compressed_bytes <-
       Array.fold_left (fun acc (ci, _) -> acc + ci.stored_len) 0 kept;
     let t =
-      make_t ~origin:path ~event_version ~index:(Array.map fst kept)
+      make_t ~origin:path ~index:(Array.map fst kept)
         ~chunks:(Array.map snd kept) ~compressed ~images:st.sc_images
         ~files ~stats ~initial_exe ()
     in
@@ -1852,40 +1664,12 @@ let salvage_v3 ~path data =
     Telemetry.add tm_salvage_lost (max 0 (file_len - valid_bytes));
     Ok (t, report)
 
-let salvage_bytes ~path data =
-  Telemetry.incr tm_salvage_runs;
-  if String.length data < 8 then
-    Error (Truncated { path; detail = "shorter than the magic" })
-  else begin
-    match String.sub data 0 8 with
-    | m when m = magic_v3 -> salvage_v3 ~path data
-    | m when m = magic_v2 -> (
-      (* v2 has one monolithic payload: all-or-nothing. *)
-      match load_v2 ~path data with
-      | Ok t ->
-        let stats = t.stats in
-        Ok
-          ( t,
-            { sr_path = path;
-              sr_total_bytes = String.length data;
-              sr_valid_bytes = String.length data;
-              sr_chunks_recovered = stats.n_chunks;
-              sr_frames_recovered = stats.n_events;
-              sr_chunks_lost = Some 0;
-              sr_frames_lost = Some 0;
-              sr_files_recovered = Hashtbl.length t.files;
-              sr_images_recovered = Hashtbl.length t.images;
-              sr_committed = true;
-              sr_damage = None } )
-      | Error e -> Error e)
-    | m when m = magic_v1 ->
-      Error (Version_skew { path; found = 1; expected = format_version })
-    | _ -> Error (Bad_magic { path })
-  end
-
 let salvage_io r =
+  Telemetry.incr tm_salvage_runs;
   match Io.read_all r with
-  | data -> salvage_bytes ~path:(Io.reader_path r) data
+  | data ->
+    let path = Io.reader_path r in
+    with_magic ~path data (fun () -> salvage_bytes ~path data)
   | exception Io.Io_error e -> Error (Io e)
 
 let salvage path = salvage_io (Io.file_reader path)

@@ -16,10 +16,11 @@
     as it seals it, and {!Reader} inflates on demand (DESIGN.md §4d).
 
     {b Durability} (DESIGN.md §4e): persistence flows through the
-    pluggable {!Io} layer.  The v3 on-disk format is a stream of
+    pluggable {!Io} layer.  The on-disk format is a stream of
     CRC32-guarded records committed by a trailing footer; a {!Writer}
-    given [?journal] streams the trace incrementally while recording,
-    so a writer killed mid-record leaves a salvageable prefix; and
+    given a file [?sink] ({!Sink.of_io}) streams the trace
+    incrementally while recording, so a writer killed mid-record
+    leaves a salvageable prefix; and
     {!salvage} recovers the longest verifiable chunk prefix of a
     damaged file.  Loading and salvaging return typed {!error}s — a
     damaged trace is a value to inspect, never a crash. *)
@@ -45,7 +46,7 @@ type chunk_info = {
   byte_offset : int; (** offset into the concatenated chunk stream *)
   stored_len : int; (** stored (compressed) size in bytes *)
   kinds : int; (** OR of {!Event.kind_bit} over the chunk's frames *)
-  crc32 : int; (** CRC-32 of the stored bytes; 0 = unknown (v2 trace) *)
+  crc32 : int; (** CRC-32 of the stored bytes *)
 }
 
 type t
@@ -53,7 +54,7 @@ type t
 (** {1 Errors}
 
     Everything that can be wrong with a trace file, as data.  The
-    result-returning entry points ({!open_}, {!load}, {!save},
+    result-returning entry points ({!open_}, {!save},
     {!salvage}) never raise on bad input; the [_exn] wrappers and the
     lazy {!Reader} decode paths raise {!Format_error} carrying the same
     value. *)
@@ -64,7 +65,8 @@ type error =
           commit footer: the writer was killed before [finish]) *)
   | Bad_magic of { path : string }  (** not an rr trace file at all *)
   | Version_skew of { path : string; found : int; expected : int }
-      (** readable magic, unreadable version (v1, or a future format) *)
+      (** readable magic, unreadable version (an older container or
+          header version, or a future one) *)
   | Chunk_crc of int
       (** chunk [i]'s stored bytes fail their CRC — bit rot, torn
           write, or tampering; the index pinpoints the damaged chunk *)
@@ -91,12 +93,12 @@ val error_to_string : error -> string
     repository ({!Repo.sink}).  Events arrive in trace-stream order —
     header first, every image and file delta before the first chunk
     referencing it, a stats journal mark every few chunks — so a sink
-    persisting events as they arrive reproduces the v3 record stream,
+    persisting events as they arrive reproduces the record stream,
     and any prefix it persists is salvageable. *)
 
 module Sink : sig
   type event =
-    | Header of { compressed : bool; initial_exe : string; event_version : int }
+    | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : string }
         (** bytes [data] replace the file's contents from [offset];
@@ -111,8 +113,6 @@ module Sink : sig
   type t
 
   val make :
-    ?bounded:bool ->
-    name:string ->
     put:(event -> unit) ->
     commit:(stats -> chunk_info array -> unit) ->
     close:(unit -> unit) ->
@@ -121,14 +121,11 @@ module Sink : sig
   (** Build a custom sink.  [put] receives every event in stream order;
       [commit] runs once from {!Writer.finish} with the final stats and
       chunk index; [close] runs from {!Writer.abort} and must release
-      resources without committing (idempotent).  [bounded] declares
-      that the sink owns the chunk bytes and the writer need not retain
-      them (the ring); external sinks should leave it [false]. *)
-
-  val name : t -> string
+      resources without committing (idempotent).  The writer keeps the
+      chunk bytes it hands such a sink. *)
 
   val of_io : Io.writer -> t
-  (** The streaming file sink — the incremental v3 journal.  [commit]
+  (** The streaming file sink — the incremental journal.  [commit]
       writes the trailer and footer and closes the writer, so the
       footer's presence proves completion; a sink killed at any byte
       leaves a salvageable prefix. *)
@@ -189,9 +186,7 @@ module Writer : sig
   val create :
     ?compress:bool ->
     ?chunk_limit:int ->
-    ?journal:Io.writer ->
     ?sink:Sink.t ->
-    ?event_version:int ->
     initial_exe:string ->
     unit ->
     w
@@ -200,8 +195,7 @@ module Writer : sig
       in; tests shrink it to force multi-chunk traces from small
       workloads.  Each sealed chunk is deflated there and then.
 
-      With [sink] (or [journal], sugar for [Sink.of_io]; [sink] wins
-      when both are given), the trace streams to that sink {e while
+      With [sink], the trace streams to that sink {e while
       being recorded}: images and file snapshots always precede the
       chunks that reference them, and a stats journal mark lands every
       few chunks — so killing the writer at any byte leaves a prefix
@@ -210,12 +204,7 @@ module Writer : sig
       collects ([Repo.sink]).  {!finish} commits the sink; for a
       bounded sink it returns the sink's own result (the ring window).
       Sink IO failures surface as {!Io.Io_error} from the writer
-      operation that hit them.
-
-      [event_version] selects the chunk frame encoding (see
-      {!Event.ectx}): 2 (the default) delta-codes register images
-      against the task's previous frame; 1 writes plain arrays, for
-      compatibility tests manufacturing old-style files. *)
+      operation that hit them. *)
 
   val event : w -> Event.t -> int
   (** Append one frame; returns its serialized size (cost charging). *)
@@ -260,7 +249,6 @@ module Reader : sig
 
   val open_ : t -> cursor
   val pos : cursor -> int
-  val length : cursor -> int
   val at_end : cursor -> bool
 
   val peek : cursor -> Event.t option
@@ -311,21 +299,9 @@ val decoded_chunks : t -> int
 val initial_exe : t -> string
 (** The executable the recording started under. *)
 
-val event_version : t -> int
-(** The event encoding the trace's chunks use: 1 = plain register
-    arrays, 2 = per-task register deltas.  Negotiated through the
-    header version field (3 → v1, 4 → v2); readers of either kind of
-    file decode transparently. *)
-
 val compressed : t -> bool
 (** Whether the trace's chunks are stored deflated — preserved verbatim
     by the repository manifest so a loaded trace decodes identically. *)
-
-val integrity : t -> [ `Crc_checked | `Trusted ]
-(** [`Crc_checked]: every stored chunk carries a CRC that is verified
-    before decoding.  [`Trusted]: the trace predates per-chunk CRCs (a
-    v2 file) — reads are structurally validated but not
-    integrity-checked. *)
 
 val image : t -> string -> Image.t
 (** Raises [Invalid_argument] for unknown paths. *)
@@ -343,7 +319,6 @@ val chunk_stored : t -> int -> string
     content-addressed storage in the trace repository. *)
 
 val of_parts :
-  ?event_version:int ->
   ?origin:string ->
   compressed:bool ->
   initial_exe:string ->
@@ -369,8 +344,6 @@ val set_index : t -> Trace_index.t -> unit
     [Invalid_argument] if the index does not cover exactly the trace's
     frames. *)
 
-val drop_index : t -> unit
-
 val map_frames : (int -> Event.t -> Event.t) -> t -> t
 (** Rewrite every frame through [f], preserving chunk boundaries and
     rebuilding the index (per-chunk CRCs included).  A trace-surgery
@@ -379,14 +352,17 @@ val map_frames : (int -> Event.t -> Event.t) -> t -> t
 
 (** {1 Persistence}
 
-    The v3 on-disk format is a stream of self-delimiting records —
-    each [tag, length, payload, crc32(tag, payload)] — between an
-    8-byte magic ["RRTRACE3"] and a 16-byte commit footer (trailer
-    offset + ["RRCOMMIT"]).  Images and file snapshots precede the
-    chunks that reference them; the trailer repeats the full chunk
-    index with per-chunk CRCs; the footer is written last, so its
-    presence proves the writer finished.  v2 files remain loadable
-    (flagged [`Trusted]); v1 reports {!Version_skew}. *)
+    The on-disk format is a stream of self-delimiting records — each
+    [tag, length, payload, crc32(tag, payload)] — between an 8-byte
+    magic ["RRTRACE3"] and a 16-byte commit footer (trailer offset +
+    ["RRCOMMIT"]).  The leading header record carries format version
+    4: chunks delta-code register images ({!Event.ectx}).  Images and
+    file snapshots precede the chunks that reference them; the trailer
+    repeats the full chunk index with per-chunk CRCs; the footer is
+    written last, so its presence proves the writer finished.  The
+    older ["RRTRACE1"] and ["RRTRACE2"] containers and any header
+    version but 4 (3 was plain register arrays) report
+    {!Version_skew}; any other magic is {!Bad_magic}. *)
 
 val save : t -> string -> (unit, error) result
 val save_exn : t -> string -> unit
@@ -395,24 +371,15 @@ val save_io : t -> Io.writer -> (unit, error) result
 (** Persist through an arbitrary {!Io.writer} (fault injection, in-
     memory buffers).  The writer is closed in all cases. *)
 
-val save_v2 : t -> string -> unit
-(** Write the legacy v2 (monolithic payload, no CRC, no footer) layout
-    — for compatibility tests only. *)
-
 val open_ : string -> (t, error) result
 (** Open a saved trace: verify the commit footer, scan and CRC-check
     every record, cross-check the trailer index — without inflating any
     chunk. *)
 
-val load : string -> (t, error) result
-(** Alias of {!open_}. *)
-
 val open_io : Io.reader -> (t, error) result
 
 val open_exn : string -> t
 (** {!open_}, raising {!Format_error} instead of returning [Error]. *)
-
-val load_exn : string -> t
 
 (** {1 Salvage} *)
 

@@ -77,7 +77,6 @@ let sys_write ~fd ~buf ~len = sc Sysno.write [ fd; buf; len ]
 let sys_pipe ~fds_addr = sc Sysno.pipe [ imm fds_addr ]
 let sys_gettimeofday ~buf = sc Sysno.gettimeofday [ imm buf ]
 let sys_nanosleep ~ns = sc Sysno.nanosleep [ ns; imm 0; imm 0; imm 0; imm 0 ]
-let sys_sched_yield = sc Sysno.sched_yield []
 
 let sys_clone_thread ~child_sp =
   sc Sysno.clone [ imm (Sysno.clone_vm lor Sysno.clone_thread); child_sp ]

@@ -9,9 +9,6 @@
 
 type t
 
-val default_data_base : int
-val default_text_base : int
-
 val create : ?data_base:int -> ?text_base:int -> unit -> t
 
 val emit : t -> Asm.item list -> unit
@@ -49,7 +46,6 @@ val sys_write :
 val sys_pipe : fds_addr:int -> Asm.item list
 val sys_gettimeofday : buf:int -> Asm.item list
 val sys_nanosleep : ns:Insn.operand -> Asm.item list
-val sys_sched_yield : Asm.item list
 val sys_clone_thread : child_sp:Insn.operand -> Asm.item list
 val sys_fork : Asm.item list
 val sys_execve : t -> path:string -> Asm.item list

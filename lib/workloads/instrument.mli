@@ -13,7 +13,4 @@ type result = {
   jit_writes : int;
 }
 
-val crash_jit_writes : int
-val insns_per_block : int
-
 val run : ?cores:int -> Workload.t -> result

@@ -5,6 +5,4 @@
 
 type params = { files : int; file_kb : int }
 
-val default : params
-
 val make : ?params:params -> unit -> Workload.t

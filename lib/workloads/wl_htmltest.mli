@@ -11,5 +11,4 @@ type params = {
   jit_every : int; (* re-emit code every N tests *)
 }
 
-val default : params
 val make : ?params:params -> unit -> Workload.t

@@ -11,6 +11,4 @@ type params = {
   compile_work : int; (* compute iterations per compile *)
 }
 
-val default : params
-val serial_work : int
 val make : ?params:params -> unit -> Workload.t

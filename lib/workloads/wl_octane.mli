@@ -12,8 +12,4 @@ type params = {
 
 val default : params
 
-val worker_share : int
-(** Workers' iteration budget as a percentage of the main thread's:
-    octane's parallelism is limited (single-core costs only 1.36x). *)
-
 val make : ?params:params -> unit -> Workload.t

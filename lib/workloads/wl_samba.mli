@@ -9,5 +9,4 @@ type params = {
   client_work : int;
 }
 
-val default : params
 val make : ?params:params -> unit -> Workload.t

@@ -33,7 +33,6 @@ let default =
 let accept_port = 5000
 let dead_port = 4999
 let client_port i = 5100 + i
-let worker_port i = client_port i + 1000
 
 (* Request lengths walk [12, 107] in steps of 7 starting at 12 + i:
    distinct per client, mixed per request, never 8. *)

@@ -18,13 +18,4 @@ type params = {
 
 val default : params
 
-val accept_port : int
-(** The well-known port the accept loop binds. *)
-
-val client_port : int -> int
-(** Port bound by client [i] (0-based). *)
-
-val worker_port : int -> int
-(** Port bound by the worker serving client [i]. *)
-
 val make : ?params:params -> unit -> Workload.t

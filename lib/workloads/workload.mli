@@ -19,8 +19,6 @@ type run_result = {
   kernel : Kernel.t;
 }
 
-val pss_sample_interval : int
-
 val baseline : ?cores:int -> ?seed:int -> t -> run_result
 
 type recorded = {

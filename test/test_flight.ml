@@ -2,7 +2,7 @@
    semantics (pure prefix when roomy, watermark-aligned tail when it
    overflows), salvage of a recording killed mid-run, trigger
    evaluation in Flight.record, and the fd lifecycle of file-sink
-   recordings that die. *)
+   recordings that die, before or after their writer exists. *)
 
 let small_cp () = Wl_cp.make ~params:{ Wl_cp.files = 4; file_kb = 32 } ()
 
@@ -134,7 +134,7 @@ let test_flight_dump_on_always () =
     Alcotest.failf "wrong cause: %a" Fmt.(Dump.option Flight.pp_cause) c);
   Alcotest.(check (option string)) "dumped to the file" (Some path)
     outcome.Flight.dumped_to;
-  let saved = Trace.load_exn path in
+  let saved = Trace.open_exn path in
   Alcotest.(check bool)
     "dumped window loads identically" true
     (Trace.Reader.to_array saved = Trace.Reader.to_array outcome.Flight.window)
@@ -193,22 +193,33 @@ let test_fd_churn () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
+  let journal () = Recorder.Sink_io (Io.file_writer path) in
   (* Warm up any lazily opened descriptors before taking the baseline. *)
   (match
      Recorder.run
-       ~opts:(mk ~max_events:8 ~sink:(Recorder.Sink_file path) ())
+       ~opts:(mk ~max_events:8 ~sink:(journal ()) ())
        ~setup:w.Workload.setup ~exe:w.Workload.exe ()
    with
   | Ok _ | Error _ -> ());
   ignore (Trace.salvage path);
   let baseline = open_fds () in
   for _ = 1 to 200 do
+    (* A recording whose setup raises dies before its writer exists:
+       the journal it was handed must still be closed. *)
+    (match
+       Recorder.run
+         ~opts:(mk ~sink:(journal ()) ())
+         ~setup:(fun _ -> failwith "setup failed")
+         ~exe:w.Workload.exe ()
+     with
+    | exception Failure _ -> ()
+    | Ok _ | Error _ -> Alcotest.fail "a failing setup went unreported");
     (* Every iteration opens the journal, dies mid-run (the writer must
        abort and release the fd), then salvages the prefix (which opens
        and closes the file again). *)
     (match
        Recorder.run
-         ~opts:(mk ~max_events:8 ~sink:(Recorder.Sink_file path) ())
+         ~opts:(mk ~max_events:8 ~sink:(journal ()) ())
          ~setup:w.Workload.setup ~exe:w.Workload.exe ()
      with
     | Error (Recorder.Rec_failure _) -> ()

@@ -232,10 +232,10 @@ let record_samba () =
 
 (* The acceptance session: against a recorded sambatest trace, read
    registers and memory, continue to a software breakpoint, reverse
-   back across it, resolve a watchpoint through last_change, and drive
-   the qRcmd monitor — every reply asserted byte for byte, with the
-   expected bytes computed from an independent Debugger session over
-   the same trace. *)
+   back across it, resolve a watchpoint through
+   Debugger.Query.last_write, and drive the qRcmd monitor — every reply
+   asserted byte for byte, with the expected bytes computed from an
+   independent Debugger session over the same trace. *)
 let test_samba_session () =
   let trace = record_samba () in
   let refd =
@@ -331,8 +331,9 @@ let test_samba_session () =
   Debugger.seek refd (i1 + 1);
 
   (* reverse watchpoint on the datagram buffer, resolved through
-     last_change.  Pick (via the reference session) a live thread whose
-     address space saw a write — then aim the stub at it with Hg. *)
+     Debugger.Query.last_write.  Pick (via the reference session) a
+     live thread whose address space saw a write — then aim the stub at
+     it with Hg. *)
   let waddr = 0x100000 and wlen = 8 in
   let wtid =
     match

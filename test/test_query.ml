@@ -51,7 +51,7 @@ let fixture =
      ignore (Trace_indexer.build_and_attach ~checkpoint_every:4 trace);
      let tmp = Filename.temp_file "rr_query" ".rrtrace" in
      Trace.save_exn trace tmp;
-     let reopened = Trace.load_exn tmp in
+     let reopened = Trace.open_exn tmp in
      Sys.remove tmp;
      (trace, reopened))
 
@@ -158,7 +158,7 @@ let test_cold_reopen_seeks_without_full_replay () =
   ignore (Trace_indexer.build_and_attach ~checkpoint_every:4 trace);
   let tmp = Filename.temp_file "rr_query_cold" ".rrtrace" in
   Trace.save_exn trace tmp;
-  let cold = Trace.load_exn tmp in
+  let cold = Trace.open_exn tmp in
   Sys.remove tmp;
   let ix =
     match Trace.index cold with
@@ -188,7 +188,11 @@ let test_cold_reopen_seeks_without_full_replay () =
   Debugger.seek d0 target;
   Alcotest.(check int) "same memory as the scan session"
     (Debugger.read_word d0 100 cell)
-    (Debugger.read_word d 100 cell)
+    (Debugger.read_word d 100 cell);
+  Alcotest.(check int) "same virtual clock as the scan session"
+    (Debugger.clock d0) (Debugger.clock d);
+  Alcotest.(check (option int)) "same exit status as the scan session"
+    (Debugger.exit_status d0) (Debugger.exit_status d)
 
 (* ----- fault injection over the sidecar records -------------------- *)
 
@@ -248,7 +252,7 @@ let test_corrupt_index_record_salvages tag () =
   Trace.save_exn trace tmp;
   corrupt_record tmp tag;
   (* Strict load refuses the damaged file outright... *)
-  (match Trace.load tmp with
+  (match Trace.open_ tmp with
   | Ok _ -> Alcotest.failf "strict load accepted a corrupt %C record" tag
   | Error _ -> ());
   (* ...salvage keeps every frame and drops only the sidecar. *)

@@ -143,19 +143,39 @@ let test_truncated_manifest_detected () =
   let (_ : Repo.store_result) = ok (Repo.store_trace repo ~name:"a" t) in
   let path = Filename.concat (Filename.concat dir "traces") "a" in
   let original = In_channel.with_open_bin path In_channel.input_all in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc
-        (String.sub original 0 (String.length original / 2)));
-  (match Repo.load_trace repo ~name:"a" with
-  | Error (Repo.Manifest_corrupt _) -> ()
-  | Error e -> Alcotest.failf "wrong error class: %a" Repo.pp_error e
-  | Ok _ -> Alcotest.fail "truncated manifest loaded");
-  (* gc must refuse to sweep while any manifest is unreadable — a
-     damaged manifest can never cause live objects to be collected. *)
-  (match Repo.gc repo with
-  | Error (Repo.Manifest_corrupt _) -> ()
-  | Error e -> Alcotest.failf "gc: wrong error class: %a" Repo.pp_error e
-  | Ok _ -> Alcotest.fail "gc ran over a truncated manifest");
+  (* A CRC-valid manifest naming an event encoding other than the one
+     the chunks use: the encoding field is the payload's first byte,
+     after the 8-byte magic and 8-byte length; the CRC trails. *)
+  Alcotest.(check int) "encoding field" 2 (Char.code original.[16]);
+  let with_encoding v =
+    let b = Bytes.of_string original in
+    let n = Bytes.length b in
+    Bytes.set b 16 (Char.chr v);
+    Bytes.set_int32_le b (n - 4)
+      (Int32.of_int (Crc32.string (Bytes.sub_string b 16 (n - 20))));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, damaged) ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc damaged);
+      (match Repo.load_trace repo ~name:"a" with
+      | Error (Repo.Manifest_corrupt _) -> ()
+      | Error e ->
+        Alcotest.failf "%s: wrong error class: %a" what Repo.pp_error e
+      | Ok _ -> Alcotest.failf "%s manifest loaded" what);
+      (* gc must refuse to sweep while any manifest is unreadable — a
+         damaged manifest can never cause live objects to be
+         collected. *)
+      match Repo.gc repo with
+      | Error (Repo.Manifest_corrupt _) -> ()
+      | Error e ->
+        Alcotest.failf "%s: gc: wrong error class: %a" what Repo.pp_error e
+      | Ok _ -> Alcotest.failf "gc ran over a %s manifest" what)
+    [ ("truncated", String.sub original 0 (String.length original / 2));
+      ("encoding-0", with_encoding 0);
+      ("encoding-1", with_encoding 1);
+      ("encoding-3", with_encoding 3) ];
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc original);
   ok (Repo.verify repo);
@@ -253,7 +273,7 @@ let test_empty_file_streams () =
   in
   let path = Filename.temp_file "rr_empty" ".trace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      record (Recorder.Sink_file path);
+      record (Recorder.Sink_io (Io.file_writer path));
       match Trace.open_ path with
       | Ok t -> check "file sink" t
       | Error e -> Alcotest.failf "reopen: %a" Trace.pp_error e);

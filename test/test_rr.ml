@@ -479,7 +479,7 @@ let test_trace_save_load () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Trace.save_exn trace path;
-      let loaded = Trace.load_exn path in
+      let loaded = Trace.open_exn path in
       Alcotest.(check int) "frame count survives" (Trace.n_events trace)
         (Trace.n_events loaded);
       let pstats, _ = Replayer.replay loaded in
@@ -494,7 +494,7 @@ let test_trace_load_rejects_garbage () =
       let oc = open_out_bin path in
       output_string oc "definitely not a trace";
       close_out oc;
-      match Trace.load path with
+      match Trace.open_ path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage accepted")
 

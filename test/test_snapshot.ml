@@ -78,7 +78,7 @@ let test_serve_checkpoints_restore () =
   ignore (Trace_indexer.build_and_attach recd.Workload.trace);
   let tmp = Filename.temp_file "rr_snapshot" ".rrtrace" in
   Trace.save_exn recd.Workload.trace tmp;
-  let trace = Trace.load_exn tmp in
+  let trace = Trace.open_exn tmp in
   Sys.remove tmp;
   let ix =
     match Trace.index trace with
@@ -311,7 +311,7 @@ let test_old_version_blob_falls_back () =
     (Array.copy (Trace_index.checkpoints ix));
   let tmp = Filename.temp_file "rr_snapshot_v1" ".rrtrace" in
   Trace.save_exn trace tmp;
-  let cold = Trace.load_exn tmp in
+  let cold = Trace.open_exn tmp in
   Sys.remove tmp;
   let session use_index =
     Debugger.create ~opts:(Debugger.make_opts ~use_index ()) cold

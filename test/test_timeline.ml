@@ -184,8 +184,8 @@ let test_export_synthesizes_close () =
 let names = [| "kern.run"; "record.stop"; "trace.deflate"; "replay.frame" |]
 
 let gen_program =
-  (* ops: 0..3 begin names.(i), 4 end, 5 instant, 6 sample *)
-  QCheck2.Gen.(list_size (int_bound 60) (int_bound 6))
+  (* ops: 0..3 begin names.(i), 4 end, 5 instant *)
+  QCheck2.Gen.(list_size (int_bound 60) (int_bound 5))
 
 let prop_export_balanced ops =
   with_clock @@ fun now ->
@@ -204,8 +204,7 @@ let prop_export_balanced ops =
         Tl.end_scope names.(op mod 4);
         if !depth > 0 then decr depth
       end
-      else if op = 5 then Tl.instant "kern.sched_switch"
-      else Tl.sample "ring.resident_bytes" !now)
+      else Tl.instant "kern.sched_switch")
     ops;
   Tl.stop ();
   let n = check_balanced (Tl.to_chrome_json ()) in

@@ -158,25 +158,21 @@ let sample_events =
         buf_len = 65536 } ]
 
 let test_event_roundtrip () =
+  (* One context per direction over the whole sequence, exactly as a
+     chunk encodes: later frames delta against earlier ones. *)
+  let ec = Event.ectx () and b = Codec.sink () in
+  List.iter (fun e -> Event.encode ec b e) sample_events;
+  let dc = Event.ectx () and s = Codec.source (Buffer.contents b) in
   List.iter
-    (fun version ->
-      (* One context per direction over the whole sequence, exactly as
-         a chunk encodes: later frames delta against earlier ones. *)
-      let ec = Event.ectx ~version () and b = Codec.sink () in
-      List.iter (fun e -> Event.encode ec b e) sample_events;
-      let dc = Event.ectx ~version ()
-      and s = Codec.source (Buffer.contents b) in
-      List.iter
-        (fun e ->
-          let e' = Event.decode dc s in
-          Alcotest.(check string)
-            "event roundtrip" (Fmt.str "%a" Event.pp e)
-            (Fmt.str "%a" Event.pp e');
-          Alcotest.(check bool) "structurally equal" true (e = e'))
-        sample_events)
-    [ 1; 2 ]
+    (fun e ->
+      let e' = Event.decode dc s in
+      Alcotest.(check string)
+        "event roundtrip" (Fmt.str "%a" Event.pp e)
+        (Fmt.str "%a" Event.pp e');
+      Alcotest.(check bool) "structurally equal" true (e = e'))
+    sample_events
 
-(* The v2 per-task register delta codec must round-trip any register
+(* The per-task register delta codec must round-trip any register
    sequence.  Random sequences are padded with a none-changed pair
    (change mask 0, no deltas) and an all-slots-changed image (full
    mask, 17 zigzag deltas) so both extremes run on every case, and the
@@ -212,10 +208,9 @@ let qcheck_regs_delta_roundtrip =
         List.concat
           (List.map (fun r -> [ frame 7 r; frame 8 (Array.map succ r) ]) images)
       in
-      let ec = Event.ectx ~version:2 () and b = Codec.sink () in
+      let ec = Event.ectx () and b = Codec.sink () in
       List.iter (Event.encode ec b) frames;
-      let dc = Event.ectx ~version:2 ()
-      and s = Codec.source (Buffer.contents b) in
+      let dc = Event.ectx () and s = Codec.source (Buffer.contents b) in
       List.for_all (fun e -> Event.decode dc s = e) frames)
 
 let test_trace_writer_reader () =

@@ -90,7 +90,7 @@ let test_reader_decodes_lazily () =
   let n_chunks = Array.length (Trace.chunk_index t) in
   with_temp_file (fun path ->
       Trace.save_exn t path;
-      let loaded = Trace.load_exn path in
+      let loaded = Trace.open_exn path in
       Alcotest.(check int) "load inflates no chunk" 0
         (Trace.decoded_chunks loaded);
       ignore (Trace.Reader.frame loaded 0);
@@ -131,7 +131,7 @@ let test_save_load_roundtrip_synthetic () =
   let t = synth_trace () in
   with_temp_file (fun path ->
       Trace.save_exn t path;
-      let loaded = Trace.load_exn path in
+      let loaded = Trace.open_exn path in
       Alcotest.(check int) "frame count" (Trace.n_events t)
         (Trace.n_events loaded);
       Alcotest.(check int) "chunk count"
@@ -144,7 +144,7 @@ let replay_workload_roundtrip mk =
   let recd, _ = W.record (mk ()) in
   with_temp_file (fun path ->
       Trace.save_exn recd.W.trace path;
-      let loaded = Trace.load_exn path in
+      let loaded = Trace.open_exn path in
       let pstats, _ = Replayer.replay loaded in
       Alcotest.(check (option int)) "loaded trace replays to the same exit"
         recd.W.rec_stats.Recorder.exit_status pstats.Replayer.exit_status)
@@ -167,29 +167,63 @@ let test_load_rejects_bad_magic () =
       let oc = open_out_bin path in
       output_string oc "NOTATRACE-at-all-really";
       close_out oc;
-      check_format_error "bad magic" (fun () -> Trace.load_exn path))
+      check_format_error "bad magic" (fun () -> Trace.open_exn path))
+
+(* Both entry points must report a version skew as such: [found] is
+   what the file carries, [expected] the one header version this build
+   reads. *)
+let check_skew what ~found path =
+  let check via = function
+    | Error (Trace.Version_skew { found = f; expected; _ }) ->
+      Alcotest.(check (pair int int)) (what ^ " via " ^ via) (found, 4)
+        (f, expected)
+    | Error e ->
+      Alcotest.failf "%s via %s: wrong error: %s" what via
+        (Trace.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s via %s was accepted" what via
+  in
+  check "open" (Trace.open_ path);
+  check "salvage" (Trace.salvage path)
 
 let test_load_rejects_old_version () =
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "RRTRACE1";
-      output_string oc (String.make 64 '\x00');
-      close_out oc;
-      check_format_error "format version 1" (fun () -> Trace.load_exn path))
+  List.iter
+    (fun (magic, found) ->
+      with_temp_file (fun path ->
+          let oc = open_out_bin path in
+          output_string oc magic;
+          output_string oc (String.make 64 '\x00');
+          close_out oc;
+          check_skew magic ~found path))
+    [ ("RRTRACE1", 1); ("RRTRACE2", 2) ]
 
+(* A saved trace whose header record carries another version — 3, the
+   plain-register encoding, and 5, a future one — with the record's CRC
+   recomputed, so only the version is wrong. *)
 let test_load_rejects_future_version () =
-  with_temp_file (fun path ->
-      let b = Codec.sink () in
-      Codec.put_uvarint b 99;
-      let payload = Buffer.contents b in
-      let oc = open_out_bin path in
-      output_string oc "RRTRACE2";
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (String.length payload));
-      output_bytes oc len;
-      output_string oc payload;
-      close_out oc;
-      check_format_error "future version" (fun () -> Trace.load_exn path))
+  let t = synth_trace () in
+  List.iter
+    (fun version ->
+      with_temp_file (fun path ->
+          Trace.save_exn t path;
+          let b =
+            Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+          in
+          (* The header record follows the 8-byte magic: tag 'H', a
+             one-byte length, then the payload, whose first byte is the
+             version. *)
+          Alcotest.(check char) "header record" 'H' (Bytes.get b 8);
+          let len = Char.code (Bytes.get b 9) in
+          Alcotest.(check int) "current version" 4 (Char.code (Bytes.get b 10));
+          Bytes.set b 10 (Char.chr version);
+          let crc =
+            Crc32.string ~crc:(Crc32.string "H") (Bytes.sub_string b 10 len)
+          in
+          Bytes.set_int32_le b (10 + len) (Int32.of_int crc);
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_bytes oc b);
+          check_skew (Printf.sprintf "header version %d" version) ~found:version
+            path))
+    [ 3; 5 ]
 
 let test_load_rejects_truncation () =
   let t = synth_trace () in
@@ -205,7 +239,7 @@ let test_load_rejects_truncation () =
           close_out oc;
           check_format_error
             (Printf.sprintf "truncation at %d" keep)
-            (fun () -> Trace.load_exn path))
+            (fun () -> Trace.open_exn path))
         [ 4; 12; 40; String.length full / 2; String.length full - 1 ])
 
 let test_corrupt_chunk_detected_lazily () =
@@ -230,7 +264,7 @@ let test_corrupt_chunk_detected_lazily () =
           let oc = open_out_bin path in
           output_bytes oc b;
           close_out oc;
-          match Trace.load_exn path with
+          match Trace.open_exn path with
           | exception Trace.Format_error _ -> incr detected
           | loaded -> (
             match Trace.Reader.to_array loaded with
@@ -243,23 +277,11 @@ let test_corrupt_chunk_detected_lazily () =
 
 (* ---- durability: versions, integrity, salvage ------------------------ *)
 
-let test_v2_compat () =
-  let t = synth_trace () in
-  with_temp_file (fun path ->
-      Trace.save_v2 t path;
-      let loaded = Trace.load_exn path in
-      Alcotest.(check bool) "v2 loads flagged trusted" true
-        (Trace.integrity loaded = `Trusted);
-      Alcotest.(check bool) "frames identical" true
-        (Trace.Reader.to_array t = Trace.Reader.to_array loaded))
-
 let test_v3_integrity_flag () =
   let t = synth_trace () in
   with_temp_file (fun path ->
       Trace.save_exn t path;
-      let loaded = Trace.load_exn path in
-      Alcotest.(check bool) "v3 loads crc-checked" true
-        (Trace.integrity loaded = `Crc_checked);
+      let loaded = Trace.open_exn path in
       Array.iter
         (fun ci ->
           if ci.Trace.crc32 = 0 then Alcotest.fail "chunk without a CRC")
@@ -467,8 +489,7 @@ let suites =
         Alcotest.test_case "corrupt chunk detected lazily" `Quick
           test_corrupt_chunk_detected_lazily ] );
     ( "trace.durability",
-      [ Alcotest.test_case "v2 traces load as trusted" `Quick test_v2_compat;
-        Alcotest.test_case "v3 traces load crc-checked" `Quick
+      [ Alcotest.test_case "v3 traces load crc-checked" `Quick
           test_v3_integrity_flag;
         Alcotest.test_case "salvage of an intact trace is lossless" `Quick
           test_salvage_intact;

@@ -64,7 +64,7 @@ check_file() {
   # undotted or mis-cased literal fragments the namespace.  Only
   # literal names at Timeline.* call sites are checked; computed names
   # are the caller's problem.
-  bad_names=$(grep -hoE 'Timeline\.(scope|begin_scope|end_scope|instant|sample)[^"]*"[^"]*"' "$f" 2>/dev/null \
+  bad_names=$(grep -hoE 'Timeline\.(scope|begin_scope|end_scope|instant)[^"]*"[^"]*"' "$f" 2>/dev/null \
     | grep -oE '"[^"]*"' | sort -u \
     | grep -vE '^"[a-z0-9_]+(\.[a-z0-9_-]+)+"$' || true)
   if [ -n "$bad_names" ]; then
@@ -93,14 +93,15 @@ check_file() {
     fi
     ;;
   esac
-  # rfind_event is the deprecated O(n) reverse scan; outside the
-  # debugger's own fallback paths, searches go through Debugger.Query
-  # so they hit the persistent index when one is attached.
+  # Trace.Reader.rfind_before is the O(n) reverse scan; outside the
+  # trace store and the debugger's own fallback paths, reverse searches
+  # go through Debugger.Query so they hit the persistent index when one
+  # is attached.
   case "$f" in
-  *lib/rr/*) ;;
+  *lib/rr/* | *lib/rrtrace/*) ;;
   *)
-    if grep -qE 'rfind_event' "$f"; then
-      echo "format: $f scans with rfind_event; use Debugger.Query" >&2
+    if grep -qE 'rfind_before' "$f"; then
+      echo "format: $f scans with Trace.Reader.rfind_before; use Debugger.Query" >&2
       status=1
     fi
     ;;
