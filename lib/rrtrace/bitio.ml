@@ -1,19 +1,23 @@
-(* LSB-first bit streams, as DEFLATE uses. *)
+(* LSB-first bit streams, as DEFLATE uses.
+
+   The writer takes a whole code per call.  The reader buffers up to 56
+   bits, so a table decoder can [peek] at the next code's worth of bits
+   and [consume] only the code's length; bits past the end of the stream
+   peek as zeros, and consuming one raises [Truncated]. *)
 
 type writer = {
   buf : Buffer.t;
-  mutable acc : int; (* pending bits, LSB first *)
+  mutable acc : int; (* pending bits, LSB first; fewer than 8 between calls *)
   mutable nbits : int;
 }
 
 let writer () = { buf = Buffer.create 4096; acc = 0; nbits = 0 }
 
 let put_bits w v n =
-  assert (n >= 0 && n <= 24);
   w.acc <- w.acc lor ((v land ((1 lsl n) - 1)) lsl w.nbits);
   w.nbits <- w.nbits + n;
   while w.nbits >= 8 do
-    Buffer.add_char w.buf (Char.chr (w.acc land 0xff));
+    Buffer.add_char w.buf (Char.unsafe_chr (w.acc land 0xff));
     w.acc <- w.acc lsr 8;
     w.nbits <- w.nbits - 8
   done
@@ -36,19 +40,26 @@ type reader = {
 
 exception Truncated
 
-let reader src = { src; pos = 0; racc = 0; rnbits = 0 }
+let reader src ~pos = { src; pos; racc = 0; rnbits = 0 }
+
+let peek r n =
+  if r.rnbits < n then begin
+    let len = String.length r.src in
+    while r.rnbits <= 48 && r.pos < len do
+      r.racc <-
+        r.racc lor (Char.code (String.unsafe_get r.src r.pos) lsl r.rnbits);
+      r.pos <- r.pos + 1;
+      r.rnbits <- r.rnbits + 8
+    done
+  end;
+  r.racc land ((1 lsl n) - 1)
+
+let consume r n =
+  if n > r.rnbits then raise Truncated;
+  r.racc <- r.racc lsr n;
+  r.rnbits <- r.rnbits - n
 
 let get_bits r n =
-  assert (n >= 0 && n <= 24);
-  while r.rnbits < n do
-    if r.pos >= String.length r.src then raise Truncated;
-    r.racc <- r.racc lor (Char.code r.src.[r.pos] lsl r.rnbits);
-    r.pos <- r.pos + 1;
-    r.rnbits <- r.rnbits + 8
-  done;
-  let v = r.racc land ((1 lsl n) - 1) in
-  r.racc <- r.racc lsr n;
-  r.rnbits <- r.rnbits - n;
+  let v = peek r n in
+  consume r n;
   v
-
-let get_bit r = get_bits r 1

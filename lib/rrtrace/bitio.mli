@@ -5,7 +5,7 @@ type writer
 val writer : unit -> writer
 
 val put_bits : writer -> int -> int -> unit
-(** [put_bits w v n] appends the low [n] bits of [v] (n ≤ 24). *)
+(** [put_bits w v n] appends the low [n] bits of [v] (n ≤ 48). *)
 
 val finish : writer -> string
 (** Flush the final partial byte and return the stream. *)
@@ -14,6 +14,16 @@ type reader
 
 exception Truncated
 
-val reader : string -> reader
+val reader : string -> pos:int -> reader
+(** A reader over [src] from byte [pos] on. *)
+
+val peek : reader -> int -> int
+(** [peek r n] is the next [n] bits (n ≤ 48) without consuming them;
+    bits past the end of the stream read as zeros. *)
+
+val consume : reader -> int -> unit
+(** Drop [n] peeked bits.  Raises {!Truncated} when that runs past the
+    end of the stream. *)
+
 val get_bits : reader -> int -> int
-val get_bit : reader -> int
+(** [peek] then [consume]. *)

@@ -4,7 +4,12 @@
    as zlib's "deflate", which rr uses for all general trace data (paper
    §2.7).  The bitstream is our own (single block, code lengths stored
    verbatim), so it is not zlib-compatible, but the algorithmic costs and
-   achieved ratios are comparable for trace-like data. *)
+   achieved ratios are comparable for trace-like data.
+
+   Inflate decodes through [Huffman]'s lookup tables into one buffer
+   sized from the header, once that size has passed a bound: at most 258
+   bytes per 2 bits of body.  Output is byte-identical to the plain coder
+   in test/compress_ref.ml, which the tests hold it to. *)
 
 let window_size = 32768
 let min_match = 4
@@ -33,29 +38,65 @@ let dist_table =
 let num_lit_syms = 257 + Array.length len_table
 let num_dist_syms = Array.length dist_table
 
-let code_of_table table v =
-  let n = Array.length table in
-  let rec go i =
-    if i + 1 >= n then i
-    else
-      let next_base, _ = table.(i + 1) in
-      if v < next_base then i else go (i + 1)
-  in
-  go 0
+(* [len_code.(len)] is the length code of a match length (3..258).
+   [dist_code] is zlib's 512-entry map: distance [d + 1] has code
+   [dist_code.(d)] for [d < 256], else [dist_code.(256 + (d lsr 7))] —
+   every base above 256 is 1 more than a multiple of 128. *)
+let len_code =
+  let t = Array.make (max_match + 1) 0 in
+  Array.iteri (fun c (base, _) -> Array.fill t base (max_match + 1 - base) c)
+    len_table;
+  t
 
-type token = Lit of char | Match of int * int (* len, dist *)
+let dist_code =
+  let t = Array.make 512 0 in
+  let c = ref 0 in
+  for d = 0 to window_size - 1 do
+    if !c + 1 < num_dist_syms && fst dist_table.(!c + 1) = d + 1 then incr c;
+    if d < 256 then t.(d) <- !c else t.(256 + (d lsr 7)) <- !c
+  done;
+  t
+
+let code_of_dist dist =
+  let d = dist - 1 in
+  if d < 256 then dist_code.(d) else dist_code.(256 + (d lsr 7))
 
 let hash4 s i =
   let b k = Char.code (String.unsafe_get s (i + k)) in
   (b 0 + (b 1 lsl 5) + (b 2 lsl 10) + (b 3 lsl 15)) land (hash_size - 1)
 
-(* Greedy LZ77 tokenization with hash chains. *)
-let tokenize src =
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Length of the common prefix of [src] at [a] and at [b], capped at
+   [lim]; the caller guarantees [a < b] and [b + lim <= length src], so
+   the loads go unchecked, eight bytes at a time while eight remain. *)
+let match_len src a b lim =
+  let l = ref 0 in
+  while !l + 8 <= lim && get64u src (a + !l) = get64u src (b + !l) do
+    l := !l + 8
+  done;
+  while
+    !l < lim && String.unsafe_get src (a + !l) = String.unsafe_get src (b + !l)
+  do
+    incr l
+  done;
+  !l
+
+(* Greedy LZ77 parse with hash chains into [toks], one int per token: a
+   literal is its byte, a match [(len lsl 16) lor dist] (len >= 4, so
+   above 255).  Returns the token count.  A later chain candidate wins
+   only with a strictly longer match, so a candidate whose byte at
+   [best_len] differs is skipped, and the walk stops once a match
+   reaches [lim]: neither changes the parse. *)
+let tokenize src toks =
   let n = String.length src in
   let head = Array.make hash_size (-1) in
   let prev = Array.make (max n 1) (-1) in
-  let tokens = ref [] in
-  let i = ref 0 in
+  let ntok = ref 0 in
+  let emit t =
+    toks.(!ntok) <- t;
+    incr ntok
+  in
   let insert pos =
     if pos + min_match <= n then begin
       let h = hash4 src pos in
@@ -63,26 +104,29 @@ let tokenize src =
       head.(h) <- pos
     end
   in
+  let i = ref 0 in
   while !i < n do
     let pos = !i in
     if pos + min_match > n then begin
-      tokens := Lit src.[pos] :: !tokens;
+      emit (Char.code src.[pos]);
       incr i
     end
     else begin
-      (* Find the longest match on the chain. *)
+      let lim = min max_match (n - pos) in
       let best_len = ref 0 and best_dist = ref 0 in
       let cand = ref head.(hash4 src pos) in
       let chain = ref 0 in
-      while !cand >= 0 && !chain < max_chain do
+      while !cand >= 0 && !chain < max_chain && !best_len < lim do
         let c = !cand in
         if pos - c <= window_size then begin
-          let lim = min max_match (n - pos) in
-          let l = ref 0 in
-          while !l < lim && src.[c + !l] = src.[pos + !l] do incr l done;
-          if !l > !best_len then begin
-            best_len := !l;
-            best_dist := pos - c
+          let b = !best_len in
+          if String.unsafe_get src (c + b) = String.unsafe_get src (pos + b)
+          then begin
+            let l = match_len src c pos lim in
+            if l > b then begin
+              best_len := l;
+              best_dist := pos - c
+            end
           end;
           cand := prev.(c);
           incr chain
@@ -90,36 +134,37 @@ let tokenize src =
         else cand := -1
       done;
       if !best_len >= min_match then begin
-        tokens := Match (!best_len, !best_dist) :: !tokens;
+        emit ((!best_len lsl 16) lor !best_dist);
         for p = pos to pos + !best_len - 1 do insert p done;
         i := pos + !best_len
       end
       else begin
-        tokens := Lit src.[pos] :: !tokens;
+        emit (Char.code src.[pos]);
         insert pos;
         incr i
       end
     end
   done;
-  List.rev !tokens
+  !ntok
 
 (* Entropy-coded body; [deflate] below falls back to a stored block when
    this doesn't pay (small inputs can't amortize the code-length tables,
    like deflate's stored-block case). *)
 let deflate_huffman src =
-  let tokens = tokenize src in
+  let toks = Array.make (max (String.length src) 1) 0 in
+  let ntok = tokenize src toks in
   (* Frequency pass. *)
   let lit_freq = Array.make num_lit_syms 0 in
   let dist_freq = Array.make num_dist_syms 0 in
   let bump a i = a.(i) <- a.(i) + 1 in
-  List.iter
-    (fun tok ->
-      match tok with
-      | Lit c -> bump lit_freq (Char.code c)
-      | Match (len, dist) ->
-        bump lit_freq (257 + code_of_table len_table len);
-        bump dist_freq (code_of_table dist_table dist))
-    tokens;
+  for k = 0 to ntok - 1 do
+    let t = toks.(k) in
+    if t < 256 then bump lit_freq t
+    else begin
+      bump lit_freq (257 + len_code.(t lsr 16));
+      bump dist_freq (code_of_dist (t land 0xffff))
+    end
+  done;
   bump lit_freq eob;
   let lit_enc = Huffman.encoder lit_freq in
   let dist_enc = Huffman.encoder dist_freq in
@@ -130,21 +175,21 @@ let deflate_huffman src =
   Bitio.put_bits w (String.length src lsr 24) 24;
   Array.iter (fun l -> Bitio.put_bits w l 4) lit_enc.Huffman.lens;
   Array.iter (fun l -> Bitio.put_bits w l 4) dist_enc.Huffman.lens;
-  List.iter
-    (fun tok ->
-      match tok with
-      | Lit c -> Huffman.write_symbol w lit_enc (Char.code c)
-      | Match (len, dist) ->
-        let lc = code_of_table len_table len in
-        let base, extra = len_table.(lc) in
-        Huffman.write_symbol w lit_enc (257 + lc);
-        if extra > 0 then Bitio.put_bits w (len - base) extra;
-        let dc = code_of_table dist_table dist in
-        let dbase, dextra = dist_table.(dc) in
-        Huffman.write_symbol w dist_enc (code_of_table dist_table dist);
-        ignore dc;
-        if dextra > 0 then Bitio.put_bits w (dist - dbase) dextra)
-    tokens;
+  for k = 0 to ntok - 1 do
+    let t = toks.(k) in
+    if t < 256 then Huffman.write_symbol w lit_enc t
+    else begin
+      let len = t lsr 16 and dist = t land 0xffff in
+      let lc = len_code.(len) in
+      let base, extra = len_table.(lc) in
+      Huffman.write_symbol w lit_enc (257 + lc);
+      Bitio.put_bits w (len - base) extra;
+      let dc = code_of_dist dist in
+      let dbase, dextra = dist_table.(dc) in
+      Huffman.write_symbol w dist_enc dc;
+      Bitio.put_bits w (dist - dbase) dextra
+    end
+  done;
   Huffman.write_symbol w lit_enc eob;
   Bitio.finish w
 
@@ -164,50 +209,60 @@ let deflate src =
 
 exception Corrupt of string
 
+(* The stream after the mode byte [data.[0]].  The size bound holds
+   because a match token takes at least two bits (one-bit length and
+   distance codes) and yields at most 258 bytes. *)
 let inflate_huffman data =
-  let r = Bitio.reader data in
-  (try
-     let lo = Bitio.get_bits r 24 in
-     let hi = Bitio.get_bits r 24 in
-     let size = lo lor (hi lsl 24) in
-     let lit_lens = Array.init num_lit_syms (fun _ -> Bitio.get_bits r 4) in
-     let dist_lens = Array.init num_dist_syms (fun _ -> Bitio.get_bits r 4) in
-     let lit_dec = Huffman.decoder lit_lens in
-     let dist_dec = Huffman.decoder dist_lens in
-     let out = Buffer.create (max size 16) in
-     let finished = ref false in
-     while not !finished do
-       let s = Huffman.read_symbol r lit_dec in
-       if s < 256 then Buffer.add_char out (Char.chr s)
-       else if s = eob then finished := true
-       else begin
-         let base, extra = len_table.(s - 257) in
-         let len = base + if extra > 0 then Bitio.get_bits r extra else 0 in
-         let dc = Huffman.read_symbol r dist_dec in
-         let dbase, dextra = dist_table.(dc) in
-         let dist = dbase + if dextra > 0 then Bitio.get_bits r dextra else 0 in
-         let start = Buffer.length out - dist in
-         if start < 0 then raise (Corrupt "distance before start");
-         (* Overlapping copies are the LZ77 norm: byte-by-byte. *)
-         for i = 0 to len - 1 do
-           Buffer.add_char out (Buffer.nth out (start + i))
-         done
-       end
-     done;
-     if Buffer.length out <> size then raise (Corrupt "size mismatch");
-     Buffer.contents out
-   with
+  let r = Bitio.reader data ~pos:1 in
+  try
+    let lo = Bitio.get_bits r 24 in
+    let hi = Bitio.get_bits r 24 in
+    let size = lo lor (hi lsl 24) in
+    if size > max_match * 4 * (String.length data - 1) then
+      raise (Corrupt "declared size exceeds what the body can encode");
+    let lit_lens = Array.init num_lit_syms (fun _ -> Bitio.get_bits r 4) in
+    let dist_lens = Array.init num_dist_syms (fun _ -> Bitio.get_bits r 4) in
+    let lit_dec = Huffman.decoder lit_lens in
+    let dist_dec = Huffman.decoder dist_lens in
+    let out = Bytes.create size (* chunk-lifecycle *) in
+    (* [at] bytes are out; returns the count at end-of-block. *)
+    let rec loop at =
+      let s = Huffman.read_symbol r lit_dec in
+      if s < 256 then begin
+        if at = size then raise (Corrupt "size mismatch");
+        Bytes.unsafe_set out at (Char.unsafe_chr s);
+        loop (at + 1)
+      end
+      else if s = eob then at
+      else begin
+        let base, extra = len_table.(s - 257) in
+        let len = base + Bitio.get_bits r extra in
+        let dbase, dextra = dist_table.(Huffman.read_symbol r dist_dec) in
+        let dist = dbase + Bitio.get_bits r dextra in
+        if dist > at then raise (Corrupt "distance before start");
+        if len > size - at then raise (Corrupt "size mismatch");
+        if dist >= len then Bytes.blit out (at - dist) out at len
+        else
+          (* An overlapping copy repeats its own output: byte by byte. *)
+          for k = at to at + len - 1 do
+            Bytes.unsafe_set out k (Bytes.unsafe_get out (k - dist))
+          done;
+        loop (at + len)
+      end
+    in
+    if loop 0 <> size then raise (Corrupt "size mismatch");
+    Bytes.unsafe_to_string out
+  with
   | Bitio.Truncated -> raise (Corrupt "truncated")
-  | Huffman.Bad_code -> raise (Corrupt "bad code"))
+  | Huffman.Bad_code -> raise (Corrupt "bad code")
 
 let inflate data =
   if String.length data = 0 then raise (Corrupt "empty stream")
   else
-    let body = String.sub data 1 (String.length data - 1) in
     let out =
       match data.[0] with
-      | '\000' -> body
-      | '\001' -> inflate_huffman body
+      | '\000' -> String.sub data 1 (String.length data - 1)
+      | '\001' -> inflate_huffman data
       | _ -> raise (Corrupt "bad mode byte")
     in
     Telemetry.add tm_inflate_out (String.length out);

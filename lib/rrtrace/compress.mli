@@ -2,13 +2,16 @@
     32 KiB window, then canonical-Huffman coding of the literal/length
     and distance alphabets with extra bits — the structure of zlib's
     "deflate", which rr uses for all general trace data (paper §2.7).
-    Small inputs fall back to a stored block. *)
+    Small inputs fall back to a stored block.  Decoding goes through
+    lookup tables indexed by the next stream bits. *)
 
 exception Corrupt of string
 
 val deflate : string -> string
 
 val inflate : string -> string
-(** Raises {!Corrupt} on malformed input. *)
+(** Raises {!Corrupt}, and nothing else, on malformed input.  A declared
+    size beyond what the stream could encode (258 bytes per 2 bits) is
+    refused before anything of that size is allocated. *)
 
 val ratio : original:int -> compressed:int -> float

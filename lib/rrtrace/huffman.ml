@@ -2,9 +2,12 @@
 
    [lengths] computes code lengths from symbol frequencies (heap-built
    Huffman tree, with iterative frequency flattening if the depth limit
-   is exceeded); [canonical] assigns the canonical codes; [decoder]
-   builds a simple code->symbol table walked bit by bit (fine for a
-   simulator; real zlib uses multi-bit tables). *)
+   is exceeded); [canonical] assigns the canonical codes.  The encoder
+   keeps each code bit-reversed, so one LSB-first [Bitio.put_bits] writes
+   it MSB-first.  The decoder is a zlib-style lookup table indexed by the
+   next [bits] stream bits, [bits] being the longest code length: every
+   slot whose low bits hold a code names that code's symbol and length,
+   so a symbol costs one [peek], one load and one [consume]. *)
 
 let max_code_len = 15
 
@@ -121,47 +124,51 @@ let canonical lens =
   done;
   codes
 
+let reverse code len =
+  let r = ref 0 in
+  for i = 0 to len - 1 do
+    r := (!r lsl 1) lor ((code lsr i) land 1)
+  done;
+  !r
+
 type encoder = { lens : int array; codes : int array }
 
 let encoder freqs =
   let lens = lengths freqs in
-  { lens; codes = canonical lens }
+  { lens; codes = Array.mapi (fun s c -> reverse c lens.(s)) (canonical lens) }
 
-(* Emit MSB-first within the code (canonical convention), into the
-   LSB-first bit stream. *)
-let write_symbol w enc s =
-  let len = enc.lens.(s) in
-  assert (len > 0);
-  let code = enc.codes.(s) in
-  for i = len - 1 downto 0 do
-    Bitio.put_bits w ((code lsr i) land 1) 1
-  done
+let write_symbol w enc s = Bitio.put_bits w enc.codes.(s) enc.lens.(s)
 
-type decoder = {
-  (* (code, len) -> symbol, stored per length for linear walk *)
-  by_len : (int, int) Hashtbl.t array; (* index: length *)
-  max_len : int;
-}
+(* [table.(i)] is [(symbol lsl 4) lor length] for the code that the low
+   bits of [i] start with, or 0 where no code does (an incomplete or
+   empty code). *)
+type decoder = { table : int array; bits : int }
 
 exception Bad_code
 
 let decoder lens =
   let codes = canonical lens in
-  let max_len = Array.fold_left max 0 lens in
-  let by_len = Array.init (max_len + 1) (fun _ -> Hashtbl.create 16) in
+  let bits = Array.fold_left max 0 lens in
+  let table = Array.make (1 lsl bits) 0 in
   Array.iteri
-    (fun s l -> if l > 0 then Hashtbl.replace by_len.(l) codes.(s) s)
+    (fun s l ->
+      if l > 0 then begin
+        (* Canonical codes outgrow their length only when the lengths
+           oversubscribe the code space. *)
+        if codes.(s) lsr l <> 0 then raise Bad_code;
+        let entry = (s lsl 4) lor l in
+        let i = ref (reverse codes.(s) l) in
+        while !i < Array.length table do
+          table.(!i) <- entry;
+          i := !i + (1 lsl l)
+        done
+      end)
     lens;
-  { by_len; max_len }
+  { table; bits }
 
+(* [peek] returns [bits] bits, so the index is in the table. *)
 let read_symbol r dec =
-  let rec go code len =
-    if len > dec.max_len then raise Bad_code
-    else
-      let code = (code lsl 1) lor Bitio.get_bit r in
-      let len = len + 1 in
-      match Hashtbl.find_opt dec.by_len.(len) code with
-      | Some s -> s
-      | None -> go code len
-  in
-  go 0 0
+  let entry = Array.unsafe_get dec.table (Bitio.peek r dec.bits) in
+  if entry = 0 then raise Bad_code;
+  Bitio.consume r (entry land 15);
+  entry lsr 4

@@ -56,6 +56,126 @@ let qcheck_compress_repetitive =
       let data = String.concat "" (List.init n (fun _ -> s)) in
       Compress.inflate (Compress.deflate data) = data)
 
+(* ---- byte identity with the reference coder ----------------------- *)
+
+(* The six CLI workloads recorded at seed 1, once per test run. *)
+let seed1_traces =
+  lazy
+    (List.map
+       (fun w ->
+         let recd, _ =
+           Workload.record ~opts:(Recorder.make_opts ~seed:1 ()) w
+         in
+         (w.Workload.name, recd.Workload.trace))
+       [ Wl_cp.make (); Wl_make.make (); Wl_octane.make ();
+         Wl_htmltest.make (); Wl_samba.make (); Wl_serve.make () ])
+
+let stored_chunks t =
+  List.init (Array.length (Trace.chunk_index t)) (Trace.chunk_stored t)
+
+let serve_raw_chunks =
+  lazy
+    (List.map Compress.inflate
+       (stored_chunks (List.assoc "serve" (Lazy.force seed1_traces))))
+
+(* Random strings over alphabets of 2 to 256 letters, so that chains
+   hold many candidates of equal length. *)
+let gen_random_input =
+  QCheck.Gen.(
+    let* k = oneofl [ 2; 4; 16; 256 ] in
+    string_size ~gen:(map Char.chr (int_bound (k - 1))) (int_range 0 3000))
+
+(* Runs of a repeated seed, with periods that lean on the distance-code
+   bases, and window edges: a string, a filler run, and the string again
+   at a distance within 8 bytes of 32 KiB.  Segments are dropped that
+   would take the input past 70 KB. *)
+let gen_periodic_input =
+  let dist_bases =
+    [ 1; 2; 3; 4; 5; 7; 9; 13; 17; 25; 33; 49; 65; 97; 129; 193; 257 ]
+  in
+  let seeded k p =
+    QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound (k - 1))) (return p))
+  in
+  let run =
+    QCheck.Gen.(
+      let* p =
+        oneof
+          [ int_range 1 300; oneofl dist_bases;
+            map pred (oneofl (List.tl dist_bases)) ]
+      in
+      let* seed = oneofl [ 4; 256 ] >>= fun k -> seeded k p in
+      let+ len = int_range 1 11_000 in
+      String.init len (fun i -> seed.[i mod p]))
+  in
+  let edge =
+    QCheck.Gen.(
+      let* x = int_range 4 64 >>= seeded 256 in
+      let+ d = int_range 32_760 32_776 in
+      x ^ String.make (d - String.length x) '\000' ^ x)
+  in
+  QCheck.Gen.(
+    let+ segs = list_size (int_range 1 6) (frequency [ (3, run); (1, edge) ]) in
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun seg ->
+        if Buffer.length b + String.length seg <= 70_000 then
+          Buffer.add_string b seg)
+      segs;
+    Buffer.contents b)
+
+let gen_serve_chunk st =
+  let chunks = Lazy.force serve_raw_chunks in
+  List.nth chunks (Random.State.int st (List.length chunks))
+
+let arb_deflate_input =
+  QCheck.make
+    ~print:(fun s ->
+      Printf.sprintf "%d bytes: %S" (String.length s)
+        (String.sub s 0 (min 64 (String.length s))))
+    QCheck.Gen.(
+      frequency
+        [ (4, gen_random_input); (4, gen_periodic_input);
+          (1, gen_serve_chunk) ])
+
+let qcheck_deflate_matches_reference =
+  QCheck.Test.make ~name:"deflate equals the reference's bytes" ~count:200
+    arb_deflate_input
+    (fun s -> Compress.deflate s = Compress_ref.deflate s)
+
+let qcheck_inflate_inverts_reference =
+  QCheck.Test.make ~name:"inflate inverts the reference's output" ~count:200
+    arb_deflate_input
+    (fun s -> Compress.inflate (Compress_ref.deflate s) = s)
+
+(* Compression is deterministic and keeps no state between calls: other
+   inputs deflated in between change nothing. *)
+let qcheck_compress_deterministic =
+  QCheck.Test.make ~name:"deflate deterministic" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen_random_input (list_size (int_range 1 3) gen_random_input)))
+    (fun (s, others) ->
+      let first = Compress.deflate s in
+      List.iter (fun o -> ignore (Compress.deflate o)) others;
+      Compress.deflate s = first)
+
+(* Tripwire for stored bytes: the CRC-32 and length of each seed-1
+   trace's concatenated stored chunks, as the reference coder wrote
+   them.  Any change to the parse or the bitstream fails here. *)
+let stored_bytes_expected =
+  [ ("cp", 0x0eaceaa5, 536); ("make", 0x69a25d4f, 6990);
+    ("octane", 0x0fbede59, 575); ("htmltest", 0x635c300a, 781);
+    ("sambatest", 0x510625f6, 1056); ("serve", 0xedceb58d, 7176) ]
+
+let test_stored_bytes_tripwire () =
+  List.iter2
+    (fun (name, t) (name', crc, len) ->
+      let stored = String.concat "" (stored_chunks t) in
+      Alcotest.(check (pair string (pair int int)))
+        "stored chunks' CRC-32 and length" (name', (crc, len))
+        (name, (Crc32.string stored, String.length stored)))
+    (Lazy.force seed1_traces) stored_bytes_expected
+
 let test_codec_varint () =
   let b = Codec.sink () in
   let values = [ 0; 1; -1; 127; 128; -300; max_int; min_int + 1; 42 ] in
@@ -240,12 +360,15 @@ let test_huffman_single_symbol () =
   let enc = Huffman.encoder freqs in
   let w = Bitio.writer () in
   for _ = 1 to 5 do Huffman.write_symbol w enc 3 done;
-  let r = Bitio.reader (Bitio.finish w) in
+  let r = Bitio.reader (Bitio.finish w) ~pos:0 in
   let dec = Huffman.decoder enc.Huffman.lens in
   for _ = 1 to 5 do
     Alcotest.(check int) "single symbol" 3 (Huffman.read_symbol r dec)
   done
 
+(* The table decoder must read what the encoder's whole-code writes
+   put down, and so must the reference's bit-at-a-time decoder: the
+   codes go out canonical and MSB-first. *)
 let qcheck_huffman_roundtrip =
   QCheck.Test.make ~name:"huffman roundtrip" ~count:200
     QCheck.(list_of_size Gen.(1 -- 400) (int_bound 40))
@@ -255,9 +378,16 @@ let qcheck_huffman_roundtrip =
       let enc = Huffman.encoder freqs in
       let w = Bitio.writer () in
       List.iter (Huffman.write_symbol w enc) symbols;
-      let r = Bitio.reader (Bitio.finish w) in
+      let stream = Bitio.finish w in
+      let r = Bitio.reader stream ~pos:0 in
       let dec = Huffman.decoder enc.Huffman.lens in
-      List.for_all (fun s -> Huffman.read_symbol r dec = s) symbols)
+      let ref_r = Bitio.reader stream ~pos:0 in
+      let ref_dec = Compress_ref.decoder enc.Huffman.lens in
+      List.for_all
+        (fun s ->
+          Huffman.read_symbol r dec = s
+          && Compress_ref.read_symbol ref_r ref_dec = s)
+        symbols)
 
 let test_bitio_roundtrip () =
   let w = Bitio.writer () in
@@ -265,7 +395,7 @@ let test_bitio_roundtrip () =
   Bitio.put_bits w 0xffff 16;
   Bitio.put_bits w 0 1;
   Bitio.put_bits w 0b11001 5;
-  let r = Bitio.reader (Bitio.finish w) in
+  let r = Bitio.reader (Bitio.finish w) ~pos:0 in
   Alcotest.(check int) "3 bits" 0b101 (Bitio.get_bits r 3);
   Alcotest.(check int) "16 bits" 0xffff (Bitio.get_bits r 16);
   Alcotest.(check int) "1 bit" 0 (Bitio.get_bits r 1);
@@ -290,25 +420,113 @@ let qcheck_varint_decode_robust =
       | exception Codec.Corrupt _ -> true
       | exception _ -> false)
 
+(* ---- damaged deflate streams -------------------------------------- *)
+
+let corrupt_only s =
+  match Compress.inflate s with
+  | _ -> true
+  | exception Compress.Corrupt _ -> true
+  | exception _ -> false
+
+(* The mode byte and 48-bit size header of a Huffman-mode stream. *)
+let huffman_header size =
+  let w = Bitio.writer () in
+  Bitio.put_bits w (size land 0xffffff) 24;
+  Bitio.put_bits w (size lsr 24) 24;
+  "\001" ^ Bitio.finish w
+
+(* A Huffman-mode stream declaring [size] and the given code lengths,
+   then [body] raw. *)
+let crafted_stream ~size ~lit_lens ~dist_lens body =
+  let w = Bitio.writer () in
+  Array.iter (fun l -> Bitio.put_bits w l 4) (Array.append lit_lens dist_lens);
+  huffman_header size ^ Bitio.finish w ^ body
+
+let qcheck_inflate_robust =
+  let garbage =
+    QCheck.Gen.(map (( ^ ) "\001") (string_size (int_range 0 400)))
+  in
+  (* A declared size small enough to pass the size check. *)
+  let small_size =
+    QCheck.Gen.(
+      let* size = int_range 0 2000 in
+      let+ body = string_size (int_range 0 400) in
+      huffman_header size ^ body)
+  in
+  let flipped =
+    QCheck.Gen.(
+      let* s = oneof [ gen_random_input; gen_periodic_input ] in
+      let+ flips = list_size (int_range 1 4) (pair nat (int_bound 7)) in
+      let d = Bytes.of_string (Compress.deflate s) in
+      if Bytes.length d > 1 then
+        List.iter
+          (fun (i, bit) ->
+            let i = 1 + (i mod (Bytes.length d - 1)) in
+            Bytes.set d i
+              (Char.chr (Char.code (Bytes.get d i) lxor (1 lsl bit))))
+          flips;
+      Bytes.to_string d)
+  in
+  QCheck.Test.make ~name:"inflate raises only Corrupt on damage" ~count:1500
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ garbage; small_size; flipped ]))
+    corrupt_only
+
+(* Declared sizes far beyond what the body could encode are refused
+   before anything of that size is allocated. *)
+let test_inflate_size_bound () =
+  let good =
+    Compress.deflate (String.concat "," (List.init 300 string_of_int))
+  in
+  Alcotest.(check char) "huffman mode" '\001' good.[0];
+  List.iter
+    (fun size ->
+      let body = String.sub good 7 (String.length good - 7) in
+      let s = huffman_header size ^ body in
+      let before = Gc.allocated_bytes () in
+      (match Compress.inflate s with
+       | _ -> Alcotest.failf "size %d accepted" size
+       | exception Compress.Corrupt _ -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d: under 1 MB allocated" size)
+        true
+        (Gc.allocated_bytes () -. before < 1e6))
+    [ 1 lsl 28; 1 lsl 32; (1 lsl 48) - 1 ]
+
+(* Code tables with no code at all, or gaps: reading from them is
+   Corrupt. *)
+let test_inflate_empty_code_table () =
+  let no_codes n = Array.make n 0 in
+  let empty =
+    crafted_stream ~size:1 ~lit_lens:(no_codes 286) ~dist_lens:(no_codes 30)
+      (String.make 8 '\000')
+  in
+  (match Compress.inflate empty with
+   | _ -> Alcotest.fail "empty table decoded"
+   | exception Compress.Corrupt _ -> ());
+  (* One literal of length 1: code 0 is 'a', code 1 is nothing. *)
+  let lit_lens = no_codes 286 in
+  lit_lens.(Char.code 'a') <- 1;
+  let gap =
+    crafted_stream ~size:1 ~lit_lens ~dist_lens:(no_codes 30)
+      (String.make 8 '\255')
+  in
+  match Compress.inflate gap with
+  | _ -> Alcotest.fail "incomplete table decoded a gap"
+  | exception Compress.Corrupt _ -> ()
+
 (* Kraft inequality: Huffman code lengths always describe a prefix code. *)
 let qcheck_huffman_kraft =
   QCheck.Test.make ~name:"huffman lengths satisfy Kraft" ~count:200
     QCheck.(list_of_size Gen.(1 -- 64) (int_bound 1000))
     (fun freqs ->
-      let lens = Huffman.lengths (Array.of_list freqs) in
+      let lens = (Huffman.encoder (Array.of_list freqs)).Huffman.lens in
       let sum =
         Array.fold_left
           (fun acc l -> if l > 0 then acc +. (1. /. float_of_int (1 lsl l)) else acc)
           0. lens
       in
-      sum <= 1.0 +. 1e-9
-      && Array.for_all (fun l -> l <= Huffman.max_code_len) lens)
-
-(* Compression is deterministic: same input, same output. *)
-let qcheck_compress_deterministic =
-  QCheck.Test.make ~name:"deflate deterministic" ~count:100
-    QCheck.(string_of_size Gen.(0 -- 1000))
-    (fun s -> Compress.deflate s = Compress.deflate s)
+      sum <= 1.0 +. 1e-9 && Array.for_all (fun l -> l <= 15) lens)
 
 (* CRC-32 one bit at a time over each byte: the definition the sliced
    implementation must agree with. *)
@@ -378,7 +596,15 @@ let suites =
         Alcotest.test_case "corruption detected" `Quick
           test_compress_corrupt_rejected;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_compress_repetitive ] );
+        QCheck_alcotest.to_alcotest qcheck_compress_repetitive;
+        QCheck_alcotest.to_alcotest qcheck_deflate_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_inflate_inverts_reference;
+        Alcotest.test_case "stored bytes tripwire" `Quick
+          test_stored_bytes_tripwire;
+        Alcotest.test_case "declared size beyond the body" `Quick
+          test_inflate_size_bound;
+        Alcotest.test_case "empty or incomplete code table" `Quick
+          test_inflate_empty_code_table ] );
     ( "trace.codec",
       [ Alcotest.test_case "varint" `Quick test_codec_varint;
         Alcotest.test_case "string list" `Quick test_codec_string_list;
@@ -395,6 +621,7 @@ let suites =
         Alcotest.test_case "writer/reader + chunks" `Quick
           test_trace_writer_reader;
         QCheck_alcotest.to_alcotest qcheck_event_decode_robust;
+        QCheck_alcotest.to_alcotest qcheck_inflate_robust;
         QCheck_alcotest.to_alcotest qcheck_varint_decode_robust;
         QCheck_alcotest.to_alcotest qcheck_huffman_kraft;
         QCheck_alcotest.to_alcotest qcheck_compress_deterministic ] ) ]
