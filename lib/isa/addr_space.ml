@@ -13,7 +13,10 @@
    interpreter's per-instruction path.  Three rules keep the cache exact:
    - writes ([text_set], [text_load], [text_write]) land in the slot in
      place, so an [Emit] is seen by the very next fetch;
-   - [fork] copies the pages, so parent and child never share a slot;
+   - pages are copy-on-write: each carries the stamp of the one space
+     that may write it in place, a fork gives both sides fresh stamps,
+     and [text_set] copies a page that is not its space's before the
+     first write and repoints the cache if it held that page;
    - exec's [unmap_all] drops the pages and the cache.
    On a 2-vCPU Xeon VM, [python3 perfbench/run.py --workload jit_compute
    --seed 1 --seconds 35 --trace 1] reads isa.minsn_per_s 34.6 and
@@ -23,7 +26,9 @@
    Data accesses still look their frame up in [pages] on every access.
    Loads and stores are about 3% of jit_compute's instructions, so no
    benchmark workload could show a data-page TLB paying for its
-   invalidation; there is none yet.
+   invalidation; there is none yet.  [writable_page] is the one gate
+   for data writes: it breaks COW sharing and then gives a frame that
+   still maps {!Mem}'s shared zero buffer its own bytes.
 
    [written_text] remembers addresses written at run time ([Emit]): the
    replayer must not set software breakpoints there and falls back to the
@@ -49,8 +54,14 @@ type region = {
   shared : bool;
 }
 
+type text_page = {
+  stamp : int; (* the one text map that may write [slots] in place *)
+  slots : Insn.t option array;
+}
+
 type text = {
-  text_pages : (int, Insn.t option array) Hashtbl.t; (* addr asr 10 -> slots *)
+  text_pages : (int, text_page) Hashtbl.t; (* addr asr 10 -> page *)
+  mutable stamp : int;
   mutable cached_key : int;
   mutable cached : Insn.t option array;
 }
@@ -58,7 +69,7 @@ type text = {
 type t = {
   id : int;
   pages : (int, Mem.page) Hashtbl.t;
-  text : text;
+  mutable text : text;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list; (* sorted by start *)
@@ -72,8 +83,17 @@ let text_page_slots = 1 lsl text_page_bits
    empty cache. *)
 let no_text_page = min_int
 
+(* Stamps only need to differ between live text maps; the program runs
+   in one domain. *)
+let last_stamp = ref 0
+
+let fresh_stamp () =
+  incr last_stamp;
+  !last_stamp
+
 let text_of_pages text_pages =
-  { text_pages; cached_key = no_text_page; cached = [||] }
+  { text_pages; stamp = fresh_stamp (); cached_key = no_text_page;
+    cached = [||] }
 
 let mmap_base = 0x1000_0000
 let stack_top = 0x7ff0_0000
@@ -120,7 +140,7 @@ let map t ~addr ~len ~prot ?(kind = Anon) ?(shared = false) () =
   insert_region t { start = addr; len; prot; kind; shared };
   let first = Mem.page_index addr in
   for i = first to first + page_count addr len - 1 do
-    Hashtbl.replace t.pages i (Mem.fresh_page ~prot ~shared ())
+    Hashtbl.replace t.pages i (Mem.fresh_page ~prot ~shared)
   done;
   addr
 
@@ -215,18 +235,23 @@ let readable_page t addr ~force =
   p
 
 (* A page about to be written: enforce protection (unless [force], the
-   kernel/supervisor path) and break COW sharing. *)
+   kernel/supervisor path), break COW sharing, and give a frame that
+   still maps the shared zero buffer its own bytes. *)
 let writable_page t addr ~force =
   let idx = Mem.page_index addr in
   let p = get_page t addr Write in
   if (not force) && p.Mem.prot land Mem.prot_w = 0 then
     raise (Segv { addr; access = Write });
-  if p.Mem.refs > 1 && not p.Mem.shared then begin
-    let q = Mem.unshare p in
-    Hashtbl.replace t.pages idx q;
-    q
-  end
-  else p
+  let p =
+    if p.Mem.refs > 1 && not p.Mem.shared then begin
+      let q = Mem.unshare p in
+      Hashtbl.replace t.pages idx q;
+      q
+    end
+    else p
+  in
+  Mem.own p;
+  p
 
 (* Optional write observer: the trace indexer installs one to learn which
    pages each replayed frame touches.  Unset (the normal case) it costs a
@@ -313,23 +338,29 @@ let text_get t addr =
     match Hashtbl.find tx.text_pages key with
     | page ->
       tx.cached_key <- key;
-      tx.cached <- page;
-      page.(text_slot addr)
+      tx.cached <- page.slots;
+      page.slots.(text_slot addr)
     | exception Not_found -> None
 
-(* The cached page is the table's own array, so writing the table's
-   slot is writing the cache's. *)
+(* The cache holds the table's own slots, so writing a page the space
+   owns writes the cache's; a page shared with a fork is copied first,
+   and the cache follows the copy. *)
 let text_set t addr insn =
-  let pages = t.text.text_pages and key = addr asr text_page_bits in
-  let page =
-    match Hashtbl.find pages key with
-    | page -> page
+  let tx = t.text and key = addr asr text_page_bits in
+  let slots =
+    match Hashtbl.find tx.text_pages key with
+    | page when page.stamp = tx.stamp -> page.slots
+    | page ->
+      let slots = Array.copy page.slots in
+      Hashtbl.replace tx.text_pages key { stamp = tx.stamp; slots };
+      if tx.cached_key = key then tx.cached <- slots;
+      slots
     | exception Not_found ->
-      let page = Array.make text_page_slots None in
-      Hashtbl.replace pages key page;
-      page
+      let slots = Array.make text_page_slots None in
+      Hashtbl.replace tx.text_pages key { stamp = tx.stamp; slots };
+      slots
   in
-  page.(text_slot addr) <- Some insn
+  slots.(text_slot addr) <- Some insn
 
 (* Folds in ascending address order. *)
 let text_fold f t init =
@@ -342,7 +373,7 @@ let text_fold f t init =
          Array.iteri
            (fun i slot ->
              match slot with Some insn -> acc := f (base + i) insn !acc | None -> ())
-           page;
+           page.slots;
          !acc)
        init
 
@@ -369,26 +400,30 @@ let bp_clear t addr = Hashtbl.remove t.breakpoints addr
 let bp_is_set t addr = Hashtbl.mem t.breakpoints addr
 let bp_any t = Hashtbl.length t.breakpoints > 0
 
-(* Both forks copy the text pages whole (one array per 1024 slots; the
-   instructions themselves are immutable and shared) and map each data
-   frame through [frame].  Cheap by construction — this is what makes
-   rr-style checkpoints take "less than ten milliseconds". *)
+(* A new text map over [tx]'s pages.  Both maps take fresh stamps, so
+   neither owns a page any more: whichever side writes a page first
+   copies it, and the other keeps the original. *)
+let share_text tx =
+  tx.stamp <- fresh_stamp ();
+  text_of_pages (Hashtbl.copy tx.text_pages)
+
+let text_share t ~from = t.text <- share_text from.text
+
+(* Both forks share the text pages copy-on-write and map each data frame
+   through [frame] in a copy of the page table ([Hashtbl.copy] keeps the
+   buckets, so nothing is rehashed).  A fork copies no page bytes and no
+   text slots — what makes rr-style checkpoints take "less than ten
+   milliseconds". *)
 let fork_with frame t ~id =
-  let text_pages = Hashtbl.create (Hashtbl.length t.text.text_pages) in
-  Hashtbl.iter
-    (fun key page -> Hashtbl.replace text_pages key (Array.copy page))
-    t.text.text_pages;
-  let child =
-    { id;
-      pages = Hashtbl.create (Hashtbl.length t.pages);
-      text = text_of_pages text_pages;
-      written_text = Hashtbl.copy t.written_text;
-      breakpoints = Hashtbl.copy t.breakpoints;
-      regions = t.regions;
-      mmap_cursor = t.mmap_cursor }
-  in
-  Hashtbl.iter (fun idx p -> Hashtbl.replace child.pages idx (frame p)) t.pages;
-  child
+  let pages = Hashtbl.copy t.pages in
+  Hashtbl.filter_map_inplace (fun _ p -> Some (frame p)) pages;
+  { id;
+    pages;
+    text = share_text t.text;
+    written_text = Hashtbl.copy t.written_text;
+    breakpoints = Hashtbl.copy t.breakpoints;
+    regions = t.regions;
+    mmap_cursor = t.mmap_cursor }
 
 let cow_share p =
   Mem.incref p;
@@ -411,10 +446,7 @@ let fork_checkpoint copies t ~id =
   fork_with
     (fun p ->
       if p.Mem.shared then begin
-        let q =
-          Mem.Identity.find_or_add copies p (fun () ->
-              { p with Mem.bytes = Bytes.copy p.Mem.bytes; refs = 0 })
-        in
+        let q = Mem.Identity.find_or_add copies p (fun () -> Mem.copy p) in
         Mem.incref q;
         q
       end

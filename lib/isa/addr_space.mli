@@ -23,14 +23,15 @@ type region = {
 }
 
 type text
-(** The paged text map and its one-page fetch cache.  Only this module
-    knows the layout: read it through [text_get], [text_fold] and
-    [text_count]. *)
+(** The paged text map and its one-page fetch cache.  Pages are
+    copy-on-write between forks: each records the stamp of the one map
+    that may write it in place.  Only this module knows the layout: read
+    it through [text_get], [text_fold] and [text_count]. *)
 
 type t = {
   id : int;
   pages : (int, Mem.page) Hashtbl.t;
-  text : text;
+  mutable text : text;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list;
@@ -83,7 +84,9 @@ val text_get : t -> int -> Insn.t option
     stays on the page of the previous fetch. *)
 
 val text_set : t -> int -> Insn.t -> unit
-(** Writes the slot in place: the next [text_get] of [addr] sees it. *)
+(** Writes the slot: the next [text_get] of [addr] sees it, and no other
+    space does.  The first write to a page shared with a fork copies
+    the page. *)
 
 val text_load : t -> base:int -> Insn.t array -> unit
 
@@ -99,6 +102,10 @@ val text_write : t -> int -> Insn.t -> unit
 
 val text_was_written : t -> int -> bool
 
+val text_share : t -> from:t -> unit
+(** Replace [t]'s text with [from]'s, sharing every page copy-on-write
+    as {!fork} does.  [written_text] and breakpoints are not touched. *)
+
 val bp_set : t -> int -> unit
 val bp_clear : t -> int -> unit
 val bp_is_set : t -> int -> bool
@@ -107,8 +114,8 @@ val bp_any : t -> bool
 
 val fork : t -> id:int -> t
 (** Process fork: COW-share every private frame and alias every
-    [MAP_SHARED] one.  Text pages are copied, so text writes on either
-    side stay private. *)
+    [MAP_SHARED] one.  Text pages are shared copy-on-write, so text
+    writes on either side stay private.  Copies no bytes. *)
 
 type shared_copies
 (** One checkpoint's copies of [MAP_SHARED] frames. *)

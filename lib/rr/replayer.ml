@@ -1179,7 +1179,9 @@ module Page_table = struct
         if not zero then Buffer.add_bytes b p.Mem.bytes)
       entries
 
-  (* [refs] starts at 0: every mapping increfs. *)
+  (* [refs] starts at 0: every mapping increfs.  A zero entry maps the
+     shared zero buffer, so a forged run of them costs a frame record
+     each, not 4 KB. *)
   let get s =
     Codec.get_array s (fun s ->
         let flags = Codec.get_uvarint s in
@@ -1187,11 +1189,16 @@ module Page_table = struct
           raise
             (Codec.Corrupt (Printf.sprintf "snapshot: page flags %d" flags));
         let prot = Codec.get_int s in
-        let bytes =
-          if flags land flag_zero <> 0 then Bytes.make Mem.page_size '\000'
-          else Bytes.of_string (Codec.take s Mem.page_size)
-        in
-        { Mem.bytes; refs = 0; prot; shared = flags land flag_shared <> 0 })
+        let shared = flags land flag_shared <> 0 in
+        if flags land flag_zero <> 0 then begin
+          let p = Mem.fresh_page ~prot ~shared in
+          Mem.decref p;
+          p
+        end
+        else
+          (* [take] returns a fresh string that nothing else holds. *)
+          { Mem.bytes = Bytes.unsafe_of_string (Codec.take s Mem.page_size);
+            refs = 0; prot; shared })
 end
 
 let sorted_keys tbl =
@@ -1223,29 +1230,65 @@ let put_space table b (a : A.t) =
   Codec.put_list b Codec.put_int (sorted_keys a.A.written_text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.breakpoints)
 
-let get_space pages s : A.t =
+(* What the spaces of one blob share while it decodes: the page table,
+   and the text sections decoded last.  A space whose text section is
+   byte-for-byte one of those adopts that space's pages copy-on-write
+   instead of decoding them again.  The encoding is self-delimiting, so
+   equal bytes decode to equal text, and a mismatch shows within the
+   shorter of the two sections: with a bounded candidate list, a forged
+   blob cannot make the comparisons quadratic. *)
+type decoding = {
+  blob : string;
+  pages : Mem.page array;
+  mutable texts : (int * int * A.t) list; (* offset, length, decoded by *)
+}
+
+let text_candidates = 4
+
+let same_bytes s a b len =
+  b + len <= String.length s
+  &&
+  let rec go i = i = len || (s.[a + i] = s.[b + i] && go (i + 1)) in
+  go 0
+
+let get_text d s a =
+  let at = Codec.pos s in
+  match
+    List.find_opt (fun (off, len, _) -> same_bytes d.blob off at len) d.texts
+  with
+  | Some (_, len, from) ->
+    A.text_share a ~from;
+    Codec.skip s len
+  | None ->
+    let n_text = Codec.get_count s in
+    for _ = 1 to n_text do
+      let addr = Codec.get_int s in
+      A.text_set a addr (Image_codec.get_insn s)
+    done;
+    d.texts <-
+      List.filteri
+        (fun i _ -> i < text_candidates)
+        ((at, Codec.pos s - at, a) :: d.texts)
+
+let get_space d s : A.t =
   let id = Codec.get_int s in
   let a = A.create ~id in
   a.A.mmap_cursor <- Codec.get_int s;
   a.A.regions <- Codec.get_list s get_region;
-  let n_pages = Codec.get_uvarint s in
+  let n_pages = Codec.get_count s in
   let prev = ref (-1) in
   for _ = 1 to n_pages do
     let idx = !prev + 1 + Codec.get_uvarint s in
     if idx <= !prev then raise (Codec.Corrupt "snapshot: page index order");
     prev := idx;
     let pid = Codec.get_uvarint s in
-    if pid < 0 || pid >= Array.length pages then
+    if pid < 0 || pid >= Array.length d.pages then
       raise (Codec.Corrupt "snapshot: page id out of range");
-    let p = pages.(pid) in
+    let p = d.pages.(pid) in
     Mem.incref p;
     Hashtbl.replace a.A.pages idx p
   done;
-  let n_text = Codec.get_uvarint s in
-  for _ = 1 to n_text do
-    let addr = Codec.get_int s in
-    A.text_set a addr (Image_codec.get_insn s)
-  done;
+  get_text d s a;
   List.iter
     (fun addr -> Hashtbl.replace a.A.written_text addr ())
     (Codec.get_list s Codec.get_int);
@@ -1324,10 +1367,10 @@ let put_snap_proc table b sp =
   Codec.put_list b put_sig_info sp.sp_shared_pending;
   Codec.put_array b put_sig_action sp.sp_sighand
 
-let get_snap_proc pages s =
+let get_snap_proc d s =
   let sp_pid = Codec.get_int s in
   let sp_parent = Codec.get_int s in
-  let sp_space = get_space pages s in
+  let sp_space = get_space d s in
   let sp_threads = Codec.get_list s Codec.get_int in
   let sp_exit =
     match Codec.get_uvarint s with
@@ -1458,8 +1501,8 @@ let decode_snapshot blob =
         let img = Image_codec.get_image s in
         (path, img))
   in
-  let pages = Page_table.get s in
-  let snap_procs = Codec.get_list s (get_snap_proc pages) in
+  let d = { blob; pages = Page_table.get s; texts = [] } in
+  let snap_procs = Codec.get_list s (get_snap_proc d) in
   let snap_tasks = Codec.get_list s get_snap_task in
   if not (Codec.eof s) then
     raise (Codec.Corrupt "snapshot: trailing bytes");

@@ -65,20 +65,24 @@ let take s n =
   s.pos <- s.pos + n;
   out
 
+let skip s n =
+  if n < 0 || s.pos + n > String.length s.data then raise (Corrupt "skip");
+  s.pos <- s.pos + n
+
 let byte s =
   if s.pos >= String.length s.data then raise (Corrupt "eof");
   let c = Char.code s.data.[s.pos] in
   s.pos <- s.pos + 1;
   c
 
-let get_uvarint s =
-  let rec go shift acc =
-    if shift > 62 then raise (Corrupt "varint too long");
-    let b = byte s in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* Top level, so that a call allocates no closure. *)
+let rec uvarint_from s shift acc =
+  if shift > 62 then raise (Corrupt "varint too long");
+  let b = byte s in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else uvarint_from s (shift + 7) acc
+
+let get_uvarint s = uvarint_from s 0 0
 
 let get_int s = unzigzag (get_uvarint s)
 
@@ -91,13 +95,28 @@ let get_string s =
 
 let get_bytes s = Bytes.of_string (get_string s)
 
+(* Every element takes at least one byte, so a count beyond the bytes
+   left is refused before anything of that size is allocated. *)
+let get_count s =
+  let n = get_uvarint s in
+  if n < 0 || n > String.length s.data - s.pos then raise (Corrupt "count");
+  n
+
 (* NB: explicit loops — List.init/Array.init evaluation order is
    unspecified, and [f] reads from a stateful source. *)
 let get_list s f =
-  let n = get_uvarint s in
+  let n = get_count s in
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f s :: acc) in
   go 0 []
 
-let get_array s f = Array.of_list (get_list s f)
+let get_array s f =
+  match get_count s with
+  | 0 -> [||]
+  | n ->
+    let a = Array.make n (f s) in
+    for i = 1 to n - 1 do
+      a.(i) <- f s
+    done;
+    a
 
 let get_bool s = get_uvarint s <> 0

@@ -36,10 +36,23 @@ val take : source -> int -> string
 (** The next [n] raw bytes (no length prefix).  Raises {!Corrupt} if
     fewer remain. *)
 
+val skip : source -> int -> unit
+(** Step over the next [n] bytes.  Raises {!Corrupt} if fewer remain. *)
+
 val get_uvarint : source -> int
 val get_int : source -> int
 val get_string : source -> string
 val get_bytes : source -> bytes
+
+val get_count : source -> int
+(** A declared element count.  Raises {!Corrupt} when it exceeds the
+    bytes left: every element takes at least one byte. *)
+
 val get_list : source -> (source -> 'a) -> 'a list
+(** A {!get_count} followed by that many elements, each of which must
+    take at least one byte. *)
+
 val get_array : source -> (source -> 'a) -> 'a array
+(** As {!get_list}. *)
+
 val get_bool : source -> bool

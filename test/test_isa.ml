@@ -106,6 +106,287 @@ let test_pss_sharing () =
   Alcotest.(check (float 0.01)) "child PSS after COW" 6144.0
     (Addr_space.pss child)
 
+(* ---- copy-on-write isolation against a model ------------------------ *)
+
+(* Random steps over a few spaces, run on real spaces and on a model in
+   which every space owns plain copies of its private frames and its
+   text, and spaces alias a shared frame.  The real spaces share frames,
+   text pages and the zero buffer until a write, so after every step
+   each must read exactly like its model: mappings, prot, bytes and
+   text.  A fresh frame must read all zero, and a fetch must see the
+   latest text write. *)
+
+module A = Addr_space
+
+let cow_base = 0x40_0000
+let cow_max_spaces = 6
+let cow_text_addrs = [| 0x400; 0x401; 0x7ff; 0x800; 0x803; 0xc00 |]
+
+type mframe = {
+  mutable data : Bytes.t;
+  mutable mprot : Mem.prot;
+  mshared : bool;
+}
+
+type mspace = {
+  frames : (int, mframe) Hashtbl.t; (* page index -> frame *)
+  mtext : (int, Insn.t) Hashtbl.t;
+}
+
+(* Spaces and text addresses are picked modulo what exists; pages are
+   counted from [cow_base]; a data word [w] is at [cow_base + 8 w], so
+   no access crosses a page. *)
+type cow_op =
+  | Map of { sp : int; page : int; n : int; shared : bool; rw : bool }
+  | Unmap of { sp : int; page : int; n : int }
+  | Protect of { sp : int; page : int; n : int; rw : bool }
+  | Write of { sp : int; w : int; v : int; byte : bool; force : bool }
+  | Read of { sp : int; w : int }
+  | Text of { sp : int; a : int; v : int }
+  | Fetch of { sp : int; a : int }
+  | Fork of int
+  | Checkpoint of int list (* forked with one shared-copies table *)
+  | Release of int
+
+let show_cow_op = function
+  | Map { sp; page; n; shared; rw } ->
+    Printf.sprintf "map s%d p%d n%d shared=%b rw=%b" sp page n shared rw
+  | Unmap { sp; page; n } -> Printf.sprintf "unmap s%d p%d n%d" sp page n
+  | Protect { sp; page; n; rw } ->
+    Printf.sprintf "protect s%d p%d n%d rw=%b" sp page n rw
+  | Write { sp; w; v; byte; force } ->
+    Printf.sprintf "write s%d w%#x %d byte=%b force=%b" sp w v byte force
+  | Read { sp; w } -> Printf.sprintf "read s%d w%#x" sp w
+  | Text { sp; a; v } -> Printf.sprintf "text s%d a%d %d" sp a v
+  | Fetch { sp; a } -> Printf.sprintf "fetch s%d a%d" sp a
+  | Fork sp -> Printf.sprintf "fork s%d" sp
+  | Checkpoint sps ->
+    "checkpoint " ^ String.concat "," (List.map string_of_int sps)
+  | Release sp -> Printf.sprintf "release s%d" sp
+
+let gen_cow_op =
+  QCheck.Gen.(
+    let sp = int_bound 7 and page = int_bound 7 and n = int_range 1 3 in
+    let w =
+      map2 (fun p o -> (p * 512) + o) (int_bound 8) (oneofl [ 0; 1; 2; 511 ])
+    in
+    let a = int_bound (Array.length cow_text_addrs - 1) in
+    let mostly b = frequency [ (3, return b); (1, return (not b)) ] in
+    frequency
+      [ ( 3,
+          let* sp = sp and* page = page and* n = n and* shared = bool
+          and* rw = mostly true in
+          return (Map { sp; page; n; shared; rw }) );
+        ( 1,
+          let* sp = sp and* page = page and* n = n in
+          return (Unmap { sp; page; n }) );
+        ( 1,
+          let* sp = sp and* page = page and* n = n and* rw = bool in
+          return (Protect { sp; page; n; rw }) );
+        ( 6,
+          let* sp = sp and* w = w and* v = int_range 1 1000 and* byte = bool
+          and* force = mostly false in
+          return (Write { sp; w; v; byte; force }) );
+        (2, map2 (fun sp w -> Read { sp; w }) sp w);
+        ( 3,
+          let* sp = sp and* a = a and* v = int_range 1 1000 in
+          return (Text { sp; a; v }) );
+        (2, map2 (fun sp a -> Fetch { sp; a }) sp a);
+        (2, map (fun sp -> Fork sp) sp);
+        (2, map (fun sps -> Checkpoint sps) (list_size (int_range 1 2) sp));
+        (1, map (fun sp -> Release sp) sp) ])
+
+let model_fork ~shared_frame m =
+  let frames = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun i f ->
+      Hashtbl.replace frames i
+        (if f.mshared then shared_frame f
+         else { f with data = Bytes.copy f.data }))
+    m.frames;
+  { frames; mtext = Hashtbl.copy m.mtext }
+
+let sorted_bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let check_cow_state spaces =
+  let fresh = A.create ~id:0 in
+  ignore (A.map fresh ~addr:cow_base ~len:Mem.page_size ~prot:Mem.prot_rw ());
+  if A.read_bytes fresh cow_base Mem.page_size
+     <> Bytes.make Mem.page_size '\000'
+  then failwith "a fresh frame is not all zero";
+  List.iteri
+    (fun n (a, m) ->
+      let differ what = failwith (Printf.sprintf "space %d: %s" n what) in
+      let keys tbl = List.map fst (sorted_bindings tbl) in
+      if keys a.A.pages <> keys m.frames then differ "mapped pages differ";
+      Hashtbl.iter
+        (fun i f ->
+          let addr = i * Mem.page_size in
+          if (Hashtbl.find a.A.pages i).Mem.prot <> f.mprot then
+            differ (Printf.sprintf "prot of %#x differs" addr);
+          if A.read_bytes ~force:true a addr Mem.page_size <> f.data then
+            differ (Printf.sprintf "bytes of %#x differ" addr))
+        m.frames;
+      if List.rev (A.text_fold (fun addr i acc -> (addr, i) :: acc) a [])
+         <> sorted_bindings m.mtext
+      then differ "text differs")
+    spaces
+
+(* Shared frames alias exactly where the model's do. *)
+let check_cow_aliasing spaces =
+  let shared =
+    List.concat_map
+      (fun (a, m) ->
+        Hashtbl.fold
+          (fun i f acc ->
+            if f.mshared then (Hashtbl.find a.A.pages i, f) :: acc else acc)
+          m.frames [])
+      spaces
+  in
+  List.iter
+    (fun (p, f) ->
+      List.iter
+        (fun (q, g) ->
+          if p == q <> (f == g) then failwith "shared frames alias differently")
+        shared)
+    shared
+
+let run_cow_ops ops =
+  let empty () = { frames = Hashtbl.create 16; mtext = Hashtbl.create 16 } in
+  let spaces = ref [ (A.create ~id:1, empty ()) ] in
+  let last_id = ref 1 in
+  let pick sp = List.nth !spaces (sp mod List.length !spaces) in
+  let add (a, m) =
+    if List.length !spaces < cow_max_spaces then spaces := !spaces @ [ (a, m) ]
+  in
+  let fresh_id () =
+    incr last_id;
+    !last_id
+  in
+  let addr_of page = cow_base + (page * Mem.page_size) in
+  let each_page page n f =
+    for i = page to page + n - 1 do
+      f (Mem.page_index (addr_of i))
+    done
+  in
+  let prot_of rw = if rw then Mem.prot_rw else Mem.prot_r in
+  let expect_segv what real ~model =
+    match real () with
+    | () -> if model then failwith (what ^ ": only the model faults")
+    | exception A.Segv _ ->
+      if not model then failwith (what ^ ": only the real space faults")
+  in
+  let step = function
+    | Map { sp; page; n; shared; rw } ->
+      let a, m = pick sp in
+      let addr = addr_of page and len = n * Mem.page_size in
+      if not (A.overlaps a ~addr ~len) then begin
+        let prot = prot_of rw in
+        ignore (A.map a ~addr ~len ~prot ~shared ());
+        each_page page n (fun i ->
+            Hashtbl.replace m.frames i
+              { data = Bytes.make Mem.page_size '\000'; mprot = prot;
+                mshared = shared })
+      end
+    | Unmap { sp; page; n } ->
+      let a, m = pick sp in
+      A.unmap a ~addr:(addr_of page) ~len:(n * Mem.page_size);
+      each_page page n (Hashtbl.remove m.frames)
+    | Protect { sp; page; n; rw } ->
+      let a, m = pick sp in
+      let prot = prot_of rw in
+      A.protect a ~addr:(addr_of page) ~len:(n * Mem.page_size) ~prot;
+      each_page page n (fun i ->
+          Option.iter (fun f -> f.mprot <- prot) (Hashtbl.find_opt m.frames i))
+    | Write { sp; w; v; byte; force } ->
+      let a, m = pick sp in
+      let addr = cow_base + (w * 8) in
+      let off = Mem.page_offset addr in
+      let frame = Hashtbl.find_opt m.frames (Mem.page_index addr) in
+      let faults =
+        match frame with
+        | None -> true
+        | Some f -> (not force) && f.mprot land Mem.prot_w = 0
+      in
+      expect_segv "write" ~model:faults (fun () ->
+          if byte then A.write_u8 ~force a addr v
+          else A.write_u64 ~force a addr v);
+      if not faults then
+        Option.iter
+          (fun f ->
+            if byte then Bytes.set f.data off (Char.chr (v land 0xff))
+            else Bytes.set_int64_le f.data off (Int64.of_int v))
+          frame
+    | Read { sp; w } -> (
+      let a, m = pick sp in
+      let addr = cow_base + (w * 8) in
+      match Hashtbl.find_opt m.frames (Mem.page_index addr) with
+      | None ->
+        expect_segv "read" ~model:true (fun () -> ignore (A.read_u64 a addr))
+      | Some f ->
+        let want = Bytes.get_int64_le f.data (Mem.page_offset addr) in
+        if A.read_u64 a addr <> Int64.to_int want then failwith "read differs")
+    | Text { sp; a = i; v } ->
+      let a, m = pick sp in
+      let addr = cow_text_addrs.(i) and insn = Insn.Mov (1, Insn.Imm v) in
+      if v land 1 = 0 then A.text_set a addr insn
+      else A.text_write a addr insn;
+      Hashtbl.replace m.mtext addr insn;
+      if A.text_get a addr <> Some insn then
+        failwith "a fetch misses the latest text write"
+    | Fetch { sp; a = i } ->
+      let a, m = pick sp in
+      let addr = cow_text_addrs.(i) in
+      if A.text_get a addr <> Hashtbl.find_opt m.mtext addr then
+        failwith "fetch differs"
+    | Fork sp ->
+      let a, m = pick sp in
+      add (A.fork a ~id:(fresh_id ()), model_fork ~shared_frame:Fun.id m)
+    | Checkpoint sps ->
+      (* One table: the checkpoint copies each shared frame once. *)
+      let copies = A.shared_copies () and memo = ref [] in
+      let shared_frame f =
+        match List.assq_opt f !memo with
+        | Some g -> g
+        | None ->
+          let g = { f with data = Bytes.copy f.data } in
+          memo := (f, g) :: !memo;
+          g
+      in
+      List.iter
+        (fun sp ->
+          let a, m = pick sp in
+          add
+            ( A.fork_checkpoint copies a ~id:(fresh_id ()),
+              model_fork ~shared_frame m ))
+        sps
+    | Release sp ->
+      if List.length !spaces > 1 then begin
+        let a, _ = pick sp in
+        A.release a;
+        spaces := List.filter (fun (b, _) -> b != a) !spaces
+      end
+  in
+  List.iteri
+    (fun i op ->
+      try
+        step op;
+        check_cow_state !spaces
+      with Failure msg ->
+        failwith (Printf.sprintf "step %d, %s: %s" i (show_cow_op op) msg))
+    ops;
+  check_cow_aliasing !spaces;
+  true
+
+let qcheck_cow_model =
+  QCheck.Test.make ~name:"copy-on-write spaces read like plain copies"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_cow_op))
+    run_cow_ops
+
 let test_cpu_arith_loop () =
   (* sum 1..10 into r2 *)
   let ctx =
@@ -612,6 +893,7 @@ let suites =
         Alcotest.test_case "mprotect keeps region prots unshared" `Quick
           test_region_prot_unshared;
         Alcotest.test_case "PSS sharing" `Quick test_pss_sharing;
+        QCheck_alcotest.to_alcotest qcheck_cow_model;
         QCheck_alcotest.to_alcotest qcheck_mem_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_bytes_roundtrip ] );
     ( "isa.cpu",

@@ -3,8 +3,9 @@
    trace restores to the state a from-zero replay reaches there; the
    page table's rules hold (equal private frames merge and split on
    write, shared frames keep their identity and their aliasing); zero
-   pages cost a few bytes each; and a blob of another codec version
-   falls back to the scan. *)
+   pages cost a few bytes each; a blob of another codec version falls
+   back to the scan; and a forged blob allocates a small multiple of its
+   size before it is refused. *)
 
 module K = Kernel
 module A = Addr_space
@@ -335,6 +336,43 @@ let test_old_version_blob_falls_back () =
   Alcotest.(check bool) "same registers" true
     (Debugger.regs d0 root = Debugger.regs d root)
 
+(* A forged blob declaring many zero pages: 2 bytes an entry, where a
+   private 4 KB buffer each would allocate thousands of times the blob.
+   The header is a valid one; the procs list after the page table is
+   missing, so decoding must end in [Codec.Corrupt]. *)
+let forged_blob ~entries ~declared =
+  let b = Codec.sink () in
+  Codec.put_uvarint b 2 (* codec version *);
+  List.iter (Codec.put_uvarint b) [ 0; 0 ] (* frame, events applied *);
+  List.iter (Codec.put_int b) [ 1; 0 ] (* root, clock *);
+  Codec.put_bytes b (Bytes.make 8 '\000') (* entropy *);
+  Codec.put_int b 0 (* tsc *);
+  List.iter (Codec.put_uvarint b) [ 0; 0 ] (* trace events, chunks *);
+  Codec.put_string b "/bin/t";
+  Codec.put_uvarint b 0 (* installed images *);
+  Codec.put_uvarint b declared;
+  for _ = 1 to entries do
+    Codec.put_uvarint b 2 (* zero flag *);
+    Codec.put_int b Mem.prot_rw
+  done;
+  Buffer.contents b
+
+let test_forged_blob_bounded () =
+  List.iter
+    (fun (what, blob) ->
+      let a0 = Gc.allocated_bytes () in
+      (match Replayer.decode_snapshot blob with
+      | _ -> Alcotest.failf "%s: decoded" what
+      | exception Codec.Corrupt _ -> ());
+      let allocated = Gc.allocated_bytes () -. a0 in
+      if allocated > 64. *. float_of_int (String.length blob) then
+        Alcotest.failf "%s: a %d-byte blob allocated %.0f bytes" what
+          (String.length blob) allocated)
+    [ ("100,000 zero entries",
+       forged_blob ~entries:100_000 ~declared:100_000);
+      ("a count beyond the bytes",
+       forged_blob ~entries:10 ~declared:(1 lsl 40)) ]
+
 let suites =
   [ ( "rr.snapshot",
       [ Alcotest.test_case "serve checkpoints restore the replayed state"
@@ -346,4 +384,6 @@ let suites =
         Alcotest.test_case "zero pages cost bytes, not pages" `Quick
           test_zero_pages_cost_bytes;
         Alcotest.test_case "old-version blob falls back to the scan" `Quick
-          test_old_version_blob_falls_back ] ) ]
+          test_old_version_blob_falls_back;
+        Alcotest.test_case "forged zero entries allocate little" `Quick
+          test_forged_blob_bounded ] ) ]

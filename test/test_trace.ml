@@ -176,6 +176,35 @@ let test_stored_bytes_tripwire () =
         (name, (Crc32.string stored, String.length stored)))
     (Lazy.force seed1_traces) stored_bytes_expected
 
+(* ---- durable checkpoints ------------------------------------------ *)
+
+(* The seed-1 traces indexed once per test run: each trace's durable
+   checkpoint blobs, in frame order. *)
+let seed1_checkpoints =
+  lazy
+    (List.map
+       (fun (name, t) ->
+         let ix = Trace_indexer.build_and_attach t in
+         (name, Array.map snd (Trace_index.checkpoints ix)))
+       (Lazy.force seed1_traces))
+
+(* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each
+   seed-1 trace's checkpoint blobs, concatenated.  A change to the
+   snapshot codec, or to the state a checkpoint captures, fails here. *)
+let checkpoint_bytes_expected =
+  [ ("cp", 0xc96eccb6, 113460); ("make", 0x16426303, 4121495);
+    ("octane", 0x08355425, 482933); ("htmltest", 0x1effd918, 563571);
+    ("sambatest", 0xbe26a02f, 827635); ("serve", 0x8627baa2, 3673344) ]
+
+let test_checkpoint_bytes_tripwire () =
+  List.iter2
+    (fun (name, blobs) (name', crc, len) ->
+      let all = String.concat "" (Array.to_list blobs) in
+      Alcotest.(check (pair string (pair int int)))
+        "checkpoint blobs' CRC-32 and length" (name', (crc, len))
+        (name, (Crc32.string all, String.length all)))
+    (Lazy.force seed1_checkpoints) checkpoint_bytes_expected
+
 let test_codec_varint () =
   let b = Codec.sink () in
   let values = [ 0; 1; -1; 127; 128; -300; max_int; min_int + 1; 42 ] in
@@ -472,6 +501,57 @@ let qcheck_inflate_robust =
        QCheck.Gen.(oneof [ garbage; small_size; flipped ]))
     corrupt_only
 
+(* A real checkpoint blob, cut short or with bits flipped, decodes or
+   raises [Codec.Corrupt], and nothing else.  Flips land anywhere, or in
+   the header and image section at the front, or in the spaces and
+   tasks at the back: the page bytes between them decode whatever they
+   hold. *)
+type blob_damage = Truncate of int | Flip of (int * int) list
+
+let damaged_blob (trace, cp, damage) =
+  let blobs = snd (List.nth (Lazy.force seed1_checkpoints) trace) in
+  let blob = blobs.(cp mod Array.length blobs) in
+  let n = String.length blob in
+  match damage with
+  | Truncate k -> String.sub blob 0 (k mod n)
+  | Flip flips ->
+    let b = Bytes.of_string blob in
+    List.iter
+      (fun (pos, bit) ->
+        let i = if pos < 0 then max 0 (n + pos) else pos mod n in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+      flips;
+    Bytes.to_string b
+
+let qcheck_snapshot_decode_robust =
+  let damage =
+    QCheck.Gen.(
+      let pos =
+        frequency
+          [ (1, nat); (1, int_bound 4095);
+            (1, map (fun k -> -k - 1) (int_bound 8191)) ]
+      in
+      let flips = list_size (int_range 1 4) (pair pos (int_bound 7)) in
+      oneof [ map (fun k -> Truncate k) nat; map (fun l -> Flip l) flips ])
+  in
+  QCheck.Test.make ~name:"snapshot decode raises only Corrupt on damage"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (t, cp, d) ->
+         Printf.sprintf "trace %d, checkpoint %d, %s" t cp
+           (match d with
+           | Truncate k -> Printf.sprintf "truncate %d" k
+           | Flip l ->
+             String.concat " "
+               (List.map (fun (p, b) -> Printf.sprintf "flip %d.%d" p b) l)))
+       QCheck.Gen.(triple (int_bound 5) nat damage))
+    (fun case ->
+      let blob = damaged_blob case in
+      match Replayer.decode_snapshot blob with
+      | _ -> true
+      | exception Codec.Corrupt _ -> true
+      | exception _ -> false)
+
 (* Declared sizes far beyond what the body could encode are refused
    before anything of that size is allocated. *)
 let test_inflate_size_bound () =
@@ -601,6 +681,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_inflate_inverts_reference;
         Alcotest.test_case "stored bytes tripwire" `Quick
           test_stored_bytes_tripwire;
+        Alcotest.test_case "checkpoint bytes tripwire" `Quick
+          test_checkpoint_bytes_tripwire;
         Alcotest.test_case "declared size beyond the body" `Quick
           test_inflate_size_bound;
         Alcotest.test_case "empty or incomplete code table" `Quick
@@ -622,6 +704,7 @@ let suites =
           test_trace_writer_reader;
         QCheck_alcotest.to_alcotest qcheck_event_decode_robust;
         QCheck_alcotest.to_alcotest qcheck_inflate_robust;
+        QCheck_alcotest.to_alcotest qcheck_snapshot_decode_robust;
         QCheck_alcotest.to_alcotest qcheck_varint_decode_robust;
         QCheck_alcotest.to_alcotest qcheck_huffman_kraft;
         QCheck_alcotest.to_alcotest qcheck_compress_deterministic ] ) ]

@@ -132,6 +132,30 @@ check_file() {
     fi
     ;;
   esac
+  # Every frame that has never been written maps Mem's one shared zero
+  # buffer, so a frame's bytes may be written only through the write
+  # gate: Addr_space.writable_page gives the frame its own bytes first.
+  # Outside lib/isa/mem.ml and lib/isa/addr_space.ml, no assignment to
+  # a frame's bytes and no Bytes.set*/fill/blit/unsafe_set into them.
+  case "$f" in
+  *lib/isa/mem.ml | *lib/isa/addr_space.ml) ;;
+  *)
+    frame_id="\(?[A-Za-z0-9_.']*\.Mem\.bytes"
+    bad_frame_writes=$(grep -nE \
+      -e 'Mem\.bytes[[:space:]]*<-' \
+      -e "Bytes\.(unsafe_)?(set|fill)[a-z0-9_]*[[:space:]]+$frame_id" \
+      -e "Bytes\.(unsafe_)?blit(_string)?([[:space:]]+[^[:space:]]+){2}[[:space:]]+$frame_id" \
+      "$f" || true)
+    if [ -n "$bad_frame_writes" ]; then
+      {
+        echo "format: $f writes a frame's bytes outside the write gate:"
+        echo "$bad_frame_writes"
+        echo "  (write guest memory through Addr_space; frames may share the zero buffer)"
+      } >&2
+      status=1
+    fi
+    ;;
+  esac
   # Connection-key derivation — parsing datagram source ports out of
   # recorded frames — lives in lib/rr/conn_track.ml and nowhere else:
   # one place to get the recvfrom write-layout subtleties right.  The
