@@ -468,106 +468,30 @@ let debug_cmd =
       const run $ target_arg $ watch_arg $ port_arg $ sockpath_arg
       $ script_arg $ cp_every_arg)
 
-(* Self-contained durability check: record sambatest, save it, guillotine
-   the file at several offsets inside the record stream, and require
-   every cut to salvage into a replayable prefix of the original.  Used
-   by `dune runtest` as an end-to-end crash-recovery gate. *)
-let repair_smoke () =
-  let w = workload_of_name "sambatest" in
-  let recd, _ = Workload.record w in
-  let trace = recd.Workload.trace in
-  let path = Filename.temp_file "rr_smoke" ".trace" in
-  Trace.save_exn trace path;
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  let len = String.length data in
-  (* Cut inside the body (before the footer), so every cut exercises
-     the record scanner rather than just the footer check. *)
-  let body = Int64.to_int (String.get_int64_le data (len - 16)) in
-  let orig = Trace.Reader.to_array trace in
-  let total = Array.length orig in
-  let failures = ref 0 in
-  (* Three cuts: early in the record stream (most data lost), one byte
-     into the last record's CRC (the final chunk is dropped), and at
-     the trailer offset (every record intact, commit footer gone — the
-     exact state a writer killed between flush and finish leaves). *)
-  List.iter
-    (fun cut ->
-      let tpath = Filename.temp_file "rr_smoke" ".cut" in
-      Out_channel.with_open_bin tpath (fun oc ->
-          Out_channel.output_string oc (String.sub data 0 cut));
-      (match Trace.salvage tpath with
-      | Ok (t, report) ->
-        let frames = Trace.Reader.to_array t in
-        let n = Array.length frames in
-        let prefix_ok =
-          n <= total
-          &&
-          let ok = ref true in
-          Array.iteri (fun i e -> if e <> orig.(i) then ok := false) frames;
-          !ok
-        in
-        let replay_ok =
-          n = 0
-          ||
-          match Replayer.replay t with
-          | _ -> true
-          | exception e ->
-            Fmt.epr "cut@%d: replay of salvaged prefix raised %s@." cut
-              (Printexc.to_string e);
-            false
-        in
-        Fmt.pr "cut@%d: recovered %d/%d frames, prefix %s, replay %s@." cut n
-          total
-          (if prefix_ok then "ok" else "MISMATCH")
-          (if replay_ok then "ok" else "FAILED");
-        Fmt.pr "  %a@." Trace.pp_salvage_report report;
-        if not (prefix_ok && replay_ok) then incr failures
-      | Error e ->
-        Fmt.pr "cut@%d: unsalvageable: %a@." cut Trace.pp_error e;
-        incr failures);
-      Sys.remove tpath)
-    [ max 9 (35 * body / 100); body - 1; body ];
-  if !failures > 0 then begin
-    Fmt.epr "repair --smoke: %d of 3 cuts failed@." !failures;
-    exit 1
-  end
-  else Fmt.pr "repair --smoke: all cuts salvaged into replayable prefixes@."
-
 let repair_cmd =
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in crash-recovery check instead of repairing a file: \
-         record the sambatest workload, truncate its saved trace at three \
-         offsets, and verify each cut salvages into a replayable prefix."
-  in
   let opt_file_arg =
     Flags.opt_trace_file ~doc:"A (possibly damaged) saved trace file."
   in
-  let run path smoke out =
+  let run path out =
     with_trace_errors @@ fun () ->
-    if smoke then repair_smoke ()
-    else begin
-      match path with
-      | None ->
-        Fmt.epr "rr_cli: repair needs a TRACE argument (or --smoke)@.";
-        exit 2
-      | Some path -> (
-        match Trace.salvage path with
-        | Ok (t, report) ->
-          Fmt.pr "%a@." Trace.pp_salvage_report report;
-          (match out with
-          | Some out_path ->
-            Trace.save_exn t out_path;
-            Fmt.pr "repaired trace (%d frames) saved to %s@."
-              (Trace.n_events t) out_path
-          | None -> ());
-          if report.Trace.sr_damage <> None then exit 3
-        | Error e ->
-          Fmt.epr "rr_cli: nothing recoverable: %a@." Trace.pp_error e;
-          exit 1)
-    end
+    match path with
+    | None ->
+      Fmt.epr "rr_cli: repair needs a TRACE argument@.";
+      exit 2
+    | Some path -> (
+      match Trace.salvage path with
+      | Ok (t, report) ->
+        Fmt.pr "%a@." Trace.pp_salvage_report report;
+        (match out with
+        | Some out_path ->
+          Trace.save_exn t out_path;
+          Fmt.pr "repaired trace (%d frames) saved to %s@." (Trace.n_events t)
+            out_path
+        | None -> ());
+        if report.Trace.sr_damage <> None then exit 3
+      | Error e ->
+        Fmt.epr "rr_cli: nothing recoverable: %a@." Trace.pp_error e;
+        exit 1)
   in
   let out_arg =
     Flags.out
@@ -580,7 +504,7 @@ let repair_cmd =
           report what was lost.  Exits 0 if the file was intact, 3 if \
           something was recovered but data was lost, 1 if nothing was \
           recoverable.")
-    Term.(const run $ opt_file_arg $ smoke_arg $ out_arg)
+    Term.(const run $ opt_file_arg $ out_arg)
 
 (* Self-contained index check: record sambatest, index it, save, reopen
    cold, and require (a) the index to come back from disk, (b) a deep

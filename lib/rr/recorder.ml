@@ -33,11 +33,12 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 let fail fmt = Fmt.kstr (fun s -> raise (Record_error (Rec_failure s))) fmt
 
-(* Trace-store and IO failures surface to callers through the same
-   typed channel as recording-model failures. *)
+(* Trace-store, IO and repository failures surface to callers through
+   the same typed channel as recording-model failures. *)
 let reraise_typed = function
   | Trace.Format_error e -> Record_error (Rec_trace e)
   | Io.Io_error e -> Record_error (Rec_trace (Trace.Io e))
+  | Repo.Repo_error e -> Record_error (Rec_failure (Repo.error_to_string e))
   | e -> e
 
 type sink_spec =

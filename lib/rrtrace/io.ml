@@ -63,6 +63,10 @@ let file_writer path =
       w_closed = false }
   | exception Sys_error m -> fail ~op:"open" ~path m
 
+let mkdir_if_missing path =
+  if not (Sys.file_exists path) then
+    try Sys.mkdir path 0o755 with Sys_error m -> fail ~op:"mkdir" ~path m
+
 (* Flip one bit of byte [at] (bit position derived from the offset so
    different offsets hit different bits, deterministically). *)
 let flip_byte b ~at =

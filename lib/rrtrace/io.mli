@@ -71,6 +71,9 @@ val written : writer -> int
 val close_writer : writer -> unit
 (** Flush and close (idempotent).  Raises {!Io_error} on failure. *)
 
+val mkdir_if_missing : string -> unit
+(** Create a directory unless the path exists.  Raises {!Io_error}. *)
+
 (** {1 Readers} *)
 
 type reader

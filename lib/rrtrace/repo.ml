@@ -119,11 +119,6 @@ let write_file_exn p data =
   try Sys.rename tmp p
   with Sys_error m -> raise (Io.Io_error { op = "rename"; path = p; reason = m })
 
-let mkdir_if_missing p =
-  if not (Sys.file_exists p) then
-    try Sys.mkdir p 0o755
-    with Sys_error m -> raise (Io.Io_error { op = "mkdir"; path = p; reason = m })
-
 let remove_if_present p = try Sys.remove p with Sys_error _ -> ()
 
 let listing dir =
@@ -164,10 +159,10 @@ let open_ root =
 
 let init root =
   match
-    mkdir_if_missing root;
+    Io.mkdir_if_missing root;
     let t = { root; lock = Mutex.create () } in
-    mkdir_if_missing (objects_dir t);
-    mkdir_if_missing (traces_dir t);
+    Io.mkdir_if_missing (objects_dir t);
+    Io.mkdir_if_missing (traces_dir t);
     let marker = Filename.concat root marker_name in
     if not (Sys.file_exists marker) then write_file_exn marker marker_contents
   with
@@ -241,33 +236,12 @@ type manifest = {
   m_chunks : (int * int * int * string) list;
 }
 
-let put_manifest_stats b (s : Trace.stats) =
-  List.iter (Codec.put_uvarint b)
-    [ s.Trace.n_events; s.Trace.raw_bytes; s.Trace.compressed_bytes;
-      s.Trace.cloned_blocks; s.Trace.cloned_bytes; s.Trace.copied_file_bytes;
-      s.Trace.n_chunks; s.Trace.n_buffered_syscalls; s.Trace.n_traced_syscalls ]
-
-let get_manifest_stats s : Trace.stats =
-  let g () = Codec.get_uvarint s in
-  let n_events = g () in
-  let raw_bytes = g () in
-  let compressed_bytes = g () in
-  let cloned_blocks = g () in
-  let cloned_bytes = g () in
-  let copied_file_bytes = g () in
-  let n_chunks = g () in
-  let n_buffered_syscalls = g () in
-  let n_traced_syscalls = g () in
-  { Trace.n_events; raw_bytes; compressed_bytes; cloned_blocks; cloned_bytes;
-    copied_file_bytes; n_chunks; n_buffered_syscalls; n_traced_syscalls;
-    lru_hits = 0; lru_misses = 0; lru_evictions = 0 }
-
 let encode_manifest m =
   let b = Codec.sink () in (* chunk-lifecycle *)
   Codec.put_uvarint b manifest_encoding;
   Codec.put_bool b m.m_compressed;
   Codec.put_string b m.m_initial_exe;
-  put_manifest_stats b m.m_stats;
+  Trace.put_stats b m.m_stats;
   Codec.put_list b
     (fun b (p, k) ->
       Codec.put_string b p;
@@ -298,8 +272,6 @@ let encode_manifest m =
   Buffer.add_bytes out crc;
   Buffer.contents out
 
-let crc_mask = 0xffffffff
-
 let decode_manifest ~name data =
   let fail detail = Error (Manifest_corrupt { name; detail }) in
   let len = String.length data in
@@ -313,10 +285,10 @@ let decode_manifest ~name data =
            (len - 20))
     else begin
       let payload = String.sub data 16 declared in
-      let stored_crc =
-        Int32.to_int (String.get_int32_le data (16 + declared)) land crc_mask
-      in
-      if Crc32.string payload <> stored_crc then fail "payload CRC mismatch"
+      if
+        Int32.of_int (Crc32.string payload)
+        <> String.get_int32_le data (16 + declared)
+      then fail "payload CRC mismatch"
       else
         try
           let s = Codec.source payload in
@@ -326,7 +298,7 @@ let decode_manifest ~name data =
               (Codec.Corrupt (Fmt.str "unknown event encoding %d" encoding));
           let m_compressed = Codec.get_bool s in
           let m_initial_exe = Codec.get_string s in
-          let m_stats = get_manifest_stats s in
+          let m_stats = Trace.get_stats s in
           let m_images =
             Codec.get_list s (fun s ->
                 let p = Codec.get_string s in
@@ -390,54 +362,6 @@ let encode_image img =
   let b = Codec.sink () in (* chunk-lifecycle *)
   Image_codec.put_image b img;
   Buffer.contents b
-
-(* Store every part; caller holds [t.lock].  Raises {!Io.Io_error}. *)
-let store_parts_exn t ~compressed ~initial_exe ~stats ~chunks
-    ~images ~files =
-  let acc =
-    ref { new_objects = 0; shared_objects = 0; new_bytes = 0; shared_bytes = 0 }
-  in
-  let store data = store_object_exn t acc data in
-  let m_chunks =
-    List.map (fun (ff, n, kinds, stored) -> (ff, n, kinds, store stored)) chunks
-  in
-  let m_images =
-    List.map (fun (p, img) -> (p, store (encode_image img))) images
-  in
-  let m_files =
-    List.map
-      (fun (p, data) ->
-        (p, String.length data, List.map store (split_blocks data)))
-      files
-  in
-  ( { m_compressed = compressed;
-      m_initial_exe = initial_exe; m_stats = stats; m_images; m_files;
-      m_chunks },
-    !acc )
-
-let store_trace t ~name trace =
-  if not (valid_name name) then Error (invalid_name name)
-  else
-    with_lock t @@ fun () ->
-    match
-      let chunks =
-        Array.to_list (Trace.chunk_index trace)
-        |> List.mapi (fun i (ci : Trace.chunk_info) ->
-               ( ci.Trace.first_frame, ci.Trace.n_frames, ci.Trace.kinds,
-                 Trace.chunk_stored trace i ))
-      in
-      let manifest, acc =
-        store_parts_exn t
-          ~compressed:(Trace.compressed trace)
-          ~initial_exe:(Trace.initial_exe trace)
-          ~stats:(Trace.stats trace) ~chunks ~images:(Trace.images trace)
-          ~files:(Trace.files trace)
-      in
-      write_file_exn (manifest_path t name) (encode_manifest manifest);
-      acc
-    with
-    | acc -> Ok acc
-    | exception Io.Io_error e -> Error (Io e)
 
 (* ---- load ------------------------------------------------------------- *)
 
@@ -686,21 +610,17 @@ type sink_state = {
   mutable ss_images : (string * string) list; (* reversed (path, key) *)
   mutable ss_files : Trace.File_deltas.t;
   mutable ss_chunks : (int * int * int * string) list; (* reversed *)
-  ss_acc : store_result ref;
 }
 
-let sink t ~name =
-  if not (valid_name name) then raise (Repo_error (invalid_name name));
+(* The sink behind {!sink} and {!store_trace}, adding what it stores to
+   [acc]. *)
+let counting_sink t ~name acc =
   let ss =
     { ss_header = None; ss_images = [];
       ss_files = Trace.File_deltas.create ();
-      ss_chunks = [];
-      ss_acc =
-        ref
-          { new_objects = 0; shared_objects = 0; new_bytes = 0;
-            shared_bytes = 0 } }
+      ss_chunks = [] }
   in
-  let store data = with_lock t (fun () -> store_object_exn t ss.ss_acc data) in
+  let store data = with_lock t (fun () -> store_object_exn t acc data) in
   let put (ev : Trace.Sink.event) =
     match ev with
     | Trace.Sink.Header { compressed; initial_exe } ->
@@ -742,6 +662,21 @@ let sink t ~name =
     ss.ss_images <- []
   in
   Trace.Sink.make ~put ~commit ~close ()
+
+let no_stores =
+  { new_objects = 0; shared_objects = 0; new_bytes = 0; shared_bytes = 0 }
+
+let sink t ~name =
+  if not (valid_name name) then raise (Repo_error (invalid_name name));
+  counting_sink t ~name (ref no_stores)
+
+let store_trace t ~name trace =
+  if not (valid_name name) then Error (invalid_name name)
+  else
+    let acc = ref no_stores in
+    match Trace.to_sink trace (counting_sink t ~name acc) with
+    | () -> Ok !acc
+    | exception Io.Io_error e -> Error (Io e)
 
 (* ---- verify ----------------------------------------------------------- *)
 

@@ -63,8 +63,10 @@ type store_result = {
 
 val store_trace : t -> name:string -> Trace.t -> (store_result, error) result
 (** Store every part of the trace content-addressed and write the
-    manifest [traces/<name>] atomically (tmp + rename).  Re-storing
-    under an existing name replaces that manifest. *)
+    manifest [traces/<name>] atomically (tmp + rename): {!Trace.to_sink}
+    into {!sink}, so a stored trace and a streamed recording write the
+    same objects and manifest.  Re-storing under an existing name
+    replaces that manifest. *)
 
 val load_trace : t -> name:string -> (Trace.t, error) result
 (** Rebuild a trace from its manifest: every referenced object is
@@ -123,7 +125,7 @@ val sink : t -> name:string -> Trace.Sink.t
     content-addressed {e as they stream out of the recorder} and writes
     the manifest at commit.  A recording killed mid-run leaves orphan
     objects (reclaimed by {!gc}) and no manifest — never a half-written
-    trace. *)
+    trace.  Raises {!Repo_error} for an invalid trace name. *)
 
 val verify : t -> (unit, error) result
 (** Load and verify every trace in the repository; the first damaged

@@ -76,11 +76,6 @@ let catalog_magic = "RRSHARD1"
 let shards_dir repo = Filename.concat (Repo.path repo) "shards"
 let catalog_path repo ~base = Filename.concat (shards_dir repo) base
 
-let mkdir_if_missing p =
-  if not (Sys.file_exists p) then begin
-    try Sys.mkdir p 0o755 with Sys_error _ -> ()
-  end
-
 let encode_catalog ~base shards =
   let b = Buffer.create 256 in
   Buffer.add_string b (Printf.sprintf "%s %s\n" catalog_magic base);
@@ -172,8 +167,8 @@ let split ?only ~repo ~base ~tags trace =
   match store [] writers with
   | Error e -> Error e
   | Ok shards -> (
-    mkdir_if_missing (shards_dir repo);
     match
+      Io.mkdir_if_missing (shards_dir repo);
       let wr = Io.file_writer (catalog_path repo ~base) in
       Io.write wr (encode_catalog ~base shards);
       Io.close_writer wr

@@ -19,6 +19,12 @@
    deflate cost on spare cores (§2.7); here chunks are small enough that
    worker domains lost to the serial path (DESIGN.md §4d).
 
+   One stream, one assembler: a trace leaves only as {!Sink} events —
+   from the {!Writer} while recording, from {!to_sink} (and so {!save})
+   once finished — and every [t] is built by feeding such events to an
+   {!assembly}, whether they come from the writer, a file, a ring, the
+   repository or a rewrite.
+
    Durability (paper §2.7 "deployability" read as: a trace must survive
    the process that wrote it): all persistence flows through the
    pluggable {!Io} layer; the on-disk format is a CRC-guarded record
@@ -57,7 +63,8 @@ let new_stats () =
     lru_misses = 0;
     lru_evictions = 0 }
 
-let copy_stats s = { s with n_events = s.n_events }
+(* LRU traffic is runtime-only: a copy starts cold. *)
+let copy_stats s = { s with lru_hits = 0; lru_misses = 0; lru_evictions = 0 }
 
 let tm_chunk_hit = Telemetry.counter "trace.chunk.hit"
 let tm_chunk_miss = Telemetry.counter "trace.chunk.miss"
@@ -130,8 +137,8 @@ type t = {
   mutable sidecar : Trace_index.t option; (* derived index, if built *)
 }
 
-let make_t ?(origin = "<memory>") ~index ~chunks ~compressed ~images ~files
-    ~stats ~initial_exe () =
+let make_t ~origin ~index ~chunks ~compressed ~images ~files ~stats
+    ~initial_exe =
   { index;
     chunks;
     compressed;
@@ -151,11 +158,11 @@ let cache_slots = 8
 
    A file snapshot travels as 'D' deltas: bytes that replace the file
    from an offset, in practice a suffix appended at its current length.
-   The writer, the loader and salvage scanner, the ring and the
-   repository sink all keep files here, so a file grown by k appends
-   costs its final size once, not k times.  A file that arrives in one
-   piece (what {!save} writes) keeps that piece's string uncopied; the
-   first append moves it into a buffer. *)
+   Every assembled trace ({!assembly}) and the repository sink keep
+   files here, so a file grown by k appends costs its final size once,
+   not k times.  A file that arrives in one piece (what {!save} writes)
+   keeps that piece's string uncopied; the first append moves it into a
+   buffer. *)
 module File_deltas = struct
   type file = Whole of string | Growing of Buffer.t
   type t = (string, file) Hashtbl.t
@@ -233,10 +240,10 @@ end
    prefix *replayable*, not merely decodable: any prefix of the record
    stream carries the images and file snapshots its chunks need.
 
-   [finish] writes the trailer and footer last, so the footer's
-   presence is the commit point — a reader that finds "RRCOMMIT" at EOF
-   knows the writer ran to completion; anything else is salvage
-   territory. *)
+   Only the file sink ({!Sink.of_io}) writes these records, and its
+   commit writes the trailer and footer last, so the footer's presence
+   is the commit point — a reader that finds "RRCOMMIT" at EOF knows the
+   writer ran to completion; anything else is salvage territory. *)
 
 let magic = "RRTRACE3"
 let footer_magic = "RRCOMMIT"
@@ -253,9 +260,11 @@ let tag_trailer = 'T'
 let tag_index = 'P' (* sidecar index tables (Trace_index meta) *)
 let tag_index_cp = 'K' (* one durable checkpoint blob *)
 
-let crc_mask = 0xffffffff
-
-let write_record io ~tag payload =
+(* Write one record, its payload put by [fill]. *)
+let write_record io ~tag fill =
+  let b = Codec.sink () in (* chunk-lifecycle *)
+  fill b;
+  let payload = Buffer.contents b in
   let tag_s = String.make 1 tag in
   Io.write io tag_s;
   let lb = Codec.sink () in (* chunk-lifecycle *)
@@ -308,57 +317,13 @@ let get_chunk_info s =
   let crc32 = Codec.get_uvarint s in
   { first_frame; n_frames; byte_offset; stored_len; kinds; crc32 }
 
-let header_payload ~compressed ~initial_exe =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b format_version;
-  Codec.put_bool b compressed;
-  Codec.put_string b initial_exe;
-  Buffer.contents b
-
-let image_payload ~path img =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_string b path;
-  Image_codec.put_image b img;
-  Buffer.contents b
-
-let file_payload ~path ~offset suffix =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_string b path;
-  Codec.put_uvarint b offset;
-  Codec.put_string b suffix;
-  Buffer.contents b
-
-let chunk_payload ~first_frame ~n_frames ~kinds stored =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b first_frame;
-  Codec.put_uvarint b n_frames;
-  Codec.put_uvarint b kinds;
-  Buffer.add_string b stored;
-  Buffer.contents b
-
-let journal_payload stats =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  put_stats b stats;
-  Buffer.contents b
-
-let trailer_payload stats index =
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  put_stats b stats;
-  Codec.put_list b put_chunk_info (Array.to_list index);
-  Buffer.contents b
-
-let footer_bytes ~trailer_off =
-  let fb = Bytes.create 16 in (* chunk-lifecycle *)
-  Bytes.set_int64_le fb 0 (Int64.of_int trailer_off);
-  Bytes.blit_string footer_magic 0 fb 8 8;
-  Bytes.to_string fb
-
 (* ---- sinks -----------------------------------------------------------
 
    A {!Sink.t} is the one place frames, chunks, images and file
-   snapshots leave a {!Writer}: the streaming file journal, the bounded
-   in-memory flight-recorder ring, and the content-addressed repository
-   (repo.ml) are all implementations of the same five-event interface.
+   snapshots leave a {!Writer}, or a finished trace ({!to_sink}): the
+   streaming file journal, the bounded in-memory flight-recorder ring,
+   and the content-addressed repository (repo.ml) are all
+   implementations of the same five-event interface.
    Events arrive in trace-stream order — header first, every image and
    file delta before the first chunk that references it, a stats
    journal mark every few chunks — so a sink that persists events as
@@ -381,16 +346,13 @@ module Sink = struct
     sk_put : event -> unit;
     sk_commit : stats -> chunk_info array -> unit;
     sk_close : unit -> unit; (* abort: release resources, commit nothing *)
-    sk_bounded : bool; (* the writer need not retain chunk bytes *)
-    sk_result : unit -> trace option; (* bounded sinks build the result *)
+    sk_result : (unit -> trace) option;
+        (* a bounded sink builds the result; the writer keeps no chunk
+           bytes for it *)
   }
 
   let make ~put ~commit ~close () =
-    { sk_put = put;
-      sk_commit = commit;
-      sk_close = close;
-      sk_bounded = false;
-      sk_result = (fun () -> None) }
+    { sk_put = put; sk_commit = commit; sk_close = close; sk_result = None }
 
   (* The streaming file sink — exactly the incremental journal.  The
      magic and header go out on the first event, every image/file/chunk
@@ -401,26 +363,118 @@ module Sink = struct
     let put = function
       | Header { compressed; initial_exe } ->
         Io.write io magic;
-        write_record io ~tag:tag_header
-          (header_payload ~compressed ~initial_exe)
+        write_record io ~tag:tag_header (fun b ->
+            Codec.put_uvarint b format_version;
+            Codec.put_bool b compressed;
+            Codec.put_string b initial_exe)
       | Image { path; img } ->
-        write_record io ~tag:tag_image (image_payload ~path img)
+        write_record io ~tag:tag_image (fun b ->
+            Codec.put_string b path;
+            Image_codec.put_image b img)
       | File_delta { path; offset; data } ->
-        write_record io ~tag:tag_file (file_payload ~path ~offset data)
+        write_record io ~tag:tag_file (fun b ->
+            Codec.put_string b path;
+            Codec.put_uvarint b offset;
+            Codec.put_string b data)
       | Chunk { first_frame; n_frames; kinds; stored } ->
-        write_record io ~tag:tag_chunk
-          (chunk_payload ~first_frame ~n_frames ~kinds stored)
-      | Journal stats -> write_record io ~tag:tag_journal (journal_payload stats)
+        write_record io ~tag:tag_chunk (fun b ->
+            List.iter (Codec.put_uvarint b) [ first_frame; n_frames; kinds ];
+            Buffer.add_string b stored)
+      | Journal stats ->
+        write_record io ~tag:tag_journal (fun b -> put_stats b stats)
     in
     let commit stats index =
       let trailer_off = Io.written io in
-      write_record io ~tag:tag_trailer (trailer_payload stats index);
-      Io.write io (footer_bytes ~trailer_off);
+      write_record io ~tag:tag_trailer (fun b ->
+          put_stats b stats;
+          Codec.put_list b put_chunk_info (Array.to_list index));
+      let footer = Bytes.create 16 in (* chunk-lifecycle *)
+      Bytes.set_int64_le footer 0 (Int64.of_int trailer_off);
+      Bytes.blit_string footer_magic 0 footer 8 8;
+      Io.write io (Bytes.to_string footer);
       Io.close_writer io
     in
     let close () = try Io.close_writer io with Io.Io_error _ -> () in
     make ~put ~commit ~close ()
 end
+
+(* ---- assembly ----------------------------------------------------------
+
+   The one way into a {!t}: the writer, the loader, salvage, the ring,
+   {!of_parts} and {!map_frames} each feed {!Sink.event}s to an
+   assembly and take the trace from {!assembled}.  [assemble] is the
+   only code that checks chunk contiguity and computes a chunk's byte
+   offset and CRC-32. *)
+
+type assembly = {
+  mutable as_header : (bool * string) option; (* compressed, initial_exe *)
+  mutable as_chunks : (chunk_info * string) list; (* reversed *)
+  mutable as_n : int; (* chunks so far *)
+  mutable as_frames : int; (* frames they cover *)
+  mutable as_off : int; (* their stored bytes *)
+  as_images : (string, Image.t) Hashtbl.t;
+  as_files : File_deltas.t;
+  mutable as_journals : stats list; (* newest first *)
+}
+
+let assembly () =
+  { as_header = None;
+    as_chunks = [];
+    as_n = 0;
+    as_frames = 0;
+    as_off = 0;
+    as_images = Hashtbl.create 8;
+    as_files = File_deltas.create ();
+    as_journals = [] }
+
+(* Take one event.  Raises [Codec.Corrupt] on a chunk that does not
+   start where the frames so far end or holds no frame, and on a file
+   delta past the end of its file. *)
+let assemble a = function
+  | Sink.Header { compressed; initial_exe } ->
+    a.as_header <- Some (compressed, initial_exe)
+  | Sink.Image { path; img } -> Hashtbl.replace a.as_images path img
+  | Sink.File_delta { path; offset; data } ->
+    File_deltas.apply a.as_files ~path ~offset data
+  | Sink.Chunk { first_frame; n_frames; kinds; stored } ->
+    if first_frame <> a.as_frames then
+      raise (Codec.Corrupt (Fmt.str "chunk index gap at frame %d" a.as_frames));
+    if n_frames <= 0 then raise (Codec.Corrupt "empty chunk record");
+    let stored_len = String.length stored in
+    let ci =
+      { first_frame;
+        n_frames;
+        byte_offset = a.as_off;
+        stored_len;
+        kinds;
+        crc32 = Crc32.string stored }
+    in
+    a.as_chunks <- (ci, stored) :: a.as_chunks;
+    a.as_n <- a.as_n + 1;
+    a.as_frames <- a.as_frames + n_frames;
+    a.as_off <- a.as_off + stored_len
+  | Sink.Journal stats -> a.as_journals <- copy_stats stats :: a.as_journals
+
+let assembled_index a = Array.of_list (List.rev_map fst a.as_chunks)
+
+(* The trace of the first [keep] chunks (all by default): accounting
+   from [stats], the frame, chunk and stored-byte counts from the kept
+   chunks themselves. *)
+let assembled ?(origin = "<memory>") ?keep a stats =
+  let chunks = Array.of_list (List.rev a.as_chunks) in
+  let chunks =
+    match keep with Some k -> Array.sub chunks 0 k | None -> chunks
+  in
+  let index = Array.map fst chunks in
+  let stats = copy_stats stats in
+  stats.n_events <- Array.fold_left (fun n ci -> n + ci.n_frames) 0 index;
+  stats.n_chunks <- Array.length index;
+  stats.compressed_bytes <-
+    Array.fold_left (fun n ci -> n + ci.stored_len) 0 index;
+  let compressed, initial_exe = Option.value a.as_header ~default:(true, "") in
+  make_t ~origin ~index ~chunks:(Array.map snd chunks) ~compressed
+    ~images:a.as_images ~files:(File_deltas.to_table a.as_files) ~stats
+    ~initial_exe
 
 (* ---- flight-recorder ring --------------------------------------------
 
@@ -448,9 +502,7 @@ type ring = {
   mutable r_dropped_chunks : int;
   mutable r_dropped_frames : int;
   mutable r_group : int; (* current (still-open) watermark group *)
-  mutable r_header : (bool * string) option;
-  r_images : (string, Image.t) Hashtbl.t;
-  r_files : File_deltas.t;
+  r_parts : assembly; (* header, images and files; never chunks *)
   mutable r_stats : stats option; (* newest journaled stats snapshot *)
 }
 
@@ -477,9 +529,7 @@ let ring ~chunks =
     r_dropped_chunks = 0;
     r_dropped_frames = 0;
     r_group = 0;
-    r_header = None;
-    r_images = Hashtbl.create 8;
-    r_files = File_deltas.create ();
+    r_parts = assembly ();
     r_stats = None }
 
 let ring_drop_front r =
@@ -490,11 +540,8 @@ let ring_drop_front r =
   Telemetry.incr tm_ring_dropped
 
 let ring_put r = function
-  | Sink.Header { compressed; initial_exe } ->
-    r.r_header <- Some (compressed, initial_exe)
-  | Sink.Image { path; img } -> Hashtbl.replace r.r_images path img
-  | Sink.File_delta { path; offset; data } ->
-    File_deltas.apply r.r_files ~path ~offset data
+  | (Sink.Header _ | Sink.Image _ | Sink.File_delta _) as ev ->
+    assemble r.r_parts ev
   | Sink.Chunk { first_frame; n_frames; kinds; stored } ->
     Queue.push
       { re_first = first_frame;
@@ -522,54 +569,41 @@ let ring_put r = function
     r.r_stats <- Some (copy_stats stats);
     r.r_group <- r.r_group + 1
 
-(* Snapshot the retained window as a standalone trace: chunk indexes
-   rebased to frame 0 (the loader's contiguity invariant), per-chunk
-   CRCs minted over the resident bytes, images and files copied.  The
-   window replays from its own frame 0 only when nothing was dropped
-   ([rr_base_frame = 0]); a truncated window is still decodable,
-   saveable and salvageable — DESIGN.md §4j spells out the
+(* Snapshot the retained window as a standalone trace: chunks rebased
+   to frame 0 (the loader's contiguity invariant), images and files
+   copied.  The window replays from its own frame 0 only when nothing
+   was dropped ([rr_base_frame = 0]); a truncated window is still
+   decodable, saveable and salvageable — DESIGN.md §4j spells out the
    limitation. *)
 let ring_trace r =
-  let compressed, initial_exe =
-    match r.r_header with Some h -> h | None -> (true, "")
-  in
-  let entries = Array.of_seq (Queue.to_seq r.r_q) in
-  let n = Array.length entries in
-  let base = if n = 0 then 0 else entries.(0).re_first in
-  let off = ref 0 and frames = ref 0 in
-  let index =
-    Array.map
-      (fun e ->
-        let ci =
-          { first_frame = e.re_first - base;
-            n_frames = e.re_n;
-            byte_offset = !off;
-            stored_len = String.length e.re_stored;
-            kinds = e.re_kinds;
-            crc32 = Crc32.string e.re_stored }
-        in
-        off := !off + ci.stored_len;
-        frames := !frames + e.re_n;
-        ci)
-      entries
-  in
-  let chunks = Array.map (fun e -> e.re_stored) entries in
-  let stats =
-    match r.r_stats with Some s -> copy_stats s | None -> new_stats ()
-  in
-  stats.n_events <- !frames;
-  stats.n_chunks <- n;
-  stats.compressed_bytes <- !off;
-  let t =
-    make_t ~origin:"<ring>" ~index ~chunks ~compressed
-      ~images:(Hashtbl.copy r.r_images)
-      ~files:(File_deltas.to_table r.r_files)
-      ~stats ~initial_exe ()
-  in
+  let a = assembly () in
+  let parts = r.r_parts in
+  Option.iter
+    (fun (compressed, initial_exe) ->
+      assemble a (Sink.Header { compressed; initial_exe }))
+    parts.as_header;
+  Hashtbl.iter (fun path img -> assemble a (Sink.Image { path; img }))
+    parts.as_images;
+  List.iter
+    (fun (path, data) ->
+      assemble a (Sink.File_delta { path; offset = 0; data }))
+    (File_deltas.contents parts.as_files);
+  let base = match Queue.peek_opt r.r_q with Some e -> e.re_first | None -> 0 in
+  Queue.iter
+    (fun e ->
+      assemble a
+        (Sink.Chunk
+           { first_frame = e.re_first - base;
+             n_frames = e.re_n;
+             kinds = e.re_kinds;
+             stored = e.re_stored }))
+    r.r_q;
+  let stats = Option.value r.r_stats ~default:(new_stats ()) in
+  let t = assembled ~origin:"<ring>" a stats in
   ( t,
     { rr_base_frame = base;
-      rr_chunks = n;
-      rr_frames = !frames;
+      rr_chunks = a.as_n;
+      rr_frames = a.as_frames;
       rr_dropped_chunks = r.r_dropped_chunks;
       rr_dropped_frames = r.r_dropped_frames;
       rr_resident_bytes = r.r_bytes } )
@@ -578,8 +612,7 @@ let ring_sink r =
   { Sink.sk_put = ring_put r;
     sk_commit = (fun stats _index -> r.r_stats <- Some (copy_stats stats));
     sk_close = (fun () -> ());
-    sk_bounded = true;
-    sk_result = (fun () -> Some (fst (ring_trace r))) }
+    sk_result = Some (fun () -> fst (ring_trace r)) }
 
 module Writer = struct
   (* Incremental-sink state: the trace streams to [s_sink] *while it is
@@ -596,19 +629,13 @@ module Writer = struct
   }
 
   type w = {
-    mutable acc_chunks : string list; (* stored bytes, reversed *)
-    mutable acc_index : chunk_info list; (* reversed *)
-    mutable acc_off : int; (* running byte_offset *)
+    parts : assembly; (* header, images, files; chunks unless bounded *)
     mutable pending : Codec.sink;
     ectx : Event.ectx; (* frame codec state, reset at chunk boundaries *)
     mutable pending_frames : int;
     mutable pending_kinds : int;
-    mutable frames_flushed : int; (* first_frame of the pending chunk *)
     chunk_limit : int;
-    images : (string, Image.t) Hashtbl.t;
-    files : File_deltas.t;
     stats : stats;
-    mutable exe : string;
     compress : bool;
     sink : sstate option;
     bounded : bool; (* bounded sink: stored chunk bytes are not kept *)
@@ -617,32 +644,29 @@ module Writer = struct
 
   let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?sink
       ~initial_exe () =
-    let bounded =
-      match sink with Some s -> s.Sink.sk_bounded | None -> false
-    in
+    let header = Sink.Header { compressed = compress; initial_exe } in
+    let parts = assembly () in
+    assemble parts header;
     let sink =
-      match sink with
-      | None -> None
-      | Some s ->
-        s.Sink.sk_put (Sink.Header { compressed = compress; initial_exe });
-        Some { s_sink = s; j_since_mark = 0; j_marks = Hashtbl.create 8 }
+      Option.map
+        (fun s ->
+          s.Sink.sk_put header;
+          { s_sink = s; j_since_mark = 0; j_marks = Hashtbl.create 8 })
+        sink
     in
-    { acc_chunks = [];
-      acc_index = [];
-      acc_off = 0;
+    { parts;
       pending = Codec.sink (); (* chunk-lifecycle *)
       ectx = Event.ectx ();
       pending_frames = 0;
       pending_kinds = 0;
-      frames_flushed = 0;
       chunk_limit;
-      images = Hashtbl.create 8;
-      files = File_deltas.create ();
       stats = new_stats ();
-      exe = initial_exe;
       compress;
       sink;
-      bounded;
+      bounded =
+        (match sink with
+        | Some { s_sink = { Sink.sk_result = Some _; _ }; _ } -> true
+        | Some _ | None -> false);
       closed = false }
 
   (* Stream every file snapshot that is new or grew since its mark: the
@@ -651,22 +675,23 @@ module Writer = struct
      prefix satisfies the ordering invariant (chunks never reference
      file state the stream has not shown). *)
   let journal_files w j =
+    let files = w.parts.as_files in
     List.iter
       (fun path ->
-        let len = File_deltas.length w.files path in
+        let len = File_deltas.length files path in
         match Hashtbl.find_opt j.j_marks path with
         | Some streamed when streamed = len -> ()
         | mark ->
           let offset = Option.value mark ~default:0 in
-          let data = File_deltas.suffix w.files path offset in
+          let data = File_deltas.suffix files path offset in
           j.s_sink.Sink.sk_put (Sink.File_delta { path; offset; data });
           Hashtbl.replace j.j_marks path len)
-      (File_deltas.paths w.files)
+      (File_deltas.paths files)
 
-  (* Seal the pending frames as one chunk: deflate it, build its index
-     entry (with CRC), account compression, and — with a sink — stream it
-     out behind its file deltas.  A bounded sink owns the chunk bytes
-     from here on; the writer keeps only the index entry. *)
+  (* Seal the pending frames as one chunk: deflate it, account
+     compression, assemble it and — with a sink — stream it out behind
+     its file deltas.  A bounded sink owns the chunk bytes from here on;
+     the writer does not assemble them. *)
   let flush_chunk w =
     if w.pending_frames > 0 then begin
       let raw = Buffer.contents w.pending in
@@ -686,30 +711,21 @@ module Writer = struct
       (* Every frame encodes at least its tag byte, so [raw] is not
          empty. *)
       Telemetry.observe tm_deflate_ratio (stored_len * 100 / String.length raw);
-      let ci =
-        { first_frame = w.frames_flushed;
-          n_frames = w.pending_frames;
-          byte_offset = w.acc_off;
-          stored_len;
-          kinds = w.pending_kinds;
-          crc32 = Crc32.string stored }
+      let chunk =
+        Sink.Chunk
+          { first_frame = w.stats.n_events - w.pending_frames;
+            n_frames = w.pending_frames;
+            kinds = w.pending_kinds;
+            stored }
       in
-      w.frames_flushed <- w.frames_flushed + w.pending_frames;
       w.pending_frames <- 0;
       w.pending_kinds <- 0;
-      w.acc_off <- w.acc_off + stored_len;
-      if not w.bounded then w.acc_chunks <- stored :: w.acc_chunks;
-      w.acc_index <- ci :: w.acc_index;
+      if not w.bounded then assemble w.parts chunk;
       match w.sink with
       | None -> ()
       | Some j ->
         journal_files w j;
-        j.s_sink.Sink.sk_put
-          (Sink.Chunk
-             { first_frame = ci.first_frame;
-               n_frames = ci.n_frames;
-               kinds = ci.kinds;
-               stored });
+        j.s_sink.Sink.sk_put chunk;
         j.j_since_mark <- j.j_since_mark + 1;
         if j.j_since_mark >= journal_interval then begin
           j.s_sink.Sink.sk_put (Sink.Journal w.stats);
@@ -745,14 +761,15 @@ module Writer = struct
      streams the image immediately — before any chunk can reference
      it. *)
   let add_image w ~path img =
-    if not (Hashtbl.mem w.images path) then begin
-      Hashtbl.replace w.images path img;
+    if not (Hashtbl.mem w.parts.as_images path) then begin
+      let image = Sink.Image { path; img } in
+      assemble w.parts image;
       let size = Image.byte_size img in
       w.stats.cloned_bytes <- w.stats.cloned_bytes + size;
       w.stats.cloned_blocks <-
         w.stats.cloned_blocks + ((size + 4095) / 4096);
       match w.sink with
-      | Some j -> j.s_sink.Sink.sk_put (Sink.Image { path; img })
+      | Some j -> j.s_sink.Sink.sk_put image
       | None -> ()
     end
 
@@ -768,54 +785,45 @@ module Writer = struct
 
   (* Snapshot a whole file under a fresh path. *)
   let add_file w ~path ~cloned data =
-    if Hashtbl.mem w.files path then
+    if Hashtbl.mem w.parts.as_files path then
       Fmt.invalid_arg "Trace.Writer.add_file: %s already added" path;
-    File_deltas.apply w.files ~path ~offset:0 data;
+    File_deltas.apply w.parts.as_files ~path ~offset:0 data;
     account_growth w ~cloned (String.length data)
 
   (* Write [data] at [off] of a file that only grows (the per-task
      cloned-data file), zero-filling any gap past its current end. *)
   let append_file w ~path ~cloned ~off data =
-    let len = File_deltas.length w.files path in
+    let files = w.parts.as_files in
+    let len = File_deltas.length files path in
     if off < len then
       Fmt.invalid_arg "Trace.Writer.append_file: %s: offset %d below length %d"
         path off len;
     if off > len then
-      File_deltas.apply w.files ~path ~offset:len
+      File_deltas.apply files ~path ~offset:len
         (String.make (off - len) '\000');
-    File_deltas.apply w.files ~path ~offset:off data;
+    File_deltas.apply files ~path ~offset:off data;
     account_growth w ~cloned (off + String.length data - len)
 
-  (* Seal the last chunk, assemble the index, and — with a sink —
-     commit: final file deltas, then the sink's own commit step (trailer
-     + footer + close for the file sink, the manifest for the repo
-     sink).  A sink IO failure propagates as {!Io.Io_error} (the
-     recorder wraps it in its own typed error), and whatever prefix
-     reached the sink is salvage input.  A bounded sink supplies the
-     resulting trace — the retained ring window — since the writer kept
-     no chunk bytes. *)
+  (* Seal the last chunk and — with a sink — commit: final file deltas,
+     then the sink's own commit step (trailer + footer + close for the
+     file sink, the manifest for the repo sink).  A sink IO failure
+     propagates as {!Io.Io_error} (the recorder wraps it in its own
+     typed error), and whatever prefix reached the sink is salvage
+     input.  A bounded sink supplies the resulting trace — the retained
+     ring window — since the writer kept no chunk bytes. *)
   let finish w =
     Timeline.scope "trace.commit" @@ fun () ->
     flush_chunk w;
-    let index = Array.of_list (List.rev w.acc_index) in
-    let chunks = Array.of_list (List.rev w.acc_chunks) in
-    (match w.sink with
-    | None -> ()
-    | Some j ->
-      journal_files w j;
-      j.s_sink.Sink.sk_commit w.stats index);
-    w.closed <- true;
-    let bounded_result =
+    let result =
       match w.sink with
-      | Some j when w.bounded -> j.s_sink.Sink.sk_result ()
-      | Some _ | None -> None
+      | None -> None
+      | Some j ->
+        journal_files w j;
+        j.s_sink.Sink.sk_commit w.stats (assembled_index w.parts);
+        j.s_sink.Sink.sk_result
     in
-    match bounded_result with
-    | Some t -> t
-    | None ->
-      make_t ~index ~chunks ~compressed:w.compress ~images:w.images
-        ~files:(File_deltas.to_table w.files) ~stats:w.stats ~initial_exe:w.exe
-        ()
+    w.closed <- true;
+    match result with Some r -> r () | None -> assembled w.parts w.stats
 
   (* Release a writer without committing: close the sink (for the file
      sink, the journal fd — the leak a killed recording used to leave
@@ -862,14 +870,14 @@ let file t path =
 
 (* ---- chunk decoding (the only path from stored bytes to frames) ----- *)
 
-let decode_chunk_raw t ~idx ci stored =
+let decode_chunk ~origin ~compressed ~idx ci stored =
   if Crc32.string stored <> ci.crc32 then begin
     Telemetry.incr tm_crc_fail;
     raise (Format_error (Chunk_crc idx))
   end;
   try
     let raw =
-      if t.compressed then
+      if compressed then
         Telemetry.timed tm_inflate (fun () -> Compress.inflate stored)
       else stored
     in
@@ -887,7 +895,7 @@ let decode_chunk_raw t ~idx ci stored =
     raise
       (Format_error
          (Corrupt
-            { path = t.origin;
+            { path = origin;
               detail =
                 Fmt.str "corrupt chunk %d at frame %d: %s" idx ci.first_frame
                   msg }))
@@ -903,7 +911,8 @@ let chunk_frames t ci_idx =
     frames
   | None ->
     let frames =
-      decode_chunk_raw t ~idx:ci_idx t.index.(ci_idx) t.chunks.(ci_idx)
+      decode_chunk ~origin:t.origin ~compressed:t.compressed ~idx:ci_idx
+        t.index.(ci_idx) t.chunks.(ci_idx)
     in
     t.chunk_decodes <- t.chunk_decodes + 1;
     t.stats.lru_misses <- t.stats.lru_misses + 1;
@@ -1025,59 +1034,6 @@ module Reader = struct
     end
 end
 
-(* Rebuild the chunk stream with every frame rewritten by [f], keeping
-   chunk boundaries.  A testing/tooling device (trace surgery, tamper
-   injection); stats carry over with the frame-stream byte counts
-   recomputed, and per-chunk CRCs recomputed over the new stored
-   bytes. *)
-let map_frames f t =
-  let stats =
-    { t.stats with
-      raw_bytes = 0;
-      compressed_bytes = 0;
-      lru_hits = 0;
-      lru_misses = 0;
-      lru_evictions = 0 }
-  in
-  let remake ~index ~chunks =
-    make_t ~index ~chunks ~compressed:t.compressed ~images:t.images
-      ~files:t.files ~stats ~initial_exe:t.initial_exe ()
-  in
-  let n_chunks = Array.length t.index in
-  if n_chunks = 0 then remake ~index:t.index ~chunks:t.chunks
-  else begin
-  let chunks = Array.make n_chunks "" in
-  let index = Array.make n_chunks t.index.(0) in
-  let byte_offset = ref 0 in
-  let ectx = Event.ectx () in
-  Array.iteri
-    (fun ci_idx ci ->
-      let frames = decode_chunk_raw t ~idx:ci_idx ci t.chunks.(ci_idx) in
-      let kinds = ref 0 in
-      let b = Codec.sink () in (* chunk-lifecycle *)
-      Event.reset_ectx ectx;
-      Array.iteri
-        (fun j e ->
-          let e' = f (ci.first_frame + j) e in
-          kinds := !kinds lor Event.kind_bit e';
-          Event.encode ectx b e')
-        frames;
-      let raw = Buffer.contents b in
-      stats.raw_bytes <- stats.raw_bytes + String.length raw;
-      let stored = if t.compressed then Compress.deflate raw else raw in
-      stats.compressed_bytes <- stats.compressed_bytes + String.length stored;
-      chunks.(ci_idx) <- stored;
-      index.(ci_idx) <-
-        { ci with
-          byte_offset = !byte_offset;
-          stored_len = String.length stored;
-          kinds = !kinds;
-          crc32 = Crc32.string stored };
-      byte_offset := !byte_offset + String.length stored)
-    t.index;
-  remake ~index ~chunks
-  end
-
 (* ---- parts access (the repository layer's view) ---------------------- *)
 
 let chunk_stored t i = t.chunks.(i)
@@ -1090,106 +1046,118 @@ let files t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.files []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
 
-(* Validating assembly from externally stored parts (the repository's
-   manifest + object store): the same structural invariants the strict
-   loader enforces — chunk contiguity from frame 0, no empty chunks,
-   stats agreeing with the chunk stream — checked up front, with
-   byte_offset/stored_len/crc32 recomputed from the actual bytes. *)
-let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
-    ~images:imgs ~files:fls ~stats:st () =
-  let exception Bad of string in
+(* ---- the way out --------------------------------------------------------
+
+   A finished trace leaves as the events a recording sends: the header,
+   the images and files by path — each file whole from offset 0 — then
+   the chunks in order.  [chunk] may rewrite each chunk on its way. *)
+let events ?(chunk = fun _ ci stored ->
+    Sink.Chunk
+      { first_frame = ci.first_frame;
+        n_frames = ci.n_frames;
+        kinds = ci.kinds;
+        stored }) t put =
+  put (Sink.Header { compressed = t.compressed; initial_exe = t.initial_exe });
+  List.iter (fun (path, img) -> put (Sink.Image { path; img })) (images t);
+  List.iter
+    (fun (path, data) -> put (Sink.File_delta { path; offset = 0; data }))
+    (files t);
+  Array.iteri (fun i ci -> put (chunk i ci t.chunks.(i))) t.index
+
+(* Send [t] through [sink] and commit it, [before_commit] running
+   between the last chunk and the commit.  On any failure the sink is
+   closed and the exception re-raised. *)
+let send ?(before_commit = ignore) t sink =
   try
-    let n = Array.length parts in
-    let index =
-      Array.make n
-        { first_frame = 0;
-          n_frames = 0;
-          byte_offset = 0;
-          stored_len = 0;
-          kinds = 0;
-          crc32 = 0 }
+    events t sink.Sink.sk_put;
+    before_commit ();
+    sink.Sink.sk_commit t.stats t.index
+  with e ->
+    (try sink.Sink.sk_close () with _ -> ());
+    raise e
+
+let to_sink t sink = send t sink
+
+(* Rebuild the chunk stream with every frame rewritten by [f], keeping
+   chunk boundaries.  A testing/tooling device (trace surgery, tamper
+   injection); stats carry over with the frame-stream byte counts
+   recomputed. *)
+let map_frames f t =
+  let a = assembly () in
+  let raw_bytes = ref 0 in
+  let ectx = Event.ectx () in
+  let rewrite idx ci stored =
+    let frames =
+      decode_chunk ~origin:t.origin ~compressed:t.compressed ~idx ci stored
     in
-    let chunks = Array.make n "" in
-    let off = ref 0 and frame = ref 0 in
+    let kinds = ref 0 in
+    let b = Codec.sink () in (* chunk-lifecycle *)
+    Event.reset_ectx ectx;
     Array.iteri
-      (fun i (first_frame, n_frames, kinds, stored) ->
-        if first_frame <> !frame then
-          raise (Bad (Fmt.str "chunk index gap at frame %d" !frame));
-        if n_frames <= 0 then raise (Bad "empty chunk record");
-        index.(i) <-
-          { first_frame;
-            n_frames;
-            byte_offset = !off;
-            stored_len = String.length stored;
-            kinds;
-            crc32 = Crc32.string stored };
-        chunks.(i) <- stored;
-        off := !off + String.length stored;
-        frame := !frame + n_frames)
+      (fun j e ->
+        let e' = f (ci.first_frame + j) e in
+        kinds := !kinds lor Event.kind_bit e';
+        Event.encode ectx b e')
+      frames;
+    let raw = Buffer.contents b in
+    raw_bytes := !raw_bytes + String.length raw;
+    Sink.Chunk
+      { first_frame = ci.first_frame;
+        n_frames = ci.n_frames;
+        kinds = !kinds;
+        stored = (if t.compressed then Compress.deflate raw else raw) }
+  in
+  events ~chunk:rewrite t (assemble a);
+  assembled a { t.stats with raw_bytes = !raw_bytes }
+
+(* Validating assembly from externally stored parts (the repository's
+   manifest + object store), with the loader's invariants: chunks
+   contiguous from frame 0, none empty, stats agreeing with them. *)
+let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
+    ~images:imgs ~files:fls ~stats () =
+  let a = assembly () in
+  match
+    assemble a (Sink.Header { compressed; initial_exe });
+    List.iter (fun (path, img) -> assemble a (Sink.Image { path; img })) imgs;
+    List.iter
+      (fun (path, data) ->
+        assemble a (Sink.File_delta { path; offset = 0; data }))
+      fls;
+    Array.iter
+      (fun (first_frame, n_frames, kinds, stored) ->
+        assemble a (Sink.Chunk { first_frame; n_frames; kinds; stored }))
       parts;
-    if st.n_events <> !frame then
+    if stats.n_events <> a.as_frames then
       raise
-        (Bad
-           (Fmt.str "stats claim %d frames, chunks cover %d" st.n_events
-              !frame));
-    let stats = copy_stats st in
-    stats.n_chunks <- n;
-    stats.compressed_bytes <- !off;
-    let images = Hashtbl.create 8 and files = Hashtbl.create 8 in
-    List.iter (fun (p, img) -> Hashtbl.replace images p img) imgs;
-    List.iter (fun (p, d) -> Hashtbl.replace files p d) fls;
-    Ok
-      (make_t ~origin ~index ~chunks ~compressed ~images ~files ~stats
-         ~initial_exe ())
-  with Bad detail -> Error (Corrupt { path = origin; detail })
+        (Codec.Corrupt
+           (Fmt.str "stats claim %d frames, chunks cover %d" stats.n_events
+              a.as_frames))
+  with
+  | () -> Ok (assembled ~origin a stats)
+  | exception Codec.Corrupt detail -> Error (Corrupt { path = origin; detail })
 
 (* ---- saving ---------------------------------------------------------- *)
 
+(* The file sink fed as a recording would feed it, with the sidecar
+   index records between the last chunk and the trailer: each is
+   independently CRC'd, so a corrupt index drops on salvage while every
+   chunk before it survives. *)
 let save_io t io =
   Timeline.scope "trace.save" @@ fun () ->
-  try
-    Io.write io magic;
-    write_record io ~tag:tag_header
-      (header_payload ~compressed:t.compressed ~initial_exe:t.initial_exe);
-    let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-    let by_path (a, _) (b, _) = compare (a : string) b in
-    List.iter
-      (fun (path, img) ->
-        write_record io ~tag:tag_image (image_payload ~path img))
-      (List.sort by_path (assoc t.images));
-    List.iter
-      (fun (path, data) ->
-        write_record io ~tag:tag_file (file_payload ~path ~offset:0 data))
-      (List.sort by_path (assoc t.files));
-    Array.iteri
-      (fun i ci ->
-        write_record io ~tag:tag_chunk
-          (chunk_payload ~first_frame:ci.first_frame ~n_frames:ci.n_frames
-             ~kinds:ci.kinds t.chunks.(i)))
-      t.index;
-    (* Sidecar index records ride after the chunks, before the trailer:
-       each is independently CRC'd, so a corrupt index drops on salvage
-       while every chunk before it survives. *)
-    (match t.sidecar with
-    | None -> ()
-    | Some ix ->
-      let b = Codec.sink () in (* chunk-lifecycle *)
-      Trace_index.put_meta b ix;
-      write_record io ~tag:tag_index (Buffer.contents b);
-      Array.iter
-        (fun (frame, blob) ->
-          let b = Codec.sink () in (* chunk-lifecycle *)
-          Trace_index.put_checkpoint b ~frame ~blob;
-          write_record io ~tag:tag_index_cp (Buffer.contents b))
-        (Trace_index.checkpoints ix));
-    let trailer_off = Io.written io in
-    write_record io ~tag:tag_trailer (trailer_payload t.stats t.index);
-    Io.write io (footer_bytes ~trailer_off);
-    Io.close_writer io;
-    Ok ()
-  with Io.Io_error e ->
-    (try Io.close_writer io with Io.Io_error _ -> ());
-    Error (Io e)
+  let sidecar () =
+    Option.iter
+      (fun ix ->
+        write_record io ~tag:tag_index (fun b -> Trace_index.put_meta b ix);
+        Array.iter
+          (fun (frame, blob) ->
+            write_record io ~tag:tag_index_cp (fun b ->
+                Trace_index.put_checkpoint b ~frame ~blob))
+          (Trace_index.checkpoints ix))
+      t.sidecar
+  in
+  match send ~before_commit:sidecar t (Sink.of_io io) with
+  | () -> Ok ()
+  | exception Io.Io_error e -> Error (Io e)
 
 let save t path =
   match Io.file_writer path with
@@ -1211,9 +1179,6 @@ type rec_result =
   | R_bad_crc of char
   | R_bad of string
 
-let le32_at data off =
-  Int32.to_int (String.get_int32_le data off) land crc_mask
-
 let parse_record data ~limit pos =
   if pos >= limit then R_short
   else begin
@@ -1234,10 +1199,9 @@ let parse_record data ~limit pos =
       if body + len + 4 > limit then R_short
       else begin
         let payload = String.sub data body len in
-        let stored_crc = le32_at data (body + len) in
         let crc = Crc32.sub data ~pos ~len:1 in
         let crc = Crc32.sub ~crc data ~pos:body ~len in
-        if crc <> stored_crc then begin
+        if Int32.of_int crc <> String.get_int32_le data (body + len) then begin
           Telemetry.incr tm_crc_fail;
           R_bad_crc tag
         end
@@ -1245,45 +1209,25 @@ let parse_record data ~limit pos =
       end
   end
 
-(* Shared record-application state for the strict loader and the lax
-   salvage scanner.  Chunks get their index entry (and a freshly
-   computed stored-bytes CRC) as they stream past; 'J' journals pile up
-   so salvage can pick the newest one consistent with the chunks it
-   kept. *)
-type scan_state = {
-  mutable sc_header : (bool * string) option; (* compressed, initial_exe *)
-  mutable sc_rev_chunks : (chunk_info * string) list;
-  mutable sc_frames : int;
-  mutable sc_off : int;
-  sc_images : (string, Image.t) Hashtbl.t;
-  sc_files : File_deltas.t;
-  mutable sc_journals : stats list; (* newest first *)
-  mutable sc_trailer : (stats * chunk_info list) option;
+(* What a scan has read so far: the records a recording sends, in an
+   assembly; the trailer with its offset; the sidecar index records. *)
+type scan = {
+  sc_parts : assembly;
+  mutable sc_at : int; (* offset of the record being applied *)
+  mutable sc_trailer : (int * stats * chunk_info list) option;
   mutable sc_index : Trace_index.t option;
   mutable sc_rev_cps : (int * string) list; (* checkpoint records, reversed *)
 }
 
-let new_scan_state () =
-  { sc_header = None;
-    sc_rev_chunks = [];
-    sc_frames = 0;
-    sc_off = 0;
-    sc_images = Hashtbl.create 8;
-    sc_files = File_deltas.create ();
-    sc_journals = [];
-    sc_trailer = None;
-    sc_index = None;
-    sc_rev_cps = [] }
-
 (* Apply one CRC-valid record.  Raises [Codec.Corrupt] on a malformed
-   payload and {!Format_error} on version skew; the strict loader turns
-   the former into a typed [Corrupt], the salvage scanner turns either
-   into "damage starts here". *)
-let apply_record st ~path tag payload =
+   payload and {!Format_error} on version skew. *)
+let apply_record sc ~path tag payload =
   let s = Codec.source payload in
-  let check_consumed () =
-    if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes")
+  let consumed v =
+    if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
+    v
   in
+  let event ev = assemble sc.sc_parts (consumed ev) in
   if tag = tag_header then begin
     let version = Codec.get_uvarint s in
     if version <> format_version then
@@ -1291,89 +1235,91 @@ let apply_record st ~path tag payload =
         (Format_error
            (Version_skew { path; found = version; expected = format_version }));
     let compressed = Codec.get_bool s in
-    let exe = Codec.get_string s in
-    check_consumed ();
-    st.sc_header <- Some (compressed, exe)
+    let initial_exe = Codec.get_string s in
+    event (Sink.Header { compressed; initial_exe })
   end
   else if tag = tag_image then begin
-    let p = Codec.get_string s in
+    let path = Codec.get_string s in
     let img = Image_codec.get_image s in
-    check_consumed ();
-    Hashtbl.replace st.sc_images p img
+    event (Sink.Image { path; img })
   end
   else if tag = tag_file then begin
-    let p = Codec.get_string s in
+    let path = Codec.get_string s in
     let offset = Codec.get_uvarint s in
-    let suffix = Codec.get_string s in
-    check_consumed ();
-    File_deltas.apply st.sc_files ~path:p ~offset suffix
+    let data = Codec.get_string s in
+    event (Sink.File_delta { path; offset; data })
   end
   else if tag = tag_chunk then begin
     let first_frame = Codec.get_uvarint s in
     let n_frames = Codec.get_uvarint s in
     let kinds = Codec.get_uvarint s in
     let stored = Codec.take s (String.length payload - Codec.pos s) in
-    if first_frame <> st.sc_frames then
-      raise (Codec.Corrupt "chunk index gap (first_frame mismatch)");
-    if n_frames = 0 then raise (Codec.Corrupt "empty chunk record");
-    let ci =
-      { first_frame;
-        n_frames;
-        byte_offset = st.sc_off;
-        stored_len = String.length stored;
-        kinds;
-        crc32 = Crc32.string stored }
-    in
-    st.sc_rev_chunks <- (ci, stored) :: st.sc_rev_chunks;
-    st.sc_frames <- st.sc_frames + n_frames;
-    st.sc_off <- st.sc_off + String.length stored
+    event (Sink.Chunk { first_frame; n_frames; kinds; stored })
   end
-  else if tag = tag_journal then begin
-    let stats = get_stats s in
-    check_consumed ();
-    st.sc_journals <- stats :: st.sc_journals
-  end
+  else if tag = tag_journal then event (Sink.Journal (get_stats s))
   else if tag = tag_trailer then begin
     let stats = get_stats s in
     let index = Codec.get_list s get_chunk_info in
-    check_consumed ();
-    st.sc_trailer <- Some (stats, index)
+    sc.sc_trailer <- consumed (Some (sc.sc_at, stats, index))
   end
-  else if tag = tag_index then begin
-    let ix = Trace_index.get_meta s in
-    check_consumed ();
-    st.sc_index <- Some ix
-  end
-  else if tag = tag_index_cp then begin
-    let frame, blob = Trace_index.get_checkpoint s in
-    check_consumed ();
-    st.sc_rev_cps <- (frame, blob) :: st.sc_rev_cps
-  end
+  else if tag = tag_index then
+    sc.sc_index <- consumed (Some (Trace_index.get_meta s))
+  else if tag = tag_index_cp then
+    sc.sc_rev_cps <- consumed (Trace_index.get_checkpoint s) :: sc.sc_rev_cps
   else raise (Codec.Corrupt (Fmt.str "unknown record tag %C" tag))
+
+let corrupt ~path detail = Corrupt { path; detail }
+
+(* The one record-scanning loop, for {!open_} and {!salvage}: apply the
+   records from byte 8 up to [limit] until the first damage.  Returns
+   the scan, the offset its good records reach and the damage: a chunk
+   record failing its CRC is {!Chunk_crc} with its ordinal, a header of
+   another version {!Version_skew}, anything else {!Corrupt}. *)
+let scan_records ~path data ~limit =
+  let sc =
+    { sc_parts = assembly ();
+      sc_at = 8;
+      sc_trailer = None;
+      sc_index = None;
+      sc_rev_cps = [] }
+  in
+  let rec go pos =
+    let damage e = (sc, pos, Some e) in
+    if pos >= limit then (sc, pos, None)
+    else
+      match parse_record data ~limit pos with
+      | R_ok (tag, payload, next) -> (
+        sc.sc_at <- pos;
+        match apply_record sc ~path tag payload with
+        | () -> go next
+        | exception Codec.Corrupt msg -> damage (corrupt ~path msg)
+        | exception Format_error e -> damage e)
+      | R_short -> damage (corrupt ~path "truncated record")
+      | R_bad_crc tag when tag = tag_chunk ->
+        damage (Chunk_crc sc.sc_parts.as_n)
+      | R_bad_crc tag ->
+        damage (corrupt ~path (Fmt.str "record %C failed CRC" tag))
+      | R_bad msg -> damage (corrupt ~path msg)
+  in
+  go 8
 
 (* Attach a scanned sidecar to a built trace, if it covers exactly the
    frames the trace carries.  A mismatched index (a salvage kept fewer
    chunks than the index describes) is silently dropped: the index is
    derived data and scans still answer. *)
-let attach_scanned_index st t =
-  match st.sc_index with
+let attach_scanned_index sc t =
+  match sc.sc_index with
   | Some ix when Trace_index.n_events ix = t.stats.n_events ->
     List.iter
       (fun (frame, blob) ->
         if frame <= t.stats.n_events then
           Trace_index.add_checkpoint ix ~frame ~blob)
-      (List.rev st.sc_rev_cps);
+      (List.rev sc.sc_rev_cps);
     t.sidecar <- Some ix
   | Some _ | None -> ()
 
-let corrupt ~path detail = Corrupt { path; detail }
-
-(* Strict load: the footer must commit the file, every record must
-   be CRC-valid, and the trailer index must agree field-for-field with
-   the chunks actually scanned.  No chunk is inflated — frame-level
-   validation stays lazy — but every stored byte is CRC-covered by its
-   record, so bit rot is caught here, not at first access. *)
-let load_bytes ~path data =
+(* Where the commit footer says the trailer starts. *)
+let trailer_offset ~path data =
   let file_len = String.length data in
   if file_len < 8 + 16 then
     Error (Truncated { path; detail = "no room for header and footer" })
@@ -1381,103 +1327,64 @@ let load_bytes ~path data =
     Error
       (Truncated
          { path; detail = "missing commit footer (writer did not finish)" })
-  else begin
+  else
     let toff = Int64.to_int (String.get_int64_le data (file_len - 16)) in
     if toff < 8 || toff > file_len - 16 then
       Error (corrupt ~path "trailer offset out of bounds")
-    else begin
-      let st = new_scan_state () in
-      let body_end = file_len - 16 in
-      let exception Stop of error in
-      try
-        let pos = ref 8 in
-        let chunk_ord = ref 0 in
-        while !pos < toff do
-          match parse_record data ~limit:toff !pos with
-          | R_ok (tag, payload, next) ->
-            if tag = tag_chunk then incr chunk_ord;
-            (try apply_record st ~path tag payload with
-            | Codec.Corrupt msg -> raise (Stop (corrupt ~path msg))
-            | Format_error e -> raise (Stop e));
-            pos := next
-          | R_short -> raise (Stop (corrupt ~path "record overruns the trailer"))
-          | R_bad_crc tag when tag = tag_chunk ->
-            raise (Stop (Chunk_crc !chunk_ord))
-          | R_bad_crc _ -> raise (Stop (corrupt ~path "record CRC mismatch"))
-          | R_bad msg -> raise (Stop (corrupt ~path msg))
-        done;
-        (* The trailer record itself, which must fill [toff, body_end). *)
-        (match parse_record data ~limit:body_end toff with
-        | R_ok (tag, payload, next) when tag = tag_trailer && next = body_end
-          -> (
-          try apply_record st ~path tag payload with
-          | Codec.Corrupt msg -> raise (Stop (corrupt ~path msg))
-          | Format_error e -> raise (Stop e))
-        | R_ok _ -> raise (Stop (corrupt ~path "malformed trailer record"))
-        | R_short -> raise (Stop (corrupt ~path "trailer record truncated"))
-        | R_bad_crc _ -> raise (Stop (corrupt ~path "trailer CRC mismatch"))
-        | R_bad msg -> raise (Stop (corrupt ~path msg)));
-        let compressed, initial_exe =
-          match st.sc_header with
-          | Some h -> h
-          | None -> raise (Stop (corrupt ~path "missing header record"))
-        in
-        let stats, tindex =
-          match st.sc_trailer with
-          | Some t -> t
-          | None -> raise (Stop (corrupt ~path "missing trailer record"))
-        in
-        let scanned = Array.of_list (List.rev st.sc_rev_chunks) in
-        let tindex = Array.of_list tindex in
-        if Array.length tindex <> Array.length scanned then
-          raise
-            (Stop
-               (corrupt ~path
-                  (Fmt.str "trailer indexes %d chunks, stream has %d"
-                     (Array.length tindex) (Array.length scanned))));
-        Array.iteri
-          (fun i ti ->
-            let si, _ = scanned.(i) in
-            if ti.crc32 <> si.crc32 then begin
-              Telemetry.incr tm_crc_fail;
-              raise (Stop (Chunk_crc i))
-            end;
-            if ti <> si then
-              raise
-                (Stop
-                   (corrupt ~path
-                      (Fmt.str "trailer disagrees with stream on chunk %d" i))))
-          tindex;
-        if stats.n_events <> st.sc_frames then
-          raise
-            (Stop
-               (corrupt ~path
-                  (Fmt.str "stream covers %d frames, stats claim %d"
-                     st.sc_frames stats.n_events)));
-        if stats.n_chunks <> Array.length scanned then
-          raise
-            (Stop
-               (corrupt ~path
-                  (Fmt.str "stream has %d chunks, stats claim %d"
-                     (Array.length scanned) stats.n_chunks)));
-        (match st.sc_index with
-        | Some ix when Trace_index.n_events ix <> stats.n_events ->
-          raise
-            (Stop
-               (corrupt ~path
-                  (Fmt.str "index covers %d frames, trace has %d"
-                     (Trace_index.n_events ix) stats.n_events)))
-        | Some _ | None -> ());
-        let t =
-          make_t ~origin:path ~index:(Array.map fst scanned)
-            ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-            ~files:(File_deltas.to_table st.sc_files) ~stats ~initial_exe ()
-        in
-        attach_scanned_index st t;
-        Ok t
-      with Stop e -> Error e
-    end
-  end
+    else Ok toff
+
+(* Strict load: the footer must commit the file, every record must be
+   CRC-valid, the last one must be the trailer the footer points at, and
+   the trailer must agree field for field with the chunks scanned.  No
+   chunk is inflated — frame-level validation stays lazy — but every
+   stored byte is CRC-covered by its record, so bit rot is caught here,
+   not at first access. *)
+let load_bytes ~path data =
+  let exception Stop of error in
+  let fail fmt = Fmt.kstr (fun d -> raise (Stop (corrupt ~path d))) fmt in
+  try
+    let toff =
+      match trailer_offset ~path data with Ok o -> o | Error e -> raise (Stop e)
+    in
+    let limit = String.length data - 16 in
+    let sc, _, damage = scan_records ~path data ~limit in
+    Option.iter (fun e -> raise (Stop e)) damage;
+    let a = sc.sc_parts in
+    if a.as_header = None then fail "missing header record";
+    let stats, tindex =
+      match sc.sc_trailer with
+      | Some (at, stats, tindex) when at = toff && sc.sc_at = toff ->
+        (stats, Array.of_list tindex)
+      | Some _ -> fail "the footer does not point at the last record"
+      | None -> fail "missing trailer record"
+    in
+    let scanned = assembled_index a in
+    if Array.length tindex <> a.as_n then
+      fail "trailer indexes %d chunks, stream has %d" (Array.length tindex)
+        a.as_n;
+    Array.iteri
+      (fun i ti ->
+        if ti.crc32 <> scanned.(i).crc32 then begin
+          Telemetry.incr tm_crc_fail;
+          raise (Stop (Chunk_crc i))
+        end;
+        if ti <> scanned.(i) then
+          fail "trailer disagrees with stream on chunk %d" i)
+      tindex;
+    if stats.n_events <> a.as_frames then
+      fail "stream covers %d frames, stats claim %d" a.as_frames
+        stats.n_events;
+    if stats.n_chunks <> a.as_n then
+      fail "stream has %d chunks, stats claim %d" a.as_n stats.n_chunks;
+    (match sc.sc_index with
+    | Some ix when Trace_index.n_events ix <> stats.n_events ->
+      fail "index covers %d frames, trace has %d" (Trace_index.n_events ix)
+        stats.n_events
+    | Some _ | None -> ());
+    let t = assembled ~origin:path a stats in
+    attach_scanned_index sc t;
+    Ok t
+  with Stop e -> Error e
 
 (* Dispatch on the 8-byte magic, for both open and salvage: the older
    RRTRACE1 and RRTRACE2 containers are version skew, not garbage. *)
@@ -1544,106 +1451,64 @@ let pp_salvage_report ppf r =
    undecodable chunk — is reported lost, never silently included. *)
 let salvage_bytes ~path data =
   let file_len = String.length data in
-  let committed =
-    file_len >= 24
-    && String.sub data (file_len - 8) 8 = footer_magic
-    &&
-    let toff = Int64.to_int (String.get_int64_le data (file_len - 16)) in
-    toff >= 8 && toff <= file_len - 16
-  in
+  let committed = Result.is_ok (trailer_offset ~path data) in
   (* With a valid footer the last 16 bytes are framing, not records. *)
   let limit = if committed then file_len - 16 else file_len in
-  let st = new_scan_state () in
-  let pos = ref 8 in
-  let damage = ref None in
-  let skew = ref None in (* the header's version is not ours *)
-  while !damage = None && !pos < limit do
-    match parse_record data ~limit !pos with
-    | R_ok (tag, payload, next) -> (
-      match apply_record st ~path tag payload with
-      | () -> pos := next
-      | exception Codec.Corrupt msg ->
-        damage := Some (Fmt.str "byte %d: %s" !pos msg)
-      | exception Format_error e ->
-        if st.sc_header = None then skew := Some e;
-        damage := Some (Fmt.str "byte %d: %s" !pos (error_to_string e)))
-    | R_short -> damage := Some (Fmt.str "byte %d: truncated record" !pos)
-    | R_bad_crc tag ->
-      damage := Some (Fmt.str "byte %d: record %C failed CRC" !pos tag)
-    | R_bad msg -> damage := Some (Fmt.str "byte %d: %s" !pos msg)
-  done;
-  let valid_bytes = !pos in
-  match (st.sc_header, !skew) with
-  | None, Some e -> Error e
-  | None, None ->
+  let sc, valid_bytes, damage = scan_records ~path data ~limit in
+  let a = sc.sc_parts in
+  let damage_at = function
+    | Corrupt { detail; _ } -> Fmt.str "byte %d: %s" valid_bytes detail
+    | Chunk_crc _ ->
+      Fmt.str "byte %d: record %C failed CRC" valid_bytes tag_chunk
+    | e -> Fmt.str "byte %d: %s" valid_bytes (error_to_string e)
+  in
+  match (a.as_header, damage) with
+  | None, Some (Version_skew _ as e) -> Error e
+  | None, _ ->
     (* Nothing before the first chunk survived: unrecoverable. *)
     Error
       (corrupt ~path
          (Fmt.str "header record unrecoverable (%s)"
-            (match !damage with Some d -> d | None -> "empty stream")))
-  | Some (compressed, initial_exe), _ ->
-    let scanned = Array.of_list (List.rev st.sc_rev_chunks) in
-    let files = File_deltas.to_table st.sc_files in
+            (match damage with Some e -> damage_at e | None -> "empty stream")))
+  | Some (compressed, _), _ ->
+    let damage = ref (Option.map damage_at damage) in
     (* Decode-verify: keep the longest chunk prefix that inflates and
-       decodes.  A probe [t] carries the compressed flag and origin for
-       error context; its cache fills harmlessly and is discarded. *)
-    let probe =
-      make_t ~origin:path ~index:(Array.map fst scanned)
-        ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-        ~files ~stats:(new_stats ()) ~initial_exe ()
+       decodes. *)
+    let rec verified i = function
+      | [] -> i
+      | (ci, stored) :: rest -> (
+        match decode_chunk ~origin:path ~compressed ~idx:i ci stored with
+        | _ -> verified (i + 1) rest
+        | exception Format_error e ->
+          if !damage = None then
+            damage := Some (Fmt.str "chunk %d: %s" i (error_to_string e));
+          i)
     in
-    let keep = ref (Array.length scanned) in
-    (try
-       Array.iteri
-         (fun i (ci, stored) ->
-           match decode_chunk_raw probe ~idx:i ci stored with
-           | _ -> ()
-           | exception Format_error e ->
-             keep := i;
-             if !damage = None then
-               damage := Some (Fmt.str "chunk %d: %s" i (error_to_string e));
-             raise Exit)
-         scanned
-     with Exit -> ());
-    let kept = Array.sub scanned 0 !keep in
-    let frames_recovered =
-      Array.fold_left (fun acc (ci, _) -> acc + ci.n_frames) 0 kept
-    in
+    let n_kept = verified 0 (List.rev a.as_chunks) in
     (* Final stats: structural fields recomputed from the kept prefix;
        accounting fields (raw/cloned/copied/syscall counts) from the
        best stats snapshot not newer than the salvage point — the
        trailer if everything survived, else the newest journal whose
        chunk count the kept prefix still covers. *)
-    let n_kept = Array.length kept in
     let base =
-      match st.sc_trailer with
-      | Some (ts, _) when !damage = None && n_kept = Array.length scanned ->
-        Some ts
-      | _ ->
-        List.find_opt (fun js -> js.n_chunks <= n_kept) st.sc_journals
+      match sc.sc_trailer with
+      | Some (_, ts, _) when !damage = None && n_kept = a.as_n -> Some ts
+      | _ -> List.find_opt (fun js -> js.n_chunks <= n_kept) a.as_journals
     in
-    let stats =
-      match base with Some b -> copy_stats b | None -> new_stats ()
-    in
-    stats.n_events <- frames_recovered;
-    stats.n_chunks <- n_kept;
-    stats.compressed_bytes <-
-      Array.fold_left (fun acc (ci, _) -> acc + ci.stored_len) 0 kept;
     let t =
-      make_t ~origin:path ~index:(Array.map fst kept)
-        ~chunks:(Array.map snd kept) ~compressed ~images:st.sc_images
-        ~files ~stats ~initial_exe ()
+      assembled ~origin:path ~keep:n_kept a
+        (Option.value base ~default:(new_stats ()))
     in
-    attach_scanned_index st t;
+    attach_scanned_index sc t;
+    let frames_recovered = t.stats.n_events in
     let chunks_lost, frames_lost =
-      match st.sc_trailer with
-      | Some (ts, _) ->
+      match sc.sc_trailer with
+      | Some (_, ts, _) ->
         (Some (ts.n_chunks - n_kept), Some (ts.n_events - frames_recovered))
       | None when !damage = None ->
         (* Clean scan to EOF but no trailer: the writer died before the
            commit — the stream itself is all there is. *)
-        (Some (Array.length scanned - n_kept),
-         Some (st.sc_frames - frames_recovered))
+        (Some (a.as_n - n_kept), Some (a.as_frames - frames_recovered))
       | None -> (None, None)
     in
     let report =
@@ -1654,8 +1519,8 @@ let salvage_bytes ~path data =
         sr_frames_recovered = frames_recovered;
         sr_chunks_lost = chunks_lost;
         sr_frames_lost = frames_lost;
-        sr_files_recovered = Hashtbl.length files;
-        sr_images_recovered = Hashtbl.length st.sc_images;
+        sr_files_recovered = Hashtbl.length t.files;
+        sr_images_recovered = Hashtbl.length t.images;
         sr_committed = committed;
         sr_damage = !damage }
     in

@@ -15,6 +15,13 @@
     The store is single-domain: {!Writer} deflates each chunk inline
     as it seals it, and {!Reader} inflates on demand (DESIGN.md §4d).
 
+    One stream out, one assembler in: a trace leaves only as {!Sink}
+    events — from a {!Writer} while recording, from {!to_sink} once
+    finished ({!save} is {!to_sink} into the file sink) — and every
+    trace, whether recorded, loaded, salvaged, snapshotted from a ring,
+    rebuilt from a repository or rewritten, is assembled from such
+    events by the same code.
+
     {b Durability} (DESIGN.md §4e): persistence flows through the
     pluggable {!Io} layer.  The on-disk format is a stream of
     CRC32-guarded records committed by a trailing footer; a {!Writer}
@@ -39,6 +46,14 @@ type stats = {
   mutable lru_misses : int; (* chunks inflated+decoded on demand *)
   mutable lru_evictions : int; (* decoded chunks dropped from the LRU *)
 }
+
+val put_stats : Codec.sink -> stats -> unit
+(** The nine persisted stats fields as uvarints: the codec of the
+    trailer, the ['J'] records and the repository manifest. *)
+
+val get_stats : Codec.source -> stats
+(** Inverse of {!put_stats}; the LRU counters, which are not persisted,
+    start at zero. *)
 
 type chunk_info = {
   first_frame : int; (** trace index of the chunk's first frame *)
@@ -119,10 +134,11 @@ module Sink : sig
     unit ->
     t
   (** Build a custom sink.  [put] receives every event in stream order;
-      [commit] runs once from {!Writer.finish} with the final stats and
-      chunk index; [close] runs from {!Writer.abort} and must release
-      resources without committing (idempotent).  The writer keeps the
-      chunk bytes it hands such a sink. *)
+      [commit] runs once, from {!Writer.finish} or {!to_sink}, with the
+      final stats and chunk index; [close] runs from {!Writer.abort} or
+      a failed {!to_sink} and must release resources without committing
+      (idempotent).  The writer keeps the chunk bytes it hands such a
+      sink. *)
 
   val of_io : Io.writer -> t
   (** The streaming file sink — the incremental journal.  [commit]
@@ -315,8 +331,8 @@ val files : t -> (string * string) list
 (** Every snapshotted file, sorted by trace path. *)
 
 val chunk_stored : t -> int -> string
-(** Chunk [i]'s stored (possibly deflated) bytes — the unit of
-    content-addressed storage in the trace repository. *)
+(** Chunk [i]'s stored (possibly deflated) bytes, as its ['C'] record
+    and its {!Sink.Chunk} event carry them. *)
 
 val of_parts :
   ?origin:string ->
@@ -328,12 +344,12 @@ val of_parts :
   stats:stats ->
   unit ->
   (t, error) result
-(** Validating assembly from externally stored parts (the repository's
-    manifest plus object store).  Each chunk is
-    [(first_frame, n_frames, kinds, stored_bytes)]; the same structural
-    invariants the strict loader enforces are checked (contiguity from
-    frame 0, no empty chunks, stats agreeing with the stream), and
-    byte offsets and per-chunk CRCs are recomputed from the bytes. *)
+(** Build a trace from externally stored parts (the repository's
+    manifest plus object store) by the assembly every trace goes
+    through.  Each chunk is [(first_frame, n_frames, kinds,
+    stored_bytes)]; chunks must run contiguously from frame 0 and none
+    may be empty, [stats] must cover exactly their frames, and byte
+    offsets and per-chunk CRCs come from the bytes. *)
 
 val index : t -> Trace_index.t option
 (** The trace's sidecar index, if one was built (or loaded from 'P'/'K'
@@ -364,17 +380,29 @@ val map_frames : (int -> Event.t -> Event.t) -> t -> t
     version but 4 (3 was plain register arrays) report
     {!Version_skew}; any other magic is {!Bad_magic}. *)
 
+val to_sink : t -> Sink.t -> unit
+(** Send a finished trace through [sink] as the events a recording
+    sends — the header, the images and files by path, each file whole
+    from offset 0, then the chunks in order — and commit it.  {!save}
+    is this into {!Sink.of_io}, and [Repo.store_trace] this into
+    [Repo.sink].  On failure the sink is closed and the exception
+    ({!Io.Io_error} for the file sink) propagates. *)
+
 val save : t -> string -> (unit, error) result
 val save_exn : t -> string -> unit
 
 val save_io : t -> Io.writer -> (unit, error) result
 (** Persist through an arbitrary {!Io.writer} (fault injection, in-
-    memory buffers).  The writer is closed in all cases. *)
+    memory buffers): {!to_sink} into {!Sink.of_io}, with the sidecar
+    index records before the trailer.  The writer is closed in all
+    cases. *)
 
 val open_ : string -> (t, error) result
 (** Open a saved trace: verify the commit footer, scan and CRC-check
-    every record, cross-check the trailer index — without inflating any
-    chunk. *)
+    every record with the scanner {!salvage} uses, demand that it finds
+    no damage and ends at the trailer the footer points to, and
+    cross-check that trailer against the chunks scanned — without
+    inflating any chunk. *)
 
 val open_io : Io.reader -> (t, error) result
 

@@ -254,35 +254,76 @@ let empty_mmap_setup k =
     @ Guest.sys_exit_group 7);
   Kernel.install_image k ~path:"/bin/t" (Guest.build b ~name:"t" ())
 
+(* Every destination builds the trace the in-memory recording holds:
+   the same chunk index, all six fields of each entry, the same images
+   and the same files — and so does [save] followed by [open_]. *)
 let test_empty_file_streams () =
   let record sink =
     match
       Recorder.run ~opts:(Recorder.make_opts ~sink ()) ~setup:empty_mmap_setup
         ~exe:"/bin/t" ()
     with
-    | Ok _ -> ()
+    | Ok (t, _, _) -> t
     | Error e -> Alcotest.failf "recording failed: %a" Recorder.pp_error e
   in
+  let index t =
+    Array.to_list
+      (Array.map
+         (fun (ci : Trace.chunk_info) ->
+           Printf.sprintf "frames %d+%d, bytes %d+%d, kinds %x, crc %08x"
+             ci.first_frame ci.n_frames ci.byte_offset ci.stored_len ci.kinds
+             ci.crc32)
+         (Trace.chunk_index t))
+  in
+  let memory = record Recorder.Sink_memory in
   let check what t =
     Alcotest.(check (option string))
       (what ^ ": files/0 is empty") (Some "")
       (List.assoc_opt "files/0" (Trace.files t));
+    Alcotest.(check (list string))
+      (what ^ ": chunk index") (index memory) (index t);
+    Alcotest.(check bool)
+      (what ^ ": images") true
+      (Trace.images t = Trace.images memory);
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": files") (Trace.files memory) (Trace.files t);
     let st, _ = Replayer.replay t in
     Alcotest.(check (option int))
       (what ^ ": replays to exit 7") (Some 7) st.Replayer.exit_status
   in
   let path = Filename.temp_file "rr_empty" ".trace" in
+  let reopen what =
+    match Trace.open_ path with
+    | Ok t -> check what t
+    | Error e -> Alcotest.failf "%s: reopen: %a" what Trace.pp_error e
+  in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      record (Recorder.Sink_io (Io.file_writer path));
-      match Trace.open_ path with
-      | Ok t -> check "file sink" t
-      | Error e -> Alcotest.failf "reopen: %a" Trace.pp_error e);
+      Trace.save_exn memory path;
+      reopen "save + open_";
+      ignore (record (Recorder.Sink_io (Io.file_writer path)));
+      reopen "file sink");
   let ring = Trace.ring ~chunks:64 in
-  record (Recorder.Sink_ring ring);
+  ignore (record (Recorder.Sink_ring ring));
   check "ring" (fst (Trace.ring_trace ring));
   with_temp_repo @@ fun _dir repo ->
-  record (Recorder.Sink_repo (repo, "empty"));
+  ignore (record (Recorder.Sink_repo (repo, "empty")));
   check "repo" (ok (Repo.load_trace repo ~name:"empty"))
+
+(* A trace name the repository refuses fails the recording with a typed
+   error; nothing escapes [Recorder.run]. *)
+let test_bad_name_is_typed () =
+  with_temp_repo @@ fun _dir repo ->
+  match
+    Recorder.run
+      ~opts:(Recorder.make_opts ~sink:(Recorder.Sink_repo (repo, "../bad")) ())
+      ~setup:empty_mmap_setup ~exe:"/bin/t" ()
+  with
+  | Error (Recorder.Rec_failure _) ->
+    Alcotest.(check (list string)) "no manifest" [] (Repo.list repo)
+  | Error (Recorder.Rec_trace e) ->
+    Alcotest.failf "wrong error class: %a" Trace.pp_error e
+  | Ok _ -> Alcotest.fail "recorded under an invalid name"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
 
 let suites =
   [ ( "repo",
@@ -302,4 +343,6 @@ let suites =
         Alcotest.test_case "recording sink streams and commits" `Quick
           test_sink_streams_and_commits;
         Alcotest.test_case "empty file streams through every sink" `Quick
-          test_empty_file_streams ] ) ]
+          test_empty_file_streams;
+        Alcotest.test_case "invalid sink name is a typed error" `Quick
+          test_bad_name_is_typed ] ) ]

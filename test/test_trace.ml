@@ -176,17 +176,83 @@ let test_stored_bytes_tripwire () =
         (name, (Crc32.string stored, String.length stored)))
     (Lazy.force seed1_traces) stored_bytes_expected
 
-(* ---- durable checkpoints ------------------------------------------ *)
+(* ---- whole files and durable checkpoints -------------------------- *)
 
-(* The seed-1 traces indexed once per test run: each trace's durable
-   checkpoint blobs, in frame order. *)
-let seed1_checkpoints =
+let crc_and_length s = (Crc32.string s, String.length s)
+
+let saved_file t =
+  let path = Filename.temp_file "rr_tripwire" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.save_exn t path;
+  In_channel.with_open_bin path In_channel.input_all
+
+(* The manifest [Repo.store_trace] writes for [t], in a throwaway
+   repository. *)
+let manifest_file name t =
+  let dir = Filename.temp_file "rr_tripwire" ".repo" in
+  Sys.remove dir;
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+  @@ fun () ->
+  match Result.bind (Repo.init dir) (fun r -> Repo.store_trace r ~name t) with
+  | Ok (_ : Repo.store_result) ->
+    In_channel.with_open_bin
+      (Filename.concat (Filename.concat dir "traces") name)
+      In_channel.input_all
+  | Error e -> Alcotest.failf "store %s: %a" name Repo.pp_error e
+
+(* The seed-1 traces indexed once per test run: each trace's saved file
+   before and after indexing, as CRC-32 and length, and its durable
+   checkpoint blobs in frame order.  Indexing attaches the index to the
+   trace, so the plain file is saved first. *)
+let seed1_indexed =
   lazy
     (List.map
        (fun (name, t) ->
+         let plain = crc_and_length (saved_file t) in
          let ix = Trace_indexer.build_and_attach t in
-         (name, Array.map snd (Trace_index.checkpoints ix)))
+         ( name,
+           ( plain,
+             crc_and_length (saved_file t),
+             Array.map snd (Trace_index.checkpoints ix) ) ))
        (Lazy.force seed1_traces))
+
+let seed1_checkpoints =
+  lazy
+    (List.map
+       (fun (name, (_, _, blobs)) -> (name, blobs))
+       (Lazy.force seed1_indexed))
+
+(* Tripwire for whole files: the CRC-32 and length of each seed-1
+   trace's [Trace.save] output, plain and indexed, and of its
+   [Repo.store_trace] manifest.  A reordered, added or dropped record, a
+   changed trailer or a reordered manifest fails here. *)
+let saved_files_expected =
+  [ ("cp", (0xac964bc5, 4195998), (0x34ad9f76, 4309743), (0xa360337f, 1064));
+    ("make", (0xa803c7bf, 866227), (0x341be6af, 4992693), (0x1e863bc8, 4979));
+    ("octane", (0x8afda5e0, 1282), (0x414a8584, 485801), (0x63691b86, 88));
+    ( "htmltest",
+      (0x7d705f8d, 984399), (0x309de70a, 1549292), (0x245b75cf, 334) );
+    ( "sambatest",
+      (0xc27e9603, 1879), (0x4e2ccb17, 832290), (0xedee9b77, 96) );
+    ("serve", (0x1596a4ed, 8731), (0xecb3e8df, 3687250), (0xc88f2b45, 93)) ]
+
+let test_saved_files_tripwire () =
+  let crc_len = Alcotest.(pair int int) in
+  List.iter2
+    (fun ((name, (plain, indexed, _)), (_, t)) (name', plain', indexed', m') ->
+      Alcotest.(check (pair string (triple crc_len crc_len crc_len)))
+        "plain file, indexed file and manifest: CRC-32 and length"
+        (name', (plain', indexed', m'))
+        (name, (plain, indexed, crc_and_length (manifest_file name t))))
+    (List.combine (Lazy.force seed1_indexed) (Lazy.force seed1_traces))
+    saved_files_expected
 
 (* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each
    seed-1 trace's checkpoint blobs, concatenated.  A change to the
@@ -683,6 +749,8 @@ let suites =
           test_stored_bytes_tripwire;
         Alcotest.test_case "checkpoint bytes tripwire" `Quick
           test_checkpoint_bytes_tripwire;
+        Alcotest.test_case "saved files tripwire" `Quick
+          test_saved_files_tripwire;
         Alcotest.test_case "declared size beyond the body" `Quick
           test_inflate_size_bound;
         Alcotest.test_case "empty or incomplete code table" `Quick

@@ -47,6 +47,22 @@ let synth_trace ?(n = 400) ?(chunk_limit = 512) () =
   done;
   Trace.Writer.finish w
 
+(* The records of a saved file up to and including the trailer: the
+   magic, then [tag, uvarint length, payload, crc32] records.  Each is
+   (tag, payload offset, payload length). *)
+let records data =
+  let rec uvarint p shift acc =
+    let b = Char.code data.[p] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, p + 1) else uvarint (p + 1) (shift + 7) acc
+  in
+  let rec go pos acc =
+    let len, body = uvarint (pos + 1) 0 0 in
+    let acc = (data.[pos], body, len) :: acc in
+    if data.[pos] = 'T' then List.rev acc else go (body + len + 4) acc
+  in
+  go 8 []
+
 (* ---- the chunk index and cursor ------------------------------------- *)
 
 let test_multi_chunk_index () =
@@ -334,6 +350,158 @@ let test_salvage_truncated_prefix () =
               frames)
         [ 3; 5; 8 ])
 
+(* One saved synthetic trace under each class of damage.  Every case
+   is read through a reader named "t", so the messages are fixed. *)
+let damaged_files () =
+  let buf = Buffer.create 65536 in
+  (match Trace.save_io (synth_trace ()) (Io.buffer_writer buf) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save: %a" Trace.pp_error e);
+  let data = Buffer.contents buf in
+  let n = String.length data in
+  let recs = records data in
+  let edit f =
+    let b = Bytes.of_string data in
+    f b;
+    Bytes.to_string b
+  in
+  let flip b i bits =
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bits))
+  in
+  let reader s () = Io.string_reader ~path:"t" s in
+  [ ("no footer", reader (String.sub data 0 (n - 16)));
+    ("foreign magic", reader ("NOTATRAC" ^ String.sub data 8 (n - 8)));
+    ("RRTRACE2", reader ("RRTRACE2" ^ String.sub data 8 (n - 8)));
+    ( "chunk 3's stored bytes flipped",
+      reader
+        (edit (fun b ->
+             let _, body, len =
+               List.nth (List.filter (fun (tag, _, _) -> tag = 'C') recs) 3
+             in
+             flip b (body + (len / 2)) 0x10)) );
+    ( "trailer disagrees with the stream",
+      (* Bit 0 of chunk 0's kinds in the trailer's index, which follows
+         the nine stats fields and the list length; the record's CRC is
+         recomputed, so only the index is wrong. *)
+      reader
+        (edit (fun b ->
+             let _, body, len = List.nth recs (List.length recs - 1) in
+             let s = Codec.source (String.sub data body len) in
+             for _ = 1 to 9 + 1 + 4 do
+               ignore (Codec.get_uvarint s)
+             done;
+             flip b (body + Codec.pos s) 1;
+             let crc =
+               Crc32.string ~crc:(Crc32.string "T")
+                 (Bytes.sub_string b body len)
+             in
+             Bytes.set_int32_le b (body + len) (Int32.of_int crc))) );
+    ( "failing reader",
+      fun () -> Io.inject_reader [ Io.Read_fail_at 100 ] (reader data ()) ) ]
+
+let describe_error = function
+  | Trace.Truncated _ -> "Truncated"
+  | Trace.Bad_magic _ -> "Bad_magic"
+  | Trace.Version_skew { found; _ } -> Printf.sprintf "Version_skew %d" found
+  | Trace.Chunk_crc k -> Printf.sprintf "Chunk_crc %d" k
+  | Trace.Corrupt _ -> "Corrupt"
+  | Trace.Io _ -> "Io"
+
+(* For each damage class: the variant and message [open_] returns, and
+   the chunks, frames, commit flag and damage [salvage] reports (or its
+   error). *)
+let damage_table_expected =
+  [ ( "no footer",
+      ( "Truncated: t: truncated trace file (missing commit footer (writer \
+         did not finish))",
+        "25 chunks, 400 frames, uncommitted, intact" ) );
+    ( "foreign magic",
+      ( "Bad_magic: t: not an rr trace file (bad magic)",
+        "Bad_magic: t: not an rr trace file (bad magic)" ) );
+    ( "RRTRACE2",
+      ( "Version_skew 2: t: trace format version 2, this build reads 4",
+        "Version_skew 2: t: trace format version 2, this build reads 4" ) );
+    ( "chunk 3's stored bytes flipped",
+      ( "Chunk_crc 3: chunk 3 failed CRC verification",
+        "3 chunks, 50 frames, committed, byte 1205: record 'C' failed CRC" ) );
+    ( "trailer disagrees with the stream",
+      ( "Corrupt: t: corrupt trace file (trailer disagrees with stream on \
+         chunk 0)",
+        "25 chunks, 400 frames, committed, intact" ) );
+    ( "failing reader",
+      ( "Io: t: read failed: read error after 100 bytes",
+        "Io: t: read failed: read error after 100 bytes" ) ) ]
+
+let test_damage_table () =
+  let outcome (what, mk) =
+    let opened =
+      match Trace.open_io (mk ()) with
+      | Ok _ -> "opened"
+      | Error e -> describe_error e ^ ": " ^ Trace.error_to_string e
+    in
+    let salvaged =
+      match Trace.salvage_io (mk ()) with
+      | Ok (_, r) ->
+        Printf.sprintf "%d chunks, %d frames, %s, %s"
+          r.Trace.sr_chunks_recovered r.Trace.sr_frames_recovered
+          (if r.Trace.sr_committed then "committed" else "uncommitted")
+          (Option.value r.Trace.sr_damage ~default:"intact")
+      | Error e -> describe_error e ^ ": " ^ Trace.error_to_string e
+    in
+    (what, (opened, salvaged))
+  in
+  let got = List.map outcome (damaged_files ()) in
+  Alcotest.(check (list (pair string (pair string string))))
+    "open_ and salvage on each damage class" damage_table_expected got
+
+(* Crash recovery end to end: save a recording, cut the file at three
+   offsets inside its record stream, and require every cut to salvage
+   into a prefix of the original that replays.  The cuts land 35% into
+   the body, one byte before the trailer (the record before it is torn)
+   and at the trailer (every record intact, the commit gone: what a
+   writer killed between its last flush and finish leaves).
+   sambatest's file holds a header, an image, one chunk and a trailer;
+   htmltest's adds a 'D' record, so a chunk written ahead of the file
+   data it references would survive the first cut without it and fail
+   to replay. *)
+let test_cut_files_salvage_and_replay () =
+  List.iter
+    (fun (name, mk) ->
+      let recd, _ = W.record (mk ()) in
+      let original = Trace.Reader.to_array recd.W.trace in
+      with_temp_file (fun path ->
+          Trace.save_exn recd.W.trace path;
+          let data = In_channel.with_open_bin path In_channel.input_all in
+          let len = String.length data in
+          let body = Int64.to_int (String.get_int64_le data (len - 16)) in
+          List.iter
+            (fun cut ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_string oc (String.sub data 0 cut));
+              match Trace.salvage path with
+              | Error e ->
+                Alcotest.failf "%s cut at %d: unsalvageable: %a" name cut
+                  Trace.pp_error e
+              | Ok (t, _) ->
+                let frames = Trace.Reader.to_array t in
+                let n = Array.length frames in
+                if n > Array.length original
+                   || frames <> Array.sub original 0 n
+                then Alcotest.failf "%s cut at %d: not a prefix" name cut;
+                if n > 0 then
+                  match Replayer.replay t with
+                  | st, _ ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s cut at %d: replays every frame" name
+                         cut)
+                      n st.Replayer.events_applied
+                  | exception e ->
+                    Alcotest.failf "%s cut at %d: replay raised %s" name cut
+                      (Printexc.to_string e))
+            [ max 9 (35 * body / 100); body - 1; body ]))
+    [ ("sambatest", fun () -> Wl_samba.make ());
+      ("htmltest", fun () -> Wl_htmltest.make ()) ]
+
 let test_restore_rejects_mismatched_trace () =
   let recd, _ = W.record (small_cp ()) in
   let trace = recd.W.trace in
@@ -378,22 +546,9 @@ let test_checkpoint_restore_after_seek () =
 
 (* ---- streamed file deltas --------------------------------------------- *)
 
-(* The number of 'D' records in a v3 record stream: the magic, then
-   [tag, uvarint length, payload, crc32] records up to the trailer. *)
+(* The number of 'D' records in a record stream. *)
 let count_file_records data =
-  let rec uvarint p shift acc =
-    let b = Char.code data.[p] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, p + 1) else uvarint (p + 1) (shift + 7) acc
-  in
-  let rec go pos n =
-    if data.[pos] = 'T' then n
-    else begin
-      let len, body = uvarint (pos + 1) 0 0 in
-      go (body + len + 4) (if data.[pos] = 'D' then n + 1 else n)
-    end
-  in
-  go 8 0
+  List.length (List.filter (fun (tag, _, _) -> tag = 'D') (records data))
 
 (* 64 appends to one file, some past its end, each followed by frames
    until a 256-byte chunk seals: the writer streams one suffix delta per
@@ -495,6 +650,10 @@ let suites =
           test_salvage_intact;
         Alcotest.test_case "salvage of a truncated trace is a prefix" `Quick
           test_salvage_truncated_prefix;
+        Alcotest.test_case "every damage class is typed" `Quick
+          test_damage_table;
+        Alcotest.test_case "cut files salvage and replay" `Quick
+          test_cut_files_salvage_and_replay;
         Alcotest.test_case "restore rejects a mismatched trace" `Quick
           test_restore_rejects_mismatched_trace ] );
     ( "trace.checkpoint",
