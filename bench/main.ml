@@ -164,7 +164,8 @@ let ledger_measure w =
    [table1 --smoke] (wired into `dune runtest`) re-measures every
    workload's record slowdown and compares it against the committed
    BENCH_table1.json: any workload more than 20% slower than the
-   committed number fails the build.  A legitimate perf change refreshes
+   committed number fails the build, and so does a missing artifact or
+   a workload the artifact lacks.  A legitimate perf change refreshes
    the artifact — `dune exec bench/main.exe -- table1`, then commit the
    regenerated BENCH_table1.json — which is the documented escape
    hatch; quietly absorbing a regression is not. *)
@@ -209,36 +210,43 @@ let perf_gate entries =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | exception Sys_error _ ->
-    Fmt.pr
-      "(perf gate skipped: no committed BENCH_table1.json — generate one \
-       with `dune exec bench/main.exe -- table1`)@."
+  | exception Sys_error msg ->
+    Fmt.epr
+      "FATAL: perf gate has no committed BENCH_table1.json (%s) — generate \
+       one with `dune exec bench/main.exe -- table1` and commit it.@."
+      msg;
+    exit 1
   | json ->
-    let failed =
-      List.filter_map
-        (fun e ->
+    let missing, regressed =
+      List.fold_left
+        (fun (missing, regressed) e ->
           match committed_slowdown ~json e.le_name with
           | None ->
-            Fmt.pr "(perf gate: %s not in committed artifact, skipped)@."
+            Fmt.pr "  perf gate %-10s not in the committed artifact@."
               e.le_name;
-            None
+            (e.le_name :: missing, regressed)
           | Some committed ->
             let limit = committed *. gate_tolerance in
             Fmt.pr "  perf gate %-10s %.2fx vs committed %.2fx (limit %.2fx)%s@."
               e.le_name e.le_slowdown committed limit
               (if e.le_slowdown > limit then "  REGRESSION" else "");
-            if e.le_slowdown > limit then Some e.le_name else None)
-        entries
+            if e.le_slowdown > limit then (missing, e.le_name :: regressed)
+            else (missing, regressed))
+        ([], []) entries
     in
-    if failed <> [] then begin
+    if missing <> [] then
+      Fmt.epr
+        "FATAL: the committed BENCH_table1.json has no entry for: %s.  \
+         Refresh it (`dune exec bench/main.exe -- table1`) and commit it.@."
+        (String.concat ", " (List.rev missing));
+    if regressed <> [] then
       Fmt.epr
         "FATAL: record slowdown regressed >%.0f%% on: %s.  If the change \
          is intentional, refresh the artifact (`dune exec bench/main.exe \
          -- table1`) and commit BENCH_table1.json.@."
         ((gate_tolerance -. 1.) *. 100.)
-        (String.concat ", " failed);
-      exit 1
-    end
+        (String.concat ", " (List.rev regressed));
+    if missing <> [] || regressed <> [] then exit 1
 
 let table1_ledger ~smoke () =
   Fmt.pr "@.== Table 1 ledger: record slowdown, per-stage attribution ==@.";

@@ -17,6 +17,17 @@ let src = Logs.Src.create "kern" ~doc:"simulated kernel"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* What one pass over the task table found (see [scan_tasks]).  Kept in
+   [t] and refilled in place, so a scheduling decision allocates nothing
+   per task. *)
+type scan = {
+  mutable runnable : T.t array; (* slots [0, n_runnable), visiting order *)
+  mutable n_runnable : int;
+  mutable n_live : int;
+  mutable n_sleeping : int; (* live tasks blocked in W_sleep *)
+  mutable next_wake : int; (* their earliest deadline *)
+}
+
 type t = {
   tasks : (int, T.t) Hashtbl.t;
   procs : (int, T.process) Hashtbl.t;
@@ -39,6 +50,8 @@ type t = {
   mutable syscall_count : int;
   mutable trace_stop_count : int; (* ptrace stops delivered *)
   mutable exec_count : int; (* images loaded (spawn + execve) *)
+  mutable deaths : int; (* tasks [kill_task] has killed *)
+  scan : scan;
 }
 
 type wait_outcome =
@@ -67,7 +80,11 @@ let create ?(cost = Cost.default) ~seed () =
     insns_retired = 0;
     syscall_count = 0;
     trace_stop_count = 0;
-    exec_count = 0 }
+    exec_count = 0;
+    deaths = 0;
+    scan =
+      { runnable = [||]; n_runnable = 0; n_live = 0; n_sleeping = 0;
+        next_wake = 0 } }
 
 let charge k units = k.clock <- k.clock + units
 
@@ -103,8 +120,6 @@ let task_exn k tid =
   | None -> Fmt.invalid_arg "no such task %d" tid
 
 let all_tasks k = Hashtbl.fold (fun _ t acc -> t :: acc) k.tasks []
-
-let live_tasks k = List.filter T.is_alive (all_tasks k)
 
 let all_procs k = Hashtbl.fold (fun _ p acc -> p :: acc) k.procs []
 
@@ -312,6 +327,7 @@ and kill_task k task status =
   | T.Runnable | T.Stopped | T.Dead -> ());
   task.T.state <- T.Dead;
   task.T.exit_status <- status;
+  k.deaths <- k.deaths + 1;
   k.stop_queue <- List.filter (fun tid -> tid <> task.T.tid) k.stop_queue;
   let proc = task.T.proc in
   let alive_siblings =
@@ -1535,14 +1551,104 @@ let park k task =
     task.T.last_stop <- None
   end
 
-(* Wake any sleepers whose deadline has passed. *)
-let wake_sleepers k =
-  List.iter
-    (fun t ->
-      match t.T.state with
+(* ------------------------------------------------------------------ *)
+(* Scheduling decisions.                                               *)
+
+let push_runnable s t =
+  let n = s.n_runnable in
+  if n = Array.length s.runnable then begin
+    let grown = Array.make (max 16 (2 * n)) t in
+    Array.blit s.runnable 0 grown 0 n;
+    s.runnable <- grown
+  end;
+  s.runnable.(n) <- t;
+  s.n_runnable <- n + 1
+
+(* The one pass over the task table behind every scheduling decision of
+   [wait] and [run_baseline]: wake each sleeper whose deadline has
+   passed, count the live tasks, note the earliest deadline still
+   pending, and collect the runnable tasks in [Hashtbl] visiting order.
+   Waking a sleeper changes that task alone, so classifying each task
+   right after its own wake sees what a wake-everyone-first pass would. *)
+let scan_tasks k =
+  let s = k.scan in
+  s.n_runnable <- 0;
+  s.n_live <- 0;
+  s.n_sleeping <- 0;
+  Hashtbl.iter
+    (fun _ t ->
+      (match t.T.state with
       | T.Blocked (T.W_sleep d) when d <= k.clock -> wake_task k t
-      | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> ())
-    (all_tasks k)
+      | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> ());
+      match t.T.state with
+      | T.Dead -> ()
+      | T.Runnable ->
+        s.n_live <- s.n_live + 1;
+        push_runnable s t
+      | T.Blocked (T.W_sleep d) ->
+        s.n_live <- s.n_live + 1;
+        if s.n_sleeping = 0 || d < s.next_wake then s.next_wake <- d;
+        s.n_sleeping <- s.n_sleeping + 1
+      | T.Blocked _ | T.Stopped -> s.n_live <- s.n_live + 1)
+    k.tasks;
+  s
+
+(* The task [wait] runs: the runnable task [all_tasks] lists first.
+   [all_tasks] conses in [Hashtbl.fold] order, so that is the last
+   runnable task the pass visited.  Most recording decisions see several
+   runnable tasks, so this rule shapes every recorded schedule; it is
+   visiting order, not lowest tid.  Requires [s.n_runnable > 0]. *)
+let wait_pick s = s.runnable.(s.n_runnable - 1)
+
+let runs_on t core = t.T.affinity = -1 || t.T.affinity = core
+
+(* Whether a runnable task in slot [i] or later may run on [core]. *)
+let rec runnable_on s core i =
+  i < s.n_runnable && (runs_on s.runnable.(i) core || runnable_on s core (i + 1))
+
+(* The core [run_baseline] fills next: the earliest core clock among the
+   cores some runnable task may run on, ties to the lowest index; -1 if
+   no task is runnable. *)
+let baseline_core s ~core_clock =
+  let best = ref (-1) in
+  for c = 0 to Array.length core_clock - 1 do
+    if (!best < 0 || core_clock.(c) < core_clock.(!best)) && runnable_on s c 0
+    then best := c
+  done;
+  !best
+
+let in_class t ~core ~prio = runs_on t core && t.T.priority = prio
+
+(* How many tasks of the class have a smaller tid than [tid]. *)
+let rank_in_class s ~core ~prio tid =
+  let r = ref 0 in
+  for i = 0 to s.n_runnable - 1 do
+    let u = s.runnable.(i) in
+    if u.T.tid < tid && in_class u ~core ~prio then incr r
+  done;
+  !r
+
+let rec class_member s ~core ~prio ~rank i =
+  let t = s.runnable.(i) in
+  if in_class t ~core ~prio && rank_in_class s ~core ~prio t.T.tid = rank then t
+  else class_member s ~core ~prio ~rank (i + 1)
+
+(* The task [run_baseline] runs on [core]: strict priorities (lowest
+   value first), then round-robin over the best class in ascending tid
+   order, taking its [cursor mod size]-th task.  Requires
+   [baseline_core] to have chosen [core]. *)
+let baseline_pick s ~core ~cursor =
+  let prio = ref max_int and size = ref 0 in
+  for i = 0 to s.n_runnable - 1 do
+    let t = s.runnable.(i) in
+    if runs_on t core then
+      if t.T.priority < !prio then begin
+        prio := t.T.priority;
+        size := 1
+      end
+      else if t.T.priority = !prio then incr size
+  done;
+  class_member s ~core ~prio:!prio ~rank:(cursor mod !size) 0
 
 let next_stopped k =
   let rec pop () =
@@ -1560,45 +1666,32 @@ let next_stopped k =
   pop ()
 
 (* Run the world until some traced task enters a ptrace-stop. *)
-let wait k =
-  let result = ref None in
-  while !result = None do
-    match next_stopped k with
-    | Some (t, stop) -> result := Some (Stopped_task (t, stop))
-    | None -> (
-      wake_sleepers k;
-      let live = live_tasks k in
-      if live = [] then result := Some All_dead
-      else
-        match List.find_opt (fun t -> t.T.state = T.Runnable) live with
-        | Some t ->
-          (* Guest execution shows up on the running task's lane. *)
-          Timeline.set_lane t.T.tid;
-          Timeline.scope "kern.run" (fun () ->
-              run_slice k t ~fuel:default_slice);
-          Timeline.set_lane 0
-        | None ->
-          let blocked_sleepers =
-            List.filter_map
-              (fun t ->
-                match t.T.state with
-                | T.Blocked (T.W_sleep d) -> Some d
-                | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> None)
-              live
-          in
-          (match blocked_sleepers with
-          | [] ->
-            if List.for_all (fun t -> t.T.state = T.Stopped) live then
-              (* Everyone is sitting in a ptrace-stop the supervisor has
-                 already consumed: nothing will ever happen. *)
-              result := Some (Deadlocked (List.map (fun t -> t.T.tid) live))
-            else
-              result := Some (Deadlocked (List.map (fun t -> t.T.tid) live))
-          | d :: rest ->
-            k.clock <- max k.clock (List.fold_left min d rest);
-            wake_sleepers k))
-  done;
-  match !result with Some r -> r | None -> assert false
+let rec wait k =
+  match next_stopped k with
+  | Some (t, stop) -> Stopped_task (t, stop)
+  | None ->
+    let s = scan_tasks k in
+    if s.n_live = 0 then All_dead
+    else if s.n_runnable > 0 then begin
+      let t = wait_pick s in
+      (* Guest execution shows up on the running task's lane. *)
+      Timeline.set_lane t.T.tid;
+      Timeline.scope "kern.run" (fun () -> run_slice k t ~fuel:default_slice);
+      Timeline.set_lane 0;
+      wait k
+    end
+    else if s.n_sleeping > 0 then begin
+      (* The next pass wakes the sleepers due at the new time. *)
+      k.clock <- max k.clock s.next_wake;
+      wait k
+    end
+    else
+      (* Everyone is blocked for good or sitting in a ptrace-stop the
+         supervisor has already consumed: nothing will ever happen. *)
+      Deadlocked
+        (List.filter_map
+           (fun t -> if T.is_alive t then Some t.T.tid else None)
+           (all_tasks k))
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and supervisor conveniences.                               *)
@@ -1704,45 +1797,16 @@ let run_baseline k ~cores ?(sample_every = 0) ?(on_sample = fun _ -> ()) () =
   let task_time : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let stats = { wall_time = 0; deadlocked = false } in
   let next_sample = ref sample_every in
-  let eligible t core =
-    t.T.state = T.Runnable && (t.T.affinity = -1 || t.T.affinity = core)
-  in
-  let has_eligible core = List.exists (fun t -> eligible t core) (live_tasks k) in
-  (* Strict priorities; round-robin within the best priority group. *)
-  let pick_task core =
-    let cands =
-      List.filter (fun t -> eligible t core) (live_tasks k)
-      |> List.sort (fun a b ->
-             match compare a.T.priority b.T.priority with
-             | 0 -> compare a.T.tid b.T.tid
-             | c -> c)
-    in
-    match cands with
-    | [] -> None
-    | first :: _ ->
-      let group = List.filter (fun t -> t.T.priority = first.T.priority) cands in
-      incr rr_cursor;
-      Some (List.nth group (!rr_cursor mod List.length group))
-  in
   let finished = ref false in
   while not !finished do
-    wake_sleepers k;
-    let live = live_tasks k in
-    if live = [] then finished := true
+    let s = scan_tasks k in
+    if s.n_live = 0 then finished := true
     else begin
       (* Choose the earliest core that has work, then pick once. *)
-      let best_core = ref None in
-      for c = 0 to cores - 1 do
-        if has_eligible c then
-          match !best_core with
-          | Some b when core_clock.(b) <= core_clock.(c) -> ()
-          | Some _ | None -> best_core := Some c
-      done;
-      match !best_core with
-      | Some c -> (
-        match pick_task c with
-        | None -> ()
-        | Some t ->
+      let c = baseline_core s ~core_clock in
+      if c >= 0 then begin
+        incr rr_cursor;
+        let t = baseline_pick s ~core:c ~cursor:!rr_cursor in
         let watermark =
           match Hashtbl.find_opt task_time t.T.tid with
           | Some tm -> max tm t.T.last_wake
@@ -1765,37 +1829,28 @@ let run_baseline k ~cores ?(sample_every = 0) ?(on_sample = fun _ -> ()) () =
         if sample_every > 0 && maxclock >= !next_sample then begin
           next_sample := maxclock + sample_every;
           on_sample maxclock
-        end)
-      | None ->
+        end
+      end
+      else if s.n_sleeping = 0 then begin
+        (* Deadlock: every live task is blocked with no timeout.  Sync
+           the kernel clock (and hence wall_time) to the furthest core
+           *at detection time* — the cost model's answer for how long
+           the run took — rather than leaving whatever clock the last
+           slice happened to set. *)
+        let maxclock = Array.fold_left max k.clock core_clock in
+        k.clock <- maxclock;
+        stats.wall_time <- maxclock;
+        stats.deadlocked <- true;
+        Telemetry.note ~kind:"kern.deadlock"
+          (Fmt.str "%d tasks blocked at t=%d" s.n_live maxclock);
+        finished := true
+      end
+      else begin
         (* No runnable task anywhere: advance to the next sleeper. *)
-        let deadlines =
-          List.filter_map
-            (fun t ->
-              match t.T.state with
-              | T.Blocked (T.W_sleep d) -> Some d
-              | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> None)
-            live
-        in
-        (match deadlines with
-        | [] ->
-          (* Deadlock: every live task is blocked with no timeout.  Sync
-             the kernel clock (and hence wall_time) to the furthest core
-             *at detection time* — the cost model's answer for how long
-             the run took — rather than leaving whatever clock the last
-             slice happened to set. *)
-          let maxclock = Array.fold_left max k.clock core_clock in
-          k.clock <- maxclock;
-          stats.wall_time <- maxclock;
-          stats.deadlocked <- true;
-          Telemetry.note ~kind:"kern.deadlock"
-            (Fmt.str "%d tasks blocked at t=%d" (List.length live) maxclock);
-          finished := true
-        | d :: rest ->
-          let target = List.fold_left min d rest in
-          k.clock <- max k.clock target;
-          Array.iteri
-            (fun i c -> core_clock.(i) <- max c target)
-            core_clock)
+        let target = s.next_wake in
+        k.clock <- max k.clock target;
+        Array.iteri (fun i c -> core_clock.(i) <- max c target) core_clock
+      end
     end
   done;
   let maxclock = Array.fold_left max k.clock core_clock in

@@ -13,6 +13,15 @@
 
 module T = Task
 
+(** What the scheduling pass found; see {!scan_tasks}. *)
+type scan = private {
+  mutable runnable : T.t array; (* slots [0, n_runnable), visiting order *)
+  mutable n_runnable : int;
+  mutable n_live : int;
+  mutable n_sleeping : int; (* live tasks blocked in W_sleep *)
+  mutable next_wake : int; (* their earliest deadline *)
+}
+
 type t = {
   tasks : (int, T.t) Hashtbl.t;
   procs : (int, T.process) Hashtbl.t;
@@ -35,6 +44,8 @@ type t = {
   mutable syscall_count : int;
   mutable trace_stop_count : int;
   mutable exec_count : int;
+  mutable deaths : int; (* tasks {!kill_task} has killed *)
+  scan : scan; (* refilled by every scheduling pass *)
 }
 
 val create : ?cost:Cost.t -> seed:int -> unit -> t
@@ -157,5 +168,29 @@ val total_pss : t -> float
 (** Sum of proportional set sizes over live processes, in bytes (§4.5). *)
 
 (** {2 Exposed for white-box tests} *)
+
+(** {3 Scheduling decisions}
+
+    {!wait} and {!run_baseline} make each decision from one pass over
+    the task table. *)
+
+val scan_tasks : t -> scan
+(** Wake every sleeper whose deadline has passed, then report the live
+    tasks, the earliest pending deadline and the runnable tasks in
+    [Hashtbl] visiting order.  Allocates nothing per task. *)
+
+val wait_pick : scan -> T.t
+(** The task {!wait} runs: the runnable task {!all_tasks} lists first,
+    which is the last one visited.  Requires a runnable task. *)
+
+val baseline_core : scan -> core_clock:int array -> int
+(** The core {!run_baseline} fills next: the earliest clock among cores
+    some runnable task may run on, ties to the lowest index; [-1] if
+    none. *)
+
+val baseline_pick : scan -> core:int -> cursor:int -> T.t
+(** The task {!run_baseline} runs on [core]: lowest priority value
+    first, then the [cursor mod n]-th of that class's [n] tasks in
+    ascending tid order.  Requires a task [core] may run. *)
 
 exception Efault

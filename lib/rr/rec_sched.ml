@@ -39,9 +39,9 @@ let remove_task t tid =
 
 let effective_priority t tid base =
   if t.chaos then
-    match Hashtbl.find_opt t.chaos_prio tid with
-    | Some p -> p
-    | None -> base
+    match Hashtbl.find t.chaos_prio tid with
+    | p -> p
+    | exception Not_found -> base
   else base
 
 let tm_pick = Telemetry.counter "sched.pick"
@@ -57,6 +57,18 @@ let reshuffle t =
     t.order;
   t.picks_until_reshuffle <- Entropy.range t.entropy 3 10
 
+(* The first runnable tid in [order] with the best (lowest) effective
+   priority. *)
+let rec best_runnable t ~runnable ~priority ~found best best_p = function
+  | [] -> if found then Some best else None
+  | tid :: rest ->
+    if runnable tid then
+      let p = effective_priority t tid (priority tid) in
+      if (not found) || p < best_p then
+        best_runnable t ~runnable ~priority ~found:true tid p rest
+      else best_runnable t ~runnable ~priority ~found best best_p rest
+    else best_runnable t ~runnable ~priority ~found best best_p rest
+
 (* Pick the next task: the runnable task with the best (lowest) effective
    priority, round-robin within that class.  Rotates the picked task to
    the back of the order. *)
@@ -65,23 +77,12 @@ let pick t ~runnable ~priority =
     t.picks_until_reshuffle <- t.picks_until_reshuffle - 1;
     if t.picks_until_reshuffle <= 0 then reshuffle t
   end;
-  let candidates = List.filter runnable t.order in
-  match candidates with
-  | [] -> None
-  | _ ->
-    let best =
-      List.fold_left
-        (fun acc tid ->
-          let p = effective_priority t tid (priority tid) in
-          match acc with Some (_, bp) when bp <= p -> acc | _ -> Some (tid, p))
-        None candidates
-    in
-    (match best with
-    | None -> None
-    | Some (tid, _) ->
-      t.order <- List.filter (fun x -> x <> tid) t.order @ [ tid ];
-      Telemetry.incr tm_pick;
-      Some tid)
+  match best_runnable t ~runnable ~priority ~found:false 0 0 t.order with
+  | None -> None
+  | Some tid ->
+    t.order <- List.filter (fun x -> x <> tid) t.order @ [ tid ];
+    Telemetry.incr tm_pick;
+    Some tid
 
 let timeslice t =
   if t.chaos then

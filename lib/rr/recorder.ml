@@ -121,6 +121,7 @@ type t = {
   on_event : E.t -> unit; (* live frame observer (Conn_track et al.) *)
   locals_owner : (int, int) Hashtbl.t; (* space id -> tid owning the page *)
   known_dead : (int, unit) Hashtbl.t;
+  mutable deaths_seen : int; (* [k.deaths] at the last death scan *)
   mutable current : int option;
   mutable next_slot : int;
   mutable image_count : int;
@@ -450,12 +451,17 @@ let record_exit r task status =
     if r.current = Some task.T.tid then r.current <- None
   end
 
+(* Tasks die only through [K.kill_task], which counts them, so the scan
+   runs only after a death since the last one. *)
 let record_new_deaths r =
-  List.iter
-    (fun t ->
-      if (not (T.is_alive t)) && not (Hashtbl.mem r.known_dead t.T.tid) then
-        record_exit r t t.T.exit_status)
-    (K.all_tasks r.k)
+  if r.deaths_seen <> r.k.K.deaths then begin
+    r.deaths_seen <- r.k.K.deaths;
+    List.iter
+      (fun t ->
+        if (not (T.is_alive t)) && not (Hashtbl.mem r.known_dead t.T.tid) then
+          record_exit r t t.T.exit_status)
+      (K.all_tasks r.k)
+  end
 
 let on_exec r task =
   let st = get_rt r task in
@@ -1104,6 +1110,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
       on_event;
       locals_owner = Hashtbl.create 8;
       known_dead = Hashtbl.create 16;
+      deaths_seen = 0;
       current = None;
       next_slot = 0;
       image_count = 0;

@@ -180,6 +180,16 @@ let test_stored_bytes_tripwire () =
 
 let crc_and_length s = (Crc32.string s, String.length s)
 
+(* A file's CRC-32 and length, and its MD5.  Every record of a trace
+   file or manifest ends with the CRC-32 of its own payload, and CRC-32
+   is linear: a message followed by its CRC-32 leaves the register in a
+   state that does not depend on the message.  A whole file's CRC-32
+   therefore sees the tags, lengths and unchecked bytes but not what the
+   payloads hold; the MD5 does. *)
+type pin = { crc_len : int * int; md5 : Digest.t }
+
+let pin s = { crc_len = crc_and_length s; md5 = Digest.string s }
+
 let saved_file t =
   let path = Filename.temp_file "rr_tripwire" ".trace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -207,21 +217,32 @@ let manifest_file name t =
       In_channel.input_all
   | Error e -> Alcotest.failf "store %s: %a" name Repo.pp_error e
 
-(* The seed-1 traces indexed once per test run: each trace's saved file
-   before and after indexing, as CRC-32 and length, and its durable
-   checkpoint blobs in frame order.  Indexing attaches the index to the
-   trace, so the plain file is saved first. *)
+(* A trace's saved file before and after indexing, pinned, and its
+   durable checkpoint blobs in frame order.  Indexing attaches the index
+   to the trace, so the plain file is saved first. *)
+let saved_and_indexed t =
+  let plain = pin (saved_file t) in
+  let ix = Trace_indexer.build_and_attach t in
+  (plain, pin (saved_file t), Array.map snd (Trace_index.checkpoints ix))
+
+(* The seed-1 traces indexed once per test run. *)
 let seed1_indexed =
   lazy
     (List.map
-       (fun (name, t) ->
-         let plain = crc_and_length (saved_file t) in
-         let ix = Trace_indexer.build_and_attach t in
-         ( name,
-           ( plain,
-             crc_and_length (saved_file t),
-             Array.map snd (Trace_index.checkpoints ix) ) ))
+       (fun (name, t) -> (name, saved_and_indexed t))
        (Lazy.force seed1_traces))
+
+(* One chaos recording, indexed: it pins [Rec_sched]'s chaos priorities
+   and [Kernel.wait]'s tie-break under a perturbed schedule. *)
+let serve_chaos =
+  lazy
+    (let recd, _ =
+       Workload.record
+         ~opts:(Recorder.make_opts ~seed:1 ~chaos:true ())
+         (Wl_serve.make ())
+     in
+     let t = recd.Workload.trace in
+     (("serve-chaos", saved_and_indexed t), ("serve-chaos", t)))
 
 let seed1_checkpoints =
   lazy
@@ -231,27 +252,49 @@ let seed1_checkpoints =
 
 (* Tripwire for whole files: the CRC-32 and length of each seed-1
    trace's [Trace.save] output, plain and indexed, and of its
-   [Repo.store_trace] manifest.  A reordered, added or dropped record, a
-   changed trailer or a reordered manifest fails here. *)
+   [Repo.store_trace] manifest, then the same for the chaos recording;
+   and one MD5 over the three files' MD5s, which alone sees the record
+   payloads.  A reordered, added, dropped or changed record, a changed
+   trailer, a reordered manifest or a changed schedule fails here. *)
 let saved_files_expected =
-  [ ("cp", (0xac964bc5, 4195998), (0x34ad9f76, 4309743), (0xa360337f, 1064));
-    ("make", (0xa803c7bf, 866227), (0x341be6af, 4992693), (0x1e863bc8, 4979));
-    ("octane", (0x8afda5e0, 1282), (0x414a8584, 485801), (0x63691b86, 88));
+  [ ( "cp",
+      ((0xac964bc5, 4195998), (0x34ad9f76, 4309743), (0xa360337f, 1064)),
+      "7ba975b0f9f12e3a56fa23cc0e48d12c" );
+    ( "make",
+      ((0xa803c7bf, 866227), (0x341be6af, 4992693), (0x1e863bc8, 4979)),
+      "0892a01601696f49c929d4adf33ca709" );
+    ( "octane",
+      ((0x8afda5e0, 1282), (0x414a8584, 485801), (0x63691b86, 88)),
+      "d20fde6ba3ed14489a18e3b632afb886" );
     ( "htmltest",
-      (0x7d705f8d, 984399), (0x309de70a, 1549292), (0x245b75cf, 334) );
+      ((0x7d705f8d, 984399), (0x309de70a, 1549292), (0x245b75cf, 334)),
+      "16b45e9c151edb01bb9805dee71906d1" );
     ( "sambatest",
-      (0xc27e9603, 1879), (0x4e2ccb17, 832290), (0xedee9b77, 96) );
-    ("serve", (0x1596a4ed, 8731), (0xecb3e8df, 3687250), (0xc88f2b45, 93)) ]
+      ((0xc27e9603, 1879), (0x4e2ccb17, 832290), (0xedee9b77, 96)),
+      "d947f725c4a7f60c77220b37085c4bec" );
+    ( "serve",
+      ((0x1596a4ed, 8731), (0xecb3e8df, 3687250), (0xc88f2b45, 93)),
+      "55db8524fd79965c7dbeb610b006af24" );
+    ( "serve-chaos",
+      ((0x09327df6, 10689), (0x96fbaca7, 3686180), (0xc88f2b45, 93)),
+      "43995a16d76f842accd315e9406222d5" ) ]
 
 let test_saved_files_tripwire () =
   let crc_len = Alcotest.(pair int int) in
   List.iter2
-    (fun ((name, (plain, indexed, _)), (_, t)) (name', plain', indexed', m') ->
+    (fun ((name, (plain, indexed, _)), (_, t)) (name', crc_lens', md5') ->
+      let manifest = pin (manifest_file name t) in
       Alcotest.(check (pair string (triple crc_len crc_len crc_len)))
         "plain file, indexed file and manifest: CRC-32 and length"
-        (name', (plain', indexed', m'))
-        (name, (plain, indexed, crc_and_length (manifest_file name t))))
-    (List.combine (Lazy.force seed1_indexed) (Lazy.force seed1_traces))
+        (name', crc_lens')
+        (name, (plain.crc_len, indexed.crc_len, manifest.crc_len));
+      Alcotest.(check (pair string string))
+        "MD5 of the three files' MD5s" (name', md5')
+        ( name,
+          Digest.to_hex (Digest.string (plain.md5 ^ indexed.md5 ^ manifest.md5))
+        ))
+    (List.combine (Lazy.force seed1_indexed) (Lazy.force seed1_traces)
+    @ [ Lazy.force serve_chaos ])
     saved_files_expected
 
 (* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each

@@ -182,6 +182,76 @@ let test_cp_record_alloc_linear () =
     true
     (a16 /. a8 < 2.5)
 
+(* The scheduler's allocation gate: a scheduling decision allocates the
+   same bytes however many tasks sleep beside the running one.  The guest forks
+   [sleepers] children that sleep far into the future, then loops on
+   getpid; the bytes one getpid costs are the difference between two
+   loop lengths.  They are counted with [Gc.minor_words], which sees
+   every small block as it is made ([Gc.allocated_bytes] lags by what
+   the minor heap holds), so the count is deterministic and no host time
+   enters the gate. *)
+let sleepers_image ~sleepers ~calls =
+  let b = Guest.create () in
+  Guest.emit b
+    ([ Asm.movi 7 sleepers; Asm.label "fork"; Asm.jz 7 "spin" ]
+    @ Guest.sys_fork
+    @ [ Asm.jz 0 "child"; Asm.subi 7 1; Asm.jmp "fork"; Asm.label "child" ]
+    @ Guest.sys_nanosleep ~ns:(Guest.imm 1_000_000_000_000)
+    @ Guest.sys_exit_group 0
+    @ [ Asm.label "spin"; Asm.movi 8 calls; Asm.label "loop" ]
+    @ Guest.sc Sysno.getpid []
+    @ [ Asm.subi 8 1; Asm.jnz 8 "loop" ]
+    @ Guest.sys_exit_group 0);
+  Guest.build b ~name:"sleepers" ()
+
+let install_sleepers img k =
+  Vfs.mkdir_p (Kernel.vfs k) "/bin";
+  Kernel.install_image k ~path:"/bin/sleepers" img
+
+(* Untraced, through [Kernel.run_baseline] with no PSS sampling; returns
+   the syscall count. *)
+let run_sleepers_untraced img =
+  let k = Kernel.create ~seed:1 () in
+  install_sleepers img k;
+  ignore (Kernel.spawn k ~path:"/bin/sleepers" ());
+  let stats = Kernel.run_baseline k ~cores:2 () in
+  Alcotest.(check bool) "untraced run finishes" false stats.Kernel.deadlocked;
+  k.Kernel.syscall_count
+
+let run_sleepers_recorded img =
+  match Recorder.run ~setup:(install_sleepers img) ~exe:"/bin/sleepers" () with
+  | Ok (_, stats, _) ->
+    Alcotest.(check (option int)) "recording exits 0" (Some 0)
+      stats.Recorder.exit_status;
+    stats.Recorder.n_syscalls
+  | Error e -> Alcotest.failf "recording failed: %a" Recorder.pp_error e
+
+let bytes_per_getpid run ~sleepers =
+  let measure calls =
+    let img = sleepers_image ~sleepers ~calls in
+    let before = Gc.minor_words () in
+    let syscalls = run img in
+    (Gc.minor_words () -. before, syscalls)
+  in
+  let w200, n200 = measure 200 and w600, n600 = measure 600 in
+  Alcotest.(check int) "the longer loop makes 400 more syscalls" 400
+    (n600 - n200);
+  (w600 -. w200) *. float_of_int (Sys.word_size / 8) /. 400.
+
+let test_sched_alloc_flat () =
+  List.iter
+    (fun (mode, run) ->
+      let b0 = bytes_per_getpid run ~sleepers:0 in
+      let b64 = bytes_per_getpid run ~sleepers:64 in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: 64 sleepers cost %.0f B per getpid vs %.0f B with none \
+            (%.2fx), < 1.5x"
+           mode b64 b0 (b64 /. b0))
+        true
+        (b64 < 1.5 *. b0))
+    [ ("untraced", run_sleepers_untraced); ("recorded", run_sleepers_recorded) ]
+
 (* §4.3: interception reduces recording time and ptrace stops. *)
 let test_intercept_effect_on_samba () =
   let w = small_samba () in
@@ -330,6 +400,8 @@ let suites =
           test_cp_cloned_bytes;
         Alcotest.test_case "cp record allocation is linear" `Quick
           test_cp_record_alloc_linear;
+        Alcotest.test_case "sleepers leave per-syscall bytes flat" `Quick
+          test_sched_alloc_flat;
         Alcotest.test_case "interception speeds samba" `Quick
           test_intercept_effect_on_samba;
         Alcotest.test_case "DBI crashes on octane" `Quick
