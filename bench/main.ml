@@ -4,7 +4,6 @@
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- table1  # one artifact
-     dune exec bench/main.exe -- micro   # Bechamel microbenchmarks
 
    Times are virtual nanoseconds from the simulation's cost model
    (DESIGN.md): the *ratios* and their ordering are the reproduction
@@ -538,63 +537,6 @@ let host_time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* ---- Bechamel microbenchmarks (host time of core primitives) --------- *)
-
-let micro () =
-  Fmt.pr "@.== Microbenchmarks (host time, Bechamel OLS ns/run) ==@.";
-  let open Bechamel in
-  let payload =
-    String.concat ""
-      (List.init 200 (fun i ->
-           Printf.sprintf "frame tid=%d result=%d;" i (i * 7)))
-  in
-  let compressed = Compress.deflate payload in
-  let crc_input =
-    String.init (8 lsl 20) (fun i -> Char.chr (i * 131 land 0xff))
-  in
-  let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 64 } () in
-  (* Recording cost per byte of cloned reads (paper §3.9). *)
-  let w_big = Wl_cp.make ~params:{ Wl_cp.files = 16; file_kb = 256 } () in
-  let recd, _ = Workload.record w in
-  let r0 = Replayer.start recd.Workload.trace in
-  for _ = 1 to 10 do
-    ignore (Replayer.step r0)
-  done;
-  let tests =
-    Test.make_grouped ~name:"rr"
-      [ Test.make ~name:"deflate-10KB"
-          (Staged.stage (fun () -> ignore (Compress.deflate payload)));
-        Test.make ~name:"inflate-10KB"
-          (Staged.stage (fun () -> ignore (Compress.inflate compressed)));
-        Test.make ~name:"crc32-8MiB"
-          (Staged.stage (fun () -> ignore (Crc32.string crc_input)));
-        Test.make ~name:"checkpoint-snapshot"
-          (Staged.stage (fun () -> ignore (Replayer.snapshot r0)));
-        Test.make ~name:"record-cp-small"
-          (Staged.stage (fun () -> ignore (Workload.record w)));
-        Test.make ~name:"record-cp-16x256KiB"
-          (Staged.stage (fun () -> ignore (Workload.record w_big)));
-        Test.make ~name:"replay-cp-small"
-          (Staged.stage (fun () -> ignore (Workload.replay recd))) ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.3) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> Fmt.pr "%-28s %14.1f ns/run@." name est
-      | Some _ | None -> Fmt.pr "%-28s %14s@." name "n/a")
-    rows
-
 (* ---- fleet: many recorders, one shared repository --------------------
 
    The deployability story of §7 at fleet scale: N instances of similar
@@ -896,8 +838,7 @@ let () =
       ("fig7", table3);
       ("ablation", ablations);
       ("fleet", fleet ~smoke);
-      ("serve", serve_bench ~smoke);
-      ("micro", micro) ]
+      ("serve", serve_bench ~smoke) ]
   in
   match args with
   | [] ->
@@ -910,8 +851,7 @@ let () =
     table3 ();
     ablations ();
     fleet ~smoke ();
-    serve_bench ~smoke ();
-    micro ()
+    serve_bench ~smoke ()
   | names ->
     List.iter
       (fun n ->

@@ -866,86 +866,6 @@ let profile_run ~phase ~w ~opts =
     Timeline.start ();
     ignore (Trace_indexer.build_and_attach recd.Workload.trace)
 
-(* Self-contained profile check: record sambatest under the timeline and
-   verify the Chrome export in-process — the JSON parses, every B has a
-   matching E per lane, scopes nest, and the acceptance floor holds
-   (the kern/rrtrace/rr layers, >= 2 lanes). *)
-let profile_smoke () =
-  let w = workload_of_name "sambatest" in
-  profile_run ~phase:`Record ~w ~opts:(Recorder.make_opts ());
-  let doc = Timeline.to_chrome_json () in
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "profile --smoke: %s@." m; exit 1) fmt in
-  let root =
-    match Json_min.parse doc with
-    | v -> v
-    | exception Json_min.Parse_error msg -> fail "invalid chrome JSON: %s" msg
-  in
-  let evs =
-    match root with
-    | Json_min.Obj m -> (
-      match List.assoc_opt "traceEvents" m with
-      | Some (Json_min.List (_ :: _ as l)) -> l
-      | Some _ -> fail "traceEvents is empty or not an array"
-      | None -> fail "no traceEvents key")
-    | _ -> fail "top level is not an object"
-  in
-  let str m k =
-    match List.assoc_opt k m with Some (Json_min.Str s) -> s | _ -> ""
-  in
-  let num m k =
-    match List.assoc_opt k m with
-    | Some (Json_min.Num f) -> int_of_float f
-    | _ -> min_int
-  in
-  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
-  let lanes : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let cats : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let max_depth = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Json_min.Obj m -> (
-        let ph = str m "ph" and name = str m "name" and tid = num m "tid" in
-        if ph <> "M" then Hashtbl.replace lanes tid ();
-        match ph with
-        | "B" ->
-          Hashtbl.replace cats (str m "cat") ();
-          let st = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-          let st = name :: st in
-          max_depth := max !max_depth (List.length st);
-          Hashtbl.replace stacks tid st
-        | "E" -> (
-          match Hashtbl.find_opt stacks tid with
-          | Some (top :: rest) ->
-            if top <> name then
-              fail "lane %d: E %S closes B %S" tid name top;
-            Hashtbl.replace stacks tid rest
-          | Some [] | None -> fail "lane %d: E %S without a B" tid name)
-        | _ -> ())
-      | _ -> fail "traceEvents element is not an object")
-    evs;
-  Hashtbl.iter
-    (fun tid st ->
-      if st <> [] then fail "lane %d: %d unclosed scopes" tid (List.length st))
-    stacks;
-  List.iter
-    (fun layer ->
-      if not (Hashtbl.mem cats layer) then fail "no scopes from layer %S" layer)
-    [ "kern"; "rrtrace"; "rr" ];
-  if Hashtbl.length lanes < 2 then
-    fail "only %d lane(s), want >= 2" (Hashtbl.length lanes);
-  if !max_depth < 2 then fail "no nested scopes (max depth %d)" !max_depth;
-  let a = Timeline.attribution () in
-  Fmt.pr
-    "profile --smoke: chrome export ok (%d events, %d lanes, %d layers, \
-     depth %d, %.1f%% attributed)@."
-    (List.length evs) (Hashtbl.length lanes) (Hashtbl.length cats) !max_depth
-    (if a.Timeline.at_total_ns = 0 then 0.
-     else
-       100.
-       *. float_of_int a.Timeline.at_covered_ns
-       /. float_of_int a.Timeline.at_total_ns)
-
 let profile_cmd =
   let phase_arg =
     Arg.(
@@ -961,44 +881,34 @@ let profile_cmd =
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workload to run (cp, make, octane, htmltest, sambatest).")
   in
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in profiling check instead: record sambatest under \
-         the timeline and verify the Chrome export is valid, balanced, \
-         nested, and spans the kern, rrtrace and rr layers on >= 2 lanes."
-  in
   let out_arg =
     Flags.out
       ~doc:
         "Write the Chrome trace-event JSON to FILE (load it in \
          chrome://tracing or https://ui.perfetto.dev)."
   in
-  let run phase wl opts smoke out =
+  let run phase wl opts out =
     with_trace_errors @@ fun () ->
-    if smoke then profile_smoke ()
-    else begin
-      match (phase, wl) with
-      | Some phase_s, Some wl_s ->
-        let phase = profile_phase_of phase_s in
-        let w = workload_of_name wl_s in
-        profile_run ~phase ~w ~opts;
-        (match out with
-        | Some path ->
-          Timeline.export path;
-          Fmt.pr "chrome trace written to %s (%d events%s)@." path
-            (List.length (Timeline.events ()))
-            (let d = Timeline.dropped () in
-             if d > 0 then Printf.sprintf ", %d dropped" d else "")
-        | None -> ());
-        Fmt.pr "flamegraph of %s %s:@." phase_s wl_s;
-        Fmt.pr "%a@." Timeline.pp_flamegraph ();
-        Fmt.pr "per-stage attribution:@.";
-        Fmt.pr "%a@." Timeline.pp_attribution ()
-      | _ ->
-        Fmt.epr "rr_cli: profile needs PHASE and WORKLOAD (or --smoke)@.";
-        exit 2
-    end
+    match (phase, wl) with
+    | Some phase_s, Some wl_s ->
+      let phase = profile_phase_of phase_s in
+      let w = workload_of_name wl_s in
+      profile_run ~phase ~w ~opts;
+      (match out with
+      | Some path ->
+        Timeline.export path;
+        Fmt.pr "chrome trace written to %s (%d events%s)@." path
+          (List.length (Timeline.events ()))
+          (let d = Timeline.dropped () in
+           if d > 0 then Printf.sprintf ", %d dropped" d else "")
+      | None -> ());
+      Fmt.pr "flamegraph of %s %s:@." phase_s wl_s;
+      Fmt.pr "%a@." Timeline.pp_flamegraph ();
+      Fmt.pr "per-stage attribution:@.";
+      Fmt.pr "%a@." Timeline.pp_attribution ()
+    | _ ->
+      Fmt.epr "rr_cli: profile needs PHASE and WORKLOAD@.";
+      exit 2
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1006,9 +916,7 @@ let profile_cmd =
          "Run one pipeline phase (record, replay or index) with timeline \
           tracing armed; export a Chrome trace-event file (-o) and print \
           the text flamegraph plus the per-stage overhead ledger.")
-    Term.(
-      const run $ phase_arg $ wl_arg $ Flags.record_opts $ smoke_arg
-      $ out_arg)
+    Term.(const run $ phase_arg $ wl_arg $ Flags.record_opts $ out_arg)
 
 (* ---- repo: the content-addressed trace repository -------------------- *)
 

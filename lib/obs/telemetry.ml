@@ -4,27 +4,12 @@
    register their handles once at module initialization and pay only a
    field update per hit.  [reset] zeroes values in place — handles stay
    valid across runs, which is what lets the bench harness snapshot one
-   workload at a time.
-
-   Domain safety: any domain may report through the same registry as
-   the main thread.  Counters and gauges are single atomics, so the hot
-   increment path never takes a lock; histograms, spans, the event ring,
-   registration, [reset] and [snapshot] serialize on one registry mutex
-   ([reg_m]).  Internal [*_unlocked] helpers exist so compound
-   operations (a span feeding its histogram, [span] registering its
-   [.ns] histogram) take the mutex exactly once — the mutex is not
-   reentrant. *)
+   workload at a time. *)
 
 (* ---- registry ------------------------------------------------------- *)
 
-let reg_m = Mutex.create ()
-
-let with_reg f =
-  Mutex.lock reg_m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_m) f
-
-type counter = { c_name : string; c_v : int Atomic.t }
-type gauge = { g_name : string; g_v : int Atomic.t }
+type counter = { c_name : string; mutable c_v : int }
+type gauge = { g_name : string; mutable g_v : int }
 
 let n_buckets = 63
 
@@ -48,7 +33,6 @@ let gauges_tbl : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let hists_tbl : (string, histogram) Hashtbl.t = Hashtbl.create 16
 let spans_tbl : (string, span) Hashtbl.t = Hashtbl.create 16
 
-(* Registration only under [reg_m]. *)
 let find_or_add tbl name make =
   match Hashtbl.find_opt tbl name with
   | Some x -> x
@@ -58,27 +42,19 @@ let find_or_add tbl name make =
     x
 
 let counter name =
-  with_reg (fun () ->
-      find_or_add counters_tbl name (fun c_name ->
-          { c_name; c_v = Atomic.make 0 }))
+  find_or_add counters_tbl name (fun c_name -> { c_name; c_v = 0 })
+let incr c = c.c_v <- c.c_v + 1
+let add c n = c.c_v <- c.c_v + n
+let counter_value c = c.c_v
 
-let incr c = ignore (Atomic.fetch_and_add c.c_v 1)
-let add c n = ignore (Atomic.fetch_and_add c.c_v n)
-let counter_value c = Atomic.get c.c_v
-
-let gauge name =
-  with_reg (fun () ->
-      find_or_add gauges_tbl name (fun g_name ->
-          { g_name; g_v = Atomic.make 0 }))
-
-let set_gauge g v = Atomic.set g.g_v v
-let gauge_value g = Atomic.get g.g_v
+let gauge name = find_or_add gauges_tbl name (fun g_name -> { g_name; g_v = 0 })
+let set_gauge g v = g.g_v <- v
+let gauge_value g = g.g_v
 
 let make_histogram h_name =
   { h_name; h_n = 0; h_sum = 0; h_counts = Array.make n_buckets 0 }
 
-let histogram name =
-  with_reg (fun () -> find_or_add hists_tbl name make_histogram)
+let histogram name = find_or_add hists_tbl name make_histogram
 
 let bucket_of v =
   if v <= 0 then 0
@@ -91,62 +67,45 @@ let bucket_of v =
     min !i (n_buckets - 1)
   end
 
-let observe_unlocked h v =
+let observe h v =
   h.h_n <- h.h_n + 1;
   h.h_sum <- h.h_sum + max v 0;
   let b = h.h_counts in
   let i = bucket_of v in
   b.(i) <- b.(i) + 1
 
-let observe h v = with_reg (fun () -> observe_unlocked h v)
-
 let span name =
-  with_reg (fun () ->
-      find_or_add spans_tbl name (fun sp_name ->
-          { sp_name;
-            sp_n = 0;
-            sp_total = 0;
-            sp_max = 0;
-            sp_hist = find_or_add hists_tbl (sp_name ^ ".ns") make_histogram }))
+  find_or_add spans_tbl name (fun sp_name ->
+      { sp_name;
+        sp_n = 0;
+        sp_total = 0;
+        sp_max = 0;
+        sp_hist = histogram (sp_name ^ ".ns") })
 
 let span_add sp ns =
   let ns = max ns 0 in
-  with_reg (fun () ->
-      sp.sp_n <- sp.sp_n + 1;
-      sp.sp_total <- sp.sp_total + ns;
-      if ns > sp.sp_max then sp.sp_max <- ns;
-      observe_unlocked sp.sp_hist ns)
+  sp.sp_n <- sp.sp_n + 1;
+  sp.sp_total <- sp.sp_total + ns;
+  if ns > sp.sp_max then sp.sp_max <- ns;
+  observe sp.sp_hist ns
 
-let span_count sp = with_reg (fun () -> sp.sp_n)
+let span_count sp = sp.sp_n
 
-(* ---- the virtual clock ---------------------------------------------- *)
-
-(* The cost-model clock doubles as the Timeline's virtual clock: every
-   installer (recorder, replayer, bench) goes through here, so the two
-   subsystems always agree on what "now" means. *)
-let no_clock () = 0
-let clock = ref no_clock
-
-let set_clock f =
-  clock := f;
-  Timeline.set_virtual_clock f
-
-let clear_clock () =
-  clock := no_clock;
-  Timeline.clear_virtual_clock ()
+(* ---- timed spans ------------------------------------------------------ *)
 
 (* Timed spans double as timeline scopes, so the existing [timed]
-   instrumentation shows up nested on the timeline for free. *)
+   instrumentation shows up nested on the timeline for free; both read
+   the one virtual clock, [Timeline.now]. *)
 let timed sp f =
-  let t0 = !clock () in
+  let t0 = Timeline.now () in
   Timeline.begin_scope sp.sp_name;
   Fun.protect
     ~finally:(fun () ->
       Timeline.end_scope sp.sp_name;
-      span_add sp (!clock () - t0))
+      span_add sp (Timeline.now () - t0))
     f
 
-(* ---- the event ring and sinks --------------------------------------- *)
+(* ---- the event ring -------------------------------------------------- *)
 
 type event = {
   seq : int;
@@ -162,85 +121,44 @@ let dummy_event = { seq = -1; tid = -1; frame = -1; kind = ""; detail = "" }
 let ring = Array.make ring_capacity dummy_event
 let next_seq = ref 0
 
-type sink = Null | Memory | Jsonl of string
-
-let current_sink = ref Null
-let mem_events : event list ref = ref [] (* newest first *)
-let jsonl_oc : out_channel option ref = ref None
-
-let close_jsonl () =
-  match !jsonl_oc with
-  | Some oc ->
-    close_out oc;
-    jsonl_oc := None
-  | None -> ()
-
 let json_escape = Json_min.escape
 
 let event_to_json e =
   Printf.sprintf "{\"seq\":%d,\"tid\":%d,\"frame\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
     e.seq e.tid e.frame (json_escape e.kind) (json_escape e.detail)
 
-let set_sink s =
-  with_reg (fun () ->
-      close_jsonl ();
-      mem_events := [];
-      (match s with
-      | Jsonl path -> jsonl_oc := Some (open_out path)
-      | Null | Memory -> ());
-      current_sink := s)
-
 let note ?(tid = -1) ?(frame = -1) ~kind detail =
   (* Mirror the event onto the timeline (on the task's lane when known)
      so instants line up with the scopes that produced them. *)
   if Timeline.enabled () then
     Timeline.instant ?lane:(if tid >= 0 then Some tid else None) kind;
-  with_reg (fun () ->
-      let e = { seq = !next_seq; tid; frame; kind; detail } in
-      ring.(!next_seq mod ring_capacity) <- e;
-      Stdlib.incr next_seq;
-      match !current_sink with
-      | Null -> ()
-      | Memory -> mem_events := e :: !mem_events
-      | Jsonl _ -> (
-        match !jsonl_oc with
-        | Some oc ->
-          output_string oc (event_to_json e);
-          output_char oc '\n';
-          (* Flight-recorder semantics: a killed recording must leave
-             every event it noted on disk, so flush per line. *)
-          flush oc
-        | None -> ()))
+  ring.(!next_seq mod ring_capacity) <-
+    { seq = !next_seq; tid; frame; kind; detail };
+  Stdlib.incr next_seq
 
-let recent_unlocked () =
+let recent () =
   let n = min !next_seq ring_capacity in
   List.init n (fun i -> ring.((!next_seq - n + i) mod ring_capacity))
-
-let recent () = with_reg recent_unlocked
-
-let memory_events () = with_reg (fun () -> List.rev !mem_events)
 
 (* ---- reset ----------------------------------------------------------- *)
 
 let reset () =
-  with_reg (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.c_v 0) counters_tbl;
-      Hashtbl.iter (fun _ g -> Atomic.set g.g_v 0) gauges_tbl;
-      Hashtbl.iter
-        (fun _ h ->
-          h.h_n <- 0;
-          h.h_sum <- 0;
-          Array.fill h.h_counts 0 n_buckets 0)
-        hists_tbl;
-      Hashtbl.iter
-        (fun _ sp ->
-          sp.sp_n <- 0;
-          sp.sp_total <- 0;
-          sp.sp_max <- 0)
-        spans_tbl;
-      Array.fill ring 0 ring_capacity dummy_event;
-      next_seq := 0;
-      mem_events := [])
+  Hashtbl.iter (fun _ c -> c.c_v <- 0) counters_tbl;
+  Hashtbl.iter (fun _ g -> g.g_v <- 0) gauges_tbl;
+  Hashtbl.iter
+    (fun _ h ->
+      h.h_n <- 0;
+      h.h_sum <- 0;
+      Array.fill h.h_counts 0 n_buckets 0)
+    hists_tbl;
+  Hashtbl.iter
+    (fun _ sp ->
+      sp.sp_n <- 0;
+      sp.sp_total <- 0;
+      sp.sp_max <- 0)
+    spans_tbl;
+  Array.fill ring 0 ring_capacity dummy_event;
+  next_seq := 0
 
 (* ---- snapshots -------------------------------------------------------- *)
 
@@ -302,17 +220,13 @@ let hist_quantile h q =
   end
 
 let snapshot () =
-  with_reg (fun () ->
-      { snap_counters =
-          sorted_bindings counters_tbl (fun c -> Atomic.get c.c_v);
-        snap_gauges = sorted_bindings gauges_tbl (fun g -> Atomic.get g.g_v);
-        snap_histograms = sorted_bindings hists_tbl hist_stat;
-        snap_spans =
-          sorted_bindings spans_tbl (fun sp ->
-              { s_count = sp.sp_n;
-                s_total_ns = sp.sp_total;
-                s_max_ns = sp.sp_max });
-        snap_events = recent_unlocked () })
+  { snap_counters = sorted_bindings counters_tbl (fun c -> c.c_v);
+    snap_gauges = sorted_bindings gauges_tbl (fun g -> g.g_v);
+    snap_histograms = sorted_bindings hists_tbl hist_stat;
+    snap_spans =
+      sorted_bindings spans_tbl (fun sp ->
+          { s_count = sp.sp_n; s_total_ns = sp.sp_total; s_max_ns = sp.sp_max });
+    snap_events = recent () }
 
 let since base =
   let now = snapshot () in

@@ -1,6 +1,6 @@
 (** Unified telemetry: a process-wide registry of named counters, gauges,
     histograms and spans, plus a fixed-size ring of the last N structured
-    events with a pluggable sink.
+    events.
 
     This is the observability substrate of the reproduction (paper §6.2:
     diagnosing failures in the field needs the machinery built in, and
@@ -26,27 +26,21 @@
       [repo.bytes_stored] / [repo.bytes_deduped] (the dedup economy)
       and [repo.gc_swept];
     - all durations are *virtual* nanoseconds from the cost model, read
-      through the installed {!set_clock} (no wall-clock dependency, so
-      telemetry never perturbs determinism);
+      through {!Timeline.now}, the one virtual clock that the recorder
+      and replayer install with {!Timeline.set_virtual_clock} (no
+      wall-clock dependency, so telemetry never perturbs determinism);
     - {!Timeline} scopes reuse the span namespace: every {!timed} span
       doubles as a timeline scope of the same dotted [<layer>.<verb>]
-      name, {!set_clock} also installs the timeline's virtual clock, and
-      {!note} mirrors each event as a timeline instant on the task's
-      lane.  Scope names introduced directly via [Timeline.scope] must
-      follow the same dotted convention ([tools/check_format.sh] lints
-      this); [<layer>.session] is reserved for whole-phase roots.
+      name, and {!note} mirrors each event as a timeline instant on the
+      task's lane.  Scope names introduced directly via [Timeline.scope]
+      must follow the same dotted convention ([tools/check_format.sh]
+      lints this); [<layer>.session] is reserved for whole-phase roots.
 
     The registry is process-global and survives {!reset}: handles stay
     valid, only values are zeroed.  All operations on the hot path are
-    O(1) field updates.
-
-    The registry is domain-safe: any domain may share it with the main
-    thread.  Counters and gauges are lock-free atomics;
-    histograms, spans, the event ring, registration, {!reset} and
-    {!snapshot} serialize on an internal registry mutex.  {!set_clock}
-    installs a closure that other domains may call concurrently — time
-    sources must tolerate that (the kernel's virtual-ns clock is a
-    plain field read, so a racing read is merely slightly stale). *)
+    O(1) updates of plain mutable fields.  The program is single-domain
+    ([tools/check_format.sh] rejects domains, atomics and mutexes under
+    [lib/]), so nothing here locks. *)
 
 (** {1 Metrics} *)
 
@@ -82,17 +76,9 @@ val span_add : span -> int -> unit
 
 val span_count : span -> int
 
-(** {1 The virtual clock} *)
-
-val set_clock : (unit -> int) -> unit
-(** Install the time source used by {!timed} — the recorder and replayer
-    install their kernel's virtual-ns clock at session start. *)
-
-val clear_clock : unit -> unit
-
 val timed : span -> (unit -> 'a) -> 'a
-(** Run the thunk inside the span, charging the elapsed virtual ns from
-    the installed clock (zero-duration counts when no clock is set).
+(** Run the thunk inside the span, charging the elapsed virtual ns read
+    from {!Timeline.now} (zero-duration counts when no clock is set).
     Exception-safe: the span is recorded even if the thunk raises. *)
 
 (** {1 The event ring} *)
@@ -109,32 +95,11 @@ val ring_capacity : int
 (** The ring keeps the last [ring_capacity] events (currently 64). *)
 
 val note : ?tid:int -> ?frame:int -> kind:string -> string -> unit
-(** Append a structured event to the ring and hand it to the sink. *)
+(** Append a structured event to the ring, overwriting the oldest once
+    the ring is full. *)
 
 val recent : unit -> event list
 (** The ring's contents, oldest first — at most {!ring_capacity}. *)
-
-(** {1 Sinks}
-
-    The ring always records; a sink additionally receives every event as
-    it is noted.  Contract: the sink must not call back into this module
-    and must tolerate any [kind]/[detail]; {!reset} clears sink buffers
-    but leaves the sink installed. *)
-
-type sink =
-  | Null (** drop (the default; zero cost beyond the ring) *)
-  | Memory (** accumulate all events for {!memory_events} *)
-  | Jsonl of string
-      (** append one JSON object per line to the file, flushing after
-          every event so a killed process's log survives on disk *)
-
-val set_sink : sink -> unit
-(** Installing a sink closes the previous JSONL channel (if any) and
-    clears the memory buffer. *)
-
-val memory_events : unit -> event list
-(** Events accumulated since the [Memory] sink was installed (or since
-    the last {!reset}), oldest first. *)
 
 (** {1 Snapshots} *)
 
@@ -173,8 +138,8 @@ val since : snapshot -> snapshot
     registry (e.g. the snapshots embedded in [Recorder.stats]). *)
 
 val reset : unit -> unit
-(** Zero every registered metric, empty the ring and the memory-sink
-    buffer.  Registered handles remain valid. *)
+(** Zero every registered metric and empty the ring.  Registered handles
+    remain valid. *)
 
 (** {1 Rendering} *)
 

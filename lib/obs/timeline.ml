@@ -1,23 +1,16 @@
 (* Timeline tracing (see timeline.mli for the contract).
 
-   Hot-path design: one preallocated event array and one atomic write
-   cursor.  Emitting an event is a clock read, a fetch-and-add and a
-   slot write — no locks, so other domains record into the same buffer
-   as the supervisor without serializing on anything.
+   Hot-path design: one preallocated event array and one write cursor.
+   Emitting an event is a clock read, a cursor bump and a slot write.
    When the buffer fills, events are counted as dropped instead of
-   blocking; the exporter closes any scope whose end fell off the
+   growing it; the exporter closes any scope whose end fell off the
    buffer, so exports are always well formed.
 
-   Scope nesting is tracked per domain in domain-local state
-   ([Domain.DLS]): each domain has its own stack of open frames and its
-   own current lane.  A frame remembers the lane it *began* on, so a
-   scope that outlives a lane switch still closes on its opening lane —
+   Scope nesting is tracked on one stack of open frames, beside one
+   current lane.  A frame remembers the lane it *began* on, so a scope
+   that outlives a lane switch still closes on its opening lane —
    per-lane begin/end streams therefore always nest properly (a subset
-   of a properly nested interval family is itself properly nested).
-
-   Readers ([events], exporters) must run after {!stop} with other
-   domains quiesced: slot writes are plain stores and are only
-   published by the happens-before edge of [Domain.join]. *)
+   of a properly nested interval family is itself properly nested). *)
 
 type kind = B | E | I
 
@@ -36,10 +29,11 @@ let vclock = ref no_clock
 let hclock = ref no_clock
 let set_virtual_clock f = vclock := f
 let clear_virtual_clock () = vclock := no_clock
+let now () = !vclock ()
 let set_host_clock f = hclock := f
 let clear_host_clock () = hclock := no_clock
 
-(* ---- the bounded lock-free buffer ------------------------------------ *)
+(* ---- the bounded buffer ---------------------------------------------- *)
 
 let dummy =
   { ev_kind = I; ev_name = ""; ev_lane = -1; ev_vts = 0; ev_hts = 0 }
@@ -47,104 +41,69 @@ let dummy =
 let default_capacity = 1 lsl 18
 
 let buf = ref [||]
-let cursor = Atomic.make 0
-let on = Atomic.make false
-let dropped_n = Atomic.make 0
-let mismatch_n = Atomic.make 0
+let cursor = ref 0
+let on = ref false
+let dropped_n = ref 0
+let mismatch_n = ref 0
 
-let enabled () = Atomic.get on
+let enabled () = !on
 
 let start ?(capacity = default_capacity) () =
   buf := Array.make (max 16 capacity) dummy;
-  Atomic.set dropped_n 0;
-  Atomic.set mismatch_n 0;
-  Atomic.set cursor 0;
-  Atomic.set on true
+  dropped_n := 0;
+  mismatch_n := 0;
+  cursor := 0;
+  on := true
 
-let stop () = Atomic.set on false
+let stop () = on := false
 
-let dropped () = Atomic.get dropped_n
-let mismatches () = Atomic.get mismatch_n
+let dropped () = !dropped_n
+let mismatches () = !mismatch_n
 
 (* Returns whether the event landed in the buffer. *)
 let push ev =
   let b = !buf in
-  let i = Atomic.fetch_and_add cursor 1 in
-  if i < Array.length b then begin
-    b.(i) <- ev;
+  if !cursor < Array.length b then begin
+    b.(!cursor) <- ev;
+    incr cursor;
     true
   end
   else begin
-    ignore (Atomic.fetch_and_add dropped_n 1);
+    incr dropped_n;
     false
   end
 
-let events () =
-  let b = !buf in
-  let n = min (Atomic.get cursor) (Array.length b) in
-  Array.to_list (Array.sub b 0 n)
+let events () = Array.to_list (Array.sub !buf 0 !cursor)
 
 (* ---- lanes ----------------------------------------------------------- *)
 
-(* Lane 0 is the supervisor ("main"); kernel tasks report on their tid;
-   any other domain lands at [10_000 + domain id] so it can never
-   collide with guest tids. *)
-
-let lanes_m = Mutex.create ()
-let lane_names : (int, string) Hashtbl.t = Hashtbl.create 16
-
-let name_lane lane name =
-  Mutex.lock lanes_m;
-  if not (Hashtbl.mem lane_names lane) then Hashtbl.replace lane_names lane name;
-  Mutex.unlock lanes_m
-
+(* Lane 0 is the supervisor ("main"); kernel tasks report on their tid. *)
 let lane_name lane =
-  Mutex.lock lanes_m;
-  let n = Hashtbl.find_opt lane_names lane in
-  Mutex.unlock lanes_m;
-  match n with
-  | Some n -> n
-  | None ->
-    if lane = 0 then "main"
-    else if lane >= 10_000 then Printf.sprintf "worker-%d" (lane - 10_000)
-    else Printf.sprintf "task-%d" lane
+  if lane = 0 then "main" else Printf.sprintf "task-%d" lane
 
 type frame = { f_name : string; f_lane : int; f_emitted : bool }
-type dstate = { mutable lane : int; mutable stack : frame list }
 
-let dstate_key =
-  Domain.DLS.new_key (fun () ->
-      let did = (Domain.self () :> int) in
-      { lane = (if did = 0 then 0 else 10_000 + did); stack = [] })
-
-let dls () = Domain.DLS.get dstate_key
-
-let set_lane ?name lane =
-  (dls ()).lane <- lane;
-  match name with Some n -> name_lane lane n | None -> ()
-
-let current_lane () = (dls ()).lane
+let current_lane = ref 0
+let stack : frame list ref = ref []
+let set_lane lane = current_lane := lane
 
 (* ---- recording ------------------------------------------------------- *)
 
-let begin_scope ?lane name =
-  let d = dls () in
-  let lane = match lane with Some l -> l | None -> d.lane in
+let begin_scope ?(lane = !current_lane) name =
   let emitted =
-    Atomic.get on
+    !on
     && push
          { ev_kind = B; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
            ev_hts = !hclock () }
   in
-  d.stack <- { f_name = name; f_lane = lane; f_emitted = emitted } :: d.stack
+  stack := { f_name = name; f_lane = lane; f_emitted = emitted } :: !stack
 
 let end_scope name =
-  let d = dls () in
-  match d.stack with
-  | [] -> if Atomic.get on then ignore (Atomic.fetch_and_add mismatch_n 1)
+  match !stack with
+  | [] -> if !on then incr mismatch_n
   | f :: rest ->
-    d.stack <- rest;
-    if f.f_name <> name then ignore (Atomic.fetch_and_add mismatch_n 1);
+    stack := rest;
+    if f.f_name <> name then incr mismatch_n;
     (* The end event carries the frame's own name and opening lane, so a
        mismatched or lane-switched close still pairs with its begin. *)
     if f.f_emitted then
@@ -157,9 +116,8 @@ let scope ?lane name f =
   begin_scope ?lane name;
   Fun.protect ~finally:(fun () -> end_scope name) f
 
-let instant ?lane name =
-  if Atomic.get on then begin
-    let lane = match lane with Some l -> l | None -> current_lane () in
+let instant ?(lane = !current_lane) name =
+  if !on then begin
     ignore
       (push
          { ev_kind = I; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
@@ -188,10 +146,11 @@ let layer_of name =
 
 (* One JSON object per event, ph in {B, E, i}, ts in microseconds of
    virtual time, host ns in args.  Per-lane timestamps are clamped
-   monotone (worker-domain clock reads may be slightly stale), and any
-   scope still open at the end of the buffer — a killed session, or an
-   end event that fell off the bounded buffer — is closed at the final
-   timestamp so every B has a matching E. *)
+   monotone (each session restarts the virtual clock, so a lane that
+   two sessions share would otherwise step back), and any scope still
+   open at the end of the buffer — a killed session, or an end event
+   that fell off the bounded buffer — is closed at the final timestamp
+   so every B has a matching E. *)
 let to_chrome_json () =
   let evs = events () in
   let b = Buffer.create 65536 in

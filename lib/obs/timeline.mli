@@ -3,11 +3,10 @@
     Where {!Telemetry} answers "how many / how long in aggregate",
     [Timeline] answers "when, under what, and on which task": begin/end
     scope events carrying both the virtual cost-model clock and an
-    optional host clock, nested per domain, laid out in per-task
-    {e lanes} keyed by guest tid, plus instant markers.  Events land
-    in one bounded lock-free buffer shared by all domains; recording is
-    off by default and every emit point is a cheap atomic check when
-    disabled.
+    optional host clock, nested on one stack of open scopes, laid out
+    in per-task {e lanes} keyed by guest tid, plus instant markers.
+    Events land in one bounded buffer; recording is off by default and
+    every emit point is one flag check when disabled.
 
     Naming convention: scope and instant names are dotted
     [<layer>.<verb>] (["kern.run"], ["trace.deflate"], ["record.stop"])
@@ -15,8 +14,8 @@
     Chrome [cat] field.  [<layer>.session] names are reserved for
     whole-phase root scopes and are excluded from stage attribution.
 
-    Exports are offline: call them after {!stop} with every other
-    domain joined ([Domain.join] provides the needed synchronisation). *)
+    The program is single-domain, so nothing here locks; exports are
+    offline and read the buffer as {!stop} left it. *)
 
 (** {1 Lifecycle} *)
 
@@ -39,35 +38,39 @@ val mismatches : unit -> int
 (** {1 Clocks}
 
     Timestamps are nanoseconds.  The virtual clock is the cost-model
-    clock installed by the recorder/replayer (via
-    [Telemetry.set_clock], which forwards here); the host clock is
-    wall-time, installed by profiling front-ends.  Both default to a
-    constant [0]. *)
+    clock: [Recorder.record] and [Replayer.replay] install their
+    kernel's clock at start and clear it on every exit, and an
+    incremental replay ([Replayer.start], [Replayer.restore]) installs
+    it for its caller to clear.  It is the one clock that decides what
+    "now" means, for timeline events and for [Telemetry.timed] spans
+    alike.  The host clock is wall-time, installed by profiling
+    front-ends.  Both default to a constant [0]. *)
 
 val set_virtual_clock : (unit -> int) -> unit
 val clear_virtual_clock : unit -> unit
+
+val now : unit -> int
+(** The installed virtual clock's reading, [0] when none is set. *)
+
 val set_host_clock : (unit -> int) -> unit
 val clear_host_clock : unit -> unit
 
 (** {1 Lanes}
 
-    A lane is a Chrome "thread" row: lane 0 is the supervisor, kernel
-    tasks use their guest tid, and any other domain defaults to
-    [10_000 + domain id] (disjoint from tids by construction).  Each
-    domain has a current lane that new events inherit. *)
+    A lane is a Chrome "thread" row: lane 0 is the supervisor and kernel
+    tasks use their guest tid.  New events inherit the current lane. *)
 
-val set_lane : ?name:string -> int -> unit
-(** Switch this domain's current lane, optionally (first caller wins)
-    giving it a display name. *)
+val set_lane : int -> unit
+(** Switch the current lane. *)
 
 (** {1 Recording} *)
 
 val begin_scope : ?lane:int -> string -> unit
-(** Open a scope on this domain (in [lane], default the current lane).
-    Must be balanced by {!end_scope} with the same name; the pair
-    becomes a [B]/[E] interval nested under the domain's innermost open
-    scope.  Scope frames are tracked even while disabled, so
-    enable/disable races never unbalance the export. *)
+(** Open a scope (in [lane], default the current lane).  Must be
+    balanced by {!end_scope} with the same name; the pair becomes a
+    [B]/[E] interval nested under the innermost open scope.  Scope
+    frames are tracked even while disabled, so a scope open across
+    {!start} or {!stop} never unbalances the export. *)
 
 val end_scope : string -> unit
 (** Close the innermost open scope.  A [name] mismatch closes the frame

@@ -1071,127 +1071,119 @@ let resolve_sink opts =
 let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
     ?(on_event = fun (_ : E.t) -> ()) ~setup ~exe () =
   let k = K.create ~seed:opts.seed () in
-  (* Spans measure virtual ns against this recording's cost model. *)
-  Telemetry.set_clock (fun () -> K.now k);
   let tm_base = Telemetry.snapshot () in
-  (* The whole-recording root scope: everything from setup through the
-     final trace commit nests under it on the supervisor lane. *)
-  Timeline.begin_scope "record.session";
-  let w =
+  (* Spans and scopes measure virtual ns against this recording's cost
+     model.  The session's one bracket: on every exit the root scope
+     closes, then the clock is cleared.  The clock stays installed
+     through [finish] so the final commit (last chunk's deflate,
+     manifest write) is timed like everything else. *)
+  Timeline.set_virtual_clock (fun () -> K.now k);
+  let trace, r, root =
+    Fun.protect ~finally:Timeline.clear_virtual_clock @@ fun () ->
+    (* The whole-recording root scope: everything from setup through the
+       final trace commit nests under it on the supervisor lane. *)
+    Timeline.scope "record.session" @@ fun () ->
+    let writer = ref None in
     try
-      Timeline.scope "record.setup" (fun () ->
-          Vfs.mkdir_p (K.vfs k) "/trace/images";
-          Vfs.mkdir_p (K.vfs k) "/trace/files";
-          Vfs.mkdir_p (K.vfs k) "/trace/cloned";
-          setup k;
-          try
+      let w =
+        Timeline.scope "record.setup" (fun () ->
+            Vfs.mkdir_p (K.vfs k) "/trace/images";
+            Vfs.mkdir_p (K.vfs k) "/trace/files";
+            Vfs.mkdir_p (K.vfs k) "/trace/cloned";
+            setup k;
             Trace.Writer.create ~compress:opts.compress
               ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts)
-              ~initial_exe:exe ()
-          with e -> raise (reraise_typed e))
+              ~initial_exe:exe ())
+      in
+      writer := Some w;
+      let r =
+        { k;
+          w;
+          sched =
+            Rec_sched.create ~timeslice_rcbs:opts.timeslice_rcbs
+              ~chaos:opts.chaos ~seed:(opts.seed * 7919) ();
+          opts;
+          rts = Hashtbl.create 16;
+          on_event;
+          locals_owner = Hashtbl.create 8;
+          known_dead = Hashtbl.create 16;
+          deaths_seen = 0;
+          current = None;
+          next_slot = 0;
+          image_count = 0;
+          file_count = 0;
+          events = 0;
+          sched_events = 0;
+          patched_sites = 0;
+          checksum_mark = 0 }
+      in
+      (* RDRAND emulation hooks: draw from kernel entropy and record the
+         value, like the trapped-RDTSC path. *)
+      for reg = 0 to Insn.num_regs - 1 do
+        K.set_hook k
+          (Syscallbuf.rdrand_hook_of_reg reg)
+          (fun k task ->
+            let value = Entropy.bits k.K.entropy land 0xffff_ffff in
+            task.T.cpu.Cpu.regs.(reg) <- value;
+            emit r (E.E_insn_trap { tid = task.T.tid; reg; value }))
+      done;
+      if opts.intercept then
+        K.set_hook k Syscallbuf.hook_number
+          (Syscallbuf.hook ~wide:opts.wide
+             (Syscallbuf.Record
+                { clone_read = clone_read r;
+                  extra_writes =
+                    (fun _k task ~nr ~args ~result ->
+                      fd_bitmap_writes r task ~nr ~args ~result) }));
+      (* Spawning the root task charges the exec cost model (image load
+         plus the initial exec stop) — time it so the attribution ledger
+         sees it. *)
+      let root =
+        Timeline.scope "record.spawn" (fun () ->
+            K.spawn k ~path:exe ~traced:true ())
+      in
+      (get_rt r root).pending_exec <- Some exe;
+      let finished = ref false in
+      (try
+         while not !finished do
+           match K.wait k with
+           | K.All_dead ->
+             record_new_deaths r;
+             finished := true
+           | K.Deadlocked tids ->
+             (* All live tasks are parked or blocked: if any is parked
+                the scheduler can still make progress. *)
+             if List.exists (runnable_parked r) tids then ensure_running r
+             else
+               fail "recording deadlocked; live tasks: %s"
+                 (String.concat "," (List.map string_of_int tids))
+           | K.Stopped_task (task, stop) ->
+             handle_stop r task stop;
+             (* Checksums go after the handler so they digest the same
+                state the replayer sees after applying the frame. *)
+             maybe_checksum r task stop;
+             record_new_deaths r;
+             ensure_running r;
+             on_stop k
+         done
+       with exn ->
+         (* The emergency debugger (§6.2): dump tracee state next to the
+            failure so it can be diagnosed in the field. *)
+         Log.err (fun m ->
+             m "%s" (Diagnostics.dump ~msg:(Printexc.to_string exn) k));
+         raise exn);
+      (Trace.Writer.finish w, r, root)
     with e ->
-      (* Died before there is a writer to abort: the caller-opened
-         journal must still be closed. *)
-      (match opts.sink with
-      | Sink_io io -> ( try Io.close_writer io with Io.Io_error _ -> ())
-      | Sink_memory | Sink_ring _ | Sink_repo _ -> ());
-      Timeline.end_scope "record.session";
-      Telemetry.clear_clock ();
-      raise e
-  in
-  let r =
-    { k;
-      w;
-      sched =
-        Rec_sched.create ~timeslice_rcbs:opts.timeslice_rcbs ~chaos:opts.chaos
-          ~seed:(opts.seed * 7919) ();
-      opts;
-      rts = Hashtbl.create 16;
-      on_event;
-      locals_owner = Hashtbl.create 8;
-      known_dead = Hashtbl.create 16;
-      deaths_seen = 0;
-      current = None;
-      next_slot = 0;
-      image_count = 0;
-      file_count = 0;
-      events = 0;
-      sched_events = 0;
-      patched_sites = 0;
-      checksum_mark = 0 }
-  in
-  (* RDRAND emulation hooks: draw from kernel entropy and record the
-     value, like the trapped-RDTSC path. *)
-  for reg = 0 to Insn.num_regs - 1 do
-    K.set_hook k
-      (Syscallbuf.rdrand_hook_of_reg reg)
-      (fun k task ->
-        let value = Entropy.bits k.K.entropy land 0xffff_ffff in
-        task.T.cpu.Cpu.regs.(reg) <- value;
-        emit r (E.E_insn_trap { tid = task.T.tid; reg; value }))
-  done;
-  if opts.intercept then
-    K.set_hook k Syscallbuf.hook_number
-      (Syscallbuf.hook ~wide:opts.wide
-         (Syscallbuf.Record
-            { clone_read = clone_read r;
-              extra_writes =
-                (fun _k task ~nr ~args ~result ->
-                  fd_bitmap_writes r task ~nr ~args ~result) }));
-  (* Spawning the root task charges the exec cost model (image load plus
-     the initial exec stop) — time it so the attribution ledger sees it. *)
-  let root =
-    Timeline.scope "record.spawn" (fun () -> K.spawn k ~path:exe ~traced:true ())
-  in
-  (get_rt r root).pending_exec <- Some exe;
-  let finished = ref false in
-  (try
-  while not !finished do
-    match K.wait k with
-    | K.All_dead ->
-      record_new_deaths r;
-      finished := true
-    | K.Deadlocked tids ->
-      (* All live tasks are parked or blocked: if any is parked the
-         scheduler can still make progress. *)
-      if List.exists (runnable_parked r) tids then ensure_running r
-      else
-        fail "recording deadlocked; live tasks: %s"
-          (String.concat "," (List.map string_of_int tids))
-    | K.Stopped_task (task, stop) ->
-      handle_stop r task stop;
-      (* Checksums go after the handler so they digest the same state the
-         replayer sees after applying the frame. *)
-      maybe_checksum r task stop;
-      record_new_deaths r;
-      ensure_running r;
-      on_stop k
-  done
-  with exn ->
-    (* The emergency debugger (§6.2): dump tracee state next to the
-       failure so it can be diagnosed in the field. *)
-    Log.err (fun m -> m "%s" (Diagnostics.dump ~msg:(Printexc.to_string exn) k));
-    (* Release the writer without committing: the sink's fd must not
-       outlive a recording that died (a killed file journal leaves its
-       salvageable prefix on disk; a ring keeps its window live in the
-       caller-owned handle). *)
-    Trace.Writer.abort w;
-    Timeline.end_scope "record.session";
-    Telemetry.clear_clock ();
-    raise (reraise_typed exn));
-  (* The clock stays installed through [finish] so the final commit
-     (last chunk's deflate, manifest write) is timed like everything
-     else. *)
-  let trace =
-    Fun.protect
-      ~finally:(fun () ->
-        Timeline.end_scope "record.session";
-        Telemetry.clear_clock ())
-      (fun () ->
-        try Trace.Writer.finish w
-        with e ->
-          Trace.Writer.abort w;
-          raise (reraise_typed e))
+      (* Release the writer without committing: the sink's fd must not
+         outlive a recording that died (a killed file journal leaves its
+         salvageable prefix on disk; a ring keeps its window live in the
+         caller-owned handle).  Before the writer exists, the
+         caller-opened journal is closed instead. *)
+      (match (!writer, opts.sink) with
+      | Some w, _ -> Trace.Writer.abort w
+      | None, Sink_io io -> ( try Io.close_writer io with Io.Io_error _ -> ())
+      | None, (Sink_memory | Sink_ring _ | Sink_repo _) -> ());
+      raise (reraise_typed e)
   in
   let root_status =
     match Hashtbl.find_opt k.K.procs root.T.tid with

@@ -641,7 +641,7 @@ let start ?(opts = default_opts) trace =
       installed = [];
       tm_base = Telemetry.snapshot () }
   in
-  Telemetry.set_clock (fun () -> K.now r.k);
+  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   r
@@ -672,7 +672,10 @@ let stats_of r =
 
 let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
   let r = start ~opts trace in
-  Timeline.begin_scope "replay.session";
+  (* The session's one bracket: on every exit the root scope closes,
+     then the clock [start] installed is cleared. *)
+  Fun.protect ~finally:Timeline.clear_virtual_clock @@ fun () ->
+  Timeline.scope "replay.session" @@ fun () ->
   (try
      while not (at_end r) do
        ignore (step r);
@@ -683,13 +686,8 @@ let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
         divergence report. *)
      Log.err (fun m ->
          m "replay diverged at frame %d:@,%a" (cursor_index r) Diagnostics.pp r.k);
-     Timeline.end_scope "replay.session";
-     Telemetry.clear_clock ();
      raise exn);
-  let stats = stats_of r in
-  Timeline.end_scope "replay.session";
-  Telemetry.clear_clock ();
-  (stats, r.k)
+  (stats_of r, r.k)
 
 (* ---- checkpoints (paper §6.1) ----------------------------------------
 
@@ -893,7 +891,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
       installed = snap.snap_installed;
       tm_base = Telemetry.snapshot () }
   in
-  Telemetry.set_clock (fun () -> K.now r.k);
+  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   List.iter

@@ -46,7 +46,7 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
       Fun.protect
         ~finally:(fun () ->
           A.clear_write_observer ();
-          Telemetry.clear_clock ())
+          Timeline.clear_virtual_clock ())
         (fun () ->
           while not (Replayer.at_end r) do
             Hashtbl.reset touched;

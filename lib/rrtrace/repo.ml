@@ -44,13 +44,9 @@ let pp_error ppf = function
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
-type t = { root : string; lock : Mutex.t }
+type t = { root : string }
 
 let path t = t.root
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let marker_name = "REPO"
 let marker_contents = "rrrepo1\n"
@@ -141,7 +137,7 @@ let tmp_entries dir =
 
 let open_ root =
   let marker = Filename.concat root marker_name in
-  let t = { root; lock = Mutex.create () } in
+  let t = { root } in
   if not (Sys.file_exists root && Sys.is_directory root) then
     Error (Not_a_repo { path = root; detail = "no such directory" })
   else if not (Sys.file_exists marker) then
@@ -160,7 +156,7 @@ let open_ root =
 let init root =
   match
     Io.mkdir_if_missing root;
-    let t = { root; lock = Mutex.create () } in
+    let t = { root } in
     Io.mkdir_if_missing (objects_dir t);
     Io.mkdir_if_missing (traces_dir t);
     let marker = Filename.concat root marker_name in
@@ -178,7 +174,7 @@ type store_result = {
   shared_bytes : int;
 }
 
-(* Store one object; caller holds [t.lock].  Raises {!Io.Io_error}. *)
+(* Store one object.  Raises {!Io.Io_error}. *)
 let store_object_exn t acc data =
   let key = key_of data in
   let p = object_path t key in
@@ -405,7 +401,7 @@ let rec map_result f = function
     Ok (y :: ys)
 
 let load_trace t ~name =
-  let* m = with_lock t (fun () -> read_manifest t name) in
+  let* m = read_manifest t name in
   let* images =
     map_result
       (fun (p, key) ->
@@ -446,7 +442,6 @@ type trace_info = { ti_frames : int; ti_chunks : int; ti_bytes : int }
 (* Per-trace logical byte totals (referenced object sizes, from the
    manifest keys — no object reads), sorted by name like {!list}. *)
 let list_info t =
-  with_lock t @@ fun () ->
   let* names = listing (traces_dir t) in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -467,7 +462,6 @@ let list_info t =
 let delete_trace t ~name =
   if not (valid_name name) then Error (invalid_name name)
   else
-    with_lock t @@ fun () ->
     let p = manifest_path t name in
     if not (Sys.file_exists p) then
       Error (Manifest_corrupt { name; detail = "no such trace" })
@@ -510,7 +504,6 @@ let write_refs_exn t counts =
   write_file_exn (refs_path t) (Buffer.contents b)
 
 let gc ?(on_sweep = fun _ -> ()) t =
-  with_lock t @@ fun () ->
   let* counts = refcounts t in
   match
     write_refs_exn t counts;
@@ -554,7 +547,6 @@ type stats = {
 }
 
 let stats t =
-  with_lock t @@ fun () ->
   let* names = listing (traces_dir t) in
   let* objects = listing (objects_dir t) in
   let counts = Hashtbl.create 64 in
@@ -620,7 +612,7 @@ let counting_sink t ~name acc =
       ss_files = Trace.File_deltas.create ();
       ss_chunks = [] }
   in
-  let store data = with_lock t (fun () -> store_object_exn t acc data) in
+  let store data = store_object_exn t acc data in
   let put (ev : Trace.Sink.event) =
     match ev with
     | Trace.Sink.Header { compressed; initial_exe } ->
@@ -652,7 +644,6 @@ let counting_sink t ~name acc =
         m_images = List.rev ss.ss_images; m_files;
         m_chunks = List.rev ss.ss_chunks }
     in
-    with_lock t @@ fun () ->
     write_file_exn (manifest_path t name) (encode_manifest manifest)
   in
   let close () =

@@ -18,9 +18,9 @@
     stale ledger, never a broken trace — the next [gc] repairs both.
 
     Every entry point is result-typed; a damaged repository is a value
-    to inspect.  One repository handle may be shared by concurrent
-    recordings (the fleet harness): mutating operations are serialized
-    by an internal mutex.
+    to inspect.  Nothing locks: recordings that share a handle (the
+    fleet harness) run one after another, and a lock would order
+    nothing between processes anyway.
 
     Telemetry: [repo.objects_stored], [repo.objects_shared] (a store
     that found its object already present), [repo.bytes_stored],

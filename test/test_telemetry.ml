@@ -1,5 +1,5 @@
 (* The telemetry layer (lib/obs): registry semantics, the virtual
-   clock, the event ring, sinks, snapshot diffs, JSON rendering — and
+   clock, the event ring, snapshot diffs, JSON rendering — and
    end-to-end: a record+replay session populates the expected
    counters/spans. *)
 
@@ -50,9 +50,9 @@ let test_span_clock () =
   Tm.timed sp (fun () -> ());
   Alcotest.(check int) "counted without clock" 1 (Tm.span_count sp);
   let now = ref 0 in
-  Tm.set_clock (fun () -> !now);
+  Timeline.set_virtual_clock (fun () -> !now);
   Tm.timed sp (fun () -> now := !now + 500);
-  Tm.clear_clock ();
+  Timeline.clear_virtual_clock ();
   let s = find_span (Tm.snapshot ()) "t.phase" in
   Alcotest.(check int) "total" 500 s.Tm.s_total_ns;
   Alcotest.(check int) "max" 500 s.Tm.s_max_ns;
@@ -77,67 +77,6 @@ let test_ring_wraps () =
     (List.nth seqs (Tm.ring_capacity - 1));
   Alcotest.(check bool) "monotone" true
     (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]))
-
-let test_memory_sink () =
-  Tm.reset ();
-  Tm.set_sink Tm.Memory;
-  Tm.note ~kind:"a" "1";
-  Tm.note ~kind:"b" "2";
-  let evs = Tm.memory_events () in
-  Alcotest.(check (list string)) "all events, oldest first" [ "a"; "b" ]
-    (List.map (fun e -> e.Tm.kind) evs);
-  Tm.set_sink Tm.Null;
-  Alcotest.(check int) "switching sinks clears the buffer" 0
-    (List.length (Tm.memory_events ()))
-
-let test_jsonl_sink () =
-  Tm.reset ();
-  let path = Filename.temp_file "telemetry" ".jsonl" in
-  Tm.set_sink (Tm.Jsonl path);
-  Tm.note ~tid:3 ~frame:7 ~kind:"t.j" "detail \"quoted\"";
-  Tm.note ~kind:"t.k" "";
-  Tm.set_sink Tm.Null (* closes the channel *);
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove path;
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one line per event" 2 (List.length lines);
-  let l = List.hd lines in
-  Alcotest.(check bool) "escaped JSON" true
-    (String.length l > 0 && l.[0] = '{')
-
-(* Regression: the Jsonl sink flushes after every note, so a tail -f /
-   crashed-recorder post-mortem sees each event as soon as it is
-   emitted — without closing or switching the sink. *)
-let test_jsonl_flushes_per_note () =
-  Tm.reset ();
-  let path = Filename.temp_file "telemetry" ".jsonl" in
-  Tm.set_sink (Tm.Jsonl path);
-  Tm.note ~kind:"t.f1" "first";
-  Tm.note ~kind:"t.f2" "second";
-  let read_lines () =
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    List.rev !lines
-  in
-  (* the channel is still open: both lines must already be on disk *)
-  let lines = read_lines () in
-  Alcotest.(check int) "visible before close" 2 (List.length lines);
-  Tm.note ~kind:"t.f3" "third";
-  Alcotest.(check int) "and after each further note" 3
-    (List.length (read_lines ()));
-  Tm.set_sink Tm.Null;
-  Sys.remove path
 
 let test_hist_quantiles () =
   Tm.reset ();
@@ -234,33 +173,6 @@ let test_record_replay_populates () =
   Alcotest.(check bool) "lru counts populated" true
     (ts.Trace.lru_hits + ts.Trace.lru_misses > 0)
 
-(* Two domains hammering one registry: counters, histograms and the
-   event ring must neither lose updates nor crash. *)
-let test_domain_hammer () =
-  Tm.reset ();
-  let c = Tm.counter "hammer.c" in
-  let h = Tm.histogram "hammer.h" in
-  let iters = 10_000 in
-  let work () =
-    for i = 1 to iters do
-      Tm.incr c;
-      Tm.observe h i;
-      if i mod 1000 = 0 then Tm.note ~kind:"hammer" "tick"
-    done
-  in
-  let a = Domain.spawn work and b = Domain.spawn work in
-  Domain.join a;
-  Domain.join b;
-  Alcotest.(check int) "no lost counter increments" (2 * iters)
-    (Tm.counter_value c);
-  let snap = Tm.snapshot () in
-  let hs = List.assoc "hammer.h" snap.Tm.snap_histograms in
-  Alcotest.(check int) "no lost observations" (2 * iters) hs.Tm.h_count;
-  Alcotest.(check int) "histogram sum exact" (2 * (iters * (iters + 1) / 2))
-    hs.Tm.h_sum;
-  Alcotest.(check bool) "ring survived concurrent notes" true
-    (List.length (Tm.recent ()) > 0)
-
 let suites =
   [ ( "telemetry",
       [ Alcotest.test_case "counter registry + reset" `Quick
@@ -268,13 +180,8 @@ let suites =
         Alcotest.test_case "gauge + histogram" `Quick test_gauge_and_histogram;
         Alcotest.test_case "span + virtual clock" `Quick test_span_clock;
         Alcotest.test_case "ring wraps at capacity" `Quick test_ring_wraps;
-        Alcotest.test_case "memory sink" `Quick test_memory_sink;
-        Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
-        Alcotest.test_case "jsonl flushes per note" `Quick
-          test_jsonl_flushes_per_note;
         Alcotest.test_case "histogram quantiles" `Quick test_hist_quantiles;
         Alcotest.test_case "since diff" `Quick test_since_diff;
         Alcotest.test_case "json shape" `Quick test_json_shape;
         Alcotest.test_case "record+replay populates" `Quick
-          test_record_replay_populates;
-        Alcotest.test_case "two-domain hammer" `Quick test_domain_hammer ] ) ]
+          test_record_replay_populates ] ) ]

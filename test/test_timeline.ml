@@ -1,7 +1,8 @@
 (* The timeline tracer (lib/obs): scope nesting, lanes, exception
-   safety, concurrent emission from spawned domains, Chrome trace-event
-   export invariants (every B balanced by a matching E, parseable
-   JSON), and the per-stage attribution ledger. *)
+   safety, Chrome trace-event export invariants (every B balanced by a
+   matching E, parseable JSON) on hand-written programs and on a real
+   recording, the per-stage attribution ledger, and sessions that close
+   their scope and clock on every exit. *)
 
 module Tl = Timeline
 
@@ -124,7 +125,16 @@ let test_overflow_drops_counted () =
 (* ---- export invariants ----------------------------------------------- *)
 
 (* Walk a parsed Chrome document: per-tid stack discipline — every B is
-   closed by an E with the same name, nothing left open. *)
+   closed by an E with the same name, nothing left open.  Returns what
+   the walk saw: events, lanes with a non-metadata event, the [cat] of
+   every B, and the deepest nesting on any lane. *)
+type walk = {
+  w_events : int;
+  w_lanes : int list;
+  w_cats : string list;
+  w_depth : int;
+}
+
 let check_balanced json =
   let root = Json_min.parse json in
   let top = match root with Json_min.Obj m -> m | _ -> Alcotest.fail "not an object" in
@@ -134,6 +144,7 @@ let check_balanced json =
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+  let lanes = ref [] and cats = ref [] and depth = ref 0 in
   let str m k =
     match List.assoc_opt k m with Some (Json_min.Str s) -> s | _ -> "" in
   let num m k =
@@ -144,11 +155,14 @@ let check_balanced json =
   List.iter
     (fun ev ->
       let m = match ev with Json_min.Obj m -> m | _ -> Alcotest.fail "event not an object" in
+      if str m "ph" <> "M" then lanes := num m "tid" :: !lanes;
       match str m "ph" with
       | "B" ->
         let tid = num m "tid" in
-        let st = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-        Hashtbl.replace stacks tid (str m "name" :: st)
+        let st = str m "name" :: Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+        Hashtbl.replace stacks tid st;
+        cats := str m "cat" :: !cats;
+        depth := max !depth (List.length st)
       | "E" -> (
         let tid = num m "tid" in
         match Hashtbl.find_opt stacks tid with
@@ -163,7 +177,10 @@ let check_balanced json =
       if st <> [] then
         Alcotest.failf "tid %d left %d scopes open" tid (List.length st))
     stacks;
-  List.length evs
+  { w_events = List.length evs;
+    w_lanes = List.sort_uniq compare !lanes;
+    w_cats = List.sort_uniq compare !cats;
+    w_depth = !depth }
 
 let test_export_synthesizes_close () =
   with_clock @@ fun now ->
@@ -175,7 +192,7 @@ let test_export_synthesizes_close () =
   Tl.stop ();
   (* two scopes still open: the export must synthesise their E events *)
   ignore (check_balanced (Tl.to_chrome_json ()));
-  (* rebalance the real per-domain stack for the tests that follow *)
+  (* rebalance the real stack for the tests that follow *)
   Tl.end_scope "kern.run";
   Tl.end_scope "record.session"
 
@@ -207,8 +224,8 @@ let prop_export_balanced ops =
       else Tl.instant "kern.sched_switch")
     ops;
   Tl.stop ();
-  let n = check_balanced (Tl.to_chrome_json ()) in
-  (* drain the domain stack so the next iteration starts clean *)
+  let n = (check_balanced (Tl.to_chrome_json ())).w_events in
+  (* drain the stack so the next iteration starts clean *)
   while !depth > 0 do
     Tl.end_scope "cleanup";
     decr depth
@@ -220,49 +237,76 @@ let test_export_property =
     (QCheck2.Test.make ~name:"chrome export always balanced" ~count:100
        gen_program prop_export_balanced)
 
-(* ---- concurrency ------------------------------------------------------ *)
-
-(* Two domains hammering scopes concurrently with the supervisor:
-   per-domain stacks must keep each domain's B/E properly nested in the
-   export, off the supervisor's lane, with zero mismatches. *)
-let test_two_domain_hammer () =
-  with_clock @@ fun now ->
-  Tl.start ~capacity:(1 lsl 16) ();
-  let work () =
-    for i = 1 to 500 do
-      Tl.scope "trace.deflate" (fun () ->
-          Tl.scope "trace.store" (fun () -> ());
-          if i mod 50 = 0 then Tl.instant "kern.sched_switch")
-    done
-  in
-  let a = Domain.spawn work and b = Domain.spawn work in
-  for _ = 1 to 200 do
-    now := !now + 3;
-    Tl.scope "record.stop" (fun () -> ())
-  done;
-  Domain.join a;
-  Domain.join b;
+(* A real recording exports a balanced document whose scopes come from
+   the kern, rrtrace and rr layers, nest, and spread over the supervisor
+   lane and at least one task lane.  An exporter that put every E on
+   lane 0 fails the balance walk here. *)
+let test_recording_exports_balanced () =
+  Tl.start ();
+  ignore (Workload.record (Wl_samba.make ()));
   Tl.stop ();
-  Alcotest.(check int) "no mismatches" 0 (Tl.mismatches ());
-  Alcotest.(check int) "no drops" 0 (Tl.dropped ());
-  ignore (check_balanced (Tl.to_chrome_json ()));
-  let lanes =
-    List.sort_uniq compare (List.map (fun e -> e.Tl.ev_lane) (Tl.events ()))
+  let w = check_balanced (Tl.to_chrome_json ()) in
+  List.iter
+    (fun layer ->
+      Alcotest.(check bool) ("scopes from " ^ layer) true
+        (List.mem layer w.w_cats))
+    [ "kern"; "rrtrace"; "rr" ];
+  Alcotest.(check bool) ">= 2 lanes" true (List.length w.w_lanes >= 2);
+  Alcotest.(check bool) "nested scopes" true (w.w_depth >= 2)
+
+(* ---- sessions --------------------------------------------------------- *)
+
+(* Every B in the raw buffer has its E on the same lane.  The export
+   would synthesise a missing close, so only the raw events show it. *)
+let check_raw_balanced evs =
+  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+  let stack lane = Option.value ~default:[] (Hashtbl.find_opt stacks lane) in
+  List.iter
+    (fun { Tl.ev_kind; ev_name; ev_lane; _ } ->
+      match (ev_kind, stack ev_lane) with
+      | Tl.B, st -> Hashtbl.replace stacks ev_lane (ev_name :: st)
+      | Tl.E, _ :: st -> Hashtbl.replace stacks ev_lane st
+      | Tl.E, [] | Tl.I, _ -> ())
+    evs;
+  Hashtbl.iter
+    (fun lane st ->
+      if st <> [] then
+        Alcotest.failf "lane %d left open: %s" lane (String.concat ", " st))
+    stacks
+
+(* A session closes what it opened on every exit.  A recording whose
+   root executable is missing fails after its journal writer exists:
+   the writer is closed and the session scope ends.  A replay whose
+   [on_frame] raises ends its session scope too, and both clear the
+   virtual clock they installed (setup moves the recording's clock off
+   0, so a clock left installed would read non-zero). *)
+let test_sessions_close_on_failure () =
+  Tl.start ();
+  let path = Filename.temp_file "session" ".trace" in
+  let io = Io.file_writer path in
+  (match
+     Recorder.run
+       ~opts:(Recorder.make_opts ~sink:(Recorder.Sink_io io) ())
+       ~setup:(fun k -> k.Kernel.clock <- 1_000)
+       ~exe:"/bin/missing" ()
+   with
+  | _ -> Alcotest.fail "recording a missing executable succeeded"
+  | exception Vfs.Error _ -> ());
+  Sys.remove path;
+  Alcotest.(check bool) "journal writer closed" true
+    (match Io.write io "x" with () -> false | exception Io.Io_error _ -> true);
+  Alcotest.(check int) "record clock cleared" 0 (Tl.now ());
+  let recd, _ =
+    Workload.record (Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 64 } ())
   in
-  (* The supervisor stays on lane 0 and each spawned domain records on
-     its own default lane, [10_000 + domain id].  Domain ids are never
-     reused, so this holds on any core count and any interleaving. *)
-  let domain_lane d = 10_000 + (Domain.get_id d :> int) in
-  Alcotest.(check (list int)) "lane 0 plus one lane per domain"
-    (List.sort compare [ 0; domain_lane a; domain_lane b ])
-    lanes;
-  let deflates =
-    List.length
-      (List.filter
-         (fun e -> e.Tl.ev_kind = Tl.B && e.Tl.ev_name = "trace.deflate")
-         (Tl.events ()))
-  in
-  Alcotest.(check int) "every deflate scope recorded" 1000 deflates
+  (match
+     Replayer.replay ~on_frame:(fun _ -> failwith "on_frame") recd.Workload.trace
+   with
+  | _ -> Alcotest.fail "replay ignored a raising on_frame"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "replay clock cleared" 0 (Tl.now ());
+  Tl.stop ();
+  check_raw_balanced (Tl.events ())
 
 let suites =
   [ ( "timeline",
@@ -279,5 +323,7 @@ let suites =
         Alcotest.test_case "export synthesizes E for open scopes" `Quick
           test_export_synthesizes_close;
         test_export_property;
-        Alcotest.test_case "two-domain hammer stays nested" `Quick
-          test_two_domain_hammer ] ) ]
+        Alcotest.test_case "recording exports balanced and nested" `Quick
+          test_recording_exports_balanced;
+        Alcotest.test_case "sessions close on every exit" `Quick
+          test_sessions_close_on_failure ] ) ]

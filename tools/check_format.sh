@@ -47,13 +47,19 @@ check_file() {
     fi
     ;;
   esac
-  # The program is single-domain: only tests spawn domains (to check
-  # that Telemetry and Timeline stay domain-safe).
+  # The program is single-domain (rr's supervisor runs one tracee
+  # thread at a time), so Telemetry, Timeline and Repo keep plain
+  # mutable state and take no locks.  Nothing may spawn a domain, tests
+  # included, and library code may not reach for domain, atomic or
+  # mutex primitives that would only guard sharing that cannot happen.
+  if grep -qE 'Domain\.spawn' "$f"; then
+    echo "format: $f calls Domain.spawn; the program is single-domain" >&2
+    status=1
+  fi
   case "$f" in
-  *test/*) ;;
-  *)
-    if grep -qE 'Domain\.spawn' "$f"; then
-      echo "format: $f calls Domain.spawn; only tests under test/ may" >&2
+  *lib/*)
+    if grep -qE '\b(Domain|Atomic|Mutex)\.' "$f"; then
+      echo "format: $f uses Domain, Atomic or Mutex; lib/ is single-domain" >&2
       status=1
     fi
     ;;
