@@ -32,7 +32,17 @@
 
    [written_text] remembers addresses written at run time ([Emit]): the
    replayer must not set software breakpoints there and falls back to the
-   SYSEMU-style path (paper §2.3.7). *)
+   SYSEMU-style path (paper §2.3.7).
+
+   [generation] counts changes to what a space holds.  Every function
+   that changes its pages, protections, data bytes, text, written text,
+   breakpoints, regions or mmap cursor increments it, the write gate
+   once per write, so the count does not lean on [refs] being right.
+   A space whose generation has not moved since a checkpoint forked it
+   still equals that fork, unless it maps a [MAP_SHARED] frame, which
+   other spaces write in place: the replayer then reuses the fork
+   instead of taking a new one.  tools/check_format.sh rejects a change
+   to these fields anywhere else under lib/. *)
 
 type access = Read | Write | Exec
 
@@ -74,6 +84,7 @@ type t = {
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list; (* sorted by start *)
   mutable mmap_cursor : int;
+  mutable generation : int;
 }
 
 let text_page_bits = 10
@@ -105,7 +116,10 @@ let create ~id =
     written_text = Hashtbl.create 16;
     breakpoints = Hashtbl.create 16;
     regions = [];
-    mmap_cursor = mmap_base }
+    mmap_cursor = mmap_base;
+    generation = 0 }
+
+let changed t = t.generation <- t.generation + 1
 
 let page_count addr len =
   if len <= 0 then 0
@@ -137,6 +151,7 @@ let map t ~addr ~len ~prot ?(kind = Anon) ?(shared = false) () =
   let len = (len + Mem.page_size - 1) land lnot (Mem.page_size - 1) in
   if len = 0 then invalid_arg "Addr_space.map: empty";
   if overlaps t ~addr ~len then invalid_arg "Addr_space.map: overlap";
+  changed t;
   insert_region t { start = addr; len; prot; kind; shared };
   let first = Mem.page_index addr in
   for i = first to first + page_count addr len - 1 do
@@ -150,6 +165,7 @@ let find_map_addr t len =
     if overlaps t ~addr ~len then search (addr + Mem.page_size) else addr
   in
   let addr = search t.mmap_cursor in
+  changed t;
   t.mmap_cursor <- addr + len;
   addr
 
@@ -157,6 +173,7 @@ let unmap t ~addr ~len =
   let addr = addr land lnot (Mem.page_size - 1) in
   let len = (len + Mem.page_size - 1) land lnot (Mem.page_size - 1) in
   let hi = addr + len in
+  changed t;
   let keep, drop =
     List.partition (fun r -> r.start + r.len <= addr || r.start >= hi) t.regions
   in
@@ -184,6 +201,7 @@ let unmap t ~addr ~len =
   done
 
 let unmap_all t =
+  changed t;
   Hashtbl.iter (fun _ p -> Mem.decref p) t.pages;
   Hashtbl.reset t.pages;
   t.regions <- [];
@@ -201,6 +219,7 @@ let unmap_all t =
 let protect t ~addr ~len ~prot =
   let addr = addr land lnot (Mem.page_size - 1) in
   let len = (len + Mem.page_size - 1) land lnot (Mem.page_size - 1) in
+  changed t;
   t.regions <-
     List.map
       (fun r ->
@@ -242,6 +261,7 @@ let writable_page t addr ~force =
   let p = get_page t addr Write in
   if (not force) && p.Mem.prot land Mem.prot_w = 0 then
     raise (Segv { addr; access = Write });
+  changed t;
   let p =
     if p.Mem.refs > 1 && not p.Mem.shared then begin
       let q = Mem.unshare p in
@@ -346,6 +366,7 @@ let text_get t addr =
    owns writes the cache's; a page shared with a fork is copied first,
    and the cache follows the copy. *)
 let text_set t addr insn =
+  changed t;
   let tx = t.text and key = addr asr text_page_bits in
   let slots =
     match Hashtbl.find tx.text_pages key with
@@ -395,8 +416,14 @@ let text_was_written t addr = Hashtbl.mem t.written_text addr
 
 (* Software breakpoints (the replayer's run-to-event mechanism). *)
 
-let bp_set t addr = Hashtbl.replace t.breakpoints addr ()
-let bp_clear t addr = Hashtbl.remove t.breakpoints addr
+let bp_set t addr =
+  changed t;
+  Hashtbl.replace t.breakpoints addr ()
+
+let bp_clear t addr =
+  changed t;
+  Hashtbl.remove t.breakpoints addr
+
 let bp_is_set t addr = Hashtbl.mem t.breakpoints addr
 let bp_any t = Hashtbl.length t.breakpoints > 0
 
@@ -407,7 +434,9 @@ let share_text tx =
   tx.stamp <- fresh_stamp ();
   text_of_pages (Hashtbl.copy tx.text_pages)
 
-let text_share t ~from = t.text <- share_text from.text
+let text_share t ~from =
+  changed t;
+  t.text <- share_text from.text
 
 (* Both forks share the text pages copy-on-write and map each data frame
    through [frame] in a copy of the page table ([Hashtbl.copy] keeps the
@@ -423,7 +452,8 @@ let fork_with frame t ~id =
     written_text = Hashtbl.copy t.written_text;
     breakpoints = Hashtbl.copy t.breakpoints;
     regions = t.regions;
-    mmap_cursor = t.mmap_cursor }
+    mmap_cursor = t.mmap_cursor;
+    generation = 0 }
 
 let cow_share p =
   Mem.incref p;
@@ -452,6 +482,21 @@ let fork_checkpoint copies t ~id =
       end
       else cow_share p)
     t ~id
+
+(* A snapshot decoder's way in, after [create] and the text: the
+   frames arrive in ascending page order and each counts one more
+   mapper, so a frame the blob maps twice copies on its first write. *)
+let fill t ~mmap_cursor ~regions ~frames ~written_text ~breakpoints =
+  changed t;
+  t.mmap_cursor <- mmap_cursor;
+  t.regions <- regions;
+  List.iter
+    (fun (idx, p) ->
+      Mem.incref p;
+      Hashtbl.replace t.pages idx p)
+    frames;
+  List.iter (fun addr -> Hashtbl.replace t.written_text addr ()) written_text;
+  List.iter (fun addr -> Hashtbl.replace t.breakpoints addr ()) breakpoints
 
 let release t = unmap_all t
 

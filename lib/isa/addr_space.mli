@@ -36,6 +36,13 @@ type t = {
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list;
   mutable mmap_cursor : int;
+  mutable generation : int;
+      (** Moves on every change to the space's pages, protections, data
+          bytes, text, written text, breakpoints, regions or mmap cursor,
+          once per write.  A space that maps no [MAP_SHARED] frame and
+          whose generation has not moved since {!fork_checkpoint} forked
+          it still equals that fork.  Only this module changes a field
+          of [t]; tools/check_format.sh holds the rest of lib/ to it. *)
 }
 
 val stack_top : int
@@ -127,6 +134,14 @@ val fork_checkpoint : shared_copies -> t -> id:int -> t
     for private frames, but each [MAP_SHARED] frame is replaced by a
     copy made once per [shared_copies], so the spaces forked with one
     table alias each other's copies and never the source's frames. *)
+
+val fill :
+  t -> mmap_cursor:int -> regions:region list -> frames:(int * Mem.page) list ->
+  written_text:int list -> breakpoints:int list -> unit
+(** A snapshot decoder's way to build a space: after {!create} and the
+    text, set the mmap cursor and regions, map each frame at its page
+    index (ascending) with one more [refs], and mark the written-text
+    addresses and breakpoints. *)
 
 val release : t -> unit
 

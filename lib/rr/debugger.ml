@@ -87,6 +87,15 @@ let indexed d = index d <> None
 
 let clock d = Kernel.now (Replayer.kernel d.session)
 
+(* The public operations that run the replay do so on the session's
+   virtual clock: each installs it for its own duration and clears it on
+   every exit, so a debugger dropped between operations leaves no clock
+   behind, nor the kernel that clock would keep alive.  The clock reads
+   [d.session] on every call, so it follows a restore. *)
+let on_clock d f =
+  Timeline.set_virtual_clock (fun () -> clock d);
+  Fun.protect ~finally:Timeline.clear_virtual_clock f
+
 (* Greatest live slot with frame index ≤ [target], or -1. *)
 let cp_search d target =
   let lo = ref 0 and hi = ref (d.n_checkpoints - 1) and best = ref (-1) in
@@ -133,7 +142,7 @@ let create ?(opts = default_opts) trace =
       checkpoints_taken = 0;
       checkpoints_restored = 0 }
   in
-  take_checkpoint d;
+  on_clock d (fun () -> take_checkpoint d);
   d
 
 let step d =
@@ -239,12 +248,6 @@ let frame d i =
   else Trace.Reader.frame d.trace i
 
 let exit_status d = (Replayer.stats_of d.session).Replayer.exit_status
-
-(* Public checkpoint control for the stub's `qRcmd checkpoint`: reuses
-   the internal dedup'ing take. *)
-let take_checkpoint d =
-  take_checkpoint d;
-  pos d
 
 (* ---- state inspection ------------------------------------------------ *)
 
@@ -354,10 +357,12 @@ module Query = struct
 
   let seek_to_frame d target =
     frame_range d ~what:"frame" target @@ fun () ->
+    on_clock d @@ fun () ->
     seek d target;
     Ok ()
 
   let seek_to_time d time =
+    on_clock d @@ fun () ->
     match index d with
     | Some ix -> (
       Telemetry.incr tm_index_hit;
@@ -385,6 +390,7 @@ module Query = struct
         seek d saved;
         Error (Out_of_range { what = "time"; value = time; min; max = max_int }))
 
+  (* Replays nothing: the answer is in the index or the frames. *)
   let prev_exec ?before d ~pc =
     let before = match before with Some b -> b | None -> pos d in
     frame_range d ~what:"before" before @@ fun () ->
@@ -404,6 +410,7 @@ module Query = struct
   let last_write ?before d ~tid ~addr ~len =
     let before = match before with Some b -> b | None -> pos d in
     frame_range d ~what:"before" before @@ fun () ->
+    on_clock d @@ fun () ->
     match index d with
     | Some ix ->
       Telemetry.incr tm_index_hit;
@@ -425,3 +432,18 @@ module Query = struct
       Telemetry.incr tm_index_fallback;
       Ok (scan_last_write d ~tid ~addr ~len ~upto:before)
 end
+
+(* ---- the public operations, each on the session's clock -------------- *)
+
+let step d = on_clock d (fun () -> step d)
+let seek d target = on_clock d (fun () -> seek d target)
+let reverse_step d = on_clock d (fun () -> reverse_step d)
+let continue_to d p = on_clock d (fun () -> continue_to d p)
+let reverse_continue_to d p = on_clock d (fun () -> reverse_continue_to d p)
+
+(* Public checkpoint control for the stub's `qRcmd checkpoint`: reuses
+   the internal dedup'ing take. *)
+let take_checkpoint d =
+  on_clock d (fun () ->
+      take_checkpoint d;
+      pos d)

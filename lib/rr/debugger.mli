@@ -15,7 +15,9 @@
 
     A session is abstract: checkpoints are internal state, inspected
     only through the accessors below.  This is the substrate the GDB
-    remote-protocol stub ([lib/gdbstub]) drives. *)
+    remote-protocol stub ([lib/gdbstub]) drives.  Every operation that
+    replays frames runs on the session's virtual clock and clears it on
+    return, so a dropped session leaves no clock behind. *)
 
 exception Debug_error of string
 

@@ -53,6 +53,11 @@ type per_task = {
       (* parked at a syscall site whose recording blocked in the kernel *)
 }
 
+(* A live space's last checkpoint fork, which still equals the space
+   while it is the same space at the same generation and maps no
+   [MAP_SHARED] region ([checkpoint_fork]). *)
+type fork = { live : A.t; gen : int; copy : A.t }
+
 type t = {
   mutable k : K.t;
   trace : Trace.t;
@@ -63,6 +68,7 @@ type t = {
   mutable events_applied : int;
   mutable root_tid : int;
   mutable installed : (string * Image.t) list; (* exe path -> image *)
+  mutable forks : (int, fork) Hashtbl.t; (* space id -> last fork *)
   tm_base : Telemetry.snapshot; (* registry state at session start *)
 }
 
@@ -72,6 +78,8 @@ let tm_singlestep = Telemetry.counter "replay.singlestep"
 let tm_pmu_interrupt = Telemetry.counter "replay.pmu_interrupt"
 let tm_ckpt_save = Telemetry.counter "replay.checkpoint_save"
 let tm_ckpt_restore = Telemetry.counter "replay.checkpoint_restore"
+let tm_ckpt_fork = Telemetry.counter "replay.checkpoint_fork"
+let tm_ckpt_reuse = Telemetry.counter "replay.checkpoint_reuse"
 let tm_span_frame = Telemetry.span "replay.frame"
 let tm_span_point = Telemetry.span "replay.point"
 
@@ -639,9 +647,9 @@ let start ?(opts = default_opts) trace =
       events_applied = 0;
       root_tid = 0;
       installed = [];
+      forks = Hashtbl.create 16;
       tm_base = Telemetry.snapshot () }
   in
-  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   r
@@ -673,7 +681,8 @@ let stats_of r =
 let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
   let r = start ~opts trace in
   (* The session's one bracket: on every exit the root scope closes,
-     then the clock [start] installed is cleared. *)
+     then the session's clock is cleared. *)
+  Timeline.set_virtual_clock (fun () -> K.now r.k);
   Fun.protect ~finally:Timeline.clear_virtual_clock @@ fun () ->
   Timeline.scope "replay.session" @@ fun () ->
   (try
@@ -698,7 +707,36 @@ let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
    writes them in place, so the checkpoint fork copies each one
    ([A.fork_checkpoint]), and so does every restore.  Restoring builds a
    fresh kernel around the shared pages — the mechanism behind rr's
-   reverse execution. *)
+   reverse execution.
+
+   Most spaces are not written between two checkpoints, so a snapshot
+   forks only those that were: [forks] keeps, per space id, the last
+   fork of a live space and the space's generation then, and a space
+   that is physically the same, at the same generation and maps no
+   [MAP_SHARED] region reuses that fork.  A space with shared frames
+   always forks again, with the others of its snapshot, so they alias
+   one copy of each shared frame.  Snapshot spaces are never written
+   (a restore forks them), so one fork serves every snapshot that
+   reuses it. *)
+
+let maps_shared (a : A.t) =
+  List.exists (fun (g : A.region) -> g.A.shared) (A.regions a)
+
+let checkpoint_fork r forks copies (a : A.t) =
+  let f =
+    match Hashtbl.find_opt r.forks a.A.id with
+    | Some f when f.live == a && f.gen = a.A.generation && not (maps_shared a)
+      ->
+      Telemetry.incr tm_ckpt_reuse;
+      f
+    | Some _ | None ->
+      Telemetry.incr tm_ckpt_fork;
+      { live = a;
+        gen = a.A.generation;
+        copy = A.fork_checkpoint copies a ~id:a.A.id }
+  in
+  Hashtbl.replace forks a.A.id f;
+  f.copy
 
 type snap_task = {
   sn_tid : int;
@@ -770,6 +808,9 @@ let snapshot r =
   Telemetry.incr tm_ckpt_save;
   Timeline.scope "replay.ckpt_save" @@ fun () ->
   let copies = A.shared_copies () in
+  (* Rebuilt on every snapshot, so the spaces of dead processes drop
+     out. *)
+  let forks = Hashtbl.create 16 in
   let procs =
     List.filter_map
       (fun (p : T.process) ->
@@ -780,7 +821,7 @@ let snapshot r =
               sp_parent = p.T.parent;
               sp_space =
                 (if p.T.exit_code = None then
-                   A.fork_checkpoint copies p.T.space ~id:p.T.space.A.id
+                   checkpoint_fork r forks copies p.T.space
                  else A.create ~id:p.T.space.A.id);
               sp_threads = p.T.threads;
               sp_exit = p.T.exit_code;
@@ -793,6 +834,7 @@ let snapshot r =
               sp_sighand = Array.copy p.T.sighand })
       (K.all_procs r.k)
   in
+  r.forks <- forks;
   let tasks =
     List.filter_map
       (fun (t : T.t) ->
@@ -889,9 +931,9 @@ let restore_unchecked ?(opts = default_opts) trace snap =
       events_applied = snap.snap_events_applied;
       root_tid = snap.snap_root;
       installed = snap.snap_installed;
+      forks = Hashtbl.create 16;
       tm_base = Telemetry.snapshot () }
   in
-  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   List.iter
@@ -903,12 +945,16 @@ let restore_unchecked ?(opts = default_opts) trace snap =
   Entropy.set_state k.K.entropy snap.snap_entropy;
   k.K.tsc <- snap.snap_ktsc;
   (* Processes first (spaces forked again, shared frames copied again,
-     so the snapshot stays immutable and reusable). *)
+     so the snapshot stays immutable and reusable).  Each space starts
+     equal to the snapshot space it was forked from, which the next
+     snapshot may reuse. *)
   let copies = A.shared_copies () in
   List.iter
     (fun sp ->
       K.reserve_id k sp.sp_pid;
       let space = A.fork_checkpoint copies sp.sp_space ~id:sp.sp_space.A.id in
+      Hashtbl.replace r.forks space.A.id
+        { live = space; gen = space.A.generation; copy = sp.sp_space };
       let p = T.make_process ~pid:sp.sp_pid ~parent:sp.sp_parent ~space in
       p.T.threads <- sp.sp_threads;
       p.T.exit_code <- sp.sp_exit;
@@ -1270,11 +1316,10 @@ let get_text d s a =
 
 let get_space d s : A.t =
   let id = Codec.get_int s in
-  let a = A.create ~id in
-  a.A.mmap_cursor <- Codec.get_int s;
-  a.A.regions <- Codec.get_list s get_region;
+  let mmap_cursor = Codec.get_int s in
+  let regions = Codec.get_list s get_region in
   let n_pages = Codec.get_count s in
-  let prev = ref (-1) in
+  let prev = ref (-1) and rev_frames = ref [] in
   for _ = 1 to n_pages do
     let idx = !prev + 1 + Codec.get_uvarint s in
     if idx <= !prev then raise (Codec.Corrupt "snapshot: page index order");
@@ -1282,17 +1327,14 @@ let get_space d s : A.t =
     let pid = Codec.get_uvarint s in
     if pid < 0 || pid >= Array.length d.pages then
       raise (Codec.Corrupt "snapshot: page id out of range");
-    let p = d.pages.(pid) in
-    Mem.incref p;
-    Hashtbl.replace a.A.pages idx p
+    rev_frames := (idx, d.pages.(pid)) :: !rev_frames
   done;
+  let a = A.create ~id in
   get_text d s a;
-  List.iter
-    (fun addr -> Hashtbl.replace a.A.written_text addr ())
-    (Codec.get_list s Codec.get_int);
-  List.iter
-    (fun addr -> Hashtbl.replace a.A.breakpoints addr ())
-    (Codec.get_list s Codec.get_int);
+  let written_text = Codec.get_list s Codec.get_int in
+  let breakpoints = Codec.get_list s Codec.get_int in
+  A.fill a ~mmap_cursor ~regions ~frames:(List.rev !rev_frames) ~written_text
+    ~breakpoints;
   a
 
 let put_sig_info b (i : Signals.info) =

@@ -56,6 +56,10 @@ val replay : ?opts:opts -> ?on_frame:(Kernel.t -> unit) -> Trace.t -> stats * Ke
 (** {2 Incremental replay (the debugger's substrate)} *)
 
 val start : ?opts:opts -> Trace.t -> t
+(** A session at frame 0.  It installs no virtual clock: a caller that
+    wants {!Timeline} stamps on the session's clock installs it around
+    its own work, as {!replay} and the debugger do. *)
+
 val at_end : t -> bool
 
 val step : t -> Event.t
@@ -78,7 +82,11 @@ val kernel : t -> Kernel.t
     chunk index.  [MAP_SHARED] frames are copied, at the snapshot and
     again at every restore ({!Addr_space.fork_checkpoint}), so a later
     write through a shared mapping never reaches a checkpoint.  "Most
-    checkpoints are never resumed", so creation cost is what matters. *)
+    checkpoints are never resumed", so creation cost is what matters:
+    a snapshot reuses the previous checkpoint fork of every space whose
+    generation (see {!Addr_space.t}) has not moved since and which maps
+    no [MAP_SHARED] region, and forks only the others (counted under
+    [replay.checkpoint_reuse] and [replay.checkpoint_fork]). *)
 
 type snapshot
 

@@ -36,18 +36,19 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
         Trace_index.note_checkpoint b ~frame
           ~blob:(Replayer.encode_snapshot (Replayer.snapshot r))
       in
-      checkpoint ();
       let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      A.set_write_observer (fun _space ~addr ~len ->
-          if len > 0 then
-            for p = Mem.page_index addr to Mem.page_index (addr + len - 1) do
-              Hashtbl.replace touched p ()
-            done);
+      Timeline.set_virtual_clock (fun () -> K.now (Replayer.kernel r));
       Fun.protect
         ~finally:(fun () ->
           A.clear_write_observer ();
           Timeline.clear_virtual_clock ())
         (fun () ->
+          checkpoint ();
+          A.set_write_observer (fun _space ~addr ~len ->
+              if len > 0 then
+                for p = Mem.page_index addr to Mem.page_index (addr + len - 1) do
+                  Hashtbl.replace touched p ()
+                done);
           while not (Replayer.at_end r) do
             Hashtbl.reset touched;
             let e = Replayer.step r in

@@ -49,28 +49,32 @@ let put_array b f xs =
 
 let put_bool b v = put_uvarint b (if v then 1 else 0)
 
-type source = { data : string; mutable pos : int }
+type source = { data : string; mutable pos : int; limit : int }
 
 exception Corrupt of string
 
-let source data = { data; pos = 0 }
+let source ?(pos = 0) ?len data =
+  let limit = match len with Some n -> pos + n | None -> String.length data in
+  if pos < 0 || pos > limit || limit > String.length data then
+    invalid_arg "Codec.source";
+  { data; pos; limit }
 
-let eof s = s.pos >= String.length s.data
+let eof s = s.pos >= s.limit
 
 let pos s = s.pos
 
 let take s n =
-  if n < 0 || s.pos + n > String.length s.data then raise (Corrupt "take");
+  if n < 0 || s.pos + n > s.limit then raise (Corrupt "take");
   let out = String.sub s.data s.pos n in
   s.pos <- s.pos + n;
   out
 
 let skip s n =
-  if n < 0 || s.pos + n > String.length s.data then raise (Corrupt "skip");
+  if n < 0 || s.pos + n > s.limit then raise (Corrupt "skip");
   s.pos <- s.pos + n
 
 let byte s =
-  if s.pos >= String.length s.data then raise (Corrupt "eof");
+  if s.pos >= s.limit then raise (Corrupt "eof");
   let c = Char.code s.data.[s.pos] in
   s.pos <- s.pos + 1;
   c
@@ -88,7 +92,7 @@ let get_int s = unzigzag (get_uvarint s)
 
 let get_string s =
   let n = get_uvarint s in
-  if s.pos + n > String.length s.data then raise (Corrupt "string length");
+  if s.pos + n > s.limit then raise (Corrupt "string length");
   let out = String.sub s.data s.pos n in
   s.pos <- s.pos + n;
   out
@@ -99,7 +103,7 @@ let get_bytes s = Bytes.of_string (get_string s)
    left is refused before anything of that size is allocated. *)
 let get_count s =
   let n = get_uvarint s in
-  if n < 0 || n > String.length s.data - s.pos then raise (Corrupt "count");
+  if n < 0 || n > s.limit - s.pos then raise (Corrupt "count");
   n
 
 (* NB: explicit loops — List.init/Array.init evaluation order is

@@ -25,12 +25,17 @@ type source
 
 exception Corrupt of string
 
-val source : string -> source
+val source : ?pos:int -> ?len:int -> string -> source
+(** Reads the [len] bytes of [data] from [pos] (default: all of it)
+    where they lie, copying nothing.  Raises [Invalid_argument] if the
+    range is not within [data]. *)
+
 val eof : source -> bool
 
 val pos : source -> int
-(** Current byte offset — the trace loader records where each scanned
-    record starts so chunks can be sliced without re-parsing. *)
+(** Current byte offset in the whole string — the trace loader records
+    where each scanned record starts so chunks can be sliced without
+    re-parsing. *)
 
 val take : source -> int -> string
 (** The next [n] raw bytes (no length prefix).  Raises {!Corrupt} if

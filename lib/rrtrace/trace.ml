@@ -260,18 +260,23 @@ let tag_trailer = 'T'
 let tag_index = 'P' (* sidecar index tables (Trace_index meta) *)
 let tag_index_cp = 'K' (* one durable checkpoint blob *)
 
-(* Write one record, its payload put by [fill]. *)
-let write_record io ~tag fill =
+(* Write one record, its payload the fields [fill] puts followed by
+   [tail]: a large trailing field (a chunk's stored bytes, a file
+   delta's data, a checkpoint blob) is written and CRC'd where it lies,
+   never copied into the buffer. *)
+let write_record io ~tag ?(tail = "") fill =
   let b = Codec.sink () in (* chunk-lifecycle *)
   fill b;
-  let payload = Buffer.contents b in
+  let head = Buffer.contents b in
   let tag_s = String.make 1 tag in
   Io.write io tag_s;
   let lb = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint lb (String.length payload);
+  Codec.put_uvarint lb (String.length head + String.length tail);
   Io.write io (Buffer.contents lb);
-  Io.write io payload;
-  let crc = Crc32.string ~crc:(Crc32.string tag_s) payload in
+  Io.write io head;
+  if tail <> "" then Io.write io tail;
+  let crc = Crc32.string ~crc:(Crc32.string tag_s) head in
+  let crc = Crc32.string ~crc tail in
   let cb = Bytes.create 4 in (* chunk-lifecycle *)
   Bytes.set_int32_le cb 0 (Int32.of_int crc);
   Io.write io (Bytes.to_string cb)
@@ -372,14 +377,13 @@ module Sink = struct
             Codec.put_string b path;
             Image_codec.put_image b img)
       | File_delta { path; offset; data } ->
-        write_record io ~tag:tag_file (fun b ->
+        write_record io ~tag:tag_file ~tail:data (fun b ->
             Codec.put_string b path;
             Codec.put_uvarint b offset;
-            Codec.put_string b data)
+            Codec.put_uvarint b (String.length data))
       | Chunk { first_frame; n_frames; kinds; stored } ->
-        write_record io ~tag:tag_chunk (fun b ->
-            List.iter (Codec.put_uvarint b) [ first_frame; n_frames; kinds ];
-            Buffer.add_string b stored)
+        write_record io ~tag:tag_chunk ~tail:stored (fun b ->
+            List.iter (Codec.put_uvarint b) [ first_frame; n_frames; kinds ])
       | Journal stats ->
         write_record io ~tag:tag_journal (fun b -> put_stats b stats)
     in
@@ -1150,8 +1154,8 @@ let save_io t io =
         write_record io ~tag:tag_index (fun b -> Trace_index.put_meta b ix);
         Array.iter
           (fun (frame, blob) ->
-            write_record io ~tag:tag_index_cp (fun b ->
-                Trace_index.put_checkpoint b ~frame ~blob))
+            write_record io ~tag:tag_index_cp ~tail:blob (fun b ->
+                Trace_index.put_checkpoint_head b ~frame ~blob))
           (Trace_index.checkpoints ix))
       t.sidecar
   in
@@ -1174,7 +1178,8 @@ let save_exn t path =
    indistinguishable without the CRC, and treated the same way by both
    the strict and lax paths. *)
 type rec_result =
-  | R_ok of char * string * int (* tag, payload, offset past the record *)
+  | R_ok of { tag : char; body : int; len : int; next : int }
+      (* the payload is [len] bytes at [body]; [next] is past the record *)
   | R_short
   | R_bad_crc of char
   | R_bad of string
@@ -1198,14 +1203,13 @@ let parse_record data ~limit pos =
     | Ok (len, body) ->
       if body + len + 4 > limit then R_short
       else begin
-        let payload = String.sub data body len in
         let crc = Crc32.sub data ~pos ~len:1 in
         let crc = Crc32.sub ~crc data ~pos:body ~len in
         if Int32.of_int crc <> String.get_int32_le data (body + len) then begin
           Telemetry.incr tm_crc_fail;
           R_bad_crc tag
         end
-        else R_ok (tag, payload, body + len + 4)
+        else R_ok { tag; body; len; next = body + len + 4 }
       end
   end
 
@@ -1219,10 +1223,11 @@ type scan = {
   mutable sc_rev_cps : (int * string) list; (* checkpoint records, reversed *)
 }
 
-(* Apply one CRC-valid record.  Raises [Codec.Corrupt] on a malformed
-   payload and {!Format_error} on version skew. *)
-let apply_record sc ~path tag payload =
-  let s = Codec.source payload in
+(* Apply one CRC-valid record, its payload read where it lies in the
+   file.  Raises [Codec.Corrupt] on a malformed payload and
+   {!Format_error} on version skew. *)
+let apply_record sc ~path tag data ~body ~len =
+  let s = Codec.source ~pos:body ~len data in
   let consumed v =
     if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
     v
@@ -1253,7 +1258,7 @@ let apply_record sc ~path tag payload =
     let first_frame = Codec.get_uvarint s in
     let n_frames = Codec.get_uvarint s in
     let kinds = Codec.get_uvarint s in
-    let stored = Codec.take s (String.length payload - Codec.pos s) in
+    let stored = Codec.take s (body + len - Codec.pos s) in
     event (Sink.Chunk { first_frame; n_frames; kinds; stored })
   end
   else if tag = tag_journal then event (Sink.Journal (get_stats s))
@@ -1288,9 +1293,9 @@ let scan_records ~path data ~limit =
     if pos >= limit then (sc, pos, None)
     else
       match parse_record data ~limit pos with
-      | R_ok (tag, payload, next) -> (
+      | R_ok { tag; body; len; next } -> (
         sc.sc_at <- pos;
-        match apply_record sc ~path tag payload with
+        match apply_record sc ~path tag data ~body ~len with
         | () -> go next
         | exception Codec.Corrupt msg -> damage (corrupt ~path msg)
         | exception Format_error e -> damage e)

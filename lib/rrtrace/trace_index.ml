@@ -256,9 +256,12 @@ let get_meta s =
     raise (Codec.Corrupt "index: clock curve length mismatch");
   { n_events; pcs; pages; globals; clock; cps = [||] }
 
-let put_checkpoint b ~frame ~blob =
+(* A 'K' record's payload is these fields followed by the blob itself,
+   which the writer appends without copying it ([get_checkpoint] reads
+   both). *)
+let put_checkpoint_head b ~frame ~blob =
   Codec.put_uvarint b frame;
-  Codec.put_string b blob
+  Codec.put_uvarint b (String.length blob)
 
 let get_checkpoint s =
   let frame = Codec.get_uvarint s in

@@ -84,5 +84,8 @@ val put_meta : Codec.sink -> t -> unit
 val get_meta : Codec.source -> t
 (** Raises {!Codec.Corrupt} on malformed input. *)
 
-val put_checkpoint : Codec.sink -> frame:int -> blob:string -> unit
+val put_checkpoint_head : Codec.sink -> frame:int -> blob:string -> unit
+(** A checkpoint record's fields before the blob: the blob's bytes
+    follow them, written by the caller without a copy. *)
+
 val get_checkpoint : Codec.source -> int * string

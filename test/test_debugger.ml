@@ -311,6 +311,42 @@ let test_reverse_reads_shared_page_past () =
   Alcotest.(check (list int)) "reverse seeks read what forward seeks read"
     forward reverse
 
+(* A live checkpoint forks only the spaces written since the last one
+   and reuses the fork of every other.  The counts are work counts of a
+   deterministic replay, so a fixed walk pins them: a change that forks
+   spaces it could reuse, or reuses forks it must not, moves them.  Of
+   the two walks over one indexed trace, the one that ignores the index
+   takes live checkpoints after restoring live ones, the other after
+   restoring durable ones. *)
+let test_checkpoint_fork_counts () =
+  let recd, _ =
+    Workload.record ~opts:(Recorder.make_opts ~seed:1 ()) (Wl_serve.make ())
+  in
+  let trace = recd.Workload.trace in
+  ignore (Trace_indexer.build_and_attach trace);
+  let count name = Telemetry.counter_value (Telemetry.counter name) in
+  let walk use_index =
+    let f0 = count "replay.checkpoint_fork"
+    and u0 = count "replay.checkpoint_reuse" in
+    let d = Debugger.create ~opts:(Debugger.make_opts ~use_index ()) trace in
+    let n = Debugger.n_events d in
+    List.iter (Debugger.seek d) [ n / 2; n / 4; n; 1; 3 * n / 4 ];
+    ( (Debugger.checkpoints_taken d, Debugger.checkpoints_restored d),
+      (count "replay.checkpoint_fork" - f0, count "replay.checkpoint_reuse" - u0)
+    )
+  in
+  let counts = Alcotest.(pair (pair int int) (pair int int)) in
+  (* Without reuse, every live checkpoint forks every live space: 687
+     and 121 forks. *)
+  Alcotest.check counts
+    "scan walk: (checkpoints taken, restored), (space forks, fork reuses)"
+    ((60, 2), (170, 517))
+    (walk false);
+  Alcotest.check counts
+    "indexed walk: (checkpoints taken, restored), (space forks, fork reuses)"
+    ((10, 5), (20, 101))
+    (walk true)
+
 let suites =
   [ ( "rr.debugger",
       [ Alcotest.test_case "seek + inspect" `Quick test_seek_and_inspect;
@@ -331,4 +367,6 @@ let suites =
           test_checkpoint_every_clamped;
         Alcotest.test_case "reverse seeks read a shared page's past" `Quick
           test_reverse_reads_shared_page_past;
+        Alcotest.test_case "live checkpoints fork only written spaces" `Quick
+          test_checkpoint_fork_counts;
         QCheck_alcotest.to_alcotest qcheck_random_seeks ] ) ]

@@ -114,7 +114,10 @@ let test_pss_sharing () =
    text pages and the zero buffer until a write, so after every step
    each must read exactly like its model: mappings, prot, bytes and
    text.  A fresh frame must read all zero, and a fetch must see the
-   latest text write. *)
+   latest text write.  Breakpoints, mmap-cursor moves, emptying a space
+   and sharing another's text ride along with checkpoint forks, and a
+   space whose generation has not moved since its last checkpoint fork
+   must still equal that fork (unless it maps a shared frame). *)
 
 module A = Addr_space
 
@@ -147,6 +150,10 @@ type cow_op =
   | Fork of int
   | Checkpoint of int list (* forked with one shared-copies table *)
   | Release of int
+  | Bp of { sp : int; a : int; set : bool }
+  | Find_map of { sp : int; n : int } (* moves the mmap cursor only *)
+  | Exec of int (* unmap_all: the space stays, emptied *)
+  | Share_text of { sp : int; from : int }
 
 let show_cow_op = function
   | Map { sp; page; n; shared; rw } ->
@@ -163,6 +170,11 @@ let show_cow_op = function
   | Checkpoint sps ->
     "checkpoint " ^ String.concat "," (List.map string_of_int sps)
   | Release sp -> Printf.sprintf "release s%d" sp
+  | Bp { sp; a; set } ->
+    Printf.sprintf "bp_%s s%d a%d" (if set then "set" else "clear") sp a
+  | Find_map { sp; n } -> Printf.sprintf "find_map_addr s%d n%d" sp n
+  | Exec sp -> Printf.sprintf "unmap_all s%d" sp
+  | Share_text { sp; from } -> Printf.sprintf "text_share s%d from s%d" sp from
 
 let gen_cow_op =
   QCheck.Gen.(
@@ -180,7 +192,7 @@ let gen_cow_op =
         ( 1,
           let* sp = sp and* page = page and* n = n in
           return (Unmap { sp; page; n }) );
-        ( 1,
+        ( 2,
           let* sp = sp and* page = page and* n = n and* rw = bool in
           return (Protect { sp; page; n; rw }) );
         ( 6,
@@ -194,7 +206,14 @@ let gen_cow_op =
         (2, map2 (fun sp a -> Fetch { sp; a }) sp a);
         (2, map (fun sp -> Fork sp) sp);
         (2, map (fun sps -> Checkpoint sps) (list_size (int_range 1 2) sp));
-        (1, map (fun sp -> Release sp) sp) ])
+        (1, map (fun sp -> Release sp) sp);
+        ( 2,
+          (* Two addresses, so a clear often meets a set breakpoint. *)
+          let* sp = sp and* a = int_bound 1 and* set = bool in
+          return (Bp { sp; a; set }) );
+        (1, map2 (fun sp n -> Find_map { sp; n }) sp n);
+        (1, map (fun sp -> Exec sp) sp);
+        (1, map2 (fun sp from -> Share_text { sp; from }) sp sp) ])
 
 let model_fork ~shared_frame m =
   let frames = Hashtbl.create 16 in
@@ -252,9 +271,47 @@ let check_cow_aliasing spaces =
         shared)
     shared
 
+(* A space that maps no MAP_SHARED region and whose generation has not
+   moved since its last checkpoint fork still equals that fork — what
+   lets the replayer's snapshot reuse the fork. *)
+let check_unmoved_generations last_forks =
+  List.iter
+    (fun (a, gen, f) ->
+      if a.A.generation = gen
+         && not (List.exists (fun r -> r.A.shared) (A.regions a))
+      then begin
+        let same what x y =
+          if x <> y then
+            failwith
+              ("generation unmoved since the last checkpoint fork, but "
+             ^ what ^ " differ")
+        in
+        let keys tbl = List.map fst (sorted_bindings tbl) in
+        let bytes s i =
+          A.read_bytes ~force:true s (i * Mem.page_size) Mem.page_size
+        in
+        let text s = A.text_fold (fun addr i acc -> (addr, i) :: acc) s [] in
+        same "mapped pages" (keys a.A.pages) (keys f.A.pages);
+        List.iter
+          (fun i ->
+            same "prots" (Hashtbl.find a.A.pages i).Mem.prot
+              (Hashtbl.find f.A.pages i).Mem.prot;
+            same "bytes" (bytes a i) (bytes f i))
+          (keys a.A.pages);
+        same "text" (text a) (text f);
+        same "written text" (keys a.A.written_text) (keys f.A.written_text);
+        same "breakpoints" (keys a.A.breakpoints) (keys f.A.breakpoints);
+        same "regions" (A.regions a) (A.regions f);
+        same "mmap cursors" a.A.mmap_cursor f.A.mmap_cursor
+      end)
+    last_forks
+
 let run_cow_ops ops =
   let empty () = { frames = Hashtbl.create 16; mtext = Hashtbl.create 16 } in
   let spaces = ref [ (A.create ~id:1, empty ()) ] in
+  (* Each checkpointed space's last fork, out of the ops' reach, with
+     the space's generation when it was taken. *)
+  let last_forks = ref [] in
   let last_id = ref 1 in
   let pick sp = List.nth !spaces (sp mod List.length !spaces) in
   let add (a, m) =
@@ -359,7 +416,11 @@ let run_cow_ops ops =
           let a, m = pick sp in
           add
             ( A.fork_checkpoint copies a ~id:(fresh_id ()),
-              model_fork ~shared_frame m ))
+              model_fork ~shared_frame m );
+          let kept = A.fork_checkpoint (A.shared_copies ()) a ~id:0 in
+          last_forks :=
+            (a, a.A.generation, kept)
+            :: List.filter (fun (b, _, _) -> b != a) !last_forks)
         sps
     | Release sp ->
       if List.length !spaces > 1 then begin
@@ -367,12 +428,31 @@ let run_cow_ops ops =
         A.release a;
         spaces := List.filter (fun (b, _) -> b != a) !spaces
       end
+    | Bp { sp; a = i; set } ->
+      let a, _ = pick sp in
+      if set then A.bp_set a cow_text_addrs.(i)
+      else A.bp_clear a cow_text_addrs.(i)
+    | Find_map { sp; n } ->
+      let a, _ = pick sp in
+      ignore (A.find_map_addr a (n * Mem.page_size))
+    | Exec sp ->
+      let a, m = pick sp in
+      A.unmap_all a;
+      Hashtbl.reset m.frames;
+      Hashtbl.reset m.mtext
+    | Share_text { sp; from } ->
+      let a, m = pick sp and b, n = pick from in
+      let text = Hashtbl.copy n.mtext in
+      A.text_share a ~from:b;
+      Hashtbl.reset m.mtext;
+      Hashtbl.iter (Hashtbl.replace m.mtext) text
   in
   List.iteri
     (fun i op ->
       try
         step op;
-        check_cow_state !spaces
+        check_cow_state !spaces;
+        check_unmoved_generations !last_forks
       with Failure msg ->
         failwith (Printf.sprintf "step %d, %s: %s" i (show_cow_op op) msg))
     ops;
@@ -381,7 +461,7 @@ let run_cow_ops ops =
 
 let qcheck_cow_model =
   QCheck.Test.make ~name:"copy-on-write spaces read like plain copies"
-    ~count:300
+    ~count:1000
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
        QCheck.Gen.(list_size (int_range 1 40) gen_cow_op))

@@ -1,6 +1,8 @@
 (* Tests for the durable-checkpoint codec ([Replayer.encode_snapshot] /
-   [decode_snapshot]): every checkpoint of an indexed multi-process
-   trace restores to the state a from-zero replay reaches there; the
+   [decode_snapshot]) and for live checkpoints: every checkpoint of an
+   indexed multi-process trace restores to the state a from-zero replay
+   reaches there, and so does a live one that reused earlier forks; a
+   space mapping a shared frame forks again at every checkpoint; the
    page table's rules hold (equal private frames merge and split on
    write, shared frames keep their identity and their aliasing); zero
    pages cost a few bytes each; a blob of another codec version falls
@@ -118,6 +120,55 @@ let test_serve_checkpoints_restore () =
         ~want:(Replayer.kernel linear)
         (Replayer.kernel (Replayer.restore_exn trace snap)))
     cps
+
+(* ---- live checkpoints that reuse forks ------------------------------ *)
+
+(* A snapshot at every frame of a serve walk, so a space reuses its last
+   checkpoint fork whenever the frame left it alone.  During the walk,
+   the snapshot taken [lag] frames back is restored and compared with a
+   from-zero replay standing at its frame; once the walk has reached the
+   end, every snapshot is restored again and must still show its own
+   frame's state, never a later write. *)
+let test_live_checkpoints_reuse_forks () =
+  let w =
+    Wl_serve.make
+      ~params:{ Wl_serve.default with Wl_serve.conns = 4; requests = 8 }
+      ()
+  in
+  let recd, _ = Workload.record w in
+  let trace = recd.Workload.trace in
+  let n = Trace.n_events trace in
+  let forks = Telemetry.counter "replay.checkpoint_fork"
+  and reuses = Telemetry.counter "replay.checkpoint_reuse" in
+  let f0 = Telemetry.counter_value forks
+  and u0 = Telemetry.counter_value reuses in
+  let lag = 8 in
+  let walk = Replayer.start trace and behind = Replayer.start trace in
+  let check_restore ~what replay snap =
+    let pos = Replayer.snapshot_index snap in
+    while Replayer.cursor_index replay < pos do
+      ignore (Replayer.step replay)
+    done;
+    check_state
+      ~what:(Printf.sprintf "%s at frame %d" what pos)
+      ~want:(Replayer.kernel replay)
+      (Replayer.kernel (Replayer.restore_exn trace snap))
+  in
+  let snaps = Array.make (n + 1) (Replayer.snapshot walk) in
+  for pos = 1 to n + lag do
+    if pos <= n then begin
+      ignore (Replayer.step walk);
+      snaps.(pos) <- Replayer.snapshot walk
+    end;
+    if pos >= lag then check_restore ~what:"walking" behind snaps.(pos - lag)
+  done;
+  let forks = Telemetry.counter_value forks - f0
+  and reuses = Telemetry.counter_value reuses - u0 in
+  if reuses <= forks then
+    Alcotest.failf "%d snapshots forked %d spaces and reused only %d forks"
+      (n + 1) forks reuses;
+  let linear = Replayer.start trace in
+  Array.iter (check_restore ~what:"restored again" linear) snaps
 
 (* ---- page-table rules on small programs ----------------------------- *)
 
@@ -267,6 +318,54 @@ let test_shared_frames_keep_identity () =
   Alcotest.(check int) "the decoded snapshot is untouched" 0x77
     (word (space again child) page_a)
 
+(* A space that maps a MAP_SHARED frame forks again at every
+   checkpoint, even when nothing changed it: another process writes the
+   frame in place.  Here the parent waits while its child stores through
+   the shared page, and each checkpoint must show the parent the stores
+   made up to its frame. *)
+let test_shared_frame_spaces_fork_again () =
+  let trace =
+    record_prog (fun b ->
+        let status = G.bss b 8 in
+        mmap_fixed ~pages:1 ~flags:map_shared
+        @. G.sys_fork
+        @. [ Asm.jz 0 "child"; Asm.movr 7 0 ]
+        @. G.sys_wait4 ~pid:(G.reg 7) ~status_addr:(G.imm status)
+        @. G.sys_exit_group 0
+        @. [ Asm.label "child" ]
+        @. List.concat_map
+             (fun v -> store page_a v @. G.sc Sysno.getpid [])
+             [ 1; 2; 3 ]
+        @. G.sys_exit_group 0)
+  in
+  let live = replay_past trace (function E.E_clone _ -> true | _ -> false) in
+  let parent = root live in
+  let parent_view r =
+    List.find_map
+      (fun (p : T.process) ->
+        if p.T.pid = parent then Some (word p.T.space page_a) else None)
+      (live_procs (Replayer.kernel r))
+  in
+  let seen = ref [] in
+  let note () =
+    let snap = Replayer.snapshot live in
+    seen := (Replayer.snapshot_index snap, parent_view live, snap) :: !seen
+  in
+  note ();
+  while not (Replayer.at_end live) do
+    ignore (Replayer.step live);
+    note ()
+  done;
+  List.iter
+    (fun (pos, view, snap) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "the parent's shared word at frame %d" pos)
+        view
+        (parent_view (Replayer.restore_exn trace snap)))
+    !seen;
+  Alcotest.(check (list int)) "the parent saw every store" [ 0; 1; 2; 3 ]
+    (List.sort_uniq compare (List.filter_map (fun (_, v, _) -> v) !seen))
+
 (* The growth bound is deterministic: a blob's size depends only on the
    trace. *)
 let blob_size_after_mmap ~pages ~flags =
@@ -377,10 +476,14 @@ let suites =
   [ ( "rr.snapshot",
       [ Alcotest.test_case "serve checkpoints restore the replayed state"
           `Quick test_serve_checkpoints_restore;
+        Alcotest.test_case "live checkpoints that reuse forks restore" `Quick
+          test_live_checkpoints_reuse_forks;
         Alcotest.test_case "equal private frames split on write" `Quick
           test_equal_private_frames_split_on_write;
         Alcotest.test_case "shared frames keep identity and aliasing" `Quick
           test_shared_frames_keep_identity;
+        Alcotest.test_case "spaces with shared frames fork again" `Quick
+          test_shared_frame_spaces_fork_again;
         Alcotest.test_case "zero pages cost bytes, not pages" `Quick
           test_zero_pages_cost_bytes;
         Alcotest.test_case "old-version blob falls back to the scan" `Quick

@@ -308,6 +308,38 @@ let test_sessions_close_on_failure () =
   Tl.stop ();
   check_raw_balanced (Tl.events ())
 
+(* Incremental sessions install no clock: a replayer session runs on
+   none unless its caller installs one, and the debugger installs the
+   session's clock for each operation and clears it on every exit, so a
+   session dropped between steps leaves no clock behind. *)
+let test_incremental_sessions_leave_no_clock () =
+  let recd, _ = Workload.record (Wl_cp.make ()) in
+  let trace = recd.Workload.trace in
+  let r = Replayer.start trace in
+  for _ = 1 to 5 do
+    ignore (Replayer.step r)
+  done;
+  Alcotest.(check int) "replayer session: no clock" 0 (Tl.now ());
+  let frame_ns () =
+    match List.assoc_opt "replay.frame" (Telemetry.snapshot ()).snap_spans with
+    | Some s -> s.Telemetry.s_total_ns
+    | None -> 0
+  in
+  let ns0 = frame_ns () in
+  let d = Debugger.create trace in
+  for _ = 1 to 5 do
+    ignore (Debugger.step d)
+  done;
+  Alcotest.(check int) "debugger steps: no clock" 0 (Tl.now ());
+  Alcotest.(check bool) "the steps ran on the session's clock" true
+    (frame_ns () > ns0);
+  Debugger.seek d 2;
+  Alcotest.(check int) "debugger seek: no clock" 0 (Tl.now ());
+  (match Debugger.Query.seek_to_frame d 4 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Debugger.Query.error_to_string e));
+  Alcotest.(check int) "debugger query: no clock" 0 (Tl.now ())
+
 let suites =
   [ ( "timeline",
       [ Alcotest.test_case "nesting + attribution ledger" `Quick
@@ -326,4 +358,6 @@ let suites =
         Alcotest.test_case "recording exports balanced and nested" `Quick
           test_recording_exports_balanced;
         Alcotest.test_case "sessions close on every exit" `Quick
-          test_sessions_close_on_failure ] ) ]
+          test_sessions_close_on_failure;
+        Alcotest.test_case "incremental sessions leave no clock" `Quick
+          test_incremental_sessions_leave_no_clock ] ) ]

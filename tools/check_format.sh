@@ -162,6 +162,31 @@ check_file() {
     fi
     ;;
   esac
+  # A space's generation moves on every change to it, which is what
+  # lets Replayer.snapshot reuse the checkpoint fork of a space left
+  # untouched since: a change that skipped the count would leak into
+  # every checkpoint that reuses the fork.  Under lib/, only
+  # lib/isa/addr_space.ml changes an Addr_space.t: nowhere else an
+  # assignment to its regions, mmap_cursor or generation, or a Hashtbl
+  # mutator on its pages, written_text or breakpoints.
+  case "$f" in
+  *lib/isa/addr_space.ml) ;;
+  *lib/*)
+    space_field='\.(A|Addr_space)\.'
+    bad_space_writes=$(grep -nE \
+      -e "${space_field}(regions|mmap_cursor|generation)[[:space:]]*<-" \
+      -e "Hashtbl\.(add|replace|remove|reset|clear|filter_map_inplace)\b[^;]*${space_field}(pages|written_text|breakpoints)\b" \
+      "$f" || true)
+    if [ -n "$bad_space_writes" ]; then
+      {
+        echo "format: $f changes an Addr_space.t outside lib/isa/addr_space.ml:"
+        echo "$bad_space_writes"
+        echo "  (go through an Addr_space function, which moves the space's generation)"
+      } >&2
+      status=1
+    fi
+    ;;
+  esac
   # Connection-key derivation — parsing datagram source ports out of
   # recorded frames — lives in lib/rr/conn_track.ml and nowhere else:
   # one place to get the recvfrom write-layout subtleties right.  The
