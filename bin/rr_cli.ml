@@ -506,104 +506,7 @@ let repair_cmd =
           recoverable.")
     Term.(const run $ opt_file_arg $ out_arg)
 
-(* Self-contained index check: record sambatest, index it, save, reopen
-   cold, and require (a) the index to come back from disk, (b) a deep
-   seek to restore a durable checkpoint instead of replaying from frame
-   0 (the index.hit / replay.checkpoint_restore counters say so), and
-   (c) indexed query answers to equal scan answers on the same trace. *)
-let index_smoke () =
-  let w = workload_of_name "sambatest" in
-  let recd, _ = Workload.record w in
-  let trace = recd.Workload.trace in
-  ignore (Trace_indexer.build_and_attach ~checkpoint_every:8 trace);
-  let path = Filename.temp_file "rr_index" ".trace" in
-  Trace.save_exn trace path;
-  let t2 = Trace.open_exn path in
-  Sys.remove path;
-  if Trace.index t2 = None then begin
-    Fmt.epr "index --smoke: reopened trace carries no index@.";
-    exit 1
-  end;
-  let n = Trace.n_events t2 in
-  let hit = Telemetry.counter "index.hit" in
-  let restores = Telemetry.counter "replay.checkpoint_restore" in
-  let hit0 = Telemetry.counter_value hit in
-  let restores0 = Telemetry.counter_value restores in
-  let d = Debugger.create t2 in
-  Debugger.seek d (n - 1);
-  let hits = Telemetry.counter_value hit - hit0 in
-  let restored = Telemetry.counter_value restores - restores0 in
-  if hits < 1 || restored < 1 then begin
-    Fmt.epr
-      "index --smoke: cold seek to frame %d replayed from scratch \
-       (index.hit +%d, checkpoint_restore +%d)@."
-      (n - 1) hits restored;
-    exit 1
-  end;
-  Fmt.pr "index --smoke: cold seek to frame %d used a durable checkpoint \
-          (index.hit +%d, restores +%d)@."
-    (n - 1) hits restored;
-  (* Answer equality, indexed vs. scan, on the same reopened trace. *)
-  let d0 =
-    Debugger.create ~opts:(Debugger.make_opts ~use_index:false ()) t2
-  in
-  Debugger.seek d0 (n - 1);
-  let root =
-    match Trace.Reader.frame t2 0 with
-    | Event.E_exec { tid; _ } -> tid
-    | e -> Event.tid_of e
-  in
-  let failures = ref 0 in
-  let check what a b =
-    if a <> b then begin
-      Fmt.epr "index --smoke: %s: indexed %a <> scan %a@." what
-        Fmt.(Dump.option int) a
-        Fmt.(Dump.option int) b;
-      incr failures
-    end
-  in
-  let pcs =
-    Array.to_seq (Trace.Reader.to_array t2)
-    |> Seq.filter_map Event.frame_pc
-    |> List.of_seq |> List.sort_uniq compare
-  in
-  List.iteri
-    (fun i pc ->
-      if i < 8 then
-        check
-          (Printf.sprintf "prev_exec %#x" pc)
-          (Result.get_ok (Debugger.Query.prev_exec d ~pc))
-          (Result.get_ok (Debugger.Query.prev_exec d0 ~pc)))
-    pcs;
-  List.iter
-    (fun addr ->
-      check
-        (Printf.sprintf "last_write %#x" addr)
-        (Result.get_ok (Debugger.Query.last_write d ~tid:root ~addr ~len:8))
-        (Result.get_ok (Debugger.Query.last_write d0 ~tid:root ~addr ~len:8)))
-    [ 0x120000; 0x121000; 0x10000 ];
-  Debugger.seek d (n / 2);
-  let mid_clock = Debugger.clock d in
-  check "seek_to_time"
-    (Result.to_option (Debugger.Query.seek_to_time d mid_clock))
-    (Result.to_option (Debugger.Query.seek_to_time d0 mid_clock));
-  if !failures > 0 then begin
-    Fmt.epr "index --smoke: %d indexed answers diverged from scans@." !failures;
-    exit 1
-  end;
-  Fmt.pr "index --smoke: indexed answers match scans (%d pcs, 3 probes, \
-          seek_to_time)@."
-    (min 8 (List.length pcs))
-
 let index_cmd =
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in index round-trip check instead of indexing a file: \
-         record sambatest, index and save it, reopen cold, and verify deep \
-         seeks restore durable checkpoints and indexed answers match scans."
-  in
-  let opt_file_arg = Flags.opt_trace_file ~doc:"A saved trace file to index." in
   let every_arg =
     Arg.(
       value
@@ -616,29 +519,20 @@ let index_cmd =
   let out_arg =
     Flags.out ~doc:"Write the indexed trace to FILE (default: rewrite TRACE)."
   in
-  let run path smoke every out =
+  let run path every out =
     with_trace_errors @@ fun () ->
-    if smoke then index_smoke ()
-    else begin
-      match path with
-      | None ->
-        Fmt.epr "rr_cli: index needs a TRACE argument (or --smoke)@.";
-        exit 2
-      | Some path ->
-        let trace = Trace.open_exn path in
-        let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
-        let out = Option.value out ~default:path in
-        Trace.save_exn trace out;
-        let cps = Trace_index.checkpoints ix in
-        let cp_bytes =
-          Array.fold_left (fun acc (_, blob) -> acc + String.length blob) 0 cps
-        in
-        Fmt.pr
-          "indexed %d frames (%d durable checkpoints, %.1f MB); saved to %s@."
-          (Trace.n_events trace) (Array.length cps)
-          (float_of_int cp_bytes /. 1e6)
-          out
-    end
+    let trace = Trace.open_exn path in
+    let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
+    let out = Option.value out ~default:path in
+    Trace.save_exn trace out;
+    let cps = Trace_index.checkpoints ix in
+    let cp_bytes =
+      Array.fold_left (fun acc (_, blob) -> acc + String.length blob) 0 cps
+    in
+    Fmt.pr "indexed %d frames (%d durable checkpoints, %.1f MB); saved to %s@."
+      (Trace.n_events trace) (Array.length cps)
+      (float_of_int cp_bytes /. 1e6)
+      out
   in
   Cmd.v
     (Cmd.info "index"
@@ -647,7 +541,7 @@ let index_cmd =
           pass) and store it in the trace: per-pc and per-address tables \
           plus durable checkpoints, so later sessions seek in O(delta) \
           from a cold open.")
-    Term.(const run $ opt_file_arg $ smoke_arg $ every_arg $ out_arg)
+    Term.(const run $ Flags.trace_file $ every_arg $ out_arg)
 
 let seek_cmd =
   let frame_arg =

@@ -8,20 +8,23 @@
 
    The text map is paged: a table of 1024-slot arrays keyed by
    [addr asr 10], each slot holding the instruction's [Some] built once
-   when it was written.  The space caches the page of the last fetch, so
-   a fetch that stays on that page neither hashes nor allocates — the
-   interpreter's per-instruction path.  Three rules keep the cache exact:
+   when it was written.  The interpreter ({!Cpu.run}) holds the slots of
+   the page it runs on and asks [text_page] for another only when the
+   program counter leaves it; the space keeps the last two pages asked
+   for, so a call into a JIT page and its return hash nothing.  Three
+   rules keep what the interpreter and the cache hold exact:
    - writes ([text_set], [text_load], [text_write]) land in the slot in
-     place, so an [Emit] is seen by the very next fetch;
+     place, so an [Emit] into a page the space owns is seen by the very
+     next fetch;
    - pages are copy-on-write: each carries the stamp of the one space
      that may write it in place, a fork gives both sides fresh stamps,
      and [text_set] copies a page that is not its space's before the
-     first write and repoints the cache if it held that page;
-   - exec's [unmap_all] drops the pages and the cache.
-   On a 2-vCPU Xeon VM, [python3 perfbench/run.py --workload jit_compute
-   --seed 1 --seconds 35 --trace 1] reads isa.minsn_per_s 34.6 and
-   gc.record_alloc_mb 6.2 with this map, against 14.2 and 178.2 with a
-   per-address hash table (DESIGN.md §6).
+     first write and repoints either cached page that held it (the
+     interpreter drops its held page after every [Emit] for the same
+     reason);
+   - exec's [unmap_all] drops the pages and both cached ones.
+   DESIGN.md §6 gives the interpreter's speed on jit_compute and the
+   command that measures it.
 
    Data accesses still look their frame up in [pages] on every access.
    Loads and stores are about 3% of jit_compute's instructions, so no
@@ -69,11 +72,15 @@ type text_page = {
   slots : Insn.t option array;
 }
 
+(* [cached] is the page [text_page] returned last, [cached_prev] the
+   one before it. *)
 type text = {
   text_pages : (int, text_page) Hashtbl.t; (* addr asr 10 -> page *)
   mutable stamp : int;
   mutable cached_key : int;
   mutable cached : Insn.t option array;
+  mutable cached_prev_key : int;
+  mutable cached_prev : Insn.t option array;
 }
 
 type t = {
@@ -91,8 +98,12 @@ let text_page_bits = 10
 let text_page_slots = 1 lsl text_page_bits
 
 (* [addr asr text_page_bits] never reaches [min_int], so it marks an
-   empty cache. *)
+   empty cache slot. *)
 let no_text_page = min_int
+
+(* What [text_page] gives for an address no page holds.  Nothing writes
+   it: [text_set] writes only the table's pages. *)
+let empty_text_page = Array.make text_page_slots None
 
 (* Stamps only need to differ between live text maps; the program runs
    in one domain. *)
@@ -104,7 +115,7 @@ let fresh_stamp () =
 
 let text_of_pages text_pages =
   { text_pages; stamp = fresh_stamp (); cached_key = no_text_page;
-    cached = [||] }
+    cached = [||]; cached_prev_key = no_text_page; cached_prev = [||] }
 
 let mmap_base = 0x1000_0000
 let stack_top = 0x7ff0_0000
@@ -208,6 +219,8 @@ let unmap_all t =
   Hashtbl.reset t.text.text_pages;
   t.text.cached_key <- no_text_page;
   t.text.cached <- [||];
+  t.text.cached_prev_key <- no_text_page;
+  t.text.cached_prev <- [||];
   Hashtbl.reset t.written_text;
   Hashtbl.reset t.breakpoints;
   t.mmap_cursor <- mmap_base
@@ -349,22 +362,34 @@ let write_bytes ?(force = false) t addr b =
 
 let text_slot addr = addr land (text_page_slots - 1)
 
-(* The fetch: a hit on the cached page is a compare and an array read. *)
-let text_get t addr =
+(* A hit on either cached page is a compare and, for the older one, a
+   swap; only a page outside both hashes.  An address no page holds
+   gets [empty_text_page] and is not cached. *)
+let text_page t addr =
   let tx = t.text in
   let key = addr asr text_page_bits in
-  if key = tx.cached_key then tx.cached.(text_slot addr)
+  if key = tx.cached_key then tx.cached
   else
-    match Hashtbl.find tx.text_pages key with
-    | page ->
+    let slots =
+      if key = tx.cached_prev_key then tx.cached_prev
+      else
+        match Hashtbl.find tx.text_pages key with
+        | page -> page.slots
+        | exception Not_found -> empty_text_page
+    in
+    if slots != empty_text_page then begin
+      tx.cached_prev_key <- tx.cached_key;
+      tx.cached_prev <- tx.cached;
       tx.cached_key <- key;
-      tx.cached <- page.slots;
-      page.slots.(text_slot addr)
-    | exception Not_found -> None
+      tx.cached <- slots
+    end;
+    slots
 
-(* The cache holds the table's own slots, so writing a page the space
-   owns writes the cache's; a page shared with a fork is copied first,
-   and the cache follows the copy. *)
+let text_get t addr = (text_page t addr).(text_slot addr)
+
+(* The caches hold the table's own slots, so writing a page the space
+   owns writes theirs; a page shared with a fork is copied first, and
+   a cache that held it follows the copy. *)
 let text_set t addr insn =
   changed t;
   let tx = t.text and key = addr asr text_page_bits in
@@ -375,6 +400,7 @@ let text_set t addr insn =
       let slots = Array.copy page.slots in
       Hashtbl.replace tx.text_pages key { stamp = tx.stamp; slots };
       if tx.cached_key = key then tx.cached <- slots;
+      if tx.cached_prev_key = key then tx.cached_prev <- slots;
       slots
     | exception Not_found ->
       let slots = Array.make text_page_slots None in

@@ -23,10 +23,10 @@ type region = {
 }
 
 type text
-(** The paged text map and its one-page fetch cache.  Pages are
-    copy-on-write between forks: each records the stamp of the one map
-    that may write it in place.  Only this module knows the layout: read
-    it through [text_get], [text_fold] and [text_count]. *)
+(** The paged text map and its cache of the last two pages fetched.
+    Pages are copy-on-write between forks: each records the stamp of the
+    one map that may write it in place.  Read it through [text_page],
+    [text_get], [text_fold] and [text_count]. *)
 
 type t = {
   id : int;
@@ -86,14 +86,25 @@ val loaded_insns : int ref
 (** Global count of instructions loaded by [text_load] (program images),
     for instrumentation cost models. *)
 
+val text_page_bits : int
+(** A text page holds the [1 lsl text_page_bits] addresses that share
+    [addr asr text_page_bits]. *)
+
+val text_page : t -> int -> Insn.t option array
+(** The slots of the page holding [addr]: slot [addr land (1 lsl
+    text_page_bits - 1)] is [addr]'s.  Where no page holds [addr], a
+    page of [None]s.  Hashes nothing and allocates nothing when the page
+    is one of the last two asked for.  The slots are the space's own,
+    good until the next [text_set] of the page: a write to a page shared
+    with a fork lands in a copy. *)
+
 val text_get : t -> int -> Insn.t option
-(** The instruction fetch.  It neither hashes nor allocates while it
-    stays on the page of the previous fetch. *)
+(** The instruction at [addr], through {!text_page}. *)
 
 val text_set : t -> int -> Insn.t -> unit
-(** Writes the slot: the next [text_get] of [addr] sees it, and no other
-    space does.  The first write to a page shared with a fork copies
-    the page. *)
+(** Writes the slot: the next [text_page] or [text_get] of [addr] sees
+    it, and no other space does.  The first write to a page shared with
+    a fork copies the page. *)
 
 val text_load : t -> base:int -> Insn.t array -> unit
 

@@ -5,7 +5,19 @@
    replayer) decides what each stop means.  The interpreter itself is
    strictly deterministic given the register/memory state and the [env]
    callbacks; all nondeterminism enters through [env] (TSC, RDRAND) and
-   through [core] (CPUID core index under migration). *)
+   through [core] (CPUID core index under migration).
+
+   It stands in for the hardware rr runs tracees on natively, so most
+   of a CPU-bound workload's host time is spent in [run].  That is one
+   [while] loop over locals: what the supervisor changes only between
+   runs is read once, the loop holds the slots of the current text
+   page, and [exec_one] resolves every ALU op and branch condition over
+   [int] in place.  An ALU op or a branch calls nothing outside this
+   module, and no instruction that retires normally hashes or
+   allocates (test_isa.ml's "retires without allocating" counts the
+   words).  test/cpu_ref.ml keeps the interpreter this loop replaced,
+   and a property holds both to the same machine state.  DESIGN.md §6
+   gives the speed and how to measure it. *)
 
 type ctx = {
   regs : int array;
@@ -49,45 +61,42 @@ let create ~space =
 
 let copy_regs ctx = Array.copy ctx.regs
 
-let operand ctx = function Insn.Imm v -> v | Insn.Reg r -> ctx.regs.(r)
-
-let mask_shift v = v land 63
-
-(* The caller rules out a zero divisor. *)
-let alu op a b =
-  match op with
-  | Insn.Add -> a + b
-  | Insn.Sub -> a - b
-  | Insn.Mul -> a * b
-  | Insn.Div -> a / b
-  | Insn.Rem -> a mod b
-  | Insn.And -> a land b
-  | Insn.Or -> a lor b
-  | Insn.Xor -> a lxor b
-  | Insn.Shl -> a lsl mask_shift b
-  | Insn.Shr -> a lsr mask_shift b
-
-(* Execute exactly one instruction; assumes no breakpoint at pc.
-   Returns [None] for ordinary retirement, which allocates nothing. *)
+(* Execute exactly one instruction; assumes no breakpoint at pc.  Every
+   ALU op and branch condition is resolved here over [int].  Returns
+   [None] for ordinary retirement, which allocates nothing. *)
 let exec_one env ctx insn =
   let module I = Insn in
   let regs = ctx.regs in
+  let pmu = ctx.pmu in
   let sp = I.reg_sp in
-  ctx.pmu.Pmu.insns <- ctx.pmu.Pmu.insns + 1;
   match insn with
   | I.Nop | I.Pause ->
     ctx.pc <- ctx.pc + 1;
     None
   | I.Mov (r, o) ->
-    regs.(r) <- operand ctx o;
+    regs.(r) <- (match o with I.Imm v -> v | I.Reg s -> regs.(s));
     ctx.pc <- ctx.pc + 1;
     None
-  | I.Alu ((I.Div | I.Rem), _, o) when operand ctx o = 0 ->
-    Some (Stop_fault (F_div ctx.pc))
-  | I.Alu (op, r, o) ->
-    regs.(r) <- alu op regs.(r) (operand ctx o);
-    ctx.pc <- ctx.pc + 1;
-    None
+  | I.Alu (op, r, o) -> (
+    let b = match o with I.Imm v -> v | I.Reg s -> regs.(s) in
+    match op with
+    | (I.Div | I.Rem) when b = 0 -> Some (Stop_fault (F_div ctx.pc))
+    | _ ->
+      let a = regs.(r) in
+      regs.(r) <-
+        (match op with
+        | I.Add -> a + b
+        | I.Sub -> a - b
+        | I.Mul -> a * b
+        | I.Div -> a / b
+        | I.Rem -> a mod b
+        | I.And -> a land b
+        | I.Or -> a lor b
+        | I.Xor -> a lxor b
+        | I.Shl -> a lsl (b land 63)
+        | I.Shr -> a lsr (b land 63));
+      ctx.pc <- ctx.pc + 1;
+      None)
   | I.Load (d, b, off) ->
     regs.(d) <- Addr_space.read_u64 ctx.space (regs.(b) + off);
     ctx.pc <- ctx.pc + 1;
@@ -105,37 +114,47 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Jmp t ->
-    ctx.pmu.Pmu.branches <- ctx.pmu.Pmu.branches + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
     ctx.pc <- t;
     None
   | I.Jcc (c, r, o, t) ->
     (* Retired conditional branch: one deterministic RCB event whether or
        not the branch is taken. *)
-    ctx.pmu.Pmu.rcb <- ctx.pmu.Pmu.rcb + 1;
-    ctx.pmu.Pmu.branches <- ctx.pmu.Pmu.branches + 1;
-    if I.eval_cond c regs.(r) (operand ctx o) then ctx.pc <- t
-    else ctx.pc <- ctx.pc + 1;
+    pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+    let a = regs.(r) and b = match o with I.Imm v -> v | I.Reg s -> regs.(s) in
+    let taken =
+      match c with
+      | I.Eq -> a = b
+      | I.Ne -> a <> b
+      | I.Lt -> a < b
+      | I.Le -> a <= b
+      | I.Gt -> a > b
+      | I.Ge -> a >= b
+    in
+    ctx.pc <- (if taken then t else ctx.pc + 1);
     None
   | I.Call t ->
-    ctx.pmu.Pmu.branches <- ctx.pmu.Pmu.branches + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
     Addr_space.write_u64 ctx.space (regs.(sp) - 8) (ctx.pc + 1);
     regs.(sp) <- regs.(sp) - 8;
     ctx.pc <- t;
     None
   | I.Callr r ->
-    ctx.pmu.Pmu.branches <- ctx.pmu.Pmu.branches + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
     Addr_space.write_u64 ctx.space (regs.(sp) - 8) (ctx.pc + 1);
     regs.(sp) <- regs.(sp) - 8;
     ctx.pc <- regs.(r);
     None
   | I.Ret ->
-    ctx.pmu.Pmu.branches <- ctx.pmu.Pmu.branches + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
     let target = Addr_space.read_u64 ctx.space regs.(sp) in
     regs.(sp) <- regs.(sp) + 8;
     ctx.pc <- target;
     None
   | I.Push o ->
-    Addr_space.write_u64 ctx.space (regs.(sp) - 8) (operand ctx o);
+    Addr_space.write_u64 ctx.space (regs.(sp) - 8)
+      (match o with I.Imm v -> v | I.Reg s -> regs.(s));
     regs.(sp) <- regs.(sp) - 8;
     ctx.pc <- ctx.pc + 1;
     None
@@ -181,8 +200,8 @@ let exec_one env ctx insn =
     end;
     ctx.pc <- ctx.pc + 1;
     None
-  | I.Emit (a, v) ->
-    (match I.decode regs.(v) with
+  | I.Emit (a, v) -> (
+    match I.decode regs.(v) with
     | None -> Some (Stop_fault (F_ill ctx.pc))
     | Some insn ->
       incr jit_writes;
@@ -192,46 +211,59 @@ let exec_one env ctx insn =
   | I.Halt -> Some (Stop_fault (F_ill ctx.pc))
 
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
-   (None if fuel ran out) and the number of instructions retired.  An
-   instruction that retires normally costs no hashing and no allocation:
-   breakpoints are probed only while any are set, the PMU is ticked only
-   while its interrupt is armed, and the fetch hits the space's cached
-   text page.  The supervisor sets breakpoints and programs the PMU
-   between runs, never during one, so both checks are read once. *)
+   (None if fuel ran out) and the number of instructions retired.  The
+   supervisor sets breakpoints, programs the PMU and sets single-step
+   only between runs, so all three are read once, and the PMU is ticked
+   only from the RCB count at which a tick can do anything; [pmu.insns]
+   moves once, by the instructions retired, since nothing reads it
+   during a run.  The loop holds the slots of the text page [pc] is on
+   and asks the space for another page only when [pc] leaves it, or
+   after an [Emit], which may have copied the page.  An instruction
+   that retires normally hashes nothing and allocates nothing. *)
 let run env ctx ~fuel =
-  let space = ctx.space in
+  let space = ctx.space and pmu = ctx.pmu in
   let probe_bp = Addr_space.bp_any space in
-  let armed = Pmu.interrupt_armed ctx.pmu in
-  let steps = ref 0 in
-  let rec loop () =
-    if !steps >= fuel then None
-    else
-      let pc = ctx.pc in
-      if probe_bp && Addr_space.bp_is_set space pc then Some Stop_bkpt
-      else
-        match Addr_space.text_get space pc with
-        | None -> Some (Stop_fault (F_ill pc))
-        | Some insn -> (
-          let s = exec_one env ctx insn in
-          incr steps;
-          (* The PMU interrupt takes priority over synchronous stops only
-             if the instruction retired normally; a syscall/hook stop is
-             delivered first and the interrupt stays pending. *)
-          let fired = armed && Pmu.tick_interrupt ctx.pmu in
-          match s with
-          | Some _ -> s
-          | None ->
-            if fired then Some Stop_pmu
-            else if ctx.single_step then Some Stop_singlestep
-            else loop ())
-  in
-  let stop =
-    try loop ()
-    with Addr_space.Segv { addr; access } ->
-      incr steps;
-      Some (Stop_fault (F_segv { addr; access }))
-  in
-  (stop, !steps)
+  let ticks_from = Pmu.ticks_from pmu in
+  let armed = ticks_from < max_int in
+  let single_step = ctx.single_step in
+  let bits = Addr_space.text_page_bits in
+  let slot_mask = (1 lsl bits) - 1 in
+  let no_page = min_int (* [pc asr bits] never reaches it *) in
+  let page_key = ref no_page and page = ref [||] in
+  let steps = ref 0 and stop = ref None in
+  (try
+     while !stop == None && !steps < fuel do
+       let pc = ctx.pc in
+       if probe_bp && Addr_space.bp_is_set space pc then stop := Some Stop_bkpt
+       else begin
+         if pc asr bits <> !page_key then begin
+           page := Addr_space.text_page space pc;
+           page_key := pc asr bits
+         end;
+         match !page.(pc land slot_mask) with
+         | None -> stop := Some (Stop_fault (F_ill pc))
+         | Some insn -> (
+           (match insn with Insn.Emit _ -> page_key := no_page | _ -> ());
+           let s = exec_one env ctx insn in
+           incr steps;
+           (* The PMU interrupt takes priority over synchronous stops only
+              if the instruction retired normally; a syscall/hook stop is
+              delivered first and the interrupt stays pending. *)
+           let fired =
+             armed && pmu.Pmu.rcb >= ticks_from && Pmu.tick_interrupt pmu
+           in
+           match s with
+           | Some _ -> stop := s
+           | None ->
+             if fired then stop := Some Stop_pmu
+             else if single_step then stop := Some Stop_singlestep)
+       end
+     done
+   with Addr_space.Segv { addr; access } ->
+     incr steps;
+     stop := Some (Stop_fault (F_segv { addr; access })));
+  pmu.Pmu.insns <- pmu.Pmu.insns + !steps;
+  (!stop, !steps)
 
 let pp_fault ppf = function
   | F_segv { addr; access } ->

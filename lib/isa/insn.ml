@@ -50,15 +50,6 @@ type t =
   | Hook of int                     (* trap to a supervisor-installed hook *)
   | Halt                            (* invalid in user code: faults *)
 
-let eval_cond c a b =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
-
 (* Encoding for run-time code generation ([Emit]).  Only the shapes a JIT
    plausibly emits are encodable; [decode] refuses everything else, which
    is how a guest program that emits garbage faults. *)

@@ -42,8 +42,6 @@ type t =
   | Hook of int
   | Halt
 
-val eval_cond : cond -> int -> int -> bool
-
 val encode : t -> int option
 (** Encode an instruction for run-time emission ([Emit]).  Only a small
     JIT-friendly subset is encodable. *)

@@ -30,10 +30,15 @@ let program_interrupt t ~target ~skid =
 
 let clear_interrupt t = t.interrupt <- None
 
-let interrupt_armed t = t.interrupt <> None
+(* Until the interrupt is primed, a tick only compares [rcb] with the
+   target. *)
+let ticks_from t =
+  match t.interrupt with
+  | None -> max_int
+  | Some i -> if i.primed then min_int else i.target
 
-(* Called once per retired instruction; true when the overflow interrupt
-   fires on this instruction boundary. *)
+(* Called once per retired instruction from [ticks_from] on; true when
+   the overflow interrupt fires on this instruction boundary. *)
 let tick_interrupt t =
   match t.interrupt with
   | None -> false

@@ -21,7 +21,12 @@ val program_interrupt : t -> target:int -> skid:int -> unit
 (** Fire an interrupt [skid] instructions after [rcb] reaches [target]. *)
 
 val clear_interrupt : t -> unit
-val interrupt_armed : t -> bool
+
+val ticks_from : t -> int
+(** The RCB count from which {!tick_interrupt} can change anything:
+    [max_int] with no interrupt programmed, [min_int] once it is
+    primed, else its target.  A tick while [rcb] is below it returns
+    false and changes nothing, so the interpreter skips it. *)
 
 val tick_interrupt : t -> bool
 (** Advance the interrupt state machine by one retired instruction;

@@ -504,9 +504,8 @@ let on_mmap r ~tid ~addr ~len ~prot ~shared ~source ~regs_after =
   (match source with
   | E.Src_zero -> ()
   | E.Src_trace_file path ->
-    let data = Trace.file r.trace path in
     A.write_bytes ~force:true sp addr
-      (Bytes.of_string (String.sub data 0 (min (String.length data) len)))
+      (Bytes.unsafe_of_string (Trace.file_sub r.trace path ~off:0 ~len))
   | E.Src_inline data ->
     A.write_bytes ~force:true sp addr
       (Bytes.of_string (String.sub data 0 (min (String.length data) len))));
@@ -626,9 +625,8 @@ let install_hook r k =
        (Syscallbuf.Replay
           { fetch_clone =
               (fun cref ->
-                let data = Trace.file r.trace cref.E.cr_path in
-                String.sub data cref.E.cr_off
-                  (min cref.E.cr_len (String.length data - cref.E.cr_off)));
+                Trace.file_sub r.trace cref.E.cr_path ~off:cref.E.cr_off
+                  ~len:cref.E.cr_len);
             refill =
               (fun t ->
                 let st = get_rt r t.T.tid in

@@ -41,6 +41,8 @@ type mode =
     }
   | Replay of {
       fetch_clone : Event.clone_ref -> string;
+          (* The clone's bytes, at most [cr_len] of them, in a string
+             of their own. *)
       refill : T.t -> Event.buf_record list option;
           (* Pull the next recorded flush batch when the guest buffer is
              exhausted; batches arrive in trace order. *)
@@ -430,10 +432,8 @@ let hook ?(wide = true) mode k task =
           br.Event.br_writes;
         (match br.Event.br_clone with
         | Some cref ->
-          let data = fetch_clone cref in
           A.write_bytes ~force:true (space task) cref.Event.cr_addr
-            (Bytes.of_string
-               (String.sub data 0 (min (String.length data) cref.Event.cr_len)))
+            (Bytes.unsafe_of_string (fetch_clone cref))
         | None -> ());
         Telemetry.incr tm_replay_hit;
         regs.(0) <- br.Event.br_result;

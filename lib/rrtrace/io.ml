@@ -27,7 +27,8 @@ type fault =
 
 type writer = {
   w_path : string;
-  w_emit : string -> unit; (* forward bytes; may raise Io_error *)
+  w_emit : string -> int -> int -> unit;
+      (* forward [len] bytes of [s] from [pos]; may raise Io_error *)
   w_finish : unit -> unit;
   mutable w_count : int; (* bytes accepted by this layer *)
   mutable w_closed : bool;
@@ -35,10 +36,12 @@ type writer = {
 
 let written w = w.w_count
 
-let write w s =
+let write_sub w s ~pos ~len =
   if w.w_closed then fail ~op:"write" ~path:w.w_path "writer is closed";
-  w.w_emit s;
-  w.w_count <- w.w_count + String.length s
+  w.w_emit s pos len;
+  w.w_count <- w.w_count + len
+
+let write w s = write_sub w s ~pos:0 ~len:(String.length s)
 
 let close_writer w =
   if not w.w_closed then begin
@@ -48,7 +51,7 @@ let close_writer w =
 
 let buffer_writer ?(path = "<buffer>") b =
   { w_path = path;
-    w_emit = Buffer.add_string b;
+    w_emit = Buffer.add_substring b;
     w_finish = ignore;
     w_count = 0;
     w_closed = false }
@@ -57,7 +60,10 @@ let file_writer path =
   match open_out_bin path with
   | oc ->
     { w_path = path;
-      w_emit = (fun s -> try output_string oc s with Sys_error m -> fail ~op:"write" ~path m);
+      w_emit =
+        (fun s pos len ->
+          try output_substring oc s pos len
+          with Sys_error m -> fail ~op:"write" ~path m);
       w_finish = (fun () -> try close_out oc with Sys_error m -> fail ~op:"close" ~path m);
       w_count = 0;
       w_closed = false }
@@ -95,19 +101,18 @@ let write_cut faults ~off ~len =
 
 let inject faults inner =
   let dead = ref None in
-  let emit s =
+  let emit s pos len =
     (match !dead with
     | Some reason -> fail ~op:"write" ~path:inner.w_path reason
     | None -> ());
     let off = inner.w_count in
-    let len = String.length s in
     let forward_len, failure =
       match write_cut faults ~off ~len with
       | Some (cut, reason) -> (cut - off, Some reason)
       | None -> (len, None)
     in
     if forward_len > 0 then begin
-      let b = Bytes.of_string (String.sub s 0 forward_len) in
+      let b = Bytes.of_string (String.sub s pos forward_len) in
       List.iter
         (function
           | Write_bit_flip at when at >= off && at < off + forward_len ->

@@ -65,6 +65,10 @@ val inject : fault list -> writer -> writer
 val write : writer -> string -> unit
 (** Append the whole string or raise {!Io_error}. *)
 
+val write_sub : writer -> string -> pos:int -> len:int -> unit
+(** Append [len] bytes of the string from [pos], where they lie, or
+    raise {!Io_error}. *)
+
 val written : writer -> int
 (** Bytes accepted so far by this layer. *)
 

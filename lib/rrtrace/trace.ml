@@ -111,6 +111,23 @@ let pp_error ppf = function
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
+(* ---- file bytes where they lie ----------------------------------------
+
+   A file's bytes are [len] bytes of [str] from [pos].  A file read
+   from a trace file stays a slice of the string the file was read
+   into (while the files are most of it, see [File_deltas.unpin]), so
+   opening a trace copies no file, saving writes each slice where it
+   lies, and a reader copies only the bytes it uses ({!file_sub}). *)
+type slice = { str : string; pos : int; len : int }
+
+let whole str = { str; pos = 0; len = String.length str }
+
+(* The bytes as a string: the string itself when the slice is all of
+   it, else a copy. *)
+let slice_string s =
+  if s.pos = 0 && s.len = String.length s.str then s.str
+  else String.sub s.str s.pos s.len
+
 type chunk_info = {
   first_frame : int;
   n_frames : int;
@@ -125,7 +142,7 @@ type t = {
   chunks : string array; (* stored (possibly deflated) chunk bytes *)
   compressed : bool;
   images : (string, Image.t) Hashtbl.t; (* trace path -> executable image *)
-  files : (string, string) Hashtbl.t; (* trace path -> snapshotted bytes *)
+  files : (string, slice) Hashtbl.t; (* trace path -> snapshotted bytes *)
   stats : stats;
   initial_exe : string;
   origin : string; (* path the trace was loaded from, for error context *)
@@ -161,16 +178,16 @@ let cache_slots = 8
    Every assembled trace ({!assembly}) and the repository sink keep
    files here, so a file grown by k appends costs its final size once,
    not k times.  A file that arrives in one piece (what {!save} writes)
-   keeps that piece's string uncopied; the first append moves it into a
+   keeps that piece where it lies; the first append moves it into a
    buffer. *)
 module File_deltas = struct
-  type file = Whole of string | Growing of Buffer.t
+  type file = Whole of slice | Growing of Buffer.t
   type t = (string, file) Hashtbl.t
 
   let create () : t = Hashtbl.create 8
 
   let file_length = function
-    | Whole s -> String.length s
+    | Whole s -> s.len
     | Growing b -> Buffer.length b
 
   let length t path =
@@ -186,25 +203,43 @@ module File_deltas = struct
     | Some f when offset < 0 || offset > file_length f -> past_end ()
     | Some (Growing b) ->
       Buffer.truncate b offset;
-      Buffer.add_string b data
+      Buffer.add_substring b data.str data.pos data.len
     | Some (Whole s) ->
-      let b = Buffer.create (2 * (offset + String.length data)) in
-      Buffer.add_substring b s 0 offset;
-      Buffer.add_string b data;
+      let b = Buffer.create (2 * (offset + data.len)) in
+      Buffer.add_substring b s.str s.pos offset;
+      Buffer.add_substring b data.str data.pos data.len;
       Hashtbl.replace t path (Growing b)
 
   (* Bytes of [path] from [off] to its end. *)
   let suffix t path off =
     match Hashtbl.find t path with
-    | Whole s when off = 0 -> s
-    | Whole s -> String.sub s off (String.length s - off)
-    | Growing b -> Buffer.sub b off (Buffer.length b - off)
+    | Whole s -> { s with pos = s.pos + off; len = s.len - off }
+    | Growing b -> whole (Buffer.sub b off (Buffer.length b - off))
 
   let paths t =
     Hashtbl.fold (fun p _ acc -> p :: acc) t [] |> List.sort compare
 
-  let contents t = List.map (fun p -> (p, suffix t p 0)) (paths t)
-  let to_table t = Hashtbl.of_seq (List.to_seq (contents t))
+  (* After a load from [str]: the files that are slices of [str] stay so
+     only while they are at least half of it.  Otherwise each is copied
+     out, so that a few kilobytes of files do not keep alive a string
+     that is mostly checkpoint blobs, which the loader copies anyway. *)
+  let unpin t str =
+    let pinned =
+      Hashtbl.fold
+        (fun _ f n -> match f with Whole s when s.str == str -> n + s.len | _ -> n)
+        t 0
+    in
+    if 2 * pinned < String.length str then
+      Hashtbl.filter_map_inplace
+        (fun _ f ->
+          match f with
+          | Whole s when s.str == str -> Some (Whole (whole (slice_string s)))
+          | f -> Some f)
+        t
+
+  let slices t = List.map (fun p -> (p, suffix t p 0)) (paths t)
+  let contents t = List.map (fun (p, s) -> (p, slice_string s)) (slices t)
+  let to_table t = Hashtbl.of_seq (List.to_seq (slices t))
 end
 
 (* ---- record stream ---------------------------------------------------
@@ -264,19 +299,19 @@ let tag_index_cp = 'K' (* one durable checkpoint blob *)
    [tail]: a large trailing field (a chunk's stored bytes, a file
    delta's data, a checkpoint blob) is written and CRC'd where it lies,
    never copied into the buffer. *)
-let write_record io ~tag ?(tail = "") fill =
+let write_record io ~tag ?(tail = whole "") fill =
   let b = Codec.sink () in (* chunk-lifecycle *)
   fill b;
   let head = Buffer.contents b in
   let tag_s = String.make 1 tag in
   Io.write io tag_s;
   let lb = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint lb (String.length head + String.length tail);
+  Codec.put_uvarint lb (String.length head + tail.len);
   Io.write io (Buffer.contents lb);
   Io.write io head;
-  if tail <> "" then Io.write io tail;
+  if tail.len > 0 then Io.write_sub io tail.str ~pos:tail.pos ~len:tail.len;
   let crc = Crc32.string ~crc:(Crc32.string tag_s) head in
-  let crc = Crc32.string ~crc tail in
+  let crc = Crc32.sub ~crc tail.str ~pos:tail.pos ~len:tail.len in
   let cb = Bytes.create 4 in (* chunk-lifecycle *)
   Bytes.set_int32_le cb 0 (Int32.of_int crc);
   Io.write io (Bytes.to_string cb)
@@ -343,7 +378,7 @@ module Sink = struct
   type event =
     | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
-    | File_delta of { path : string; offset : int; data : string }
+    | File_delta of { path : string; offset : int; data : slice }
     | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
     | Journal of stats
 
@@ -380,9 +415,9 @@ module Sink = struct
         write_record io ~tag:tag_file ~tail:data (fun b ->
             Codec.put_string b path;
             Codec.put_uvarint b offset;
-            Codec.put_uvarint b (String.length data))
+            Codec.put_uvarint b data.len)
       | Chunk { first_frame; n_frames; kinds; stored } ->
-        write_record io ~tag:tag_chunk ~tail:stored (fun b ->
+        write_record io ~tag:tag_chunk ~tail:(whole stored) (fun b ->
             List.iter (Codec.put_uvarint b) [ first_frame; n_frames; kinds ])
       | Journal stats ->
         write_record io ~tag:tag_journal (fun b -> put_stats b stats)
@@ -591,7 +626,7 @@ let ring_trace r =
   List.iter
     (fun (path, data) ->
       assemble a (Sink.File_delta { path; offset = 0; data }))
-    (File_deltas.contents parts.as_files);
+    (File_deltas.slices parts.as_files);
   let base = match Queue.peek_opt r.r_q with Some e -> e.re_first | None -> 0 in
   Queue.iter
     (fun e ->
@@ -791,7 +826,7 @@ module Writer = struct
   let add_file w ~path ~cloned data =
     if Hashtbl.mem w.parts.as_files path then
       Fmt.invalid_arg "Trace.Writer.add_file: %s already added" path;
-    File_deltas.apply w.parts.as_files ~path ~offset:0 data;
+    File_deltas.apply w.parts.as_files ~path ~offset:0 (whole data);
     account_growth w ~cloned (String.length data)
 
   (* Write [data] at [off] of a file that only grows (the per-task
@@ -804,8 +839,8 @@ module Writer = struct
         path off len;
     if off > len then
       File_deltas.apply files ~path ~offset:len
-        (String.make (off - len) '\000');
-    File_deltas.apply files ~path ~offset:off data;
+        (whole (String.make (off - len) '\000'));
+    File_deltas.apply files ~path ~offset:off (whole data);
     account_growth w ~cloned (off + String.length data - len)
 
   (* Seal the last chunk and — with a sink — commit: final file deltas,
@@ -867,9 +902,13 @@ let image t path =
   | Some img -> img
   | None -> Fmt.invalid_arg "trace: no image %s" path
 
-let file t path =
+(* The one copy a reader of a file makes: its bytes from [off], [len] of
+   them or as many as the file holds past [off]. *)
+let file_sub t path ~off ~len =
   match Hashtbl.find_opt t.files path with
-  | Some d -> d
+  | Some s when off >= 0 && off <= s.len ->
+    String.sub s.str (s.pos + off) (min len (s.len - off))
+  | Some _ -> Fmt.invalid_arg "trace: offset %d outside file %s" off path
   | None -> Fmt.invalid_arg "trace: no file %s" path
 
 (* ---- chunk decoding (the only path from stored bytes to frames) ----- *)
@@ -1046,9 +1085,11 @@ let images t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.images []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
 
-let files t =
+let file_slices t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.files []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
+
+let files t = List.map (fun (p, s) -> (p, slice_string s)) (file_slices t)
 
 (* ---- the way out --------------------------------------------------------
 
@@ -1065,7 +1106,7 @@ let events ?(chunk = fun _ ci stored ->
   List.iter (fun (path, img) -> put (Sink.Image { path; img })) (images t);
   List.iter
     (fun (path, data) -> put (Sink.File_delta { path; offset = 0; data }))
-    (files t);
+    (file_slices t);
   Array.iteri (fun i ci -> put (chunk i ci t.chunks.(i))) t.index
 
 (* Send [t] through [sink] and commit it, [before_commit] running
@@ -1125,7 +1166,7 @@ let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
     List.iter (fun (path, img) -> assemble a (Sink.Image { path; img })) imgs;
     List.iter
       (fun (path, data) ->
-        assemble a (Sink.File_delta { path; offset = 0; data }))
+        assemble a (Sink.File_delta { path; offset = 0; data = whole data }))
       fls;
     Array.iter
       (fun (first_frame, n_frames, kinds, stored) ->
@@ -1154,7 +1195,7 @@ let save_io t io =
         write_record io ~tag:tag_index (fun b -> Trace_index.put_meta b ix);
         Array.iter
           (fun (frame, blob) ->
-            write_record io ~tag:tag_index_cp ~tail:blob (fun b ->
+            write_record io ~tag:tag_index_cp ~tail:(whole blob) (fun b ->
                 Trace_index.put_checkpoint_head b ~frame ~blob))
           (Trace_index.checkpoints ix))
       t.sidecar
@@ -1251,8 +1292,10 @@ let apply_record sc ~path tag data ~body ~len =
   else if tag = tag_file then begin
     let path = Codec.get_string s in
     let offset = Codec.get_uvarint s in
-    let data = Codec.get_string s in
-    event (Sink.File_delta { path; offset; data })
+    let len = Codec.get_uvarint s in
+    let pos = Codec.pos s in
+    Codec.skip s len;
+    event (Sink.File_delta { path; offset; data = { str = data; pos; len } })
   end
   else if tag = tag_chunk then begin
     let first_frame = Codec.get_uvarint s in
@@ -1306,7 +1349,9 @@ let scan_records ~path data ~limit =
         damage (corrupt ~path (Fmt.str "record %C failed CRC" tag))
       | R_bad msg -> damage (corrupt ~path msg)
   in
-  go 8
+  let scanned = go 8 in
+  File_deltas.unpin sc.sc_parts.as_files data;
+  scanned
 
 (* Attach a scanned sidecar to a built trace, if it covers exactly the
    frames the trace carries.  A mismatched index (a salvage kept fewer

@@ -111,11 +111,16 @@ val error_to_string : error -> string
     persisting events as they arrive reproduces the record stream,
     and any prefix it persists is salvageable. *)
 
+type slice = { str : string; pos : int; len : int }
+(** [len] bytes of [str] from [pos]: a file's bytes where they lie.  A
+    loaded trace keeps each file as a slice of the bytes read, and the
+    file sink writes a slice in place. *)
+
 module Sink : sig
   type event =
     | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
-    | File_delta of { path : string; offset : int; data : string }
+    | File_delta of { path : string; offset : int; data : slice }
         (** bytes [data] replace the file's contents from [offset];
             a pure append when [offset] equals the previous length.  A
             {!Writer} sends each file once from offset 0 (even when
@@ -149,13 +154,13 @@ end
 
 (** File snapshots rebuilt from {!Sink.File_delta} events (or ['D']
     records) in time linear in their total size.  A file that arrives
-    in one piece keeps that string uncopied. *)
+    in one piece keeps that slice uncopied. *)
 module File_deltas : sig
   type t
 
   val create : unit -> t
 
-  val apply : t -> path:string -> offset:int -> string -> unit
+  val apply : t -> path:string -> offset:int -> slice -> unit
   (** Replace [path]'s bytes from [offset] on; a new path starts
       empty.  Raises [Codec.Corrupt] if [offset] is negative or past
       the current length. *)
@@ -322,13 +327,19 @@ val compressed : t -> bool
 val image : t -> string -> Image.t
 (** Raises [Invalid_argument] for unknown paths. *)
 
-val file : t -> string -> string
+val file_sub : t -> string -> off:int -> len:int -> string
+(** [file_sub t path ~off ~len] copies the bytes of file [path] from
+    [off], [len] of them or as many as the file holds past [off]: the
+    one copy a reader makes, since a loaded trace keeps each file where
+    it lies in the bytes read.  Raises [Invalid_argument] for an
+    unknown path or an [off] outside the file. *)
 
 val images : t -> (string * Image.t) list
 (** Every snapshotted executable image, sorted by trace path. *)
 
 val files : t -> (string * string) list
-(** Every snapshotted file, sorted by trace path. *)
+(** Every snapshotted file, sorted by trace path; a loaded trace's
+    files are copied out. *)
 
 val chunk_stored : t -> int -> string
 (** Chunk [i]'s stored (possibly deflated) bytes, as its ['C'] record

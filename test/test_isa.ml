@@ -562,6 +562,46 @@ let test_cpu_div_zero_faults () =
   Alcotest.(check int) "dividend untouched" 10 ctx.Cpu.regs.(1);
   Alcotest.(check int) "the faulting insn counts as a step" 2 steps
 
+(* The guard on "an instruction that retires normally allocates
+   nothing": a loop that calls a routine on another text page, so the
+   fetch leaves its page twice an iteration, allocates the same minor
+   words in one run whether that run retires about 10k or about 1M
+   instructions.  It counts words, not time. *)
+let test_cpu_retires_without_allocating () =
+  let words iters =
+    let space = fresh_space () in
+    let main =
+      Asm.assemble ~base:0x1000
+        [ Asm.movi 15 0x6000;
+          Asm.movi 1 iters;
+          Asm.label "loop";
+          Asm.I (Insn.Alu (Insn.Add, 2, Insn.Reg 1));
+          Asm.I (Insn.Call 0x2000);
+          Asm.subi 1 1;
+          Asm.jnz 1 "loop";
+          Asm.I Insn.Halt ]
+    in
+    Addr_space.text_load space ~base:0x1000 main.Asm.code;
+    Addr_space.text_load space ~base:0x2000
+      Insn.[| Alu (Xor, 3, Reg 2); Jcc (Lt, 3, Imm 0, 0x2000); Ret |];
+    let ctx = Cpu.create ~space in
+    ctx.Cpu.pc <- 0x1000;
+    let before = Gc.minor_words () in
+    let stop, steps = Cpu.run null_env ctx ~fuel:max_int in
+    let after = Gc.minor_words () in
+    (match stop with
+    | Some (Cpu.Stop_fault (Cpu.F_ill _)) -> ()
+    | other -> Alcotest.failf "expected the halt, got %a" pp_stop_opt other);
+    (steps, int_of_float (after -. before))
+  in
+  let small_steps, small = words 1_400 and big_steps, big = words 140_000 in
+  Alcotest.(check bool) "about 10k and 1M instructions" true
+    (small_steps > 9_000 && small_steps < 11_000 && big_steps > 900_000
+    && big_steps < 1_100_000);
+  Alcotest.(check int) "same words for 100x the instructions" small big;
+  Alcotest.(check bool) (Printf.sprintf "a few words a run (%d)" small) true
+    (small <= 16)
+
 let test_cpu_breakpoint () =
   let space = fresh_space () in
   let prog =
@@ -806,6 +846,214 @@ let qcheck_paged_fetch_sliced =
     (QCheck.make paged_program_gen) (fun items ->
       run_paged ~sliced:false items = run_paged ~sliced:true items)
 
+(* ---- the interpreter against its reference --------------------------- *)
+
+(* Random programs run through [Cpu.run] and through [Cpu_ref.run], the
+   interpreter it replaced, each under the same random [~fuel] slices
+   and the same supervisor, which clears a breakpoint it stops on,
+   clears single-step after the step, fills a trapped RDTSC's register
+   and carries on after every stop but a fault.  Every run must return
+   the same stop and step count, and the two machines must end with the
+   same registers, pc, counters, scratch bytes and text.
+
+   The code straddles the text-page boundary at 0x1400 and calls a
+   routine on a second page.  It draws every opcode, every condition
+   and ALU op with register and immediate operands (division and
+   remainder by registers that may hold 0, comparisons that are often
+   equal), and emits encodable instructions over its own code and into
+   the routine's page.  A case may fork the space first, so that every
+   text page is shared copy-on-write and the first [Emit] into a page
+   copies it. *)
+let ref_base = 0x1400 - 12
+let ref_routine = 0x2000
+let ref_routine_len = 6
+let ref_prelude = 16 (* r0..r12, then r13, r14, r15 *)
+
+type ref_case = {
+  rc_main : Insn.t array; (* after the prelude *)
+  rc_routine : Insn.t array; (* ends in [Ret] *)
+  rc_inits : int array; (* r0..r12 *)
+  rc_fuels : int list;
+  rc_bps : int list; (* breakpoint addresses *)
+  rc_steps : bool list; (* single-step before run i (cycled) *)
+  rc_pmu : (int * int) option; (* RCB target, skid *)
+  rc_tsc_trap : bool;
+  rc_fork : bool;
+}
+
+let ref_case_gen =
+  QCheck.Gen.(
+    let dst = int_bound 12 and src = int_bound 15 in
+    let small = oneofl [ 0; 1; 2; 3; -1; 63; 64; 65; max_int; min_int ] in
+    let operand =
+      oneof
+        [ map (fun r -> Insn.Reg r) src; map (fun v -> Insn.Imm v) small ]
+    in
+    let cond = oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+    let alu = oneofl Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
+    let* n = int_range 4 40 in
+    let main_end = ref_base + ref_prelude + n in
+    let target =
+      frequency
+        [ (6, int_range ref_base (main_end - 1));
+          (1, int_range ref_routine (ref_routine + ref_routine_len - 1)) ]
+    in
+    let main_target = int_range (ref_base + ref_prelude) (main_end - 1) in
+    let encodable =
+      let open Insn in
+      oneof
+        [ oneofl [ Nop; Syscall; Ret; Pause ];
+          map2 (fun r v -> Mov (r, Imm v)) dst (int_bound 3);
+          map2 (fun r v -> Alu (Add, r, Imm v)) dst (int_bound 3);
+          map2 (fun r t -> Jcc (Ne, r, Imm 0, t)) dst main_target;
+          map (fun t -> Jmp t) main_target ]
+    in
+    let emit_word = map (fun i -> Option.get (Insn.encode i)) encodable in
+    let emit_addr =
+      oneof [ main_target; int_range ref_routine (ref_routine + 12) ]
+    in
+    let insn =
+      let open Insn in
+      frequency
+        [ (1, oneofl [ Nop; Pause; Syscall; Ret; Halt ]);
+          (2, map2 (fun r o -> Mov (r, o)) dst operand);
+          (10, map3 (fun op r o -> Alu (op, r, o)) alu dst operand);
+          (2, map2 (fun r off -> Load (r, 14, off land 0xff8)) dst int);
+          (2, map2 (fun r off -> Store (r, 14, off land 0xff8)) src int);
+          (1, map2 (fun r off -> Load8 (r, 14, off land 0xfff)) dst int);
+          (1, map2 (fun r off -> Store8 (r, 14, off land 0xfff)) src int);
+          (1, map (fun t -> Jmp t) target);
+          ( 8,
+            let* c = cond and* r = src and* o = operand and* t = target in
+            return (Jcc (c, r, o, t)) );
+          (1, return (Call ref_routine));
+          (1, return (Callr 13));
+          (1, map (fun o -> Push o) operand);
+          (1, map (fun r -> Pop r) dst);
+          (1, map (fun n -> Hook n) (int_bound 3));
+          (1, map (fun r -> Rdtsc r) dst);
+          (1, map (fun r -> Rdrand r) dst);
+          (1, map (fun r -> Cpuid_core r) dst);
+          (1, map3 (fun e nw d -> Cas (14, e, nw, d)) dst dst dst);
+          (1, map2 (fun a v -> Emit (a, v)) dst dst) ]
+    in
+    (* An emit that decodes: set r11 and r12, then emit. *)
+    let emit =
+      map2
+        (fun a w -> Insn.[ Mov (11, Imm a); Mov (12, Imm w); Emit (11, 12) ])
+        emit_addr emit_word
+    in
+    let* items =
+      list_repeat n (frequency [ (12, map (fun i -> [ i ]) insn); (1, emit) ])
+    in
+    let* routine = list_repeat (ref_routine_len - 1) insn in
+    let* inits = array_repeat 13 small in
+    let* fuels = list_size (int_range 1 4) (oneofl [ 1; 2; 3; 7; 40; 5000 ]) in
+    let* bps = list_size (int_bound 3) target in
+    let* steps =
+      list_size (int_range 1 6)
+        (frequency [ (4, return false); (1, return true) ])
+    in
+    let* pmu = opt (pair (int_bound 30) (int_bound Pmu.max_skid)) in
+    let* rc_tsc_trap = bool and* rc_fork = bool in
+    return
+      { rc_main = Array.of_list (List.concat items);
+        rc_routine = Array.of_list (routine @ [ Insn.Ret ]);
+        rc_inits = inits;
+        rc_fuels = fuels;
+        rc_bps = bps;
+        rc_steps = steps;
+        rc_pmu = pmu;
+        rc_tsc_trap;
+        rc_fork })
+
+let show_ref_case c =
+  let list f l = String.concat "; " (List.map f l) in
+  let insns a = list (Fmt.str "%a" Insn.pp) (Array.to_list a) in
+  Printf.sprintf
+    "main [%s]\nroutine [%s]\ninits [%s] fuels [%s] bps [%s] steps [%s] \
+     pmu %s tsc_trap=%b fork=%b"
+    (insns c.rc_main) (insns c.rc_routine)
+    (list string_of_int (Array.to_list c.rc_inits))
+    (list string_of_int c.rc_fuels)
+    (list (Printf.sprintf "%#x") c.rc_bps)
+    (list string_of_bool c.rc_steps)
+    (match c.rc_pmu with
+    | None -> "off"
+    | Some (t, s) -> Printf.sprintf "rcb %d skid %d" t s)
+    c.rc_tsc_trap c.rc_fork
+
+(* Drive one interpreter through a case; returns every run's result and
+   the final machine. *)
+let drive_ref run c =
+  let space = fresh_space () in
+  let prelude =
+    Array.append
+      (Array.mapi (fun r v -> Insn.Mov (r, Insn.Imm v)) c.rc_inits)
+      Insn.
+        [| Mov (13, Imm ref_routine); Mov (14, Imm 0x4000);
+           Mov (15, Imm 0x5800) |]
+  in
+  Addr_space.text_load space ~base:ref_base (Array.append prelude c.rc_main);
+  Addr_space.text_load space ~base:ref_routine c.rc_routine;
+  (* A fork gives the space a fresh stamp: it owns none of its text
+     pages, and its first write to each copies it. *)
+  if c.rc_fork then ignore (Addr_space.fork space ~id:2);
+  List.iter (Addr_space.bp_set space) c.rc_bps;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- ref_base;
+  ctx.Cpu.tsc_trap <- c.rc_tsc_trap;
+  Option.iter
+    (fun (t, skid) -> Pmu.program_interrupt ctx.Cpu.pmu ~target:t ~skid)
+    c.rc_pmu;
+  let ticks = ref 0 in
+  let env =
+    { Cpu.rdtsc =
+        (fun () ->
+          incr ticks;
+          1000 + !ticks);
+      rdrand =
+        (fun () ->
+          incr ticks;
+          !ticks * 7919) }
+  in
+  let fuels = Array.of_list c.rc_fuels and ss = Array.of_list c.rc_steps in
+  let rec go i total acc =
+    if i >= 300 || total >= 3000 then List.rev acc
+    else begin
+      ctx.Cpu.single_step <- ss.(i mod Array.length ss);
+      let stop, steps = run env ctx ~fuel:fuels.(i mod Array.length fuels) in
+      let acc = (stop, steps) :: acc and total = total + steps in
+      match stop with
+      | Some (Cpu.Stop_fault _) -> List.rev acc
+      | Some Cpu.Stop_bkpt ->
+        Addr_space.bp_clear space ctx.Cpu.pc;
+        go (i + 1) total acc
+      | Some (Cpu.Stop_tsc r) ->
+        ctx.Cpu.regs.(r) <- 77 + i;
+        go (i + 1) total acc
+      | None
+      | Some
+          ( Cpu.Stop_syscall | Cpu.Stop_hook _ | Cpu.Stop_pmu
+          | Cpu.Stop_singlestep ) ->
+        go (i + 1) total acc
+    end
+  in
+  (* Run first: a tuple's parts are evaluated right to left. *)
+  let runs = go 0 0 [] in
+  ( runs,
+    Array.to_list (Cpu.copy_regs ctx),
+    ctx.Cpu.pc,
+    Pmu.snapshot ctx.Cpu.pmu,
+    Bytes.to_string (Addr_space.read_bytes ~force:true space 0x4000 8192),
+    List.rev (Addr_space.text_fold (fun a i acc -> (a, i) :: acc) space []) )
+
+let qcheck_cpu_matches_ref =
+  QCheck.Test.make ~name:"Cpu.run matches the reference interpreter"
+    ~count:500
+    (QCheck.make ~print:show_ref_case ref_case_gen)
+    (fun c -> drive_ref Cpu.run c = drive_ref Cpu_ref.run c)
+
 let test_pmu_interrupt_fires_with_skid () =
   let space = fresh_space () in
   let items =
@@ -986,6 +1234,8 @@ let suites =
         Alcotest.test_case "div by zero" `Quick test_cpu_div_zero_faults;
         Alcotest.test_case "breakpoint" `Quick test_cpu_breakpoint;
         Alcotest.test_case "single-step" `Quick test_cpu_singlestep;
+        Alcotest.test_case "retires without allocating" `Quick
+          test_cpu_retires_without_allocating;
         Alcotest.test_case "emit + run jitted code" `Quick test_cpu_emit_jit;
         Alcotest.test_case "emit marks written text" `Quick
           test_emit_marks_written_text ] );
@@ -1000,7 +1250,8 @@ let suites =
           test_unmap_all_drops_fetched_text;
         Alcotest.test_case "text_fold is ascending" `Quick
           test_text_fold_ascending;
-        QCheck_alcotest.to_alcotest qcheck_paged_fetch_sliced ] );
+        QCheck_alcotest.to_alcotest qcheck_paged_fetch_sliced;
+        QCheck_alcotest.to_alcotest qcheck_cpu_matches_ref ] );
     ( "isa.pmu",
       [ Alcotest.test_case "interrupt fires late (skid)" `Quick
           test_pmu_interrupt_fires_with_skid;

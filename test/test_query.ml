@@ -150,12 +150,23 @@ let test_out_of_range () =
       | Ok _ -> Alcotest.fail "before past the end must be Out_of_range")
     [ true; false ]
 
-(* The acceptance case: reopen the saved trace cold and seek near the
+(* The acceptance case: reopen a saved trace cold and seek near the
    end.  The durable checkpoint must be restored (index.hit and
-   replay.checkpoint_restore both move) — no full replay from frame 0. *)
-let test_cold_reopen_seeks_without_full_replay () =
-  let trace = record_counter () in
-  ignore (Trace_indexer.build_and_attach ~checkpoint_every:4 trace);
+   replay.checkpoint_restore both move) — no full replay from frame 0 —
+   and the state there must be the scan session's.  Two inputs: the
+   counter program indexed every 4 frames, and a sambatest recording
+   indexed every 8, whose buffered syscalls and cloned reads the
+   restore must bring back too.  Besides every live task's registers,
+   [probe] reads state the program leaves behind. *)
+let live_regs d =
+  List.concat_map
+    (fun tid ->
+      let regs, pc = Debugger.regs d tid in
+      tid :: pc :: Array.to_list regs)
+    (Debugger.live_tids d)
+
+let check_cold_reopen ~every ~probe trace =
+  ignore (Trace_indexer.build_and_attach ~checkpoint_every:every trace);
   let tmp = Filename.temp_file "rr_query_cold" ".rrtrace" in
   Trace.save_exn trace tmp;
   let cold = Trace.open_exn tmp in
@@ -186,13 +197,19 @@ let test_cold_reopen_seeks_without_full_replay () =
   (* And the state there is the scan session's state, byte for byte. *)
   let d0 = dbg ~use_index:false cold in
   Debugger.seek d0 target;
-  Alcotest.(check int) "same memory as the scan session"
-    (Debugger.read_word d0 100 cell)
-    (Debugger.read_word d 100 cell);
+  Alcotest.(check (list int)) "same registers and memory as the scan session"
+    (live_regs d0 @ probe d0) (live_regs d @ probe d);
   Alcotest.(check int) "same virtual clock as the scan session"
     (Debugger.clock d0) (Debugger.clock d);
   Alcotest.(check (option int)) "same exit status as the scan session"
     (Debugger.exit_status d0) (Debugger.exit_status d)
+
+let test_cold_reopen_seeks_without_full_replay () =
+  check_cold_reopen ~every:4
+    ~probe:(fun d -> [ Debugger.read_word d 100 cell ])
+    (record_counter ());
+  let recd, _ = Workload.record (Wl_samba.make ()) in
+  check_cold_reopen ~every:8 ~probe:(fun _ -> []) recd.Workload.trace
 
 (* ----- fault injection over the sidecar records -------------------- *)
 

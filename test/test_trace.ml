@@ -297,6 +297,55 @@ let test_saved_files_tripwire () =
     @ [ Lazy.force serve_chaos ])
     saved_files_expected
 
+(* A cold open keeps a trace's files where they lie in the bytes read
+   when they are most of those bytes, and copies them out otherwise, so
+   it holds those bytes about once.  Opening a saved cp trace, nearly
+   all of it one cloned file, allocates about the file once (the read),
+   not twice, and keeps it.  Opening the indexed seed-1 make trace,
+   mostly checkpoint blobs, which the open copies, must not keep the
+   string it read as well.  Words are counted, not time. *)
+let test_cold_open_holds_the_file_once () =
+  let word_bytes = float_of_int (Sys.word_size / 8) in
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let opened t =
+    let path = Filename.temp_file "rr_open" ".trace" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Trace.save_exn t path;
+    let size = In_channel.with_open_bin path In_channel.length in
+    let before = words () in
+    let o = Trace.open_exn path in
+    let alloc = (words () -. before) *. word_bytes in
+    let kept = float_of_int (Obj.reachable_words (Obj.repr o)) *. word_bytes in
+    (o, Int64.to_float size, alloc, kept)
+  in
+  let check_kept name size kept =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: the opened trace holds %.2fx the file, < 1.2x" name
+         (kept /. size))
+      true (kept < 1.2 *. size)
+  in
+  let recd, _ =
+    Workload.record ~opts:(Recorder.make_opts ~seed:1 ()) (Wl_cp.make ())
+  in
+  let cp = recd.Workload.trace in
+  let o, size, alloc, kept = opened cp in
+  Alcotest.(check (list (pair string string)))
+    "the opened files read as saved" (Trace.files cp) (Trace.files o);
+  Alcotest.(check bool)
+    (Printf.sprintf "cp: open allocates %.2fx the file, < 1.1x" (alloc /. size))
+    true (alloc < 1.1 *. size);
+  check_kept "cp" size kept;
+  (* Indexing the seed-1 traces attaches the index to each. *)
+  ignore (Lazy.force seed1_indexed);
+  let make = List.assoc "make" (Lazy.force seed1_traces) in
+  if Trace.index make = None then Alcotest.fail "make carries no index";
+  let _, size, _, kept = opened make in
+  check_kept "indexed make" size kept
+
 (* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each
    seed-1 trace's checkpoint blobs, concatenated.  A change to the
    snapshot codec, or to the state a checkpoint captures, fails here. *)
@@ -794,6 +843,8 @@ let suites =
           test_checkpoint_bytes_tripwire;
         Alcotest.test_case "saved files tripwire" `Quick
           test_saved_files_tripwire;
+        Alcotest.test_case "a cold open holds the file once" `Quick
+          test_cold_open_holds_the_file_once;
         Alcotest.test_case "declared size beyond the body" `Quick
           test_inflate_size_bound;
         Alcotest.test_case "empty or incomplete code table" `Quick

@@ -604,7 +604,9 @@ let test_appended_file_streams_as_deltas () =
   let windowed =
     record_appends (Trace.ring_sink ring) ~after_seal:(fun len ->
         let window, _ = Trace.ring_trace ring in
-        seen := (len, String.length (Trace.file window "cloned/1")) :: !seen)
+        seen :=
+          (len, String.length (List.assoc "cloned/1" (Trace.files window)))
+          :: !seen)
   in
   List.iter
     (fun (len, got) ->

@@ -129,8 +129,8 @@ let test_cp_cloned_bytes () =
     String.concat ""
       (List.map
          (fun cr ->
-           String.sub (Trace.file t cr.Event.cr_path) cr.Event.cr_off
-             cr.Event.cr_len)
+           Trace.file_sub t cr.Event.cr_path ~off:cr.Event.cr_off
+             ~len:cr.Event.cr_len)
          clones)
   in
   let k = Kernel.create ~seed:1 () in

@@ -112,7 +112,7 @@ check_file() {
     fi
     ;;
   esac
-  # The text map's layout (paged slots plus a one-page fetch cache) has
+  # The text map's layout (paged slots plus a two-page fetch cache) has
   # one owner, lib/isa: everything else reads guest code through
   # Addr_space.text_get / text_fold / text_count, so the layout can
   # change without touching a caller.
