@@ -71,8 +71,6 @@ module Flags = struct
   let out ~doc =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
-  let smoke ~doc = Arg.(value & flag & info [ "smoke" ] ~doc)
-
   let repo_dir =
     Arg.(
       required
@@ -208,9 +206,9 @@ let record_cmd =
     | None -> ()
   in
   let record_flight w opts out repo chunks dump_on =
-    let triggers =
+    let dump_on =
       match dump_on with
-      | [] -> [ Recorder.On_always ]
+      | [] -> [ Flight.On_always ]
       | l ->
         List.map
           (fun s ->
@@ -224,7 +222,6 @@ let record_cmd =
               exit 2)
           l
     in
-    let opts = Recorder.with_dump_on opts triggers in
     let ring = Trace.ring ~chunks in
     let dump =
       match (repo, out) with
@@ -241,7 +238,7 @@ let record_cmd =
       | None, None -> None
     in
     match
-      Flight.record ~opts ?dump ~ring ~setup:w.Workload.setup
+      Flight.record ~opts ~dump_on ?dump ~ring ~setup:w.Workload.setup
         ~exe:w.Workload.exe ()
     with
     | Error e ->
@@ -304,11 +301,12 @@ let dump_cmd =
       Fmt.pr "%5d  %a@." i Event.pp (Trace.Reader.next c)
     done;
     if total > n then Fmt.pr "... (%d more)@." (total - n);
-    let st = Trace.stats trace in
+    let count name = Telemetry.counter_value (Telemetry.counter name) in
     Fmt.pr "(decoded %d of %d chunks; lru %d hits / %d misses / %d evictions)@."
       (Trace.decoded_chunks trace)
       (Array.length (Trace.chunk_index trace))
-      st.Trace.lru_hits st.Trace.lru_misses st.Trace.lru_evictions
+      (count "trace.chunk.hit") (count "trace.chunk.miss")
+      (count "trace.chunk.evict")
   in
   Cmd.v
     (Cmd.info "dump"
@@ -527,7 +525,7 @@ let index_cmd =
     Trace.save_exn trace out;
     let cps = Trace_index.checkpoints ix in
     let cp_bytes =
-      Array.fold_left (fun acc (_, blob) -> acc + String.length blob) 0 cps
+      Array.fold_left (fun acc (_, blob) -> acc + blob.Codec.len) 0 cps
     in
     Fmt.pr "indexed %d frames (%d durable checkpoints, %.1f MB); saved to %s@."
       (Trace.n_events trace) (Array.length cps)
@@ -621,74 +619,6 @@ let stats_cmd =
              not flat spans).  With --json, emits the ledger as JSON \
              instead of the telemetry snapshot.")
   in
-  (* Exercise the flight-recorder, repository and shard instruments
-     inside the session so the snapshot always carries ring.*, repo.*,
-     shard.* and serve.* metrics: a tiny 2-chunk ring recording
-     (guaranteed drops), the same trace stored twice into a throwaway
-     repo (the second store is all shared objects), then a small served
-     recording split into per-connection shards. *)
-  let exercise_ring_and_repo () =
-    let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 16 } () in
-    let ring = Trace.ring ~chunks:2 in
-    (* Unbuffered + tiny chunks: enough chunk turnover to overflow a
-       2-chunk ring even on this small workload. *)
-    let opts =
-      Recorder.make_opts ~intercept:false ~chunk_limit:256
-        ~sink:(Recorder.Sink_ring ring) ()
-    in
-    (match
-       Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe ()
-     with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "ring session failed: %a" Recorder.pp_error e);
-    let window, _report = Trace.ring_trace ring in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rr_stats_repo.%d" (Unix.getpid ()))
-    in
-    let rec rm_rf p =
-      if Sys.is_directory p then begin
-        Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-    in
-    Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    @@ fun () ->
-    let repo =
-      match Repo.init dir with
-      | Ok r -> r
-      | Error e -> Fmt.failwith "repo session failed: %a" Repo.pp_error e
-    in
-    List.iter
-      (fun name ->
-        match Repo.store_trace repo ~name window with
-        | Ok (_ : Repo.store_result) -> ()
-        | Error e -> Fmt.failwith "repo store failed: %a" Repo.pp_error e)
-      [ "stats-a"; "stats-b" ];
-    (* And the shard instruments: a tiny served recording tagged live by
-       the connection tracker, then split per connection into the same
-       throwaway repo (shard.* and serve.* counters). *)
-    let sw =
-      Wl_serve.make
-        ~params:{ Wl_serve.default with Wl_serve.conns = 2; requests = 2 }
-        ()
-    in
-    let ct = Conn_track.create () in
-    let strace, (_ : Recorder.stats), (_ : Kernel.t) =
-      Recorder.record ~on_event:(Conn_track.observe ct)
-        ~setup:sw.Workload.setup ~exe:sw.Workload.exe ()
-    in
-    (match Repo.store_trace repo ~name:"stats-serve" strace with
-    | Ok (_ : Repo.store_result) -> ()
-    | Error e -> Fmt.failwith "repo store failed: %a" Repo.pp_error e);
-    match
-      Shard.split ~repo ~base:"stats-serve" ~tags:(Conn_track.tags ct) strace
-    with
-    | Ok (_ : Shard.result_) -> ()
-    | Error e -> Fmt.failwith "shard split failed: %a" Repo.pp_error e
-  in
   let run name opts json attribution =
     let w = workload_of_name name in
     (* One clean record+replay session; the snapshot covers both phases. *)
@@ -696,7 +626,6 @@ let stats_cmd =
     if attribution then Timeline.start ();
     let recd, _ = Workload.record ~opts w in
     let _rep, _ = Workload.replay recd in
-    exercise_ring_and_repo ();
     if attribution then Timeline.stop ();
     let snap = Telemetry.snapshot () in
     match (json, attribution) with
@@ -715,8 +644,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Record and replay a workload, then print the unified telemetry \
-          snapshot (counters, spans, histograms, event ring), including \
-          the flight-recorder ring and trace-repository instruments.")
+          snapshot (counters, spans, histograms, event ring) of that \
+          session alone.")
     Term.(
       const run $ Flags.workload $ Flags.record_opts $ json_arg
       $ attribution_arg)
@@ -937,126 +866,6 @@ let replay_to trace upto =
   done;
   r
 
-(* Self-contained shard check (`shard --smoke`): record serve, require
-   the live tags to match an offline derivation, split into a throwaway
-   repo, and for every connection (a) the shard reloads and replays to
-   its end without divergence, and (b) at a mid-stream frame of that
-   connection the shard replay's worker and client state is
-   byte-identical (registers + address-space digest) to the full-trace
-   replay at the corresponding frame. *)
-let shard_smoke () =
-  let fail fmt =
-    Fmt.kstr
-      (fun m ->
-        Fmt.epr "shard --smoke: %s@." m;
-        exit 1)
-      fmt
-  in
-  let params = { Wl_serve.default with Wl_serve.conns = 4; requests = 6 } in
-  let trace, _stats, ct = record_serve ~params Recorder.default_opts in
-  let tags = Conn_track.tags ct in
-  if tags <> Conn_track.tags (Conn_track.derive trace) then
-    fail "offline tag derivation disagrees with the live observer";
-  let conns = Conn_track.connections ct in
-  if List.length conns <> 4 then
-    fail "expected 4 connections, got %d" (List.length conns);
-  if Conn_track.requests ct <> 24 then
-    fail "expected 24 requests, got %d" (Conn_track.requests ct);
-  List.iter
-    (fun (i : Conn_track.info) ->
-      if i.Conn_track.client_tid < 0 || i.Conn_track.worker_tid < 0 then
-        fail "connection %d missing client or worker task" i.Conn_track.conn)
-    conns;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rr_shard_smoke.%d" (Unix.getpid ()))
-  in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  let repo =
-    match Repo.init dir with
-    | Ok r -> r
-    | Error e -> fail "repo init: %s" (Repo.error_to_string e)
-  in
-  (match Repo.store_trace repo ~name:"serve" trace with
-  | Ok (_ : Repo.store_result) -> ()
-  | Error e -> fail "store: %s" (Repo.error_to_string e));
-  let res =
-    match Shard.split ~repo ~base:"serve" ~tags trace with
-    | Ok r -> r
-    | Error e -> fail "split: %s" (Repo.error_to_string e)
-  in
-  (match Shard.list repo ~base:"serve" with
-  | Ok listed when listed = res.Shard.shards -> ()
-  | Ok _ -> fail "shard catalog round-trip mismatch"
-  | Error e -> fail "list: %s" (Repo.error_to_string e));
-  (* Each connection's mid-stream target frame, and the digest of its
-     tasks there in one full-trace replay pass (ascending targets). *)
-  let targets =
-    List.map
-      (fun (i : Conn_track.info) ->
-        let c = i.Conn_track.conn in
-        let own = ref [] in
-        Array.iteri (fun k t -> if t = c then own := k :: !own) tags;
-        let own = Array.of_list (List.rev !own) in
-        if Array.length own = 0 then fail "connection %d owns no frames" c;
-        (own.(Array.length own / 2), i))
-      conns
-    |> List.sort compare
-  in
-  let full = Replayer.start trace in
-  let full_digests =
-    List.map
-      (fun (i_star, (i : Conn_track.info)) ->
-        while Replayer.cursor_index full <= i_star do
-          ignore (Replayer.step full)
-        done;
-        let k = Replayer.kernel full in
-        ( i.Conn_track.conn,
-          (i_star, i, task_digest k i.Conn_track.worker_tid,
-           task_digest k i.Conn_track.client_tid) ))
-      targets
-  in
-  List.iter
-    (fun (c, (i_star, (i : Conn_track.info), dw, dc)) ->
-      let shard =
-        match Shard.load repo ~base:"serve" ~conn:c with
-        | Ok s -> s
-        | Error e -> fail "load conn %d: %s" c (Repo.error_to_string e)
-      in
-      if Trace.n_events shard >= Trace.n_events trace then
-        fail "conn %d shard did not shrink (%d >= %d frames)" c
-          (Trace.n_events shard) (Trace.n_events trace);
-      (* corresponding frame: position of i_star among the kept frames *)
-      let j_star = ref (-1) in
-      for k = 0 to i_star do
-        if tags.(k) = 0 || tags.(k) = c then incr j_star
-      done;
-      let r = replay_to shard !j_star in
-      let k = Replayer.kernel r in
-      if task_digest k i.Conn_track.worker_tid <> dw then
-        fail "conn %d worker state differs from the full replay" c;
-      if task_digest k i.Conn_track.client_tid <> dc then
-        fail "conn %d client state differs from the full replay" c;
-      (* and the shard replays to its end without divergence *)
-      match Replayer.replay shard with
-      | (_ : Replayer.stats * Kernel.t) -> ()
-      | exception Replayer.Divergence m -> fail "conn %d diverged: %s" c m)
-    full_digests;
-  Fmt.pr
-    "shard --smoke ok: 4 connections, 24 requests, %d-frame trace sharded \
-     (%d shared bytes); per-connection state byte-identical to the full \
-     replay@."
-    (Trace.n_events trace) res.Shard.total_shared_bytes
-
 let shard_cmd =
   let conn_arg =
     Arg.(
@@ -1065,69 +874,47 @@ let shard_cmd =
       & info [ "conn" ] ~docv:"ID"
           ~doc:"Split only connection ID (default: every connection).")
   in
-  let trace_arg =
-    Flags.opt_trace_file
-      ~doc:"A saved serve trace to shard (omit with --smoke)."
-  in
-  let run tracefile conn repo_dir smoke =
-    if smoke then shard_smoke ()
-    else
-      match tracefile with
-      | None ->
-        Fmt.epr "rr_cli: shard needs a TRACE file (or --smoke)@.";
-        exit 124
-      | Some path ->
-        with_trace_errors @@ fun () ->
-        let trace = Trace.open_exn path in
-        let ct = Conn_track.derive trace in
-        let conns = Conn_track.connections ct in
-        Fmt.pr "%s: %d frames, %d connections, %d requests@." path
-          (Trace.n_events trace) (List.length conns)
-          (Conn_track.requests ct);
-        pp_conn_table conns;
-        (match conn with
-        | Some c
-          when not
-                 (List.exists (fun i -> i.Conn_track.conn = c) conns) ->
-          Fmt.failwith "no such connection %d (trace has %d)" c
-            (List.length conns)
-        | _ -> ());
-        (match repo_dir with
-        | None -> ()
-        | Some dir -> (
-          let repo =
-            match Repo.init dir with
-            | Ok r -> r
-            | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
-          in
-          let base = Filename.basename path in
-          (match Repo.store_trace repo ~name:base trace with
-          | Ok (_ : Repo.store_result) -> ()
-          | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
-          match
-            Shard.split ?only:conn ~repo ~base ~tags:(Conn_track.tags ct)
-              trace
-          with
-          | Ok r ->
-            Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
-              (List.length r.Shard.shards)
-              r.Shard.total_new_bytes r.Shard.total_shared_bytes;
-            pp_shard_table r.Shard.shards
-          | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e))
+  let run path conn repo_dir =
+    with_trace_errors @@ fun () ->
+    let trace = Trace.open_exn path in
+    let ct = Conn_track.derive trace in
+    let conns = Conn_track.connections ct in
+    Fmt.pr "%s: %d frames, %d connections, %d requests@." path
+      (Trace.n_events trace) (List.length conns) (Conn_track.requests ct);
+    pp_conn_table conns;
+    (match conn with
+    | Some c when not (List.exists (fun i -> i.Conn_track.conn = c) conns) ->
+      Fmt.failwith "no such connection %d (trace has %d)" c (List.length conns)
+    | _ -> ());
+    match repo_dir with
+    | None -> ()
+    | Some dir -> (
+      let repo =
+        match Repo.init dir with
+        | Ok r -> r
+        | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
+      in
+      let base = Filename.basename path in
+      (match Repo.store_trace repo ~name:base trace with
+      | Ok (_ : Repo.store_result) -> ()
+      | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
+      match
+        Shard.split ?only:conn ~repo ~base ~tags:(Conn_track.tags ct) trace
+      with
+      | Ok r ->
+        Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
+          (List.length r.Shard.shards)
+          r.Shard.total_new_bytes r.Shard.total_shared_bytes;
+        pp_shard_table r.Shard.shards
+      | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e)
   in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
          "Derive connection tags for a saved serve trace, list its \
           connections, and optionally split it into per-connection \
-          sub-traces stored in a repository.  With --smoke, run the \
-          self-contained shard correctness check.")
-    Term.(
-      const run $ trace_arg $ conn_arg $ shard_repo_arg
-      $ Flags.smoke
-          ~doc:
-            "Run the self-contained shard check (records serve, splits, \
-             verifies per-connection replay state against the full trace).")
+          sub-traces stored in a repository.")
+    Term.(const run $ Flags.trace_file $ conn_arg $ shard_repo_arg)
 
 let replay_cmd =
   let conn_arg =

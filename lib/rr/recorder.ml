@@ -47,8 +47,6 @@ type sink_spec =
   | Sink_ring of Trace.ring
   | Sink_repo of Repo.t * string
 
-type trigger = On_signal | On_exit_nonzero | On_divergence | On_always
-
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
   wide : bool; (* the widened wrapper set (§3.1); replay must match *)
@@ -62,7 +60,6 @@ type opts = {
   checksum_every : int; (* emit memory checksums every N frames; 0 = off *)
   chunk_limit : int; (* pending bytes that seal a chunk (Trace.Writer) *)
   sink : sink_spec; (* where the trace streams while recording *)
-  dump_on : trigger list; (* flight-recorder dump triggers (Flight) *)
 }
 
 let default_opts =
@@ -77,8 +74,7 @@ let default_opts =
     max_events = 5_000_000;
     checksum_every = 0;
     chunk_limit = 1 lsl 16;
-    sink = Sink_memory;
-    dump_on = [] }
+    sink = Sink_memory }
 
 let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(scratch = default_opts.scratch)
@@ -88,15 +84,13 @@ let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(max_events = default_opts.max_events)
     ?(checksum_every = default_opts.checksum_every)
     ?(chunk_limit = default_opts.chunk_limit)
-    ?(sink = default_opts.sink) ?(dump_on = default_opts.dump_on) () =
+    ?(sink = default_opts.sink) () =
   { intercept; wide; scratch; clone_blocks; compress; chaos;
     timeslice_rcbs = max 1 timeslice_rcbs; seed;
     max_events = max 1 max_events; checksum_every = max 0 checksum_every;
-    chunk_limit = max 256 chunk_limit; sink;
-    dump_on = List.sort_uniq compare dump_on }
+    chunk_limit = max 256 chunk_limit; sink }
 
 let with_sink opts sink = { opts with sink }
-let with_dump_on opts dump_on = { opts with dump_on = List.sort_uniq compare dump_on }
 
 type per_task = {
   mutable slot : int;

@@ -49,14 +49,6 @@ type sink_spec =
       (** store chunks and images content-addressed as they stream out;
           the manifest lands under this name at commit *)
 
-(** When a flight recording's ring window should be persisted
-    (interpreted by {!Flight.record}). *)
-type trigger =
-  | On_signal  (** the recording died on an error / was killed *)
-  | On_exit_nonzero  (** the root process exited with a non-zero status *)
-  | On_divergence  (** a verification replay of the window diverged *)
-  | On_always
-
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
   wide : bool; (* widened wrapper set (§3.1); replay must use the same *)
@@ -71,7 +63,6 @@ type opts = {
   chunk_limit : int; (* pending bytes that seal a chunk; flight recordings
                         shrink it so the ring turns over in small steps *)
   sink : sink_spec; (* where the trace streams while recording *)
-  dump_on : trigger list; (* flight-recorder dump triggers (Flight) *)
 }
 
 val default_opts : opts
@@ -89,21 +80,16 @@ val make_opts :
   ?checksum_every:int ->
   ?chunk_limit:int ->
   ?sink:sink_spec ->
-  ?dump_on:trigger list ->
   unit ->
   opts
 (** [default_opts] with the given fields overridden, clamped to sane
     ranges ([timeslice_rcbs ≥ 1], [max_events ≥ 1], [checksum_every ≥
-    0], [chunk_limit ≥ 256]; [dump_on] deduplicated).  The only
-    supported way to build an {!opts}. *)
+    0], [chunk_limit ≥ 256]).  The only supported way to build an
+    {!opts}. *)
 
 val with_sink : opts -> sink_spec -> opts
 (** [opts] with the sink replaced — how {!Flight.record} routes an
     arbitrary configuration through its ring. *)
-
-val with_dump_on : opts -> trigger list -> opts
-(** [opts] with the dump triggers replaced (deduplicated) — how the CLI
-    applies repeated [--dump-on] flags to an already-built [opts]. *)
 
 type stats = {
   wall_time : int; (* virtual ns *)

@@ -1278,18 +1278,21 @@ let put_space table b (a : A.t) =
    instead of decoding them again.  The encoding is self-delimiting, so
    equal bytes decode to equal text, and a mismatch shows within the
    shorter of the two sections: with a bounded candidate list, a forged
-   blob cannot make the comparisons quadratic. *)
+   blob cannot make the comparisons quadratic.  Offsets are into
+   [blob.str], and a comparison stops at the blob's end, not the
+   string's. *)
 type decoding = {
-  blob : string;
+  blob : Codec.slice;
   pages : Mem.page array;
   mutable texts : (int * int * A.t) list; (* offset, length, decoded by *)
 }
 
 let text_candidates = 4
 
-let same_bytes s a b len =
-  b + len <= String.length s
+let same_bytes (blob : Codec.slice) a b len =
+  b + len <= blob.pos + blob.len
   &&
+  let s = blob.str in
   let rec go i = i = len || (s.[a + i] = s.[b + i] && go (i + 1)) in
   go 0
 
@@ -1516,8 +1519,8 @@ let encode_snapshot snap =
   Codec.put_list b put_snap_task snap.snap_tasks;
   Buffer.contents b
 
-let decode_snapshot blob =
-  let s = Codec.source blob in
+let decode_snapshot (blob : Codec.slice) =
+  let s = Codec.source ~pos:blob.pos ~len:blob.len blob.str in
   let v = Codec.get_uvarint s in
   if v <> snapshot_codec_version then
     raise (Codec.Corrupt (Printf.sprintf "snapshot codec version %d" v));

@@ -122,11 +122,12 @@ val encode_snapshot : snapshot -> string
     while each [MAP_SHARED] frame keeps its identity, so aliasing
     between spaces survives and distinct shared frames stay distinct. *)
 
-val decode_snapshot : string -> snapshot
-(** Inverse of {!encode_snapshot}; the decoded snapshot restores like a
-    live one, except that frames which were merely equal are now one
-    frame (a write through any mapping still copies it first).  Raises
-    {!Codec.Corrupt} on malformed input or another codec version. *)
+val decode_snapshot : Codec.slice -> snapshot
+(** Inverse of {!encode_snapshot}, reading the blob where it lies; the
+    decoded snapshot restores like a live one, except that frames which
+    were merely equal are now one frame (a write through any mapping
+    still copies it first).  Raises {!Codec.Corrupt} on malformed input
+    or another codec version. *)
 
 val snapshot_index : snapshot -> int
 (** The frame position the snapshot restores to. *)

@@ -34,18 +34,22 @@ let finish w =
 type reader = {
   src : string;
   mutable pos : int;
+  limit : int; (* end of the stream in [src] *)
   mutable racc : int;
   mutable rnbits : int;
 }
 
 exception Truncated
 
-let reader src ~pos = { src; pos; racc = 0; rnbits = 0 }
+let reader ?len src ~pos =
+  let limit = match len with Some n -> pos + n | None -> String.length src in
+  if pos < 0 || pos > limit || limit > String.length src then
+    invalid_arg "Bitio.reader";
+  { src; pos; limit; racc = 0; rnbits = 0 }
 
 let peek r n =
   if r.rnbits < n then begin
-    let len = String.length r.src in
-    while r.rnbits <= 48 && r.pos < len do
+    while r.rnbits <= 48 && r.pos < r.limit do
       r.racc <-
         r.racc lor (Char.code (String.unsafe_get r.src r.pos) lsl r.rnbits);
       r.pos <- r.pos + 1;

@@ -14,8 +14,10 @@ type reader
 
 exception Truncated
 
-val reader : string -> pos:int -> reader
-(** A reader over [src] from byte [pos] on. *)
+val reader : ?len:int -> string -> pos:int -> reader
+(** A reader over the [len] bytes of [src] from byte [pos] (default: to
+    its end).  Raises [Invalid_argument] if the range is not within
+    [src]. *)
 
 val peek : reader -> int -> int
 (** [peek r n] is the next [n] bits (n ≤ 48) without consuming them;

@@ -49,6 +49,17 @@ let put_array b f xs =
 
 let put_bool b v = put_uvarint b (if v then 1 else 0)
 
+(* A stored payload where it lies: [len] bytes of [str] from [pos]. *)
+type slice = { str : string; pos : int; len : int }
+
+let whole str = { str; pos = 0; len = String.length str }
+
+(* The bytes as a string: the string itself when the slice is all of
+   it, else a copy. *)
+let slice_string s =
+  if s.pos = 0 && s.len = String.length s.str then s.str
+  else String.sub s.str s.pos s.len
+
 type source = { data : string; mutable pos : int; limit : int }
 
 exception Corrupt of string
@@ -90,11 +101,20 @@ let get_uvarint s = uvarint_from s 0 0
 
 let get_int s = unzigzag (get_uvarint s)
 
-let get_string s =
+let get_slice s =
   let n = get_uvarint s in
   if s.pos + n > s.limit then raise (Corrupt "string length");
-  let out = String.sub s.data s.pos n in
+  let out = { str = s.data; pos = s.pos; len = n } in
   s.pos <- s.pos + n;
+  out
+
+let get_string s =
+  let { str; pos; len } = get_slice s in
+  String.sub str pos len
+
+let rest s =
+  let out = { str = s.data; pos = s.pos; len = s.limit - s.pos } in
+  s.pos <- s.limit;
   out
 
 let get_bytes s = Bytes.of_string (get_string s)

@@ -21,6 +21,17 @@ val put_list : sink -> (sink -> 'a -> unit) -> 'a list -> unit
 val put_array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
 val put_bool : sink -> bool -> unit
 
+type slice = { str : string; pos : int; len : int }
+(** [len] bytes of [str] from [pos]: a stored payload (a chunk, a file,
+    a checkpoint blob) where it lies, in the string a trace file was
+    read into or in a string of its own. *)
+
+val whole : string -> slice
+
+val slice_string : slice -> string
+(** The bytes as a string: [str] itself when the slice is all of it,
+    else a copy. *)
+
 type source
 
 exception Corrupt of string
@@ -47,6 +58,14 @@ val skip : source -> int -> unit
 val get_uvarint : source -> int
 val get_int : source -> int
 val get_string : source -> string
+
+val get_slice : source -> slice
+(** A length-prefixed string where it lies in the source's string,
+    copying nothing. *)
+
+val rest : source -> slice
+(** The bytes left, where they lie; the source is then at its end. *)
+
 val get_bytes : source -> bytes
 
 val get_count : source -> int

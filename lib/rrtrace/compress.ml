@@ -209,16 +209,16 @@ let deflate src =
 
 exception Corrupt of string
 
-(* The stream after the mode byte [data.[0]].  The size bound holds
-   because a match token takes at least two bits (one-bit length and
-   distance codes) and yields at most 258 bytes. *)
-let inflate_huffman data =
-  let r = Bitio.reader data ~pos:1 in
+(* The [len] stream bytes after the mode byte at [pos - 1].  The size
+   bound holds because a match token takes at least two bits (one-bit
+   length and distance codes) and yields at most 258 bytes. *)
+let inflate_huffman data ~pos ~len =
+  let r = Bitio.reader data ~pos ~len in
   try
     let lo = Bitio.get_bits r 24 in
     let hi = Bitio.get_bits r 24 in
     let size = lo lor (hi lsl 24) in
-    if size > max_match * 4 * (String.length data - 1) then
+    if size > max_match * 4 * len then
       raise (Corrupt "declared size exceeds what the body can encode");
     let lit_lens = Array.init num_lit_syms (fun _ -> Bitio.get_bits r 4) in
     let dist_lens = Array.init num_dist_syms (fun _ -> Bitio.get_bits r 4) in
@@ -256,17 +256,19 @@ let inflate_huffman data =
   | Bitio.Truncated -> raise (Corrupt "truncated")
   | Huffman.Bad_code -> raise (Corrupt "bad code")
 
-let inflate data =
-  if String.length data = 0 then raise (Corrupt "empty stream")
+let inflate_sub data ~pos ~len =
+  if len = 0 then raise (Corrupt "empty stream")
   else
     let out =
-      match data.[0] with
-      | '\000' -> String.sub data 1 (String.length data - 1)
-      | '\001' -> inflate_huffman data
+      match data.[pos] with
+      | '\000' -> String.sub data (pos + 1) (len - 1)
+      | '\001' -> inflate_huffman data ~pos:(pos + 1) ~len:(len - 1)
       | _ -> raise (Corrupt "bad mode byte")
     in
     Telemetry.add tm_inflate_out (String.length out);
     out
+
+let inflate data = inflate_sub data ~pos:0 ~len:(String.length data)
 
 let ratio ~original ~compressed =
   if compressed = 0 then 0. else float_of_int original /. float_of_int compressed

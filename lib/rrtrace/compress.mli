@@ -14,4 +14,8 @@ val inflate : string -> string
     size beyond what the stream could encode (258 bytes per 2 bits) is
     refused before anything of that size is allocated. *)
 
+val inflate_sub : string -> pos:int -> len:int -> string
+(** {!inflate} of the [len] bytes of a string from [pos], read where
+    they lie. *)
+
 val ratio : original:int -> compressed:int -> float

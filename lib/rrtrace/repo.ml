@@ -623,7 +623,8 @@ let counting_sink t ~name acc =
       Trace.File_deltas.apply ss.ss_files ~path ~offset data
     | Trace.Sink.Chunk { first_frame; n_frames; kinds; stored } ->
       ss.ss_chunks <-
-        (first_frame, n_frames, kinds, store stored) :: ss.ss_chunks
+        (first_frame, n_frames, kinds, store (Codec.slice_string stored))
+        :: ss.ss_chunks
     | Trace.Sink.Journal _ -> ()
   in
   let commit (stats : Trace.stats) (_ : Trace.chunk_info array) =

@@ -12,7 +12,10 @@
    through {!Reader}, with a small LRU of decoded chunks, so memory
    stays proportional to one chunk and a seek costs O(log n_chunks) —
    the property the debugger's checkpoint/reverse-execution substrate
-   (paper §6.1) leans on.
+   (paper §6.1) leans on.  Stored chunks, files and checkpoint blobs
+   stay where they were read: a loaded trace holds each as a slice of
+   the one string its file was read into, so opening it copies no
+   payload (see "payloads where they lie").
 
    The store is single-domain: the writer deflates each chunk inline as
    it seals it, and the reader inflates on demand.  Real rr hides its
@@ -42,11 +45,6 @@ type stats = {
   mutable n_chunks : int;
   mutable n_buffered_syscalls : int; (* syscalls recorded via syscallbuf *)
   mutable n_traced_syscalls : int;
-  (* Reader-side chunk-LRU traffic.  Runtime-only: not persisted (the
-     stats section stays 9 uvarints) and reset on load. *)
-  mutable lru_hits : int;
-  mutable lru_misses : int;
-  mutable lru_evictions : int;
 }
 
 let new_stats () =
@@ -58,13 +56,9 @@ let new_stats () =
     copied_file_bytes = 0;
     n_chunks = 0;
     n_buffered_syscalls = 0;
-    n_traced_syscalls = 0;
-    lru_hits = 0;
-    lru_misses = 0;
-    lru_evictions = 0 }
+    n_traced_syscalls = 0 }
 
-(* LRU traffic is runtime-only: a copy starts cold. *)
-let copy_stats s = { s with lru_hits = 0; lru_misses = 0; lru_evictions = 0 }
+let copy_stats s = { s with n_events = s.n_events }
 
 let tm_chunk_hit = Telemetry.counter "trace.chunk.hit"
 let tm_chunk_miss = Telemetry.counter "trace.chunk.miss"
@@ -111,22 +105,17 @@ let pp_error ppf = function
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
-(* ---- file bytes where they lie ----------------------------------------
+(* ---- payloads where they lie -------------------------------------------
 
-   A file's bytes are [len] bytes of [str] from [pos].  A file read
-   from a trace file stays a slice of the string the file was read
-   into (while the files are most of it, see [File_deltas.unpin]), so
-   opening a trace copies no file, saving writes each slice where it
+   Every stored payload, a chunk, a file or a checkpoint blob, is a
+   slice: [len] bytes of [str] from [pos].  A trace read from a file
+   keeps each as a slice of the one string the file was read into, so
+   opening a trace copies no payload, saving writes each slice where it
    lies, and a reader copies only the bytes it uses ({!file_sub}). *)
-type slice = { str : string; pos : int; len : int }
+type slice = Codec.slice = { str : string; pos : int; len : int }
 
-let whole str = { str; pos = 0; len = String.length str }
-
-(* The bytes as a string: the string itself when the slice is all of
-   it, else a copy. *)
-let slice_string s =
-  if s.pos = 0 && s.len = String.length s.str then s.str
-  else String.sub s.str s.pos s.len
+let whole = Codec.whole
+let slice_string = Codec.slice_string
 
 type chunk_info = {
   first_frame : int;
@@ -139,7 +128,7 @@ type chunk_info = {
 
 type t = {
   index : chunk_info array;
-  chunks : string array; (* stored (possibly deflated) chunk bytes *)
+  chunks : slice array; (* stored (possibly deflated) chunk bytes *)
   compressed : bool;
   images : (string, Image.t) Hashtbl.t; (* trace path -> executable image *)
   files : (string, slice) Hashtbl.t; (* trace path -> snapshotted bytes *)
@@ -219,27 +208,13 @@ module File_deltas = struct
   let paths t =
     Hashtbl.fold (fun p _ acc -> p :: acc) t [] |> List.sort compare
 
-  (* After a load from [str]: the files that are slices of [str] stay so
-     only while they are at least half of it.  Otherwise each is copied
-     out, so that a few kilobytes of files do not keep alive a string
-     that is mostly checkpoint blobs, which the loader copies anyway. *)
-  let unpin t str =
-    let pinned =
-      Hashtbl.fold
-        (fun _ f n -> match f with Whole s when s.str == str -> n + s.len | _ -> n)
-        t 0
-    in
-    if 2 * pinned < String.length str then
-      Hashtbl.filter_map_inplace
-        (fun _ f ->
-          match f with
-          | Whole s when s.str == str -> Some (Whole (whole (slice_string s)))
-          | f -> Some f)
-        t
-
   let slices t = List.map (fun p -> (p, suffix t p 0)) (paths t)
   let contents t = List.map (fun (p, s) -> (p, slice_string s)) (slices t)
-  let to_table t = Hashtbl.of_seq (List.to_seq (slices t))
+
+  let to_table t =
+    let out = Hashtbl.create (Hashtbl.length t) in
+    Hashtbl.iter (fun p _ -> Hashtbl.replace out p (suffix t p 0)) t;
+    out
 end
 
 (* ---- record stream ---------------------------------------------------
@@ -334,11 +309,7 @@ let get_stats s =
   let n_buffered_syscalls = g () in
   let n_traced_syscalls = g () in
   { n_events; raw_bytes; compressed_bytes; cloned_blocks; cloned_bytes;
-    copied_file_bytes; n_chunks; n_buffered_syscalls; n_traced_syscalls;
-    (* LRU traffic is runtime-only: a loaded trace starts cold. *)
-    lru_hits = 0;
-    lru_misses = 0;
-    lru_evictions = 0 }
+    copied_file_bytes; n_chunks; n_buffered_syscalls; n_traced_syscalls }
 
 let put_chunk_info b ci =
   Codec.put_uvarint b ci.first_frame;
@@ -379,7 +350,7 @@ module Sink = struct
     | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : slice }
-    | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
+    | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : slice }
     | Journal of stats
 
   type t = {
@@ -417,7 +388,7 @@ module Sink = struct
             Codec.put_uvarint b offset;
             Codec.put_uvarint b data.len)
       | Chunk { first_frame; n_frames; kinds; stored } ->
-        write_record io ~tag:tag_chunk ~tail:(whole stored) (fun b ->
+        write_record io ~tag:tag_chunk ~tail:stored (fun b ->
             List.iter (Codec.put_uvarint b) [ first_frame; n_frames; kinds ])
       | Journal stats ->
         write_record io ~tag:tag_journal (fun b -> put_stats b stats)
@@ -447,7 +418,7 @@ end
 
 type assembly = {
   mutable as_header : (bool * string) option; (* compressed, initial_exe *)
-  mutable as_chunks : (chunk_info * string) list; (* reversed *)
+  mutable as_chunks : (chunk_info * slice) list; (* reversed *)
   mutable as_n : int; (* chunks so far *)
   mutable as_frames : int; (* frames they cover *)
   mutable as_off : int; (* their stored bytes *)
@@ -479,19 +450,18 @@ let assemble a = function
     if first_frame <> a.as_frames then
       raise (Codec.Corrupt (Fmt.str "chunk index gap at frame %d" a.as_frames));
     if n_frames <= 0 then raise (Codec.Corrupt "empty chunk record");
-    let stored_len = String.length stored in
     let ci =
       { first_frame;
         n_frames;
         byte_offset = a.as_off;
-        stored_len;
+        stored_len = stored.len;
         kinds;
-        crc32 = Crc32.string stored }
+        crc32 = Crc32.sub stored.str ~pos:stored.pos ~len:stored.len }
     in
     a.as_chunks <- (ci, stored) :: a.as_chunks;
     a.as_n <- a.as_n + 1;
     a.as_frames <- a.as_frames + n_frames;
-    a.as_off <- a.as_off + stored_len
+    a.as_off <- a.as_off + stored.len
   | Sink.Journal stats -> a.as_journals <- copy_stats stats :: a.as_journals
 
 let assembled_index a = Array.of_list (List.rev_map fst a.as_chunks)
@@ -530,7 +500,7 @@ type ring_entry = {
   re_first : int;
   re_n : int;
   re_kinds : int;
-  re_stored : string;
+  re_stored : slice;
   re_group : int; (* journal-watermark group the chunk belongs to *)
 }
 
@@ -573,7 +543,7 @@ let ring ~chunks =
 
 let ring_drop_front r =
   let e = Queue.pop r.r_q in
-  r.r_bytes <- r.r_bytes - String.length e.re_stored;
+  r.r_bytes <- r.r_bytes - e.re_stored.len;
   r.r_dropped_chunks <- r.r_dropped_chunks + 1;
   r.r_dropped_frames <- r.r_dropped_frames + e.re_n;
   Telemetry.incr tm_ring_dropped
@@ -589,7 +559,7 @@ let ring_put r = function
         re_stored = stored;
         re_group = r.r_group }
       r.r_q;
-    r.r_bytes <- r.r_bytes + String.length stored;
+    r.r_bytes <- r.r_bytes + stored.len;
     (* Drop-oldest, whole watermark groups at a time.  Degenerate case:
        if the budget is smaller than one group, chunks of the open group
        drop singly — alignment is best-effort there. *)
@@ -755,7 +725,7 @@ module Writer = struct
           { first_frame = w.stats.n_events - w.pending_frames;
             n_frames = w.pending_frames;
             kinds = w.pending_kinds;
-            stored }
+            stored = whole stored }
       in
       w.pending_frames <- 0;
       w.pending_kinds <- 0;
@@ -913,18 +883,19 @@ let file_sub t path ~off ~len =
 
 (* ---- chunk decoding (the only path from stored bytes to frames) ----- *)
 
-let decode_chunk ~origin ~compressed ~idx ci stored =
-  if Crc32.string stored <> ci.crc32 then begin
+let decode_chunk ~origin ~compressed ~idx ci { str; pos; len } =
+  if Crc32.sub str ~pos ~len <> ci.crc32 then begin
     Telemetry.incr tm_crc_fail;
     raise (Format_error (Chunk_crc idx))
   end;
   try
-    let raw =
+    let s =
       if compressed then
-        Telemetry.timed tm_inflate (fun () -> Compress.inflate stored)
-      else stored
+        Codec.source
+          (Telemetry.timed tm_inflate (fun () ->
+               Compress.inflate_sub str ~pos ~len))
+      else Codec.source ~pos ~len str
     in
-    let s = Codec.source raw in
     let ectx = Event.ectx () in
     let out = Array.make ci.n_frames Event.(E_exit { tid = 0; status = 0 }) in
     for i = 0 to ci.n_frames - 1 do
@@ -948,7 +919,6 @@ let chunk_frames t ci_idx =
   match List.assoc_opt ci_idx t.cache with
   | Some frames ->
     (* move to front *)
-    t.stats.lru_hits <- t.stats.lru_hits + 1;
     Telemetry.incr tm_chunk_hit;
     t.cache <- (ci_idx, frames) :: List.remove_assoc ci_idx t.cache;
     frames
@@ -958,12 +928,9 @@ let chunk_frames t ci_idx =
         t.index.(ci_idx) t.chunks.(ci_idx)
     in
     t.chunk_decodes <- t.chunk_decodes + 1;
-    t.stats.lru_misses <- t.stats.lru_misses + 1;
     Telemetry.incr tm_chunk_miss;
     t.cache <- (ci_idx, frames) :: t.cache;
     if List.length t.cache > cache_slots then begin
-      t.stats.lru_evictions <-
-        t.stats.lru_evictions + (List.length t.cache - cache_slots);
       Telemetry.incr tm_chunk_evict;
       t.cache <- List.filteri (fun i _ -> i < cache_slots) t.cache
     end;
@@ -1079,7 +1046,7 @@ end
 
 (* ---- parts access (the repository layer's view) ---------------------- *)
 
-let chunk_stored t i = t.chunks.(i)
+let chunk_stored t i = slice_string t.chunks.(i)
 
 let images t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.images []
@@ -1150,7 +1117,7 @@ let map_frames f t =
       { first_frame = ci.first_frame;
         n_frames = ci.n_frames;
         kinds = !kinds;
-        stored = (if t.compressed then Compress.deflate raw else raw) }
+        stored = whole (if t.compressed then Compress.deflate raw else raw) }
   in
   events ~chunk:rewrite t (assemble a);
   assembled a { t.stats with raw_bytes = !raw_bytes }
@@ -1170,7 +1137,8 @@ let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
       fls;
     Array.iter
       (fun (first_frame, n_frames, kinds, stored) ->
-        assemble a (Sink.Chunk { first_frame; n_frames; kinds; stored }))
+        assemble a
+          (Sink.Chunk { first_frame; n_frames; kinds; stored = whole stored }))
       parts;
     if stats.n_events <> a.as_frames then
       raise
@@ -1195,7 +1163,7 @@ let save_io t io =
         write_record io ~tag:tag_index (fun b -> Trace_index.put_meta b ix);
         Array.iter
           (fun (frame, blob) ->
-            write_record io ~tag:tag_index_cp ~tail:(whole blob) (fun b ->
+            write_record io ~tag:tag_index_cp ~tail:blob (fun b ->
                 Trace_index.put_checkpoint_head b ~frame ~blob))
           (Trace_index.checkpoints ix))
       t.sidecar
@@ -1261,7 +1229,7 @@ type scan = {
   mutable sc_at : int; (* offset of the record being applied *)
   mutable sc_trailer : (int * stats * chunk_info list) option;
   mutable sc_index : Trace_index.t option;
-  mutable sc_rev_cps : (int * string) list; (* checkpoint records, reversed *)
+  mutable sc_rev_cps : (int * slice) list; (* checkpoint records, reversed *)
 }
 
 (* Apply one CRC-valid record, its payload read where it lies in the
@@ -1292,17 +1260,13 @@ let apply_record sc ~path tag data ~body ~len =
   else if tag = tag_file then begin
     let path = Codec.get_string s in
     let offset = Codec.get_uvarint s in
-    let len = Codec.get_uvarint s in
-    let pos = Codec.pos s in
-    Codec.skip s len;
-    event (Sink.File_delta { path; offset; data = { str = data; pos; len } })
+    event (Sink.File_delta { path; offset; data = Codec.get_slice s })
   end
   else if tag = tag_chunk then begin
     let first_frame = Codec.get_uvarint s in
     let n_frames = Codec.get_uvarint s in
     let kinds = Codec.get_uvarint s in
-    let stored = Codec.take s (body + len - Codec.pos s) in
-    event (Sink.Chunk { first_frame; n_frames; kinds; stored })
+    event (Sink.Chunk { first_frame; n_frames; kinds; stored = Codec.rest s })
   end
   else if tag = tag_journal then event (Sink.Journal (get_stats s))
   else if tag = tag_trailer then begin
@@ -1349,9 +1313,7 @@ let scan_records ~path data ~limit =
         damage (corrupt ~path (Fmt.str "record %C failed CRC" tag))
       | R_bad msg -> damage (corrupt ~path msg)
   in
-  let scanned = go 8 in
-  File_deltas.unpin sc.sc_parts.as_files data;
-  scanned
+  go 8
 
 (* Attach a scanned sidecar to a built trace, if it covers exactly the
    frames the trace carries.  A mismatched index (a salvage kept fewer
@@ -1360,11 +1322,8 @@ let scan_records ~path data ~limit =
 let attach_scanned_index sc t =
   match sc.sc_index with
   | Some ix when Trace_index.n_events ix = t.stats.n_events ->
-    List.iter
-      (fun (frame, blob) ->
-        if frame <= t.stats.n_events then
-          Trace_index.add_checkpoint ix ~frame ~blob)
-      (List.rev sc.sc_rev_cps);
+    Trace_index.set_checkpoints ix
+      (List.filter (fun (frame, _) -> frame <= t.stats.n_events) sc.sc_rev_cps);
     t.sidecar <- Some ix
   | Some _ | None -> ()
 
@@ -1592,9 +1551,8 @@ let salvage path = salvage_io (Io.file_reader path)
 let pp_stats ppf s =
   Fmt.pf ppf
     "events=%d raw=%dB compressed=%dB (%.2fx) cloned=%dB (%d blocks) \
-     copied=%dB buffered-syscalls=%d traced-syscalls=%d lru=%d/%d \
-     hit/miss (%d evicted)"
+     copied=%dB buffered-syscalls=%d traced-syscalls=%d"
     s.n_events s.raw_bytes s.compressed_bytes
     (Compress.ratio ~original:s.raw_bytes ~compressed:s.compressed_bytes)
     s.cloned_bytes s.cloned_blocks s.copied_file_bytes s.n_buffered_syscalls
-    s.n_traced_syscalls s.lru_hits s.lru_misses s.lru_evictions
+    s.n_traced_syscalls

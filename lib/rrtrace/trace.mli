@@ -10,7 +10,9 @@
     frames are never held decoded in bulk.  All frame access goes
     through {!Reader}, which inflates one chunk at a time behind a small
     LRU, so opening a trace is O(index) and a seek costs
-    O(log n_chunks + one chunk decode).
+    O(log n_chunks + one chunk decode).  Opening copies no stored
+    payload: chunks, files and checkpoint blobs stay {!slice}s of the
+    bytes read.
 
     The store is single-domain: {!Writer} deflates each chunk inline
     as it seals it, and {!Reader} inflates on demand (DESIGN.md §4d).
@@ -42,18 +44,14 @@ type stats = {
   mutable n_chunks : int;
   mutable n_buffered_syscalls : int;
   mutable n_traced_syscalls : int;
-  mutable lru_hits : int; (* Reader chunk-LRU hits (runtime-only) *)
-  mutable lru_misses : int; (* chunks inflated+decoded on demand *)
-  mutable lru_evictions : int; (* decoded chunks dropped from the LRU *)
 }
 
 val put_stats : Codec.sink -> stats -> unit
-(** The nine persisted stats fields as uvarints: the codec of the
-    trailer, the ['J'] records and the repository manifest. *)
+(** The stats fields as uvarints: the codec of the trailer, the ['J']
+    records and the repository manifest. *)
 
 val get_stats : Codec.source -> stats
-(** Inverse of {!put_stats}; the LRU counters, which are not persisted,
-    start at zero. *)
+(** Inverse of {!put_stats}. *)
 
 type chunk_info = {
   first_frame : int; (** trace index of the chunk's first frame *)
@@ -111,10 +109,12 @@ val error_to_string : error -> string
     persisting events as they arrive reproduces the record stream,
     and any prefix it persists is salvageable. *)
 
-type slice = { str : string; pos : int; len : int }
-(** [len] bytes of [str] from [pos]: a file's bytes where they lie.  A
-    loaded trace keeps each file as a slice of the bytes read, and the
-    file sink writes a slice in place. *)
+type slice = Codec.slice = { str : string; pos : int; len : int }
+(** [len] bytes of [str] from [pos]: a stored payload where it lies.
+    Chunks, files and checkpoint blobs all travel as slices: a loaded
+    trace keeps each as a slice of the one string its file was read
+    into, copying none at open, and the file sink writes each slice in
+    place. *)
 
 module Sink : sig
   type event =
@@ -125,7 +125,7 @@ module Sink : sig
             a pure append when [offset] equals the previous length.  A
             {!Writer} sends each file once from offset 0 (even when
             empty), then only appends. *)
-    | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
+    | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : slice }
         (** one sealed chunk's stored (possibly deflated) bytes *)
     | Journal of stats
         (** watermark: a stats snapshot covering every chunk above *)
@@ -154,7 +154,7 @@ end
 
 (** File snapshots rebuilt from {!Sink.File_delta} events (or ['D']
     records) in time linear in their total size.  A file that arrives
-    in one piece keeps that slice uncopied. *)
+    in one piece keeps that slice uncopied, wherever it lies. *)
 module File_deltas : sig
   type t
 
@@ -315,7 +315,9 @@ val chunk_index : t -> chunk_info array
 
 val decoded_chunks : t -> int
 (** Number of chunks inflated+decoded so far (LRU misses) — lets tests
-    verify that loading and partial reads stay lazy. *)
+    verify that loading and partial reads stay lazy.  The
+    [trace.chunk.hit]/[miss]/[evict] telemetry counters count the LRU's
+    traffic over every trace. *)
 
 val initial_exe : t -> string
 (** The executable the recording started under. *)
@@ -343,7 +345,8 @@ val files : t -> (string * string) list
 
 val chunk_stored : t -> int -> string
 (** Chunk [i]'s stored (possibly deflated) bytes, as its ['C'] record
-    and its {!Sink.Chunk} event carry them. *)
+    and its {!Sink.Chunk} event carry them; a copy when they lie in a
+    loaded file's bytes. *)
 
 val of_parts :
   ?origin:string ->

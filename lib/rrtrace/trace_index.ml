@@ -11,7 +11,7 @@ type t = {
   pages : (int, int array) Hashtbl.t; (* page index -> frames, ascending *)
   globals : int array; (* frames with unbounded effects, ascending *)
   clock : int array; (* clock.(p) = virtual clock at position p *)
-  mutable cps : (int * string) array; (* (frame, blob), ascending *)
+  mutable cps : (int * Codec.slice) array; (* (frame, blob), ascending *)
 }
 
 let n_events t = t.n_events
@@ -107,7 +107,7 @@ type builder = {
   mutable b_globals : int list;
   mutable b_clock : int list; (* newest first *)
   mutable b_next : int; (* frame about to be noted *)
-  mutable b_cps : (int * string) list;
+  mutable b_cps : (int * Codec.slice) list;
 }
 
 let builder ~clock0 =
@@ -161,7 +161,8 @@ let note_frame b e ~pages ~clock =
     done
   | _ -> ()
 
-let note_checkpoint b ~frame ~blob = b.b_cps <- (frame, blob) :: b.b_cps
+let note_checkpoint b ~frame ~blob =
+  b.b_cps <- (frame, Codec.whole blob) :: b.b_cps
 
 let rev_table tbl =
   let out = Hashtbl.create (Hashtbl.length tbl) in
@@ -180,13 +181,8 @@ let finish b =
       Array.of_list
         (List.sort (fun a b -> compare (fst a) (fst b)) (List.rev b.b_cps)) }
 
-let add_checkpoint t ~frame ~blob =
-  let kept =
-    Array.to_list t.cps |> List.filter (fun (f, _) -> f <> frame)
-  in
-  t.cps <-
-    Array.of_list
-      (List.sort (fun a b -> compare (fst a) (fst b)) ((frame, blob) :: kept))
+let set_checkpoints t cps =
+  t.cps <- Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) cps)
 
 (* ----- codec -------------------------------------------------------- *)
 
@@ -257,13 +253,12 @@ let get_meta s =
   { n_events; pcs; pages; globals; clock; cps = [||] }
 
 (* A 'K' record's payload is these fields followed by the blob itself,
-   which the writer appends without copying it ([get_checkpoint] reads
-   both). *)
-let put_checkpoint_head b ~frame ~blob =
+   which the writer appends without copying it, and [get_checkpoint]
+   leaves where it lies. *)
+let put_checkpoint_head b ~frame ~(blob : Codec.slice) =
   Codec.put_uvarint b frame;
-  Codec.put_uvarint b (String.length blob)
+  Codec.put_uvarint b blob.len
 
 let get_checkpoint s =
   let frame = Codec.get_uvarint s in
-  let blob = Codec.get_string s in
-  (frame, blob)
+  (frame, Codec.get_slice s)

@@ -47,10 +47,11 @@ val frame_of_time : t -> int -> int option
 val clock_at : t -> int -> int
 (** Virtual-clock reading at position [p] (0 <= p <= n_events). *)
 
-val nearest_checkpoint : t -> int -> (int * string) option
-(** Greatest durable checkpoint [(frame, blob)] with [frame <= target]. *)
+val nearest_checkpoint : t -> int -> (int * Codec.slice) option
+(** Greatest durable checkpoint [(frame, blob)] with [frame <= target].
+    A loaded trace's blobs lie in the bytes its file was read into. *)
 
-val checkpoints : t -> (int * string) array
+val checkpoints : t -> (int * Codec.slice) array
 (** All durable checkpoints, ascending by frame. *)
 
 (* ----- building ---------------------------------------------------- *)
@@ -71,9 +72,9 @@ val note_checkpoint : builder -> frame:int -> blob:string -> unit
 
 val finish : builder -> t
 
-val add_checkpoint : t -> frame:int -> blob:string -> unit
-(** Loader hook: attach a checkpoint decoded from its own record.
-    Inserts in frame order; duplicate frames are replaced. *)
+val set_checkpoints : t -> (int * Codec.slice) list -> unit
+(** Loader hook: replace the durable checkpoints with [(frame, blob)]s
+    read from their own records, in any order. *)
 
 (* ----- codec -------------------------------------------------------- *)
 
@@ -84,8 +85,10 @@ val put_meta : Codec.sink -> t -> unit
 val get_meta : Codec.source -> t
 (** Raises {!Codec.Corrupt} on malformed input. *)
 
-val put_checkpoint_head : Codec.sink -> frame:int -> blob:string -> unit
+val put_checkpoint_head : Codec.sink -> frame:int -> blob:Codec.slice -> unit
 (** A checkpoint record's fields before the blob: the blob's bytes
     follow them, written by the caller without a copy. *)
 
-val get_checkpoint : Codec.source -> int * string
+val get_checkpoint : Codec.source -> int * Codec.slice
+(** A checkpoint record's frame and blob, the blob where it lies in the
+    source's string. *)

@@ -61,9 +61,7 @@ let test_roomy_ring_is_lossless () =
 let test_bounded_ring_keeps_the_tail () =
   let reference = record_reference () in
   let total = Array.length reference in
-  let dropped0 =
-    Telemetry.counter_value (Telemetry.counter "ring.dropped_chunks")
-  in
+  let base = Telemetry.snapshot () in
   let result, window, report = ring_run ~chunks:2 () in
   (match result with
   | Ok _ -> ()
@@ -71,11 +69,14 @@ let test_bounded_ring_keeps_the_tail () =
   Alcotest.(check bool)
     "ring overflowed" true
     (report.Trace.rr_dropped_chunks > 0 && report.Trace.rr_base_frame > 0);
-  Alcotest.(check bool)
-    "drop counter moved" true
-    (Telemetry.counter_value (Telemetry.counter "ring.dropped_chunks")
-     - dropped0
-    >= report.Trace.rr_dropped_chunks);
+  (* The ring.* instruments move by what the report says. *)
+  let moved = Telemetry.since base in
+  Alcotest.(check int) "ring.dropped_chunks moved"
+    report.Trace.rr_dropped_chunks
+    (List.assoc "ring.dropped_chunks" moved.Telemetry.snap_counters);
+  Alcotest.(check int) "ring.resident_bytes reads the window"
+    report.Trace.rr_resident_bytes
+    (List.assoc "ring.resident_bytes" moved.Telemetry.snap_gauges);
   let frames = Trace.Reader.to_array window in
   let base = report.Trace.rr_base_frame in
   Alcotest.(check int)
@@ -119,10 +120,10 @@ let test_flight_dump_on_always () =
   with_temp_path @@ fun path ->
   let w = small_cp () in
   let ring = Trace.ring ~chunks:2 in
-  let opts = Recorder.with_dump_on (mk ()) [ Recorder.On_always ] in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_always ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -143,10 +144,10 @@ let test_flight_exit_zero_no_dump () =
   with_temp_path @@ fun path ->
   let w = small_cp () in
   let ring = Trace.ring ~chunks:2 in
-  let opts = Recorder.with_dump_on (mk ()) [ Recorder.On_exit_nonzero ] in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_exit_nonzero ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -160,14 +161,11 @@ let test_flight_signal_trigger () =
   let w = small_cp () in
   let reference = record_reference () in
   let ring = Trace.ring ~chunks:4096 in
-  let opts =
-    Recorder.with_dump_on
-      (mk ~max_events:(Array.length reference / 2) ())
-      [ Recorder.On_signal ]
-  in
+  let opts = mk ~max_events:(Array.length reference / 2) () in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts ~dump_on:[ Flight.On_signal ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o

@@ -57,8 +57,21 @@ let test_round_trip () =
 let test_double_store_shares () =
   with_temp_repo @@ fun _dir repo ->
   let t = record_small () in
+  let base = Telemetry.snapshot () in
   let first = ok (Repo.store_trace repo ~name:"a" t) in
   let second = ok (Repo.store_trace repo ~name:"b" t) in
+  (* The repo.* counters move by what the two stores report. *)
+  let moved = (Telemetry.since base).Telemetry.snap_counters in
+  Alcotest.(check (list (pair string int)))
+    "repo counters moved"
+    [ ("repo.objects_stored", first.Repo.new_objects);
+      ( "repo.objects_shared",
+        first.Repo.shared_objects + second.Repo.shared_objects );
+      ( "repo.bytes_deduped",
+        first.Repo.shared_bytes + second.Repo.shared_bytes ) ]
+    (List.map
+       (fun name -> (name, List.assoc name moved))
+       [ "repo.objects_stored"; "repo.objects_shared"; "repo.bytes_deduped" ]);
   Alcotest.(check bool)
     "first store writes objects" true
     (first.Repo.new_objects > 0);

@@ -214,7 +214,8 @@ let replay_past trace p =
   step_past r p;
   r
 
-let round_trip snap = Replayer.decode_snapshot (Replayer.encode_snapshot snap)
+let round_trip snap =
+  Replayer.decode_snapshot (Codec.whole (Replayer.encode_snapshot snap))
 
 let space r pid =
   match
@@ -299,7 +300,7 @@ let test_shared_frames_keep_identity () =
     (word (space live child) page_a);
   Alcotest.(check int) "the checkpoint does not" 0x77
     (word (space (Replayer.restore_exn trace snap) child) page_a);
-  let decoded = Replayer.decode_snapshot blob in
+  let decoded = Replayer.decode_snapshot (Codec.whole blob) in
   let r = Replayer.restore_exn trace decoded in
   let p = space r parent and c = space r child in
   Alcotest.(check bool) "parent and child alias page a" true
@@ -401,14 +402,17 @@ let test_old_version_blob_falls_back () =
         @. G.sys_exit_group 0)
   in
   let ix = Trace_indexer.build_and_attach ~checkpoint_every:2 trace in
-  Array.iter
-    (fun (frame, blob) ->
-      (* The version is the blob's leading uvarint; version 1 wrote
-         every distinct frame in full. *)
-      Alcotest.(check char) "blobs lead with their version" '\002' blob.[0];
-      Trace_index.add_checkpoint ix ~frame
-        ~blob:("\001" ^ String.sub blob 1 (String.length blob - 1)))
-    (Array.copy (Trace_index.checkpoints ix));
+  Trace_index.set_checkpoints ix
+    (List.map
+       (fun (frame, (blob : Codec.slice)) ->
+         (* The version is the blob's leading uvarint; version 1 wrote
+            every distinct frame in full. *)
+         Alcotest.(check char) "blobs lead with their version" '\002'
+           blob.str.[blob.pos];
+         ( frame,
+           Codec.whole
+             ("\001" ^ String.sub blob.str (blob.pos + 1) (blob.len - 1)) ))
+       (Array.to_list (Trace_index.checkpoints ix)));
   let tmp = Filename.temp_file "rr_snapshot_v1" ".rrtrace" in
   Trace.save_exn trace tmp;
   let cold = Trace.open_exn tmp in
@@ -460,7 +464,7 @@ let test_forged_blob_bounded () =
   List.iter
     (fun (what, blob) ->
       let a0 = Gc.allocated_bytes () in
-      (match Replayer.decode_snapshot blob with
+      (match Replayer.decode_snapshot (Codec.whole blob) with
       | _ -> Alcotest.failf "%s: decoded" what
       | exception Codec.Corrupt _ -> ());
       let allocated = Gc.allocated_bytes () -. a0 in

@@ -167,11 +167,7 @@ let test_record_replay_populates () =
     (find_counter pt "trace.chunk.hit" + find_counter pt "trace.chunk.miss" > 0);
   (* the recorder's snapshot must not leak replay work into [rt] *)
   Alcotest.(check int) "recording saw no replay frames" 0
-    (find_span rt "replay.frame").Tm.s_count;
-  (* trace stats expose the reader-side LRU *)
-  let ts = Trace.stats recd.Workload.trace in
-  Alcotest.(check bool) "lru counts populated" true
-    (ts.Trace.lru_hits + ts.Trace.lru_misses > 0)
+    (find_span rt "replay.frame").Tm.s_count
 
 let suites =
   [ ( "telemetry",
