@@ -21,7 +21,8 @@ let replay_to trace upto =
   done;
   r
 
-let moved base name = List.assoc name (Telemetry.since base).Telemetry.snap_counters
+let moved base name =
+  List.assoc name (Telemetry.since base).Telemetry.snap_counters
 
 let test_shards_replay_their_connections () =
   Test_repo.with_temp_repo @@ fun _dir repo ->
@@ -53,7 +54,9 @@ let test_shards_replay_their_connections () =
         Alcotest.failf "connection %d misses its client or worker task"
           i.Conn_track.conn)
     conns;
-  let (_ : Repo.store_result) = ok (Repo.store_trace repo ~name:"serve" trace) in
+  let (_ : Repo.store_result) =
+    ok (Repo.store_trace repo ~name:"serve" trace)
+  in
   let base = Telemetry.snapshot () in
   let res = ok (Shard.split ~repo ~base:"serve" ~tags trace) in
   Alcotest.(check (pair int int))
@@ -71,7 +74,9 @@ let test_shards_replay_their_connections () =
     List.map
       (fun (i : Conn_track.info) ->
         let own = ref [] in
-        Array.iteri (fun k t -> if t = i.Conn_track.conn then own := k :: !own) tags;
+        Array.iteri
+          (fun k t -> if t = i.Conn_track.conn then own := k :: !own)
+          tags;
         let own = Array.of_list (List.rev !own) in
         if Array.length own = 0 then
           Alcotest.failf "connection %d owns no frames" i.Conn_track.conn;
@@ -95,8 +100,8 @@ let test_shards_replay_their_connections () =
           (Trace.n_events shard) (Trace.n_events trace);
       let extracted, kept = Shard.extract ~tags ~conn:c trace in
       if Trace.Reader.to_array extracted <> Trace.Reader.to_array shard then
-        Alcotest.failf "conn %d: the extracted shard differs from the stored one"
-          c;
+        Alcotest.failf
+          "conn %d: the extracted shard differs from the stored one" c;
       (* The shard keeps the control frames and the connection's own:
          [i_star] is its [j_star]th frame. *)
       let j_star = ref (-1) in
@@ -109,11 +114,11 @@ let test_shards_replay_their_connections () =
       let r = replay_to shard !j_star in
       let k = Replayer.kernel r in
       if task_digest k i.Conn_track.worker_tid <> want_worker then
-        Alcotest.failf "conn %d: the worker's state differs from the full replay"
-          c;
+        Alcotest.failf
+          "conn %d: the worker's state differs from the full replay" c;
       if task_digest k i.Conn_track.client_tid <> want_client then
-        Alcotest.failf "conn %d: the client's state differs from the full replay"
-          c;
+        Alcotest.failf
+          "conn %d: the client's state differs from the full replay" c;
       match Replayer.replay shard with
       | (_ : Replayer.stats * Kernel.t) -> ()
       | exception Replayer.Divergence m ->

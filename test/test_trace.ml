@@ -681,7 +681,8 @@ let qcheck_inflate_robust =
        ~print:(fun (s, after) ->
          String.escaped s ^ " then " ^ String.escaped after)
        QCheck.Gen.(
-         oneof [ pair garbage ones; pair small_size ones; pair flipped ones; cut ]))
+         oneof
+           [ pair garbage ones; pair small_size ones; pair flipped ones; cut ]))
     corrupt_only
 
 (* A real checkpoint blob, cut short or with bits flipped, decodes or
