@@ -399,7 +399,7 @@ let checkpoint_bench () =
     List.fold_left
       (fun acc p ->
         if p.Task.exit_code = None then
-          acc + Hashtbl.length p.Task.space.Addr_space.pages
+          acc + Addr_space.page_count p.Task.space
         else acc)
       0
       (Kernel.all_procs (Replayer.kernel r))

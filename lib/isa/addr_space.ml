@@ -26,12 +26,20 @@
    DESIGN.md §6 gives the interpreter's speed on jit_compute and the
    command that measures it.
 
-   Data accesses still look their frame up in [pages] on every access.
-   Loads and stores are about 3% of jit_compute's instructions, so no
-   benchmark workload could show a data-page TLB paying for its
-   invalidation; there is none yet.  [writable_page] is the one gate
-   for data writes: it breaks COW sharing and then gives a frame that
-   still maps {!Mem}'s shared zero buffer its own bytes.
+   The data page table is two arrays: the mapped page indexes in
+   ascending order, and the frame at each.  The index array is never
+   written in place, so a fork shares it and copies only the frame
+   array; [writable_page] and [protect] replace a frame's slot, and
+   [map] and [unmap] build new arrays.  A data access first tries the
+   slot of the space's last hit, and binary-searches the index array
+   only when that slot holds another page.  The hint needs no
+   invalidation: it is checked against the index array on every use.
+   jit_compute's untraced run makes 204,066 data-page lookups over
+   about 90 pages, and all but 134 hit the page of the lookup before;
+   storm's spaces hit about half the time (DESIGN.md §6 has the
+   timings).  [writable_page] is the one gate for data writes: it
+   breaks COW sharing and then gives a frame that still maps {!Mem}'s
+   shared zero buffer its own bytes.
 
    [written_text] remembers addresses written at run time ([Emit]): the
    replayer must not set software breakpoints there and falls back to the
@@ -83,9 +91,19 @@ type text = {
   mutable cached_prev : Insn.t option array;
 }
 
+(* [frames.(i)] is mapped at page index [idxs.(i)], and [idxs]
+   ascends.  [idxs] is never written in place: forks share it.  [hint]
+   is the slot of the last lookup that hit, any slot number at all
+   after the arrays change. *)
+type page_table = {
+  mutable idxs : int array;
+  mutable frames : Mem.page array;
+  mutable hint : int;
+}
+
 type t = {
   id : int;
-  pages : (int, Mem.page) Hashtbl.t;
+  pages : page_table;
   mutable text : text;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
@@ -122,7 +140,7 @@ let stack_top = 0x7ff0_0000
 
 let create ~id =
   { id;
-    pages = Hashtbl.create 256;
+    pages = { idxs = [||]; frames = [||]; hint = 0 };
     text = text_of_pages (Hashtbl.create 16);
     written_text = Hashtbl.create 16;
     breakpoints = Hashtbl.create 16;
@@ -132,9 +150,79 @@ let create ~id =
 
 let changed t = t.generation <- t.generation + 1
 
-let page_count addr len =
+let pages_spanned addr len =
   if len <= 0 then 0
   else Mem.page_index (addr + len - 1) - Mem.page_index addr + 1
+
+(* The first slot whose index is at least [idx].  The search takes no
+   branch on the data: [(a - idx) asr 62] is -1 when [a < idx] and 0
+   otherwise, for any [idx] above -2^61, page indexes being below 2^51.
+   A branch on the comparison mispredicts about every other step: it
+   made a random lookup among 177 pages take 90-130 ns, against 25-30 ns
+   for this search and for a hash lookup. *)
+let slot_at_or_above idxs idx =
+  let n = Array.length idxs in
+  if n = 0 then 0
+  else begin
+    let base = ref 0 and len = ref n in
+    while !len > 1 do
+      let half = !len lsr 1 in
+      base := !base + (half land ((idxs.(!base + half) - idx) asr 62));
+      len := !len - half
+    done;
+    !base + (((idxs.(!base) - idx) asr 62) land 1)
+  end
+
+(* The slot holding page [idx], or -1. *)
+let slot pt idx =
+  let idxs = pt.idxs and h = pt.hint in
+  if h < Array.length idxs && idxs.(h) = idx then h
+  else begin
+    let i = slot_at_or_above idxs idx in
+    if i < Array.length idxs && idxs.(i) = idx then begin
+      pt.hint <- i;
+      i
+    end
+    else -1
+  end
+
+(* The slots of pages [first] to [first + n - 1]: [lo] to [hi - 1]. *)
+let slots_of pt first n =
+  (slot_at_or_above pt.idxs first, slot_at_or_above pt.idxs (first + n))
+
+(* [map] and [unmap] allocate only the new arrays, no temporaries:
+   jit_compute maps and unmaps an arena about a hundred times a
+   recording. *)
+
+(* [a] with slots [lo] to [hi - 1] replaced by [m >= 1] slots, [f j] in
+   slot [lo + j]. *)
+let splice_in a lo hi m f =
+  let n = Array.length a in
+  let b = Array.make (n - (hi - lo) + m) (f 0) in
+  Array.blit a 0 b 0 lo;
+  for j = 1 to m - 1 do
+    b.(lo + j) <- f j
+  done;
+  Array.blit a hi b (lo + m) (n - hi);
+  b
+
+(* [a] without slots [lo] to [hi - 1]. *)
+let splice_out a lo hi =
+  let b = Array.sub a 0 (Array.length a - (hi - lo)) in
+  Array.blit a hi b lo (Array.length a - hi);
+  b
+
+let page_count t = Array.length t.pages.idxs
+
+let find_page t idx =
+  let i = if idx < 0 then -1 else slot t.pages idx in
+  if i < 0 then None else Some t.pages.frames.(i)
+
+let fold_pages f t init =
+  let frames = t.pages.frames in
+  let acc = ref init in
+  Array.iteri (fun i idx -> acc := f idx frames.(i) !acc) t.pages.idxs;
+  !acc
 
 let regions t = t.regions
 
@@ -156,7 +244,9 @@ let overlaps t ~addr ~len =
 
 (* Map [len] bytes at [addr] (both page-aligned in practice; we align for
    callers).  Pages are created eagerly so that fork-inherited shared
-   mappings alias the same frames. *)
+   mappings alias the same frames; a frame already at one of the pages
+   (only a decoded space can map one outside its regions) is
+   replaced. *)
 let map t ~addr ~len ~prot ?(kind = Anon) ?(shared = false) () =
   let addr = addr land lnot (Mem.page_size - 1) in
   let len = (len + Mem.page_size - 1) land lnot (Mem.page_size - 1) in
@@ -164,10 +254,14 @@ let map t ~addr ~len ~prot ?(kind = Anon) ?(shared = false) () =
   if overlaps t ~addr ~len then invalid_arg "Addr_space.map: overlap";
   changed t;
   insert_region t { start = addr; len; prot; kind; shared };
-  let first = Mem.page_index addr in
-  for i = first to first + page_count addr len - 1 do
-    Hashtbl.replace t.pages i (Mem.fresh_page ~prot ~shared)
-  done;
+  let first = Mem.page_index addr and n = pages_spanned addr len in
+  if n > 0 then begin
+    let pt = t.pages in
+    let lo, hi = slots_of pt first n in
+    pt.idxs <- splice_in pt.idxs lo hi n (fun j -> first + j);
+    pt.frames <-
+      splice_in pt.frames lo hi n (fun _ -> Mem.fresh_page ~prot ~shared)
+  end;
   addr
 
 let find_map_addr t len =
@@ -202,19 +296,21 @@ let unmap t ~addr ~len =
       drop
   in
   t.regions <- List.sort (fun a b -> compare a.start b.start) (keep @ fragments);
-  let first = Mem.page_index addr in
-  for i = first to first + page_count addr len - 1 do
-    match Hashtbl.find_opt t.pages i with
-    | Some p ->
-      Mem.decref p;
-      Hashtbl.remove t.pages i
-    | None -> ()
-  done
+  let pt = t.pages in
+  let lo, hi = slots_of pt (Mem.page_index addr) (pages_spanned addr len) in
+  if lo < hi then begin
+    for i = lo to hi - 1 do
+      Mem.decref pt.frames.(i)
+    done;
+    pt.idxs <- splice_out pt.idxs lo hi;
+    pt.frames <- splice_out pt.frames lo hi
+  end
 
 let unmap_all t =
   changed t;
-  Hashtbl.iter (fun _ p -> Mem.decref p) t.pages;
-  Hashtbl.reset t.pages;
+  Array.iter Mem.decref t.pages.frames;
+  t.pages.idxs <- [||];
+  t.pages.frames <- [||];
   t.regions <- [];
   Hashtbl.reset t.text.text_pages;
   t.text.cached_key <- no_text_page;
@@ -239,29 +335,28 @@ let protect t ~addr ~len ~prot =
         if addr < r.start + r.len && r.start < addr + len then { r with prot }
         else r)
       t.regions;
-  let first = Mem.page_index addr in
-  for i = first to first + page_count addr len - 1 do
-    match Hashtbl.find_opt t.pages i with
-    | Some p ->
-      let p =
-        if p.Mem.refs > 1 && not p.Mem.shared then begin
-          let q = Mem.unshare p in
-          Hashtbl.replace t.pages i q;
-          q
-        end
-        else p
-      in
-      p.Mem.prot <- prot
-    | None -> ()
+  let pt = t.pages in
+  let lo, hi = slots_of pt (Mem.page_index addr) (pages_spanned addr len) in
+  for i = lo to hi - 1 do
+    let p = pt.frames.(i) in
+    let p =
+      if p.Mem.refs > 1 && not p.Mem.shared then begin
+        let q = Mem.unshare p in
+        pt.frames.(i) <- q;
+        q
+      end
+      else p
+    in
+    p.Mem.prot <- prot
   done
 
-let get_page t addr access =
-  match Hashtbl.find t.pages (Mem.page_index addr) with
-  | p -> p
-  | exception Not_found -> raise (Segv { addr; access })
+let get_slot t addr access =
+  let i = slot t.pages (Mem.page_index addr) in
+  if i < 0 then raise (Segv { addr; access });
+  i
 
 let readable_page t addr ~force =
-  let p = get_page t addr Read in
+  let p = t.pages.frames.(get_slot t addr Read) in
   if (not force) && p.Mem.prot land Mem.prot_r = 0 then
     raise (Segv { addr; access = Read });
   p
@@ -270,15 +365,15 @@ let readable_page t addr ~force =
    kernel/supervisor path), break COW sharing, and give a frame that
    still maps the shared zero buffer its own bytes. *)
 let writable_page t addr ~force =
-  let idx = Mem.page_index addr in
-  let p = get_page t addr Write in
+  let i = get_slot t addr Write in
+  let p = t.pages.frames.(i) in
   if (not force) && p.Mem.prot land Mem.prot_w = 0 then
     raise (Segv { addr; access = Write });
   changed t;
   let p =
     if p.Mem.refs > 1 && not p.Mem.shared then begin
       let q = Mem.unshare p in
-      Hashtbl.replace t.pages idx q;
+      t.pages.frames.(i) <- q;
       q
     end
     else p
@@ -464,16 +559,17 @@ let text_share t ~from =
   changed t;
   t.text <- share_text from.text
 
-(* Both forks share the text pages copy-on-write and map each data frame
-   through [frame] in a copy of the page table ([Hashtbl.copy] keeps the
-   buckets, so nothing is rehashed).  A fork copies no page bytes and no
-   text slots — what makes rr-style checkpoints take "less than ten
-   milliseconds". *)
+(* Both forks share the text pages copy-on-write and the page index
+   array, and map each data frame through [frame] into a new frame
+   array: one allocation of a word a page.  A fork copies no page bytes
+   and no text slots — what makes rr-style checkpoints take "less than
+   ten milliseconds". *)
 let fork_with frame t ~id =
-  let pages = Hashtbl.copy t.pages in
-  Hashtbl.filter_map_inplace (fun _ p -> Some (frame p)) pages;
   { id;
-    pages;
+    pages =
+      { idxs = t.pages.idxs;
+        frames = Array.map frame t.pages.frames;
+        hint = t.pages.hint };
     text = share_text t.text;
     written_text = Hashtbl.copy t.written_text;
     breakpoints = Hashtbl.copy t.breakpoints;
@@ -509,18 +605,18 @@ let fork_checkpoint copies t ~id =
       else cow_share p)
     t ~id
 
-(* A snapshot decoder's way in, after [create] and the text: the
-   frames arrive in ascending page order and each counts one more
-   mapper, so a frame the blob maps twice copies on its first write. *)
-let fill t ~mmap_cursor ~regions ~frames ~written_text ~breakpoints =
+(* A snapshot decoder's way in, after [create] and the text: the space
+   takes the decoder's arrays, and each frame counts one more mapper,
+   so a frame the blob maps twice copies on its first write. *)
+let fill t ~mmap_cursor ~regions ~idxs ~frames ~written_text ~breakpoints =
+  if Array.length idxs <> Array.length frames then
+    invalid_arg "Addr_space.fill: one frame per index";
   changed t;
   t.mmap_cursor <- mmap_cursor;
   t.regions <- regions;
-  List.iter
-    (fun (idx, p) ->
-      Mem.incref p;
-      Hashtbl.replace t.pages idx p)
-    frames;
+  Array.iter Mem.incref frames;
+  t.pages.idxs <- idxs;
+  t.pages.frames <- frames;
   List.iter (fun addr -> Hashtbl.replace t.written_text addr ()) written_text;
   List.iter (fun addr -> Hashtbl.replace t.breakpoints addr ()) breakpoints
 
@@ -529,6 +625,6 @@ let release t = unmap_all t
 (* Proportional set size in bytes: each frame contributes size/refs
    (paper §4.5). *)
 let pss t =
-  Hashtbl.fold
-    (fun _ p acc -> acc +. (float_of_int Mem.page_size /. float_of_int p.Mem.refs))
-    t.pages 0.
+  Array.fold_left
+    (fun acc p -> acc +. (float_of_int Mem.page_size /. float_of_int p.Mem.refs))
+    0. t.pages.frames

@@ -28,9 +28,13 @@ type text
     one map that may write it in place.  Read it through [text_page],
     [text_get], [text_fold] and [text_count]. *)
 
+type page_table
+(** The mapped data frames by page index.  Read it through
+    [page_count], [find_page] and [fold_pages]. *)
+
 type t = {
   id : int;
-  pages : (int, Mem.page) Hashtbl.t;
+  pages : page_table;
   mutable text : text;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
@@ -61,6 +65,17 @@ val map :
 
 val find_map_addr : t -> int -> int
 (** A free address for an [len]-byte mapping. *)
+
+val page_count : t -> int
+(** The number of mapped data pages. *)
+
+val find_page : t -> int -> Mem.page option
+(** The frame mapped at page index [idx] ([Mem.page_index] of an
+    address in it). *)
+
+val fold_pages : (int -> Mem.page -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over every mapped frame with its page index, in ascending
+    index order. *)
 
 val unmap : t -> addr:int -> len:int -> unit
 val unmap_all : t -> unit
@@ -147,12 +162,15 @@ val fork_checkpoint : shared_copies -> t -> id:int -> t
     table alias each other's copies and never the source's frames. *)
 
 val fill :
-  t -> mmap_cursor:int -> regions:region list -> frames:(int * Mem.page) list ->
-  written_text:int list -> breakpoints:int list -> unit
+  t -> mmap_cursor:int -> regions:region list -> idxs:int array ->
+  frames:Mem.page array -> written_text:int list -> breakpoints:int list ->
+  unit
 (** A snapshot decoder's way to build a space: after {!create} and the
-    text, set the mmap cursor and regions, map each frame at its page
-    index (ascending) with one more [refs], and mark the written-text
-    addresses and breakpoints. *)
+    text, set the mmap cursor and regions, map [frames.(i)] at page index
+    [idxs.(i)] with one more [refs], and mark the written-text addresses
+    and breakpoints.  [idxs] must ascend strictly; the space keeps both
+    arrays, so the caller must not write them afterwards.  Raises
+    [Invalid_argument] if their lengths differ. *)
 
 val release : t -> unit
 

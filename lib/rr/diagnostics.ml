@@ -50,7 +50,7 @@ let pp_task ppf (t : T.t) =
   let regions = List.length (A.regions t.T.cpu.Cpu.space) in
   Fmt.pf ppf "  space #%d: %d regions, %d pages, %d text slots@,"
     t.T.cpu.Cpu.space.A.id regions
-    (Hashtbl.length t.T.cpu.Cpu.space.A.pages)
+    (A.page_count t.T.cpu.Cpu.space)
     (A.text_count t.T.cpu.Cpu.space)
 
 let pp ppf (k : K.t) =

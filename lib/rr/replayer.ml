@@ -1021,8 +1021,11 @@ let restore_exn ?opts trace snap =
    carry it ('K' records) and a *future process* can restore without
    replaying from frame 0.  Each blob stands alone: its page table is
    content-addressed within the blob (see [Page_table]), and every space
-   maps page indexes to table entries.  Decoding attaches all mappings
-   of an entry to one frame whose [refs] counts them, so the first write
+   maps page indexes to table entries.  A space's mappings are written
+   as its own page table holds them, ascending, and decode straight into
+   the two arrays a space keeps (page indexes, frames), so neither side
+   sorts or hashes a mapping.  Decoding attaches all mappings of an
+   entry to one frame whose [refs] counts them, so the first write
    through any of them copies it, exactly like a COW fork.  Equal
    private frames merge, so a restored space can have a lower PSS than
    the live one had; shared frames never merge.  A blob of another
@@ -1246,23 +1249,21 @@ end
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
-(* Mappings are (page index, entry id) in ascending index order, each
-   index as its distance from the previous one: a run of pages costs
-   about two bytes a page. *)
+(* Mappings are (page index, entry id) in the space's own ascending
+   index order, each index as its distance from the previous one: a run
+   of pages costs about two bytes a page. *)
 let put_space table b (a : A.t) =
   Codec.put_int b a.A.id;
   Codec.put_int b a.A.mmap_cursor;
   Codec.put_list b put_region a.A.regions;
-  let page_idxs = sorted_keys a.A.pages in
-  Codec.put_uvarint b (List.length page_idxs);
+  Codec.put_uvarint b (A.page_count a);
   ignore
-    (List.fold_left
-       (fun prev idx ->
+    (A.fold_pages
+       (fun idx p prev ->
          Codec.put_uvarint b (idx - prev - 1);
-         Codec.put_uvarint b
-           (Page_table.id_of table (Hashtbl.find a.A.pages idx));
+         Codec.put_uvarint b (Page_table.id_of table p);
          idx)
-       (-1) page_idxs);
+       a (-1));
   Codec.put_uvarint b (A.text_count a);
   A.text_fold
     (fun addr insn () ->
@@ -1320,21 +1321,23 @@ let get_space d s : A.t =
   let mmap_cursor = Codec.get_int s in
   let regions = Codec.get_list s get_region in
   let n_pages = Codec.get_count s in
-  let prev = ref (-1) and rev_frames = ref [] in
-  for _ = 1 to n_pages do
-    let idx = !prev + 1 + Codec.get_uvarint s in
-    if idx <= !prev then raise (Codec.Corrupt "snapshot: page index order");
-    prev := idx;
+  let idxs = Array.make n_pages 0 and frames = ref [||] in
+  for i = 0 to n_pages - 1 do
+    let prev = if i = 0 then -1 else idxs.(i - 1) in
+    let idx = prev + 1 + Codec.get_uvarint s in
+    if idx <= prev then raise (Codec.Corrupt "snapshot: page index order");
+    idxs.(i) <- idx;
     let pid = Codec.get_uvarint s in
     if pid < 0 || pid >= Array.length d.pages then
       raise (Codec.Corrupt "snapshot: page id out of range");
-    rev_frames := (idx, d.pages.(pid)) :: !rev_frames
+    if i = 0 then frames := Array.make n_pages d.pages.(pid)
+    else !frames.(i) <- d.pages.(pid)
   done;
   let a = A.create ~id in
   get_text d s a;
   let written_text = Codec.get_list s Codec.get_int in
   let breakpoints = Codec.get_list s Codec.get_int in
-  A.fill a ~mmap_cursor ~regions ~frames:(List.rev !rev_frames) ~written_text
+  A.fill a ~mmap_cursor ~regions ~idxs ~frames:!frames ~written_text
     ~breakpoints;
   a
 

@@ -49,6 +49,10 @@ let shard_writer trace =
     (Trace.files trace);
   w
 
+(* The one filter both [extract] and [split] apply: a shard keeps the
+   control frames and its own connection's. *)
+let keeps ~conn tag = tag = 0 || tag = conn
+
 let extract ~tags ~conn trace =
   if conn <= 0 then invalid_arg "Shard.extract: conn must be positive";
   check_tags ~tags trace;
@@ -57,7 +61,7 @@ let extract ~tags ~conn trace =
   let n = ref 0 in
   Trace.Reader.iter
     (fun i e ->
-      if tags.(i) = 0 || tags.(i) = conn then begin
+      if keeps ~conn tags.(i) then begin
         ignore (Trace.Writer.event w e);
         kept := i :: !kept;
         incr n
@@ -140,7 +144,7 @@ let split ?only ~repo ~base ~tags trace =
       let tag = tags.(i) in
       List.iter
         (fun (c, w, frames, own) ->
-          if tag = 0 || tag = c then begin
+          if keeps ~conn:c tag then begin
             ignore (Trace.Writer.event w e);
             incr frames;
             if tag = c then incr own

@@ -6,21 +6,31 @@ module G = Guest
 let ( @. ) = List.append
 
 (* Deterministic pseudo-file contents: repetitive enough to compress but
-   not trivially (a mix of text-like runs and varying bytes). *)
+   not trivially (a mix of text-like runs and varying bytes).  Each run
+   is a character repeated 16 to 63 times, then 32 random bits as eight
+   lowercase hex digits; the last run is cut at [len].  The bytes are
+   written where they end up, with no intermediate strings. *)
 let file_contents ~seed ~len =
   let e = Entropy.create seed in
-  let b = Buffer.create len in
-  while Buffer.length b < len do
+  let b = Bytes.create len in
+  let pos = ref 0 in
+  while !pos < len do
     let run = 16 + Entropy.int e 48 in
     let c = Char.chr (32 + Entropy.int e 90) in
-    Buffer.add_string b (String.make run c);
-    Buffer.add_string b (Printf.sprintf "%08x" (Entropy.bits e land 0xffffffff))
+    Bytes.fill b !pos (min run (len - !pos)) c;
+    pos := !pos + run;
+    let v = Entropy.bits e land 0xffffffff in
+    for i = 0 to 7 do
+      if !pos + i < len then
+        Bytes.set b (!pos + i) "0123456789abcdef".[(v lsr (28 - (4 * i))) land 15]
+    done;
+    pos := !pos + 8
   done;
-  Buffer.sub b 0 len
+  b
 
 let install_file k ~path ~seed ~len =
   let reg = Vfs.create_file (K.vfs k) path in
-  ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.of_string (file_contents ~seed ~len)))
+  ignore (Vfs.write (K.vfs k) reg ~off:0 (file_contents ~seed ~len))
 
 (* Install a table of 8-byte string pointers at a fresh data address;
    returns the table's address. *)

@@ -113,8 +113,10 @@ let test_pss_sharing () =
    text, and spaces alias a shared frame.  The real spaces share frames,
    text pages and the zero buffer until a write, so after every step
    each must read exactly like its model: mappings, prot, bytes and
-   text.  A fresh frame must read all zero, and a fetch must see the
-   latest text write.  Breakpoints, mmap-cursor moves, emptying a space
+   text.  [fold_pages] must yield the mapped pages in strictly
+   ascending order, and [find_page] must miss below, between and above
+   the mapped runs.  A fresh frame must read all zero, and a fetch must
+   see the latest text write.  Breakpoints, mmap-cursor moves, emptying a space
    and sharing another's text ride along with checkpoint forks, and a
    space whose generation has not moved since its last checkpoint fork
    must still equal that fork (unless it maps a shared frame). *)
@@ -228,6 +230,18 @@ let model_fork ~shared_frame m =
 let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
+let page_idxs a = List.rev (A.fold_pages (fun i _ acc -> i :: acc) a [])
+let frame a i = Option.get (A.find_page a i)
+
+let rec ascending = function
+  | i :: (j :: _ as rest) -> i < j && ascending rest
+  | _ -> true
+
+(* Every page an op can map, one on either side, and two far off: a
+   lookup below, between or above the mapped runs must miss. *)
+let cow_probe_idxs =
+  (0 :: List.init 14 (fun i -> Mem.page_index cow_base - 2 + i)) @ [ 1 lsl 40 ]
+
 let check_cow_state spaces =
   let fresh = A.create ~id:0 in
   ignore (A.map fresh ~addr:cow_base ~len:Mem.page_size ~prot:Mem.prot_rw ());
@@ -237,12 +251,20 @@ let check_cow_state spaces =
   List.iteri
     (fun n (a, m) ->
       let differ what = failwith (Printf.sprintf "space %d: %s" n what) in
-      let keys tbl = List.map fst (sorted_bindings tbl) in
-      if keys a.A.pages <> keys m.frames then differ "mapped pages differ";
+      let idxs = page_idxs a in
+      if not (ascending idxs) then differ "fold_pages does not ascend";
+      if idxs <> List.map fst (sorted_bindings m.frames) then
+        differ "mapped pages differ";
+      if A.page_count a <> List.length idxs then differ "page_count differs";
+      List.iter
+        (fun i ->
+          if Option.is_some (A.find_page a i) <> Hashtbl.mem m.frames i then
+            differ (Printf.sprintf "find_page of page %#x" i))
+        cow_probe_idxs;
       Hashtbl.iter
         (fun i f ->
           let addr = i * Mem.page_size in
-          if (Hashtbl.find a.A.pages i).Mem.prot <> f.mprot then
+          if (frame a i).Mem.prot <> f.mprot then
             differ (Printf.sprintf "prot of %#x differs" addr);
           if A.read_bytes ~force:true a addr Mem.page_size <> f.data then
             differ (Printf.sprintf "bytes of %#x differ" addr))
@@ -259,7 +281,7 @@ let check_cow_aliasing spaces =
       (fun (a, m) ->
         Hashtbl.fold
           (fun i f acc ->
-            if f.mshared then (Hashtbl.find a.A.pages i, f) :: acc else acc)
+            if f.mshared then (frame a i, f) :: acc else acc)
           m.frames [])
       spaces
   in
@@ -291,13 +313,12 @@ let check_unmoved_generations last_forks =
           A.read_bytes ~force:true s (i * Mem.page_size) Mem.page_size
         in
         let text s = A.text_fold (fun addr i acc -> (addr, i) :: acc) s [] in
-        same "mapped pages" (keys a.A.pages) (keys f.A.pages);
+        same "mapped pages" (page_idxs a) (page_idxs f);
         List.iter
           (fun i ->
-            same "prots" (Hashtbl.find a.A.pages i).Mem.prot
-              (Hashtbl.find f.A.pages i).Mem.prot;
+            same "prots" (frame a i).Mem.prot (frame f i).Mem.prot;
             same "bytes" (bytes a i) (bytes f i))
-          (keys a.A.pages);
+          (page_idxs a);
         same "text" (text a) (text f);
         same "written text" (keys a.A.written_text) (keys f.A.written_text);
         same "breakpoints" (keys a.A.breakpoints) (keys f.A.breakpoints);
@@ -466,6 +487,39 @@ let qcheck_cow_model =
        ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
        QCheck.Gen.(list_size (int_range 1 40) gen_cow_op))
     run_cow_ops
+
+(* A checkpoint fork shares its source's page index array and copies
+   only the frame array: a word a page, plus a constant for the space
+   record, its page table and its text, written-text and breakpoint
+   tables.  A hash-table copy of the page table costs about eight words
+   a page.  Words are counted, not time: minor + major - promoted, so a
+   frame array too large for the minor heap counts once. *)
+let fork_checkpoint_constant_words = 128
+
+let test_fork_checkpoint_words () =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun pages ->
+      let a = A.create ~id:1 in
+      ignore
+        (A.map a ~addr:cow_base ~len:(pages * Mem.page_size)
+           ~prot:Mem.prot_rw ());
+      A.write_u64 a cow_base 1;
+      let copies = A.shared_copies () in
+      let before = words () in
+      let fork = A.fork_checkpoint copies a ~id:2 in
+      let used = words () -. before in
+      Alcotest.(check int) "the fork maps every page" pages (A.page_count fork);
+      let bound = pages + fork_checkpoint_constant_words in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pages: %.0f words, at most %d" pages used bound)
+        true
+        (used <= float_of_int bound))
+    [ 64; 1024 ]
 
 let test_cpu_arith_loop () =
   (* sum 1..10 into r2 *)
@@ -1222,6 +1276,8 @@ let suites =
           test_region_prot_unshared;
         Alcotest.test_case "PSS sharing" `Quick test_pss_sharing;
         QCheck_alcotest.to_alcotest qcheck_cow_model;
+        Alcotest.test_case "fork_checkpoint costs a word a page" `Quick
+          test_fork_checkpoint_words;
         QCheck_alcotest.to_alcotest qcheck_mem_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_bytes_roundtrip ] );
     ( "isa.cpu",

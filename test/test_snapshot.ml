@@ -24,8 +24,8 @@ let live_procs k =
   |> List.filter (fun (p : T.process) -> p.T.exit_code = None)
   |> List.sort (fun (a : T.process) b -> compare a.T.pid b.T.pid)
 
-let page_idxs (s : A.t) =
-  Hashtbl.fold (fun i _ acc -> i :: acc) s.A.pages [] |> List.sort compare
+let frames (s : A.t) =
+  List.rev (A.fold_pages (fun i p acc -> (i, p) :: acc) s [])
 
 let check_space ~what (want : A.t) (got : A.t) =
   let region (r : A.region) =
@@ -33,16 +33,15 @@ let check_space ~what (want : A.t) (got : A.t) =
   in
   if List.map region (A.regions want) <> List.map region (A.regions got) then
     Alcotest.failf "%s: regions differ" what;
-  if page_idxs want <> page_idxs got then
+  if List.map fst (frames want) <> List.map fst (frames got) then
     Alcotest.failf "%s: mapped pages differ" what;
-  List.iter
-    (fun i ->
-      let p = Hashtbl.find want.A.pages i and q = Hashtbl.find got.A.pages i in
+  List.iter2
+    (fun (i, (p : Mem.page)) (_, (q : Mem.page)) ->
       if p.Mem.prot <> q.Mem.prot || p.Mem.shared <> q.Mem.shared then
         Alcotest.failf "%s: page %#x differs in prot or sharing" what i;
       if not (Bytes.equal p.Mem.bytes q.Mem.bytes) then
         Alcotest.failf "%s: page %#x differs in bytes" what i)
-    (page_idxs want);
+    (frames want) (frames got);
   let text s = A.text_fold (fun addr insn acc -> (addr, insn) :: acc) s [] in
   if text want <> text got then Alcotest.failf "%s: text differs" what
 
@@ -231,7 +230,7 @@ let root r =
   | p :: _ -> p.T.pid
   | [] -> Alcotest.fail "no live process"
 
-let frame s addr = Hashtbl.find s.A.pages (Mem.page_index addr)
+let frame s addr = Option.get (A.find_page s (Mem.page_index addr))
 let word s addr = A.read_u64 ~force:true s addr
 
 let test_equal_private_frames_split_on_write () =

@@ -168,14 +168,15 @@ check_file() {
   # every checkpoint that reuses the fork.  Under lib/, only
   # lib/isa/addr_space.ml changes an Addr_space.t: nowhere else an
   # assignment to its regions, mmap_cursor or generation, or a Hashtbl
-  # mutator on its pages, written_text or breakpoints.
+  # mutator on its written_text or breakpoints.  Its page table is an
+  # abstract type outside that file, so a write to it does not compile.
   case "$f" in
   *lib/isa/addr_space.ml) ;;
   *lib/*)
     space_field='\.(A|Addr_space)\.'
     bad_space_writes=$(grep -nE \
       -e "${space_field}(regions|mmap_cursor|generation)[[:space:]]*<-" \
-      -e "Hashtbl\.(add|replace|remove|reset|clear|filter_map_inplace)\b[^;]*${space_field}(pages|written_text|breakpoints)\b" \
+      -e "Hashtbl\.(add|replace|remove|reset|clear|filter_map_inplace)\b[^;]*${space_field}(written_text|breakpoints)\b" \
       "$f" || true)
     if [ -n "$bad_space_writes" ]; then
       {
