@@ -504,20 +504,29 @@ let text_set t addr insn =
   in
   slots.(text_slot addr) <- Some insn
 
-(* Folds in ascending address order. *)
+(* Both fold in ascending key, then address, order.  The walk sorts
+   the keys in one array: the encoder walks every space of every
+   checkpoint. *)
+let text_fold_pages f t init =
+  let pages = t.text.text_pages in
+  let keys = Array.make (Hashtbl.length pages) 0 in
+  ignore (Hashtbl.fold (fun key _ i -> keys.(i) <- key; i + 1) pages 0);
+  Array.sort Int.compare keys;
+  Array.fold_left
+    (fun acc key -> f key (Hashtbl.find pages key).slots acc)
+    init keys
+
 let text_fold f t init =
-  Hashtbl.fold (fun key page acc -> (key, page) :: acc) t.text.text_pages []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.fold_left
-       (fun acc (key, page) ->
-         let base = key lsl text_page_bits in
-         let acc = ref acc in
-         Array.iteri
-           (fun i slot ->
-             match slot with Some insn -> acc := f (base + i) insn !acc | None -> ())
-           page.slots;
-         !acc)
-       init
+  text_fold_pages
+    (fun key slots acc ->
+      let base = key lsl text_page_bits in
+      let acc = ref acc in
+      Array.iteri
+        (fun i slot ->
+          match slot with Some insn -> acc := f (base + i) insn !acc | None -> ())
+        slots;
+      !acc)
+    t init
 
 let text_count t = text_fold (fun _ _ n -> n + 1) t 0
 

@@ -26,7 +26,7 @@ type text
 (** The paged text map and its cache of the last two pages fetched.
     Pages are copy-on-write between forks: each records the stamp of the
     one map that may write it in place.  Read it through [text_page],
-    [text_get], [text_fold] and [text_count]. *)
+    [text_get], [text_fold_pages], [text_fold] and [text_count]. *)
 
 type page_table
 (** The mapped data frames by page index.  Read it through
@@ -122,6 +122,12 @@ val text_set : t -> int -> Insn.t -> unit
     a fork copies the page. *)
 
 val text_load : t -> base:int -> Insn.t array -> unit
+
+val text_fold_pages : (int -> Insn.t option array -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over every text page in ascending key order, with its key
+    ([addr asr text_page_bits]) and its slots, as {!text_page} gives
+    them.  A page shared with a fork is the same array in both spaces
+    until one of them writes it. *)
 
 val text_fold : (int -> Insn.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over every instruction, in ascending address order. *)

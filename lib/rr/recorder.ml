@@ -227,8 +227,6 @@ let continue_or_park_with ~switch r task =
 
 (* ---- syscallbuf integration ---------------------------------------- *)
 
-let cloned_path_of task = Printf.sprintf "cloned/%d" task.T.tid
-
 let has_locals task =
   A.find_region task.T.cpu.Cpu.space Layout.thread_locals_page <> None
 
@@ -237,9 +235,7 @@ let flush_buf r task =
   if has_locals task && Syscallbuf.buffer_fill task > 0 then
     Telemetry.timed tm_span_flush (fun () ->
         Telemetry.incr tm_sb_flush;
-        let records =
-          Syscallbuf.parse_all task ~cloned_path:(cloned_path_of task)
-        in
+        let records = Syscallbuf.parse_all task in
         Syscallbuf.reset task;
         emit r (E.E_buf_flush { tid = task.T.tid; records });
         let bytes =
@@ -261,7 +257,7 @@ let clone_read r k task ~fd ~len =
     | Some ({ T.obj = T.F_reg { reg; _ }; _ } as entry)
       when entry.T.pos mod Vfs.block_size = 0 ->
       let st = get_rt r task in
-      let path = cloned_path_of task in
+      let path = Syscallbuf.cloned_path task in
       let vfs = K.vfs k in
       let dst =
         match Vfs.resolve_opt vfs ("/trace/" ^ path) with

@@ -1155,6 +1155,46 @@ let get_region s : A.region =
   let shared = Codec.get_bool s in
   { A.start; len; prot; kind; shared }
 
+(* A part of a blob being encoded.  Fields go to [fields]; a large
+   payload (a frame's bytes, a text run, a task's locals) stays where it
+   lies, noted with the length [fields] had when it came, and is copied
+   only into the blob.  Nothing writes a payload while its blob is
+   encoded. *)
+type section = {
+  fields : Codec.sink;
+  mutable payloads : (int * string) list; (* newest first *)
+  mutable payload_bytes : int;
+}
+
+let section () = { fields = Codec.sink (); payloads = []; payload_bytes = 0 }
+
+(* A short payload costs less copied into [fields] than noted. *)
+let put_payload sec s =
+  if String.length s < 256 then Buffer.add_string sec.fields s
+  else begin
+    sec.payloads <- (Buffer.length sec.fields, s) :: sec.payloads;
+    sec.payload_bytes <- sec.payload_bytes + String.length s
+  end
+
+let section_length sec = Buffer.length sec.fields + sec.payload_bytes
+
+(* Copies [sec] into [dst] from [pos]; returns the position after it. *)
+let blit_section sec dst pos =
+  let pos = ref pos and from = ref 0 in
+  let fields upto =
+    Buffer.blit sec.fields !from dst !pos (upto - !from);
+    pos := !pos + upto - !from;
+    from := upto
+  in
+  List.iter
+    (fun (at, s) ->
+      fields at;
+      Bytes.blit_string s 0 dst !pos (String.length s);
+      pos := !pos + String.length s)
+    (List.rev sec.payloads);
+  fields (Buffer.length sec.fields);
+  !pos
+
 (* The page table of one blob.  An entry is a frame's flags, prot and,
    unless it is all zero, its 4096 bytes:
    - a private frame is keyed by (prot, bytes), so equal private frames
@@ -1169,8 +1209,12 @@ module Page_table = struct
   let flag_shared = 1
   let flag_zero = 2
 
+  (* [zeros.(prot)] is the entry of the all-zero private frame of
+     [prot], or -1.  A zero frame of a prot beyond the array is keyed in
+     [privates] by its bytes, which only the zero frames of that prot
+     equal. *)
   type t = {
-    zeros : (Mem.prot, int) Hashtbl.t;
+    zeros : int array;
     privates : (Mem.prot * Bytes.t, int) Hashtbl.t;
     shareds : int Mem.Identity.t;
     mutable rev_entries : (Mem.page * bool) list; (* frame, all zero *)
@@ -1178,7 +1222,7 @@ module Page_table = struct
   }
 
   let create () =
-    { zeros = Hashtbl.create 4;
+    { zeros = Array.make 8 (-1);
       privates = Hashtbl.create 64;
       shareds = Mem.Identity.create ();
       rev_entries = [];
@@ -1194,35 +1238,34 @@ module Page_table = struct
     if p.Mem.shared then
       Mem.Identity.find_or_add t.shareds p (fun () ->
           add t p ~zero:(Mem.is_zero p))
-    else if Mem.is_zero p then begin
-      match Hashtbl.find t.zeros p.Mem.prot with
-      | id -> id
-      | exception Not_found ->
-        let id = add t p ~zero:true in
-        Hashtbl.replace t.zeros p.Mem.prot id;
-        id
-    end
     else begin
-      let key = (p.Mem.prot, p.Mem.bytes) in
-      match Hashtbl.find t.privates key with
-      | id -> id
-      | exception Not_found ->
-        let id = add t p ~zero:false in
-        Hashtbl.replace t.privates key id;
-        id
+      let zero = Mem.is_zero p and prot = p.Mem.prot in
+      if zero && prot >= 0 && prot < Array.length t.zeros then begin
+        if t.zeros.(prot) < 0 then t.zeros.(prot) <- add t p ~zero;
+        t.zeros.(prot)
+      end
+      else begin
+        let key = (prot, p.Mem.bytes) in
+        match Hashtbl.find t.privates key with
+        | id -> id
+        | exception Not_found ->
+          let id = add t p ~zero in
+          Hashtbl.replace t.privates key id;
+          id
+      end
     end
 
-  let put b t =
-    let entries = List.rev t.rev_entries in
-    Codec.put_uvarint b (List.length entries);
+  let put sec t =
+    let b = sec.fields in
+    Codec.put_uvarint b t.next;
     List.iter
       (fun ((p : Mem.page), zero) ->
         Codec.put_uvarint b
           ((if p.Mem.shared then flag_shared else 0)
           lor if zero then flag_zero else 0);
         Codec.put_int b p.Mem.prot;
-        if not zero then Buffer.add_bytes b p.Mem.bytes)
-      entries
+        if not zero then put_payload sec (Bytes.unsafe_to_string p.Mem.bytes))
+      (List.rev t.rev_entries)
 
   (* [refs] starts at 0: every mapping increfs.  A zero entry maps the
      shared zero buffer, so a forged run of them costs a frame record
@@ -1249,10 +1292,53 @@ end
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
+(* A space's text section is its instruction count, then one run per
+   text page in ascending key order: the page's (address, instruction)
+   entries in address order.  A run holds absolute addresses, so its
+   bytes do not depend on the runs beside it, and the spaces of one
+   snapshot share most of their pages copy-on-write: [text_runs]
+   encodes each run once per blob, by page key and physical page. *)
+type text_run = { slots : Insn.t option array; count : int; run : string }
+
+type text_runs = {
+  by_key : (int, text_run list) Hashtbl.t;
+  scratch : Buffer.t;
+}
+
+let text_runs () = { by_key = Hashtbl.create 32; scratch = Buffer.create 4096 }
+
+let rec known_run slots = function
+  | r :: rest -> if r.slots == slots then r else known_run slots rest
+  | [] -> raise Not_found
+
+let text_run runs key slots =
+  let known =
+    match Hashtbl.find runs.by_key key with l -> l | exception Not_found -> []
+  in
+  match known_run slots known with
+  | r -> r
+  | exception Not_found ->
+    let b = runs.scratch and base = key lsl A.text_page_bits in
+    Buffer.clear b;
+    let count = ref 0 in
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | Some insn ->
+          incr count;
+          Codec.put_int b (base + i);
+          Image_codec.put_insn b insn
+        | None -> ())
+      slots;
+    let r = { slots; count = !count; run = Buffer.contents b } in
+    Hashtbl.replace runs.by_key key (r :: known);
+    r
+
 (* Mappings are (page index, entry id) in the space's own ascending
    index order, each index as its distance from the previous one: a run
    of pages costs about two bytes a page. *)
-let put_space table b (a : A.t) =
+let put_space table runs sec (a : A.t) =
+  let b = sec.fields in
   Codec.put_int b a.A.id;
   Codec.put_int b a.A.mmap_cursor;
   Codec.put_list b put_region a.A.regions;
@@ -1264,12 +1350,11 @@ let put_space table b (a : A.t) =
          Codec.put_uvarint b (Page_table.id_of table p);
          idx)
        a (-1));
-  Codec.put_uvarint b (A.text_count a);
-  A.text_fold
-    (fun addr insn () ->
-      Codec.put_int b addr;
-      Image_codec.put_insn b insn)
-    a ();
+  let text =
+    A.text_fold_pages (fun key slots acc -> text_run runs key slots :: acc) a []
+  in
+  Codec.put_uvarint b (List.fold_left (fun n r -> n + r.count) 0 text);
+  List.iter (fun r -> put_payload sec r.run) (List.rev text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.written_text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.breakpoints)
 
@@ -1389,10 +1474,11 @@ let get_sig_action s =
   let flags = Codec.get_int s in
   { Signals.disposition; mask; flags }
 
-let put_snap_proc table b sp =
+let put_snap_proc table runs sec sp =
+  let b = sec.fields in
   Codec.put_int b sp.sp_pid;
   Codec.put_int b sp.sp_parent;
-  put_space table b sp.sp_space;
+  put_space table runs sec sp.sp_space;
   Codec.put_list b Codec.put_int sp.sp_threads;
   (match sp.sp_exit with
   | None -> Codec.put_uvarint b 0
@@ -1437,7 +1523,8 @@ let get_snap_proc d s =
   { sp_pid; sp_parent; sp_space; sp_threads; sp_exit; sp_reaped; sp_cwd;
     sp_cmd; sp_children; sp_owner; sp_shared_pending; sp_sighand }
 
-let put_snap_task b sn =
+let put_snap_task sec sn =
+  let b = sec.fields in
   Codec.put_int b sn.sn_tid;
   Codec.put_int b sn.sn_pid;
   Codec.put_array b Codec.put_int sn.sn_regs;
@@ -1456,7 +1543,8 @@ let put_snap_task b sn =
   Codec.put_list b
     (fun b batch -> Codec.put_list b E.put_buf_record batch)
     sn.sn_batches;
-  Codec.put_bytes b sn.sn_locals;
+  Codec.put_uvarint b (Bytes.length sn.sn_locals);
+  put_payload sec (Bytes.unsafe_to_string sn.sn_locals);
   put_resume b sn.sn_next_resume;
   Codec.put_bool b sn.sn_in_blocked;
   Codec.put_int b sn.sn_tick_born;
@@ -1494,7 +1582,8 @@ let get_snap_task s =
     sn_last_wake; sn_pending }
 
 let encode_snapshot snap =
-  let b = Codec.sink () in
+  let head = section () in
+  let b = head.fields in
   Codec.put_uvarint b snapshot_codec_version;
   Codec.put_uvarint b snap.snap_idx;
   Codec.put_uvarint b snap.snap_events_applied;
@@ -1512,15 +1601,20 @@ let encode_snapshot snap =
       Codec.put_string b path;
       Image_codec.put_image b img)
     snap.snap_installed;
-  (* Two phases: assign entry ids while encoding the procs into a side
-     buffer, then emit the page table first so decoding is one pass. *)
-  let table = Page_table.create () in
-  let procs_b = Codec.sink () in
-  Codec.put_list procs_b (put_snap_proc table) snap.snap_procs;
-  Page_table.put b table;
-  Buffer.add_buffer b procs_b;
-  Codec.put_list b put_snap_task snap.snap_tasks;
-  Buffer.contents b
+  (* Entry ids are assigned while the procs are encoded, and the page
+     table goes first so that decoding is one pass: it ends [head], the
+     procs and tasks make [body], and the blob is assembled once, at
+     its final length. *)
+  let table = Page_table.create () and runs = text_runs () in
+  let body = section () in
+  Codec.put_uvarint body.fields (List.length snap.snap_procs);
+  List.iter (put_snap_proc table runs body) snap.snap_procs;
+  Codec.put_uvarint body.fields (List.length snap.snap_tasks);
+  List.iter (put_snap_task body) snap.snap_tasks;
+  Page_table.put head table;
+  let blob = Bytes.create (section_length head + section_length body) in
+  ignore (blit_section body blob (blit_section head blob 0));
+  Bytes.unsafe_to_string blob
 
 let decode_snapshot (blob : Codec.slice) =
   let s = Codec.source ~pos:blob.pos ~len:blob.len blob.str in

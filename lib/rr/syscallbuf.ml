@@ -100,9 +100,12 @@ let write_record task buf ~off br =
   | None -> ());
   !cur - off
 
-(* [cloned_path] supplies the per-task trace path for clone records (the
-   guest buffer doesn't store paths). *)
-let read_record task buf ~off ~cloned_path =
+(* The task's cloned-data trace file (§3.9).  The guest buffer stores
+   no paths, so a clone record gets its task's; only clone records
+   build the string. *)
+let cloned_path task = Printf.sprintf "cloned/%d" task.T.tid
+
+let read_record task buf ~off =
   let sp = space task in
   let br_nr = A.read_u64 ~force:true sp (buf + off) in
   let br_result = A.read_u64 ~force:true sp (buf + off + 8) in
@@ -123,7 +126,7 @@ let read_record task buf ~off ~cloned_path =
       let cr_addr = A.read_u64 ~force:true sp (buf + !cur + 8) in
       let cr_len = A.read_u64 ~force:true sp (buf + !cur + 16) in
       cur := !cur + 24;
-      Some { Event.cr_path = cloned_path; cr_off; cr_addr; cr_len }
+      Some { Event.cr_path = cloned_path task; cr_off; cr_addr; cr_len }
     end
     else None
   in
@@ -135,7 +138,7 @@ let read_record task buf ~off ~cloned_path =
     !cur - off )
 
 (* Parse all records currently in the buffer (the recorder's flush). *)
-let parse_all task ~cloned_path =
+let parse_all task =
   let buf = read_tl task Layout.tl_buf_ptr in
   if buf = 0 then []
   else begin
@@ -143,9 +146,7 @@ let parse_all task ~cloned_path =
     let rec go off acc =
       if off >= fill then List.rev acc
       else
-        let r, sz =
-          read_record task buf ~off:(Layout.sb_hdr_size + off) ~cloned_path
-        in
+        let r, sz = read_record task buf ~off:(Layout.sb_hdr_size + off) in
         go (off + sz) (r :: acc)
     in
     go 0 []
@@ -405,11 +406,7 @@ let hook ?(wide = true) mode k task =
                  task.T.tid (Sysno.name nr))
         end
       in
-      let br, sz =
-        read_record task buf
-          ~off:(Layout.sb_hdr_size + cursor)
-          ~cloned_path:(Printf.sprintf "cloned/%d" task.T.tid)
-      in
+      let br, sz = read_record task buf ~off:(Layout.sb_hdr_size + cursor) in
       write_hdr task buf Layout.sb_read_cursor (cursor + sz);
       if br.Event.br_nr <> nr then
         failwith

@@ -83,10 +83,14 @@ val reg_of_rdrand_hook : int -> int
     refill)} *)
 
 val buffer_fill : Task.t -> int
-val parse_all : Task.t -> cloned_path:string -> Event.buf_record list
+val parse_all : Task.t -> Event.buf_record list
 val reset : Task.t -> unit
 val load_records : Task.t -> Event.buf_record list -> unit
 val append_record : Task.t -> Event.buf_record -> unit
+
+val cloned_path : Task.t -> string
+(** The task's cloned-data trace file, [cloned/TID] (§3.9): the path of
+    its clone records. *)
 
 (** {2 Thread-locals swapping (paper §3.6)} *)
 

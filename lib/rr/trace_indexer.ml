@@ -12,6 +12,7 @@ module A = Addr_space
 
 let tm_build = Telemetry.counter "index.build"
 let tm_build_span = Telemetry.span "index.build_time"
+let tm_encoded_bytes = Telemetry.counter "index.encoded_bytes"
 
 (* Cap the durable-checkpoint count by default: each blob stands alone,
    so it repeats every distinct non-zero page of every live process (no
@@ -33,8 +34,12 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
       let b = Trace_index.builder ~clock0:(K.now (Replayer.kernel r)) in
       let checkpoint () =
         let frame = Replayer.cursor_index r in
-        Trace_index.note_checkpoint b ~frame
-          ~blob:(Replayer.encode_snapshot (Replayer.snapshot r))
+        let snap = Replayer.snapshot r in
+        let blob =
+          Timeline.scope "index.encode" (fun () -> Replayer.encode_snapshot snap)
+        in
+        Telemetry.add tm_encoded_bytes (String.length blob);
+        Trace_index.note_checkpoint b ~frame ~blob
       in
       let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       Timeline.set_virtual_clock (fun () -> K.now (Replayer.kernel r));

@@ -4,7 +4,9 @@
     blobs ({!Replayer.encode_snapshot}) every [checkpoint_every] frames
     and at both ends of the trace.
 
-    Telemetry: counts [index.build], times [index.build_time]. *)
+    Telemetry: counts [index.build], times [index.build_time], and
+    counts the blobs' bytes in [index.encoded_bytes]; each encode is a
+    [index.encode] timeline scope. *)
 
 val build_and_attach :
   ?opts:Replayer.opts -> ?checkpoint_every:int -> Trace.t -> Trace_index.t

@@ -9,18 +9,12 @@ let sink () = Buffer.create 4096
 let zigzag v = (v lsl 1) lxor (v asr 62)
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-let put_uvarint b v =
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char b (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char b (Char.chr (byte lor 0x80))
-  done
+let rec put_uvarint b v =
+  if v land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_uvarint b (v lsr 7)
+  end
 
 let put_int b v = put_uvarint b (zigzag v)
 
@@ -37,7 +31,9 @@ let put_string b s =
   put_uvarint b (String.length s);
   Buffer.add_string b s
 
-let put_bytes b s = put_string b (Bytes.to_string s)
+let put_bytes b s =
+  put_uvarint b (Bytes.length s);
+  Buffer.add_bytes b s
 
 let put_list b f xs =
   put_uvarint b (List.length xs);
@@ -117,7 +113,9 @@ let rest s =
   s.pos <- s.limit;
   out
 
-let get_bytes s = Bytes.of_string (get_string s)
+let get_bytes s =
+  let { str; pos; len } = get_slice s in
+  Bytes.sub (Bytes.unsafe_of_string str) pos len
 
 (* Every element takes at least one byte, so a count beyond the bytes
    left is refused before anything of that size is allocated. *)

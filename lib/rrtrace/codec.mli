@@ -67,6 +67,7 @@ val rest : source -> slice
 (** The bytes left, where they lie; the source is then at its end. *)
 
 val get_bytes : source -> bytes
+(** A length-prefixed string as fresh bytes: one copy of the payload. *)
 
 val get_count : source -> int
 (** A declared element count.  Raises {!Corrupt} when it exceeds the

@@ -43,7 +43,7 @@ let sample_records =
 let test_guest_record_roundtrip () =
   let _, t = make_buf_task () in
   List.iter Syscallbuf.(append_record t) sample_records;
-  let parsed = Syscallbuf.parse_all t ~cloned_path:"cloned/100" in
+  let parsed = Syscallbuf.parse_all t in
   Alcotest.(check int) "count" (List.length sample_records)
     (List.length parsed);
   List.iter2
@@ -58,7 +58,7 @@ let test_load_records_replay_layout () =
   Syscallbuf.load_records t sample_records;
   (* load resets the read cursor and sets fill to the serialized size *)
   Alcotest.(check bool) "fill > 0" true (Syscallbuf.buffer_fill t > 0);
-  let parsed = Syscallbuf.parse_all t ~cloned_path:"cloned/100" in
+  let parsed = Syscallbuf.parse_all t in
   Alcotest.(check bool) "same records" true (parsed = sample_records)
 
 let qcheck_guest_record_roundtrip =
@@ -82,7 +82,7 @@ let qcheck_guest_record_roundtrip =
     (QCheck.make gen) (fun record ->
       let _, t = make_buf_task () in
       Syscallbuf.append_record t record;
-      Syscallbuf.parse_all t ~cloned_path:"" = [ record ])
+      Syscallbuf.parse_all t = [ record ])
 
 let test_reset_clears () =
   let _, t = make_buf_task () in
@@ -91,7 +91,7 @@ let test_reset_clears () =
   Alcotest.(check int) "empty after reset" 0 (Syscallbuf.buffer_fill t);
   Alcotest.(check (list reject)) "no records"
     []
-    (List.map (fun _ -> ()) (Syscallbuf.parse_all t ~cloned_path:""))
+    (List.map (fun _ -> ()) (Syscallbuf.parse_all t))
 
 (* Patchability (paper §3.1). *)
 let test_patchable_rules () =

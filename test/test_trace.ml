@@ -180,6 +180,16 @@ let test_stored_bytes_tripwire () =
 
 let crc_and_length s = (Crc32.string s, String.length s)
 
+(* Words allocated since the program started: minor + major − promoted,
+   after a minor collection.  The count does not depend on the heap's
+   size or on timing. *)
+let words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let word_bytes = float_of_int (Sys.word_size / 8)
+
 (* A file's CRC-32 and length, and its MD5.  Every record of a trace
    file or manifest ends with the CRC-32 of its own payload, and CRC-32
    is linear: a message followed by its CRC-32 leaves the register in a
@@ -307,12 +317,6 @@ let test_saved_files_tripwire () =
    each indexed seed-1 trace, mostly checkpoint blobs, allocates and
    keeps little more than the file.  Words are counted, not time. *)
 let test_cold_open_holds_the_file_once () =
-  let word_bytes = float_of_int (Sys.word_size / 8) in
-  let words () =
-    Gc.minor ();
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
   let opened t =
     let path = Filename.temp_file "rr_open" ".trace" in
     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -366,6 +370,67 @@ let test_checkpoint_bytes_tripwire () =
         (name, (Crc32.string all, String.length all)))
     (Lazy.force seed1_checkpoints) checkpoint_bytes_expected
 
+(* A blob holds each space's text as per-page runs encoded once per
+   blob, and decoded spaces share text and frames differently from live
+   ones: each decoded checkpoint must encode to the bytes it came from. *)
+let test_decoded_checkpoints_reencode () =
+  List.iter
+    (fun (name, blobs) ->
+      Array.iteri
+        (fun i blob ->
+          let again =
+            Replayer.encode_snapshot (Replayer.decode_snapshot (Codec.whole blob))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s checkpoint %d re-encodes to its bytes" name i)
+            true (String.equal again blob))
+        blobs)
+    (Lazy.force seed1_checkpoints)
+
+(* Encoding a checkpoint allocates about its blob: the text of each page
+   is encoded once per blob, frames and locals are copied only into the
+   blob, and the blob is assembled once at its final length.  Seed-1
+   serve is replayed to each frame its index holds a checkpoint for; the
+   live snapshot there must encode to the stored blob, and the encodes
+   together may allocate at most [c] times the blobs' words plus [k]
+   words: [k] covers each encode's three 4 KB working buffers.  An
+   encoder that grows one buffer by doubling and copies the blob out of
+   it allocates over 4 times the blobs' words. *)
+let test_encoding_allocates_about_the_blobs () =
+  let c = 1.5 and k = 32_768. in
+  let t = List.assoc "serve" (Lazy.force seed1_traces) in
+  let blobs = List.assoc "serve" (Lazy.force seed1_checkpoints) in
+  let frames =
+    match Trace.index t with
+    | Some ix -> Array.map fst (Trace_index.checkpoints ix)
+    | None -> Alcotest.fail "serve carries no index"
+  in
+  let r = Replayer.start t in
+  let alloc = ref 0. in
+  Array.iteri
+    (fun i frame ->
+      while Replayer.cursor_index r < frame do
+        ignore (Replayer.step r)
+      done;
+      let snap = Replayer.snapshot r in
+      let before = words () in
+      let blob = Replayer.encode_snapshot snap in
+      alloc := !alloc +. (words () -. before);
+      Alcotest.(check bool)
+        (Printf.sprintf "checkpoint %d encodes to the stored blob" i)
+        true (String.equal blob blobs.(i)))
+    frames;
+  let blob_words =
+    Array.fold_left (fun n b -> n + String.length b) 0 blobs
+    |> float_of_int
+    |> fun n -> n /. word_bytes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %.0f blob words (%.2fx), <= %.2fx + %.0f"
+       !alloc blob_words (!alloc /. blob_words) c k)
+    true
+    (!alloc <= (c *. blob_words) +. k)
+
 let test_codec_varint () =
   let b = Codec.sink () in
   let values = [ 0; 1; -1; 127; 128; -300; max_int; min_int + 1; 42 ] in
@@ -384,6 +449,24 @@ let test_codec_string_list () =
     "list roundtrip"
     [ "a"; ""; "xyz"; String.make 500 'q' ]
     (Codec.get_list s Codec.get_string)
+
+(* [get_bytes] copies its payload once: at most the payload's words and
+   a few more. *)
+let test_codec_get_bytes_copies_once () =
+  let payload = Bytes.init 65_536 (fun i -> Char.chr (i land 0xff)) in
+  let b = Codec.sink () in
+  Codec.put_bytes b payload;
+  let s = Codec.source (Buffer.contents b) in
+  let before = words () in
+  let got = Codec.get_bytes s in
+  let alloc = words () -. before in
+  Alcotest.(check bool) "payload read back" true (Bytes.equal got payload);
+  let payload_words = float_of_int (Bytes.length payload) /. word_bytes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for a %.0f-word payload, <= +64" alloc
+       payload_words)
+    true
+    (alloc <= payload_words +. 64.)
 
 let qcheck_codec_int_roundtrip =
   QCheck.Test.make ~name:"codec int roundtrip" ~count:500 QCheck.int (fun v ->
@@ -868,6 +951,10 @@ let suites =
           test_stored_bytes_tripwire;
         Alcotest.test_case "checkpoint bytes tripwire" `Quick
           test_checkpoint_bytes_tripwire;
+        Alcotest.test_case "decoded checkpoints re-encode to their bytes"
+          `Quick test_decoded_checkpoints_reencode;
+        Alcotest.test_case "encoding allocates about the blobs" `Quick
+          test_encoding_allocates_about_the_blobs;
         Alcotest.test_case "saved files tripwire" `Quick
           test_saved_files_tripwire;
         Alcotest.test_case "a cold open holds the file once" `Quick
@@ -879,6 +966,8 @@ let suites =
     ( "trace.codec",
       [ Alcotest.test_case "varint" `Quick test_codec_varint;
         Alcotest.test_case "string list" `Quick test_codec_string_list;
+        Alcotest.test_case "get_bytes copies its payload once" `Quick
+          test_codec_get_bytes_copies_once;
         QCheck_alcotest.to_alcotest qcheck_codec_int_roundtrip ] );
     ( "trace.bitio",
       [ Alcotest.test_case "roundtrip" `Quick test_bitio_roundtrip ] );
