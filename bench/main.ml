@@ -699,12 +699,11 @@ let serve_bench ~smoke () =
       ~params:{ Wl_serve.default with Wl_serve.conns; requests }
       ()
   in
-  let ct = Conn_track.create () in
   let (trace, stats, _k), record_s =
     host_time (fun () ->
-        Recorder.record ~on_event:(Conn_track.observe ct)
-          ~setup:w.Workload.setup ~exe:w.Workload.exe ())
+        Recorder.record ~setup:w.Workload.setup ~exe:w.Workload.exe ())
   in
+  let ct = Conn_track.derive trace in
   if stats.Recorder.exit_status <> Some 0 then
     fail "serve exited %a" Fmt.(Dump.option int) stats.Recorder.exit_status;
   let served = Conn_track.requests ct in

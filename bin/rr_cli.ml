@@ -763,16 +763,13 @@ let pp_shard_table shards =
         s.Shard.si_own_frames s.Shard.si_new_bytes s.Shard.si_shared_bytes)
     shards
 
-(* Record the serve workload with the connection tracker attached: the
-   only record path that tags frames live. *)
+(* Record the serve workload, then tag its frames by connection. *)
 let record_serve ~params opts =
   let w = Wl_serve.make ~params () in
-  let ct = Conn_track.create () in
   let trace, stats, _k =
-    Recorder.record ~opts ~on_event:(Conn_track.observe ct)
-      ~setup:w.Workload.setup ~exe:w.Workload.exe ()
+    Recorder.record ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe ()
   in
-  (trace, stats, ct)
+  (trace, stats, Conn_track.derive trace)
 
 let shard_repo_arg =
   Arg.(

@@ -38,8 +38,10 @@
    about 90 pages, and all but 134 hit the page of the lookup before;
    storm's spaces hit about half the time (DESIGN.md §6 has the
    timings).  [writable_page] is the one gate for data writes: it
-   breaks COW sharing and then gives a frame that still maps {!Mem}'s
-   shared zero buffer its own bytes.
+   breaks COW sharing and then gives a frame that still borrows its
+   bytes (from {!Mem}'s zero buffer or a checkpoint blob) its own copy.
+   Every byte of a frame is read and written through {!Mem}, which adds
+   the frame's offset into its buffer.
 
    [written_text] remembers addresses written at run time ([Emit]): the
    replayer must not set software breakpoints there and falls back to the
@@ -363,7 +365,7 @@ let readable_page t addr ~force =
 
 (* A page about to be written: enforce protection (unless [force], the
    kernel/supervisor path), break COW sharing, and give a frame that
-   still maps the shared zero buffer its own bytes. *)
+   still borrows its bytes its own copy. *)
 let writable_page t addr ~force =
   let i = get_slot t addr Write in
   let p = t.pages.frames.(i) in
@@ -403,9 +405,7 @@ let write_u8 ?(force = false) t addr v =
 
 let read_u64 ?(force = false) t addr =
   let off = Mem.page_offset addr in
-  if off <= Mem.page_size - 8 then
-    let p = readable_page t addr ~force in
-    Int64.to_int (Bytes.get_int64_le p.Mem.bytes off)
+  if off <= Mem.page_size - 8 then Mem.get_u64 (readable_page t addr ~force) off
   else begin
     let v = ref 0L in
     for i = 7 downto 0 do
@@ -419,9 +419,7 @@ let read_u64 ?(force = false) t addr =
 let write_u64 ?(force = false) t addr v =
   observe_write t ~addr ~len:8;
   let off = Mem.page_offset addr in
-  if off <= Mem.page_size - 8 then
-    let p = writable_page t addr ~force in
-    Bytes.set_int64_le p.Mem.bytes off (Int64.of_int v)
+  if off <= Mem.page_size - 8 then Mem.set_u64 (writable_page t addr ~force) off v
   else
     for i = 0 to 7 do
       write_u8 ~force t (addr + i) ((v lsr (8 * i)) land 0xff)
@@ -434,24 +432,26 @@ let read_bytes ?(force = false) t addr len =
     let a = addr + !i in
     let off = Mem.page_offset a in
     let chunk = min (len - !i) (Mem.page_size - off) in
-    let p = readable_page t a ~force in
-    Bytes.blit p.Mem.bytes off out !i chunk;
+    Mem.blit_out (readable_page t a ~force) off out !i chunk;
     i := !i + chunk
   done;
   out
 
-let write_bytes ?(force = false) t addr b =
-  let len = Bytes.length b in
+let write_sub ?(force = false) t addr s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Addr_space.write_sub";
   if len > 0 then observe_write t ~addr ~len;
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
     let off = Mem.page_offset a in
     let chunk = min (len - !i) (Mem.page_size - off) in
-    let p = writable_page t a ~force in
-    Bytes.blit b !i p.Mem.bytes off chunk;
+    Mem.blit_in s (pos + !i) (writable_page t a ~force) off chunk;
     i := !i + chunk
   done
+
+let write_bytes ?force t addr b =
+  write_sub ?force t addr (Bytes.unsafe_to_string b) 0 (Bytes.length b)
 
 (* Text (code) accessors. *)
 

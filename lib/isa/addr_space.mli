@@ -94,8 +94,11 @@ val read_u64 : ?force:bool -> t -> int -> int
 val write_u64 : ?force:bool -> t -> int -> int -> unit
 val read_bytes : ?force:bool -> t -> int -> int -> bytes
 val write_bytes : ?force:bool -> t -> int -> bytes -> unit
+val write_sub : ?force:bool -> t -> int -> string -> int -> int -> unit
 (** Data accessors.  [force] bypasses protection checks (kernel and
-    supervisor accesses).  All raise {!Segv} on unmapped addresses. *)
+    supervisor accesses).  All raise {!Segv} on unmapped addresses.
+    [write_sub t addr s pos len] writes the [len] bytes of [s] from
+    [pos], and raises [Invalid_argument] if they are not within [s]. *)
 
 val loaded_insns : int ref
 (** Global count of instructions loaded by [text_load] (program images),

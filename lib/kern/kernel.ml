@@ -26,6 +26,7 @@ type scan = {
   mutable n_live : int;
   mutable n_sleeping : int; (* live tasks blocked in W_sleep *)
   mutable next_wake : int; (* their earliest deadline *)
+  mutable members : T.t array; (* [baseline_pick]'s scratch *)
 }
 
 type t = {
@@ -84,7 +85,7 @@ let create ?(cost = Cost.default) ~seed () =
     deaths = 0;
     scan =
       { runnable = [||]; n_runnable = 0; n_live = 0; n_sleeping = 0;
-        next_wake = 0 } }
+        next_wake = 0; members = [||] } }
 
 let charge k units = k.clock <- k.clock + units
 
@@ -1617,38 +1618,60 @@ let baseline_core s ~core_clock =
   done;
   !best
 
-let in_class t ~core ~prio = runs_on t core && t.T.priority = prio
-
-(* How many tasks of the class have a smaller tid than [tid]. *)
-let rank_in_class s ~core ~prio tid =
-  let r = ref 0 in
-  for i = 0 to s.n_runnable - 1 do
-    let u = s.runnable.(i) in
-    if u.T.tid < tid && in_class u ~core ~prio then incr r
+(* The task with the [rank]-th smallest tid among slots [0, n) of [a],
+   whose tids are distinct, by Hoare's selection: each round partitions
+   the slots still in play around the middle one's tid, in place, and
+   keeps the side holding [rank]. *)
+let select_by_tid a n rank =
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2).T.tid in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i).T.tid < pivot do incr i done;
+      while a.(!j).T.tid > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    (* Slots up to [j] hold smaller tids than slots from [i]; one slot
+       between them holds the pivot. *)
+    if rank <= !j then hi := !j
+    else if rank >= !i then lo := !i
+    else begin
+      lo := rank;
+      hi := rank
+    end
   done;
-  !r
-
-let rec class_member s ~core ~prio ~rank i =
-  let t = s.runnable.(i) in
-  if in_class t ~core ~prio && rank_in_class s ~core ~prio t.T.tid = rank then t
-  else class_member s ~core ~prio ~rank (i + 1)
+  a.(rank)
 
 (* The task [run_baseline] runs on [core]: strict priorities (lowest
    value first), then round-robin over the best class in ascending tid
-   order, taking its [cursor mod size]-th task.  Requires
-   [baseline_core] to have chosen [core]. *)
+   order, taking its [cursor mod size]-th task.  One pass gathers the
+   best class seen so far into [s.members], then a selection finds the
+   rank, so a pick is linear in the runnable tasks and allocates nothing
+   once the scratch array has grown.  Requires [baseline_core] to have
+   chosen [core]. *)
 let baseline_pick s ~core ~cursor =
+  if Array.length s.members < s.n_runnable then
+    s.members <- Array.make (Array.length s.runnable) s.runnable.(0);
   let prio = ref max_int and size = ref 0 in
   for i = 0 to s.n_runnable - 1 do
     let t = s.runnable.(i) in
-    if runs_on t core then
+    if runs_on t core && t.T.priority <= !prio then begin
       if t.T.priority < !prio then begin
         prio := t.T.priority;
-        size := 1
-      end
-      else if t.T.priority = !prio then incr size
+        size := 0
+      end;
+      s.members.(!size) <- t;
+      incr size
+    end
   done;
-  class_member s ~core ~prio:!prio ~rank:(cursor mod !size) 0
+  select_by_tid s.members !size (cursor mod !size)
 
 let next_stopped k =
   let rec pop () =

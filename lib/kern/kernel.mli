@@ -20,6 +20,7 @@ type scan = private {
   mutable n_live : int;
   mutable n_sleeping : int; (* live tasks blocked in W_sleep *)
   mutable next_wake : int; (* their earliest deadline *)
+  mutable members : T.t array; (* [baseline_pick]'s scratch *)
 }
 
 type t = {
@@ -191,6 +192,8 @@ val baseline_core : scan -> core_clock:int array -> int
 val baseline_pick : scan -> core:int -> cursor:int -> T.t
 (** The task {!run_baseline} runs on [core]: lowest priority value
     first, then the [cursor mod n]-th of that class's [n] tasks in
-    ascending tid order.  Requires a task [core] may run. *)
+    ascending tid order.  Linear in the runnable tasks; reorders the
+    scan's scratch array, not [runnable].  Requires a task [core] may
+    run. *)
 
 exception Efault

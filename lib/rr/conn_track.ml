@@ -1,8 +1,7 @@
 (* Connection tracking over the recorded event stream (DESIGN.md §4k).
 
-   Pure observation: the tracker folds over frames (live, via the
-   recorder's on_event hook, or offline over a loaded trace) and
-   assigns each frame to the connection owning its task.  All
+   Pure observation: the tracker folds over the frames of a recorded
+   trace and assigns each frame to the connection owning its task.  All
    connection-key derivation — reading datagram source ports out of
    recvfrom frames — lives here and nowhere else (check_format.sh). *)
 

@@ -9,10 +9,8 @@
 
     This module is the only place connection keys are derived (a
     check_format.sh rule confines the datagram source-port parsing
-    here).  The derivation is observational: it reads the recorded
-    frames, never the live kernel, so the same tags come out of a live
-    [on_event] observer at record time and an offline {!derive} pass
-    over a loaded trace.
+    here).  The derivation is observational: {!derive} reads the
+    recorded frames of a finished trace, never the live kernel.
 
     Ownership rules:
     - A task starts with no connection (control: tag 0).
@@ -49,8 +47,7 @@ type info = {
 val create : unit -> t
 
 val observe : t -> Event.t -> unit
-(** Feed one frame, in trace order.  Suitable as a recorder
-    [?on_event] observer or an offline pass. *)
+(** Feed one frame, in trace order. *)
 
 val tags : t -> int array
 (** One tag per observed frame: 0 = control, otherwise a connection

@@ -94,7 +94,7 @@ let with_sink opts sink = { opts with sink }
 
 type per_task = {
   mutable slot : int;
-  mutable saved_locals : bytes;
+  mutable saved_locals : Codec.slice;
   mutable scratch : int;
   mutable orig_args : int array; (* entry args before scratch rewriting *)
   mutable scratch_redirect : (int * int) option; (* orig addr, arg idx *)
@@ -112,7 +112,6 @@ type t = {
   sched : Rec_sched.t;
   opts : opts;
   rts : (int, per_task) Hashtbl.t;
-  on_event : E.t -> unit; (* live frame observer (Conn_track et al.) *)
   locals_owner : (int, int) Hashtbl.t; (* space id -> tid owning the page *)
   known_dead : (int, unit) Hashtbl.t;
   mutable deaths_seen : int; (* [k.deaths] at the last death scan *)
@@ -159,7 +158,7 @@ let get_rt r task =
   | None ->
     let st =
       { slot = r.next_slot;
-        saved_locals = Bytes.create 0;
+        saved_locals = Codec.whole "";
         scratch = 0;
         orig_args = [||];
         scratch_redirect = None;
@@ -195,7 +194,6 @@ let emit r e =
   Telemetry.incr tm_frames;
   r.events <- r.events + 1;
   if r.events > r.opts.max_events then fail "event limit exceeded";
-  r.on_event e;
   let sz = Trace.Writer.event r.w e in
   K.charge r.k (r.k.K.cost.Cost.record_event + Cost.record_bytes r.k.K.cost sz)
 
@@ -394,7 +392,7 @@ let switch_locals r task =
         ost.saved_locals <- Syscallbuf.save_locals otask
       | _, _ -> ());
       let st = get_rt r task in
-      if Bytes.length st.saved_locals > 0 then
+      if st.saved_locals.Codec.len > 0 then
         Syscallbuf.restore_locals task st.saved_locals;
       Hashtbl.replace r.locals_owner sid task.T.tid
     | None -> Hashtbl.replace r.locals_owner sid task.T.tid
@@ -1058,8 +1056,8 @@ let resolve_sink opts =
   | Sink_ring r -> Some (Trace.ring_sink r)
   | Sink_repo (repo, name) -> Some (Repo.sink repo ~name)
 
-let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
-    ?(on_event = fun (_ : E.t) -> ()) ~setup ~exe () =
+let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
+    () =
   let k = K.create ~seed:opts.seed () in
   let tm_base = Telemetry.snapshot () in
   (* Spans and scopes measure virtual ns against this recording's cost
@@ -1094,7 +1092,6 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
               ~chaos:opts.chaos ~seed:(opts.seed * 7919) ();
           opts;
           rts = Hashtbl.create 16;
-          on_event;
           locals_owner = Hashtbl.create 8;
           known_dead = Hashtbl.create 16;
           deaths_seen = 0;
@@ -1117,14 +1114,25 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
             task.T.cpu.Cpu.regs.(reg) <- value;
             emit r (E.E_insn_trap { tid = task.T.tid; reg; value }))
       done;
-      if opts.intercept then
-        K.set_hook k Syscallbuf.hook_number
-          (Syscallbuf.hook ~wide:opts.wide
-             (Syscallbuf.Record
-                { clone_read = clone_read r;
-                  extra_writes =
-                    (fun _k task ~nr ~args ~result ->
-                      fd_bitmap_writes r task ~nr ~args ~result) }));
+      (* A buffered call whose copy-out faults (an output range the
+         guest did not map) fails the recording with a typed error
+         naming the call, not a bare [Segv]. *)
+      if opts.intercept then begin
+        let hook =
+          Syscallbuf.hook ~wide:opts.wide
+            (Syscallbuf.Record
+               { clone_read = clone_read r;
+                 extra_writes =
+                   (fun _k task ~nr ~args ~result ->
+                     fd_bitmap_writes r task ~nr ~args ~result) })
+        in
+        K.set_hook k Syscallbuf.hook_number (fun k task ->
+            let nr = task.T.cpu.Cpu.regs.(0) in
+            try hook k task
+            with A.Segv { addr; _ } ->
+              fail "buffered %s (task %d) faulted at address %#x" (Sysno.name nr)
+                task.T.tid addr)
+      end;
       (* Spawning the root task charges the exec cost model (image load
          plus the initial exec stop) — time it so the attribution ledger
          sees it. *)
@@ -1191,7 +1199,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
       telemetry = Telemetry.since tm_base },
     k )
 
-let run ?opts ?on_stop ?on_event ~setup ~exe () =
-  match record ?opts ?on_stop ?on_event ~setup ~exe () with
+let run ?opts ?on_stop ~setup ~exe () =
+  match record ?opts ?on_stop ~setup ~exe () with
   | v -> Ok v
   | exception Record_error e -> Error e

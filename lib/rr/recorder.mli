@@ -107,7 +107,6 @@ type stats = {
 val record :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
-  ?on_event:(Event.t -> unit) ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->
@@ -116,15 +115,13 @@ val record :
     filters, and optionally spawn {e untraced} helper processes), spawn
     [exe] under supervision, and record it to completion.  [on_stop] is
     invoked after every handled ptrace stop (used for PSS sampling).
-    [on_event] observes every frame as it is emitted, before it reaches
-    the trace writer — the live half of {!Conn_track}; it must not
-    raise.  [opts.sink] selects where the trace streams while recording
+    [opts.sink] selects where the trace streams while recording
     (see {!Trace.Writer.create}).  Returns the trace, recording
     statistics, and the final kernel.
 
     Raises {!Record_error} on unsupported syscalls (§2.3.6 — the model
-    must be extended), recording deadlock, the event-count guard
-    ([Rec_failure]), or a trace-store/journal failure ([Rec_trace]).
+    must be extended), recording deadlock, the event-count guard, a
+    buffered syscall whose copy-out faults ([Rec_failure]), or a trace-store/journal failure ([Rec_trace]).
     On any failure the writer is aborted first: the sink is closed, so
     a journaling recorder that dies never leaks its journal fd (the
     salvageable prefix stays on disk). *)
@@ -132,7 +129,6 @@ val record :
 val run :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
-  ?on_event:(Event.t -> unit) ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->

@@ -47,7 +47,8 @@ let make_opts ?(seed = default_opts.seed) ?(check_regs = default_opts.check_regs
 
 type per_task = {
   batches : E.buf_record list Queue.t;
-  mutable saved_locals : bytes;
+  mutable saved_locals : Codec.slice;
+  mutable regs_copy : int array; (* the registers the last snapshot took *)
   mutable next_resume : T.resume_how;
   mutable in_blocked_syscall : bool;
       (* parked at a syscall site whose recording blocked in the kernel *)
@@ -69,6 +70,8 @@ type t = {
   mutable root_tid : int;
   mutable installed : (string * Image.t) list; (* exe path -> image *)
   mutable forks : (int, fork) Hashtbl.t; (* space id -> last fork *)
+  mutable sighands : (int * Signals.action array) list;
+      (* pid, the handler table the last snapshot took *)
   tm_base : Telemetry.snapshot; (* registry state at session start *)
 }
 
@@ -100,7 +103,8 @@ let get_rt r tid =
   | None ->
     let st =
       { batches = Queue.create ();
-        saved_locals = Bytes.create 0;
+        saved_locals = Codec.whole "";
+        regs_copy = [||];
         next_resume = T.R_cont;
         in_blocked_syscall = false }
     in
@@ -127,8 +131,8 @@ let regs_equal (a : E.regs) (b : E.regs) = a = b
 let apply_writes task writes =
   List.iter
     (fun w ->
-      A.write_bytes ~force:true task.T.cpu.Cpu.space w.E.addr
-        (Bytes.of_string w.E.data))
+      A.write_sub ~force:true task.T.cpu.Cpu.space w.E.addr w.E.data 0
+        (String.length w.E.data))
     writes
 
 let check_pc r task expected what =
@@ -152,7 +156,7 @@ let switch_locals r t =
         ost.saved_locals <- Syscallbuf.save_locals otask
       | _, _ -> ());
       let st = get_rt r t.T.tid in
-      if Bytes.length st.saved_locals > 0 then
+      if st.saved_locals.Codec.len > 0 then
         Syscallbuf.restore_locals t st.saved_locals;
       Hashtbl.replace r.locals_owner sid t.T.tid
     | None -> Hashtbl.replace r.locals_owner sid t.T.tid
@@ -504,11 +508,10 @@ let on_mmap r ~tid ~addr ~len ~prot ~shared ~source ~regs_after =
   (match source with
   | E.Src_zero -> ()
   | E.Src_trace_file path ->
-    A.write_bytes ~force:true sp addr
-      (Bytes.unsafe_of_string (Trace.file_sub r.trace path ~off:0 ~len))
+    let data = Trace.file_sub r.trace path ~off:0 ~len in
+    A.write_sub ~force:true sp addr data 0 (String.length data)
   | E.Src_inline data ->
-    A.write_bytes ~force:true sp addr
-      (Bytes.of_string (String.sub data 0 (min (String.length data) len))));
+    A.write_sub ~force:true sp addr data 0 (min (String.length data) len));
   apply_regs t regs_after
 
 let on_signal r ~tid ~signo ~point ~disposition =
@@ -519,8 +522,8 @@ let on_signal r ~tid ~signo ~point ~disposition =
   | E.Sr_handler { frame_addr; frame_data; regs_after; mask_after } ->
     (* §2.3.9: no real signal is delivered; write the recorded frame and
        registers. *)
-    A.write_bytes ~force:true t.T.cpu.Cpu.space frame_addr
-      (Bytes.of_string frame_data);
+    A.write_sub ~force:true t.T.cpu.Cpu.space frame_addr frame_data 0
+      (String.length frame_data);
     apply_regs t regs_after;
     t.T.sigmask <- mask_after;
     t.T.sig_frames <- frame_addr :: t.T.sig_frames
@@ -646,6 +649,7 @@ let start ?(opts = default_opts) trace =
       root_tid = 0;
       installed = [];
       forks = Hashtbl.create 16;
+      sighands = [];
       tm_base = Telemetry.snapshot () }
   in
   install_hook r k;
@@ -715,10 +719,40 @@ let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
    always forks again, with the others of its snapshot, so they alias
    one copy of each shared frame.  Snapshot spaces are never written
    (a restore forks them), so one fork serves every snapshot that
-   reuses it. *)
+   reuses it.  Likewise a process's handler table and a task's
+   registers are copied only when a slot has changed since the last
+   snapshot took them ([r.sighands], [regs_copy]); a restore, which
+   only reads them, seeds both with its snapshot's. *)
 
 let maps_shared (a : A.t) =
   List.exists (fun (g : A.region) -> g.A.shared) (A.regions a)
+
+(* The handler table the last snapshot took for [pid], or [||]. *)
+let rec sighand_of pid = function
+  | (p, h) :: rest -> if p = pid then h else sighand_of pid rest
+  | [] -> [||]
+
+(* [prev] if each of its slots is physically [live]'s, else a copy of
+   [live].  One function per element type, and no bounds checks once
+   the lengths agree: a polymorphic or checked loop took longer than
+   the copy it saves. *)
+let reuse_actions (prev : Signals.action array) live =
+  let n = Array.length live and i = ref 0 in
+  if Array.length prev = n then
+    while !i < n && Array.unsafe_get prev !i == Array.unsafe_get live !i do
+      incr i
+    done
+  else i := -1;
+  if !i = n then prev else Array.copy live
+
+let reuse_regs (prev : int array) live =
+  let n = Array.length live and i = ref 0 in
+  if Array.length prev = n then
+    while !i < n && Array.unsafe_get prev !i = Array.unsafe_get live !i do
+      incr i
+    done
+  else i := -1;
+  if !i = n then prev else Array.copy live
 
 let checkpoint_fork r forks copies (a : A.t) =
   let f =
@@ -751,7 +785,7 @@ type snap_task = {
   sn_seccomp : Bpf.program list;
   sn_tsc : bool;
   sn_batches : E.buf_record list list;
-  sn_locals : bytes;
+  sn_locals : Codec.slice; (* a decoded snapshot's lie in its blob *)
   sn_next_resume : T.resume_how;
   sn_in_blocked : bool;
   (* Scheduler time bounds: without them a restored task may be deemed
@@ -806,14 +840,18 @@ let snapshot r =
   Telemetry.incr tm_ckpt_save;
   Timeline.scope "replay.ckpt_save" @@ fun () ->
   let copies = A.shared_copies () in
-  (* Rebuilt on every snapshot, so the spaces of dead processes drop
+  (* Rebuilt on every snapshot, so dead processes and their spaces drop
      out. *)
-  let forks = Hashtbl.create 16 in
+  let forks = Hashtbl.create 16 and sighands = ref [] in
   let procs =
     List.filter_map
       (fun (p : T.process) ->
         if p.T.exit_code <> None && p.T.reaped then None
-        else
+        else begin
+          let sighand =
+            reuse_actions (sighand_of p.T.pid r.sighands) p.T.sighand
+          in
+          sighands := (p.T.pid, sighand) :: !sighands;
           Some
             { sp_pid = p.T.pid;
               sp_parent = p.T.parent;
@@ -829,18 +867,21 @@ let snapshot r =
               sp_children = p.T.children;
               sp_owner = Hashtbl.find_opt r.locals_owner p.T.space.A.id;
               sp_shared_pending = p.T.shared_pending;
-              sp_sighand = Array.copy p.T.sighand })
+              sp_sighand = sighand }
+        end)
       (K.all_procs r.k)
   in
   r.forks <- forks;
+  r.sighands <- !sighands;
   let tasks =
     List.filter_map
       (fun (t : T.t) ->
         let st = get_rt r t.T.tid in
+        st.regs_copy <- reuse_regs st.regs_copy t.T.cpu.Cpu.regs;
         Some
           { sn_tid = t.T.tid;
             sn_pid = t.T.proc.T.pid;
-            sn_regs = Array.copy t.T.cpu.Cpu.regs;
+            sn_regs = st.regs_copy;
             sn_pc = t.T.cpu.Cpu.pc;
             sn_rcb = t.T.cpu.Cpu.pmu.Pmu.rcb;
             sn_insns = t.T.cpu.Cpu.pmu.Pmu.insns;
@@ -930,6 +971,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
       root_tid = snap.snap_root;
       installed = snap.snap_installed;
       forks = Hashtbl.create 16;
+      sighands = [];
       tm_base = Telemetry.snapshot () }
   in
   install_hook r k;
@@ -963,6 +1005,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
       p.T.shared_pending <- sp.sp_shared_pending;
       Array.blit sp.sp_sighand 0 p.T.sighand 0
         (min (Array.length sp.sp_sighand) (Array.length p.T.sighand));
+      r.sighands <- (sp.sp_pid, sp.sp_sighand) :: r.sighands;
       Hashtbl.replace k.K.procs sp.sp_pid p;
       (match sp.sp_owner with
       | Some tid -> Hashtbl.replace r.locals_owner space.A.id tid
@@ -997,6 +1040,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
         let st = get_rt r sn.sn_tid in
         List.iter (fun b -> Queue.push b st.batches) sn.sn_batches;
         st.saved_locals <- sn.sn_locals;
+        st.regs_copy <- sn.sn_regs;
         st.next_resume <- sn.sn_next_resume;
         st.in_blocked_syscall <- sn.sn_in_blocked;
         t.T.tick_born <- sn.sn_tick_born;
@@ -1162,18 +1206,18 @@ let get_region s : A.region =
    encoded. *)
 type section = {
   fields : Codec.sink;
-  mutable payloads : (int * string) list; (* newest first *)
+  mutable payloads : (int * Codec.slice) list; (* newest first *)
   mutable payload_bytes : int;
 }
 
 let section () = { fields = Codec.sink (); payloads = []; payload_bytes = 0 }
 
 (* A short payload costs less copied into [fields] than noted. *)
-let put_payload sec s =
-  if String.length s < 256 then Buffer.add_string sec.fields s
+let put_payload sec (v : Codec.slice) =
+  if v.len < 256 then Buffer.add_substring sec.fields v.str v.pos v.len
   else begin
-    sec.payloads <- (Buffer.length sec.fields, s) :: sec.payloads;
-    sec.payload_bytes <- sec.payload_bytes + String.length s
+    sec.payloads <- (Buffer.length sec.fields, v) :: sec.payloads;
+    sec.payload_bytes <- sec.payload_bytes + v.len
   end
 
 let section_length sec = Buffer.length sec.fields + sec.payload_bytes
@@ -1187,27 +1231,42 @@ let blit_section sec dst pos =
     from := upto
   in
   List.iter
-    (fun (at, s) ->
+    (fun (at, (v : Codec.slice)) ->
       fields at;
-      Bytes.blit_string s 0 dst !pos (String.length s);
-      pos := !pos + String.length s)
+      Bytes.blit_string v.str v.pos dst !pos v.len;
+      pos := !pos + v.len)
     (List.rev sec.payloads);
   fields (Buffer.length sec.fields);
   !pos
 
 (* The page table of one blob.  An entry is a frame's flags, prot and,
    unless it is all zero, its 4096 bytes:
-   - a private frame is keyed by (prot, bytes), so equal private frames
-     are one entry, whichever spaces and addresses map them: a write
-     copies before it lands, so merging cannot be observed;
+   - a private frame is keyed by its prot and its bytes, so equal
+     private frames are one entry, whichever spaces and addresses map
+     them: a write copies before it lands, so merging cannot be
+     observed.  The key carries the hash of the frame's 4 KB window, so
+     a first sight hashes the window once; a frame decoded from a blob
+     borrows its window from the whole trace, which must not be hashed
+     or compared;
    - an all-zero private frame is keyed by prot alone and its entry
      carries the zero flag instead of the bytes;
    - a [MAP_SHARED] frame keeps its physical identity and is never
      merged: a write lands in place, so two shared frames with equal
-     bytes must stay two frames. *)
+     bytes must stay two frames.
+   A decoded entry borrows its 4 KB from the blob ([Mem.borrow]), and
+   only a frame written after a restore copies them. *)
 module Page_table = struct
   let flag_shared = 1
   let flag_zero = 2
+
+  type key = { prot : Mem.prot; frame : Mem.page; hash : int }
+
+  module Privates = Hashtbl.Make (struct
+    type t = key
+
+    let equal a b = a.prot = b.prot && Mem.equal_bytes a.frame b.frame
+    let hash k = k.hash
+  end)
 
   (* [zeros.(prot)] is the entry of the all-zero private frame of
      [prot], or -1.  A zero frame of a prot beyond the array is keyed in
@@ -1215,7 +1274,7 @@ module Page_table = struct
      equal. *)
   type t = {
     zeros : int array;
-    privates : (Mem.prot * Bytes.t, int) Hashtbl.t;
+    privates : int Privates.t;
     shareds : int Mem.Identity.t;
     mutable rev_entries : (Mem.page * bool) list; (* frame, all zero *)
     mutable next : int;
@@ -1223,7 +1282,7 @@ module Page_table = struct
 
   let create () =
     { zeros = Array.make 8 (-1);
-      privates = Hashtbl.create 64;
+      privates = Privates.create 64;
       shareds = Mem.Identity.create ();
       rev_entries = [];
       next = 0 }
@@ -1245,12 +1304,12 @@ module Page_table = struct
         t.zeros.(prot)
       end
       else begin
-        let key = (prot, p.Mem.bytes) in
-        match Hashtbl.find t.privates key with
+        let key = { prot; frame = p; hash = Mem.hash p } in
+        match Privates.find t.privates key with
         | id -> id
         | exception Not_found ->
           let id = add t p ~zero in
-          Hashtbl.replace t.privates key id;
+          Privates.add t.privates key id;
           id
       end
     end
@@ -1264,13 +1323,17 @@ module Page_table = struct
           ((if p.Mem.shared then flag_shared else 0)
           lor if zero then flag_zero else 0);
         Codec.put_int b p.Mem.prot;
-        if not zero then put_payload sec (Bytes.unsafe_to_string p.Mem.bytes))
+        if not zero then
+          put_payload sec
+            { Codec.str = Bytes.unsafe_to_string p.Mem.bytes;
+              pos = p.Mem.off;
+              len = Mem.page_size })
       (List.rev t.rev_entries)
 
   (* [refs] starts at 0: every mapping increfs.  A zero entry maps the
-     shared zero buffer, so a forged run of them costs a frame record
-     each, not 4 KB. *)
-  let get s =
+     shared zero buffer and any other entry borrows its bytes where they
+     lie in [blob], so an entry costs a frame record, not 4 KB. *)
+  let get (blob : Codec.slice) s =
     Codec.get_array s (fun s ->
         let flags = Codec.get_uvarint s in
         if flags land lnot (flag_shared lor flag_zero) <> 0 then
@@ -1283,10 +1346,11 @@ module Page_table = struct
           Mem.decref p;
           p
         end
-        else
-          (* [take] returns a fresh string that nothing else holds. *)
-          { Mem.bytes = Bytes.unsafe_of_string (Codec.take s Mem.page_size);
-            refs = 0; prot; shared })
+        else begin
+          let off = Codec.pos s in
+          Codec.skip s Mem.page_size;
+          Mem.borrow ~prot ~shared blob.str ~off
+        end)
 end
 
 let sorted_keys tbl =
@@ -1298,7 +1362,11 @@ let sorted_keys tbl =
    bytes do not depend on the runs beside it, and the spaces of one
    snapshot share most of their pages copy-on-write: [text_runs]
    encodes each run once per blob, by page key and physical page. *)
-type text_run = { slots : Insn.t option array; count : int; run : string }
+type text_run = {
+  slots : Insn.t option array;
+  count : int;
+  run : Codec.slice;
+}
 
 type text_runs = {
   by_key : (int, text_run list) Hashtbl.t;
@@ -1330,7 +1398,7 @@ let text_run runs key slots =
           Image_codec.put_insn b insn
         | None -> ())
       slots;
-    let r = { slots; count = !count; run = Buffer.contents b } in
+    let r = { slots; count = !count; run = Codec.whole (Buffer.contents b) } in
     Hashtbl.replace runs.by_key key (r :: known);
     r
 
@@ -1375,12 +1443,9 @@ type decoding = {
 
 let text_candidates = 4
 
+(* The section at [a] ends before [b], so only [b]'s end needs a check. *)
 let same_bytes (blob : Codec.slice) a b len =
-  b + len <= blob.pos + blob.len
-  &&
-  let s = blob.str in
-  let rec go i = i = len || (s.[a + i] = s.[b + i] && go (i + 1)) in
-  go 0
+  b + len <= blob.pos + blob.len && Compress.match_len blob.str a b len = len
 
 let get_text d s a =
   let at = Codec.pos s in
@@ -1462,6 +1527,9 @@ let put_sig_action b (a : Signals.action) =
   Codec.put_int b a.Signals.mask;
   Codec.put_int b a.Signals.flags
 
+(* Actions are immutable, so every slot holding the default triple, most
+   of a handler table's 65, decodes to [Signals.default_action] itself
+   and allocates nothing. *)
 let get_sig_action s =
   let disposition =
     match Codec.get_uvarint s with
@@ -1472,7 +1540,12 @@ let get_sig_action s =
   in
   let mask = Codec.get_int s in
   let flags = Codec.get_int s in
-  { Signals.disposition; mask; flags }
+  let dflt = Signals.default_action in
+  match disposition with
+  | Signals.Default when mask = dflt.Signals.mask && flags = dflt.Signals.flags
+    ->
+    dflt
+  | _ -> { Signals.disposition; mask; flags }
 
 let put_snap_proc table runs sec sp =
   let b = sec.fields in
@@ -1543,8 +1616,8 @@ let put_snap_task sec sn =
   Codec.put_list b
     (fun b batch -> Codec.put_list b E.put_buf_record batch)
     sn.sn_batches;
-  Codec.put_uvarint b (Bytes.length sn.sn_locals);
-  put_payload sec (Bytes.unsafe_to_string sn.sn_locals);
+  Codec.put_uvarint b sn.sn_locals.Codec.len;
+  put_payload sec sn.sn_locals;
   put_resume b sn.sn_next_resume;
   Codec.put_bool b sn.sn_in_blocked;
   Codec.put_int b sn.sn_tick_born;
@@ -1570,7 +1643,7 @@ let get_snap_task s =
   let sn_batches =
     Codec.get_list s (fun s -> Codec.get_list s E.get_buf_record)
   in
-  let sn_locals = Codec.get_bytes s in
+  let sn_locals = Codec.get_slice s in
   let sn_next_resume = get_resume s in
   let sn_in_blocked = Codec.get_bool s in
   let sn_tick_born = Codec.get_int s in
@@ -1639,7 +1712,7 @@ let decode_snapshot (blob : Codec.slice) =
         let img = Image_codec.get_image s in
         (path, img))
   in
-  let d = { blob; pages = Page_table.get s; texts = [] } in
+  let d = { blob; pages = Page_table.get blob s; texts = [] } in
   let snap_procs = Codec.get_list s (get_snap_proc d) in
   let snap_tasks = Codec.get_list s get_snap_task in
   if not (Codec.eof s) then

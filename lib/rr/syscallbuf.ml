@@ -87,8 +87,8 @@ let write_record task buf ~off br =
     (fun w ->
       A.write_u64 ~force:true sp (buf + !cur) w.Event.addr;
       A.write_u64 ~force:true sp (buf + !cur + 8) (String.length w.Event.data);
-      A.write_bytes ~force:true sp (buf + !cur + 16)
-        (Bytes.of_string w.Event.data);
+      A.write_sub ~force:true sp (buf + !cur + 16) w.Event.data 0
+        (String.length w.Event.data);
       cur := !cur + 16 + round8 (String.length w.Event.data))
     br.Event.br_writes;
   (match br.Event.br_clone with
@@ -424,13 +424,14 @@ let hook ?(wide = true) mode k task =
            from the buffer. *)
         List.iter
           (fun w ->
-            A.write_bytes ~force:true (space task) w.Event.addr
-              (Bytes.of_string w.Event.data))
+            A.write_sub ~force:true (space task) w.Event.addr w.Event.data 0
+              (String.length w.Event.data))
           br.Event.br_writes;
         (match br.Event.br_clone with
         | Some cref ->
-          A.write_bytes ~force:true (space task) cref.Event.cr_addr
-            (Bytes.unsafe_of_string (fetch_clone cref))
+          let data = fetch_clone cref in
+          A.write_sub ~force:true (space task) cref.Event.cr_addr data 0
+            (String.length data)
         | None -> ());
         Telemetry.incr tm_replay_hit;
         regs.(0) <- br.Event.br_result;
@@ -490,11 +491,14 @@ let setup_task k task ~slot ~is_replay =
 (* Thread-locals contents are swapped on context switches because threads
    of one process share the page (paper §3.6). *)
 let save_locals task =
-  A.read_bytes ~force:true (space task) Layout.thread_locals_page
-    Layout.thread_locals_size
+  Codec.whole
+    (Bytes.unsafe_to_string
+       (A.read_bytes ~force:true (space task) Layout.thread_locals_page
+          Layout.thread_locals_size))
 
-let restore_locals task saved =
-  A.write_bytes ~force:true (space task) Layout.thread_locals_page saved
+let restore_locals task (saved : Codec.slice) =
+  A.write_sub ~force:true (space task) Layout.thread_locals_page saved.str
+    saved.pos saved.len
 
 (* Is the following instruction a shape the interception library's stubs
    know (paper §3.1: "frequently executed system call instructions are

@@ -94,5 +94,9 @@ val cloned_path : Task.t -> string
 
 (** {2 Thread-locals swapping (paper §3.6)} *)
 
-val save_locals : Task.t -> bytes
-val restore_locals : Task.t -> bytes -> unit
+val save_locals : Task.t -> Codec.slice
+(** A copy of the task's thread-locals page, in a string of its own. *)
+
+val restore_locals : Task.t -> Codec.slice -> unit
+(** Writes saved locals back, reading them where they lie: a decoded
+    checkpoint's locals are a view of its blob. *)

@@ -70,12 +70,6 @@ let eof s = s.pos >= s.limit
 
 let pos s = s.pos
 
-let take s n =
-  if n < 0 || s.pos + n > s.limit then raise (Corrupt "take");
-  let out = String.sub s.data s.pos n in
-  s.pos <- s.pos + n;
-  out
-
 let skip s n =
   if n < 0 || s.pos + n > s.limit then raise (Corrupt "skip");
   s.pos <- s.pos + n

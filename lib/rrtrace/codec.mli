@@ -48,10 +48,6 @@ val pos : source -> int
     where each scanned record starts so chunks can be sliced without
     re-parsing. *)
 
-val take : source -> int -> string
-(** The next [n] raw bytes (no length prefix).  Raises {!Corrupt} if
-    fewer remain. *)
-
 val skip : source -> int -> unit
 (** Step over the next [n] bytes.  Raises {!Corrupt} if fewer remain. *)
 

@@ -18,4 +18,10 @@ val inflate_sub : string -> pos:int -> len:int -> string
 (** {!inflate} of the [len] bytes of a string from [pos], read where
     they lie. *)
 
+val match_len : string -> int -> int -> int -> int
+(** [match_len s a b lim]: the length of the common prefix of [s] at [a]
+    and at [b], at most [lim], compared eight bytes at a time.  The
+    caller guarantees [a < b] and [b + lim <= String.length s]: the
+    loads are unchecked. *)
+
 val ratio : original:int -> compressed:int -> float

@@ -625,6 +625,43 @@ let test_poll_roundtrip () =
   Alcotest.(check (option int)) "poll result" (Some 11)
     rstats.Recorder.exit_status
 
+(* The partial-fault program: map one page, then read a 64-byte file
+   into the page's last 16 bytes, so the copy runs off the mapping.
+   Through the syscallbuf the kernel reads into the trace buffer, and
+   the copy-out to the real destination faults: the recording must fail
+   with a typed error naming the call and the first unmapped address,
+   not raise a bare [Addr_space.Segv].  (How the kernel itself should
+   answer such a read, with a short count, is a separate fix.) *)
+let test_partial_fault_typed_error () =
+  let setup k =
+    Vfs.mkdir_p (K.vfs k) "/bin";
+    let reg = Vfs.create_file (K.vfs k) "/data64" in
+    ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.make 64 'x'));
+    let b = G.create () in
+    G.emit b
+      (G.sys_mmap ~len:(G.imm Mem.page_size) ~prot:Mem.prot_rw ~flags:1
+      @. [ Asm.movr 7 0; Asm.addi 7 (Mem.page_size - 16) ]
+      @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly
+      @. [ Asm.movr 8 0 ]
+      @. G.sys_read ~fd:(G.reg 8) ~buf:(G.reg 7) ~len:(G.imm 64)
+      @. G.sys_exit_group 0);
+    K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ())
+  in
+  match Recorder.run ~setup ~exe:"/bin/t" () with
+  | Ok _ -> Alcotest.fail "recording a faulting copy-out succeeded"
+  | Error (Recorder.Rec_trace e) ->
+    Alcotest.failf "trace error: %s" (Trace.error_to_string e)
+  | Error (Recorder.Rec_failure msg) ->
+    let has sub =
+      let n = String.length sub in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+      in
+      at 0
+    in
+    if not (has "read" && has "0x10001000") then
+      Alcotest.failf "error does not name the call and address: %s" msg
+
 let suites =
   [ ( "rr.roundtrip",
       [ Alcotest.test_case "nondet inputs (traced)" `Quick
@@ -659,6 +696,8 @@ let suites =
         Alcotest.test_case "checksummed reverse execution" `Quick
           test_debugger_checksummed_seeks;
         Alcotest.test_case "poll roundtrip" `Quick test_poll_roundtrip;
+        Alcotest.test_case "partial-fault read is a typed record error" `Quick
+          test_partial_fault_typed_error;
         Alcotest.test_case "no scratch buffers" `Quick
           (fun () ->
             (* §2.3.1's ablation: with one task at a time, eliminating

@@ -39,7 +39,7 @@ let check_space ~what (want : A.t) (got : A.t) =
     (fun (i, (p : Mem.page)) (_, (q : Mem.page)) ->
       if p.Mem.prot <> q.Mem.prot || p.Mem.shared <> q.Mem.shared then
         Alcotest.failf "%s: page %#x differs in prot or sharing" what i;
-      if not (Bytes.equal p.Mem.bytes q.Mem.bytes) then
+      if not (Mem.equal_bytes p q) then
         Alcotest.failf "%s: page %#x differs in bytes" what i)
     (frames want) (frames got);
   let text s = A.text_fold (fun addr insn acc -> (addr, insn) :: acc) s [] in

@@ -387,6 +387,89 @@ let test_decoded_checkpoints_reencode () =
         blobs)
     (Lazy.force seed1_checkpoints)
 
+(* The indexed seed-1 serve trace's checkpoints: each frame with its
+   blob where the trace holds it. *)
+let serve_checkpoints () =
+  ignore (Lazy.force seed1_indexed);
+  match Trace.index (List.assoc "serve" (Lazy.force seed1_traces)) with
+  | Some ix -> Trace_index.checkpoints ix
+  | None -> Alcotest.fail "serve carries no index"
+
+(* A decoded checkpoint borrows the bytes of its frames and of each
+   task's locals from the blob, and its processes share their signal
+   actions, so decoding a blob allocates less than the blob: each
+   seed-1 serve checkpoint's decode may allocate at most [c] times the
+   blob's words plus [k] words.  A decoder that copies every non-zero
+   frame and all locals out of the blob allocates more than the blob's
+   words. *)
+let test_decoding_allocates_less_than_the_blob () =
+  let c = 0.75 and k = 2048. in
+  Array.iteri
+    (fun i (_, (blob : Codec.slice)) ->
+      let before = words () in
+      let snap = Replayer.decode_snapshot blob in
+      let alloc = words () -. before in
+      ignore (Sys.opaque_identity snap);
+      let blob_words = float_of_int blob.len /. word_bytes in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "checkpoint %d: %.0f words for %.0f blob words (%.2fx), <= %.2fx \
+            + %.0f"
+           i alloc blob_words (alloc /. blob_words) c k)
+        true
+        (alloc <= (c *. blob_words) +. k))
+    (serve_checkpoints ())
+
+(* A restored frame borrows its bytes from the trace's own blob until
+   its first write copies them.  One debugger session on indexed seed-1
+   serve seeks to every checkpoint frame, forward and then backward, and
+   steps a few frames past each, writing through frames it restored:
+   forward, each seek restores the durable checkpoint there; backward,
+   the last one restores the decoded snapshot kept from the first pass.
+   Afterwards every blob still holds its bytes and decodes and
+   re-encodes to them. *)
+let test_restored_frames_copy_before_writing () =
+  let t = List.assoc "serve" (Lazy.force seed1_traces) in
+  let cps = serve_checkpoints () in
+  let stored =
+    Array.map
+      (fun (_, (b : Codec.slice)) -> String.sub b.str b.pos b.len)
+      cps
+  in
+  let d = Debugger.create t in
+  let base = Telemetry.snapshot () in
+  let visit (frame, _) =
+    (match Debugger.Query.seek_to_frame d frame with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Debugger.Query.error_to_string e));
+    for _ = 1 to 4 do
+      if not (Debugger.at_end d) then ignore (Debugger.step d)
+    done
+  in
+  Array.iter visit cps;
+  let hits =
+    List.assoc "index.hit" (Telemetry.since base).Telemetry.snap_counters
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d durable restores for %d checkpoints" hits
+       (Array.length cps))
+    true
+    (hits >= Array.length cps - 1);
+  Array.iter visit (Array.of_list (List.rev (Array.to_list cps)));
+  Array.iteri
+    (fun i (_, blob) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "checkpoint %d's blob holds its bytes" i)
+        true
+        (String.equal (Codec.slice_string blob) stored.(i));
+      Alcotest.(check bool)
+        (Printf.sprintf "checkpoint %d decodes and re-encodes to its bytes" i)
+        true
+        (String.equal
+           (Replayer.encode_snapshot (Replayer.decode_snapshot blob))
+           stored.(i)))
+    cps
+
 (* Encoding a checkpoint allocates about its blob: the text of each page
    is encoded once per blob, frames and locals are copied only into the
    blob, and the blob is assembled once at its final length.  Seed-1
@@ -955,6 +1038,10 @@ let suites =
           `Quick test_decoded_checkpoints_reencode;
         Alcotest.test_case "encoding allocates about the blobs" `Quick
           test_encoding_allocates_about_the_blobs;
+        Alcotest.test_case "decoding allocates less than the blob" `Quick
+          test_decoding_allocates_less_than_the_blob;
+        Alcotest.test_case "restored frames copy before their first write"
+          `Quick test_restored_frames_copy_before_writing;
         Alcotest.test_case "saved files tripwire" `Quick
           test_saved_files_tripwire;
         Alcotest.test_case "a cold open holds the file once" `Quick

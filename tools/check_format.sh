@@ -138,25 +138,30 @@ check_file() {
     fi
     ;;
   esac
-  # Every frame that has never been written maps Mem's one shared zero
-  # buffer, so a frame's bytes may be written only through the write
-  # gate: Addr_space.writable_page gives the frame its own bytes first.
-  # Outside lib/isa/mem.ml and lib/isa/addr_space.ml, no assignment to
-  # a frame's bytes and no Bytes.set*/fill/blit/unsafe_set into them.
+  # A frame that has not been written borrows its bytes: Mem's one
+  # shared zero buffer, or the very string a checkpoint blob was read
+  # into, which is the trace itself.  So only lib/isa/mem.ml points a
+  # frame at its bytes or writes them, behind Addr_space.writable_page,
+  # the write gate that gives a frame its own bytes first.  Anywhere
+  # else: no assignment to a frame's bytes, off or borrowed fields, no
+  # record built with them, and no Bytes.set*/fill/blit/unsafe_set into
+  # a frame's bytes.
   case "$f" in
-  *lib/isa/mem.ml | *lib/isa/addr_space.ml) ;;
+  *lib/isa/mem.ml) ;;
   *)
     frame_id="\(?[A-Za-z0-9_.']*\.Mem\.bytes"
+    frame_field='Mem\.(bytes|off|borrowed)'
     bad_frame_writes=$(grep -nE \
-      -e 'Mem\.bytes[[:space:]]*<-' \
+      -e "${frame_field}[[:space:]]*<-" \
+      -e "(\{|;|with)[[:space:]]*${frame_field}[[:space:]]*=" \
       -e "Bytes\.(unsafe_)?(set|fill)[a-z0-9_]*[[:space:]]+$frame_id" \
       -e "Bytes\.(unsafe_)?blit(_string)?([[:space:]]+[^[:space:]]+){2}[[:space:]]+$frame_id" \
       "$f" || true)
     if [ -n "$bad_frame_writes" ]; then
       {
-        echo "format: $f writes a frame's bytes outside the write gate:"
+        echo "format: $f points a frame at its bytes or writes them outside lib/isa/mem.ml:"
         echo "$bad_frame_writes"
-        echo "  (write guest memory through Addr_space; frames may share the zero buffer)"
+        echo "  (write guest memory through Addr_space; a frame may borrow the trace's own bytes)"
       } >&2
       status=1
     fi
