@@ -40,15 +40,15 @@ let pipe_readable p = Buffer.length p.buf > 0 || p.writers = 0
 
 let pipe_writable p = Buffer.length p.buf < p.capacity || p.readers = 0
 
-(* Read up to [len] bytes; caller has checked readability. *)
-let pipe_read p len =
-  let avail = Buffer.length p.buf in
-  let n = min len avail in
-  let out = Buffer.sub p.buf 0 n in
-  let rest = Buffer.sub p.buf n (avail - n) in
+(* Up to [len] bytes from the front, left in the pipe. *)
+let pipe_peek p len =
+  Bytes.of_string (Buffer.sub p.buf 0 (min len (Buffer.length p.buf)))
+
+(* Consume the first [n] bytes. *)
+let pipe_drop p n =
+  let rest = Buffer.sub p.buf n (Buffer.length p.buf - n) in
   Buffer.clear p.buf;
-  Buffer.add_string p.buf rest;
-  Bytes.of_string out
+  Buffer.add_string p.buf rest
 
 let pipe_write p data =
   let room = p.capacity - Buffer.length p.buf in

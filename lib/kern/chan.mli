@@ -26,8 +26,11 @@ val pipe_readable : pipe -> bool
 
 val pipe_writable : pipe -> bool
 
-val pipe_read : pipe -> int -> bytes
-(** Take up to [len] bytes; the caller has checked readability. *)
+val pipe_peek : pipe -> int -> bytes
+(** Up to [len] bytes from the front, left in the pipe. *)
+
+val pipe_drop : pipe -> int -> unit
+(** Consume the first [n] bytes, [n] at most what the pipe holds. *)
 
 val pipe_write : pipe -> bytes -> int
 (** Append up to the free capacity; returns the bytes accepted. *)

@@ -29,8 +29,19 @@ type scan = {
   mutable members : T.t array; (* [baseline_pick]'s scratch *)
 }
 
+(* The task table.  [tbl] is the authority: its [Hashtbl] visiting order
+   breaks [wait]'s ties (see [wait_pick]) and orders [all_tasks], so
+   every recorded schedule and the exit frames of a death scan depend on
+   it.  [order] holds [tbl]'s tasks in that order, rebuilt whenever a
+   task is added or removed, so a scheduling pass walks an array instead
+   of running [Hashtbl.iter] and its closure over the buckets. *)
+type tasks = {
+  tbl : (int, T.t) Hashtbl.t;
+  mutable order : T.t array;
+}
+
 type t = {
-  tasks : (int, T.t) Hashtbl.t;
+  tasks : tasks;
   procs : (int, T.process) Hashtbl.t;
   vfs : Vfs.t;
   entropy : Entropy.t;
@@ -61,7 +72,7 @@ type wait_outcome =
   | Deadlocked of int list
 
 let create ?(cost = Cost.default) ~seed () =
-  { tasks = Hashtbl.create 64;
+  { tasks = { tbl = Hashtbl.create 64; order = [||] };
     procs = Hashtbl.create 32;
     vfs = Vfs.create ();
     entropy = Entropy.create seed;
@@ -113,14 +124,35 @@ let alloc_space k =
   k.next_space_id <- id + 1;
   A.create ~id
 
-let find_task k tid = Hashtbl.find_opt k.tasks tid
+let find_task k tid = Hashtbl.find_opt k.tasks.tbl tid
 
 let task_exn k tid =
   match find_task k tid with
   | Some t -> t
   | None -> Fmt.invalid_arg "no such task %d" tid
 
-let all_tasks k = Hashtbl.fold (fun _ t acc -> t :: acc) k.tasks []
+(* Refill [order] in [tbl]'s visiting order.  A checkpoint restore adds
+   its tasks one at a time, so this allocates the array alone. *)
+let reorder ts =
+  let n = Hashtbl.length ts.tbl and i = ref 0 in
+  ts.order <- [||];
+  Hashtbl.iter
+    (fun _ t ->
+      if !i = 0 then ts.order <- Array.make n t;
+      ts.order.(!i) <- t;
+      incr i)
+    ts.tbl
+
+let add_task k t =
+  Hashtbl.replace k.tasks.tbl t.T.tid t;
+  reorder k.tasks
+
+let remove_task k tid =
+  Hashtbl.remove k.tasks.tbl tid;
+  reorder k.tasks
+
+(* Last visited first, as [Hashtbl.fold] conses. *)
+let all_tasks k = Array.fold_left (fun acc t -> t :: acc) [] k.tasks.order
 
 let all_procs k = Hashtbl.fold (fun _ p acc -> p :: acc) k.procs []
 
@@ -154,6 +186,16 @@ let uwrite k task addr data =
   ignore k;
   try A.write_bytes task.T.cpu.Cpu.space addr data
   with A.Segv _ -> raise Efault
+
+(* Copy [data] out as far as the caller's mappings allow, as Linux's
+   copy_to_user does, and count the bytes written before the first
+   fault.  A fault at the first byte is [Efault]. *)
+let uwrite_prefix k task addr data =
+  ignore k;
+  match A.write_bytes task.T.cpu.Cpu.space addr data with
+  | () -> Bytes.length data
+  | exception A.Segv { addr = at; _ } ->
+    if at = addr then raise Efault else at - addr
 
 let uread_u64 k task addr =
   ignore k;
@@ -489,7 +531,11 @@ let abs_path task path =
 let fd_or_ebadf task fd f =
   match T.find_fd task fd with None -> Done (-Errno.ebadf) | Some e -> f e
 
-(* read(2) *)
+(* read(2).  A copy-out that faults part way returns the bytes it
+   delivered, and the file position or the pipe moves by that many; one
+   that faults at its first byte is -EFAULT and consumes nothing.  A
+   datagram is taken whole, so a fault there drops it with -EFAULT, as
+   Linux's UDP receive does. *)
 let sys_read k task args =
   let fd = args.(0) and buf = args.(1) and len = args.(2) in
   if len < 0 then Done (-Errno.einval)
@@ -497,9 +543,9 @@ let sys_read k task args =
     fd_or_ebadf task fd (fun e ->
         match e.T.obj with
         | T.F_reg { reg; _ } ->
-          let data = Vfs.read k.vfs reg ~off:e.T.pos ~len in
-          let n = Bytes.length data in
-          uwrite k task buf data;
+          let n =
+            uwrite_prefix k task buf (Vfs.read k.vfs reg ~off:e.T.pos ~len)
+          in
           e.T.pos <- e.T.pos + n;
           charge k (Cost.bytes_cost k.cost n);
           Done n
@@ -507,11 +553,11 @@ let sys_read k task args =
           if Chan.pipe_readable p then begin
             if Buffer.length p.Chan.buf = 0 then Done 0 (* EOF: no writers *)
             else begin
-              let data = Chan.pipe_read p len in
-              uwrite k task buf data;
+              let n = uwrite_prefix k task buf (Chan.pipe_peek p len) in
+              Chan.pipe_drop p n;
               wake_queue k p.Chan.write_wait;
-              charge k (Cost.bytes_cost k.cost (Bytes.length data));
-              Done (Bytes.length data)
+              charge k (Cost.bytes_cost k.cost n);
+              Done n
             end
           end
           else if e.T.fl land Sysno.o_nonblock <> 0 then Done (-Errno.eagain)
@@ -987,7 +1033,7 @@ let do_clone k parent ~flags ~child_sp ?tid () =
   child.T.vdso_enabled <- parent.T.vdso_enabled;
   child.T.tick_born <- now k;
   proc.T.threads <- proc.T.threads @ [ tid ];
-  Hashtbl.replace k.tasks tid child;
+  add_task k child;
   if parent.T.traced then begin
     (* Auto-attach, like rr's PTRACE_O_TRACECLONE: the child is born in a
        ptrace-stop so the recorder can set it up before it runs. *)
@@ -1089,7 +1135,7 @@ let sys_wait4 k task args =
       proc.T.children <-
         List.filter (fun pid -> pid <> zombie.T.pid) proc.T.children;
       Hashtbl.remove k.procs zombie.T.pid;
-      List.iter (Hashtbl.remove k.tasks) zombie.T.threads;
+      List.iter (remove_task k) zombie.T.threads;
       (match zombie.T.exit_code with
       | Some st -> if status_addr <> 0 then uwrite_u64 k task status_addr st
       | None -> ());
@@ -1576,29 +1622,30 @@ let scan_tasks k =
   s.n_runnable <- 0;
   s.n_live <- 0;
   s.n_sleeping <- 0;
-  Hashtbl.iter
-    (fun _ t ->
-      (match t.T.state with
-      | T.Blocked (T.W_sleep d) when d <= k.clock -> wake_task k t
-      | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> ());
-      match t.T.state with
-      | T.Dead -> ()
-      | T.Runnable ->
-        s.n_live <- s.n_live + 1;
-        push_runnable s t
-      | T.Blocked (T.W_sleep d) ->
-        s.n_live <- s.n_live + 1;
-        if s.n_sleeping = 0 || d < s.next_wake then s.next_wake <- d;
-        s.n_sleeping <- s.n_sleeping + 1
-      | T.Blocked _ | T.Stopped -> s.n_live <- s.n_live + 1)
-    k.tasks;
+  let order = k.tasks.order in
+  for i = 0 to Array.length order - 1 do
+    let t = order.(i) in
+    (match t.T.state with
+    | T.Blocked (T.W_sleep d) when d <= k.clock -> wake_task k t
+    | T.Blocked _ | T.Runnable | T.Stopped | T.Dead -> ());
+    match t.T.state with
+    | T.Dead -> ()
+    | T.Runnable ->
+      s.n_live <- s.n_live + 1;
+      push_runnable s t
+    | T.Blocked (T.W_sleep d) ->
+      s.n_live <- s.n_live + 1;
+      if s.n_sleeping = 0 || d < s.next_wake then s.next_wake <- d;
+      s.n_sleeping <- s.n_sleeping + 1
+    | T.Blocked _ | T.Stopped -> s.n_live <- s.n_live + 1
+  done;
   s
 
-(* The task [wait] runs: the runnable task [all_tasks] lists first.
-   [all_tasks] conses in [Hashtbl.fold] order, so that is the last
-   runnable task the pass visited.  Most recording decisions see several
-   runnable tasks, so this rule shapes every recorded schedule; it is
-   visiting order, not lowest tid.  Requires [s.n_runnable > 0]. *)
+(* The task [wait] runs: the runnable task [all_tasks] lists first,
+   which is the last runnable task the pass visited.  Most recording
+   decisions see several runnable tasks, so this rule shapes every
+   recorded schedule; it is visiting order, not lowest tid.  Requires
+   [s.n_runnable > 0]. *)
 let wait_pick s = s.runnable.(s.n_runnable - 1)
 
 let runs_on t core = t.T.affinity = -1 || t.T.affinity = core
@@ -1712,9 +1759,9 @@ let rec wait k =
       (* Everyone is blocked for good or sitting in a ptrace-stop the
          supervisor has already consumed: nothing will ever happen. *)
       Deadlocked
-        (List.filter_map
-           (fun t -> if T.is_alive t then Some t.T.tid else None)
-           (all_tasks k))
+        (Array.fold_left
+           (fun acc t -> if T.is_alive t then t.T.tid :: acc else acc)
+           [] k.tasks.order)
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and supervisor conveniences.                               *)
@@ -1760,7 +1807,7 @@ let spawn k ~path ?(traced = false) ?tid () =
   let task = T.make_task ~tid:pid ~proc ~cpu in
   task.T.tick_born <- now k;
   proc.T.threads <- [ pid ];
-  Hashtbl.replace k.tasks pid task;
+  add_task k task;
   charge k k.cost.Cost.exec_cost;
   k.exec_count <- k.exec_count + 1;
   if traced then begin

@@ -23,8 +23,14 @@ type scan = private {
   mutable members : T.t array; (* [baseline_pick]'s scratch *)
 }
 
+(** The task table: a [Hashtbl] by tid, whose visiting order orders
+    {!all_tasks} and breaks {!wait}'s ties, and that order kept in an
+    array for the scheduling pass.  Change it only through {!add_task}
+    and {!remove_task}, which keep the two in step. *)
+type tasks
+
 type t = {
-  tasks : (int, T.t) Hashtbl.t;
+  tasks : tasks;
   procs : (int, T.process) Hashtbl.t;
   vfs : Vfs.t;
   entropy : Entropy.t;
@@ -66,7 +72,17 @@ val alloc_obj_id : t -> int
 
 val find_task : t -> int -> T.t option
 val task_exn : t -> int -> T.t
+
+val add_task : t -> T.t -> unit
+(** Insert a task under its tid, replacing any task with that tid (spawn,
+    clone, and the replayer's checkpoint restore). *)
+
+val remove_task : t -> int -> unit
+(** Drop a tid from the task table (a reaped thread). *)
+
 val all_tasks : t -> T.t list
+(** Every task, the last visited first, as [Hashtbl.fold] conses. *)
+
 val all_procs : t -> T.process list
 val vfs : t -> Vfs.t
 
@@ -173,12 +189,13 @@ val total_pss : t -> float
 (** {3 Scheduling decisions}
 
     {!wait} and {!run_baseline} make each decision from one pass over
-    the task table. *)
+    the task table's visiting-order array. *)
 
 val scan_tasks : t -> scan
 (** Wake every sleeper whose deadline has passed, then report the live
     tasks, the earliest pending deadline and the runnable tasks in
-    [Hashtbl] visiting order.  Allocates nothing per task. *)
+    [Hashtbl] visiting order.  Allocates nothing once the scan's array
+    has grown. *)
 
 val wait_pick : scan -> T.t
 (** The task {!wait} runs: the runnable task {!all_tasks} lists first,

@@ -9,7 +9,8 @@
    unaffected. *)
 
 type t = {
-  mutable order : int list; (* round-robin order of tids *)
+  mutable order : int array; (* slots [0, n): round-robin order of tids *)
+  mutable n : int;
   base_timeslice_rcbs : int;
   chaos : bool;
   entropy : Entropy.t;
@@ -18,23 +19,49 @@ type t = {
 }
 
 let create ?(timeslice_rcbs = 50_000) ?(chaos = false) ~seed () =
-  { order = [];
+  { order = [||];
+    n = 0;
     base_timeslice_rcbs = timeslice_rcbs;
     chaos;
     entropy = Entropy.create seed;
     chaos_prio = Hashtbl.create 8;
     picks_until_reshuffle = 0 }
 
-let add_task t tid = if not (List.mem tid t.order) then t.order <- t.order @ [ tid ]
+let order t = Array.to_list (Array.sub t.order 0 t.n)
+
+(* The slot holding [tid], or -1. *)
+let slot t tid =
+  let rec go i =
+    if i = t.n then -1 else if t.order.(i) = tid then i else go (i + 1)
+  in
+  go 0
+
+let add_task t tid =
+  if slot t tid < 0 then begin
+    if t.n = Array.length t.order then begin
+      let grown = Array.make (max 16 (2 * t.n)) 0 in
+      Array.blit t.order 0 grown 0 t.n;
+      t.order <- grown
+    end;
+    t.order.(t.n) <- tid;
+    t.n <- t.n + 1
+  end
 
 (* Move a tid to the front of the round-robin order: the next pick in
    its priority class chooses it. *)
 let prefer t tid =
-  if List.mem tid t.order then
-    t.order <- tid :: List.filter (fun x -> x <> tid) t.order
+  let i = slot t tid in
+  if i > 0 then begin
+    Array.blit t.order 0 t.order 1 i;
+    t.order.(0) <- tid
+  end
 
 let remove_task t tid =
-  t.order <- List.filter (fun x -> x <> tid) t.order;
+  let i = slot t tid in
+  if i >= 0 then begin
+    Array.blit t.order (i + 1) t.order i (t.n - i - 1);
+    t.n <- t.n - 1
+  end;
   Hashtbl.remove t.chaos_prio tid
 
 let effective_priority t tid base =
@@ -50,39 +77,42 @@ let tm_reshuffle = Telemetry.counter "sched.reshuffle"
 let reshuffle t =
   Telemetry.incr tm_reshuffle;
   Hashtbl.reset t.chaos_prio;
-  List.iter
-    (fun tid ->
-      if Entropy.bool t.entropy then
-        Hashtbl.replace t.chaos_prio tid (Entropy.range t.entropy (-2) 2))
-    t.order;
+  for i = 0 to t.n - 1 do
+    let tid = t.order.(i) in
+    if Entropy.bool t.entropy then
+      Hashtbl.replace t.chaos_prio tid (Entropy.range t.entropy (-2) 2)
+  done;
   t.picks_until_reshuffle <- Entropy.range t.entropy 3 10
 
-(* The first runnable tid in [order] with the best (lowest) effective
-   priority. *)
-let rec best_runnable t ~runnable ~priority ~found best best_p = function
-  | [] -> if found then Some best else None
-  | tid :: rest ->
-    if runnable tid then
-      let p = effective_priority t tid (priority tid) in
-      if (not found) || p < best_p then
-        best_runnable t ~runnable ~priority ~found:true tid p rest
-      else best_runnable t ~runnable ~priority ~found best best_p rest
-    else best_runnable t ~runnable ~priority ~found best best_p rest
-
-(* Pick the next task: the runnable task with the best (lowest) effective
-   priority, round-robin within that class.  Rotates the picked task to
-   the back of the order. *)
+(* Pick the next task: the first runnable tid in the order with the best
+   (lowest) effective priority, which round-robins within that class
+   because the pick moves to the back of the order.  One pass, and the
+   move is a blit. *)
 let pick t ~runnable ~priority =
   if t.chaos then begin
     t.picks_until_reshuffle <- t.picks_until_reshuffle - 1;
     if t.picks_until_reshuffle <= 0 then reshuffle t
   end;
-  match best_runnable t ~runnable ~priority ~found:false 0 0 t.order with
-  | None -> None
-  | Some tid ->
-    t.order <- List.filter (fun x -> x <> tid) t.order @ [ tid ];
+  let best = ref (-1) and best_p = ref 0 in
+  for i = 0 to t.n - 1 do
+    let tid = t.order.(i) in
+    if runnable tid then begin
+      let p = effective_priority t tid (priority tid) in
+      if !best < 0 || p < !best_p then begin
+        best := i;
+        best_p := p
+      end
+    end
+  done;
+  let i = !best in
+  if i < 0 then None
+  else begin
+    let tid = t.order.(i) in
+    Array.blit t.order (i + 1) t.order i (t.n - i - 1);
+    t.order.(t.n - 1) <- tid;
     Telemetry.incr tm_pick;
     Some tid
+  end
 
 let timeslice t =
   if t.chaos then

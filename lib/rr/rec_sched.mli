@@ -4,14 +4,7 @@
     surface races; its randomness comes from recording-side entropy, and
     every decision is recorded, so replay is unaffected. *)
 
-type t = {
-  mutable order : int list; (* round-robin order of tids *)
-  base_timeslice_rcbs : int;
-  chaos : bool;
-  entropy : Entropy.t;
-  chaos_prio : (int, int) Hashtbl.t;
-  mutable picks_until_reshuffle : int;
-}
+type t
 
 val create : ?timeslice_rcbs:int -> ?chaos:bool -> seed:int -> unit -> t
 
@@ -25,10 +18,15 @@ val prefer : t -> int -> unit
 
 val remove_task : t -> int -> unit
 
+val order : t -> int list
+(** The round-robin order, front first. *)
+
 val pick : t -> runnable:(int -> bool) -> priority:(int -> int) -> int option
 (** Choose the next task among [runnable] tids: best (lowest) effective
-    priority, round-robin within the class.  Rotates the chosen task to
-    the back. *)
+    priority, round-robin within the class, ties to the first in the
+    order.  Rotates the chosen task to the back.  Asks [runnable] of
+    every tid in order, and [priority] of a tid only right after
+    [runnable] accepted it.  Allocates only its [Some]. *)
 
 val timeslice : t -> int
 (** The RCB budget for the next slice (randomized under chaos). *)

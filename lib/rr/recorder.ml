@@ -153,9 +153,9 @@ let tm_span_flush = Telemetry.span "record.flush"
 let task_exn r tid = K.task_exn r.k tid
 
 let get_rt r task =
-  match Hashtbl.find_opt r.rts task.T.tid with
-  | Some st -> st
-  | None ->
+  match Hashtbl.find r.rts task.T.tid with
+  | st -> st
+  | exception Not_found ->
     let st =
       { slot = r.next_slot;
         saved_locals = Codec.whole "";
@@ -936,13 +936,15 @@ let on_tsc r task reg =
 (* A task the scheduler may run: parked in a ptrace-stop that the
    recorder has already handled (a stop still sitting in the kernel's
    queue has not been delivered to us yet and must not be stolen). *)
-let runnable_parked r tid =
-  match K.find_task r.k tid with
-  | Some t ->
-    T.is_alive t && t.T.state = T.Stopped
-    && not (List.mem tid r.k.K.stop_queue)
+let parked r t =
+  match t.T.state with
+  | T.Stopped ->
+    (not (List.mem t.T.tid r.k.K.stop_queue))
     && (get_rt r t).emu_stopped_by = None
-  | None -> false
+  | T.Runnable | T.Blocked _ | T.Dead -> false
+
+let runnable_parked r tid =
+  match K.find_task r.k tid with Some t -> parked r t | None -> false
 
 let ensure_running r =
   let current_running =
@@ -955,11 +957,18 @@ let ensure_running r =
   in
   if not current_running then begin
     r.current <- None;
+    (* [pick] asks for a priority right after [runnable] accepted that
+       tid, so one lookup per candidate serves both. *)
+    let prio = ref 0 in
     match
       Rec_sched.pick r.sched
-        ~runnable:(fun tid -> runnable_parked r tid)
-        ~priority:(fun tid ->
-          match K.find_task r.k tid with Some t -> t.T.priority | None -> 0)
+        ~runnable:(fun tid ->
+          match K.find_task r.k tid with
+          | Some t when parked r t ->
+            prio := t.T.priority;
+            true
+          | Some _ | None -> false)
+        ~priority:(fun _ -> !prio)
     with
     | Some tid ->
       let t = task_exn r tid in

@@ -1036,7 +1036,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
           t.T.exit_status <- sn.sn_status
         end
         else t.T.state <- T.Stopped;
-        Hashtbl.replace k.K.tasks sn.sn_tid t;
+        K.add_task k t;
         let st = get_rt r sn.sn_tid in
         List.iter (fun b -> Queue.push b st.batches) sn.sn_batches;
         st.saved_locals <- sn.sn_locals;

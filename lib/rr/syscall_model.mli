@@ -42,4 +42,6 @@ val replay_performs : nr:int -> bool
 
 val scratch_redirect : Task.t -> nr:int -> args:int array -> (int * int) option
 (** For traced blocking syscalls: (argument index, length) of the output
-    buffer to detour through scratch memory (paper §2.3.1). *)
+    buffer to detour through scratch memory (paper §2.3.1).  A buffer
+    not mapped writable throughout is not redirected, so the kernel's
+    short count or -EFAULT is what the recorder sees. *)

@@ -662,6 +662,69 @@ let test_partial_fault_typed_error () =
     if not (has "read" && has "0x10001000") then
       Alcotest.failf "error does not name the call and address: %s" msg
 
+(* The partial-fault program with the kernel's answers checked: a read
+   whose copy-out faults after 16 bytes returns 16 and consumes only
+   those, from a file and from a pipe, and one that faults at its first
+   byte returns -EFAULT and consumes nothing.  Each read exits with its
+   own status when its result is wrong.  Untraced, every read answers as
+   Linux's does; recorded without interception, each result and the 16
+   bytes it wrote are the frame's, so replay verifies. *)
+let partial_reads_prog _k b =
+  let fds = G.bss b 16 in
+  let expect v code =
+    let ok = Printf.sprintf "ok%d" code in
+    [ Asm.movr 11 0; Asm.subi 11 v; Asm.jz 11 ok ]
+    @. G.sys_exit_group code
+    @. [ Asm.label ok ]
+  in
+  let read fd buf = G.sys_read ~fd:(G.reg fd) ~buf:(G.reg buf) ~len:(G.imm 64) in
+  let efault = -Errno.efault in
+  G.emit b
+    (G.sys_mmap ~len:(G.imm Mem.page_size) ~prot:Mem.prot_rw ~flags:1
+    (* r7: the page; r9: its last 16 bytes; r10: the unmapped page after *)
+    @. [ Asm.movr 7 0; Asm.movr 9 0; Asm.addi 9 (Mem.page_size - 16);
+         Asm.movr 10 0; Asm.addi 10 Mem.page_size ]
+    @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly
+    @. [ Asm.movr 8 0 ]
+    @. read 8 9 @. expect 16 1
+    @. read 8 7 @. expect 48 2
+    @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly
+    @. [ Asm.movr 8 0 ]
+    @. read 8 10 @. expect efault 3
+    @. read 8 7 @. expect 64 4
+    @. G.sys_pipe ~fds_addr:fds
+    @. [ Asm.movi 11 fds; Asm.load 12 11 0; Asm.load 13 11 8 ]
+    @. G.sys_write ~fd:(G.reg 13) ~buf:(G.reg 7) ~len:(G.imm 64)
+    @. expect 64 5
+    @. read 12 9 @. expect 16 6
+    @. read 12 10 @. expect efault 7
+    @. read 12 7 @. expect 48 8
+    @. G.sys_exit_group 0)
+
+let test_partial_fault_short_count () =
+  let setup k =
+    let reg = Vfs.create_file (K.vfs k) "/data64" in
+    ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.make 64 'x'))
+  in
+  let k = K.create ~seed:1 () in
+  Vfs.mkdir_p (K.vfs k) "/bin";
+  setup k;
+  let b = G.create () in
+  partial_reads_prog k b;
+  K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ());
+  let task = K.spawn k ~path:"/bin/t" () in
+  ignore (K.run_baseline k ~cores:1 ());
+  Alcotest.(check (option int)) "untraced: each read answers as Linux's"
+    (Some 0) task.T.proc.T.exit_code;
+  let _, rstats, _, pstats, _ =
+    roundtrip ~setup
+      ~rec_opts:{ Recorder.default_opts with intercept = false }
+      partial_reads_prog
+  in
+  Alcotest.(check (option int)) "recorded without interception" (Some 0)
+    rstats.Recorder.exit_status;
+  check_same_exit rstats pstats
+
 let suites =
   [ ( "rr.roundtrip",
       [ Alcotest.test_case "nondet inputs (traced)" `Quick
@@ -698,6 +761,8 @@ let suites =
         Alcotest.test_case "poll roundtrip" `Quick test_poll_roundtrip;
         Alcotest.test_case "partial-fault read is a typed record error" `Quick
           test_partial_fault_typed_error;
+        Alcotest.test_case "partial-fault read returns the short count" `Quick
+          test_partial_fault_short_count;
         Alcotest.test_case "no scratch buffers" `Quick
           (fun () ->
             (* §2.3.1's ablation: with one task at a time, eliminating

@@ -186,10 +186,12 @@ let qcheck_fork_storm_parked_parents =
 (* ---- every decision equals its list-based reference ------------------
    [Kernel.scan_tasks] and [Rec_sched.pick] make each scheduling decision
    in one pass; test/sched_ref.ml keeps the list-based code they
-   replaced.  Task tables are built by random inserts and removals, so
-   the [Hashtbl] visiting order that breaks [wait]'s ties includes
-   deletions, and the same operations build the twin table each side
-   decides on. *)
+   replaced.  Task tables are built by random clones, restore-style
+   inserts and reaps through the kernel's API, with decisions in
+   between, so the [Hashtbl] visiting order that breaks [wait]'s ties
+   includes deletions and resizes.  The same operations build the
+   reference's plain [Hashtbl] of twin tasks, which its decisions read in
+   their own visiting order. *)
 
 module K = Kernel
 module T = Task
@@ -203,7 +205,10 @@ type task_state =
 
 type table_op =
   | Put of { tid : int; st : task_state; prio : int; aff : int }
-  | Drop of int
+    (* a checkpoint restore's insert, which may replace the tid *)
+  | Clone of { tid : int; st : task_state; prio : int; aff : int }
+  | Reap of int
+  | Decide (* one round of [wait] *)
 
 type table = {
   clock : int;
@@ -228,7 +233,10 @@ let pp_table tb =
           (function
             | Put { tid; st; prio; aff } ->
               Printf.sprintf "+%d:%s/p%d/a%d" tid (pp_state st) prio aff
-            | Drop tid -> Printf.sprintf "-%d" tid)
+            | Clone { tid; st; prio; aff } ->
+              Printf.sprintf "c%d:%s/p%d/a%d" tid (pp_state st) prio aff
+            | Reap tid -> Printf.sprintf "-%d" tid
+            | Decide -> "?")
           tb.ops))
 
 let gen_table =
@@ -244,13 +252,17 @@ let gen_table =
   in
   (* affinity [cores] names no core: such a task never runs *)
   let aff = frequency [ (3, return (-1)); (2, int_range 0 cores) ] in
-  let put =
+  let task make =
     map
-      (fun (tid, st, prio, aff) -> Put { tid; st; prio; aff })
+      (fun (tid, st, prio, aff) -> make tid st prio aff)
       (quad (int_bound (span - 1)) st (int_range (-2) 2) aff)
   in
-  let drop = map (fun tid -> Drop tid) (int_bound (span - 1)) in
-  let op = frequency [ (3, put); (1, drop) ] in
+  let put = task (fun tid st prio aff -> Put { tid; st; prio; aff }) in
+  let clone = task (fun tid st prio aff -> Clone { tid; st; prio; aff }) in
+  let reap = map (fun tid -> Reap tid) (int_bound (span - 1)) in
+  let op =
+    frequency [ (2, put); (2, clone); (1, reap); (1, return Decide) ]
+  in
   let* ops = list_repeat n_ops op in
   let* clock = int_range 0 10_000 in
   let* core_clock = array_repeat cores (int_range 0 4) in
@@ -259,33 +271,68 @@ let gen_table =
 
 let arb_table = QCheck.make ~print:pp_table gen_table
 
-let kernel_of tb =
+(* A kernel and the reference's table, kept in step. *)
+type twins = {
+  k : K.t;
+  parent : T.t; (* every clone's parent; not in the table *)
+  reference : (int, T.t) Hashtbl.t;
+}
+
+let make_twins tb =
   let k = K.create ~seed:1 () in
   k.K.clock <- tb.clock;
   let space = Addr_space.create ~id:1 in
   let proc = T.make_process ~pid:1 ~parent:0 ~space in
-  List.iter
-    (function
-      | Put { tid; st; prio; aff } ->
-        let t = T.make_task ~tid:(100 + tid) ~proc ~cpu:(Cpu.create ~space) in
-        t.T.state <-
-          (match st with
-          | S_runnable -> T.Runnable
-          | S_stopped -> T.Stopped
-          | S_dead -> T.Dead
-          | S_sleep d -> T.Blocked (T.W_sleep (tb.clock + d))
-          | S_waiting -> T.Blocked (T.W_child (-1)));
-        t.T.priority <- prio;
-        t.T.affinity <- aff;
-        Hashtbl.replace k.K.tasks t.T.tid t
-      | Drop tid -> Hashtbl.remove k.K.tasks (100 + tid))
-    tb.ops;
-  k
+  let parent = T.make_task ~tid:1 ~proc ~cpu:(Cpu.create ~space) in
+  { k; parent; reference = Sched_ref.tasks () }
+
+(* Give the kernel's task [t] its drawn state and put a twin of it in
+   the reference. *)
+let settle tw t ~st ~prio ~aff =
+  t.T.state <-
+    (match st with
+    | S_runnable -> T.Runnable
+    | S_stopped -> T.Stopped
+    | S_dead -> T.Dead
+    | S_sleep d -> T.Blocked (T.W_sleep (tw.k.K.clock + d))
+    | S_waiting -> T.Blocked (T.W_child (-1)));
+  t.T.priority <- prio;
+  t.T.affinity <- aff;
+  let space = tw.parent.T.proc.T.space in
+  let twin =
+    T.make_task ~tid:t.T.tid ~proc:tw.parent.T.proc ~cpu:(Cpu.create ~space)
+  in
+  twin.T.state <- t.T.state;
+  twin.T.priority <- prio;
+  twin.T.affinity <- aff;
+  twin.T.last_wake <- t.T.last_wake;
+  Hashtbl.replace tw.reference t.T.tid twin
+
+let apply tw = function
+  | Put { tid; st; prio; aff } ->
+    let space = tw.parent.T.proc.T.space in
+    let t =
+      T.make_task ~tid:(100 + tid) ~proc:tw.parent.T.proc
+        ~cpu:(Cpu.create ~space)
+    in
+    settle tw t ~st ~prio ~aff;
+    K.add_task tw.k t
+  | Clone { tid; st; prio; aff } ->
+    let t =
+      K.do_clone tw.k tw.parent
+        ~flags:(Sysno.clone_vm lor Sysno.clone_thread)
+        ~child_sp:0 ~tid:(100 + tid) ()
+    in
+    settle tw t ~st ~prio ~aff
+  | Reap tid ->
+    K.remove_task tw.k (100 + tid);
+    Hashtbl.remove tw.reference (100 + tid)
+  | Decide -> ()
 
 (* Every task's state and wake time, by tid. *)
-let task_states k =
+let task_states tasks =
   List.sort compare
-    (List.map (fun t -> (t.T.tid, t.T.state, t.T.last_wake)) (K.all_tasks k))
+    (List.map (fun t -> (t.T.tid, t.T.state, t.T.last_wake)) tasks)
 
 (* [Kernel.wait]'s round on the scan, in [Sched_ref.wait_decision]'s
    terms. *)
@@ -300,47 +347,98 @@ let wait_decision k =
          (fun t -> if T.is_alive t then Some t.T.tid else None)
          (K.all_tasks k))
 
+(* One round on both sides; a sleep moves the clock to its deadline. *)
+let decide tw =
+  let d = wait_decision tw.k in
+  let d' = Sched_ref.wait_decision tw.reference ~clock:tw.k.K.clock in
+  (match d with
+  | Sched_ref.Sleep_until at -> tw.k.K.clock <- at
+  | Sched_ref.All_dead | Sched_ref.Run _ | Sched_ref.Deadlocked _ -> ());
+  d = d'
+  && task_states (K.all_tasks tw.k)
+     = task_states (Sched_ref.all_tasks tw.reference)
+
 let qcheck_wait_matches_reference =
   QCheck.Test.make ~name:"wait decides as the list-based reference"
     ~count:300 arb_table (fun tb ->
-      let k = kernel_of tb and k' = kernel_of tb in
-      (* a second round after the clock jumps to the next deadline *)
-      let rec rounds n =
-        let d = wait_decision k and d' = Sched_ref.wait_decision k' in
-        d = d'
-        && task_states k = task_states k'
-        &&
-        match d with
-        | Sched_ref.Sleep_until at when n > 0 ->
-          k.K.clock <- at;
-          k'.K.clock <- at;
-          rounds (n - 1)
-        | _ -> true
-      in
-      rounds 1)
+      let tw = make_twins tb in
+      List.for_all
+        (fun op ->
+          apply tw op;
+          match op with
+          | Decide -> decide tw
+          | Put _ | Clone _ | Reap _ -> true)
+        tb.ops
+      (* and two more rounds, so a sleep is followed by its wake *)
+      && decide tw
+      && decide tw)
 
 let qcheck_baseline_matches_reference =
   QCheck.Test.make ~name:"run_baseline picks as the list-based reference"
     ~count:300 arb_table (fun tb ->
-      let k = kernel_of tb and k' = kernel_of tb in
+      let tw = make_twins tb in
+      List.iter (apply tw) tb.ops;
+      let k = tw.k in
       let s = K.scan_tasks k in
-      Sched_ref.wake_sleepers k';
+      Sched_ref.wake_sleepers tw.reference ~clock:k.K.clock;
       let core_clock = tb.core_clock in
       let core = K.baseline_core s ~core_clock in
       let pick =
         if core < 0 then None
         else Some (K.baseline_pick s ~core ~cursor:tb.cursor).T.tid
       in
-      let core' = Sched_ref.baseline_core k' ~core_clock in
+      let core' = Sched_ref.baseline_core tw.reference ~core_clock in
       let pick' =
         Option.bind core' (fun core ->
             Option.map
               (fun t -> t.T.tid)
-              (Sched_ref.baseline_pick k' ~core ~cursor:tb.cursor))
+              (Sched_ref.baseline_pick tw.reference ~core ~cursor:tb.cursor))
       in
-      task_states k = task_states k'
+      task_states (K.all_tasks k)
+      = task_states (Sched_ref.all_tasks tw.reference)
       && (if core < 0 then None else Some core) = core'
       && pick = pick')
+
+(* The words [f ()] allocates, less what measuring costs. *)
+let words f =
+  let count f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (count f -. count ignore)
+
+(* Once the scan's array has grown, a decision is a walk over arrays: the
+   kernel's pass and pick over 64 tasks in every state allocate nothing,
+   and the recorder's pick over 64 tids allocates only its [Some]. *)
+let test_decisions_allocate_nothing () =
+  let k = K.create ~seed:1 () in
+  let space = Addr_space.create ~id:1 in
+  let proc = T.make_process ~pid:1 ~parent:0 ~space in
+  for i = 0 to 63 do
+    let t = T.make_task ~tid:(100 + i) ~proc ~cpu:(Cpu.create ~space) in
+    t.T.state <-
+      (match i mod 4 with
+      | 0 -> T.Runnable
+      | 1 -> T.Blocked (T.W_sleep (k.K.clock + 1_000 * (i + 1)))
+      | 2 -> T.Stopped
+      | _ -> T.Blocked (T.W_child (-1)));
+    K.add_task k t
+  done;
+  let decide () = ignore (K.wait_pick (K.scan_tasks k)) in
+  decide ();
+  Alcotest.(check int) "scan_tasks + wait_pick over 64 tasks" 0 (words decide);
+  let s = Rec_sched.create ~seed:1 () in
+  for tid = 0 to 63 do
+    Rec_sched.add_task s tid
+  done;
+  let runnable tid = tid mod 3 = 0 and priority tid = tid mod 5 in
+  let pick () = ignore (Rec_sched.pick s ~runnable ~priority) in
+  pick ();
+  let w = words pick in
+  Alcotest.(check bool)
+    (Printf.sprintf "Rec_sched.pick over 64 tids: %d words, at most 2" w)
+    true (w <= 2)
 
 type sched_op =
   | Add of int
@@ -389,27 +487,27 @@ let qcheck_pick_matches_reference ~chaos =
     (QCheck.make ~print:pp_sched_ops gen_sched_ops)
     (fun (seed, ops) ->
       let s = Rec_sched.create ~chaos ~seed ()
-      and s' = Rec_sched.create ~chaos ~seed () in
+      and s' = Sched_ref.sched ~chaos ~seed in
       List.for_all
         (fun op ->
           (match op with
           | Add t ->
             Rec_sched.add_task s t;
-            Rec_sched.add_task s' t
+            Sched_ref.add_task s' t;
+            true
           | Prefer t ->
             Rec_sched.prefer s t;
-            Rec_sched.prefer s' t
+            Sched_ref.prefer s' t;
+            true
           | Remove t ->
             Rec_sched.remove_task s t;
-            Rec_sched.remove_task s' t
-          | Pick _ -> ());
-          match op with
+            Sched_ref.remove_task s' t;
+            true
           | Pick (r, p) ->
             let runnable t = r.(t) and priority t = p.(t) in
             Rec_sched.pick s ~runnable ~priority
-            = Sched_ref.pick s' ~runnable ~priority
-            && s.Rec_sched.order = s'.Rec_sched.order
-          | Add _ | Prefer _ | Remove _ -> true)
+            = Sched_ref.pick s' ~runnable ~priority)
+          && Rec_sched.order s = s'.Sched_ref.order)
         ops)
 
 let suites =
@@ -431,6 +529,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_fork_storm_parked_parents;
         QCheck_alcotest.to_alcotest qcheck_wait_matches_reference;
         QCheck_alcotest.to_alcotest qcheck_baseline_matches_reference;
+        Alcotest.test_case "scheduling decisions allocate nothing" `Quick
+          test_decisions_allocate_nothing;
         QCheck_alcotest.to_alcotest
           (qcheck_pick_matches_reference ~chaos:false);
         QCheck_alcotest.to_alcotest
