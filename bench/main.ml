@@ -161,91 +161,127 @@ let ledger_measure w =
 
 (* ---- the CI perf gate -------------------------------------------------
    [table1 --smoke] (wired into `dune runtest`) re-measures every
-   workload's record slowdown and compares it against the committed
-   BENCH_table1.json: any workload more than 20% slower than the
-   committed number fails the build, and so does a missing artifact or
-   a workload the artifact lacks.  A legitimate perf change refreshes
-   the artifact — `dune exec bench/main.exe -- table1`, then commit the
-   regenerated BENCH_table1.json — which is the documented escape
-   hatch; quietly absorbing a regression is not. *)
+   workload's ledger entry and compares it against the committed
+   BENCH_table1.json.  The headline is the record slowdown: a workload
+   more than 20% slower than its committed number is a regression.  But
+   the ledger is on the virtual clock, so it repeats exactly: any field
+   that differs (a stage's self_ns or count, stops, frames, record_ns)
+   fails the build too, and the gate prints each one with its committed
+   and re-measured value.  A missing artifact or a workload the artifact
+   lacks fails as well.  A change that means to move the ledger
+   refreshes the artifact — `dune exec bench/main.exe -- table1`, then
+   commit the regenerated BENCH_table1.json and give the reason — which
+   is the documented escape hatch; quietly absorbing a regression is
+   not. *)
 
 let gate_tolerance = 1.20
 
-(* Minimal extraction from the committed artifact: find
-   "<name>":{"baseline_ns":...  then the "slowdown": number inside it.
-   The file is machine-written by this program, so the shapes are
-   stable. *)
-let committed_slowdown ~json name =
-  let find sub from =
-    let n = String.length sub and len = String.length json in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = sub then Some (i + n)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"%s\":{\"baseline_ns\"" name) 0 with
-  | None -> None
-  | Some entry -> (
-    match find "\"slowdown\":" entry with
-    | None -> None
-    | Some v ->
-      let stop = ref v in
-      let len = String.length json in
-      while
-        !stop < len && (match json.[!stop] with
-                       | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-                       | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub json v (!stop - v)))
+let field k = function Json_min.Obj f -> List.assoc_opt k f | _ -> None
+
+let show_json = function
+  | Json_min.Num v -> Printf.sprintf "%.12g" v
+  | Json_min.Str s -> Printf.sprintf "%S" s
+  | Json_min.Null -> "null"
+  | Json_min.Bool b -> string_of_bool b
+  | Json_min.List _ -> "[...]"
+  | Json_min.Obj _ -> "{...}"
+
+(* Every leaf where [committed] and [measured] differ, as (path,
+   committed, re-measured), in the committed file's order; a field only
+   one side has reads "missing" on the other. *)
+let rec ledger_diff path committed measured acc =
+  match (committed, measured) with
+  | Json_min.Obj a, Json_min.Obj b ->
+    let only_b = List.filter (fun (k, _) -> not (List.mem_assoc k a)) b in
+    List.fold_left
+      (fun acc (k, v) ->
+        let path = path ^ "." ^ k in
+        match (List.assoc_opt k a, List.assoc_opt k b) with
+        | Some x, Some y -> ledger_diff path x y acc
+        | Some x, None -> (path, show_json x, "missing") :: acc
+        | None, _ -> (path, "missing", show_json v) :: acc)
+      acc (a @ only_b)
+  | x, y -> if x = y then acc else (path, show_json x, show_json y) :: acc
 
 let perf_gate entries =
-  match
-    let ic = open_in "BENCH_table1.json" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg ->
+  let committed =
+    match
+      let ic = open_in "BENCH_table1.json" in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with
+    | exception Sys_error msg ->
+      Fmt.epr
+        "FATAL: perf gate has no committed BENCH_table1.json (%s) — \
+         generate one with `dune exec bench/main.exe -- table1` and commit \
+         it.@."
+        msg;
+      exit 1
+    | json -> (
+      match field "workloads" (Json_min.parse json) with
+      | Some (Json_min.Obj ws) -> ws
+      | Some _ | None -> []
+      | exception Json_min.Parse_error msg ->
+        Fmt.epr "FATAL: the committed BENCH_table1.json does not parse: %s@."
+          msg;
+        exit 1)
+  in
+  let missing, regressed, differing =
+    List.fold_left
+      (fun (missing, regressed, differing) e ->
+        let measured =
+          field e.le_name (Json_min.parse ("{" ^ e.le_json ^ "}"))
+          |> Option.value ~default:Json_min.Null
+        in
+        match List.assoc_opt e.le_name committed with
+        | None ->
+          Fmt.pr "  perf gate %-10s not in the committed artifact@." e.le_name;
+          (e.le_name :: missing, regressed, differing)
+        | Some c ->
+          let committed_slowdown =
+            match field "slowdown" c with Some (Json_min.Num v) -> v | _ -> nan
+          in
+          let limit = committed_slowdown *. gate_tolerance in
+          let slower = not (e.le_slowdown <= limit) in
+          let diffs = List.rev (ledger_diff e.le_name c measured []) in
+          Fmt.pr "  perf gate %-10s %.2fx vs committed %.2fx (limit %.2fx)%s%s@."
+            e.le_name e.le_slowdown committed_slowdown limit
+            (if slower then "  REGRESSION" else "")
+            (match diffs with
+            | [] -> ", ledger identical"
+            | _ -> Printf.sprintf ", %d ledger fields differ" (List.length diffs));
+          List.iter
+            (fun (path, was, now) ->
+              Fmt.pr "    %s: committed %s, re-measured %s@." path was now)
+            diffs;
+          ( missing,
+            (if slower then e.le_name :: regressed else regressed),
+            if diffs = [] then differing else e.le_name :: differing ))
+      ([], [], []) entries
+  in
+  let names l = String.concat ", " (List.rev l) in
+  if missing <> [] then
     Fmt.epr
-      "FATAL: perf gate has no committed BENCH_table1.json (%s) — generate \
-       one with `dune exec bench/main.exe -- table1` and commit it.@."
-      msg;
-    exit 1
-  | json ->
-    let missing, regressed =
-      List.fold_left
-        (fun (missing, regressed) e ->
-          match committed_slowdown ~json e.le_name with
-          | None ->
-            Fmt.pr "  perf gate %-10s not in the committed artifact@."
-              e.le_name;
-            (e.le_name :: missing, regressed)
-          | Some committed ->
-            let limit = committed *. gate_tolerance in
-            Fmt.pr "  perf gate %-10s %.2fx vs committed %.2fx (limit %.2fx)%s@."
-              e.le_name e.le_slowdown committed limit
-              (if e.le_slowdown > limit then "  REGRESSION" else "");
-            if e.le_slowdown > limit then (missing, e.le_name :: regressed)
-            else (missing, regressed))
-        ([], []) entries
-    in
-    if missing <> [] then
-      Fmt.epr
-        "FATAL: the committed BENCH_table1.json has no entry for: %s.  \
-         Refresh it (`dune exec bench/main.exe -- table1`) and commit it.@."
-        (String.concat ", " (List.rev missing));
-    if regressed <> [] then
-      Fmt.epr
-        "FATAL: record slowdown regressed >%.0f%% on: %s.  If the change \
-         is intentional, refresh the artifact (`dune exec bench/main.exe \
-         -- table1`) and commit BENCH_table1.json.@."
-        ((gate_tolerance -. 1.) *. 100.)
-        (String.concat ", " (List.rev regressed));
-    if missing <> [] || regressed <> [] then exit 1
+      "FATAL: the committed BENCH_table1.json has no entry for: %s.  \
+       Refresh it (`dune exec bench/main.exe -- table1`) and commit it.@."
+      (names missing);
+  if regressed <> [] then
+    Fmt.epr "FATAL: record slowdown regressed >%.0f%% on: %s.@."
+      ((gate_tolerance -. 1.) *. 100.)
+      (names regressed);
+  if differing <> [] then
+    Fmt.epr
+      "FATAL: the ledger differs from the committed BENCH_table1.json on: \
+       %s (fields above).  The ledger is on the virtual clock and repeats \
+       exactly, so any difference is a change of mechanism or cost.@."
+      (names differing);
+  if regressed <> [] || differing <> [] then
+    Fmt.epr
+      "If the change is intentional, refresh the artifact (`dune exec \
+       bench/main.exe -- table1`), commit BENCH_table1.json and give the \
+       reason.@.";
+  if missing <> [] || regressed <> [] || differing <> [] then exit 1
 
 let table1_ledger ~smoke () =
   Fmt.pr "@.== Table 1 ledger: record slowdown, per-stage attribution ==@.";

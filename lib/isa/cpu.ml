@@ -8,16 +8,15 @@
    through [core] (CPUID core index under migration).
 
    It stands in for the hardware rr runs tracees on natively, so most
-   of a CPU-bound workload's host time is spent in [run].  That is one
-   [while] loop over locals: what the supervisor changes only between
-   runs is read once, the loop holds the slots of the current text
-   page, and [exec_one] resolves every ALU op and branch condition over
-   [int] in place.  An ALU op or a branch calls nothing outside this
-   module, and no instruction that retires normally hashes or
-   allocates (test_isa.ml's "retires without allocating" counts the
-   words).  test/cpu_ref.ml keeps the interpreter this loop replaced,
-   and a property holds both to the same machine state.  DESIGN.md §6
-   gives the speed and how to measure it. *)
+   of a CPU-bound workload's host time is spent in [run].  Its inner
+   loop retires register-only instructions without calling anything;
+   [exec_one] takes the rest one at a time, and one helper per
+   register-only instruction serves both.  No instruction that retires
+   normally hashes or allocates (test_isa.ml's "retires without
+   allocating" counts the words).  test/cpu_ref.ml keeps the
+   interpreter these loops replaced, and a property holds both to the
+   same machine state.  DESIGN.md §6 gives the speed and how to measure
+   it. *)
 
 type ctx = {
   regs : int array;
@@ -61,9 +60,62 @@ let create ~space =
 
 let copy_regs ctx = Array.copy ctx.regs
 
-(* Execute exactly one instruction; assumes no breakpoint at pc.  Every
-   ALU op and branch condition is resolved here over [int].  Returns
-   [None] for ordinary retirement, which allocates nothing. *)
+(* The register-only instructions, written once for [exec_one] and
+   [run]'s inner loop.  Each retires its instruction at [pc] and gives
+   the next pc.  Register indexes stay bounds-checked: text decoded
+   from a checkpoint is untrusted input. *)
+
+let[@inline] operand regs o =
+  match o with Insn.Imm v -> v | Insn.Reg s -> regs.(s)
+
+(* Division and remainder by zero fault instead of retiring. *)
+let[@inline] divides_by_zero op b =
+  match op with Insn.Div | Insn.Rem -> b = 0 | _ -> false
+
+(* [dst := dst op b]; the caller has ruled out a zero divisor. *)
+let[@inline] alu regs op r b pc =
+  let a = regs.(r) in
+  regs.(r) <-
+    (match op with
+    | Insn.Add -> a + b
+    | Insn.Sub -> a - b
+    | Insn.Mul -> a * b
+    | Insn.Div -> a / b
+    | Insn.Rem -> a mod b
+    | Insn.And -> a land b
+    | Insn.Or -> a lor b
+    | Insn.Xor -> a lxor b
+    | Insn.Shl -> a lsl (b land 63)
+    | Insn.Shr -> a lsr (b land 63));
+  pc + 1
+
+let[@inline] mov regs r o pc =
+  regs.(r) <- operand regs o;
+  pc + 1
+
+let[@inline] jmp pmu t =
+  pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+  t
+
+(* Retired conditional branch: one deterministic RCB event whether or
+   not the branch is taken. *)
+let[@inline] jcc regs pmu c r o t pc =
+  pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
+  pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+  let a = regs.(r) and b = operand regs o in
+  let taken =
+    match c with
+    | Insn.Eq -> a = b
+    | Insn.Ne -> a <> b
+    | Insn.Lt -> a < b
+    | Insn.Le -> a <= b
+    | Insn.Gt -> a > b
+    | Insn.Ge -> a >= b
+  in
+  if taken then t else pc + 1
+
+(* Execute exactly one instruction; assumes no breakpoint at pc.
+   Returns [None] for ordinary retirement, which allocates nothing. *)
 let exec_one env ctx insn =
   let module I = Insn in
   let regs = ctx.regs in
@@ -74,29 +126,15 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Mov (r, o) ->
-    regs.(r) <- (match o with I.Imm v -> v | I.Reg s -> regs.(s));
-    ctx.pc <- ctx.pc + 1;
+    ctx.pc <- mov regs r o ctx.pc;
     None
-  | I.Alu (op, r, o) -> (
-    let b = match o with I.Imm v -> v | I.Reg s -> regs.(s) in
-    match op with
-    | (I.Div | I.Rem) when b = 0 -> Some (Stop_fault (F_div ctx.pc))
-    | _ ->
-      let a = regs.(r) in
-      regs.(r) <-
-        (match op with
-        | I.Add -> a + b
-        | I.Sub -> a - b
-        | I.Mul -> a * b
-        | I.Div -> a / b
-        | I.Rem -> a mod b
-        | I.And -> a land b
-        | I.Or -> a lor b
-        | I.Xor -> a lxor b
-        | I.Shl -> a lsl (b land 63)
-        | I.Shr -> a lsr (b land 63));
-      ctx.pc <- ctx.pc + 1;
-      None)
+  | I.Alu (op, r, o) ->
+    let b = operand regs o in
+    if divides_by_zero op b then Some (Stop_fault (F_div ctx.pc))
+    else begin
+      ctx.pc <- alu regs op r b ctx.pc;
+      None
+    end
   | I.Load (d, b, off) ->
     regs.(d) <- Addr_space.read_u64 ctx.space (regs.(b) + off);
     ctx.pc <- ctx.pc + 1;
@@ -114,25 +152,10 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Jmp t ->
-    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
-    ctx.pc <- t;
+    ctx.pc <- jmp pmu t;
     None
   | I.Jcc (c, r, o, t) ->
-    (* Retired conditional branch: one deterministic RCB event whether or
-       not the branch is taken. *)
-    pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
-    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
-    let a = regs.(r) and b = match o with I.Imm v -> v | I.Reg s -> regs.(s) in
-    let taken =
-      match c with
-      | I.Eq -> a = b
-      | I.Ne -> a <> b
-      | I.Lt -> a < b
-      | I.Le -> a <= b
-      | I.Gt -> a > b
-      | I.Ge -> a >= b
-    in
-    ctx.pc <- (if taken then t else ctx.pc + 1);
+    ctx.pc <- jcc regs pmu c r o t ctx.pc;
     None
   | I.Call t ->
     pmu.Pmu.branches <- pmu.Pmu.branches + 1;
@@ -153,8 +176,7 @@ let exec_one env ctx insn =
     ctx.pc <- target;
     None
   | I.Push o ->
-    Addr_space.write_u64 ctx.space (regs.(sp) - 8)
-      (match o with I.Imm v -> v | I.Reg s -> regs.(s));
+    Addr_space.write_u64 ctx.space (regs.(sp) - 8) (operand regs o);
     regs.(sp) <- regs.(sp) - 8;
     ctx.pc <- ctx.pc + 1;
     None
@@ -218,14 +240,23 @@ let exec_one env ctx insn =
    moves once, by the instructions retired, since nothing reads it
    during a run.  The loop holds the slots of the text page [pc] is on
    and asks the space for another page only when [pc] leaves it, or
-   after an [Emit], which may have copied the page.  An instruction
-   that retires normally hashes nothing and allocates nothing. *)
+   after an [Emit], which may have copied the page.
+
+   With no breakpoint set and single-step off, the inner loop retires
+   [Nop], [Pause], [Mov], [Alu], [Jmp] and [Jcc] on the held page, with
+   [pc] and the step count in locals, and touches only the page, the
+   registers and the PMU record.  It stops at the end of fuel or of the
+   page, and before an instruction of another kind, a zero divisor or
+   the [Jcc] that brings RCB to [ticks_from], from which on the PMU
+   ticks after every instruction; [exec_one] then retires that one.  A
+   slot index is masked to the page's 1024 slots, so its fetch goes
+   unchecked. *)
 let run env ctx ~fuel =
-  let space = ctx.space and pmu = ctx.pmu in
+  let space = ctx.space and pmu = ctx.pmu and regs = ctx.regs in
   let probe_bp = Addr_space.bp_any space in
   let ticks_from = Pmu.ticks_from pmu in
-  let armed = ticks_from < max_int in
   let single_step = ctx.single_step in
+  let inner = not (probe_bp || single_step) in
   let bits = Addr_space.text_page_bits in
   let slot_mask = (1 lsl bits) - 1 in
   let no_page = min_int (* [pc asr bits] never reaches it *) in
@@ -240,23 +271,57 @@ let run env ctx ~fuel =
            page := Addr_space.text_page space pc;
            page_key := pc asr bits
          end;
-         match !page.(pc land slot_mask) with
-         | None -> stop := Some (Stop_fault (F_ill pc))
-         | Some insn -> (
-           (match insn with Insn.Emit _ -> page_key := no_page | _ -> ());
-           let s = exec_one env ctx insn in
-           incr steps;
-           (* The PMU interrupt takes priority over synchronous stops only
-              if the instruction retired normally; a syscall/hook stop is
-              delivered first and the interrupt stays pending. *)
-           let fired =
-             armed && pmu.Pmu.rcb >= ticks_from && Pmu.tick_interrupt pmu
-           in
-           match s with
-           | Some _ -> stop := s
-           | None ->
-             if fired then stop := Some Stop_pmu
-             else if single_step then stop := Some Stop_singlestep)
+         if inner && pmu.Pmu.rcb < ticks_from then begin
+           let key = !page_key and slots = !page in
+           let pc = ref pc and n = ref !steps in
+           while
+             !n < fuel
+             && !pc asr bits = key
+             &&
+             match Array.unsafe_get slots (!pc land slot_mask) with
+             | Some (Insn.Alu (op, r, o)) ->
+               let b = operand regs o in
+               (not (divides_by_zero op b))
+               && (pc := alu regs op r b !pc;
+                   true)
+             | Some (Insn.Jcc (c, r, o, t)) ->
+               pmu.Pmu.rcb + 1 < ticks_from
+               && (pc := jcc regs pmu c r o t !pc;
+                   true)
+             | Some (Insn.Mov (r, o)) ->
+               pc := mov regs r o !pc;
+               true
+             | Some (Insn.Jmp t) ->
+               pc := jmp pmu t;
+               true
+             | Some (Insn.Nop | Insn.Pause) ->
+               incr pc;
+               true
+             | _ -> false
+           do
+             incr n
+           done;
+           ctx.pc <- !pc;
+           steps := !n
+         end;
+         let pc = ctx.pc in
+         if !steps < fuel && pc asr bits = !page_key then
+           match !page.(pc land slot_mask) with
+           | None -> stop := Some (Stop_fault (F_ill pc))
+           | Some insn -> (
+             (match insn with Insn.Emit _ -> page_key := no_page | _ -> ());
+             let s = exec_one env ctx insn in
+             incr steps;
+             (* The PMU interrupt takes priority over synchronous stops
+                only if the instruction retired normally; a syscall/hook
+                stop is delivered first and the interrupt stays
+                pending. *)
+             let fired = pmu.Pmu.rcb >= ticks_from && Pmu.tick_interrupt pmu in
+             match s with
+             | Some _ -> stop := s
+             | None ->
+               if fired then stop := Some Stop_pmu
+               else if single_step then stop := Some Stop_singlestep)
        end
      done
    with Addr_space.Segv { addr; access } ->

@@ -815,12 +815,15 @@ let sys_rt_sigreturn k task _args =
       kill_process k task.T.proc (256 + Signals.sigsegv);
       Divert)
 
+(* getrandom(2).  Like read, a copy-out that faults part way returns
+   the bytes it delivered, and one that faults at its first byte is
+   -EFAULT. *)
 let sys_getrandom k task args =
   let buf = args.(0) and len = args.(1) in
   let data = Bytes.init (max 0 len) (fun _ -> Char.chr (Entropy.byte k.entropy)) in
-  uwrite k task buf data;
-  charge k (Cost.bytes_cost k.cost len);
-  Done len
+  let n = uwrite_prefix k task buf data in
+  charge k (Cost.bytes_cost k.cost n);
+  Done n
 
 let sys_sched_setaffinity k task args =
   let tid = args.(0) and core = args.(1) in

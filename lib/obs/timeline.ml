@@ -112,9 +112,17 @@ let end_scope name =
            { ev_kind = E; ev_name = f.f_name; ev_lane = f.f_lane;
              ev_vts = !vclock (); ev_hts = !hclock () })
 
+(* Closes the scope on every exit without building a [Fun.protect]
+   closure per call. *)
 let scope ?lane name f =
   begin_scope ?lane name;
-  Fun.protect ~finally:(fun () -> end_scope name) f
+  match f () with
+  | v ->
+    end_scope name;
+    v
+  | exception e ->
+    end_scope name;
+    raise e
 
 let instant ?(lane = !current_lane) name =
   if !on then begin

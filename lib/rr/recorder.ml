@@ -1123,9 +1123,11 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
             task.T.cpu.Cpu.regs.(reg) <- value;
             emit r (E.E_insn_trap { tid = task.T.tid; reg; value }))
       done;
-      (* A buffered call whose copy-out faults (an output range the
-         guest did not map) fails the recording with a typed error
-         naming the call, not a bare [Segv]. *)
+      (* An output range the guest did not map writable takes the
+         traced path, but the hook's own accesses can still fault: the
+         guest may unmap the thread-locals page or the buffer.  That
+         fails the recording with a typed error naming the call, not a
+         bare [Segv]. *)
       if opts.intercept then begin
         let hook =
           Syscallbuf.hook ~wide:opts.wide

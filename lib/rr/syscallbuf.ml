@@ -257,11 +257,21 @@ let hook ?(wide = true) mode k task =
      and padding.  Guest-static, so record and replay fall back at the
      same call. *)
   let slack = 64 + (24 * List.length outs) in
+  (* An output range that is not mapped writable throughout takes the
+     traced path, where the kernel's own answer to a faulting copy-out
+     (a short count, or -EFAULT) is recorded.  Replay maps the same
+     pages, so it falls back at the same call. *)
+  let writable o =
+    Syscall_model.writable (space task)
+      args.(o.Syscall_model.bo_arg)
+      o.Syscall_model.bo_len
+  in
   if
     locked <> 0 || buf = 0
     || not (Syscall_model.bufferable ~wide ~nr ())
     || buffered_data > max_buffered_data
     || room < slack + buffered_data
+    || not (List.for_all writable outs)
   then traced_fallback k task
   else begin
     write_tl task Layout.tl_locked 1;

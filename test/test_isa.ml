@@ -917,13 +917,20 @@ let qcheck_paged_fetch_sliced =
    equal), and emits encodable instructions over its own code and into
    the routine's page.  A case may fork the space first, so that every
    text page is shared copy-on-write and the first [Emit] into a page
-   copies it. *)
+   copies it.
+
+   Half the cases run mostly in [Cpu.run]'s inner loop instead: no
+   breakpoint, no single-step, runs of register-only instructions that
+   cross 0x1400 mid-run, fuels that end inside them, zero divisors
+   among the ALU ops, and a PMU interrupt re-armed before every run a
+   few RCBs past where the run starts. *)
 let ref_base = 0x1400 - 12
 let ref_routine = 0x2000
 let ref_routine_len = 6
 let ref_prelude = 16 (* r0..r12, then r13, r14, r15 *)
 
 type ref_case = {
+  rc_base : int; (* the prelude's address; [rc_main] follows it *)
   rc_main : Insn.t array; (* after the prelude *)
   rc_routine : Insn.t array; (* ends in [Ret] *)
   rc_inits : int array; (* r0..r12 *)
@@ -931,19 +938,27 @@ type ref_case = {
   rc_bps : int list; (* breakpoint addresses *)
   rc_steps : bool list; (* single-step before run i (cycled) *)
   rc_pmu : (int * int) option; (* RCB target, skid *)
+  rc_ahead : (int * int) list;
+      (* re-arm before run i (cycled): RCBs past the count, skid *)
   rc_tsc_trap : bool;
   rc_fork : bool;
 }
 
+(* Registers a case may write (r13-r15 hold the routine, scratch and
+   stack addresses) and read, values that hit the edge cases, operands
+   and conditions, shared by both generators below. *)
+let dst = QCheck.Gen.int_bound 12
+let src = QCheck.Gen.int_bound 15
+let small = QCheck.Gen.oneofl [ 0; 1; 2; 3; -1; 63; 64; 65; max_int; min_int ]
+
+let operand =
+  QCheck.Gen.(
+    oneof [ map (fun r -> Insn.Reg r) src; map (fun v -> Insn.Imm v) small ])
+
+let cond = QCheck.Gen.oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
 let ref_case_gen =
   QCheck.Gen.(
-    let dst = int_bound 12 and src = int_bound 15 in
-    let small = oneofl [ 0; 1; 2; 3; -1; 63; 64; 65; max_int; min_int ] in
-    let operand =
-      oneof
-        [ map (fun r -> Insn.Reg r) src; map (fun v -> Insn.Imm v) small ]
-    in
-    let cond = oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge ] in
     let alu = oneofl Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
     let* n = int_range 4 40 in
     let main_end = ref_base + ref_prelude + n in
@@ -1011,13 +1026,87 @@ let ref_case_gen =
     let* pmu = opt (pair (int_bound 30) (int_bound Pmu.max_skid)) in
     let* rc_tsc_trap = bool and* rc_fork = bool in
     return
-      { rc_main = Array.of_list (List.concat items);
+      { rc_base = ref_base;
+        rc_main = Array.of_list (List.concat items);
         rc_routine = Array.of_list (routine @ [ Insn.Ret ]);
         rc_inits = inits;
         rc_fuels = fuels;
         rc_bps = bps;
         rc_steps = steps;
         rc_pmu = pmu;
+        rc_ahead = [];
+        rc_tsc_trap;
+        rc_fork })
+
+(* Mostly register-only code whose first [below] instructions lie under
+   0x1400, so that runs cross the page boundary; an occasional memory
+   op, stop or call leaves the inner loop. *)
+let inner_case_gen =
+  QCheck.Gen.(
+    let alu = oneofl Insn.[ Add; Sub; Mul; And; Or; Xor; Shl; Shr ] in
+    let* below = int_range 1 24 in
+    let* n = int_range (below + 4) (below + 48) in
+    let base = 0x1400 - ref_prelude - below in
+    let main_start = base + ref_prelude in
+    (* A jump to the routine's page lands on the slots main holds just
+       past 0x1400, so a run that missed leaving a page would show. *)
+    let target =
+      frequency
+        [ (6, int_range main_start (main_start + n - 1));
+          (1, int_range ref_routine (ref_routine + ref_routine_len - 1)) ]
+    in
+    let reg_only =
+      let open Insn in
+      frequency
+        [ (1, oneofl [ Nop; Pause ]);
+          (3, map2 (fun r o -> Mov (r, o)) dst operand);
+          (10, map3 (fun op r o -> Alu (op, r, o)) alu dst operand);
+          (1, map (fun t -> Jmp t) target);
+          ( 6,
+            let* c = cond and* r = src and* o = operand and* t = target in
+            return (Jcc (c, r, o, t)) ) ]
+    in
+    (* Divisors: a register that may hold 0, or rarely an immediate 0. *)
+    let division =
+      let open Insn in
+      let* op = oneofl [ Div; Rem ] and* r = dst in
+      let* o =
+        frequency [ (6, map (fun s -> Reg s) src); (1, return (Imm 0)) ]
+      in
+      return (Alu (op, r, o))
+    in
+    let leaves =
+      let open Insn in
+      frequency
+        [ (1, oneofl [ Syscall; Ret ]);
+          (1, map2 (fun r off -> Load (r, 14, off land 0xff8)) dst int);
+          (1, map2 (fun r off -> Store (r, 14, off land 0xff8)) src int);
+          (1, return (Call ref_routine));
+          (1, map (fun n -> Hook n) (int_bound 3));
+          (1, map (fun r -> Rdtsc r) dst) ]
+    in
+    let insn = frequency [ (40, reg_only); (2, division); (3, leaves) ] in
+    let* main = list_repeat n insn in
+    let* routine = list_repeat (ref_routine_len - 1) reg_only in
+    let* inits = array_repeat 13 small in
+    let* fuels =
+      list_size (int_range 1 4) (oneof [ int_range 1 12; int_range 13 80 ])
+    in
+    let* pmu = opt (pair (int_bound 30) (int_bound Pmu.max_skid)) in
+    let* ahead =
+      list_size (int_bound 3) (pair (int_range 1 4) (int_bound Pmu.max_skid))
+    in
+    let* rc_tsc_trap = bool and* rc_fork = bool in
+    return
+      { rc_base = base;
+        rc_main = Array.of_list main;
+        rc_routine = Array.of_list (routine @ [ Insn.Ret ]);
+        rc_inits = inits;
+        rc_fuels = fuels;
+        rc_bps = [];
+        rc_steps = [ false ];
+        rc_pmu = pmu;
+        rc_ahead = ahead;
         rc_tsc_trap;
         rc_fork })
 
@@ -1025,9 +1114,9 @@ let show_ref_case c =
   let list f l = String.concat "; " (List.map f l) in
   let insns a = list (Fmt.str "%a" Insn.pp) (Array.to_list a) in
   Printf.sprintf
-    "main [%s]\nroutine [%s]\ninits [%s] fuels [%s] bps [%s] steps [%s] \
-     pmu %s tsc_trap=%b fork=%b"
-    (insns c.rc_main) (insns c.rc_routine)
+    "base %#x main [%s]\nroutine [%s]\ninits [%s] fuels [%s] bps [%s] \
+     steps [%s] pmu %s ahead [%s] tsc_trap=%b fork=%b"
+    c.rc_base (insns c.rc_main) (insns c.rc_routine)
     (list string_of_int (Array.to_list c.rc_inits))
     (list string_of_int c.rc_fuels)
     (list (Printf.sprintf "%#x") c.rc_bps)
@@ -1035,6 +1124,7 @@ let show_ref_case c =
     (match c.rc_pmu with
     | None -> "off"
     | Some (t, s) -> Printf.sprintf "rcb %d skid %d" t s)
+    (list (fun (d, s) -> Printf.sprintf "+%d skid %d" d s) c.rc_ahead)
     c.rc_tsc_trap c.rc_fork
 
 (* Drive one interpreter through a case; returns every run's result and
@@ -1048,14 +1138,14 @@ let drive_ref run c =
         [| Mov (13, Imm ref_routine); Mov (14, Imm 0x4000);
            Mov (15, Imm 0x5800) |]
   in
-  Addr_space.text_load space ~base:ref_base (Array.append prelude c.rc_main);
+  Addr_space.text_load space ~base:c.rc_base (Array.append prelude c.rc_main);
   Addr_space.text_load space ~base:ref_routine c.rc_routine;
   (* A fork gives the space a fresh stamp: it owns none of its text
      pages, and its first write to each copies it. *)
   if c.rc_fork then ignore (Addr_space.fork space ~id:2);
   List.iter (Addr_space.bp_set space) c.rc_bps;
   let ctx = Cpu.create ~space in
-  ctx.Cpu.pc <- ref_base;
+  ctx.Cpu.pc <- c.rc_base;
   ctx.Cpu.tsc_trap <- c.rc_tsc_trap;
   Option.iter
     (fun (t, skid) -> Pmu.program_interrupt ctx.Cpu.pmu ~target:t ~skid)
@@ -1072,10 +1162,16 @@ let drive_ref run c =
           !ticks * 7919) }
   in
   let fuels = Array.of_list c.rc_fuels and ss = Array.of_list c.rc_steps in
+  let ahead = Array.of_list c.rc_ahead in
   let rec go i total acc =
     if i >= 300 || total >= 3000 then List.rev acc
     else begin
       ctx.Cpu.single_step <- ss.(i mod Array.length ss);
+      if ahead <> [||] then begin
+        let d, skid = ahead.(i mod Array.length ahead) in
+        let pmu = ctx.Cpu.pmu in
+        Pmu.program_interrupt pmu ~target:(pmu.Pmu.rcb + d) ~skid
+      end;
       let stop, steps = run env ctx ~fuel:fuels.(i mod Array.length fuels) in
       let acc = (stop, steps) :: acc and total = total + steps in
       match stop with
@@ -1104,8 +1200,9 @@ let drive_ref run c =
 
 let qcheck_cpu_matches_ref =
   QCheck.Test.make ~name:"Cpu.run matches the reference interpreter"
-    ~count:500
-    (QCheck.make ~print:show_ref_case ref_case_gen)
+    ~count:1000
+    (QCheck.make ~print:show_ref_case
+       (QCheck.Gen.oneof [ ref_case_gen; inner_case_gen ]))
     (fun c -> drive_ref Cpu.run c = drive_ref Cpu_ref.run c)
 
 let test_pmu_interrupt_fires_with_skid () =

@@ -626,49 +626,12 @@ let test_poll_roundtrip () =
     rstats.Recorder.exit_status
 
 (* The partial-fault program: map one page, then read a 64-byte file
-   into the page's last 16 bytes, so the copy runs off the mapping.
-   Through the syscallbuf the kernel reads into the trace buffer, and
-   the copy-out to the real destination faults: the recording must fail
-   with a typed error naming the call and the first unmapped address,
-   not raise a bare [Addr_space.Segv].  (How the kernel itself should
-   answer such a read, with a short count, is a separate fix.) *)
-let test_partial_fault_typed_error () =
-  let setup k =
-    Vfs.mkdir_p (K.vfs k) "/bin";
-    let reg = Vfs.create_file (K.vfs k) "/data64" in
-    ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.make 64 'x'));
-    let b = G.create () in
-    G.emit b
-      (G.sys_mmap ~len:(G.imm Mem.page_size) ~prot:Mem.prot_rw ~flags:1
-      @. [ Asm.movr 7 0; Asm.addi 7 (Mem.page_size - 16) ]
-      @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly
-      @. [ Asm.movr 8 0 ]
-      @. G.sys_read ~fd:(G.reg 8) ~buf:(G.reg 7) ~len:(G.imm 64)
-      @. G.sys_exit_group 0);
-    K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ())
-  in
-  match Recorder.run ~setup ~exe:"/bin/t" () with
-  | Ok _ -> Alcotest.fail "recording a faulting copy-out succeeded"
-  | Error (Recorder.Rec_trace e) ->
-    Alcotest.failf "trace error: %s" (Trace.error_to_string e)
-  | Error (Recorder.Rec_failure msg) ->
-    let has sub =
-      let n = String.length sub in
-      let rec at i =
-        i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
-      in
-      at 0
-    in
-    if not (has "read" && has "0x10001000") then
-      Alcotest.failf "error does not name the call and address: %s" msg
-
-(* The partial-fault program with the kernel's answers checked: a read
-   whose copy-out faults after 16 bytes returns 16 and consumes only
-   those, from a file and from a pipe, and one that faults at its first
-   byte returns -EFAULT and consumes nothing.  Each read exits with its
-   own status when its result is wrong.  Untraced, every read answers as
-   Linux's does; recorded without interception, each result and the 16
-   bytes it wrote are the frame's, so replay verifies. *)
+   and ask getrandom for 64 bytes into the page's last 16 bytes and into
+   the unmapped page after it, so each copy-out runs off the mapping.
+   One that faults after 16 bytes returns 16 and, for a read, consumes
+   only those, from a file and from a pipe; one that faults at its first
+   byte returns -EFAULT and consumes nothing.  Each call exits with its
+   own status when its result is wrong. *)
 let partial_reads_prog _k b =
   let fds = G.bss b 16 in
   let expect v code =
@@ -678,6 +641,7 @@ let partial_reads_prog _k b =
     @. [ Asm.label ok ]
   in
   let read fd buf = G.sys_read ~fd:(G.reg fd) ~buf:(G.reg buf) ~len:(G.imm 64) in
+  let getrandom buf = G.sc Sysno.getrandom [ G.reg buf; G.imm 64 ] in
   let efault = -Errno.efault in
   G.emit b
     (G.sys_mmap ~len:(G.imm Mem.page_size) ~prot:Mem.prot_rw ~flags:1
@@ -699,31 +663,69 @@ let partial_reads_prog _k b =
     @. read 12 9 @. expect 16 6
     @. read 12 10 @. expect efault 7
     @. read 12 7 @. expect 48 8
+    @. getrandom 9 @. expect 16 9
+    @. getrandom 10 @. expect efault 10
     @. G.sys_exit_group 0)
 
+let partial_reads_setup k =
+  let reg = Vfs.create_file (K.vfs k) "/data64" in
+  ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.make 64 'x'))
+
+(* Untraced, every call answers as Linux's does. *)
 let test_partial_fault_short_count () =
-  let setup k =
-    let reg = Vfs.create_file (K.vfs k) "/data64" in
-    ignore (Vfs.write (K.vfs k) reg ~off:0 (Bytes.make 64 'x'))
-  in
   let k = K.create ~seed:1 () in
   Vfs.mkdir_p (K.vfs k) "/bin";
-  setup k;
+  partial_reads_setup k;
   let b = G.create () in
   partial_reads_prog k b;
   K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ());
   let task = K.spawn k ~path:"/bin/t" () in
   ignore (K.run_baseline k ~cores:1 ());
-  Alcotest.(check (option int)) "untraced: each read answers as Linux's"
-    (Some 0) task.T.proc.T.exit_code;
-  let _, rstats, _, pstats, _ =
-    roundtrip ~setup
-      ~rec_opts:{ Recorder.default_opts with intercept = false }
-      partial_reads_prog
+  Alcotest.(check (option int)) "untraced: each call answers as Linux's"
+    (Some 0) task.T.proc.T.exit_code
+
+(* Recorded with and without interception, each result and the 16
+   bytes it wrote are the frame's, so replay verifies.  Through the
+   syscallbuf, an output range that is not mapped writable throughout
+   takes the traced path, so the kernel's answer is the one recorded. *)
+let test_partial_fault_replays () =
+  List.iter
+    (fun intercept ->
+      let _, rstats, _, pstats, _ =
+        roundtrip ~setup:partial_reads_setup
+          ~rec_opts:{ Recorder.default_opts with intercept }
+          partial_reads_prog
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "recorded, intercept = %b" intercept)
+        (Some 0) rstats.Recorder.exit_status;
+      check_same_exit rstats pstats)
+    [ false; true ]
+
+(* The hook's own accesses can still fault: a guest may unmap the
+   syscallbuf's thread-locals page, which the hook reads on every call.
+   The recording then fails with a typed error naming the call and the
+   address, not a bare [Addr_space.Segv]. *)
+let test_hook_fault_typed_error () =
+  let tl = Layout.thread_locals_page in
+  let build _k b =
+    G.emit b
+      (G.sc Sysno.munmap [ G.imm tl; G.imm Mem.page_size ]
+      @. G.sc Sysno.getpid []
+      @. G.sys_exit_group 0)
   in
-  Alcotest.(check (option int)) "recorded without interception" (Some 0)
-    rstats.Recorder.exit_status;
-  check_same_exit rstats pstats
+  match roundtrip build with
+  | _ -> Alcotest.fail "recording a faulting hook succeeded"
+  | exception Recorder.Record_error (Recorder.Rec_failure msg) ->
+    let has sub =
+      let n = String.length sub in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+      in
+      at 0
+    in
+    if not (has "getpid" && has (Printf.sprintf "%#x" tl)) then
+      Alcotest.failf "error does not name the call and address: %s" msg
 
 let suites =
   [ ( "rr.roundtrip",
@@ -759,10 +761,12 @@ let suites =
         Alcotest.test_case "checksummed reverse execution" `Quick
           test_debugger_checksummed_seeks;
         Alcotest.test_case "poll roundtrip" `Quick test_poll_roundtrip;
-        Alcotest.test_case "partial-fault read is a typed record error" `Quick
-          test_partial_fault_typed_error;
         Alcotest.test_case "partial-fault read returns the short count" `Quick
           test_partial_fault_short_count;
+        Alcotest.test_case "partial-fault calls replay under both settings"
+          `Quick test_partial_fault_replays;
+        Alcotest.test_case "a faulting hook is a typed record error" `Quick
+          test_hook_fault_typed_error;
         Alcotest.test_case "no scratch buffers" `Quick
           (fun () ->
             (* §2.3.1's ablation: with one task at a time, eliminating

@@ -91,9 +91,21 @@ let test_exception_safety () =
   (* the frame closed on the way out: a further end_scope has nothing
      to close and must be counted as a mismatch, not crash *)
   Tl.end_scope "record.stop";
+  (* A timed span closes its scope the same way, and still counts the
+     span and its time. *)
+  let sp = Telemetry.span "test.raises" in
+  let n0 = Telemetry.span_count sp in
+  (try
+     Telemetry.timed sp (fun () ->
+         now := 80;
+         failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check int) "raising span counted" (n0 + 1)
+    (Telemetry.span_count sp);
   let evs = stop_and_events () in
   let kinds = List.map (fun e -> e.Tl.ev_kind) evs in
-  Alcotest.(check bool) "B then E emitted" true (kinds = [ Tl.B; Tl.E ]);
+  Alcotest.(check bool) "B then E emitted, twice" true
+    (kinds = [ Tl.B; Tl.E; Tl.B; Tl.E ]);
   Alcotest.(check int) "stray end counted" 1 (Tl.mismatches ())
 
 let test_mismatched_name_closes_frame () =
