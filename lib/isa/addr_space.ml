@@ -6,22 +6,54 @@
    and patching a syscall site is a single-slot update, which is the moral
    equivalent of rr rewriting the two-byte x86 syscall instruction.
 
-   The text map is paged: a table of 1024-slot arrays keyed by
-   [addr asr 10], each slot holding the instruction's [Some] built once
-   when it was written.  The interpreter ({!Cpu.run}) holds the slots of
-   the page it runs on and asks [text_page] for another only when the
-   program counter leaves it; the space keeps the last two pages asked
-   for, so a call into a JIT page and its return hash nothing.  Three
-   rules keep what the interpreter and the cache hold exact:
-   - writes ([text_set], [text_load], [text_write]) land in the slot in
-     place, so an [Emit] into a page the space owns is seen by the very
+   The text map is paged: a table keyed by [addr asr 10] of pages, each
+   holding two arrays over a window of its 1024 addresses, a predecoded
+   [int] word per slot and the slot's instruction.  [text_set] encodes
+   the word once ([text_word], below).  The interpreter ({!Cpu.run})
+   dispatches on the word and reads the instruction only for the kinds
+   a word cannot hold.  It holds the window of the page it runs on and
+   asks [text_page] for another only when the program counter leaves
+   that window; the space keeps the last two pages asked for, so a call
+   into a JIT page and its return hash nothing.
+
+   A page stores only a window, the slots from its lowest to its highest
+   written address: a write outside it widens it to at least twice its
+   length, never past the page, and [text_load] sizes each page's window
+   once, to the code it loads.  So a page costs by the slots it holds: an
+   8-instruction program's text is two 8-slot arrays, and a page with a
+   single entry two 1-slot ones.  Two entries at a page's two ends still
+   cost a full window.
+
+   A word is a 6-bit tag (bits 0-5), register [a] (bits 6-9: the one an
+   instruction writes, or the one a [Jcc] compares) and, by tag:
+   - register operand ([Mov], [Alu]): register [b] in bits 10-13;
+   - immediate operand ([Mov], [Alu]): the value in bits 10-62, signed;
+   - [Jmp]: the target in bits 10-62, signed;
+   - [Jcc] with a register: [b] in bits 10-13, the target in 14-62,
+     signed;
+   - [Jcc] with an immediate: the target in bits 10-41, unsigned, the
+     value in 42-62, signed.
+   The tags: 0 an empty slot; 1 general; 2 [Nop] and [Pause]; 3 [Jmp];
+   4 and 5 [Mov] with a register and an immediate; 6 + 2k and 7 + 2k
+   [Alu] with ALU op k (in [Insn.alu]'s order, [Add] to [Shr]) and a
+   register or an immediate; 26 + 2k and 27 + 2k [Jcc] with condition k
+   ([Eq] to [Ge]).  General covers what the interpreter runs from the
+   instruction array: memory ops, stops, [Emit], the nondeterministic
+   instructions, and any register-only instruction with a register
+   outside 0-15, a value too wide for its field, or a [Div] or [Rem] by
+   [Imm 0].  Only this file encodes words, and only {!Cpu.run} decodes
+   them.
+
+   Three rules keep what the interpreter and the cache hold exact:
+   - writes ([text_set], [text_load], [text_write]) inside a window the
+     space owns land in place, so an [Emit] there is seen by the very
      next fetch;
    - pages are copy-on-write: each carries the stamp of the one space
      that may write it in place, a fork gives both sides fresh stamps,
      and [text_set] copies a page that is not its space's before the
-     first write and repoints either cached page that held it (the
-     interpreter drops its held page after every [Emit] for the same
-     reason);
+     first write, or a page whose window must widen, and repoints either
+     cached page that held it (the interpreter drops its held window
+     after every [Emit] for the same reason);
    - exec's [unmap_all] drops the pages and both cached ones.
    DESIGN.md §6 gives the interpreter's speed on jit_compute and the
    command that measures it.
@@ -77,9 +109,14 @@ type region = {
   shared : bool;
 }
 
+(* Slot [i] of both arrays is address [page_base + i]; the window is
+   the [Array.length page_words] addresses from [page_base], all on one
+   page.  An empty slot holds word 0 and [Halt]. *)
 type text_page = {
-  stamp : int; (* the one text map that may write [slots] in place *)
-  slots : Insn.t option array;
+  page_stamp : int; (* the one text map that may write the arrays in place *)
+  page_base : int;
+  page_words : int array;
+  page_insns : Insn.t array;
 }
 
 (* [cached] is the page [text_page] returned last, [cached_prev] the
@@ -88,9 +125,9 @@ type text = {
   text_pages : (int, text_page) Hashtbl.t; (* addr asr 10 -> page *)
   mutable stamp : int;
   mutable cached_key : int;
-  mutable cached : Insn.t option array;
+  mutable cached : text_page;
   mutable cached_prev_key : int;
-  mutable cached_prev : Insn.t option array;
+  mutable cached_prev : text_page;
 }
 
 (* [frames.(i)] is mapped at page index [idxs.(i)], and [idxs]
@@ -121,9 +158,10 @@ let text_page_slots = 1 lsl text_page_bits
    empty cache slot. *)
 let no_text_page = min_int
 
-(* What [text_page] gives for an address no page holds.  Nothing writes
-   it: [text_set] writes only the table's pages. *)
-let empty_text_page = Array.make text_page_slots None
+(* What [text_page] gives for an address no page holds: an empty
+   window, which nothing writes. *)
+let empty_text_page =
+  { page_stamp = 0; page_base = 0; page_words = [||]; page_insns = [||] }
 
 (* Stamps only need to differ between live text maps; the program runs
    in one domain. *)
@@ -135,7 +173,8 @@ let fresh_stamp () =
 
 let text_of_pages text_pages =
   { text_pages; stamp = fresh_stamp (); cached_key = no_text_page;
-    cached = [||]; cached_prev_key = no_text_page; cached_prev = [||] }
+    cached = empty_text_page; cached_prev_key = no_text_page;
+    cached_prev = empty_text_page }
 
 let mmap_base = 0x1000_0000
 let stack_top = 0x7ff0_0000
@@ -316,9 +355,9 @@ let unmap_all t =
   t.regions <- [];
   Hashtbl.reset t.text.text_pages;
   t.text.cached_key <- no_text_page;
-  t.text.cached <- [||];
+  t.text.cached <- empty_text_page;
   t.text.cached_prev_key <- no_text_page;
-  t.text.cached_prev <- [||];
+  t.text.cached_prev <- empty_text_page;
   Hashtbl.reset t.written_text;
   Hashtbl.reset t.breakpoints;
   t.mmap_cursor <- mmap_base
@@ -396,6 +435,15 @@ let observe_write t ~addr ~len =
   | None -> ()
   | Some f -> f t ~addr ~len
 
+let rec writable t addr len =
+  len <= 0
+  || (match find_page t (Mem.page_index addr) with
+     | Some p -> p.Mem.prot land Mem.prot_w <> 0
+     | None -> false)
+     &&
+     let next = (Mem.page_index addr + 1) * Mem.page_size in
+     writable t next (len - (next - addr))
+
 let read_u8 ?(force = false) t addr =
   Mem.get_u8 (readable_page t addr ~force) (Mem.page_offset addr)
 
@@ -455,7 +503,37 @@ let write_bytes ?force t addr b =
 
 (* Text (code) accessors. *)
 
-let text_slot addr = addr land (text_page_slots - 1)
+let text_tag_general = 1
+
+let is_reg r = r >= 0 && r < Insn.num_regs
+
+(* Whether [v] fits a signed field of [bits] bits. *)
+let fits bits v =
+  let top = v asr (bits - 1) in
+  top = 0 || top = -1
+
+(* The word of [insn], in the format the header gives.  [rest] is what
+   follows register [a], from bit 10 on. *)
+let text_word insn =
+  let word tag a rest = tag lor (a lsl 6) lor (rest lsl 10) in
+  match insn with
+  | Insn.Nop | Insn.Pause -> 2
+  | Insn.Jmp t when fits 53 t -> word 3 0 t
+  | Insn.Mov (a, Insn.Reg b) when is_reg a && is_reg b -> word 4 a b
+  | Insn.Mov (a, Insn.Imm v) when is_reg a && fits 53 v -> word 5 a v
+  | Insn.Alu ((Insn.Div | Insn.Rem), _, Insn.Imm 0) -> text_tag_general
+  | Insn.Alu (op, a, Insn.Reg b) when is_reg a && is_reg b ->
+    word (6 + (2 * Insn.alu_index op)) a b
+  | Insn.Alu (op, a, Insn.Imm v) when is_reg a && fits 53 v ->
+    word (7 + (2 * Insn.alu_index op)) a v
+  | Insn.Jcc (c, a, Insn.Reg b, t) when is_reg a && is_reg b && fits 49 t ->
+    word (26 + (2 * Insn.cond_index c)) a (b lor (t lsl 4))
+  | Insn.Jcc (c, a, Insn.Imm v, t)
+    when is_reg a && fits 21 v && t >= 0 && t < 1 lsl 32 ->
+    word (27 + (2 * Insn.cond_index c)) a (t lor (v lsl 32))
+  | _ -> text_tag_general
+
+let text_tag insn = text_word insn land 63
 
 (* A hit on either cached page is a compare and, for the older one, a
    swap; only a page outside both hashes.  An address no page holds
@@ -465,44 +543,90 @@ let text_page t addr =
   let key = addr asr text_page_bits in
   if key = tx.cached_key then tx.cached
   else
-    let slots =
+    let page =
       if key = tx.cached_prev_key then tx.cached_prev
       else
         match Hashtbl.find tx.text_pages key with
-        | page -> page.slots
+        | page -> page
         | exception Not_found -> empty_text_page
     in
-    if slots != empty_text_page then begin
+    if page != empty_text_page then begin
       tx.cached_prev_key <- tx.cached_key;
       tx.cached_prev <- tx.cached;
       tx.cached_key <- key;
-      tx.cached <- slots
+      tx.cached <- page
     end;
-    slots
+    page
 
-let text_get t addr = (text_page t addr).(text_slot addr)
+let text_get t addr =
+  let p = text_page t addr in
+  let i = addr - p.page_base in
+  if i >= 0 && i < Array.length p.page_words && p.page_words.(i) <> 0 then
+    Some p.page_insns.(i)
+  else None
 
-(* The caches hold the table's own slots, so writing a page the space
-   owns writes theirs; a page shared with a fork is copied first, and
-   a cache that held it follows the copy. *)
+(* Puts [p] in the table as page [key], and in either cache that held
+   that page. *)
+let install tx key p =
+  Hashtbl.replace tx.text_pages key p;
+  if tx.cached_key = key then tx.cached <- p;
+  if tx.cached_prev_key = key then tx.cached_prev <- p;
+  p
+
+(* [p]'s slots, copied into a window of [n] slots from [base] that holds
+   [p]'s, as a page [stamp] owns. *)
+let rewindow p ~stamp ~base ~n =
+  let words = Array.make n 0 and insns = Array.make n Insn.Halt in
+  let len = Array.length p.page_words in
+  if len > 0 then begin
+    Array.blit p.page_words 0 words (p.page_base - base) len;
+    Array.blit p.page_insns 0 insns (p.page_base - base) len
+  end;
+  { page_stamp = stamp; page_base = base; page_words = words;
+    page_insns = insns }
+
+(* A page of key [key] that [tx] may write in place and whose window
+   holds [lo] to [last], addresses of that page.  That is the table's
+   page when [tx] owns it and its window holds them; otherwise a copy
+   replaces it, in a window widened to take them, to at least twice its
+   length if [grow], never past the page. *)
+let writable_window tx key ~lo ~last ~grow =
+  let p =
+    match Hashtbl.find tx.text_pages key with
+    | p -> p
+    | exception Not_found -> empty_text_page
+  in
+  let base = p.page_base and len = Array.length p.page_words in
+  let holds = len > 0 && lo >= base && last - base < len in
+  if holds && p.page_stamp = tx.stamp then p
+  else if holds then install tx key (rewindow p ~stamp:tx.stamp ~base ~n:len)
+  else begin
+    let lo' = if len = 0 then lo else min lo base
+    and last' = if len = 0 then last else max last (base + len - 1) in
+    let need = last' - lo' + 1 in
+    let n = if grow then min text_page_slots (max need (2 * len)) else need in
+    let first = key lsl text_page_bits in
+    (* Widen toward the side the new slots are on, as far as the page
+       allows. *)
+    let base =
+      if len > 0 && lo < base then max first (last' - n + 1)
+      else min lo' (first + text_page_slots - n)
+    in
+    install tx key (rewindow p ~stamp:tx.stamp ~base ~n)
+  end
+
+(* The caches hold the table's own pages, so writing a window the space
+   owns writes theirs; any other page is copied first, and a cache that
+   held it follows the copy. *)
 let text_set t addr insn =
   changed t;
-  let tx = t.text and key = addr asr text_page_bits in
-  let slots =
-    match Hashtbl.find tx.text_pages key with
-    | page when page.stamp = tx.stamp -> page.slots
-    | page ->
-      let slots = Array.copy page.slots in
-      Hashtbl.replace tx.text_pages key { stamp = tx.stamp; slots };
-      if tx.cached_key = key then tx.cached <- slots;
-      if tx.cached_prev_key = key then tx.cached_prev <- slots;
-      slots
-    | exception Not_found ->
-      let slots = Array.make text_page_slots None in
-      Hashtbl.replace tx.text_pages key { stamp = tx.stamp; slots };
-      slots
+  let p =
+    writable_window t.text (addr asr text_page_bits) ~lo:addr ~last:addr
+      ~grow:true
   in
-  slots.(text_slot addr) <- Some insn
+  let i = addr - p.page_base in
+  p.page_words.(i) <- text_word insn;
+  p.page_insns.(i) <- insn
 
 (* Both fold in ascending key, then address, order.  The walk sorts
    the keys in one array: the encoder walks every space of every
@@ -512,21 +636,17 @@ let text_fold_pages f t init =
   let keys = Array.make (Hashtbl.length pages) 0 in
   ignore (Hashtbl.fold (fun key _ i -> keys.(i) <- key; i + 1) pages 0);
   Array.sort Int.compare keys;
-  Array.fold_left
-    (fun acc key -> f key (Hashtbl.find pages key).slots acc)
-    init keys
+  Array.fold_left (fun acc key -> f key (Hashtbl.find pages key) acc) init keys
+
+let text_page_fold f p init =
+  let acc = ref init in
+  Array.iteri
+    (fun i w -> if w <> 0 then acc := f (p.page_base + i) p.page_insns.(i) !acc)
+    p.page_words;
+  !acc
 
 let text_fold f t init =
-  text_fold_pages
-    (fun key slots acc ->
-      let base = key lsl text_page_bits in
-      let acc = ref acc in
-      Array.iteri
-        (fun i slot ->
-          match slot with Some insn -> acc := f (base + i) insn !acc | None -> ())
-        slots;
-      !acc)
-    t init
+  text_fold_pages (fun _ p acc -> text_page_fold f p acc) t init
 
 let text_count t = text_fold (fun _ _ n -> n + 1) t 0
 
@@ -535,7 +655,18 @@ let text_count t = text_fold (fun _ _ n -> n + 1) t 0
 let loaded_insns = ref 0
 
 let text_load t ~base code =
-  loaded_insns := !loaded_insns + Array.length code;
+  let n = Array.length code in
+  loaded_insns := !loaded_insns + n;
+  (* Size each page's window once, to the code it takes. *)
+  let lo = ref base in
+  while !lo < base + n do
+    let key = !lo asr text_page_bits in
+    let last =
+      min (base + n - 1) ((key lsl text_page_bits) + text_page_slots - 1)
+    in
+    ignore (writable_window t.text key ~lo:!lo ~last ~grow:false);
+    lo := last + 1
+  done;
   Array.iteri (fun i insn -> text_set t (base + i) insn) code
 
 let text_write t addr insn =

@@ -28,6 +28,20 @@ type text
     one map that may write it in place.  Read it through [text_page],
     [text_get], [text_fold_pages], [text_fold] and [text_count]. *)
 
+type text_page = private {
+  page_stamp : int;
+  page_base : int;
+  page_words : int array;
+  page_insns : Insn.t array;
+}
+(** One text page's window: slot [i] of both arrays is address
+    [page_base + i], for the [Array.length page_words] addresses of the
+    window, all of them on the page.  [page_words.(i)] is the slot's
+    word, 0 for an empty slot, and [page_insns.(i)] its instruction
+    ([Halt] in an empty slot).  Only lib/isa reads these fields
+    (tools/check_format.sh holds the rest of the tree to it); the
+    interpreter dispatches on the words. *)
+
 type page_table
 (** The mapped data frames by page index.  Read it through
     [page_count], [find_page] and [fold_pages]. *)
@@ -88,6 +102,12 @@ val clear_write_observer : unit -> unit
     indexer installs one during its replay pass to learn which pages
     each frame touches; leave it unset otherwise. *)
 
+val writable : t -> int -> int -> bool
+(** [writable t addr len]: whether every byte of [addr, addr + len) is
+    mapped writable, so a write there without [force] cannot fault.  The
+    kernel checks a syscall's whole output with it before any effect,
+    and the syscallbuf checks the outputs it would redirect. *)
+
 val read_u8 : ?force:bool -> t -> int -> int
 val write_u8 : ?force:bool -> t -> int -> int -> unit
 val read_u64 : ?force:bool -> t -> int -> int
@@ -108,13 +128,25 @@ val text_page_bits : int
 (** A text page holds the [1 lsl text_page_bits] addresses that share
     [addr asr text_page_bits]. *)
 
-val text_page : t -> int -> Insn.t option array
-(** The slots of the page holding [addr]: slot [addr land (1 lsl
-    text_page_bits - 1)] is [addr]'s.  Where no page holds [addr], a
-    page of [None]s.  Hashes nothing and allocates nothing when the page
-    is one of the last two asked for.  The slots are the space's own,
+val text_tag : Insn.t -> int
+(** The tag of the word {!text_set} stores for an instruction (the
+    word's low 6 bits): it names the instruction with its ALU op or
+    condition and its operand kind, or is {!text_tag_general}.
+    addr_space.ml's header has the word's layout. *)
+
+val text_tag_general : int
+(** The tag of every instruction a word cannot hold, which the
+    interpreter runs from the instruction array: memory ops, stops,
+    [Emit], the nondeterministic instructions, and register-only ones
+    with a register outside 0-15, a value too wide for its field, or a
+    [Div] or [Rem] by [Imm 0]. *)
+
+val text_page : t -> int -> text_page
+(** The page holding [addr].  Where no page holds [addr], a page with
+    an empty window.  Hashes nothing and allocates nothing when the page
+    is one of the last two asked for.  Its arrays are the space's own,
     good until the next [text_set] of the page: a write to a page shared
-    with a fork lands in a copy. *)
+    with a fork, or outside the page's window, lands in a copy. *)
 
 val text_get : t -> int -> Insn.t option
 (** The instruction at [addr], through {!text_page}. *)
@@ -122,15 +154,20 @@ val text_get : t -> int -> Insn.t option
 val text_set : t -> int -> Insn.t -> unit
 (** Writes the slot: the next [text_page] or [text_get] of [addr] sees
     it, and no other space does.  The first write to a page shared with
-    a fork copies the page. *)
+    a fork copies the page; a write outside the page's window copies it
+    into a window of at least twice the length, never past the page. *)
 
 val text_load : t -> base:int -> Insn.t array -> unit
+(** {!text_set} of each instruction at [base + i], with each page's
+    window sized once, to the code it takes. *)
 
-val text_fold_pages : (int -> Insn.t option array -> 'a -> 'a) -> t -> 'a -> 'a
+val text_fold_pages : (int -> text_page -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over every text page in ascending key order, with its key
-    ([addr asr text_page_bits]) and its slots, as {!text_page} gives
-    them.  A page shared with a fork is the same array in both spaces
-    until one of them writes it. *)
+    ([addr asr text_page_bits]).  A page shared with a fork is the same
+    page, physically, in both spaces until one of them writes it. *)
+
+val text_page_fold : (int -> Insn.t -> 'a -> 'a) -> text_page -> 'a -> 'a
+(** Folds over a page's instructions, in ascending address order. *)
 
 val text_fold : (int -> Insn.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over every instruction, in ascending address order. *)

@@ -9,14 +9,16 @@
 
    It stands in for the hardware rr runs tracees on natively, so most
    of a CPU-bound workload's host time is spent in [run].  Its inner
-   loop retires register-only instructions without calling anything;
-   [exec_one] takes the rest one at a time, and one helper per
-   register-only instruction serves both.  No instruction that retires
-   normally hashes or allocates (test_isa.ml's "retires without
-   allocating" counts the words).  test/cpu_ref.ml keeps the
-   interpreter these loops replaced, and a property holds both to the
-   same machine state.  DESIGN.md §6 gives the speed and how to measure
-   it. *)
+   loop retires register-only instructions from the predecoded words of
+   the text page it holds (addr_space.ml's header has the format):
+   one flat jump table on the word's tag, each case's arithmetic
+   written in place, reading only the word, the register array and the
+   PMU record.  [exec_one] takes the rest one at a time, from the
+   page's instruction array.  No instruction that retires normally
+   hashes or allocates (test_isa.ml's "retires without allocating"
+   counts the words).  test/cpu_ref.ml keeps the interpreter these
+   loops replaced, and a property holds both to the same machine
+   state.  DESIGN.md §6 gives the speed and how to measure it. *)
 
 type ctx = {
   regs : int array;
@@ -60,59 +62,8 @@ let create ~space =
 
 let copy_regs ctx = Array.copy ctx.regs
 
-(* The register-only instructions, written once for [exec_one] and
-   [run]'s inner loop.  Each retires its instruction at [pc] and gives
-   the next pc.  Register indexes stay bounds-checked: text decoded
-   from a checkpoint is untrusted input. *)
-
 let[@inline] operand regs o =
   match o with Insn.Imm v -> v | Insn.Reg s -> regs.(s)
-
-(* Division and remainder by zero fault instead of retiring. *)
-let[@inline] divides_by_zero op b =
-  match op with Insn.Div | Insn.Rem -> b = 0 | _ -> false
-
-(* [dst := dst op b]; the caller has ruled out a zero divisor. *)
-let[@inline] alu regs op r b pc =
-  let a = regs.(r) in
-  regs.(r) <-
-    (match op with
-    | Insn.Add -> a + b
-    | Insn.Sub -> a - b
-    | Insn.Mul -> a * b
-    | Insn.Div -> a / b
-    | Insn.Rem -> a mod b
-    | Insn.And -> a land b
-    | Insn.Or -> a lor b
-    | Insn.Xor -> a lxor b
-    | Insn.Shl -> a lsl (b land 63)
-    | Insn.Shr -> a lsr (b land 63));
-  pc + 1
-
-let[@inline] mov regs r o pc =
-  regs.(r) <- operand regs o;
-  pc + 1
-
-let[@inline] jmp pmu t =
-  pmu.Pmu.branches <- pmu.Pmu.branches + 1;
-  t
-
-(* Retired conditional branch: one deterministic RCB event whether or
-   not the branch is taken. *)
-let[@inline] jcc regs pmu c r o t pc =
-  pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
-  pmu.Pmu.branches <- pmu.Pmu.branches + 1;
-  let a = regs.(r) and b = operand regs o in
-  let taken =
-    match c with
-    | Insn.Eq -> a = b
-    | Insn.Ne -> a <> b
-    | Insn.Lt -> a < b
-    | Insn.Le -> a <= b
-    | Insn.Gt -> a > b
-    | Insn.Ge -> a >= b
-  in
-  if taken then t else pc + 1
 
 (* Execute exactly one instruction; assumes no breakpoint at pc.
    Returns [None] for ordinary retirement, which allocates nothing. *)
@@ -126,15 +77,27 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Mov (r, o) ->
-    ctx.pc <- mov regs r o ctx.pc;
+    regs.(r) <- operand regs o;
+    ctx.pc <- ctx.pc + 1;
     None
+  | I.Alu ((I.Div | I.Rem), _, o) when operand regs o = 0 ->
+    Some (Stop_fault (F_div ctx.pc))
   | I.Alu (op, r, o) ->
-    let b = operand regs o in
-    if divides_by_zero op b then Some (Stop_fault (F_div ctx.pc))
-    else begin
-      ctx.pc <- alu regs op r b ctx.pc;
-      None
-    end
+    let a = regs.(r) and b = operand regs o in
+    regs.(r) <-
+      (match op with
+      | I.Add -> a + b
+      | I.Sub -> a - b
+      | I.Mul -> a * b
+      | I.Div -> a / b
+      | I.Rem -> a mod b
+      | I.And -> a land b
+      | I.Or -> a lor b
+      | I.Xor -> a lxor b
+      | I.Shl -> a lsl (b land 63)
+      | I.Shr -> a lsr (b land 63));
+    ctx.pc <- ctx.pc + 1;
+    None
   | I.Load (d, b, off) ->
     regs.(d) <- Addr_space.read_u64 ctx.space (regs.(b) + off);
     ctx.pc <- ctx.pc + 1;
@@ -152,10 +115,25 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Jmp t ->
-    ctx.pc <- jmp pmu t;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+    ctx.pc <- t;
     None
   | I.Jcc (c, r, o, t) ->
-    ctx.pc <- jcc regs pmu c r o t ctx.pc;
+    (* Retired conditional branch: one deterministic RCB event whether
+       or not the branch is taken. *)
+    pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+    let a = regs.(r) and b = operand regs o in
+    let taken =
+      match c with
+      | I.Eq -> a = b
+      | I.Ne -> a <> b
+      | I.Lt -> a < b
+      | I.Le -> a <= b
+      | I.Gt -> a > b
+      | I.Ge -> a >= b
+    in
+    ctx.pc <- (if taken then t else ctx.pc + 1);
     None
   | I.Call t ->
     pmu.Pmu.branches <- pmu.Pmu.branches + 1;
@@ -232,96 +210,325 @@ let exec_one env ctx insn =
       None)
   | I.Halt -> Some (Stop_fault (F_ill ctx.pc))
 
+(* A word's fields (addr_space.ml's header has the layout). *)
+let[@inline] reg_a w = (w lsr 6) land 15
+let[@inline] reg_b w = (w lsr 10) land 15
+let[@inline] imm w = w asr 10 (* [Mov], [Alu] immediate; [Jmp] target *)
+let[@inline] jcc_r_target w = w asr 14
+let[@inline] jcc_i_target w = (w lsr 10) land 0xffff_ffff
+let[@inline] jcc_i_imm w = w asr 42
+
+(* Register fields are 4 bits, and [run] checks once that [regs] has 16
+   slots, so the inner loop indexes it unchecked. *)
+let[@inline] get (regs : int array) r = Array.unsafe_get regs r
+let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
+
+(* A retired conditional branch: one deterministic RCB event whether or
+   not it is taken.  The inner loop retires one only while that keeps
+   RCB below the PMU's tick point. *)
+let[@inline] count_jcc pmu =
+  pmu.Pmu.rcb <- pmu.Pmu.rcb + 1;
+  pmu.Pmu.branches <- pmu.Pmu.branches + 1
+
+let[@inline] tick_ahead pmu ticks_from = pmu.Pmu.rcb + 1 < ticks_from
+
+(* [run]'s inner loop, from [ctx.pc] in the window of [words] at [base]
+   with [steps] retired: retires register-only words until one of the
+   limits [run] gives.  Sets [ctx.pc] and returns the step count.  It
+   calls nothing, so its locals stay in registers.  [run] has checked
+   that [ctx.regs] has 16 slots. *)
+let retire_words ctx words base ~ticks_from ~fuel steps =
+  let regs = ctx.regs and pmu = ctx.pmu in
+  let last = Array.length words - 1 in
+  let pc = ref ctx.pc and n = ref steps and go = ref true in
+  while !go && !n < fuel do
+    let i = !pc - base in
+    (* Negative exactly when [i] is outside 0..[last]. *)
+    if i lor (last - i) < 0 then go := false
+    else begin
+      let w = Array.unsafe_get words i in
+      (* From 4 on, tags pair up: the even one takes register [b], the
+         odd one an immediate. *)
+      match w land 63 with
+      | 2 (* Nop, Pause *) ->
+        pc := !pc + 1;
+        incr n
+      | 3 (* Jmp *) ->
+        pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+        pc := imm w;
+        incr n
+      | 4 (* Mov, register *) ->
+        set regs (reg_a w) (get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 5 (* Mov, immediate *) ->
+        set regs (reg_a w) (imm w);
+        pc := !pc + 1;
+        incr n
+      | 6 (* Add *) ->
+        let a = reg_a w in
+        set regs a (get regs a + get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 7 ->
+        let a = reg_a w in
+        set regs a (get regs a + imm w);
+        pc := !pc + 1;
+        incr n
+      | 8 (* Sub *) ->
+        let a = reg_a w in
+        set regs a (get regs a - get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 9 ->
+        let a = reg_a w in
+        set regs a (get regs a - imm w);
+        pc := !pc + 1;
+        incr n
+      | 10 (* Mul *) ->
+        let a = reg_a w in
+        set regs a (get regs a * get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 11 ->
+        let a = reg_a w in
+        set regs a (get regs a * imm w);
+        pc := !pc + 1;
+        incr n
+      | 12 (* Div; a zero divisor faults in [exec_one] *)
+        when get regs (reg_b w) <> 0 ->
+        let a = reg_a w in
+        set regs a (get regs a / get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 13 (* never [Imm 0] *) ->
+        let a = reg_a w in
+        set regs a (get regs a / imm w);
+        pc := !pc + 1;
+        incr n
+      | 14 (* Rem, as Div *) when get regs (reg_b w) <> 0 ->
+        let a = reg_a w in
+        set regs a (get regs a mod get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 15 ->
+        let a = reg_a w in
+        set regs a (get regs a mod imm w);
+        pc := !pc + 1;
+        incr n
+      | 16 (* And *) ->
+        let a = reg_a w in
+        set regs a (get regs a land get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 17 ->
+        let a = reg_a w in
+        set regs a (get regs a land imm w);
+        pc := !pc + 1;
+        incr n
+      | 18 (* Or *) ->
+        let a = reg_a w in
+        set regs a (get regs a lor get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 19 ->
+        let a = reg_a w in
+        set regs a (get regs a lor imm w);
+        pc := !pc + 1;
+        incr n
+      | 20 (* Xor *) ->
+        let a = reg_a w in
+        set regs a (get regs a lxor get regs (reg_b w));
+        pc := !pc + 1;
+        incr n
+      | 21 ->
+        let a = reg_a w in
+        set regs a (get regs a lxor imm w);
+        pc := !pc + 1;
+        incr n
+      | 22 (* Shl *) ->
+        let a = reg_a w in
+        set regs a (get regs a lsl (get regs (reg_b w) land 63));
+        pc := !pc + 1;
+        incr n
+      | 23 ->
+        let a = reg_a w in
+        set regs a (get regs a lsl (imm w land 63));
+        pc := !pc + 1;
+        incr n
+      | 24 (* Shr *) ->
+        let a = reg_a w in
+        set regs a (get regs a lsr (get regs (reg_b w) land 63));
+        pc := !pc + 1;
+        incr n
+      | 25 ->
+        let a = reg_a w in
+        set regs a (get regs a lsr (imm w land 63));
+        pc := !pc + 1;
+        incr n
+      | 26 (* Jcc Eq, register *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) = get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 27 (* Jcc Eq, immediate *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) = jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | 28 (* Ne *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) <> get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 29 when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) <> jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | 30 (* Lt *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) < get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 31 when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) < jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | 32 (* Le *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) <= get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 33 when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) <= jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | 34 (* Gt *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) > get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 35 when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) > jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | 36 (* Ge *) when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) >= get regs (reg_b w) then
+            jcc_r_target w
+          else !pc + 1;
+        incr n
+      | 37 when tick_ahead pmu ticks_from ->
+        count_jcc pmu;
+        pc :=
+          if get regs (reg_a w) >= jcc_i_imm w then jcc_i_target w
+          else !pc + 1;
+        incr n
+      | _ ->
+        (* an empty or general slot, a zero divisor, or the
+           [Jcc] that reaches the tick point: [exec_one] *)
+        go := false
+    end
+  done;
+  ctx.pc <- !pc;
+  !n
+
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
    (None if fuel ran out) and the number of instructions retired.  The
    supervisor sets breakpoints, programs the PMU and sets single-step
    only between runs, so all three are read once, and the PMU is ticked
    only from the RCB count at which a tick can do anything; [pmu.insns]
    moves once, by the instructions retired, since nothing reads it
-   during a run.  The loop holds the slots of the text page [pc] is on
+   during a run.  The loop holds the window of the text page [pc] is on
    and asks the space for another page only when [pc] leaves it, or
-   after an [Emit], which may have copied the page.
+   after an [Emit], which may have copied or widened the page.  A [pc]
+   outside the window of its own page, or on an empty slot, has no
+   instruction: [F_ill].
 
    With no breakpoint set and single-step off, the inner loop retires
-   [Nop], [Pause], [Mov], [Alu], [Jmp] and [Jcc] on the held page, with
-   [pc] and the step count in locals, and touches only the page, the
-   registers and the PMU record.  It stops at the end of fuel or of the
-   page, and before an instruction of another kind, a zero divisor or
-   the [Jcc] that brings RCB to [ticks_from], from which on the PMU
-   ticks after every instruction; [exec_one] then retires that one.  A
-   slot index is masked to the page's 1024 slots, so its fetch goes
-   unchecked. *)
+   the instructions whose word has a register-only tag, with [pc] and
+   the step count in locals, and touches only the held words, the
+   registers and the PMU record.  A fetch is one test of [pc - base]
+   against the window's length.  The loop stops at the end of fuel or
+   of the window, and before a general or empty slot, a zero divisor in
+   a register or the [Jcc] that brings RCB to [ticks_from], from which
+   on the PMU ticks after every instruction; [exec_one] then retires
+   that one from the instruction array. *)
 let run env ctx ~fuel =
   let space = ctx.space and pmu = ctx.pmu and regs = ctx.regs in
   let probe_bp = Addr_space.bp_any space in
   let ticks_from = Pmu.ticks_from pmu in
   let single_step = ctx.single_step in
-  let inner = not (probe_bp || single_step) in
-  let bits = Addr_space.text_page_bits in
-  let slot_mask = (1 lsl bits) - 1 in
-  let no_page = min_int (* [pc asr bits] never reaches it *) in
-  let page_key = ref no_page and page = ref [||] in
+  let inner =
+    (not (probe_bp || single_step)) && Array.length regs = Insn.num_regs
+  in
+  let base = ref 0 and words = ref [||] and insns = ref [||] in
   let steps = ref 0 and stop = ref None in
   (try
      while !stop == None && !steps < fuel do
        let pc = ctx.pc in
        if probe_bp && Addr_space.bp_is_set space pc then stop := Some Stop_bkpt
        else begin
-         if pc asr bits <> !page_key then begin
-           page := Addr_space.text_page space pc;
-           page_key := pc asr bits
+         let i = pc - !base in
+         if i < 0 || i >= Array.length !words then begin
+           let p = Addr_space.text_page space pc in
+           base := p.Addr_space.page_base;
+           words := p.Addr_space.page_words;
+           insns := p.Addr_space.page_insns
          end;
-         if inner && pmu.Pmu.rcb < ticks_from then begin
-           let key = !page_key and slots = !page in
-           let pc = ref pc and n = ref !steps in
-           while
-             !n < fuel
-             && !pc asr bits = key
-             &&
-             match Array.unsafe_get slots (!pc land slot_mask) with
-             | Some (Insn.Alu (op, r, o)) ->
-               let b = operand regs o in
-               (not (divides_by_zero op b))
-               && (pc := alu regs op r b !pc;
-                   true)
-             | Some (Insn.Jcc (c, r, o, t)) ->
-               pmu.Pmu.rcb + 1 < ticks_from
-               && (pc := jcc regs pmu c r o t !pc;
-                   true)
-             | Some (Insn.Mov (r, o)) ->
-               pc := mov regs r o !pc;
-               true
-             | Some (Insn.Jmp t) ->
-               pc := jmp pmu t;
-               true
-             | Some (Insn.Nop | Insn.Pause) ->
-               incr pc;
-               true
-             | _ -> false
-           do
-             incr n
-           done;
-           ctx.pc <- !pc;
-           steps := !n
-         end;
-         let pc = ctx.pc in
-         if !steps < fuel && pc asr bits = !page_key then
-           match !page.(pc land slot_mask) with
-           | None -> stop := Some (Stop_fault (F_ill pc))
-           | Some insn -> (
-             (match insn with Insn.Emit _ -> page_key := no_page | _ -> ());
-             let s = exec_one env ctx insn in
-             incr steps;
-             (* The PMU interrupt takes priority over synchronous stops
-                only if the instruction retired normally; a syscall/hook
-                stop is delivered first and the interrupt stays
-                pending. *)
-             let fired = pmu.Pmu.rcb >= ticks_from && Pmu.tick_interrupt pmu in
-             match s with
-             | Some _ -> stop := s
-             | None ->
-               if fired then stop := Some Stop_pmu
-               else if single_step then stop := Some Stop_singlestep)
+         let i = pc - !base in
+         if i < 0 || i >= Array.length !words then
+           stop := Some (Stop_fault (F_ill pc))
+         else begin
+           if inner && pmu.Pmu.rcb < ticks_from then
+             steps := retire_words ctx !words !base ~ticks_from ~fuel !steps;
+           let pc = ctx.pc in
+           let i = pc - !base in
+           if !steps < fuel && i >= 0 && i < Array.length !words then
+             if !words.(i) = 0 then stop := Some (Stop_fault (F_ill pc))
+             else begin
+               let insn = !insns.(i) in
+               (match insn with
+               | Insn.Emit _ ->
+                 base := 0;
+                 words := [||]
+               | _ -> ());
+               let s = exec_one env ctx insn in
+               incr steps;
+               (* The PMU interrupt takes priority over synchronous stops
+                  only if the instruction retired normally; a syscall/hook
+                  stop is delivered first and the interrupt stays
+                  pending. *)
+               let fired =
+                 pmu.Pmu.rcb >= ticks_from && Pmu.tick_interrupt pmu
+               in
+               match s with
+               | Some _ -> stop := s
+               | None ->
+                 if fired then stop := Some Stop_pmu
+                 else if single_step then stop := Some Stop_singlestep
+             end
+         end
        end
      done
    with Addr_space.Segv { addr; access } ->

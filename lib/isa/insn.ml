@@ -50,6 +50,28 @@ type t =
   | Hook of int                     (* trap to a supervisor-installed hook *)
   | Halt                            (* invalid in user code: faults *)
 
+(* Each op's and condition's place in its type's declaration: the trace
+   codec's tag for it, and its offset among the text word's tags. *)
+let alu_index = function
+  | Add -> 0
+  | Sub -> 1
+  | Mul -> 2
+  | Div -> 3
+  | Rem -> 4
+  | And -> 5
+  | Or -> 6
+  | Xor -> 7
+  | Shl -> 8
+  | Shr -> 9
+
+let cond_index = function
+  | Eq -> 0
+  | Ne -> 1
+  | Lt -> 2
+  | Le -> 3
+  | Gt -> 4
+  | Ge -> 5
+
 (* Encoding for run-time code generation ([Emit]).  Only the shapes a JIT
    plausibly emits are encodable; [decode] refuses everything else, which
    is how a guest program that emits garbage faults. *)

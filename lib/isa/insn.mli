@@ -42,6 +42,12 @@ type t =
   | Hook of int
   | Halt
 
+val alu_index : alu -> int
+val cond_index : cond -> int
+(** An op's or condition's place in its type's declaration, from 0: the
+    trace codec's tag for it, and its offset among the text word's
+    tags. *)
+
 val encode : t -> int option
 (** Encode an instruction for run-time emission ([Emit]).  Only a small
     JIT-friendly subset is encodable. *)

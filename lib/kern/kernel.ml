@@ -197,6 +197,12 @@ let uwrite_prefix k task addr data =
   | exception A.Segv { addr = at; _ } ->
     if at = addr then raise Efault else at - addr
 
+(* Whether a syscall's whole output [addr, addr + len) is mapped
+   writable.  stat, pipe and getcwd check it before any effect, so one
+   that would fault returns -EFAULT having written and changed
+   nothing. *)
+let uwritable task addr len = A.writable task.T.cpu.Cpu.space addr len
+
 let uread_u64 k task addr =
   ignore k;
   try A.read_u64 task.T.cpu.Cpu.space addr with A.Segv _ -> raise Efault
@@ -632,11 +638,14 @@ let sys_stat k task args =
           (Vfs.file_size r, (Vfs.file_size r + Vfs.block_size - 1) / Vfs.block_size)
         | Vfs.Dir _ -> (0, 0)
       in
-      uwrite_u64 k task buf size;
-      uwrite_u64 k task (buf + 8) node.Vfs.ino;
-      uwrite_u64 k task (buf + 16) node.Vfs.nlink;
-      uwrite_u64 k task (buf + 24) blocks;
-      0)
+      if not (uwritable task buf 32) then -Errno.efault
+      else begin
+        uwrite_u64 k task buf size;
+        uwrite_u64 k task (buf + 8) node.Vfs.ino;
+        uwrite_u64 k task (buf + 16) node.Vfs.nlink;
+        uwrite_u64 k task (buf + 24) blocks;
+        0
+      end)
 
 let sys_lseek _k task args =
   fd_or_ebadf task args.(0) (fun e ->
@@ -723,13 +732,18 @@ let sys_futex k task args =
   end
   else Done (-Errno.einval)
 
+(* An fds array that would fault opens nothing, as Linux's pipe2
+   releases both ends when its copy-out fails. *)
 let sys_pipe k task args =
-  let p = Chan.make_pipe ~id:(alloc_obj_id k) () in
-  let rfd = T.add_fd task (T.F_pipe_r p) ~fl:0 in
-  let wfd = T.add_fd task (T.F_pipe_w p) ~fl:0 in
-  uwrite_u64 k task args.(0) rfd;
-  uwrite_u64 k task (args.(0) + 8) wfd;
-  Done 0
+  if not (uwritable task args.(0) 16) then Done (-Errno.efault)
+  else begin
+    let p = Chan.make_pipe ~id:(alloc_obj_id k) () in
+    let rfd = T.add_fd task (T.F_pipe_r p) ~fl:0 in
+    let wfd = T.add_fd task (T.F_pipe_w p) ~fl:0 in
+    uwrite_u64 k task args.(0) rfd;
+    uwrite_u64 k task (args.(0) + 8) wfd;
+    Done 0
+  end
 
 let sys_nanosleep k _task args =
   (* args.(5) caches the absolute deadline across re-attempts after
@@ -968,10 +982,12 @@ let sys_close k task args =
 
 let sys_getcwd k task args =
   let cwd = task.T.proc.T.cwd in
-  if String.length cwd + 1 > args.(1) then Done (-Errno.erange)
+  let len = String.length cwd + 1 in
+  if len > args.(1) then Done (-Errno.erange)
+  else if not (uwritable task args.(0) len) then Done (-Errno.efault)
   else begin
     uwrite k task args.(0) (Bytes.of_string (cwd ^ "\000"));
-    Done (String.length cwd + 1)
+    Done len
   end
 
 let sys_chdir k task args =

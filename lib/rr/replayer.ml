@@ -1363,7 +1363,7 @@ let sorted_keys tbl =
    snapshot share most of their pages copy-on-write: [text_runs]
    encodes each run once per blob, by page key and physical page. *)
 type text_run = {
-  slots : Insn.t option array;
+  page : A.text_page;
   count : int;
   run : Codec.slice;
 }
@@ -1375,30 +1375,28 @@ type text_runs = {
 
 let text_runs () = { by_key = Hashtbl.create 32; scratch = Buffer.create 4096 }
 
-let rec known_run slots = function
-  | r :: rest -> if r.slots == slots then r else known_run slots rest
+let rec known_run page = function
+  | r :: rest -> if r.page == page then r else known_run page rest
   | [] -> raise Not_found
 
-let text_run runs key slots =
+let text_run runs key page =
   let known =
     match Hashtbl.find runs.by_key key with l -> l | exception Not_found -> []
   in
-  match known_run slots known with
+  match known_run page known with
   | r -> r
   | exception Not_found ->
-    let b = runs.scratch and base = key lsl A.text_page_bits in
+    let b = runs.scratch in
     Buffer.clear b;
-    let count = ref 0 in
-    Array.iteri
-      (fun i slot ->
-        match slot with
-        | Some insn ->
-          incr count;
-          Codec.put_int b (base + i);
-          Image_codec.put_insn b insn
-        | None -> ())
-      slots;
-    let r = { slots; count = !count; run = Codec.whole (Buffer.contents b) } in
+    let count =
+      A.text_page_fold
+        (fun addr insn n ->
+          Codec.put_int b addr;
+          Image_codec.put_insn b insn;
+          n + 1)
+        page 0
+    in
+    let r = { page; count; run = Codec.whole (Buffer.contents b) } in
     Hashtbl.replace runs.by_key key (r :: known);
     r
 
@@ -1419,7 +1417,7 @@ let put_space table runs sec (a : A.t) =
          idx)
        a (-1));
   let text =
-    A.text_fold_pages (fun key slots acc -> text_run runs key slots :: acc) a []
+    A.text_fold_pages (fun key page acc -> text_run runs key page :: acc) a []
   in
   Codec.put_uvarint b (List.fold_left (fun n r -> n + r.count) 0 text);
   List.iter (fun r -> put_payload sec r.run) (List.rev text);

@@ -166,16 +166,6 @@ let elidable ~nr ~(args : int array) =
   | _ :: _ -> false
   | exception Unsupported _ -> false
 
-(* Whether every byte of [addr, addr + len) is mapped writable. *)
-let rec writable space addr len =
-  len <= 0
-  || (match Addr_space.find_page space (Mem.page_index addr) with
-     | Some p -> p.Mem.prot land Mem.prot_w <> 0
-     | None -> false)
-     &&
-     let next = (Mem.page_index addr + 1) * Mem.page_size in
-     writable space next (len - (next - addr))
-
 (* Traced blocking syscalls whose output buffer must detour through
    scratch memory (§2.3.1): (arg index, length-from-args).  A buffer not
    mapped writable throughout stays where it is, so the kernel's own
@@ -185,6 +175,6 @@ let scratch_redirect task ~nr ~(args : int array) =
   if
     (nr = Sysno.read || nr = Sysno.recvfrom)
     && may_block task ~nr ~args
-    && writable task.T.cpu.Cpu.space args.(1) args.(2)
+    && Addr_space.writable task.T.cpu.Cpu.space args.(1) args.(2)
   then Some (1, args.(2))
   else None

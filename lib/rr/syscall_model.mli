@@ -40,10 +40,6 @@ val replay_performs : nr:int -> bool
 (** Syscalls whose effects replay must re-perform rather than emulate:
     address-space operations (paper §2.3.8). *)
 
-val writable : Addr_space.t -> int -> int -> bool
-(** [writable space addr len]: whether every byte of [addr, addr + len)
-    is mapped writable. *)
-
 val scratch_redirect : Task.t -> nr:int -> args:int array -> (int * int) option
 (** For traced blocking syscalls: (argument index, length) of the output
     buffer to detour through scratch memory (paper §2.3.1).  A buffer

@@ -262,7 +262,7 @@ let hook ?(wide = true) mode k task =
      (a short count, or -EFAULT) is recorded.  Replay maps the same
      pages, so it falls back at the same call. *)
   let writable o =
-    Syscall_model.writable (space task)
+    A.writable (space task)
       args.(o.Syscall_model.bo_arg)
       o.Syscall_model.bo_len
   in

@@ -20,19 +20,16 @@ let put_operand b = function
     C.put_uvarint b 1;
     C.put_int b r
 
+(* A register field: the interpreter indexes its 16 registers by it. *)
+let get_reg s =
+  let r = C.get_int s in
+  if r < 0 || r >= Insn.num_regs then corrupt "register %d" r else r
+
 let get_operand s =
   match C.get_uvarint s with
   | 0 -> Insn.Imm (C.get_int s)
-  | 1 -> Insn.Reg (C.get_int s)
+  | 1 -> Insn.Reg (get_reg s)
   | n -> corrupt "operand tag %d" n
-
-let cond_id = function
-  | Insn.Eq -> 0
-  | Insn.Ne -> 1
-  | Insn.Lt -> 2
-  | Insn.Le -> 3
-  | Insn.Gt -> 4
-  | Insn.Ge -> 5
 
 let cond_of = function
   | 0 -> Insn.Eq
@@ -42,18 +39,6 @@ let cond_of = function
   | 4 -> Insn.Gt
   | 5 -> Insn.Ge
   | n -> corrupt "cond tag %d" n
-
-let alu_id = function
-  | Insn.Add -> 0
-  | Insn.Sub -> 1
-  | Insn.Mul -> 2
-  | Insn.Div -> 3
-  | Insn.Rem -> 4
-  | Insn.And -> 5
-  | Insn.Or -> 6
-  | Insn.Xor -> 7
-  | Insn.Shl -> 8
-  | Insn.Shr -> 9
 
 let alu_of = function
   | 0 -> Insn.Add
@@ -78,7 +63,7 @@ let put_insn b = function
     put_operand b o
   | Insn.Alu (op, r, o) ->
     C.put_uvarint b 2;
-    C.put_uvarint b (alu_id op);
+    C.put_uvarint b (Insn.alu_index op);
     C.put_int b r;
     put_operand b o
   | Insn.Load (d, a, off) ->
@@ -106,7 +91,7 @@ let put_insn b = function
     C.put_int b a
   | Insn.Jcc (c, r, o, a) ->
     C.put_uvarint b 8;
-    C.put_uvarint b (cond_id c);
+    C.put_uvarint b (Insn.cond_index c);
     C.put_int b r;
     put_operand b o;
     C.put_int b a
@@ -153,52 +138,52 @@ let get_insn s =
   match C.get_uvarint s with
   | 0 -> Insn.Nop
   | 1 ->
-    let r = C.get_int s in
+    let r = get_reg s in
     Insn.Mov (r, get_operand s)
   | 2 ->
     let op = alu_of (C.get_uvarint s) in
-    let r = C.get_int s in
+    let r = get_reg s in
     Insn.Alu (op, r, get_operand s)
   | 3 ->
-    let d = C.get_int s in
-    let a = C.get_int s in
+    let d = get_reg s in
+    let a = get_reg s in
     Insn.Load (d, a, C.get_int s)
   | 4 ->
-    let v = C.get_int s in
-    let a = C.get_int s in
+    let v = get_reg s in
+    let a = get_reg s in
     Insn.Store (v, a, C.get_int s)
   | 5 ->
-    let d = C.get_int s in
-    let a = C.get_int s in
+    let d = get_reg s in
+    let a = get_reg s in
     Insn.Load8 (d, a, C.get_int s)
   | 6 ->
-    let v = C.get_int s in
-    let a = C.get_int s in
+    let v = get_reg s in
+    let a = get_reg s in
     Insn.Store8 (v, a, C.get_int s)
   | 7 -> Insn.Jmp (C.get_int s)
   | 8 ->
     let c = cond_of (C.get_uvarint s) in
-    let r = C.get_int s in
+    let r = get_reg s in
     let o = get_operand s in
     Insn.Jcc (c, r, o, C.get_int s)
   | 9 -> Insn.Call (C.get_int s)
-  | 10 -> Insn.Callr (C.get_int s)
+  | 10 -> Insn.Callr (get_reg s)
   | 11 -> Insn.Ret
   | 12 -> Insn.Push (get_operand s)
-  | 13 -> Insn.Pop (C.get_int s)
+  | 13 -> Insn.Pop (get_reg s)
   | 14 -> Insn.Syscall
-  | 15 -> Insn.Rdtsc (C.get_int s)
-  | 16 -> Insn.Rdrand (C.get_int s)
-  | 17 -> Insn.Cpuid_core (C.get_int s)
+  | 15 -> Insn.Rdtsc (get_reg s)
+  | 16 -> Insn.Rdrand (get_reg s)
+  | 17 -> Insn.Cpuid_core (get_reg s)
   | 18 ->
-    let a = C.get_int s in
-    let expect = C.get_int s in
-    let new_ = C.get_int s in
-    Insn.Cas (a, expect, new_, C.get_int s)
+    let a = get_reg s in
+    let expect = get_reg s in
+    let new_ = get_reg s in
+    Insn.Cas (a, expect, new_, get_reg s)
   | 19 -> Insn.Pause
   | 20 ->
-    let a = C.get_int s in
-    Insn.Emit (a, C.get_int s)
+    let a = get_reg s in
+    Insn.Emit (a, get_reg s)
   | 21 -> Insn.Hook (C.get_int s)
   | 22 -> Insn.Halt
   | n -> corrupt "insn tag %d" n

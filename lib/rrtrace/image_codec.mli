@@ -6,7 +6,8 @@
 
 val put_insn : Codec.sink -> Insn.t -> unit
 val get_insn : Codec.source -> Insn.t
-(** Raises {!Codec.Corrupt} on unknown tags. *)
+(** Raises {!Codec.Corrupt} on unknown tags, and on a register field or
+    [Reg] operand outside 0 to [Insn.num_regs - 1]. *)
 
 val put_image : Codec.sink -> Image.t -> unit
 val get_image : Codec.source -> Image.t

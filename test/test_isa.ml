@@ -125,7 +125,10 @@ module A = Addr_space
 
 let cow_base = 0x40_0000
 let cow_max_spaces = 6
-let cow_text_addrs = [| 0x400; 0x401; 0x7ff; 0x800; 0x803; 0xc00 |]
+(* Both ends of one page, and addresses a window must widen to take,
+   by more than doubling, by doubling and downward. *)
+let cow_text_addrs =
+  [| 0x400; 0x401; 0x7ff; 0x800; 0x803; 0x806; 0x80f; 0xc00; 0xc08; 0xc10 |]
 
 type mframe = {
   mutable data : Bytes.t;
@@ -808,6 +811,126 @@ let test_text_fold_ascending () =
     [ -5; 0; 0x13ff; 0x1400; 0x9000; 0x9001 ]
     (List.rev (Addr_space.text_fold (fun a _ acc -> a :: acc) space []))
 
+(* ---- text words: what gets one, and what a page costs ------------- *)
+
+let register_only = function
+  | Insn.Nop | Insn.Pause | Insn.Mov _ | Insn.Jmp _ | Insn.Jcc _ -> true
+  | Insn.Alu ((Insn.Div | Insn.Rem), _, Insn.Imm 0) -> false
+  | Insn.Alu _ -> true
+  | _ -> false
+
+(* Every image a workload's setup installs, by path. *)
+let workload_images (w : Workload.t) =
+  let k = Kernel.create ~seed:1 () in
+  w.Workload.setup k;
+  let vfs = Kernel.vfs k in
+  let rec walk dir acc =
+    List.fold_left
+      (fun acc name ->
+        let path = if dir = "/" then "/" ^ name else dir ^ "/" ^ name in
+        match (Vfs.resolve vfs path).Vfs.kind with
+        | Vfs.Dir _ -> walk path acc
+        | Vfs.Reg reg -> (
+          match Vfs.get_image reg with
+          | Some img -> (w.Workload.name ^ ":" ^ path, img) :: acc
+          | None -> acc))
+      acc (Vfs.readdir vfs dir)
+  in
+  walk "/" []
+
+(* The inner loop retires only what has a word tag, so every
+   register-only instruction the workloads run must get one: each in
+   the paper workloads' and the serve workload's images, each shape the
+   JIT can emit ([Insn.encode]'s, decoded, at its limits), and a branch
+   to any address up to the rr page's text. *)
+let test_workloads_get_word_tags () =
+  let tagged what insn =
+    if Addr_space.text_tag insn = Addr_space.text_tag_general then
+      Alcotest.failf "%s: %a runs from the instruction array" what Insn.pp
+        insn
+  in
+  let images =
+    List.concat_map workload_images
+      [ Wl_cp.make (); Wl_make.make (); Wl_octane.make ();
+        Wl_htmltest.make (); Wl_samba.make (); Wl_serve.make () ]
+  in
+  Alcotest.(check bool) "images found" true (List.length images >= 6);
+  let n = ref 0 in
+  List.iter
+    (fun (what, (img : Image.t)) ->
+      Array.iter
+        (fun insn ->
+          if register_only insn then begin
+            incr n;
+            tagged what insn
+          end)
+        img.Image.prog.Asm.code)
+    images;
+  Alcotest.(check bool) (Printf.sprintf "%d register-only instructions" !n)
+    true (!n > 500);
+  let regs = List.init Insn.num_regs Fun.id in
+  let emitted =
+    List.concat_map
+      (fun r ->
+        Insn.
+          [ Mov (r, Imm 0); Mov (r, Imm 0xffff); Alu (Add, r, Imm 0);
+            Alu (Add, r, Imm 0xffff); Jcc (Ne, r, Imm 0, 0);
+            Jcc (Ne, r, Imm 0, 0xffff_ffff) ])
+      regs
+    @ Insn.[ Nop; Pause; Jmp 0; Jmp 0xffff_ffff ]
+  in
+  List.iter
+    (fun insn ->
+      match Option.bind (Insn.encode insn) Insn.decode with
+      | Some d when d = insn -> tagged "emitted" insn
+      | _ -> Alcotest.failf "%a does not round-trip" Insn.pp insn)
+    emitted;
+  let top = Layout.rr_page_text in
+  List.iter (tagged "a branch to the rr page")
+    (Insn.Jmp top
+    :: List.concat_map
+         (fun c -> Insn.[ Jcc (c, 15, Imm (-1), top); Jcc (c, 0, Reg 15, top) ])
+         Insn.[ Eq; Ne; Lt; Le; Gt; Ge ])
+
+(* A text page costs by the slots it holds.  Words are counted, not
+   time: minor + major - promoted after a minor collection, as in
+   "fork_checkpoint costs a word a page".  With 1024-slot pages of
+   [Insn.t option], this 8-instruction program's space and text took
+   1,152 words, and 20,000 one-entry pages, what a forged checkpoint's
+   text section can ask for at a few bytes an entry, 167 MB. *)
+let test_text_costs_its_slots () =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 1 10; Asm.movi 2 0; Asm.label "l"; Asm.addi 2 3;
+        Asm.subi 1 1; Asm.jnz 1 "l"; Asm.movi 0 0; Asm.I Insn.Syscall;
+        Asm.I Insn.Halt ]
+  in
+  Alcotest.(check int) "eight instructions" 8 (Array.length prog.Asm.code);
+  let before = words () in
+  let space = A.create ~id:1 in
+  A.text_load space ~base:0x1000 prog.Asm.code;
+  let used = words () -. before in
+  Alcotest.(check int) "loaded" 8 (A.text_count space);
+  Alcotest.(check bool)
+    (Printf.sprintf "an 8-instruction program: %.0f words, under 300" used)
+    true (used < 300.);
+  let space = A.create ~id:1 in
+  let before = words () in
+  for k = 0 to 19_999 do
+    A.text_set space (k lsl A.text_page_bits)
+      (Insn.Alu (Insn.Add, 1, Insn.Imm k))
+  done;
+  let bytes = (words () -. before) *. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "set" 20_000 (A.text_count space);
+  Alcotest.(check bool)
+    (Printf.sprintf "20,000 one-entry pages: %.1f MB, under 8" (bytes /. 1e6))
+    true (bytes < 8e6)
+
 (* Random programs whose code straddles a text-page boundary and which
    JIT-emit into a third page and call there, mixed with loads, stores,
    every ALU op (div/rem by registers that may hold 0) and counted Jcc
@@ -913,17 +1036,22 @@ let qcheck_paged_fetch_sliced =
    The code straddles the text-page boundary at 0x1400 and calls a
    routine on a second page.  It draws every opcode, every condition
    and ALU op with register and immediate operands (division and
-   remainder by registers that may hold 0, comparisons that are often
-   equal), and emits encodable instructions over its own code and into
-   the routine's page.  A case may fork the space first, so that every
-   text page is shared copy-on-write and the first [Emit] into a page
-   copies it.
+   remainder by registers that may hold 0 and by [Imm 0], comparisons
+   that are often equal), immediates and branch targets at and one
+   past each limit of the text word's fields, both signs, and jumps
+   into the gaps of the three pages, outside their windows.  It emits
+   encodable instructions over its own code, into the routine's page
+   and below and above the windows, which widens them.  A case may
+   fork the space first, so that every text page is shared
+   copy-on-write and the first [Emit] into a page copies it.
 
    Half the cases run mostly in [Cpu.run]'s inner loop instead: no
    breakpoint, no single-step, runs of register-only instructions that
    cross 0x1400 mid-run, fuels that end inside them, zero divisors
-   among the ALU ops, and a PMU interrupt re-armed before every run a
-   few RCBs past where the run starts. *)
+   among the ALU ops, the same field edges and gaps, and a PMU
+   interrupt re-armed before every run a few RCBs past where the run
+   starts.  "reference cases draw every tag" counts the text-word tags
+   the two generators draw. *)
 let ref_base = 0x1400 - 12
 let ref_routine = 0x2000
 let ref_routine_len = 6
@@ -951,21 +1079,50 @@ let dst = QCheck.Gen.int_bound 12
 let src = QCheck.Gen.int_bound 15
 let small = QCheck.Gen.oneofl [ 0; 1; 2; 3; -1; 63; 64; 65; max_int; min_int ]
 
+(* The text word's signed fields, by width: an immediate or [Jmp]
+   target (53 bits), a [Jcc] target beside a register (49) and a [Jcc]
+   immediate (21); and a [Jcc] target beside an immediate, unsigned 32
+   bits.  Each limit and one past it: the one past makes the
+   instruction general. *)
+let signed_edges bits =
+  let top = 1 lsl (bits - 1) in
+  [ top - 1; -top; top; -top - 1 ]
+
+let value_edges = QCheck.Gen.oneofl (signed_edges 53 @ signed_edges 21)
+
+let target_edges =
+  QCheck.Gen.oneofl
+    (signed_edges 53 @ signed_edges 49 @ [ 0; (1 lsl 32) - 1; -1; 1 lsl 32 ])
+
 let operand =
   QCheck.Gen.(
-    oneof [ map (fun r -> Insn.Reg r) src; map (fun v -> Insn.Imm v) small ])
+    frequency
+      [ (4, map (fun r -> Insn.Reg r) src);
+        (4, map (fun v -> Insn.Imm v) small);
+        (1, map (fun v -> Insn.Imm v) value_edges) ])
 
 let cond = QCheck.Gen.oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* Addresses outside the three windows but on their pages: below the
+   first page's, above the second's and above the routine's. *)
+let gaps ~base ~main_end =
+  QCheck.Gen.oneof
+    [ QCheck.Gen.int_range (base - 16) (base - 1);
+      QCheck.Gen.int_range main_end (main_end + 8);
+      QCheck.Gen.int_range (ref_routine + ref_routine_len) (ref_routine + 12) ]
 
 let ref_case_gen =
   QCheck.Gen.(
     let alu = oneofl Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
     let* n = int_range 4 40 in
     let main_end = ref_base + ref_prelude + n in
+    let gaps = gaps ~base:ref_base ~main_end in
     let target =
       frequency
-        [ (6, int_range ref_base (main_end - 1));
-          (1, int_range ref_routine (ref_routine + ref_routine_len - 1)) ]
+        [ (12, int_range ref_base (main_end - 1));
+          (2, int_range ref_routine (ref_routine + ref_routine_len - 1));
+          (1, gaps);
+          (1, target_edges) ]
     in
     let main_target = int_range (ref_base + ref_prelude) (main_end - 1) in
     let encodable =
@@ -979,7 +1136,10 @@ let ref_case_gen =
     in
     let emit_word = map (fun i -> Option.get (Insn.encode i)) encodable in
     let emit_addr =
-      oneof [ main_target; int_range ref_routine (ref_routine + 12) ]
+      frequency
+        [ (2, main_target);
+          (1, int_range ref_routine (ref_routine + 12));
+          (1, gaps) ]
     in
     let insn =
       let open Insn in
@@ -1048,12 +1208,14 @@ let inner_case_gen =
     let* n = int_range (below + 4) (below + 48) in
     let base = 0x1400 - ref_prelude - below in
     let main_start = base + ref_prelude in
-    (* A jump to the routine's page lands on the slots main holds just
-       past 0x1400, so a run that missed leaving a page would show. *)
+    (* A jump to the routine's page or into a gap leaves the held
+       window, so a run that missed leaving it would show. *)
     let target =
       frequency
-        [ (6, int_range main_start (main_start + n - 1));
-          (1, int_range ref_routine (ref_routine + ref_routine_len - 1)) ]
+        [ (24, int_range main_start (main_start + n - 1));
+          (4, int_range ref_routine (ref_routine + ref_routine_len - 1));
+          (1, gaps ~base ~main_end:(main_start + n));
+          (1, target_edges) ]
     in
     let reg_only =
       let open Insn in
@@ -1204,6 +1366,38 @@ let qcheck_cpu_matches_ref =
     (QCheck.make ~print:show_ref_case
        (QCheck.Gen.oneof [ ref_case_gen; inner_case_gen ]))
     (fun c -> drive_ref Cpu.run c = drive_ref Cpu_ref.run c)
+
+(* How often the reference generators draw each text-word tag, over 1000
+   cases from a fixed seed: every tag must be drawn, the general one
+   included.  The counts are printed to the test's log. *)
+let test_ref_tag_counts () =
+  let counts = Array.make 64 0 in
+  let rand = Random.State.make [| 30 |] in
+  for _ = 1 to 1000 do
+    let c = QCheck.Gen.oneof [ ref_case_gen; inner_case_gen ] rand in
+    let count i =
+      let t = Addr_space.text_tag i in
+      counts.(t) <- counts.(t) + 1
+    in
+    Array.iter count c.rc_main;
+    Array.iter count c.rc_routine
+  done;
+  let alu = [| "add"; "sub"; "mul"; "div"; "rem"; "and"; "or"; "xor"; "shl";
+               "shr" |] in
+  let cond = [| "jeq"; "jne"; "jlt"; "jle"; "jgt"; "jge" |] in
+  let name t =
+    let kind = if t land 1 = 0 then "register" else "immediate" in
+    if t = Addr_space.text_tag_general then "general"
+    else if t = 2 then "nop/pause"
+    else if t = 3 then "jmp"
+    else if t < 6 then "mov, " ^ kind
+    else if t < 26 then alu.((t - 6) / 2) ^ ", " ^ kind
+    else cond.((t - 26) / 2) ^ ", " ^ kind
+  in
+  for t = 1 to 37 do
+    Printf.printf "tag %2d %-24s %6d\n" t (name t) counts.(t);
+    if counts.(t) = 0 then Alcotest.failf "tag %d (%s) never drawn" t (name t)
+  done
 
 let test_pmu_interrupt_fires_with_skid () =
   let space = fresh_space () in
@@ -1403,8 +1597,14 @@ let suites =
           test_unmap_all_drops_fetched_text;
         Alcotest.test_case "text_fold is ascending" `Quick
           test_text_fold_ascending;
+        Alcotest.test_case "workload code gets word tags" `Quick
+          test_workloads_get_word_tags;
+        Alcotest.test_case "a text page costs by its slots" `Quick
+          test_text_costs_its_slots;
         QCheck_alcotest.to_alcotest qcheck_paged_fetch_sliced;
-        QCheck_alcotest.to_alcotest qcheck_cpu_matches_ref ] );
+        QCheck_alcotest.to_alcotest qcheck_cpu_matches_ref;
+        Alcotest.test_case "reference cases draw every tag" `Quick
+          test_ref_tag_counts ] );
     ( "isa.pmu",
       [ Alcotest.test_case "interrupt fires late (skid)" `Quick
           test_pmu_interrupt_fires_with_skid;

@@ -630,10 +630,16 @@ let test_poll_roundtrip () =
    the unmapped page after it, so each copy-out runs off the mapping.
    One that faults after 16 bytes returns 16 and, for a read, consumes
    only those, from a file and from a pipe; one that faults at its first
-   byte returns -EFAULT and consumes nothing.  Each call exits with its
-   own status when its result is wrong. *)
+   byte returns -EFAULT and consumes nothing.  Then pipe, stat and
+   getcwd, whose outputs are all-or-nothing, each fault with a copy-out
+   that starts in the page's last 16 bytes: each returns -EFAULT, the
+   16 bytes keep what the program stored there, and the next open gets
+   fd 7, the one after the first pipe's, so the faulting pipe opened
+   nothing.  Each call exits with its own status when its result is
+   wrong. *)
 let partial_reads_prog _k b =
   let fds = G.bss b 16 in
+  let path = G.str b "/data64" in
   let expect v code =
     let ok = Printf.sprintf "ok%d" code in
     [ Asm.movr 11 0; Asm.subi 11 v; Asm.jz 11 ok ]
@@ -665,6 +671,17 @@ let partial_reads_prog _k b =
     @. read 12 7 @. expect 48 8
     @. getrandom 9 @. expect 16 9
     @. getrandom 10 @. expect efault 10
+    (* r8: a pattern in the last 16 bytes; r12: the last 8, then the
+       last byte *)
+    @. [ Asm.movi 8 0x5a5a_5a5a; Asm.store 8 9 0; Asm.store 8 9 8;
+         Asm.movr 12 7; Asm.addi 12 (Mem.page_size - 8) ]
+    @. G.sc Sysno.pipe [ G.reg 12 ] @. expect efault 11
+    @. G.sc Sysno.stat [ G.imm path; G.reg 9 ] @. expect efault 12
+    @. [ Asm.addi 12 7 ]
+    @. G.sc Sysno.getcwd [ G.reg 12; G.imm 64 ] @. expect efault 13
+    @. [ Asm.load 0 9 0 ] @. expect 0x5a5a_5a5a 14
+    @. [ Asm.load 0 9 8 ] @. expect 0x5a5a_5a5a 15
+    @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly @. expect 7 16
     @. G.sys_exit_group 0)
 
 let partial_reads_setup k =

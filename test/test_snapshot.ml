@@ -475,6 +475,41 @@ let test_forged_blob_bounded () =
       ("a count beyond the bytes",
        forged_blob ~entries:10 ~declared:(1 lsl 40)) ]
 
+(* ---- register fields are checked where text is decoded ------------- *)
+
+(* An image whose dead code names register 16 records and indexes, since
+   nothing runs that instruction.  The interpreter has 16 registers, so
+   both places a trace's text is decoded refuse it with a typed error:
+   every durable checkpoint's text section, and the image's 'I' record
+   when the saved trace is opened. *)
+let test_register_out_of_range () =
+  let trace =
+    record_prog (fun _ ->
+        G.sc Sysno.getpid [] @. G.sc Sysno.getpid [] @. G.sys_exit_group 0
+        @. [ Asm.I (Insn.Alu (Insn.Add, 16, Insn.Imm 1)) ])
+  in
+  let ix = Trace_indexer.build_and_attach ~checkpoint_every:1 trace in
+  (* Between the exec (frame 0) and the exit, the process has text. *)
+  let live =
+    Array.to_list (Trace_index.checkpoints ix)
+    |> List.filter (fun (frame, _) -> frame > 0 && frame < Trace.n_events trace)
+  in
+  Alcotest.(check bool) "checkpoints of the running process" true (live <> []);
+  List.iter
+    (fun (frame, blob) ->
+      match Replayer.decode_snapshot blob with
+      | _ -> Alcotest.failf "the checkpoint at frame %d decoded" frame
+      | exception Codec.Corrupt _ -> ())
+    live;
+  let tmp = Filename.temp_file "rr_snapshot" ".rrtrace" in
+  Trace.save_exn trace tmp;
+  let opened = Trace.open_ tmp in
+  Sys.remove tmp;
+  match opened with
+  | Error (Trace.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "open: %a, not Corrupt" Trace.pp_error e
+  | Ok _ -> Alcotest.fail "a trace whose image names r16 opened"
+
 let suites =
   [ ( "rr.snapshot",
       [ Alcotest.test_case "serve checkpoints restore the replayed state"
@@ -492,4 +527,6 @@ let suites =
         Alcotest.test_case "old-version blob falls back to the scan" `Quick
           test_old_version_blob_falls_back;
         Alcotest.test_case "forged zero entries allocate little" `Quick
-          test_forged_blob_bounded ] ) ]
+          test_forged_blob_bounded;
+        Alcotest.test_case "a register outside r0-r15 is corrupt" `Quick
+          test_register_out_of_range ] ) ]

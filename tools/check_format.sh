@@ -112,15 +112,27 @@ check_file() {
     fi
     ;;
   esac
-  # The text map's layout (paged slots plus a two-page fetch cache) has
-  # one owner, lib/isa: everything else reads guest code through
-  # Addr_space.text_get / text_fold / text_count, so the layout can
-  # change without touching a caller.
+  # The text map's layout (pages of predecoded words and instructions
+  # over a window, plus a two-page fetch cache) has one owner, lib/isa:
+  # everything else reads guest code through Addr_space.text_get /
+  # text_fold / text_fold_pages / text_page_fold / text_count, so the
+  # layout can change without touching a caller.  Outside lib/isa
+  # nothing reads the space's text field or a text page's word array,
+  # instruction array or window fields.
   case "$f" in
   *lib/isa/*) ;;
   *)
     if grep -qE '\.(A|Addr_space)\.text\b' "$f"; then
       echo "format: $f reads the Addr_space text field; use text_get/text_fold/text_count" >&2
+      status=1
+    fi
+    bad_page_reads=$(grep -nE '\bpage_(words|insns|base|stamp)\b' "$f" || true)
+    if [ -n "$bad_page_reads" ]; then
+      {
+        echo "format: $f reads a text page's words, instructions or window:"
+        echo "$bad_page_reads"
+        echo "  (use Addr_space.text_get / text_page_fold; only lib/isa sees the layout)"
+      } >&2
       status=1
     fi
     ;;
