@@ -592,136 +592,17 @@ let host_time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* ---- fleet: many recorders, one shared repository --------------------
-
-   The deployability story of §7 at fleet scale: N instances of similar
-   workloads record, one after another, into one content-addressed
-   repository (dedup needs no concurrency).  Measures the dedup
-   ratio (logical bytes referenced by manifests / physical object
-   bytes), store throughput, and the residency of a bounded
-   flight-recorder ring riding along.  Gates: dedup > 1.5x, and every
-   manifest must load back byte-identical to the trace that was stored
-   (same saved bytes, replayable to the same exit).  [--smoke] shrinks
-   the fleet to 3 instances for `dune runtest`. *)
-let fleet ~smoke () =
-  let n = if smoke then 3 else 8 in
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "fleet: %s@." m; exit 1) fmt in
-  let tmp = Filename.get_temp_dir_name () in
-  let dir = Filename.concat tmp (Printf.sprintf "rr_fleet.%d" (Unix.getpid ())) in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  let repo =
-    match Repo.init dir with
-    | Ok r -> r
-    | Error e -> fail "repo init: %a" Repo.pp_error e
-  in
-  let name i = Printf.sprintf "fleet-%02d" i in
-  (* Similar-but-not-identical instances: the seed varies the schedule,
-     so chunk dedup is partial; images and cloned file blocks are shared
-     across the whole fleet. *)
-  let record_one i =
-    let w = Wl_cp.make ~params:{ Wl_cp.files = 4; file_kb = 128 } () in
-    let opts = Recorder.make_opts ~seed:(1 + (i mod 4)) () in
-    let recd, _ = Workload.record ~opts w in
-    (match Repo.store_trace repo ~name:(name i) recd.Workload.trace with
-    | Ok (_ : Repo.store_result) -> ()
-    | Error e -> raise (Repo.Repo_error e));
-    (recd.Workload.trace, recd.Workload.rec_stats.Recorder.exit_status)
-  in
-  let t0 = Unix.gettimeofday () in
-  let traces = Array.init n record_one in
-  let store_s = Unix.gettimeofday () -. t0 in
-  (* Byte-identical round trip: every manifest loads back into a trace
-     whose saved bytes equal the original's, and replays to the same
-     exit status. *)
-  let bytes_of t =
-    let path = Filename.temp_file "rr_fleet" ".trace" in
-    Trace.save_exn t path;
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    data
-  in
-  let total_standalone = ref 0 in
-  Array.iteri
-    (fun i (orig, orig_exit) ->
-      let orig_bytes = bytes_of orig in
-      total_standalone := !total_standalone + String.length orig_bytes;
-      match Repo.load_trace repo ~name:(name i) with
-      | Error e -> fail "%s does not load: %a" (name i) Repo.pp_error e
-      | Ok loaded ->
-        if bytes_of loaded <> orig_bytes then
-          fail "%s round trip is not byte-identical" (name i);
-        let st, _ = Replayer.replay loaded in
-        if st.Replayer.exit_status <> orig_exit then
-          fail "%s replays to exit=%a, recorded %a" (name i)
-            Fmt.(Dump.option int)
-            st.Replayer.exit_status
-            Fmt.(Dump.option int)
-            orig_exit)
-    traces;
-  let stats =
-    match Repo.stats repo with
-    | Ok s -> s
-    | Error e -> fail "repo stats: %a" Repo.pp_error e
-  in
-  let dedup =
-    float_of_int stats.Repo.logical_bytes
-    /. float_of_int (max 1 stats.Repo.object_bytes)
-  in
-  if dedup <= 1.5 then
-    fail "dedup ratio %.2f, want > 1.5 (logical %d / object %d)" dedup
-      stats.Repo.logical_bytes stats.Repo.object_bytes;
-  (* A bounded flight-recorder ring riding along: its residency is the
-     memory cost of always-on recording. *)
-  let ring = Trace.ring ~chunks:4 in
-  let w = Wl_cp.make ~params:{ Wl_cp.files = 4; file_kb = 128 } () in
-  let opts =
-    Recorder.make_opts ~intercept:false ~chunk_limit:1024
-      ~sink:(Recorder.Sink_ring ring) ()
-  in
-  (match Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe () with
-  | Ok _ -> ()
-  | Error e -> fail "ring instance: %a" Recorder.pp_error e);
-  let _window, report = Trace.ring_trace ring in
-  let mb_per_s =
-    float_of_int !total_standalone /. 1048576. /. max 1e-6 store_s
-  in
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\"smoke\":%b,\"instances\":%d,\"dedup_ratio\":%.2f,\n\
-    \ \"object_bytes\":%d,\"logical_bytes\":%d,\"manifest_bytes\":%d,\n\
-    \ \"shared_objects\":%d,\"standalone_bytes\":%d,\"store_mb_per_s\":%.1f,\n\
-    \ \"ring\":{\"chunks\":%d,\"resident_bytes\":%d,\"dropped_chunks\":%d}}\n"
-    smoke n dedup stats.Repo.object_bytes stats.Repo.logical_bytes
-    stats.Repo.manifest_bytes stats.Repo.shared_objects !total_standalone
-    mb_per_s report.Trace.rr_chunks report.Trace.rr_resident_bytes
-    report.Trace.rr_dropped_chunks;
-  close_out oc;
-  Fmt.pr
-    "fleet: %d instances into one repo; dedup %.2fx (logical %d / object \
-     %d), %.1f MB/s store, ring resident %dB after %d dropped chunks@."
-    n dedup stats.Repo.logical_bytes stats.Repo.object_bytes mb_per_s
-    report.Trace.rr_resident_bytes report.Trace.rr_dropped_chunks;
-  Fmt.pr "(wrote BENCH_fleet.json)@."
-
 (* ---- serve: heavy-traffic server recording + per-connection shards --
 
    The deployability scenario of a server under load: one recording of
    the multi-process serve workload (fork-per-connection workers, mixed
    request sizes, slow clients, injected errors), every frame tagged
    live by the connection tracker, then split into standalone
-   per-connection sub-traces in a content-addressed repository.  The
+   per-connection trace files, reopened like any saved trace.  The
    payoff measured is time-to-first-replay: reaching one connection's
    last request through its shard vs through the whole trace.  Gates:
    every request is served, the shard reaches the target in >= 5x fewer
-   frames (>= 2x under --smoke's small fleet), and the shard replay's
+   frames (>= 2x under --smoke's 8 connections), and the shard replay's
    worker and client state at the target frame is byte-identical to the
    full-trace replay's. *)
 let serve_bench ~smoke () =
@@ -768,30 +649,13 @@ let serve_bench ~smoke () =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
   @@ fun () ->
-  let repo =
-    match Repo.init dir with
+  let shards, split_s =
+    host_time (fun () -> Shard.split ~dir ~base:"serve" ~tags trace)
+  in
+  let shards =
+    match shards with
     | Ok r -> r
-    | Error e -> fail "repo init: %a" Repo.pp_error e
-  in
-  (match Repo.store_trace repo ~name:"serve" trace with
-  | Ok (_ : Repo.store_result) -> ()
-  | Error e -> fail "store: %a" Repo.pp_error e);
-  let split, split_s =
-    host_time (fun () -> Shard.split ~repo ~base:"serve" ~tags trace)
-  in
-  let split =
-    match split with
-    | Ok r -> r
-    | Error e -> fail "split: %a" Repo.pp_error e
-  in
-  let rstats =
-    match Repo.stats repo with
-    | Ok s -> s
-    | Error e -> fail "repo stats: %a" Repo.pp_error e
-  in
-  let dedup =
-    float_of_int rstats.Repo.logical_bytes
-    /. float_of_int (max 1 rstats.Repo.object_bytes)
+    | Error e -> fail "split: %a" Trace.pp_error e
   in
   (* Time-to-first-replay: the middle connection's last owned frame,
      reached through its shard vs through the whole trace. *)
@@ -805,9 +669,12 @@ let serve_bench ~smoke () =
     if tags.(k) = 0 || tags.(k) = c then incr j_last
   done;
   let shard =
-    match Shard.load repo ~base:"serve" ~conn:c with
-    | Ok s -> s
-    | Error e -> fail "load conn %d: %a" c Repo.pp_error e
+    match List.find_opt (fun s -> s.Shard.si_conn = c) shards with
+    | None -> fail "no shard for conn %d" c
+    | Some s -> (
+      match Trace.open_ s.Shard.si_path with
+      | Ok t -> t
+      | Error e -> fail "open conn %d: %a" c Trace.pp_error e)
   in
   let replay_to t upto =
     let r = Replayer.start t in
@@ -843,12 +710,9 @@ let serve_bench ~smoke () =
   Fmt.pr "served %d requests over %d connections in %.3fs (%.0f req/s host)@."
     served conns record_s
     (float_of_int served /. max 1e-6 record_s);
-  Fmt.pr
-    "trace: %d frames, %d B (%.1f B/request); %d shards in %.3fs, dedup \
-     %.2fx@."
-    (Trace.n_events trace) trace_bytes bytes_per_request
-    (List.length split.Shard.shards)
-    split_s dedup;
+  Fmt.pr "trace: %d frames, %d B (%.1f B/request); %d shards in %.3fs@."
+    (Trace.n_events trace) trace_bytes bytes_per_request (List.length shards)
+    split_s;
   Fmt.pr
     "time-to-first-replay (conn %d, frame %d): full %.4fs vs shard %.4fs — \
      %.1fx faster, %.1fx fewer frames, state identical@."
@@ -864,17 +728,14 @@ let serve_bench ~smoke () =
           "{\"smoke\":%b,\"conns\":%d,\"requests_per_conn\":%d,\"served\":%d,\n\
           \ \"record_s\":%.6f,\"req_per_s\":%.1f,\"frames\":%d,\"trace_bytes\":%d,\n\
           \ \"bytes_per_request\":%.2f,\"shards\":%d,\"split_s\":%.6f,\n\
-          \ \"new_bytes\":%d,\"shared_bytes\":%d,\"dedup_ratio\":%.2f,\n\
           \ \"ttfr\":{\"conn\":%d,\"full_frames\":%d,\"shard_frames\":%d,\n\
           \ \"frame_ratio\":%.2f,\"full_s\":%.6f,\"shard_s\":%.6f,\n\
           \ \"speedup\":%.2f,\"state_identical\":true}}\n"
           smoke conns requests served record_s
           (float_of_int served /. max 1e-6 record_s)
           (Trace.n_events trace) trace_bytes bytes_per_request
-          (List.length split.Shard.shards)
-          split_s split.Shard.total_new_bytes split.Shard.total_shared_bytes
-          dedup c (!i_last + 1) (!j_last + 1) frame_ratio full_s shard_s
-          speedup);
+          (List.length shards) split_s c (!i_last + 1) (!j_last + 1)
+          frame_ratio full_s shard_s speedup);
     Fmt.pr "(wrote BENCH_serve.json)@."
   end
 
@@ -891,7 +752,6 @@ let () =
       ("fig6", fig6);
       ("fig7", table3);
       ("ablation", ablations);
-      ("fleet", fleet ~smoke);
       ("serve", serve_bench ~smoke) ]
   in
   match args with
@@ -904,7 +764,6 @@ let () =
     table2 ();
     table3 ();
     ablations ();
-    fleet ~smoke ();
     serve_bench ~smoke ()
   | names ->
     List.iter

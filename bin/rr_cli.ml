@@ -68,14 +68,8 @@ module Flags = struct
     let doc = "Recording seed (scheduling and entropy)." in
     Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-  let out ~doc =
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-
-  let repo_dir =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DIR" ~doc:"A trace repository directory.")
+  let out ?(docv = "FILE") ~doc () =
+    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv ~doc)
 
   (* The recording options every recording subcommand accepts, combined
      into one term: parsed once, clamped once (Recorder.make_opts). *)
@@ -109,21 +103,11 @@ let with_trace_errors f =
   | Trace.Format_error e ->
     Fmt.epr "rr_cli: %a@." Trace.pp_error e;
     exit 1
-  | Repo.Repo_error e ->
-    Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-    exit 1
   | Io.Io_error e ->
     Fmt.epr "rr_cli: %a@." Io.pp_error e;
     exit 1
   | Sys_error msg | Failure msg ->
     Fmt.epr "rr_cli: %s@." msg;
-    exit 1
-
-let open_repo dir =
-  match Repo.open_ dir with
-  | Ok r -> r
-  | Error e ->
-    Fmt.epr "rr_cli: %a@." Repo.pp_error e;
     exit 1
 
 (* The TARGET of replay, dump and debug: a saved trace file, or a
@@ -161,41 +145,8 @@ let record_cmd =
              of the window diverged), or always.  Repeatable; default \
              always.")
   in
-  let repo_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repo" ] ~docv:"DIR"
-          ~doc:
-            "Store the trace (or the dumped ring window) \
-             content-addressed in the repository at $(docv), created if \
-             missing; shared chunks dedup against what is already there.")
-  in
-  let record_plain w opts out repo =
-    let recd =
-      match repo with
-      | None -> do_record w opts
-      | Some dir -> (
-        let repo =
-          match Repo.init dir with
-          | Ok r -> r
-          | Error e ->
-            Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-            exit 1
-        in
-        let opts =
-          Recorder.with_sink opts (Recorder.Sink_repo (repo, w.Workload.name))
-        in
-        let recd = do_record w opts in
-        match Repo.stats repo with
-        | Ok s ->
-          Fmt.pr "stored '%s' in %s:@.%a@." w.Workload.name (Repo.path repo)
-            Repo.pp_stats s;
-          recd
-        | Error e ->
-          Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-          exit 1)
-    in
+  let record_plain w opts out =
+    let recd = do_record w opts in
     match out with
     | Some path -> (
       match Trace.save recd.Workload.trace path with
@@ -205,7 +156,7 @@ let record_cmd =
         exit 1)
     | None -> ()
   in
-  let record_flight w opts out repo chunks dump_on =
+  let record_flight w opts out chunks dump_on =
     let dump_on =
       match dump_on with
       | [] -> [ Flight.On_always ]
@@ -223,22 +174,8 @@ let record_cmd =
           l
     in
     let ring = Trace.ring ~chunks in
-    let dump =
-      match (repo, out) with
-      | Some dir, _ ->
-        let repo =
-          match Repo.init dir with
-          | Ok r -> r
-          | Error e ->
-            Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-            exit 1
-        in
-        Some (Flight.To_repo (repo, w.Workload.name))
-      | None, Some path -> Some (Flight.To_file path)
-      | None, None -> None
-    in
     match
-      Flight.record ~opts ~dump_on ?dump ~ring ~setup:w.Workload.setup
+      Flight.record ~opts ~dump_on ?dump:out ~ring ~setup:w.Workload.setup
         ~exe:w.Workload.exe ()
     with
     | Error e ->
@@ -260,24 +197,23 @@ let record_cmd =
       | Some where -> Fmt.pr "  window dumped  : %s@." where
       | None -> ())
   in
-  let run name opts out ring dump_on repo =
+  let run name opts out ring dump_on =
     with_trace_errors @@ fun () ->
     let w = workload_of_name name in
     match ring with
-    | Some chunks -> record_flight w opts out repo chunks dump_on
-    | None -> record_plain w opts out repo
+    | Some chunks -> record_flight w opts out chunks dump_on
+    | None -> record_plain w opts out
   in
   Cmd.v
     (Cmd.info "record"
        ~doc:
          "Record a workload and print trace statistics.  With --ring, \
           flight-recorder mode: a bounded in-memory window persisted only \
-          when a --dump-on trigger fires.  With --repo, the trace is \
-          stored content-addressed.")
+          when a --dump-on trigger fires.")
     Term.(
       const run $ Flags.workload $ Flags.record_opts
-      $ Flags.out ~doc:"Save the trace (or the dumped ring window) to FILE."
-      $ ring_arg $ dump_on_arg $ repo_arg)
+      $ Flags.out ~doc:"Save the trace (or the dumped ring window) to FILE." ()
+      $ ring_arg $ dump_on_arg)
 
 (* replay_cmd is defined after the shard helpers below: its --conn mode
    extracts and replays a single connection's sub-trace. *)
@@ -494,6 +430,7 @@ let repair_cmd =
   let out_arg =
     Flags.out
       ~doc:"Save the salvaged trace to FILE (re-written, fully committed)."
+      ()
   in
   Cmd.v
     (Cmd.info "repair"
@@ -516,6 +453,7 @@ let index_cmd =
   in
   let out_arg =
     Flags.out ~doc:"Write the indexed trace to FILE (default: rewrite TRACE)."
+      ()
   in
   let run path every out =
     with_trace_errors @@ fun () ->
@@ -709,6 +647,7 @@ let profile_cmd =
       ~doc:
         "Write the Chrome trace-event JSON to FILE (load it in \
          chrome://tracing or https://ui.perfetto.dev)."
+      ()
   in
   let run phase wl opts out =
     with_trace_errors @@ fun () ->
@@ -741,8 +680,6 @@ let profile_cmd =
           the text flamegraph plus the per-stage overhead ledger.")
     Term.(const run $ phase_arg $ wl_arg $ Flags.record_opts $ out_arg)
 
-(* ---- repo: the content-addressed trace repository -------------------- *)
-
 (* ---- serve / shard: served traffic and per-connection shards (§4k) --- *)
 
 let pp_conn_table conns =
@@ -755,12 +692,11 @@ let pp_conn_table conns =
     conns
 
 let pp_shard_table shards =
-  Fmt.pr "  %-20s  %6s  %6s  %9s  %9s@." "SHARD" "FRAMES" "OWN" "NEW_B"
-    "SHARED_B";
+  Fmt.pr "  %4s  %6s  %6s  %s@." "CONN" "FRAMES" "OWN" "FILE";
   List.iter
     (fun (s : Shard.info) ->
-      Fmt.pr "  %-20s  %6d  %6d  %9d  %9d@." s.Shard.si_name s.Shard.si_frames
-        s.Shard.si_own_frames s.Shard.si_new_bytes s.Shard.si_shared_bytes)
+      Fmt.pr "  %4d  %6d  %6d  %s@." s.Shard.si_conn s.Shard.si_frames
+        s.Shard.si_own_frames s.Shard.si_path)
     shards
 
 (* Record the serve workload, then tag its frames by connection. *)
@@ -770,15 +706,6 @@ let record_serve ~params opts =
     Recorder.record ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe ()
   in
   (trace, stats, Conn_track.derive trace)
-
-let shard_repo_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "repo" ] ~docv:"DIR"
-        ~doc:
-          "Store the full trace and its per-connection shards in this \
-           repository (created if missing).")
 
 let serve_cmd =
   let conns_arg =
@@ -794,7 +721,7 @@ let serve_cmd =
       & opt int Wl_serve.default.Wl_serve.requests
       & info [ "requests" ] ~docv:"N" ~doc:"Data requests per connection.")
   in
-  let run conns requests opts out repo_dir =
+  let run conns requests opts out =
     with_trace_errors @@ fun () ->
     let params = { Wl_serve.default with Wl_serve.conns; requests } in
     let trace, stats, ct = record_serve ~params opts in
@@ -811,41 +738,22 @@ let serve_cmd =
       (Trace.n_events trace) tagged
       (Trace.n_events trace - tagged);
     pp_conn_table (Conn_track.connections ct);
-    (match out with
+    match out with
     | Some path -> (
       match Trace.save trace path with
       | Ok () -> Fmt.pr "saved to %s@." path
       | Error e -> Fmt.failwith "save failed: %a" Trace.pp_error e)
-    | None -> ());
-    match repo_dir with
     | None -> ()
-    | Some dir -> (
-      let repo =
-        match Repo.init dir with
-        | Ok r -> r
-        | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
-      in
-      (match Repo.store_trace repo ~name:"serve" trace with
-      | Ok (_ : Repo.store_result) -> ()
-      | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
-      match Shard.split ~repo ~base:"serve" ~tags trace with
-      | Ok r ->
-        Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
-          (List.length r.Shard.shards)
-          r.Shard.total_new_bytes r.Shard.total_shared_bytes;
-        pp_shard_table r.Shard.shards
-      | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Record the multi-process server workload under load, tagging \
           every frame with its owning connection; optionally save the \
-          trace and shard it into a repository.")
+          trace, which $(b,shard) splits into per-connection trace files.")
     Term.(
       const run $ conns_arg $ requests_arg $ Flags.record_opts
-      $ Flags.out ~doc:"Save the recorded trace to FILE."
-      $ shard_repo_arg)
+      $ Flags.out ~doc:"Save the recorded trace to FILE." ())
 
 (* The replayed state a targeted shard must reproduce exactly: one
    task's registers plus its address-space digest (scratch and
@@ -871,7 +779,7 @@ let shard_cmd =
       & info [ "conn" ] ~docv:"ID"
           ~doc:"Split only connection ID (default: every connection).")
   in
-  let run path conn repo_dir =
+  let run path conn out =
     with_trace_errors @@ fun () ->
     let trace = Trace.open_exn path in
     let ct = Conn_track.derive trace in
@@ -883,35 +791,32 @@ let shard_cmd =
     | Some c when not (List.exists (fun i -> i.Conn_track.conn = c) conns) ->
       Fmt.failwith "no such connection %d (trace has %d)" c (List.length conns)
     | _ -> ());
-    match repo_dir with
+    match out with
     | None -> ()
     | Some dir -> (
-      let repo =
-        match Repo.init dir with
-        | Ok r -> r
-        | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
-      in
-      let base = Filename.basename path in
-      (match Repo.store_trace repo ~name:base trace with
-      | Ok (_ : Repo.store_result) -> ()
-      | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
+      let base = Filename.remove_extension (Filename.basename path) in
       match
-        Shard.split ?only:conn ~repo ~base ~tags:(Conn_track.tags ct) trace
+        Shard.split ?only:conn ~dir ~base ~tags:(Conn_track.tags ct) trace
       with
-      | Ok r ->
-        Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
-          (List.length r.Shard.shards)
-          r.Shard.total_new_bytes r.Shard.total_shared_bytes;
-        pp_shard_table r.Shard.shards
-      | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e)
+      | Ok shards ->
+        Fmt.pr "sharded into %d trace files@." (List.length shards);
+        pp_shard_table shards
+      | Error e -> Fmt.failwith "shard: %a" Trace.pp_error e)
   in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
          "Derive connection tags for a saved serve trace, list its \
           connections, and optionally split it into per-connection \
-          sub-traces stored in a repository.")
-    Term.(const run $ Flags.trace_file $ conn_arg $ shard_repo_arg)
+          trace files.")
+    Term.(
+      const run $ Flags.trace_file $ conn_arg
+      $ Flags.out ~docv:"DIR"
+          ~doc:
+            "Save each connection's shard to \
+             DIR/TRACE.conn-NNNN.trace (TRACE without its extension), \
+             creating DIR if it is missing."
+          ())
 
 let replay_cmd =
   let conn_arg =
@@ -1004,92 +909,6 @@ let replay_cmd =
     Term.(
       const run $ target_arg $ Flags.record_opts $ conn_arg)
 
-let repo_cmd =
-  let init_cmd =
-    let run dir =
-      match Repo.init dir with
-      | Ok r -> Fmt.pr "initialized trace repository at %s@." (Repo.path r)
-      | Error e ->
-        Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "init"
-         ~doc:
-           "Create a trace repository at DIR (objects/, traces/, format \
-            marker); succeeds on an existing repository.")
-      Term.(const run $ Flags.repo_dir)
-  in
-  let ls_cmd =
-    let run dir =
-      let repo = open_repo dir in
-      match Repo.list_info repo with
-      | Error e ->
-        Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-        exit 1
-      | Ok [] -> Fmt.pr "(no traces)@."
-      | Ok infos ->
-        let width =
-          List.fold_left (fun w (n, _) -> max w (String.length n)) 5 infos
-        in
-        Fmt.pr "%-*s  %10s  %7s  %12s@." width "TRACE" "FRAMES" "CHUNKS"
-          "BYTES";
-        List.iter
-          (fun (n, i) ->
-            Fmt.pr "%-*s  %10d  %7d  %12d@." width n i.Repo.ti_frames
-              i.Repo.ti_chunks i.Repo.ti_bytes)
-          infos
-    in
-    Cmd.v
-      (Cmd.info "ls"
-         ~doc:
-           "List the traces stored in a repository, sorted by name, with \
-            per-trace frame and logical-byte totals.")
-      Term.(const run $ Flags.repo_dir)
-  in
-  let gc_cmd =
-    let run dir =
-      let repo = open_repo dir in
-      match Repo.gc repo with
-      | Ok g ->
-        Fmt.pr "gc: %d live objects, swept %d (%d bytes)@." g.Repo.live_objects
-          g.Repo.swept_objects g.Repo.swept_bytes
-      | Error e ->
-        Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:
-           "Refcount objects from the manifests, rewrite the refs ledger, \
-            and sweep unreferenced objects.  Refuses to sweep if any \
-            manifest is damaged.")
-      Term.(const run $ Flags.repo_dir)
-  in
-  let stats_cmd =
-    let run dir =
-      let repo = open_repo dir in
-      match Repo.stats repo with
-      | Ok s -> Fmt.pr "%a@." Repo.pp_stats s
-      | Error e ->
-        Fmt.epr "rr_cli: %a@." Repo.pp_error e;
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:
-           "Print repository statistics: traces, objects, physical vs. \
-            logical bytes, and the dedup ratio.")
-      Term.(const run $ Flags.repo_dir)
-  in
-  Cmd.group
-    (Cmd.info "repo"
-       ~doc:
-         "Manage a content-addressed trace repository: traces stored as \
-          shared chunk/image/file-block objects keyed by crc32-length, \
-          with refcounted gc.")
-    [ init_cmd; ls_cmd; gc_cmd; stats_cmd ]
-
 let list_cmd =
   let run () =
     List.iter
@@ -1112,8 +931,7 @@ let main =
           'Engineering Record and Replay for Deployability', USENIX ATC \
           2017).")
     [ record_cmd; replay_cmd; serve_cmd; shard_cmd; dump_cmd; debug_cmd;
-      stats_cmd; profile_cmd; list_cmd; repair_cmd; index_cmd; seek_cmd;
-      repo_cmd ]
+      stats_cmd; profile_cmd; list_cmd; repair_cmd; index_cmd; seek_cmd ]
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());

@@ -207,8 +207,12 @@ let uread_u64 k task addr =
   ignore k;
   try A.read_u64 task.T.cpu.Cpu.space addr with A.Segv _ -> raise Efault
 
+(* A u64 output is all-or-nothing: one that would straddle into an
+   unwritable page is [Efault] before any byte lands, so a negative
+   result leaves no bytes for the recorder to miss. *)
 let uwrite_u64 k task addr v =
   ignore k;
+  if not (uwritable task addr 8) then raise Efault;
   try A.write_u64 task.T.cpu.Cpu.space addr v with A.Segv _ -> raise Efault
 
 (* ------------------------------------------------------------------ *)

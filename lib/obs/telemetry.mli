@@ -19,12 +19,9 @@
       [gdb.packets] (RSP packets served), [gdb.reverse_seeks] (reverse
       continue/step resolutions and checkpoint restarts), and the
       [gdb.cmd] span timing every command dispatch;
-    - the flight-recorder ring and the trace repository report as the
-      [ring] and [repo] layers: [ring.dropped_chunks] and the
-      [ring.resident_bytes] gauge (window memory cost),
-      [repo.objects_stored] / [repo.objects_shared] /
-      [repo.bytes_stored] / [repo.bytes_deduped] (the dedup economy)
-      and [repo.gc_swept];
+    - the flight-recorder ring reports as the [ring] layer:
+      [ring.dropped_chunks] and the [ring.resident_bytes] gauge (window
+      memory cost);
     - all durations are *virtual* nanoseconds from the cost model, read
       through {!Timeline.now}, the one virtual clock that the recorder
       and replayer install with {!Timeline.set_virtual_clock} (no

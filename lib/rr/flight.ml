@@ -10,8 +10,6 @@ type cause =
   | Partial_window of { base_frame : int }
   | Always
 
-type dump_target = To_file of string | To_repo of Repo.t * string
-
 type outcome = {
   result : (Recorder.stats * Kernel.t, Recorder.error) result;
   window : Trace.t;
@@ -77,16 +75,6 @@ let first_cause ~dump_on ~result ~window ~(report : Trace.ring_report) =
     | None -> (
       match divergence () with Some _ as c -> c | None -> always ()))
 
-let dump_window ~window = function
-  | To_file path -> (
-    match Trace.save window path with
-    | Ok () -> Ok path
-    | Error e -> Error (Recorder.Rec_trace e))
-  | To_repo (repo, name) -> (
-    match Repo.store_trace repo ~name window with
-    | Ok (_ : Repo.store_result) -> Ok ("repo:" ^ name)
-    | Error e -> Error (Recorder.Rec_failure (Repo.error_to_string e)))
-
 let record ?(opts = Recorder.default_opts) ?on_stop ?(dump_on = []) ?dump ~ring
     ~setup ~exe () =
   let opts = Recorder.with_sink opts (Recorder.Sink_ring ring) in
@@ -100,9 +88,8 @@ let record ?(opts = Recorder.default_opts) ?on_stop ?(dump_on = []) ?dump ~ring
   let window, report = Trace.ring_trace ring in
   let cause = first_cause ~dump_on ~result ~window ~report in
   match (cause, dump) with
-  | Some _, Some target -> (
-    match dump_window ~window target with
-    | Ok where ->
-      Ok { result; window; report; cause; dumped_to = Some where }
-    | Error e -> Error e)
+  | Some _, Some path -> (
+    match Trace.save window path with
+    | Ok () -> Ok { result; window; report; cause; dumped_to = Some path }
+    | Error e -> Error (Recorder.Rec_trace e))
   | _ -> Ok { result; window; report; cause; dumped_to = None }

@@ -4,8 +4,8 @@
     ring ({!Trace.ring}) instead of a file, costing a fixed chunk
     budget no matter how long the workload runs.  When something goes
     wrong — the recording dies, the root process exits non-zero, a
-    verification replay diverges — the retained window is dumped to a
-    file or a {!Repo.t}; a healthy run discards it for free.
+    verification replay diverges — the retained window is saved to a
+    trace file; a healthy run discards it for free.
 
     Triggers come from [dump_on] ({!trigger}); the most severe firing
     trigger names the {!cause}.  [On_divergence] runs a
@@ -34,8 +34,6 @@ type cause =
           be replay-verified *)
   | Always
 
-type dump_target = To_file of string | To_repo of Repo.t * string
-
 type outcome = {
   result : (Recorder.stats * Kernel.t, Recorder.error) result;
       (** the underlying recording's outcome (trace omitted: the window
@@ -43,8 +41,7 @@ type outcome = {
   window : Trace.t;  (** the ring window, rebased to frame 0 *)
   report : Trace.ring_report;
   cause : cause option;  (** [None]: no trigger fired *)
-  dumped_to : string option;
-      (** the file path or ["repo:<name>"] the window was persisted to *)
+  dumped_to : string option;  (** the file the window was saved to *)
 }
 
 val pp_cause : cause Fmt.t
@@ -57,7 +54,7 @@ val record :
   ?opts:Recorder.opts ->
   ?on_stop:(Kernel.t -> unit) ->
   ?dump_on:trigger list ->
-  ?dump:dump_target ->
+  ?dump:string ->
   ring:Trace.ring ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
@@ -67,7 +64,7 @@ val record :
     [opts] is overridden; all other options apply as given).  After the
     run — whether it completed or died — evaluate [dump_on] (default:
     none) against the outcome and, if a trigger fired and [dump] is
-    given, persist the window.  [Error] is returned only when the {e dump}
-    could not be written or the window could not be snapshotted; a
-    recording failure is data in [outcome.result] (it is precisely what
-    [On_signal] exists to catch). *)
+    given, save the window to that path.  [Error] is returned only when
+    the {e dump} could not be written or the window could not be
+    snapshotted; a recording failure is data in [outcome.result] (it is
+    precisely what [On_signal] exists to catch). *)

@@ -33,19 +33,17 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 let fail fmt = Fmt.kstr (fun s -> raise (Record_error (Rec_failure s))) fmt
 
-(* Trace-store, IO and repository failures surface to callers through
-   the same typed channel as recording-model failures. *)
+(* Trace-store and IO failures surface to callers through the same
+   typed channel as recording-model failures. *)
 let reraise_typed = function
   | Trace.Format_error e -> Record_error (Rec_trace e)
   | Io.Io_error e -> Record_error (Rec_trace (Trace.Io e))
-  | Repo.Repo_error e -> Record_error (Rec_failure (Repo.error_to_string e))
   | e -> e
 
 type sink_spec =
   | Sink_memory
   | Sink_io of Io.writer
   | Sink_ring of Trace.ring
-  | Sink_repo of Repo.t * string
 
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
@@ -1063,7 +1061,6 @@ let resolve_sink opts =
   | Sink_memory -> None
   | Sink_io io -> Some (Trace.Sink.of_io io)
   | Sink_ring r -> Some (Trace.ring_sink r)
-  | Sink_repo (repo, name) -> Some (Repo.sink repo ~name)
 
 let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
     () =
@@ -1073,7 +1070,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
      model.  The session's one bracket: on every exit the root scope
      closes, then the clock is cleared.  The clock stays installed
      through [finish] so the final commit (last chunk's deflate,
-     manifest write) is timed like everything else. *)
+     trailer write) is timed like everything else. *)
   Timeline.set_virtual_clock (fun () -> K.now k);
   let trace, r, root =
     Fun.protect ~finally:Timeline.clear_virtual_clock @@ fun () ->
@@ -1191,7 +1188,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
       (match (!writer, opts.sink) with
       | Some w, _ -> Trace.Writer.abort w
       | None, Sink_io io -> ( try Io.close_writer io with Io.Io_error _ -> ())
-      | None, (Sink_memory | Sink_ring _ | Sink_repo _) -> ());
+      | None, (Sink_memory | Sink_ring _) -> ());
       raise (reraise_typed e)
   in
   let root_status =

@@ -45,9 +45,6 @@ type sink_spec =
       (** flight-recorder mode: the bounded in-memory window.  The ring
           handle is caller-owned and survives a recording that dies —
           dump it afterwards with {!Trace.ring_trace}. *)
-  | Sink_repo of Repo.t * string
-      (** store chunks and images content-addressed as they stream out;
-          the manifest lands under this name at commit *)
 
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)

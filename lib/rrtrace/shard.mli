@@ -13,29 +13,16 @@
     tracker; see check_format.sh).  [tags.(i)] is frame [i]'s owning
     connection, 0 for control.
 
-    Shards of one base trace live in a content-addressed {!Repo} as
-    manifests named [<base>.conn-NNNN]; their chunks, images and file
-    blocks dedup against the full trace and each other (the executable
-    image and control-heavy chunks are stored once).  A catalog file
-    under [<repo>/shards/<base>] lists them for {!list}.
+    {!split} saves each shard as its own trace file, which
+    {!Trace.open_} reopens like any other.
 
-    Telemetry: [shard.shards_written], [shard.bytes_shared] (bytes a
-    shard deduplicated against objects already in the repo). *)
+    Telemetry: [shard.shards_written]. *)
 
 type info = {
   si_conn : int;
-  si_name : string; (** manifest name in the repo *)
+  si_path : string; (** the shard's trace file *)
   si_frames : int; (** frames in the shard (control + own) *)
   si_own_frames : int; (** frames tagged with this connection *)
-  si_new_bytes : int; (** object bytes this shard newly stored *)
-  si_shared_bytes : int; (** object bytes deduped against the repo *)
-}
-
-type result_ = {
-  base : string;
-  shards : info list; (** in connection order *)
-  total_new_bytes : int;
-  total_shared_bytes : int;
 }
 
 val extract : tags:int array -> conn:int -> Trace.t -> Trace.t * int array
@@ -47,18 +34,13 @@ val extract : tags:int array -> conn:int -> Trace.t -> Trace.t * int array
 
 val split :
   ?only:int ->
-  repo:Repo.t ->
+  dir:string ->
   base:string ->
   tags:int array ->
   Trace.t ->
-  (result_, Repo.error) result
+  (info list, Trace.error) result
 (** Demux the trace into per-connection shards (every connection id
-    appearing in [tags], or just [only]) and store each in the repo,
-    writing the catalog.  One pass over the trace feeds all shard
-    writers. *)
-
-val list : Repo.t -> base:string -> (info list, Repo.error) result
-(** Read the catalog written by {!split}. *)
-
-val load : Repo.t -> base:string -> conn:int -> (Trace.t, Repo.error) result
-(** Open one shard as a standalone trace. *)
+    appearing in [tags], or just [only]) and save each with
+    {!Trace.save} to [<dir>/<base>.conn-NNNN.trace], creating [dir] if
+    it is missing.  One pass over the trace feeds all shard writers.
+    The shards come back in connection order. *)

@@ -23,10 +23,9 @@
    worker domains lost to the serial path (DESIGN.md §4d).
 
    One stream, one assembler: a trace leaves only as {!Sink} events —
-   from the {!Writer} while recording, from {!to_sink} (and so {!save})
-   once finished — and every [t] is built by feeding such events to an
-   {!assembly}, whether they come from the writer, a file, a ring, the
-   repository or a rewrite.
+   from the {!Writer} while recording, from {!save} once finished — and
+   every [t] is built by feeding such events to an {!assembly}, whether
+   they come from the writer, a file, a ring or a rewrite.
 
    Durability (paper §2.7 "deployability" read as: a trace must survive
    the process that wrote it): all persistence flows through the
@@ -164,11 +163,10 @@ let cache_slots = 8
 
    A file snapshot travels as 'D' deltas: bytes that replace the file
    from an offset, in practice a suffix appended at its current length.
-   Every assembled trace ({!assembly}) and the repository sink keep
-   files here, so a file grown by k appends costs its final size once,
-   not k times.  A file that arrives in one piece (what {!save} writes)
-   keeps that piece where it lies; the first append moves it into a
-   buffer. *)
+   Every assembled trace ({!assembly}) keeps its files here, so a file
+   grown by k appends costs its final size once, not k times.  A file
+   that arrives in one piece (what {!save} writes) keeps that piece
+   where it lies; the first append moves it into a buffer. *)
 module File_deltas = struct
   type file = Whole of slice | Growing of Buffer.t
   type t = (string, file) Hashtbl.t
@@ -209,7 +207,6 @@ module File_deltas = struct
     Hashtbl.fold (fun p _ acc -> p :: acc) t [] |> List.sort compare
 
   let slices t = List.map (fun p -> (p, suffix t p 0)) (paths t)
-  let contents t = List.map (fun (p, s) -> (p, slice_string s)) (slices t)
 
   let to_table t =
     let out = Hashtbl.create (Hashtbl.length t) in
@@ -331,10 +328,9 @@ let get_chunk_info s =
 (* ---- sinks -----------------------------------------------------------
 
    A {!Sink.t} is the one place frames, chunks, images and file
-   snapshots leave a {!Writer}, or a finished trace ({!to_sink}): the
-   streaming file journal, the bounded in-memory flight-recorder ring,
-   and the content-addressed repository (repo.ml) are all
-   implementations of the same five-event interface.
+   snapshots leave a {!Writer}, or a finished trace ({!save}): the
+   streaming file journal and the bounded in-memory flight-recorder
+   ring both implement the same five-event interface.
    Events arrive in trace-stream order — header first, every image and
    file delta before the first chunk that references it, a stats
    journal mark every few chunks — so a sink that persists events as
@@ -361,9 +357,6 @@ module Sink = struct
         (* a bounded sink builds the result; the writer keeps no chunk
            bytes for it *)
   }
-
-  let make ~put ~commit ~close () =
-    { sk_put = put; sk_commit = commit; sk_close = close; sk_result = None }
 
   (* The streaming file sink — exactly the incremental journal.  The
      magic and header go out on the first event, every image/file/chunk
@@ -405,16 +398,16 @@ module Sink = struct
       Io.close_writer io
     in
     let close () = try Io.close_writer io with Io.Io_error _ -> () in
-    make ~put ~commit ~close ()
+    { sk_put = put; sk_commit = commit; sk_close = close; sk_result = None }
 end
 
 (* ---- assembly ----------------------------------------------------------
 
-   The one way into a {!t}: the writer, the loader, salvage, the ring,
-   {!of_parts} and {!map_frames} each feed {!Sink.event}s to an
-   assembly and take the trace from {!assembled}.  [assemble] is the
-   only code that checks chunk contiguity and computes a chunk's byte
-   offset and CRC-32. *)
+   The one way into a {!t}: the writer, the loader, salvage, the ring
+   and {!map_frames} each feed {!Sink.event}s to an assembly and take
+   the trace from {!assembled}.  [assemble] is the only code that
+   checks chunk contiguity and computes a chunk's byte offset and
+   CRC-32. *)
 
 type assembly = {
   mutable as_header : (bool * string) option; (* compressed, initial_exe *)
@@ -626,11 +619,10 @@ let ring_sink r =
 module Writer = struct
   (* Incremental-sink state: the trace streams to [s_sink] *while it is
      being recorded*, so a writer killed mid-record leaves a salvageable
-     record-stream prefix (file sink), a live ring window (ring sink) or
-     a set of content-addressed objects (repo sink) instead of nothing.
-     Files only grow, so [j_marks] keeps the length of every file
-     snapshot already streamed, and the growing per-task cloned-data
-     files emit suffix deltas rather than full rewrites. *)
+     record-stream prefix (file sink) or a live ring window (ring sink)
+     instead of nothing.  Files only grow, so [j_marks] keeps the length
+     of every file snapshot already streamed, and the growing per-task
+     cloned-data files emit suffix deltas rather than full rewrites. *)
   type sstate = {
     s_sink : Sink.t;
     mutable j_since_mark : int; (* chunks streamed since the last mark *)
@@ -815,11 +807,11 @@ module Writer = struct
 
   (* Seal the last chunk and — with a sink — commit: final file deltas,
      then the sink's own commit step (trailer + footer + close for the
-     file sink, the manifest for the repo sink).  A sink IO failure
-     propagates as {!Io.Io_error} (the recorder wraps it in its own
-     typed error), and whatever prefix reached the sink is salvage
-     input.  A bounded sink supplies the resulting trace — the retained
-     ring window — since the writer kept no chunk bytes. *)
+     file sink).  A sink IO failure propagates as {!Io.Io_error} (the
+     recorder wraps it in its own typed error), and whatever prefix
+     reached the sink is salvage input.  A bounded sink supplies the
+     resulting trace — the retained ring window — since the writer kept
+     no chunk bytes. *)
   let finish w =
     Timeline.scope "trace.commit" @@ fun () ->
     flush_chunk w;
@@ -1044,7 +1036,7 @@ module Reader = struct
     end
 end
 
-(* ---- parts access (the repository layer's view) ---------------------- *)
+(* ---- parts access ------------------------------------------------------ *)
 
 let chunk_stored t i = slice_string t.chunks.(i)
 
@@ -1079,7 +1071,7 @@ let events ?(chunk = fun _ ci stored ->
 (* Send [t] through [sink] and commit it, [before_commit] running
    between the last chunk and the commit.  On any failure the sink is
    closed and the exception re-raised. *)
-let send ?(before_commit = ignore) t sink =
+let send ~before_commit t sink =
   try
     events t sink.Sink.sk_put;
     before_commit ();
@@ -1087,8 +1079,6 @@ let send ?(before_commit = ignore) t sink =
   with e ->
     (try sink.Sink.sk_close () with _ -> ());
     raise e
-
-let to_sink t sink = send t sink
 
 (* Rebuild the chunk stream with every frame rewritten by [f], keeping
    chunk boundaries.  A testing/tooling device (trace surgery, tamper
@@ -1121,33 +1111,6 @@ let map_frames f t =
   in
   events ~chunk:rewrite t (assemble a);
   assembled a { t.stats with raw_bytes = !raw_bytes }
-
-(* Validating assembly from externally stored parts (the repository's
-   manifest + object store), with the loader's invariants: chunks
-   contiguous from frame 0, none empty, stats agreeing with them. *)
-let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
-    ~images:imgs ~files:fls ~stats () =
-  let a = assembly () in
-  match
-    assemble a (Sink.Header { compressed; initial_exe });
-    List.iter (fun (path, img) -> assemble a (Sink.Image { path; img })) imgs;
-    List.iter
-      (fun (path, data) ->
-        assemble a (Sink.File_delta { path; offset = 0; data = whole data }))
-      fls;
-    Array.iter
-      (fun (first_frame, n_frames, kinds, stored) ->
-        assemble a
-          (Sink.Chunk { first_frame; n_frames; kinds; stored = whole stored }))
-      parts;
-    if stats.n_events <> a.as_frames then
-      raise
-        (Codec.Corrupt
-           (Fmt.str "stats claim %d frames, chunks cover %d" stats.n_events
-              a.as_frames))
-  with
-  | () -> Ok (assembled ~origin a stats)
-  | exception Codec.Corrupt detail -> Error (Corrupt { path = origin; detail })
 
 (* ---- saving ---------------------------------------------------------- *)
 

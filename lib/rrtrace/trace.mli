@@ -11,18 +11,17 @@
     through {!Reader}, which inflates one chunk at a time behind a small
     LRU, so opening a trace is O(index) and a seek costs
     O(log n_chunks + one chunk decode).  Opening copies no stored
-    payload: chunks, files and checkpoint blobs stay {!slice}s of the
+    payload: chunks, files and checkpoint blobs stay slices of the
     bytes read.
 
     The store is single-domain: {!Writer} deflates each chunk inline
     as it seals it, and {!Reader} inflates on demand (DESIGN.md §4d).
 
-    One stream out, one assembler in: a trace leaves only as {!Sink}
-    events — from a {!Writer} while recording, from {!to_sink} once
-    finished ({!save} is {!to_sink} into the file sink) — and every
-    trace, whether recorded, loaded, salvaged, snapshotted from a ring,
-    rebuilt from a repository or rewritten, is assembled from such
-    events by the same code.
+    One stream out, one assembler in: a trace leaves only through a
+    {!Sink} — from a {!Writer} while recording, through the file sink
+    once finished ({!save}) — and every trace, whether recorded,
+    loaded, salvaged, snapshotted from a ring or rewritten, is
+    assembled from the same events by the same code.
 
     {b Durability} (DESIGN.md §4e): persistence flows through the
     pluggable {!Io} layer.  The on-disk format is a stream of
@@ -45,13 +44,6 @@ type stats = {
   mutable n_buffered_syscalls : int;
   mutable n_traced_syscalls : int;
 }
-
-val put_stats : Codec.sink -> stats -> unit
-(** The stats fields as uvarints: the codec of the trailer, the ['J']
-    records and the repository manifest. *)
-
-val get_stats : Codec.source -> stats
-(** Inverse of {!put_stats}. *)
 
 type chunk_info = {
   first_frame : int; (** trace index of the chunk's first frame *)
@@ -100,73 +92,22 @@ val error_to_string : error -> string
 (** {1 Sinks}
 
     A {!Sink.t} is the one place frames, chunks, images and file
-    snapshots leave a {!Writer}.  Three implementations exist: the
-    streaming file journal ({!Sink.of_io}), the bounded in-memory
-    flight-recorder ring ({!ring_sink}), and the content-addressed
-    repository ({!Repo.sink}).  Events arrive in trace-stream order —
-    header first, every image and file delta before the first chunk
-    referencing it, a stats journal mark every few chunks — so a sink
-    persisting events as they arrive reproduces the record stream,
+    snapshots leave a {!Writer}.  Two implementations exist: the
+    streaming file journal ({!Sink.of_io}) and the bounded in-memory
+    flight-recorder ring ({!ring_sink}).  Events arrive in trace-stream
+    order — header first, every image and file delta before the first
+    chunk referencing it, a stats journal mark every few chunks — so a
+    sink persisting events as they arrive reproduces the record stream,
     and any prefix it persists is salvageable. *)
 
-type slice = Codec.slice = { str : string; pos : int; len : int }
-(** [len] bytes of [str] from [pos]: a stored payload where it lies.
-    Chunks, files and checkpoint blobs all travel as slices: a loaded
-    trace keeps each as a slice of the one string its file was read
-    into, copying none at open, and the file sink writes each slice in
-    place. *)
-
 module Sink : sig
-  type event =
-    | Header of { compressed : bool; initial_exe : string }
-    | Image of { path : string; img : Image.t }
-    | File_delta of { path : string; offset : int; data : slice }
-        (** bytes [data] replace the file's contents from [offset];
-            a pure append when [offset] equals the previous length.  A
-            {!Writer} sends each file once from offset 0 (even when
-            empty), then only appends. *)
-    | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : slice }
-        (** one sealed chunk's stored (possibly deflated) bytes *)
-    | Journal of stats
-        (** watermark: a stats snapshot covering every chunk above *)
-
   type t
-
-  val make :
-    put:(event -> unit) ->
-    commit:(stats -> chunk_info array -> unit) ->
-    close:(unit -> unit) ->
-    unit ->
-    t
-  (** Build a custom sink.  [put] receives every event in stream order;
-      [commit] runs once, from {!Writer.finish} or {!to_sink}, with the
-      final stats and chunk index; [close] runs from {!Writer.abort} or
-      a failed {!to_sink} and must release resources without committing
-      (idempotent).  The writer keeps the chunk bytes it hands such a
-      sink. *)
 
   val of_io : Io.writer -> t
-  (** The streaming file sink — the incremental journal.  [commit]
-      writes the trailer and footer and closes the writer, so the
-      footer's presence proves completion; a sink killed at any byte
-      leaves a salvageable prefix. *)
-end
-
-(** File snapshots rebuilt from {!Sink.File_delta} events (or ['D']
-    records) in time linear in their total size.  A file that arrives
-    in one piece keeps that slice uncopied, wherever it lies. *)
-module File_deltas : sig
-  type t
-
-  val create : unit -> t
-
-  val apply : t -> path:string -> offset:int -> slice -> unit
-  (** Replace [path]'s bytes from [offset] on; a new path starts
-      empty.  Raises [Codec.Corrupt] if [offset] is negative or past
-      the current length. *)
-
-  val contents : t -> (string * string) list
-  (** Every file, sorted by path. *)
+  (** The streaming file sink — the incremental journal.  Its commit
+      ({!Writer.finish}) writes the trailer and footer and closes the
+      writer, so the footer's presence proves completion; a sink killed
+      at any byte leaves a salvageable prefix. *)
 end
 
 type ring
@@ -220,9 +161,8 @@ module Writer : sig
       being recorded}: images and file snapshots always precede the
       chunks that reference them, and a stats journal mark lands every
       few chunks — so killing the writer at any byte leaves a prefix
-      that {!salvage} can recover and replay (file sink), a live ring
-      window ({!ring_sink}), or content-addressed objects a later gc
-      collects ([Repo.sink]).  {!finish} commits the sink; for a
+      that {!salvage} can recover and replay (file sink) or a live ring
+      window ({!ring_sink}).  {!finish} commits the sink; for a
       bounded sink it returns the sink's own result (the ring window).
       Sink IO failures surface as {!Io.Io_error} from the writer
       operation that hit them. *)
@@ -323,8 +263,7 @@ val initial_exe : t -> string
 (** The executable the recording started under. *)
 
 val compressed : t -> bool
-(** Whether the trace's chunks are stored deflated — preserved verbatim
-    by the repository manifest so a loaded trace decodes identically. *)
+(** Whether the trace's chunks are stored deflated. *)
 
 val image : t -> string -> Image.t
 (** Raises [Invalid_argument] for unknown paths. *)
@@ -345,25 +284,7 @@ val files : t -> (string * string) list
 
 val chunk_stored : t -> int -> string
 (** Chunk [i]'s stored (possibly deflated) bytes, as its ['C'] record
-    and its {!Sink.Chunk} event carry them; a copy when they lie in a
-    loaded file's bytes. *)
-
-val of_parts :
-  ?origin:string ->
-  compressed:bool ->
-  initial_exe:string ->
-  chunks:(int * int * int * string) array ->
-  images:(string * Image.t) list ->
-  files:(string * string) list ->
-  stats:stats ->
-  unit ->
-  (t, error) result
-(** Build a trace from externally stored parts (the repository's
-    manifest plus object store) by the assembly every trace goes
-    through.  Each chunk is [(first_frame, n_frames, kinds,
-    stored_bytes)]; chunks must run contiguously from frame 0 and none
-    may be empty, [stats] must cover exactly their frames, and byte
-    offsets and per-chunk CRCs come from the bytes. *)
+    carries them; a copy when they lie in a loaded file's bytes. *)
 
 val index : t -> Trace_index.t option
 (** The trace's sidecar index, if one was built (or loaded from 'P'/'K'
@@ -394,22 +315,15 @@ val map_frames : (int -> Event.t -> Event.t) -> t -> t
     version but 4 (3 was plain register arrays) report
     {!Version_skew}; any other magic is {!Bad_magic}. *)
 
-val to_sink : t -> Sink.t -> unit
-(** Send a finished trace through [sink] as the events a recording
-    sends — the header, the images and files by path, each file whole
-    from offset 0, then the chunks in order — and commit it.  {!save}
-    is this into {!Sink.of_io}, and [Repo.store_trace] this into
-    [Repo.sink].  On failure the sink is closed and the exception
-    ({!Io.Io_error} for the file sink) propagates. *)
-
 val save : t -> string -> (unit, error) result
 val save_exn : t -> string -> unit
 
 val save_io : t -> Io.writer -> (unit, error) result
 (** Persist through an arbitrary {!Io.writer} (fault injection, in-
-    memory buffers): {!to_sink} into {!Sink.of_io}, with the sidecar
-    index records before the trailer.  The writer is closed in all
-    cases. *)
+    memory buffers): the header, the images and files by path, each
+    file whole from offset 0, then the chunks in order, into
+    {!Sink.of_io}, with the sidecar index records before the trailer.
+    The writer is closed in all cases. *)
 
 val open_ : string -> (t, error) result
 (** Open a saved trace: verify the commit footer, scan and CRC-check

@@ -123,7 +123,7 @@ let test_flight_dump_on_always () =
   let outcome =
     match
       Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_always ]
-        ~dump:(Flight.To_file path) ~ring
+        ~dump:path ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -147,7 +147,7 @@ let test_flight_exit_zero_no_dump () =
   let outcome =
     match
       Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_exit_nonzero ]
-        ~dump:(Flight.To_file path) ~ring
+        ~dump:path ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -165,7 +165,7 @@ let test_flight_signal_trigger () =
   let outcome =
     match
       Flight.record ~opts ~dump_on:[ Flight.On_signal ]
-        ~dump:(Flight.To_file path) ~ring
+        ~dump:path ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o

@@ -4,5 +4,5 @@ let () =
      @ Test_syscallbuf.suites @ Test_kernel_edge.suites @ Test_telemetry.suites
      @ Test_timeline.suites
      @ Test_diagnostics.suites @ Test_fault.suites
-     @ Test_repo.suites @ Test_flight.suites @ Test_shard.suites
+     @ Test_flight.suites @ Test_shard.suites
      @ Test_gdbstub.suites @ Test_query.suites @ Test_snapshot.suites)

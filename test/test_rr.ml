@@ -635,9 +635,14 @@ let test_poll_roundtrip () =
    that starts in the page's last 16 bytes: each returns -EFAULT, the
    16 bytes keep what the program stored there, and the next open gets
    fd 7, the one after the first pipe's, so the faulting pipe opened
-   nothing.  Each call exits with its own status when its result is
-   wrong. *)
-let partial_reads_prog _k b =
+   nothing.  Last, rt_sigprocmask, clock_gettime and gettimeofday each
+   get the page's last 4 bytes as their 8-byte output: each writes
+   nothing, so the pattern in the page's last 8 bytes survives.
+   rt_sigprocmask returns -EFAULT; the two time calls do too when
+   traced, but untraced they take the vDSO ([vdso]), which answers
+   with the time.  Each call exits with its own status when its result
+   is wrong. *)
+let partial_reads_prog ~vdso _k b =
   let fds = G.bss b 16 in
   let path = G.str b "/data64" in
   let expect v code =
@@ -649,6 +654,17 @@ let partial_reads_prog _k b =
   let read fd buf = G.sys_read ~fd:(G.reg fd) ~buf:(G.reg buf) ~len:(G.imm 64) in
   let getrandom buf = G.sc Sysno.getrandom [ G.reg buf; G.imm 64 ] in
   let efault = -Errno.efault in
+  let pattern = 0x1a5a_5a5a_5a5a_5a5a in
+  let survives code = [ Asm.load 0 9 8 ] @. expect pattern code in
+  let time nr code =
+    G.sc nr [ G.reg 12 ]
+    @. (if vdso then
+          let ok = Printf.sprintf "ok%d" code in
+          [ Asm.jcc Insn.Gt 0 (Insn.Imm 0) ok ]
+          @. G.sys_exit_group code
+          @. [ Asm.label ok ]
+        else expect efault code)
+  in
   G.emit b
     (G.sys_mmap ~len:(G.imm Mem.page_size) ~prot:Mem.prot_rw ~flags:1
     (* r7: the page; r9: its last 16 bytes; r10: the unmapped page after *)
@@ -682,6 +698,14 @@ let partial_reads_prog _k b =
     @. [ Asm.load 0 9 0 ] @. expect 0x5a5a_5a5a 14
     @. [ Asm.load 0 9 8 ] @. expect 0x5a5a_5a5a 15
     @. G.sys_open b ~path:"/data64" ~flags:Sysno.o_rdonly @. expect 7 16
+    (* the pattern fills the last 8 bytes; r12: the last 4 *)
+    @. [ Asm.movi 8 pattern; Asm.store 8 9 8;
+         Asm.movr 12 7; Asm.addi 12 (Mem.page_size - 4) ]
+    @. G.sc Sysno.rt_sigprocmask
+         [ G.imm Signals.sig_block; G.imm 0; G.reg 12 ]
+    @. expect efault 17 @. survives 18
+    @. time Sysno.clock_gettime 19 @. survives 20
+    @. time Sysno.gettimeofday 21 @. survives 22
     @. G.sys_exit_group 0)
 
 let partial_reads_setup k =
@@ -694,7 +718,7 @@ let test_partial_fault_short_count () =
   Vfs.mkdir_p (K.vfs k) "/bin";
   partial_reads_setup k;
   let b = G.create () in
-  partial_reads_prog k b;
+  partial_reads_prog ~vdso:true k b;
   K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ());
   let task = K.spawn k ~path:"/bin/t" () in
   ignore (K.run_baseline k ~cores:1 ());
@@ -711,7 +735,7 @@ let test_partial_fault_replays () =
       let _, rstats, _, pstats, _ =
         roundtrip ~setup:partial_reads_setup
           ~rec_opts:{ Recorder.default_opts with intercept }
-          partial_reads_prog
+          (partial_reads_prog ~vdso:false)
       in
       Alcotest.(check (option int))
         (Printf.sprintf "recorded, intercept = %b" intercept)

@@ -1,9 +1,20 @@
 (* Tests for per-connection shards (DESIGN.md §4k): the serve workload,
-   its frames tagged by the connection tracker, splits, through a
-   repository, into one sub-trace per connection, and each sub-trace
-   replays its connection's tasks exactly as the full trace does. *)
+   its frames tagged by the connection tracker, splits into one trace
+   file per connection, and each file replays its connection's tasks
+   exactly as the full trace does. *)
 
-let ok = Test_repo.ok
+let ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "unexpected trace error: %a" Trace.pp_error e
+
+(* A fresh directory under the temp dir, removed with its files. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "rr_shard" "" in
+  let rm_rf () =
+    Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
 
 (* One task's registers and address-space digest (scratch and rr-private
    pages excluded by Checksum.space): the replayed state a shard must
@@ -25,7 +36,7 @@ let moved base name =
   List.assoc name (Telemetry.since base).Telemetry.snap_counters
 
 let test_shards_replay_their_connections () =
-  Test_repo.with_temp_repo @@ fun _dir repo ->
+  with_temp_dir @@ fun dir ->
   let w =
     Wl_serve.make
       ~params:{ Wl_serve.default with Wl_serve.conns = 4; requests = 6 }
@@ -50,20 +61,23 @@ let test_shards_replay_their_connections () =
         Alcotest.failf "connection %d misses its client or worker task"
           i.Conn_track.conn)
     conns;
-  let (_ : Repo.store_result) =
-    ok (Repo.store_trace repo ~name:"serve" trace)
-  in
   let base = Telemetry.snapshot () in
-  let res = ok (Shard.split ~repo ~base:"serve" ~tags trace) in
-  Alcotest.(check (pair int int))
-    "shard.shards_written and shard.bytes_shared moved"
-    (4, res.Shard.total_shared_bytes)
-    (moved base "shard.shards_written", moved base "shard.bytes_shared");
-  Alcotest.(check bool)
-    "shards share bytes with the trace" true
-    (res.Shard.total_shared_bytes > 0);
-  if ok (Shard.list repo ~base:"serve") <> res.Shard.shards then
-    Alcotest.fail "the shard catalog does not round-trip";
+  let shards = ok (Shard.split ~dir ~base:"serve" ~tags trace) in
+  Alcotest.(check int) "shard.shards_written moved" 4
+    (moved base "shard.shards_written");
+  Alcotest.(check (list (pair int string)))
+    "one file per connection, in connection order"
+    (List.map
+       (fun (i : Conn_track.info) ->
+         let c = i.Conn_track.conn in
+         (c, Printf.sprintf "serve.conn-%04d.trace" c))
+       conns)
+    (List.map
+       (fun (s : Shard.info) -> (s.Shard.si_conn, Filename.basename s.si_path))
+       shards);
+  Alcotest.(check (list string)) "nothing else in the directory"
+    (List.map (fun (s : Shard.info) -> Filename.basename s.si_path) shards)
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
   (* Each connection's mid-stream frame, and its worker's and client's
      state there in one pass of the full trace (ascending targets). *)
   let targets =
@@ -90,14 +104,19 @@ let test_shards_replay_their_connections () =
       let k = Replayer.kernel full in
       let want_worker = task_digest k i.Conn_track.worker_tid in
       let want_client = task_digest k i.Conn_track.client_tid in
-      let shard = ok (Shard.load repo ~base:"serve" ~conn:c) in
+      let info = List.find (fun s -> s.Shard.si_conn = c) shards in
+      let shard = ok (Trace.open_ info.Shard.si_path) in
       if Trace.n_events shard >= Trace.n_events trace then
         Alcotest.failf "conn %d: the shard did not shrink (%d >= %d frames)" c
           (Trace.n_events shard) (Trace.n_events trace);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "conn %d: frames and own frames" c)
+        (info.Shard.si_frames, i.Conn_track.frames)
+        (Trace.n_events shard, info.Shard.si_own_frames);
       let extracted, kept = Shard.extract ~tags ~conn:c trace in
       if Trace.Reader.to_array extracted <> Trace.Reader.to_array shard then
         Alcotest.failf
-          "conn %d: the extracted shard differs from the stored one" c;
+          "conn %d: the extracted shard differs from the saved one" c;
       (* The shard keeps the control frames and the connection's own:
          [i_star] is its [j_star]th frame. *)
       let j_star = ref (-1) in

@@ -191,11 +191,11 @@ let words () =
 let word_bytes = float_of_int (Sys.word_size / 8)
 
 (* A file's CRC-32 and length, and its MD5.  Every record of a trace
-   file or manifest ends with the CRC-32 of its own payload, and CRC-32
-   is linear: a message followed by its CRC-32 leaves the register in a
-   state that does not depend on the message.  A whole file's CRC-32
-   therefore sees the tags, lengths and unchecked bytes but not what the
-   payloads hold; the MD5 does. *)
+   file ends with the CRC-32 of its own payload, and CRC-32 is linear:
+   a message followed by its CRC-32 leaves the register in a state that
+   does not depend on the message.  A whole file's CRC-32 therefore sees
+   the tags, lengths and unchecked bytes but not what the payloads hold;
+   the MD5 does. *)
 type pin = { crc_len : int * int; md5 : Digest.t }
 
 let pin s = { crc_len = crc_and_length s; md5 = Digest.string s }
@@ -205,27 +205,6 @@ let saved_file t =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Trace.save_exn t path;
   In_channel.with_open_bin path In_channel.input_all
-
-(* The manifest [Repo.store_trace] writes for [t], in a throwaway
-   repository. *)
-let manifest_file name t =
-  let dir = Filename.temp_file "rr_tripwire" ".repo" in
-  Sys.remove dir;
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  match Result.bind (Repo.init dir) (fun r -> Repo.store_trace r ~name t) with
-  | Ok (_ : Repo.store_result) ->
-    In_channel.with_open_bin
-      (Filename.concat (Filename.concat dir "traces") name)
-      In_channel.input_all
-  | Error e -> Alcotest.failf "store %s: %a" name Repo.pp_error e
 
 (* A trace's saved file before and after indexing, pinned, and its
    durable checkpoint blobs in frame order.  Indexing attaches the index
@@ -254,8 +233,7 @@ let serve_chaos =
          ~opts:(Recorder.make_opts ~seed:1 ~chaos:true ())
          (Wl_serve.make ())
      in
-     let t = recd.Workload.trace in
-     (("serve-chaos", saved_and_indexed t), ("serve-chaos", t)))
+     ("serve-chaos", saved_and_indexed recd.Workload.trace))
 
 let seed1_checkpoints =
   lazy
@@ -264,50 +242,44 @@ let seed1_checkpoints =
        (Lazy.force seed1_indexed))
 
 (* Tripwire for whole files: the CRC-32 and length of each seed-1
-   trace's [Trace.save] output, plain and indexed, and of its
-   [Repo.store_trace] manifest, then the same for the chaos recording;
-   and one MD5 over the three files' MD5s, which alone sees the record
-   payloads.  A reordered, added, dropped or changed record, a changed
-   trailer, a reordered manifest or a changed schedule fails here. *)
+   trace's [Trace.save] output, plain and indexed, then the same for the
+   chaos recording; and one MD5 over the two files' MD5s, which alone
+   sees the record payloads.  A reordered, added, dropped or changed
+   record, a changed trailer or a changed schedule fails here. *)
 let saved_files_expected =
   [ ( "cp",
-      ((0xac964bc5, 4195998), (0x34ad9f76, 4309743), (0xa360337f, 1064)),
-      "7ba975b0f9f12e3a56fa23cc0e48d12c" );
+      ((0xac964bc5, 4195998), (0x34ad9f76, 4309743)),
+      "a49beae3fe9b86b6af96164faea75c59" );
     ( "make",
-      ((0xa803c7bf, 866227), (0x341be6af, 4992693), (0x1e863bc8, 4979)),
-      "0892a01601696f49c929d4adf33ca709" );
+      ((0xa803c7bf, 866227), (0x341be6af, 4992693)),
+      "196bc5c9d645d789e9a4487ce60ccabd" );
     ( "octane",
-      ((0x8afda5e0, 1282), (0x414a8584, 485801), (0x63691b86, 88)),
-      "d20fde6ba3ed14489a18e3b632afb886" );
+      ((0x8afda5e0, 1282), (0x414a8584, 485801)),
+      "4b3f642587d196872fe83b701ee64615" );
     ( "htmltest",
-      ((0x7d705f8d, 984399), (0x309de70a, 1549292), (0x245b75cf, 334)),
-      "16b45e9c151edb01bb9805dee71906d1" );
+      ((0x7d705f8d, 984399), (0x309de70a, 1549292)),
+      "49399d35b7f70973debc4d02e658045c" );
     ( "sambatest",
-      ((0xc27e9603, 1879), (0x4e2ccb17, 832290), (0xedee9b77, 96)),
-      "d947f725c4a7f60c77220b37085c4bec" );
+      ((0xc27e9603, 1879), (0x4e2ccb17, 832290)),
+      "e7880447a340fca6584525907d64bbb0" );
     ( "serve",
-      ((0x1596a4ed, 8731), (0xecb3e8df, 3687250), (0xc88f2b45, 93)),
-      "55db8524fd79965c7dbeb610b006af24" );
+      ((0x1596a4ed, 8731), (0xecb3e8df, 3687250)),
+      "c64578f28a94cb3b5c5097b52426316c" );
     ( "serve-chaos",
-      ((0x09327df6, 10689), (0x96fbaca7, 3686180), (0xc88f2b45, 93)),
-      "43995a16d76f842accd315e9406222d5" ) ]
+      ((0x09327df6, 10689), (0x96fbaca7, 3686180)),
+      "27d93ffe88af6b7d1b7635a1fefd669f" ) ]
 
 let test_saved_files_tripwire () =
   let crc_len = Alcotest.(pair int int) in
   List.iter2
-    (fun ((name, (plain, indexed, _)), (_, t)) (name', crc_lens', md5') ->
-      let manifest = pin (manifest_file name t) in
-      Alcotest.(check (pair string (triple crc_len crc_len crc_len)))
-        "plain file, indexed file and manifest: CRC-32 and length"
-        (name', crc_lens')
-        (name, (plain.crc_len, indexed.crc_len, manifest.crc_len));
+    (fun (name, (plain, indexed, _)) (name', crc_lens', md5') ->
+      Alcotest.(check (pair string (pair crc_len crc_len)))
+        "plain and indexed file: CRC-32 and length" (name', crc_lens')
+        (name, (plain.crc_len, indexed.crc_len));
       Alcotest.(check (pair string string))
-        "MD5 of the three files' MD5s" (name', md5')
-        ( name,
-          Digest.to_hex (Digest.string (plain.md5 ^ indexed.md5 ^ manifest.md5))
-        ))
-    (List.combine (Lazy.force seed1_indexed) (Lazy.force seed1_traces)
-    @ [ Lazy.force serve_chaos ])
+        "MD5 of the two files' MD5s" (name', md5')
+        (name, Digest.to_hex (Digest.string (plain.md5 ^ indexed.md5))))
+    (Lazy.force seed1_indexed @ [ Lazy.force serve_chaos ])
     saved_files_expected
 
 (* A cold open keeps every payload, chunk, file and checkpoint blob,

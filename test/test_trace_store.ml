@@ -617,6 +617,74 @@ let test_appended_file_streams_as_deltas () =
     "ring_trace rebuilds the writer's files" (Trace.files t)
     (Trace.files windowed)
 
+(* A guest that maps an empty regular file, so the recorder snapshots a
+   0-byte files/0.  Every streaming sink must carry it: replay maps it
+   again. *)
+let empty_mmap_setup k =
+  let vfs = Kernel.vfs k in
+  Vfs.mkdir_p vfs "/bin";
+  ignore (Vfs.create_file vfs "/empty");
+  let b = Guest.create () in
+  Guest.emit b
+    (Guest.sys_open b ~path:"/empty" ~flags:Sysno.o_rdonly
+    @ [ Asm.movr 8 0 ]
+    @ Guest.sc Sysno.mmap
+        [ Guest.imm 0; Guest.imm 4096; Guest.imm Mem.prot_r; Guest.imm 0;
+          Guest.reg 8; Guest.imm 0 ]
+    @ Guest.sys_exit_group 7);
+  Kernel.install_image k ~path:"/bin/t" (Guest.build b ~name:"t" ())
+
+(* Every destination builds the trace the in-memory recording holds:
+   the same chunk index, all six fields of each entry, the same images
+   and the same files — and so does [save] followed by [open_]. *)
+let test_empty_file_streams () =
+  let record sink =
+    match
+      Recorder.run ~opts:(Recorder.make_opts ~sink ()) ~setup:empty_mmap_setup
+        ~exe:"/bin/t" ()
+    with
+    | Ok (t, _, _) -> t
+    | Error e -> Alcotest.failf "recording failed: %a" Recorder.pp_error e
+  in
+  let index t =
+    Array.to_list
+      (Array.map
+         (fun (ci : Trace.chunk_info) ->
+           Printf.sprintf "frames %d+%d, bytes %d+%d, kinds %x, crc %08x"
+             ci.first_frame ci.n_frames ci.byte_offset ci.stored_len ci.kinds
+             ci.crc32)
+         (Trace.chunk_index t))
+  in
+  let memory = record Recorder.Sink_memory in
+  let check what t =
+    Alcotest.(check (option string))
+      (what ^ ": files/0 is empty") (Some "")
+      (List.assoc_opt "files/0" (Trace.files t));
+    Alcotest.(check (list string))
+      (what ^ ": chunk index") (index memory) (index t);
+    Alcotest.(check bool)
+      (what ^ ": images") true
+      (Trace.images t = Trace.images memory);
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": files") (Trace.files memory) (Trace.files t);
+    let st, _ = Replayer.replay t in
+    Alcotest.(check (option int))
+      (what ^ ": replays to exit 7") (Some 7) st.Replayer.exit_status
+  in
+  with_temp_file (fun path ->
+      let reopen what =
+        match Trace.open_ path with
+        | Ok t -> check what t
+        | Error e -> Alcotest.failf "%s: reopen: %a" what Trace.pp_error e
+      in
+      Trace.save_exn memory path;
+      reopen "save + open_";
+      ignore (record (Recorder.Sink_io (Io.file_writer path)));
+      reopen "file sink");
+  let ring = Trace.ring ~chunks:64 in
+  ignore (record (Recorder.Sink_ring ring));
+  check "ring" (fst (Trace.ring_trace ring))
+
 let suites =
   [ ( "trace.store",
       [ Alcotest.test_case "multi-chunk index" `Quick test_multi_chunk_index;
@@ -627,7 +695,9 @@ let suites =
         Alcotest.test_case "kind mask skips chunks" `Quick
           test_kind_mask_skips_chunks;
         Alcotest.test_case "appended file streams as deltas" `Quick
-          test_appended_file_streams_as_deltas ] );
+          test_appended_file_streams_as_deltas;
+        Alcotest.test_case "empty file streams through every sink" `Quick
+          test_empty_file_streams ] );
     ( "trace.format",
       [ Alcotest.test_case "save/load roundtrip" `Quick
           test_save_load_roundtrip_synthetic;

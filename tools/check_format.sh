@@ -48,8 +48,8 @@ check_file() {
     ;;
   esac
   # The program is single-domain (rr's supervisor runs one tracee
-  # thread at a time), so Telemetry, Timeline and Repo keep plain
-  # mutable state and take no locks.  Nothing may spawn a domain, tests
+  # thread at a time), so Telemetry and Timeline keep plain mutable
+  # state and take no locks.  Nothing may spawn a domain, tests
   # included, and library code may not reach for domain, atomic or
   # mutex primitives that would only guard sharing that cannot happen.
   if grep -qE 'Domain\.spawn' "$f"; then
