@@ -11,10 +11,11 @@
    [int] word per slot and the slot's instruction.  [text_set] encodes
    the word once ([text_word], below).  The interpreter ({!Cpu.run})
    dispatches on the word and reads the instruction only for the kinds
-   a word cannot hold.  It holds the window of the page it runs on and
-   asks [text_page] for another only when the program counter leaves
-   that window; the space keeps the last two pages asked for, so a call
-   into a JIT page and its return hash nothing.
+   a word cannot hold.  It holds the windows of the page it runs on and
+   of the one it left last, and asks [text_page] for another only when
+   the program counter leaves both, so a call into a JIT page and its
+   return call nothing.  The space keeps the last two pages asked for,
+   so a run's first fetch and [text_get] hash only outside them.
 
    A page stores only a window, the slots from its lowest to its highest
    written address: a write outside it widens it to at least twice its
@@ -32,17 +33,22 @@
    - [Jcc] with a register: [b] in bits 10-13, the target in 14-62,
      signed;
    - [Jcc] with an immediate: the target in bits 10-41, unsigned, the
-     value in 42-62, signed.
+     value in 42-62, signed;
+   - [Load], [Store] ([a] loaded or stored): the base register [b] in
+     bits 10-13, the offset in 14-62, signed; [Push] of an immediate,
+     [Call]: the value or target in bits 10-62, signed.
    The tags: 0 an empty slot; 1 general; 2 [Nop] and [Pause]; 3 [Jmp];
    4 and 5 [Mov] with a register and an immediate; 6 + 2k and 7 + 2k
    [Alu] with ALU op k (in [Insn.alu]'s order, [Add] to [Shr]) and a
    register or an immediate; 26 + 2k and 27 + 2k [Jcc] with condition k
-   ([Eq] to [Ge]).  General covers what the interpreter runs from the
-   instruction array: memory ops, stops, [Emit], the nondeterministic
-   instructions, and any register-only instruction with a register
-   outside 0-15, a value too wide for its field, or a [Div] or [Rem] by
-   [Imm 0].  Only this file encodes words, and only {!Cpu.run} decodes
-   them.
+   ([Eq] to [Ge]); then the memory words, the three that read first:
+   38 [Load], 39 [Pop], 40 [Ret], 41 [Store], 42 and 43 [Push] with a
+   register and an immediate, 44 [Call], 45 [Callr].  General covers
+   what the interpreter runs from the instruction array: byte loads and
+   stores, [Cas], stops, [Emit], the nondeterministic instructions, and
+   any other instruction with a register outside 0-15, a value or
+   offset too wide for its field, or a [Div] or [Rem] by [Imm 0].  Only
+   this file encodes words, and only {!Cpu.run} decodes them.
 
    Three rules keep what the interpreter and the cache hold exact:
    - writes ([text_set], [text_load], [text_write]) inside a window the
@@ -52,8 +58,8 @@
      that may write it in place, a fork gives both sides fresh stamps,
      and [text_set] copies a page that is not its space's before the
      first write, or a page whose window must widen, and repoints either
-     cached page that held it (the interpreter drops its held window
-     after every [Emit] for the same reason);
+     cached page that held it (the interpreter fetches again after
+     every [Emit] for the same reason);
    - exec's [unmap_all] drops the pages and both cached ones.
    DESIGN.md §6 gives the interpreter's speed on jit_compute and the
    command that measures it.
@@ -66,14 +72,20 @@
    slot of the space's last hit, and binary-searches the index array
    only when that slot holds another page.  The hint needs no
    invalidation: it is checked against the index array on every use.
-   jit_compute's untraced run makes 204,066 data-page lookups over
-   about 90 pages, and all but 134 hit the page of the lookup before;
-   storm's spaces hit about half the time (DESIGN.md §6 has the
+   Storm's spaces hit it about half the time (DESIGN.md §6 has the
    timings).  [writable_page] is the one gate for data writes: it
    breaks COW sharing and then gives a frame that still borrows its
    bytes (from {!Mem}'s zero buffer or a checkpoint blob) its own copy.
-   Every byte of a frame is read and written through {!Mem}, which adds
-   the frame's offset into its buffer.
+   Every byte of a frame is written through {!Mem}, which adds the
+   frame's offset into its buffer.
+
+   [hold_page] gives {!Cpu.run} the frame of the page an access lands
+   on, to read in place and write through {!Mem} for the rest of one
+   run: a read hold checks [prot_r], a write hold passes the write gate
+   once and tells the write observer of the whole page once.  The
+   writes the interpreter retires against the frame pass neither, so
+   the observer is told at least once per page per run, before that
+   page's first write, not once per write.
 
    [written_text] remembers addresses written at run time ([Emit]): the
    replayer must not set software breakpoints there and falls back to the
@@ -82,7 +94,8 @@
    [generation] counts changes to what a space holds.  Every function
    that changes its pages, protections, data bytes, text, written text,
    breakpoints, regions or mmap cursor increments it, the write gate
-   once per write, so the count does not lean on [refs] being right.
+   once per pass (once per write, or once per write hold), so the count
+   does not lean on [refs] being right.
    A space whose generation has not moved since a checkpoint forked it
    still equals that fork, unless it maps a [MAP_SHARED] frame, which
    other spaces write in place: the replayer then reuses the fork
@@ -435,6 +448,14 @@ let observe_write t ~addr ~len =
   | None -> ()
   | Some f -> f t ~addr ~len
 
+let hold_page t addr ~write =
+  if write then begin
+    observe_write t ~addr:(addr land lnot (Mem.page_size - 1))
+      ~len:Mem.page_size;
+    writable_page t addr ~force:false
+  end
+  else readable_page t addr ~force:false
+
 let rec writable t addr len =
   len <= 0
   || (match find_page t (Mem.page_index addr) with
@@ -531,6 +552,16 @@ let text_word insn =
   | Insn.Jcc (c, a, Insn.Imm v, t)
     when is_reg a && fits 21 v && t >= 0 && t < 1 lsl 32 ->
     word (27 + (2 * Insn.cond_index c)) a (t lor (v lsl 32))
+  | Insn.Load (a, b, off) when is_reg a && is_reg b && fits 49 off ->
+    word 38 a (b lor (off lsl 4))
+  | Insn.Pop a when is_reg a -> word 39 a 0
+  | Insn.Ret -> 40
+  | Insn.Store (a, b, off) when is_reg a && is_reg b && fits 49 off ->
+    word 41 a (b lor (off lsl 4))
+  | Insn.Push (Insn.Reg a) when is_reg a -> word 42 a 0
+  | Insn.Push (Insn.Imm v) when fits 53 v -> word 43 0 v
+  | Insn.Call t when fits 53 t -> word 44 0 t
+  | Insn.Callr a when is_reg a -> word 45 a 0
   | _ -> text_tag_general
 
 let text_tag insn = text_word insn land 63

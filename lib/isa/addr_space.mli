@@ -56,8 +56,10 @@ type t = {
   mutable mmap_cursor : int;
   mutable generation : int;
       (** Moves on every change to the space's pages, protections, data
-          bytes, text, written text, breakpoints, regions or mmap cursor,
-          once per write.  A space that maps no [MAP_SHARED] frame and
+          bytes, text, written text, breakpoints, regions or mmap cursor:
+          data writes move it once per pass through the write gate,
+          which {!hold_page} makes once for every write it lets through
+          for the rest of a run.  A space that maps no [MAP_SHARED] frame and
           whose generation has not moved since {!fork_checkpoint} forked
           it still equals that fork.  Only this module changes a field
           of [t]; tools/check_format.sh holds the rest of lib/ to it. *)
@@ -97,16 +99,28 @@ val protect : t -> addr:int -> len:int -> prot:Mem.prot -> unit
 
 val set_write_observer : (t -> addr:int -> len:int -> unit) -> unit
 val clear_write_observer : unit -> unit
-(** A process-global hook invoked before every data write (all byte
-    stores funnel through it, including [force] writes).  The trace
-    indexer installs one during its replay pass to learn which pages
-    each frame touches; leave it unset otherwise. *)
+(** A process-global hook told of every data write before it lands
+    (all byte stores funnel through it, including [force] writes),
+    except those the interpreter retires through a {!hold_page} write
+    hold, which tells it of the whole page once.  The trace indexer
+    installs one during its replay pass to learn which pages each frame
+    touches; leave it unset otherwise. *)
 
 val writable : t -> int -> int -> bool
 (** [writable t addr len]: whether every byte of [addr, addr + len) is
     mapped writable, so a write there without [force] cannot fault.  The
     kernel checks a syscall's whole output with it before any effect,
     and the syscallbuf checks the outputs it would redirect. *)
+
+val hold_page : t -> int -> write:bool -> Mem.page
+(** The frame mapped at [addr]'s page, for {!Cpu.run} to hold until the
+    end of the run and retire u64 accesses that lie wholly on the page
+    against it.  A read hold checks [prot_r].  A write hold tells the
+    write observer of the whole page, then passes the write gate once:
+    it checks [prot_w], breaks COW sharing, gives the frame its own
+    bytes and moves the generation.  Raises {!Segv} as an access would.
+    Only lib/isa calls it (tools/check_format.sh): what the interpreter
+    writes through the frame is not observed or counted again. *)
 
 val read_u8 : ?force:bool -> t -> int -> int
 val write_u8 : ?force:bool -> t -> int -> int -> unit
@@ -136,10 +150,10 @@ val text_tag : Insn.t -> int
 
 val text_tag_general : int
 (** The tag of every instruction a word cannot hold, which the
-    interpreter runs from the instruction array: memory ops, stops,
-    [Emit], the nondeterministic instructions, and register-only ones
-    with a register outside 0-15, a value too wide for its field, or a
-    [Div] or [Rem] by [Imm 0]. *)
+    interpreter runs from the instruction array: byte loads and stores,
+    [Cas], stops, [Emit], the nondeterministic instructions, and any
+    other with a register outside 0-15, a value too wide for its field,
+    or a [Div] or [Rem] by [Imm 0]. *)
 
 val text_page : t -> int -> text_page
 (** The page holding [addr].  Where no page holds [addr], a page with

@@ -9,16 +9,26 @@
 
    It stands in for the hardware rr runs tracees on natively, so most
    of a CPU-bound workload's host time is spent in [run].  Its inner
-   loop retires register-only instructions from the predecoded words of
-   the text page it holds (addr_space.ml's header has the format):
-   one flat jump table on the word's tag, each case's arithmetic
-   written in place, reading only the word, the register array and the
-   PMU record.  [exec_one] takes the rest one at a time, from the
-   page's instruction array.  No instruction that retires normally
-   hashes or allocates (test_isa.ml's "retires without allocating"
-   counts the words).  test/cpu_ref.ml keeps the interpreter these
-   loops replaced, and a property holds both to the same machine
-   state.  DESIGN.md §6 gives the speed and how to measure it. *)
+   loop retires register-only instructions, and loads, pops and returns,
+   from the predecoded words of the text page it holds (addr_space.ml's
+   header has the format): one flat jump table on the word's tag, each
+   case's arithmetic written in place, reading only the word, the
+   register array, the PMU record and the data frame [run] holds, a
+   software TLB of one page (Bellard, "QEMU, a Fast and Portable Dynamic
+   Translator", 2005).  [run] retires stores, pushes and calls against
+   that frame itself, and [exec_one] takes the rest one at a time, from
+   the page's instruction array.  Before the held frame, jit_compute's
+   roughly 102k [Callr]/[Ret] pairs cost about 12 ms of a 34 ms
+   untraced run: an [Addr_space] [write_u64] plus [read_u64] took 29-38
+   ns against 5-7 ns for [Mem.set_u64] plus [get_u64] on the same
+   frame, each trip out of the loop through [exec_one] about 15 ns, and
+   each switch between two text pages through [Addr_space.text_page]
+   8-10 ns (DESIGN.md §6).  No instruction that retires normally
+   allocates (test_isa.ml's "retires without allocating" counts the
+   words), and none hashes unless it leaves both text windows [run]
+   holds.  test/cpu_ref.ml keeps the interpreter these loops replaced,
+   and a property holds both to the same machine state.  DESIGN.md §6
+   gives the speed and how to measure it. *)
 
 type ctx = {
   regs : int array;
@@ -213,10 +223,30 @@ let exec_one env ctx insn =
 (* A word's fields (addr_space.ml's header has the layout). *)
 let[@inline] reg_a w = (w lsr 6) land 15
 let[@inline] reg_b w = (w lsr 10) land 15
-let[@inline] imm w = w asr 10 (* [Mov], [Alu] immediate; [Jmp] target *)
-let[@inline] jcc_r_target w = w asr 14
+let[@inline] imm w = w asr 10 (* immediate; [Jmp], [Call] target *)
+let[@inline] beside_b w = w asr 14 (* [Jcc] target; [Load], [Store] offset *)
 let[@inline] jcc_i_target w = (w lsr 10) land 0xffff_ffff
 let[@inline] jcc_i_imm w = w asr 42
+
+(* The held data page.  [Mem] keeps its page size abstract to the
+   compiler, so the loop's shift and mask are checked against it once. *)
+let page_bits = 12
+let page_mask = (1 lsl page_bits) - 1
+let () = assert (Mem.page_size = 1 lsl page_bits)
+
+(* Whether a u64 at [addr] lies wholly on page [idx]: [idx] is -1 for
+   no page, which [lsr] never gives. *)
+let[@inline] on_page idx addr =
+  addr lsr page_bits = idx && addr land page_mask <= page_mask - 7
+
+(* The u64 at [addr] in the held frame, read in place as [Mem.get_u64]
+   reads it (the stdlib's accessor inlines; [Mem]'s would be a call). *)
+let[@inline] load (frame : Mem.page) addr =
+  Int64.to_int
+    (Bytes.get_int64_le frame.Mem.bytes (frame.Mem.off + (addr land page_mask)))
+
+(* What no run holds; [-1] page indexes keep it from being read. *)
+let no_frame = Mem.fresh_page ~prot:0 ~shared:false
 
 (* Register fields are 4 bits, and [run] checks once that [regs] has 16
    slots, so the inner loop indexes it unchecked. *)
@@ -233,11 +263,13 @@ let[@inline] count_jcc pmu =
 let[@inline] tick_ahead pmu ticks_from = pmu.Pmu.rcb + 1 < ticks_from
 
 (* [run]'s inner loop, from [ctx.pc] in the window of [words] at [base]
-   with [steps] retired: retires register-only words until one of the
-   limits [run] gives.  Sets [ctx.pc] and returns the step count.  It
-   calls nothing, so its locals stay in registers.  [run] has checked
-   that [ctx.regs] has 16 slots. *)
-let retire_words ctx words base ~ticks_from ~fuel steps =
+   with [steps] retired: retires register-only words, and loads, pops
+   and returns whose u64 lies on page [rd], read in place from the held
+   [frame], until one of the limits [run] gives.  Sets [ctx.pc] and
+   returns the step count.  It calls nothing, so its locals stay in
+   registers; [run] retires the stores, through [Mem.set_u64].  [run]
+   has checked that [ctx.regs] has 16 slots. *)
+let retire_words ctx words base ~ticks_from ~fuel ~frame ~rd steps =
   let regs = ctx.regs and pmu = ctx.pmu in
   let last = Array.length words - 1 in
   let pc = ref ctx.pc and n = ref steps and go = ref true in
@@ -370,7 +402,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) = get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 27 (* Jcc Eq, immediate *) when tick_ahead pmu ticks_from ->
@@ -383,7 +415,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) <> get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 29 when tick_ahead pmu ticks_from ->
@@ -396,7 +428,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) < get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 31 when tick_ahead pmu ticks_from ->
@@ -409,7 +441,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) <= get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 33 when tick_ahead pmu ticks_from ->
@@ -422,7 +454,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) > get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 35 when tick_ahead pmu ticks_from ->
@@ -435,7 +467,7 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
         count_jcc pmu;
         pc :=
           if get regs (reg_a w) >= get regs (reg_b w) then
-            jcc_r_target w
+            beside_b w
           else !pc + 1;
         incr n
       | 37 when tick_ahead pmu ticks_from ->
@@ -444,14 +476,76 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
           if get regs (reg_a w) >= jcc_i_imm w then jcc_i_target w
           else !pc + 1;
         incr n
+      | 38 (* Load *) ->
+        let addr = get regs (reg_b w) + beside_b w in
+        if on_page rd addr then begin
+          set regs (reg_a w) (load frame addr);
+          pc := !pc + 1;
+          incr n
+        end
+        else go := false
+      | 39 (* Pop *) ->
+        let sp = get regs 15 in
+        if on_page rd sp then begin
+          set regs 15 (sp + 8);
+          set regs (reg_a w) (load frame sp);
+          pc := !pc + 1;
+          incr n
+        end
+        else go := false
+      | 40 (* Ret *) ->
+        let sp = get regs 15 in
+        if on_page rd sp then begin
+          pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+          pc := load frame sp;
+          set regs 15 (sp + 8);
+          incr n
+        end
+        else go := false
       | _ ->
-        (* an empty or general slot, a zero divisor, or the
-           [Jcc] that reaches the tick point: [exec_one] *)
+        (* an empty or general slot, a zero divisor, the [Jcc] that
+           reaches the tick point, a load off the held page, or a
+           store: [run] *)
         go := false
     end
   done;
   ctx.pc <- !pc;
   !n
+
+(* Whether text page [p]'s window holds [pc]. *)
+let[@inline] in_window (p : Addr_space.text_page) pc =
+  let i = pc - p.Addr_space.page_base in
+  i >= 0 && i < Array.length p.Addr_space.page_words
+
+(* The address of the u64 a memory word (tags 38-45) accesses, from the
+   registers as they stand before it retires. *)
+let access_addr regs w =
+  match w land 63 with
+  | 38 | 41 (* Load, Store *) -> get regs (reg_b w) + beside_b w
+  | 39 | 40 (* Pop, Ret *) -> get regs 15
+  | _ (* Push, Call, Callr *) -> get regs 15 - 8
+
+(* Retires a store, push or call (tags 41-45) whose u64 at [addr] lies
+   on the held [frame].  [run] retires these, not [retire_words]: a call
+   to [Mem.set_u64] there sent that loop's locals to the stack, which
+   slowed a register-only loop from about 4.1 to 5.9 ns an instruction
+   in a trial build. *)
+let retire_store ctx frame w addr =
+  let regs = ctx.regs and pmu = ctx.pmu and pc = ctx.pc in
+  match w land 63 with
+  | 41 (* Store *) ->
+    Mem.set_u64 frame (addr land page_mask) (get regs (reg_a w));
+    ctx.pc <- pc + 1
+  | 42 | 43 (* Push, register or immediate *) ->
+    Mem.set_u64 frame (addr land page_mask)
+      (if w land 1 = 0 then get regs (reg_a w) else imm w);
+    set regs 15 addr;
+    ctx.pc <- pc + 1
+  | tag (* Call, Callr: the target is read after [sp] moves *) ->
+    pmu.Pmu.branches <- pmu.Pmu.branches + 1;
+    Mem.set_u64 frame (addr land page_mask) (pc + 1);
+    set regs 15 addr;
+    ctx.pc <- (if tag = 44 then imm w else get regs (reg_a w))
 
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
    (None if fuel ran out) and the number of instructions retired.  The
@@ -460,20 +554,34 @@ let retire_words ctx words base ~ticks_from ~fuel steps =
    only from the RCB count at which a tick can do anything; [pmu.insns]
    moves once, by the instructions retired, since nothing reads it
    during a run.  The loop holds the window of the text page [pc] is on
-   and asks the space for another page only when [pc] leaves it, or
-   after an [Emit], which may have copied or widened the page.  A [pc]
-   outside the window of its own page, or on an empty slot, has no
-   instruction: [F_ill].
+   and the one it left last, and asks the space for another page only
+   when [pc] leaves both, so a call into a JIT page and its return hash
+   nothing.  After an [Emit], which may have copied or widened a page,
+   it asks again and forgets the other.  A [pc] outside the window of
+   its own page, or on an empty slot, has no instruction: [F_ill].
 
    With no breakpoint set and single-step off, the inner loop retires
-   the instructions whose word has a register-only tag, with [pc] and
-   the step count in locals, and touches only the held words, the
-   registers and the PMU record.  A fetch is one test of [pc - base]
-   against the window's length.  The loop stops at the end of fuel or
-   of the window, and before a general or empty slot, a zero divisor in
-   a register or the [Jcc] that brings RCB to [ticks_from], from which
-   on the PMU ticks after every instruction; [exec_one] then retires
-   that one from the instruction array. *)
+   the instructions whose word has a register-only tag, and the loads,
+   pops and returns whose u64 lies wholly on the held data page, with
+   [pc] and the step count in locals, and touches only the held words
+   and frame, the registers and the PMU record.  A fetch is one test of
+   [pc - base] against the window's length.  The loop stops at the end
+   of fuel or of the window, and before a general or empty slot, a zero
+   divisor in a register, the [Jcc] that brings RCB to [ticks_from],
+   from which on the PMU ticks after every instruction, a store, or a
+   load off the held page.  A store on the held page retires here;
+   [exec_one] retires anything else from the instruction array.
+
+   The held data page lasts one run and starts empty.  A load, pop or
+   return that misses it, and lies wholly on one page, holds that page
+   through [Addr_space.hold_page], and a store, push or call holds it for
+   writing; the next pass retires the instruction against the new hold,
+   a load in [retire_words] and a store here, through [Mem.set_u64]
+   ([retire_store]).  A write hold serves loads only if the page is
+   readable.  Before [exec_one] retires anything, the hold is dropped: a
+   byte store, a [Cas] or a u64 that straddles two pages may unshare the
+   held frame.  A hold that faults is dropped too, and [exec_one] faults
+   as it always has, after counting a call's or return's branch. *)
 let run env ctx ~fuel =
   let space = ctx.space and pmu = ctx.pmu and regs = ctx.regs in
   let probe_bp = Addr_space.bp_any space in
@@ -482,39 +590,70 @@ let run env ctx ~fuel =
   let inner =
     (not (probe_bp || single_step)) && Array.length regs = Insn.num_regs
   in
-  let base = ref 0 and words = ref [||] and insns = ref [||] in
+  let page = ref (Addr_space.text_page space ctx.pc) in
+  let left = ref !page in
+  let frame = ref no_frame and rd = ref (-1) and wr = ref (-1) in
   let steps = ref 0 and stop = ref None in
   (try
      while !stop == None && !steps < fuel do
        let pc = ctx.pc in
        if probe_bp && Addr_space.bp_is_set space pc then stop := Some Stop_bkpt
        else begin
-         let i = pc - !base in
-         if i < 0 || i >= Array.length !words then begin
-           let p = Addr_space.text_page space pc in
-           base := p.Addr_space.page_base;
-           words := p.Addr_space.page_words;
-           insns := p.Addr_space.page_insns
+         if not (in_window !page pc) then begin
+           let p =
+             if in_window !left pc then !left else Addr_space.text_page space pc
+           in
+           left := !page;
+           page := p
          end;
-         let i = pc - !base in
-         if i < 0 || i >= Array.length !words then
-           stop := Some (Stop_fault (F_ill pc))
+         let p = !page in
+         let base = p.Addr_space.page_base
+         and words = p.Addr_space.page_words in
+         if not (in_window p pc) then stop := Some (Stop_fault (F_ill pc))
          else begin
-           if inner && pmu.Pmu.rcb < ticks_from then
-             steps := retire_words ctx !words !base ~ticks_from ~fuel !steps;
+           (* Once RCB reaches [ticks_from] it stays there for the run,
+              and the held page is not used again. *)
+           let fast = inner && pmu.Pmu.rcb < ticks_from in
+           if fast then
+             steps :=
+               retire_words ctx words base ~ticks_from ~fuel ~frame:!frame
+                 ~rd:!rd !steps;
            let pc = ctx.pc in
-           let i = pc - !base in
-           if !steps < fuel && i >= 0 && i < Array.length !words then
-             if !words.(i) = 0 then stop := Some (Stop_fault (F_ill pc))
+           if !steps < fuel && in_window p pc then begin
+             let w = words.(pc - base) in
+             (* Tags 38-40 load, 41-45 store. *)
+             let tag = w land 63 in
+             let addr = if fast && tag >= 38 then access_addr regs w else 0 in
+             if w = 0 then stop := Some (Stop_fault (F_ill pc))
+             else if fast && tag >= 41 && on_page !wr addr then begin
+               retire_store ctx !frame w addr;
+               incr steps
+             end
+             else if
+               fast && tag >= 38
+               && addr land page_mask <= page_mask - 7
+               &&
+               match Addr_space.hold_page space addr ~write:(tag >= 41) with
+               | f ->
+                 frame := f;
+                 rd :=
+                   if f.Mem.prot land Mem.prot_r <> 0 then addr lsr page_bits
+                   else -1;
+                 wr := if tag >= 41 then addr lsr page_bits else -1;
+                 true
+               | exception Addr_space.Segv _ -> false
+             then () (* the next pass retires it against the new hold *)
              else begin
-               let insn = !insns.(i) in
-               (match insn with
-               | Insn.Emit _ ->
-                 base := 0;
-                 words := [||]
-               | _ -> ());
+               let insn = p.Addr_space.page_insns.(pc - base) in
+               rd := -1;
+               wr := -1;
                let s = exec_one env ctx insn in
                incr steps;
+               (match insn with
+               | Insn.Emit _ ->
+                 page := Addr_space.text_page space ctx.pc;
+                 left := !page
+               | _ -> ());
                (* The PMU interrupt takes priority over synchronous stops
                   only if the instruction retired normally; a syscall/hook
                   stop is delivered first and the interrupt stays
@@ -528,6 +667,7 @@ let run env ctx ~fuel =
                  if fired then stop := Some Stop_pmu
                  else if single_step then stop := Some Stop_singlestep
              end
+           end
          end
        end
      done

@@ -1259,6 +1259,11 @@ let sys_poll k task args =
       | Some _ | None -> ())
     done;
     if !ready > 0 then begin
+      (* All revents or none: the recorder keeps no bytes of a
+         negative result. *)
+      for i = 0 to nfds - 1 do
+        if not (uwritable task (pfds + (24 * i) + 16) 8) then raise Efault
+      done;
       for i = 0 to nfds - 1 do
         let _, _, revents_addr = entry i in
         uwrite_u64 k task revents_addr staged.(i)

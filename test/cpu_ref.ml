@@ -163,10 +163,10 @@ let exec_one env ctx insn =
 
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
    (None if fuel ran out) and the number of instructions retired.  An
-   instruction that retires normally costs no hashing and no allocation:
-   breakpoints are probed only while any are set, the PMU is ticked only
-   while its interrupt is armed, and the fetch hits the space's cached
-   text page.  The supervisor sets breakpoints and programs the PMU
+   instruction that retires normally allocates nothing: breakpoints are
+   probed only while any are set, the PMU is ticked only while its
+   interrupt is armed, and each fetch looks its page up in the space's
+   table.  The supervisor sets breakpoints and programs the PMU
    between runs, never during one, so both checks are read once. *)
 let run env ctx ~fuel =
   let space = ctx.space in

@@ -659,6 +659,43 @@ let test_cpu_retires_without_allocating () =
   Alcotest.(check bool) (Printf.sprintf "a few words a run (%d)" small) true
     (small <= 16)
 
+(* A store retired against the held page passes the write gate once, at
+   the hold: a run whose one effect is a store must still move the
+   space's generation (a checkpoint fork taken before it no longer
+   equals the space), tell the write observer of the page, and land in
+   a copy of a frame shared with a fork. *)
+let test_cpu_store_moves_generation () =
+  let space = fresh_space () in
+  let prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 14 0x4000; Asm.movi 1 7; Asm.store 1 14 8; Asm.I Insn.Halt ]
+  in
+  Addr_space.text_load space ~base:0x1000 prog.Asm.code;
+  let fork = Addr_space.fork space ~id:2 in
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- 0x1000;
+  let observed = ref [] in
+  Addr_space.set_write_observer (fun _ ~addr ~len ->
+      observed := (addr, len) :: !observed);
+  Fun.protect ~finally:Addr_space.clear_write_observer (fun () ->
+      let gen = space.Addr_space.generation in
+      ignore (Cpu.run null_env ctx ~fuel:2);
+      Alcotest.(check int) "two movs move nothing" gen
+        space.Addr_space.generation;
+      Alcotest.(check int) "nor tell the observer" 0 (List.length !observed);
+      let _, steps = Cpu.run null_env ctx ~fuel:1 in
+      Alcotest.(check int) "the store retired" 1 steps;
+      Alcotest.(check bool) "the store moved the generation" true
+        (space.Addr_space.generation <> gen);
+      Alcotest.(check bool) "the observer was told of the page" true
+        (List.exists
+           (fun (addr, len) -> addr <= 0x4008 && 0x4010 <= addr + len)
+           !observed));
+  Alcotest.(check int) "the space has the store" 7
+    (Addr_space.read_u64 space 0x4008);
+  Alcotest.(check int) "the fork keeps its frame" 0
+    (Addr_space.read_u64 fork 0x4008)
+
 let test_cpu_breakpoint () =
   let space = fresh_space () in
   let prog =
@@ -726,7 +763,7 @@ let test_emit_marks_written_text () =
   Alcotest.(check bool) "static text not marked" false
     (Addr_space.text_was_written ctx.Cpu.space 0x1000)
 
-(* ---- the paged text map and the fetch cache ------------------------- *)
+(* ---- the paged text map and the held windows ------------------------ *)
 
 let test_bkpt_on_just_fetched () =
   let space = fresh_space () in
@@ -773,7 +810,7 @@ let test_emit_over_just_fetched () =
 let test_fork_isolates_text () =
   let parent = Addr_space.create ~id:1 in
   Addr_space.text_load parent ~base:0x1000 [| Insn.Nop; Insn.Ret |];
-  (* warm the parent's cache on the page the child will write *)
+  (* fetch from the page the child will write *)
   ignore (Addr_space.text_get parent 0x1000);
   let child = Addr_space.fork parent ~id:2 in
   Alcotest.(check bool) "child inherits text" true
@@ -935,7 +972,7 @@ let test_text_costs_its_slots () =
    JIT-emit into a third page and call there, mixed with loads, stores,
    every ALU op (div/rem by registers that may hold 0) and counted Jcc
    loops.  Running them in one [Cpu.run] and in [~fuel:1] slices must
-   end in the same machine state: the fetch cache and the hoisted
+   end in the same machine state: the held windows and the hoisted
    breakpoint/PMU checks are invisible. *)
 let paged_base = 0x1400 - 24 (* straddles the page boundary at 0x1400 *)
 let jit_addr = 0x2000
@@ -1037,21 +1074,33 @@ let qcheck_paged_fetch_sliced =
    routine on a second page.  It draws every opcode, every condition
    and ALU op with register and immediate operands (division and
    remainder by registers that may hold 0 and by [Imm 0], comparisons
-   that are often equal), immediates and branch targets at and one
-   past each limit of the text word's fields, both signs, and jumps
+   that are often equal), immediates, offsets and branch targets at and
+   one past each limit of the text word's fields, both signs, and jumps
    into the gaps of the three pages, outside their windows.  It emits
    encodable instructions over its own code, into the routine's page
    and below and above the windows, which widens them.  A case may
-   fork the space first, so that every text page is shared
-   copy-on-write and the first [Emit] into a page copies it.
+   fork the space first, so that every text page and data frame is
+   shared copy-on-write and the first [Emit] into a page or store into
+   a frame copies it; the fork must keep its bytes.
+
+   Its loads, stores, pushes, pops, calls and returns land on the data
+   pages [mem_off] and [stack_gen] describe: read-write ones that own
+   their bytes or borrow the zero buffer, a read-only, a write-only
+   and unmapped ones, at their edges, u64s at offsets 4089-4095 that
+   straddle into the next page among them, mostly on one page a case
+   picks, so that a store and then a load meet there.  Byte stores and
+   [Cas] land on pages a load has just read.  With a write observer
+   installed, both interpreters must tell it of the same pages in every
+   run, and in every run both must move the space's generation or
+   neither.
 
    Half the cases run mostly in [Cpu.run]'s inner loop instead: no
    breakpoint, no single-step, runs of register-only instructions that
    cross 0x1400 mid-run, fuels that end inside them, zero divisors
-   among the ALU ops, the same field edges and gaps, and a PMU
-   interrupt re-armed before every run a few RCBs past where the run
-   starts.  "reference cases draw every tag" counts the text-word tags
-   the two generators draw. *)
+   among the ALU ops, the same field edges and gaps, memory words, and
+   a PMU interrupt re-armed before every run a few RCBs past where the
+   run starts.  "reference cases draw every tag" counts the text-word
+   tags the two generators draw. *)
 let ref_base = 0x1400 - 12
 let ref_routine = 0x2000
 let ref_routine_len = 6
@@ -1070,6 +1119,8 @@ type ref_case = {
       (* re-arm before run i (cycled): RCBs past the count, skid *)
   rc_tsc_trap : bool;
   rc_fork : bool;
+  rc_sp : int; (* the stack pointer, r15 *)
+  rc_observe : bool; (* a write observer installed *)
 }
 
 (* Registers a case may write (r13-r15 hold the routine, scratch and
@@ -1102,6 +1153,58 @@ let operand =
         (1, map (fun v -> Insn.Imm v) value_edges) ])
 
 let cond = QCheck.Gen.oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* The data pages, by their number from r14's 0x4000: 0 and 1 (the
+   stack's) read-write, 2 read-only, 3 write-only, -1 and 4 unmapped.
+   Pages 0 and 2 start with a pattern, so they own their bytes; 1 and
+   3 borrow the zero buffer. *)
+let mem_base = 0x4000
+let mem_len = 4 * Mem.page_size
+
+let map_ref_pages space =
+  ignore
+    (Addr_space.map space ~addr:(mem_base + 0x2000) ~len:0x1000
+       ~prot:Mem.prot_r ());
+  ignore
+    (Addr_space.map space ~addr:(mem_base + 0x3000) ~len:0x1000
+       ~prot:Mem.prot_w ());
+  List.iter
+    (fun page ->
+      for k = 0 to 7 do
+        Addr_space.write_u64 ~force:true space
+          (mem_base + (page * 0x1000) + (8 * k))
+          ((page + 1) * 0x0101_0101 * (k + 1))
+      done)
+    [ 0; 2 ]
+
+(* Offsets from r14 for a case whose chosen page is [hot]: most on page
+   0, aligned; the rest at a page's edges, mostly the chosen page's, the
+   offsets 4089-4095 making u64s that straddle into the next page; a few
+   at the limits of the word's 49-bit offset field. *)
+let mem_off hot =
+  QCheck.Gen.(
+    let page = frequency [ (3, return hot); (1, int_range (-1) 4) ] in
+    let edge =
+      frequency
+        [ (3, oneofl [ 0; 8; 0x800; 4080; 4088 ]); (2, int_range 4089 4095) ]
+    in
+    frequency
+      [ (6, map (fun v -> v land 0xff8) int);
+        (4, map2 (fun p e -> (p * 0x1000) + e) page edge);
+        (1, oneofl (signed_edges 49)) ])
+
+let hot_page = QCheck.Gen.int_range (-1) 4
+
+(* The stack pointer: mostly mid-page on page 1; else where a push or a
+   pop meets a page's edge, straddles it, or lands on the read-only,
+   write-only or an unmapped page. *)
+let stack_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, return 0x5800);
+        (2, oneofl [ 0x5000; 0x5008; 0x4ff8; 0x4008 ]);
+        (2, int_range 0x5001 0x5007);
+        (1, oneofl [ 0x6008; 0x6800; 0x7010; 0x7800; 0x8008; 0x4000 ]) ])
 
 (* Addresses outside the three windows but on their pages: below the
    first page's, above the second's and above the routine's. *)
@@ -1141,29 +1244,34 @@ let ref_case_gen =
           (1, int_range ref_routine (ref_routine + 12));
           (1, gaps) ]
     in
+    let* hot = hot_page in
+    let mem_off = mem_off hot in
     let insn =
       let open Insn in
       frequency
         [ (1, oneofl [ Nop; Pause; Syscall; Ret; Halt ]);
           (2, map2 (fun r o -> Mov (r, o)) dst operand);
           (10, map3 (fun op r o -> Alu (op, r, o)) alu dst operand);
-          (2, map2 (fun r off -> Load (r, 14, off land 0xff8)) dst int);
-          (2, map2 (fun r off -> Store (r, 14, off land 0xff8)) src int);
-          (1, map2 (fun r off -> Load8 (r, 14, off land 0xfff)) dst int);
-          (1, map2 (fun r off -> Store8 (r, 14, off land 0xfff)) src int);
+          (3, map2 (fun r off -> Load (r, 14, off)) dst mem_off);
+          (3, map2 (fun r off -> Store (r, 14, off)) src mem_off);
+          (1, map2 (fun r off -> Load8 (r, 14, off)) dst mem_off);
+          (1, map2 (fun r off -> Store8 (r, 14, off)) src mem_off);
           (1, map (fun t -> Jmp t) target);
           ( 8,
             let* c = cond and* r = src and* o = operand and* t = target in
             return (Jcc (c, r, o, t)) );
           (1, return (Call ref_routine));
+          (1, map (fun t -> Call t) target);
           (1, return (Callr 13));
-          (1, map (fun o -> Push o) operand);
-          (1, map (fun r -> Pop r) dst);
+          (2, map (fun o -> Push o) operand);
+          (2, map (fun r -> Pop r) dst);
           (1, map (fun n -> Hook n) (int_bound 3));
           (1, map (fun r -> Rdtsc r) dst);
           (1, map (fun r -> Rdrand r) dst);
           (1, map (fun r -> Cpuid_core r) dst);
-          (1, map3 (fun e nw d -> Cas (14, e, nw, d)) dst dst dst);
+          ( 1,
+            map4 (fun a e nw d -> Cas (a, e, nw, d)) (oneofl [ 14; 15 ]) dst
+              dst dst );
           (1, map2 (fun a v -> Emit (a, v)) dst dst) ]
     in
     (* An emit that decodes: set r11 and r12, then emit. *)
@@ -1172,19 +1280,42 @@ let ref_case_gen =
         (fun a w -> Insn.[ Mov (11, Imm a); Mov (12, Imm w); Emit (11, 12) ])
         emit_addr emit_word
     in
+    (* A load holds its page, a byte store or a [Cas] (given the value
+       just read, so that it writes) changes it, and a load reads it
+       back: the hold must not outlive the write, which unshares a page
+       a fork shares.  Or a store holds its page and a load reads it
+       back, which faults if the page is write-only. *)
+    let reread =
+      let open Insn in
+      let* base = oneofl [ 14; 15 ] and* o = mem_off and* s = src in
+      let* e = dst and* nw = dst and* d = dst and* b = dst in
+      let* page = int_bound 3 in
+      let o' = (page * 0x1000) + (o land 0xff8) in
+      oneofl
+        [ [ Load (e, base, o); Store8 (s, base, o); Load (b, base, o) ];
+          [ Load (e, base, 0); Cas (base, e, nw, d); Load (b, base, 0) ];
+          [ Store (s, 14, o'); Load (b, 14, o') ] ]
+    in
     let* items =
-      list_repeat n (frequency [ (12, map (fun i -> [ i ]) insn); (1, emit) ])
+      list_repeat n
+        (frequency
+           [ (12, map (fun i -> [ i ]) insn); (1, emit); (1, reread) ])
     in
     let* routine = list_repeat (ref_routine_len - 1) insn in
     let* inits = array_repeat 13 small in
     let* fuels = list_size (int_range 1 4) (oneofl [ 1; 2; 3; 7; 40; 5000 ]) in
-    let* bps = list_size (int_bound 3) target in
+    (* Two cases in three set no breakpoint, so that the inner loop and
+       the held page run. *)
+    let* bps =
+      frequency [ (2, return []); (1, list_size (int_range 1 3) target) ]
+    in
     let* steps =
       list_size (int_range 1 6)
         (frequency [ (4, return false); (1, return true) ])
     in
     let* pmu = opt (pair (int_bound 30) (int_bound Pmu.max_skid)) in
     let* rc_tsc_trap = bool and* rc_fork = bool in
+    let* rc_sp = stack_gen and* rc_observe = bool in
     return
       { rc_base = ref_base;
         rc_main = Array.of_list (List.concat items);
@@ -1196,11 +1327,14 @@ let ref_case_gen =
         rc_pmu = pmu;
         rc_ahead = [];
         rc_tsc_trap;
-        rc_fork })
+        rc_fork;
+        rc_sp;
+        rc_observe })
 
 (* Mostly register-only code whose first [below] instructions lie under
    0x1400, so that runs cross the page boundary; an occasional memory
-   op, stop or call leaves the inner loop. *)
+   op stays in the inner loop or leaves it, and a stop or call leaves
+   it. *)
 let inner_case_gen =
   QCheck.Gen.(
     let alu = oneofl Insn.[ Add; Sub; Mul; And; Or; Xor; Shl; Shr ] in
@@ -1237,17 +1371,20 @@ let inner_case_gen =
       in
       return (Alu (op, r, o))
     in
+    let* hot = hot_page in
     let leaves =
       let open Insn in
       frequency
         [ (1, oneofl [ Syscall; Ret ]);
-          (1, map2 (fun r off -> Load (r, 14, off land 0xff8)) dst int);
-          (1, map2 (fun r off -> Store (r, 14, off land 0xff8)) src int);
+          (2, map2 (fun r off -> Load (r, 14, off)) dst (mem_off hot));
+          (2, map2 (fun r off -> Store (r, 14, off)) src (mem_off hot));
           (1, return (Call ref_routine));
+          (1, map (fun o -> Push o) operand);
+          (1, map (fun r -> Pop r) dst);
           (1, map (fun n -> Hook n) (int_bound 3));
           (1, map (fun r -> Rdtsc r) dst) ]
     in
-    let insn = frequency [ (40, reg_only); (2, division); (3, leaves) ] in
+    let insn = frequency [ (40, reg_only); (2, division); (5, leaves) ] in
     let* main = list_repeat n insn in
     let* routine = list_repeat (ref_routine_len - 1) reg_only in
     let* inits = array_repeat 13 small in
@@ -1259,6 +1396,7 @@ let inner_case_gen =
       list_size (int_bound 3) (pair (int_range 1 4) (int_bound Pmu.max_skid))
     in
     let* rc_tsc_trap = bool and* rc_fork = bool in
+    let* rc_sp = stack_gen and* rc_observe = bool in
     return
       { rc_base = base;
         rc_main = Array.of_list main;
@@ -1270,14 +1408,16 @@ let inner_case_gen =
         rc_pmu = pmu;
         rc_ahead = ahead;
         rc_tsc_trap;
-        rc_fork })
+        rc_fork;
+        rc_sp;
+        rc_observe })
 
 let show_ref_case c =
   let list f l = String.concat "; " (List.map f l) in
   let insns a = list (Fmt.str "%a" Insn.pp) (Array.to_list a) in
   Printf.sprintf
     "base %#x main [%s]\nroutine [%s]\ninits [%s] fuels [%s] bps [%s] \
-     steps [%s] pmu %s ahead [%s] tsc_trap=%b fork=%b"
+     steps [%s] pmu %s ahead [%s] tsc_trap=%b fork=%b sp=%#x observe=%b"
     c.rc_base (insns c.rc_main) (insns c.rc_routine)
     (list string_of_int (Array.to_list c.rc_inits))
     (list string_of_int c.rc_fuels)
@@ -1287,25 +1427,34 @@ let show_ref_case c =
     | None -> "off"
     | Some (t, s) -> Printf.sprintf "rcb %d skid %d" t s)
     (list (fun (d, s) -> Printf.sprintf "+%d skid %d" d s) c.rc_ahead)
-    c.rc_tsc_trap c.rc_fork
+    c.rc_tsc_trap c.rc_fork c.rc_sp c.rc_observe
 
-(* Drive one interpreter through a case; returns every run's result and
-   the final machine. *)
+(* Drive one interpreter through a case; returns every run's result
+   (with whether it moved the generation and the pages it told the
+   observer of) and the final machine, with the fork's data. *)
 let drive_ref run c =
   let space = fresh_space () in
+  map_ref_pages space;
   let prelude =
     Array.append
       (Array.mapi (fun r v -> Insn.Mov (r, Insn.Imm v)) c.rc_inits)
       Insn.
-        [| Mov (13, Imm ref_routine); Mov (14, Imm 0x4000);
-           Mov (15, Imm 0x5800) |]
+        [| Mov (13, Imm ref_routine); Mov (14, Imm mem_base);
+           Mov (15, Imm c.rc_sp) |]
   in
   Addr_space.text_load space ~base:c.rc_base (Array.append prelude c.rc_main);
   Addr_space.text_load space ~base:ref_routine c.rc_routine;
   (* A fork gives the space a fresh stamp: it owns none of its text
-     pages, and its first write to each copies it. *)
-  if c.rc_fork then ignore (Addr_space.fork space ~id:2);
+     pages, and its first write to each copies it.  Its data frames are
+     shared until written. *)
+  let fork = if c.rc_fork then Some (Addr_space.fork space ~id:2) else None in
   List.iter (Addr_space.bp_set space) c.rc_bps;
+  let observed = Hashtbl.create 8 in
+  if c.rc_observe then
+    Addr_space.set_write_observer (fun _ ~addr ~len ->
+        for p = Mem.page_index addr to Mem.page_index (addr + len - 1) do
+          Hashtbl.replace observed p ()
+        done);
   let ctx = Cpu.create ~space in
   ctx.Cpu.pc <- c.rc_base;
   ctx.Cpu.tsc_trap <- c.rc_tsc_trap;
@@ -1334,8 +1483,14 @@ let drive_ref run c =
         let pmu = ctx.Cpu.pmu in
         Pmu.program_interrupt pmu ~target:(pmu.Pmu.rcb + d) ~skid
       end;
+      Hashtbl.reset observed;
+      let gen = space.Addr_space.generation in
       let stop, steps = run env ctx ~fuel:fuels.(i mod Array.length fuels) in
-      let acc = (stop, steps) :: acc and total = total + steps in
+      let pages =
+        List.sort compare (Hashtbl.fold (fun p () l -> p :: l) observed [])
+      in
+      let acc = (stop, steps, space.Addr_space.generation <> gen, pages) :: acc
+      and total = total + steps in
       match stop with
       | Some (Cpu.Stop_fault _) -> List.rev acc
       | Some Cpu.Stop_bkpt ->
@@ -1352,12 +1507,18 @@ let drive_ref run c =
     end
   in
   (* Run first: a tuple's parts are evaluated right to left. *)
-  let runs = go 0 0 [] in
+  let runs =
+    Fun.protect ~finally:Addr_space.clear_write_observer (fun () -> go 0 0 [])
+  in
+  let data sp =
+    Bytes.to_string (Addr_space.read_bytes ~force:true sp mem_base mem_len)
+  in
   ( runs,
     Array.to_list (Cpu.copy_regs ctx),
     ctx.Cpu.pc,
     Pmu.snapshot ctx.Cpu.pmu,
-    Bytes.to_string (Addr_space.read_bytes ~force:true space 0x4000 8192),
+    data space,
+    Option.map data fork,
     List.rev (Addr_space.text_fold (fun a i acc -> (a, i) :: acc) space []) )
 
 let qcheck_cpu_matches_ref =
@@ -1385,6 +1546,10 @@ let test_ref_tag_counts () =
   let alu = [| "add"; "sub"; "mul"; "div"; "rem"; "and"; "or"; "xor"; "shl";
                "shr" |] in
   let cond = [| "jeq"; "jne"; "jlt"; "jle"; "jgt"; "jge" |] in
+  let mem =
+    [| "load"; "pop"; "ret"; "store"; "push, register"; "push, immediate";
+       "call"; "callr" |]
+  in
   let name t =
     let kind = if t land 1 = 0 then "register" else "immediate" in
     if t = Addr_space.text_tag_general then "general"
@@ -1392,9 +1557,10 @@ let test_ref_tag_counts () =
     else if t = 3 then "jmp"
     else if t < 6 then "mov, " ^ kind
     else if t < 26 then alu.((t - 6) / 2) ^ ", " ^ kind
-    else cond.((t - 26) / 2) ^ ", " ^ kind
+    else if t < 38 then cond.((t - 26) / 2) ^ ", " ^ kind
+    else mem.(t - 38)
   in
-  for t = 1 to 37 do
+  for t = 1 to 45 do
     Printf.printf "tag %2d %-24s %6d\n" t (name t) counts.(t);
     if counts.(t) = 0 then Alcotest.failf "tag %d (%s) never drawn" t (name t)
   done
@@ -1583,6 +1749,10 @@ let suites =
         Alcotest.test_case "single-step" `Quick test_cpu_singlestep;
         Alcotest.test_case "retires without allocating" `Quick
           test_cpu_retires_without_allocating;
+        Alcotest.test_case
+          "a run whose only effect is a store moves the generation and \
+           tells the observer"
+          `Quick test_cpu_store_moves_generation;
         Alcotest.test_case "emit + run jitted code" `Quick test_cpu_emit_jit;
         Alcotest.test_case "emit marks written text" `Quick
           test_emit_marks_written_text ] );

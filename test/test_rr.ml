@@ -640,8 +640,11 @@ let test_poll_roundtrip () =
    nothing, so the pattern in the page's last 8 bytes survives.
    rt_sigprocmask returns -EFAULT; the two time calls do too when
    traced, but untraced they take the vDSO ([vdso]), which answers
-   with the time.  Each call exits with its own status when its result
-   is wrong. *)
+   with the time.  Last, poll gets two entries for the open file, the
+   first ready, whose array ends 4 bytes past the page, so the second
+   revents straddles onto the unmapped page: it returns -EFAULT and
+   writes neither, so the pattern in the first revents survives.  Each
+   call exits with its own status when its result is wrong. *)
 let partial_reads_prog ~vdso _k b =
   let fds = G.bss b 16 in
   let path = G.str b "/data64" in
@@ -706,6 +709,13 @@ let partial_reads_prog ~vdso _k b =
     @. expect efault 17 @. survives 18
     @. time Sysno.clock_gettime 19 @. survives 20
     @. time Sysno.gettimeofday 21 @. survives 22
+    (* r12: the pollfd array, 44 bytes before the page's end *)
+    @. [ Asm.movr 12 7; Asm.addi 12 (Mem.page_size - 44);
+         Asm.movi 8 7; Asm.store 8 12 0; Asm.store 8 12 24;
+         Asm.movi 8 Sysno.pollin; Asm.store 8 12 8; Asm.store 8 12 32;
+         Asm.movi 8 pattern; Asm.store 8 12 16 ]
+    @. G.sc Sysno.poll [ G.reg 12; G.imm 2 ] @. expect efault 23
+    @. [ Asm.load 0 12 16 ] @. expect pattern 24
     @. G.sys_exit_group 0)
 
 let partial_reads_setup k =

@@ -150,6 +150,20 @@ check_file() {
     fi
     ;;
   esac
+  # A page the interpreter holds takes the write gate, the write
+  # observer and the generation once for every write that follows in
+  # the run.  Only lib/isa's Cpu.run may take that shortcut, because it
+  # drops the hold before anything else can unshare the frame; anywhere
+  # else every write goes through Addr_space's accessors.
+  case "$f" in
+  *lib/isa/*) ;;
+  *)
+    if grep -qE '\b(A|Addr_space)\.hold_page\b' "$f"; then
+      echo "format: $f calls Addr_space.hold_page; only lib/isa's interpreter holds a page" >&2
+      status=1
+    fi
+    ;;
+  esac
   # A frame that has not been written borrows its bytes: Mem's one
   # shared zero buffer, or the very string a checkpoint blob was read
   # into, which is the trace itself.  So only lib/isa/mem.ml points a
