@@ -14,8 +14,7 @@
    a word cannot hold.  It holds the windows of the page it runs on and
    of the one it left last, and asks [text_page] for another only when
    the program counter leaves both, so a call into a JIT page and its
-   return call nothing.  The space keeps the last two pages asked for,
-   so a run's first fetch and [text_get] hash only outside them.
+   return call nothing.
 
    A page stores only a window, the slots from its lowest to its highest
    written address: a write outside it widens it to at least twice its
@@ -50,17 +49,15 @@
    offset too wide for its field, or a [Div] or [Rem] by [Imm 0].  Only
    this file encodes words, and only {!Cpu.run} decodes them.
 
-   Three rules keep what the interpreter and the cache hold exact:
+   Two rules keep what the interpreter holds exact:
    - writes ([text_set], [text_load], [text_write]) inside a window the
      space owns land in place, so an [Emit] there is seen by the very
      next fetch;
    - pages are copy-on-write: each carries the stamp of the one space
      that may write it in place, a fork gives both sides fresh stamps,
      and [text_set] copies a page that is not its space's before the
-     first write, or a page whose window must widen, and repoints either
-     cached page that held it (the interpreter fetches again after
-     every [Emit] for the same reason);
-   - exec's [unmap_all] drops the pages and both cached ones.
+     first write, or a page whose window must widen (the interpreter
+     fetches again after every [Emit] for this reason).
    DESIGN.md §6 gives the interpreter's speed on jit_compute and the
    command that measures it.
 
@@ -132,15 +129,9 @@ type text_page = {
   page_insns : Insn.t array;
 }
 
-(* [cached] is the page [text_page] returned last, [cached_prev] the
-   one before it. *)
 type text = {
   text_pages : (int, text_page) Hashtbl.t; (* addr asr 10 -> page *)
   mutable stamp : int;
-  mutable cached_key : int;
-  mutable cached : text_page;
-  mutable cached_prev_key : int;
-  mutable cached_prev : text_page;
 }
 
 (* [frames.(i)] is mapped at page index [idxs.(i)], and [idxs]
@@ -167,10 +158,6 @@ type t = {
 let text_page_bits = 10
 let text_page_slots = 1 lsl text_page_bits
 
-(* [addr asr text_page_bits] never reaches [min_int], so it marks an
-   empty cache slot. *)
-let no_text_page = min_int
-
 (* What [text_page] gives for an address no page holds: an empty
    window, which nothing writes. *)
 let empty_text_page =
@@ -184,10 +171,7 @@ let fresh_stamp () =
   incr last_stamp;
   !last_stamp
 
-let text_of_pages text_pages =
-  { text_pages; stamp = fresh_stamp (); cached_key = no_text_page;
-    cached = empty_text_page; cached_prev_key = no_text_page;
-    cached_prev = empty_text_page }
+let text_of_pages text_pages = { text_pages; stamp = fresh_stamp () }
 
 let mmap_base = 0x1000_0000
 let stack_top = 0x7ff0_0000
@@ -367,10 +351,6 @@ let unmap_all t =
   t.pages.frames <- [||];
   t.regions <- [];
   Hashtbl.reset t.text.text_pages;
-  t.text.cached_key <- no_text_page;
-  t.text.cached <- empty_text_page;
-  t.text.cached_prev_key <- no_text_page;
-  t.text.cached_prev <- empty_text_page;
   Hashtbl.reset t.written_text;
   Hashtbl.reset t.breakpoints;
   t.mmap_cursor <- mmap_base
@@ -566,28 +546,13 @@ let text_word insn =
 
 let text_tag insn = text_word insn land 63
 
-(* A hit on either cached page is a compare and, for the older one, a
-   swap; only a page outside both hashes.  An address no page holds
-   gets [empty_text_page] and is not cached. *)
-let text_page t addr =
-  let tx = t.text in
-  let key = addr asr text_page_bits in
-  if key = tx.cached_key then tx.cached
-  else
-    let page =
-      if key = tx.cached_prev_key then tx.cached_prev
-      else
-        match Hashtbl.find tx.text_pages key with
-        | page -> page
-        | exception Not_found -> empty_text_page
-    in
-    if page != empty_text_page then begin
-      tx.cached_prev_key <- tx.cached_key;
-      tx.cached_prev <- tx.cached;
-      tx.cached_key <- key;
-      tx.cached <- page
-    end;
-    page
+(* Page [key] of [tx], or [empty_text_page]. *)
+let find_text tx key =
+  match Hashtbl.find tx.text_pages key with
+  | page -> page
+  | exception Not_found -> empty_text_page
+
+let text_page t addr = find_text t.text (addr asr text_page_bits)
 
 let text_get t addr =
   let p = text_page t addr in
@@ -596,12 +561,8 @@ let text_get t addr =
     Some p.page_insns.(i)
   else None
 
-(* Puts [p] in the table as page [key], and in either cache that held
-   that page. *)
 let install tx key p =
   Hashtbl.replace tx.text_pages key p;
-  if tx.cached_key = key then tx.cached <- p;
-  if tx.cached_prev_key = key then tx.cached_prev <- p;
   p
 
 (* [p]'s slots, copied into a window of [n] slots from [base] that holds
@@ -622,11 +583,7 @@ let rewindow p ~stamp ~base ~n =
    replaces it, in a window widened to take them, to at least twice its
    length if [grow], never past the page. *)
 let writable_window tx key ~lo ~last ~grow =
-  let p =
-    match Hashtbl.find tx.text_pages key with
-    | p -> p
-    | exception Not_found -> empty_text_page
-  in
+  let p = find_text tx key in
   let base = p.page_base and len = Array.length p.page_words in
   let holds = len > 0 && lo >= base && last - base < len in
   if holds && p.page_stamp = tx.stamp then p
@@ -646,9 +603,6 @@ let writable_window tx key ~lo ~last ~grow =
     install tx key (rewindow p ~stamp:tx.stamp ~base ~n)
   end
 
-(* The caches hold the table's own pages, so writing a window the space
-   owns writes theirs; any other page is copied first, and a cache that
-   held it follows the copy. *)
 let text_set t addr insn =
   changed t;
   let p =

@@ -23,10 +23,10 @@ type region = {
 }
 
 type text
-(** The paged text map and its cache of the last two pages fetched.
-    Pages are copy-on-write between forks: each records the stamp of the
-    one map that may write it in place.  Read it through [text_page],
-    [text_get], [text_fold_pages], [text_fold] and [text_count]. *)
+(** The paged text map.  Pages are copy-on-write between forks: each
+    records the stamp of the one map that may write it in place.  Read
+    it through [text_page], [text_get], [text_fold_pages], [text_fold]
+    and [text_count]. *)
 
 type text_page = private {
   page_stamp : int;
@@ -157,10 +157,9 @@ val text_tag_general : int
 
 val text_page : t -> int -> text_page
 (** The page holding [addr].  Where no page holds [addr], a page with
-    an empty window.  Hashes nothing and allocates nothing when the page
-    is one of the last two asked for.  Its arrays are the space's own,
-    good until the next [text_set] of the page: a write to a page shared
-    with a fork, or outside the page's window, lands in a copy. *)
+    an empty window.  Allocates nothing.  Its arrays are the space's
+    own, good until the next [text_set] of the page: a write to a page
+    shared with a fork, or outside the page's window, lands in a copy. *)
 
 val text_get : t -> int -> Insn.t option
 (** The instruction at [addr], through {!text_page}. *)

@@ -13,22 +13,23 @@
    from the predecoded words of the text page it holds (addr_space.ml's
    header has the format): one flat jump table on the word's tag, each
    case's arithmetic written in place, reading only the word, the
-   register array, the PMU record and the data frame [run] holds, a
-   software TLB of one page (Bellard, "QEMU, a Fast and Portable Dynamic
-   Translator", 2005).  [run] retires stores, pushes and calls against
-   that frame itself, and [exec_one] takes the rest one at a time, from
-   the page's instruction array.  Before the held frame, jit_compute's
-   roughly 102k [Callr]/[Ret] pairs cost about 12 ms of a 34 ms
-   untraced run: an [Addr_space] [write_u64] plus [read_u64] took 29-38
-   ns against 5-7 ns for [Mem.set_u64] plus [get_u64] on the same
-   frame, each trip out of the loop through [exec_one] about 15 ns, and
-   each switch between two text pages through [Addr_space.text_page]
-   8-10 ns (DESIGN.md §6).  No instruction that retires normally
-   allocates (test_isa.ml's "retires without allocating" counts the
-   words), and none hashes unless it leaves both text windows [run]
-   holds.  test/cpu_ref.ml keeps the interpreter these loops replaced,
-   and a property holds both to the same machine state.  DESIGN.md §6
-   gives the speed and how to measure it. *)
+   register array, the PMU record and the data frame [run] holds for
+   reads, a software TLB of one page (Bellard, "QEMU, a Fast and
+   Portable Dynamic Translator", 2005).  [run] retires stores, pushes
+   and calls against the frame it holds for writes, and [exec_one]
+   takes the rest one at a time, from the page's instruction array.
+   Before the held frames, jit_compute's roughly 102k [Callr]/[Ret]
+   pairs cost about 12 ms of a 34 ms untraced run: an [Addr_space]
+   [write_u64] plus [read_u64] took 29-38 ns against 5-7 ns for
+   [Mem.set_u64] plus [get_u64] on the same frame, each trip out of the
+   loop through [exec_one] about 15 ns, and each switch between two
+   text pages through [Addr_space.text_page] 8-10 ns (DESIGN.md §6).
+   No instruction that retires normally allocates (test_isa.ml's
+   "retires without allocating" counts the words), and none hashes
+   unless it leaves both text windows [run] holds.  test/cpu_ref.ml
+   keeps the interpreter these loops replaced, and a property holds
+   both to the same machine state.  DESIGN.md §6 gives the speed and
+   how to measure it. *)
 
 type ctx = {
   regs : int array;
@@ -228,7 +229,7 @@ let[@inline] beside_b w = w asr 14 (* [Jcc] target; [Load], [Store] offset *)
 let[@inline] jcc_i_target w = (w lsr 10) land 0xffff_ffff
 let[@inline] jcc_i_imm w = w asr 42
 
-(* The held data page.  [Mem] keeps its page size abstract to the
+(* The held data pages.  [Mem] keeps its page size abstract to the
    compiler, so the loop's shift and mask are checked against it once. *)
 let page_bits = 12
 let page_mask = (1 lsl page_bits) - 1
@@ -504,8 +505,8 @@ let retire_words ctx words base ~ticks_from ~fuel ~frame ~rd steps =
         else go := false
       | _ ->
         (* an empty or general slot, a zero divisor, the [Jcc] that
-           reaches the tick point, a load off the held page, or a
-           store: [run] *)
+           reaches the tick point, a load off the page held for reads,
+           or a store: [run] *)
         go := false
     end
   done;
@@ -562,26 +563,32 @@ let retire_store ctx frame w addr =
 
    With no breakpoint set and single-step off, the inner loop retires
    the instructions whose word has a register-only tag, and the loads,
-   pops and returns whose u64 lies wholly on the held data page, with
-   [pc] and the step count in locals, and touches only the held words
-   and frame, the registers and the PMU record.  A fetch is one test of
-   [pc - base] against the window's length.  The loop stops at the end
-   of fuel or of the window, and before a general or empty slot, a zero
-   divisor in a register, the [Jcc] that brings RCB to [ticks_from],
-   from which on the PMU ticks after every instruction, a store, or a
-   load off the held page.  A store on the held page retires here;
-   [exec_one] retires anything else from the instruction array.
+   pops and returns whose u64 lies wholly on the page held for reads,
+   with [pc] and the step count in locals, and touches only the held
+   words and frame, the registers and the PMU record.  A fetch is one
+   test of [pc - base] against the window's length.  The loop stops at
+   the end of fuel or of the window, and before a general or empty
+   slot, a zero divisor in a register, the [Jcc] that brings RCB to
+   [ticks_from], from which on the PMU ticks after every instruction, a
+   store, or a load off the page held for reads.  A store on the page
+   held for writes retires here; [exec_one] retires anything else from
+   the instruction array.
 
-   The held data page lasts one run and starts empty.  A load, pop or
-   return that misses it, and lies wholly on one page, holds that page
-   through [Addr_space.hold_page], and a store, push or call holds it for
-   writing; the next pass retires the instruction against the new hold,
-   a load in [retire_words] and a store here, through [Mem.set_u64]
-   ([retire_store]).  A write hold serves loads only if the page is
-   readable.  Before [exec_one] retires anything, the hold is dropped: a
-   byte store, a [Cas] or a u64 that straddles two pages may unshare the
-   held frame.  A hold that faults is dropped too, and [exec_one] faults
-   as it always has, after counting a call's or return's branch. *)
+   A run holds two data pages, one for reads and one for writes, so a
+   loop that copies from one page to another refills neither; both last
+   one run and start empty.  A load, pop or return that misses the read
+   hold, and lies wholly on one page, holds that page for reading
+   through [Addr_space.hold_page], and a store, push or call that misses
+   the write hold holds its page for writing; the next pass retires the
+   instruction against the new hold, a load in [retire_words] and a
+   store here, through [Mem.set_u64] ([retire_store]).  A write hold on
+   a readable page becomes the read hold too, so a read hold of that
+   page follows the frame the write gate gave; on a page without
+   [prot_r] it serves no load.  Before [exec_one] retires anything, both
+   holds are dropped: a byte store, a [Cas] or a u64 that straddles two
+   pages may unshare a held frame.  A hold that faults is dropped too,
+   and [exec_one] faults as it always has, after counting a call's or
+   return's branch. *)
 let run env ctx ~fuel =
   let space = ctx.space and pmu = ctx.pmu and regs = ctx.regs in
   let probe_bp = Addr_space.bp_any space in
@@ -592,7 +599,8 @@ let run env ctx ~fuel =
   in
   let page = ref (Addr_space.text_page space ctx.pc) in
   let left = ref !page in
-  let frame = ref no_frame and rd = ref (-1) and wr = ref (-1) in
+  let rframe = ref no_frame and rd = ref (-1) in
+  let wframe = ref no_frame and wr = ref (-1) in
   let steps = ref 0 and stop = ref None in
   (try
      while !stop == None && !steps < fuel do
@@ -612,11 +620,11 @@ let run env ctx ~fuel =
          if not (in_window p pc) then stop := Some (Stop_fault (F_ill pc))
          else begin
            (* Once RCB reaches [ticks_from] it stays there for the run,
-              and the held page is not used again. *)
+              and the held pages are not used again. *)
            let fast = inner && pmu.Pmu.rcb < ticks_from in
            if fast then
              steps :=
-               retire_words ctx words base ~ticks_from ~fuel ~frame:!frame
+               retire_words ctx words base ~ticks_from ~fuel ~frame:!rframe
                  ~rd:!rd !steps;
            let pc = ctx.pc in
            if !steps < fuel && in_window p pc then begin
@@ -626,7 +634,7 @@ let run env ctx ~fuel =
              let addr = if fast && tag >= 38 then access_addr regs w else 0 in
              if w = 0 then stop := Some (Stop_fault (F_ill pc))
              else if fast && tag >= 41 && on_page !wr addr then begin
-               retire_store ctx !frame w addr;
+               retire_store ctx !wframe w addr;
                incr steps
              end
              else if
@@ -635,11 +643,15 @@ let run env ctx ~fuel =
                &&
                match Addr_space.hold_page space addr ~write:(tag >= 41) with
                | f ->
-                 frame := f;
-                 rd :=
-                   if f.Mem.prot land Mem.prot_r <> 0 then addr lsr page_bits
-                   else -1;
-                 wr := if tag >= 41 then addr lsr page_bits else -1;
+                 let idx = addr lsr page_bits in
+                 if tag >= 41 then begin
+                   wframe := f;
+                   wr := idx
+                 end;
+                 if f.Mem.prot land Mem.prot_r <> 0 then begin
+                   rframe := f;
+                   rd := idx
+                 end;
                  true
                | exception Addr_space.Segv _ -> false
              then () (* the next pass retires it against the new hold *)

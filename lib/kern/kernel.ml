@@ -1215,13 +1215,13 @@ let sys_poll k task args =
   else begin
     let entry i =
       let base = pfds + (24 * i) in
-      (uread_u64 k task base, uread_u64 k task (base + 8), base + 16)
-    in
+      (uread_u64 k task base, uread_u64 k task (base + 8))
+    and revents_addr i = pfds + (24 * i) + 16 in
     let staged = Array.make (max nfds 1) 0 in
     let ready = ref 0 in
     let queues = ref [] in
     for i = 0 to nfds - 1 do
-      let fd, events, _ = entry i in
+      let fd, events = entry i in
       let revents =
         match T.find_fd task fd with
         | None -> Sysno.pollerr
@@ -1262,11 +1262,10 @@ let sys_poll k task args =
       (* All revents or none: the recorder keeps no bytes of a
          negative result. *)
       for i = 0 to nfds - 1 do
-        if not (uwritable task (pfds + (24 * i) + 16) 8) then raise Efault
+        if not (uwritable task (revents_addr i) 8) then raise Efault
       done;
       for i = 0 to nfds - 1 do
-        let _, _, revents_addr = entry i in
-        uwrite_u64 k task revents_addr staged.(i)
+        uwrite_u64 k task (revents_addr i) staged.(i)
       done;
       Done !ready
     end

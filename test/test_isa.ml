@@ -1284,31 +1284,35 @@ let ref_case_gen =
        just read, so that it writes) changes it, and a load reads it
        back: the hold must not outlive the write, which unshares a page
        a fork shares.  Or a store holds its page and a load reads it
-       back, which faults if the page is write-only. *)
+       back, which faults if the page is write-only; or a load holds the
+       page first, and the store's write hold must carry the read hold
+       to the frame the write gate gives.  Or a u64 is copied from one
+       page to another and back, the read and write holds on two
+       pages. *)
     let reread =
       let open Insn in
       let* base = oneofl [ 14; 15 ] and* o = mem_off and* s = src in
       let* e = dst and* nw = dst and* d = dst and* b = dst in
-      let* page = int_bound 3 in
+      let* page = int_bound 3 and* page' = int_bound 3 and* o2 = mem_off in
       let o' = (page * 0x1000) + (o land 0xff8) in
+      let o'' = (page' * 0x1000) + (o2 land 0xff8) in
       oneofl
         [ [ Load (e, base, o); Store8 (s, base, o); Load (b, base, o) ];
           [ Load (e, base, 0); Cas (base, e, nw, d); Load (b, base, 0) ];
-          [ Store (s, 14, o'); Load (b, 14, o') ] ]
+          [ Store (s, 14, o'); Load (b, 14, o') ];
+          [ Load (e, 14, o'); Store (s, 14, o'); Load (b, 14, o') ];
+          [ Load (e, 14, o'); Store (e, 14, o''); Load (b, 14, o'');
+            Store (b, 14, o') ] ]
     in
     let* items =
       list_repeat n
         (frequency
-           [ (12, map (fun i -> [ i ]) insn); (1, emit); (1, reread) ])
+           [ (12, map (fun i -> [ i ]) insn); (1, emit); (2, reread) ])
     in
     let* routine = list_repeat (ref_routine_len - 1) insn in
     let* inits = array_repeat 13 small in
     let* fuels = list_size (int_range 1 4) (oneofl [ 1; 2; 3; 7; 40; 5000 ]) in
-    (* Two cases in three set no breakpoint, so that the inner loop and
-       the held page run. *)
-    let* bps =
-      frequency [ (2, return []); (1, list_size (int_range 1 3) target) ]
-    in
+    let* bps = list_size (int_bound 3) target in
     let* steps =
       list_size (int_range 1 6)
         (frequency [ (4, return false); (1, return true) ])
@@ -1521,9 +1525,12 @@ let drive_ref run c =
     Option.map data fork,
     List.rev (Addr_space.text_fold (fun a i acc -> (a, i) :: acc) space []) )
 
+(* About 1,100 of the 3,000 cases set breakpoints, and about 370 more
+   draw the first generator's memory sequences with none, so that the
+   held pages serve them. *)
 let qcheck_cpu_matches_ref =
   QCheck.Test.make ~name:"Cpu.run matches the reference interpreter"
-    ~count:1000
+    ~count:3000
     (QCheck.make ~print:show_ref_case
        (QCheck.Gen.oneof [ ref_case_gen; inner_case_gen ]))
     (fun c -> drive_ref Cpu.run c = drive_ref Cpu_ref.run c)

@@ -113,7 +113,7 @@ check_file() {
     ;;
   esac
   # The text map's layout (pages of predecoded words and instructions
-  # over a window, plus a two-page fetch cache) has one owner, lib/isa:
+  # over a window) has one owner, lib/isa:
   # everything else reads guest code through Addr_space.text_get /
   # text_fold / text_fold_pages / text_page_fold / text_count, so the
   # layout can change without touching a caller.  Outside lib/isa
