@@ -659,11 +659,11 @@ let test_cpu_retires_without_allocating () =
   Alcotest.(check bool) (Printf.sprintf "a few words a run (%d)" small) true
     (small <= 16)
 
-(* A store retired against the held page passes the write gate once, at
-   the hold: a run whose one effect is a store must still move the
-   space's generation (a checkpoint fork taken before it no longer
-   equals the space), tell the write observer of the page, and land in
-   a copy of a frame shared with a fork. *)
+(* A store retired against the page held for writes passes the write
+   gate once, at the hold: a run whose one effect is a store must still
+   move the space's generation (a checkpoint fork taken before it no
+   longer equals the space), tell the write observer of the page, and
+   land in a copy of a frame shared with a fork. *)
 let test_cpu_store_moves_generation () =
   let space = fresh_space () in
   let prog =
