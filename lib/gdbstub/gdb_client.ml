@@ -5,14 +5,12 @@ module T = Gdb_transport
 
 exception Protocol_error of string
 
-type t = {
-  conn : P.conn;
-  pump : unit -> unit;
-  max_spins : int;
-}
+type t = { conn : P.conn; pump : unit -> unit }
 
-let create ?(pump = fun () -> ()) ?(max_spins = 1000) tr =
-  { conn = P.conn ~rle:false tr; pump; max_spins }
+(* Fruitless poll+pump rounds a request waits before it fails. *)
+let max_spins = 1000
+
+let create ~pump tr = { conn = P.conn ~rle:false tr; pump }
 
 let request t payload =
   P.send t.conn payload;
@@ -26,10 +24,10 @@ let request t payload =
     | `Eof -> raise (Protocol_error (Printf.sprintf "EOF awaiting reply to %S" payload))
     | `Empty ->
       incr spins;
-      if !spins > t.max_spins then
+      if !spins > max_spins then
         raise
           (Protocol_error
-             (Printf.sprintf "no reply to %S after %d polls" payload t.max_spins));
+             (Printf.sprintf "no reply to %S after %d polls" payload max_spins));
       t.pump ();
       await ()
   in

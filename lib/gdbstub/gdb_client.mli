@@ -12,9 +12,8 @@ exception Protocol_error of string
 
 type t
 
-val create : ?pump:(unit -> unit) -> ?max_spins:int -> Gdb_transport.t -> t
-(** [max_spins] (default 1000) bounds fruitless poll+pump rounds per
-    request. *)
+val create : pump:(unit -> unit) -> Gdb_transport.t -> t
+(** A request polls and pumps at most 1000 fruitless rounds. *)
 
 val request : t -> string -> string
 (** Send a command payload, return the reply payload.  Automatically

@@ -38,14 +38,14 @@ type t = {
    tests. *)
 let frame_pc = E.frame_pc
 
-let create ?(rle = true) dbg tr =
+let create dbg tr =
   let cur_thread =
     match Debugger.live_tids dbg with
     | tid :: _ -> tid
     | [] ->
       if Debugger.n_events dbg > 0 then E.tid_of (Debugger.frame dbg 0) else 0
   in
-  { conn = P.conn ~rle tr;
+  { conn = P.conn ~rle:true tr;
     dbg;
     bps = Hashtbl.create 8;
     watches = [];

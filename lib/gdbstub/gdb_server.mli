@@ -33,9 +33,8 @@
 
 type t
 
-val create : ?rle:bool -> Debugger.t -> Gdb_transport.t -> t
-(** Serve [d] over the transport.  [rle] (default true) run-length
-    encodes replies. *)
+val create : Debugger.t -> Gdb_transport.t -> t
+(** Serve [d] over the transport, run-length encoding replies. *)
 
 val pump : t -> unit
 (** Process every packet currently available on the transport and

@@ -71,12 +71,12 @@ type wait_outcome =
   | All_dead
   | Deadlocked of int list
 
-let create ?(cost = Cost.default) ~seed () =
+let create ~seed () =
   { tasks = { tbl = Hashtbl.create 64; order = [||] };
     procs = Hashtbl.create 32;
     vfs = Vfs.create ();
     entropy = Entropy.create seed;
-    cost;
+    cost = Cost.default;
     clock = 0;
     next_id = 100;
     next_space_id = 1;
@@ -946,17 +946,29 @@ let sys_sendto k task args =
       | T.F_reg _ | T.F_pipe_r _ | T.F_pipe_w _ | T.F_perf _ ->
         Done (-Errno.ebadf))
 
+(* The payload and the address slot are all-or-nothing: one that
+   would fault is -EFAULT before any byte lands, and the datagram stays
+   queued, so a negative result leaves no effect for the recorder to
+   miss. *)
 let sys_recvfrom k task args =
   fd_or_ebadf task args.(0) (fun e ->
       match e.T.obj with
       | T.F_sock s ->
         if Chan.sock_readable s then begin
-          let dg = Chan.sock_take s in
+          let dg = Queue.peek s.Chan.rx in
           let n = min args.(2) (Bytes.length dg.Chan.payload) in
-          uwrite k task args.(1) (Bytes.sub dg.Chan.payload 0 n);
-          if args.(3) <> 0 then uwrite_u64 k task args.(3) dg.Chan.src_port;
-          charge k (Cost.bytes_cost k.cost n);
-          Done n
+          if
+            not
+              (uwritable task args.(1) n
+              && (args.(3) = 0 || uwritable task args.(3) 8))
+          then Done (-Errno.efault)
+          else begin
+            ignore (Chan.sock_take s);
+            uwrite k task args.(1) (Bytes.sub dg.Chan.payload 0 n);
+            if args.(3) <> 0 then uwrite_u64 k task args.(3) dg.Chan.src_port;
+            charge k (Cost.bytes_cost k.cost n);
+            Done n
+          end
         end
         else if e.T.fl land Sysno.o_nonblock <> 0 then Done (-Errno.eagain)
         else Block (T.W_sock_read s)

@@ -55,7 +55,7 @@ type t = {
   scan : scan; (* refilled by every scheduling pass *)
 }
 
-val create : ?cost:Cost.t -> seed:int -> unit -> t
+val create : seed:int -> unit -> t
 
 (** {2 Time and identifiers} *)
 

@@ -44,11 +44,6 @@ type info = {
   requests : int; (** data recvfroms performed by the worker *)
 }
 
-val create : unit -> t
-
-val observe : t -> Event.t -> unit
-(** Feed one frame, in trace order. *)
-
 val tags : t -> int array
 (** One tag per observed frame: 0 = control, otherwise a connection
     id.  Allocates a fresh array. *)
@@ -60,4 +55,4 @@ val requests : t -> int
 (** Total worker-side data recvfroms across all connections. *)
 
 val derive : Trace.t -> t
-(** Offline pass: observe every frame of a loaded trace. *)
+(** Offline pass: observe every frame of a loaded trace, in order. *)

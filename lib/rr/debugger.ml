@@ -29,19 +29,16 @@ let fail fmt = Fmt.kstr (fun s -> raise (Debug_error s)) fmt
 (* ---- options --------------------------------------------------------- *)
 
 type opts = {
-  replay : Replayer.opts;
   checkpoint_every : int;
   use_index : bool;
 }
 
-let default_opts =
-  { replay = Replayer.default_opts; checkpoint_every = 32; use_index = true }
+let default_opts = { checkpoint_every = 32; use_index = true }
 
 (* Smart constructor: a cadence ≤ 0 would divide by zero in [step];
    clamp rather than trust it (the make_opts convention). *)
-let make_opts ?(replay = Replayer.default_opts) ?(checkpoint_every = 32)
-    ?(use_index = true) () =
-  { replay; checkpoint_every = max 1 checkpoint_every; use_index }
+let make_opts ?(checkpoint_every = 32) ?(use_index = true) () =
+  { checkpoint_every = max 1 checkpoint_every; use_index }
 
 type t = {
   trace : Trace.t;
@@ -52,7 +49,7 @@ type t = {
      of them, and every backward seek looks one up: membership and
      nearest-≤ queries are O(log n) binary searches, insertion is an
      ordered shift (almost always an append — execution moves forward). *)
-  mutable checkpoints : (int * Replayer.snapshot) array;
+  mutable checkpoints : (int * Snapshot.t) array;
   mutable n_checkpoints : int;
   mutable checkpoints_taken : int;
   mutable checkpoints_restored : int;
@@ -136,7 +133,7 @@ let create ?(opts = default_opts) trace =
   let d =
     { trace;
       opts;
-      session = Replayer.start ~opts:opts.replay trace;
+      session = Replayer.start trace;
       checkpoints = [||];
       n_checkpoints = 0;
       checkpoints_taken = 0;
@@ -159,19 +156,19 @@ let tm_index_fallback = Telemetry.counter "index.fallback"
 
 let restore_mem d i =
   let _, snap = d.checkpoints.(i) in
-  d.session <- Replayer.restore_exn ~opts:d.opts.replay d.trace snap;
+  d.session <- Replayer.restore_exn d.trace snap;
   d.checkpoints_restored <- d.checkpoints_restored + 1
 
 (* Restore a durable checkpoint straight out of the trace.  The blob is
    derived data: a decode or identity failure is a fallback, never an
    error — the live checkpoint array still covers the seek. *)
 let try_restore_durable d frame blob =
-  match Replayer.decode_snapshot blob with
+  match Snapshot.decode blob with
   | exception Codec.Corrupt _ ->
     Telemetry.incr tm_index_fallback;
     false
   | snap -> (
-    match Replayer.restore ~opts:d.opts.replay d.trace snap with
+    match Replayer.restore d.trace snap with
     | Error _ ->
       Telemetry.incr tm_index_fallback;
       false

@@ -26,17 +26,14 @@ type t
 (** {2 Options} *)
 
 type opts = {
-  replay : Replayer.opts;  (** forwarded to the underlying replayer *)
   checkpoint_every : int;  (** live-checkpoint cadence (frames) *)
   use_index : bool;  (** answer from a persistent index when present *)
 }
 
 val default_opts : opts
-(** [{replay = Replayer.default_opts; checkpoint_every = 32;
-    use_index = true}]. *)
+(** [{checkpoint_every = 32; use_index = true}]. *)
 
 val make_opts :
-  ?replay:Replayer.opts ->
   ?checkpoint_every:int ->
   ?use_index:bool ->
   unit ->

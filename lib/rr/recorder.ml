@@ -47,7 +47,6 @@ type sink_spec =
 
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
-  wide : bool; (* the widened wrapper set (§3.1); replay must match *)
   scratch : bool; (* detour blocking outputs through scratch (§2.3.1) *)
   clone_blocks : bool; (* block cloning for big reads (§3.9) *)
   compress : bool;
@@ -62,7 +61,6 @@ type opts = {
 
 let default_opts =
   { intercept = true;
-    wide = true;
     scratch = true;
     clone_blocks = true;
     compress = true;
@@ -74,7 +72,7 @@ let default_opts =
     chunk_limit = 1 lsl 16;
     sink = Sink_memory }
 
-let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
+let make_opts ?(intercept = default_opts.intercept)
     ?(scratch = default_opts.scratch)
     ?(clone_blocks = default_opts.clone_blocks)
     ?(compress = default_opts.compress) ?(chaos = default_opts.chaos)
@@ -83,7 +81,7 @@ let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(checksum_every = default_opts.checksum_every)
     ?(chunk_limit = default_opts.chunk_limit)
     ?(sink = default_opts.sink) () =
-  { intercept; wide; scratch; clone_blocks; compress; chaos;
+  { intercept; scratch; clone_blocks; compress; chaos;
     timeslice_rcbs = max 1 timeslice_rcbs; seed;
     max_events = max 1 max_events; checksum_every = max 0 checksum_every;
     chunk_limit = max 256 chunk_limit; sink }
@@ -92,7 +90,6 @@ let with_sink opts sink = { opts with sink }
 
 type per_task = {
   mutable slot : int;
-  mutable saved_locals : Codec.slice;
   mutable scratch : int;
   mutable orig_args : int array; (* entry args before scratch rewriting *)
   mutable scratch_redirect : (int * int) option; (* orig addr, arg idx *)
@@ -110,7 +107,7 @@ type t = {
   sched : Rec_sched.t;
   opts : opts;
   rts : (int, per_task) Hashtbl.t;
-  locals_owner : (int, int) Hashtbl.t; (* space id -> tid owning the page *)
+  locals : Syscallbuf.locals; (* the thread-locals swap (§3.6) *)
   known_dead : (int, unit) Hashtbl.t;
   mutable deaths_seen : int; (* [k.deaths] at the last death scan *)
   mutable current : int option;
@@ -156,7 +153,6 @@ let get_rt r task =
   | exception Not_found ->
     let st =
       { slot = r.next_slot;
-        saved_locals = Codec.whole "";
         scratch = 0;
         orig_args = [||];
         scratch_redirect = None;
@@ -209,13 +205,15 @@ let read_guest_string task addr =
   in
   go addr []
 
-(* Run this task's user code now, or park it for the scheduler?  Any
-   resume that leads back to user code must first install the task's
-   thread-locals (§3.6) — see [switch_locals] below. *)
-let continue_or_park_with ~switch r task =
+(* Any resume that leads back to user code must first install the
+   task's thread-locals (§3.6). *)
+let switch_locals r task = Syscallbuf.switch_locals r.locals r.k task
+
+(* Run this task's user code now, or park it for the scheduler? *)
+let continue_or_park r task =
   if r.current = Some task.T.tid then begin
     if task.T.state = T.Stopped then begin
-      switch r task;
+      switch_locals r task;
       K.resume r.k task T.R_cont ()
     end
   end
@@ -223,12 +221,9 @@ let continue_or_park_with ~switch r task =
 
 (* ---- syscallbuf integration ---------------------------------------- *)
 
-let has_locals task =
-  A.find_region task.T.cpu.Cpu.space Layout.thread_locals_page <> None
-
 (* Flush the task's trace buffer into the trace (at every stop, §3). *)
 let flush_buf r task =
-  if has_locals task && Syscallbuf.buffer_fill task > 0 then
+  if Syscallbuf.has_locals task && Syscallbuf.buffer_fill task > 0 then
     Telemetry.timed tm_span_flush (fun () ->
         Telemetry.incr tm_sb_flush;
         let records = Syscallbuf.parse_all task in
@@ -304,22 +299,12 @@ let setup_task r task =
       [ Bpf.rr_filter ~untraced_ip:Layout.untraced_syscall_insn ];
     K.charge r.k r.k.K.cost.Cost.syscall_base
   end;
-  (* Preserve a sibling's thread-locals before initializing ours in a
-     shared address space (§3.6). *)
-  let sid = task.T.cpu.Cpu.space.A.id in
-  (match Hashtbl.find_opt r.locals_owner sid with
-  | Some owner when owner <> task.T.tid -> (
-    match (Hashtbl.find_opt r.rts owner, K.find_task r.k owner) with
-    | Some ost, Some otask when T.is_alive otask ->
-      ost.saved_locals <- Syscallbuf.save_locals otask
-    | _, _ -> ())
-  | Some _ | None -> ());
   let scratch, buf =
-    Syscallbuf.setup_task r.k task ~slot:st.slot ~is_replay:false
+    Syscallbuf.setup_task r.locals r.k task
+      ~scratch:(Layout.scratch_for ~slot:st.slot)
+      ~buf:(Layout.syscallbuf_for ~slot:st.slot) ~is_replay:false
   in
   st.scratch <- scratch;
-  st.saved_locals <- Syscallbuf.save_locals task;
-  Hashtbl.replace r.locals_owner sid task.T.tid;
   if task.T.desched = None then begin
     let ev =
       Perf_event.create ~id:(K.alloc_obj_id r.k) ~target_tid:task.T.tid
@@ -376,27 +361,6 @@ let setup_task r task =
          buf;
          buf_len = Layout.syscallbuf_size });
   Rec_sched.add_task r.sched task.T.tid
-
-(* Swap thread-locals page contents when scheduling a different thread of
-   the same address space (§3.6). *)
-let switch_locals r task =
-  if has_locals task then begin
-    let sid = task.T.cpu.Cpu.space.A.id in
-    match Hashtbl.find_opt r.locals_owner sid with
-    | Some owner when owner = task.T.tid -> ()
-    | Some owner ->
-      (match (Hashtbl.find_opt r.rts owner, K.find_task r.k owner) with
-      | Some ost, Some otask when T.is_alive otask ->
-        ost.saved_locals <- Syscallbuf.save_locals otask
-      | _, _ -> ());
-      let st = get_rt r task in
-      if st.saved_locals.Codec.len > 0 then
-        Syscallbuf.restore_locals task st.saved_locals;
-      Hashtbl.replace r.locals_owner sid task.T.tid
-    | None -> Hashtbl.replace r.locals_owner sid task.T.tid
-  end
-
-let continue_or_park r task = continue_or_park_with ~switch:switch_locals r task
 
 (* ---- trace snapshots ------------------------------------------------ *)
 
@@ -671,7 +635,7 @@ let on_syscall_entry r task (ss : T.saved_syscall) =
   if
     r.opts.intercept && st.set_up
     && (not st.aborted_buffered)
-    && Syscall_model.bufferable ~wide:r.opts.wide ~nr:ss.T.nr ()
+    && Syscall_model.bufferable ~nr:ss.T.nr
     && Syscallbuf.can_patch task ~site:ss.T.site
   then begin
     (* §3.1: rewrite the syscall site to call the interception library,
@@ -846,7 +810,7 @@ let on_syscall_exit r task (ss : T.saved_syscall) result =
    blocked; convert it into a traced syscall. *)
 let on_desched r task =
   let locked =
-    if has_locals task then
+    if Syscallbuf.has_locals task then
       A.read_u64 ~force:true task.T.cpu.Cpu.space
         (Layout.thread_locals_page + Layout.tl_locked)
     else 0
@@ -1098,7 +1062,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
               ~chaos:opts.chaos ~seed:(opts.seed * 7919) ();
           opts;
           rts = Hashtbl.create 16;
-          locals_owner = Hashtbl.create 8;
+          locals = Syscallbuf.locals ();
           known_dead = Hashtbl.create 16;
           deaths_seen = 0;
           current = None;
@@ -1127,7 +1091,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ()) ~setup ~exe
          bare [Segv]. *)
       if opts.intercept then begin
         let hook =
-          Syscallbuf.hook ~wide:opts.wide
+          Syscallbuf.hook
             (Syscallbuf.Record
                { clone_read = clone_read r;
                  extra_writes =

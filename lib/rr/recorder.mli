@@ -48,7 +48,6 @@ type sink_spec =
 
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
-  wide : bool; (* widened wrapper set (§3.1); replay must use the same *)
   scratch : bool; (* detour blocking outputs through scratch (§2.3.1) *)
   clone_blocks : bool; (* block cloning for big reads (§3.9) *)
   compress : bool; (* deflate the general trace data (§2.7) *)
@@ -66,7 +65,6 @@ val default_opts : opts
 
 val make_opts :
   ?intercept:bool ->
-  ?wide:bool ->
   ?scratch:bool ->
   ?clone_blocks:bool ->
   ?compress:bool ->

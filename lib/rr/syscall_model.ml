@@ -86,23 +86,26 @@ let may_block task ~nr ~(args : int array) =
     nr = Sysno.recvfrom || nr = Sysno.wait4 || nr = Sysno.futex
     || nr = Sysno.nanosleep || nr = Sysno.poll
 
-(* The interception library's fast-path set (paper §3.1: "it only
-   contains wrappers for the most common system calls").  The narrow
-   set is the original wrapper library; [wide] is the grown set the
-   paper reached over time — every hot call the workloads make that
-   the buffer-redirect protocol can express. *)
-let bufferable ?(wide = true) ~nr () =
+(* The interception library's original wrappers (paper §3.1: "it only
+   contains wrappers for the most common system calls").  Only the
+   [syscallbuf.widened_hit] counter tells them apart from the rest of
+   [bufferable]. *)
+let original_wrapper ~nr =
   nr = Sysno.read || nr = Sysno.write || nr = Sysno.lseek
   || nr = Sysno.getpid || nr = Sysno.gettid || nr = Sysno.gettimeofday
   || nr = Sysno.clock_gettime || nr = Sysno.recvfrom || nr = Sysno.sendto
   || nr = Sysno.futex || nr = Sysno.sched_yield || nr = Sysno.openat
   || nr = Sysno.close || nr = Sysno.stat
-  || (wide
-     && (nr = Sysno.getcwd || nr = Sysno.getrandom || nr = Sysno.pipe
-        || nr = Sysno.poll || nr = Sysno.wait4 || nr = Sysno.dup
-        || nr = Sysno.unlink || nr = Sysno.mkdir || nr = Sysno.fsync
-        || nr = Sysno.readlink || nr = Sysno.getppid || nr = Sysno.chdir
-        || nr = Sysno.ftruncate))
+
+(* The fast-path set: the original wrappers plus the set the paper's
+   library grew to over time, every hot call the workloads make that
+   the buffer-redirect protocol can express. *)
+let bufferable ~nr =
+  original_wrapper ~nr || nr = Sysno.getcwd || nr = Sysno.getrandom
+  || nr = Sysno.pipe || nr = Sysno.poll || nr = Sysno.wait4
+  || nr = Sysno.dup || nr = Sysno.unlink || nr = Sysno.mkdir
+  || nr = Sysno.fsync || nr = Sysno.readlink || nr = Sysno.getppid
+  || nr = Sysno.chdir || nr = Sysno.ftruncate
 
 (* One output pointer a buffered syscall redirects into the trace
    buffer (§3.8).  [bo_copy_in] marks arguments the kernel also reads
@@ -111,19 +114,13 @@ let bufferable ?(wide = true) ~nr () =
 type buffered_out = { bo_arg : int; bo_len : int; bo_copy_in : bool }
 
 (* Which buffered syscalls redirect output pointers into the trace
-   buffer, and how many bytes each needs reserved.  The narrow list is
-   bit-compatible with the original single-output protocol; [wide]
-   adds the outputs of the widened wrapper set (and the recvfrom
-   source-address slot the narrow library never captured). *)
-let buffered_outputs ?(wide = true) ~nr ~(args : int array) () :
-    buffered_out list =
+   buffer, and how many bytes each needs reserved. *)
+let buffered_outputs ~nr ~(args : int array) : buffered_out list =
   let out bo_arg bo_len = { bo_arg; bo_len; bo_copy_in = false } in
   let outs =
     if nr = Sysno.read then [ out 1 args.(2) ]
-    else if nr = Sysno.recvfrom then
-      out 1 args.(2) :: (if wide then [ out 3 8 ] else [])
+    else if nr = Sysno.recvfrom then [ out 1 args.(2); out 3 8 ]
     else if nr = Sysno.stat then [ out 1 32 ]
-    else if not wide then []
     else if nr = Sysno.getcwd then [ out 0 args.(1) ]
     else if nr = Sysno.getrandom then [ out 0 args.(1) ]
     else if nr = Sysno.pipe then [ out 0 16 ]

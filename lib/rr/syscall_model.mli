@@ -12,11 +12,13 @@ val outputs : nr:int -> args:int array -> result:int -> output list
 (** Memory written by a completed syscall, given its entry arguments and
     result.  Raises {!Unsupported} for syscalls outside the model. *)
 
-val bufferable : ?wide:bool -> nr:int -> unit -> bool
-(** The interception library's fast-path set (paper §3.1).  [wide]
-    (default) is the grown wrapper set; [~wide:false] is the original
-    narrow read/stat-era library, kept for record-twice equivalence
-    testing. *)
+val original_wrapper : nr:int -> bool
+(** The interception library's original wrappers (paper §3.1), a
+    subset of {!bufferable}; the [syscallbuf.widened_hit] counter counts
+    the buffered calls outside it. *)
+
+val bufferable : nr:int -> bool
+(** The interception library's fast-path set (paper §3.1). *)
 
 type buffered_out = { bo_arg : int; bo_len : int; bo_copy_in : bool }
 (** One output pointer a buffered syscall redirects into the trace
@@ -24,12 +26,10 @@ type buffered_out = { bo_arg : int; bo_len : int; bo_copy_in : bool }
     also reads the pointed-to memory (poll's pollfd array), requiring a
     copy-in before the untraced call. *)
 
-val buffered_outputs :
-  ?wide:bool -> nr:int -> args:int array -> unit -> buffered_out list
+val buffered_outputs : nr:int -> args:int array -> buffered_out list
 (** The output pointers a buffered syscall redirects into the trace
     buffer, per §3.8.  NULL-pointer and zero-length outputs are already
-    filtered out.  The narrow list is bit-compatible with the original
-    single-output protocol. *)
+    filtered out. *)
 
 val elidable : nr:int -> args:int array -> bool
 (** Can the recorder skip the syscall-exit ptrace stop (§3.4)?  True

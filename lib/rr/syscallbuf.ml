@@ -221,11 +221,10 @@ let traced_fallback k task =
   in
   K.enter_syscall k task ss ~ip:Layout.traced_fallback_insn
 
-(* The hook body.  Runs when a patched site executes.  [wide] selects
-   the widened wrapper set (§3.1's grown library); it must match
-   between recording and replay of the same trace, since it changes
-   which calls take the buffered path. *)
-let hook ?(wide = true) mode k task =
+exception Replay_mismatch of string
+
+(* The hook body.  Runs when a patched site executes. *)
+let hook mode k task =
   charge_hook task;
   let regs = task.T.cpu.Cpu.regs in
   let nr = regs.(0) in
@@ -235,7 +234,7 @@ let hook ?(wide = true) mode k task =
   let buf_size = read_tl task Layout.tl_buf_size in
   let fill = if buf = 0 then 0 else read_hdr task buf Layout.sb_fill in
   let room = buf_size - Layout.sb_hdr_size - fill in
-  let outs = Syscall_model.buffered_outputs ~wide ~nr ~args () in
+  let outs = Syscall_model.buffered_outputs ~nr ~args in
   let data_len_bound =
     List.fold_left (fun a o -> a + o.Syscall_model.bo_len) 0 outs
   in
@@ -268,7 +267,7 @@ let hook ?(wide = true) mode k task =
   in
   if
     locked <> 0 || buf = 0
-    || not (Syscall_model.bufferable ~wide ~nr ())
+    || not (Syscall_model.bufferable ~nr)
     || buffered_data > max_buffered_data
     || room < slack + buffered_data
     || not (List.for_all writable outs)
@@ -388,7 +387,7 @@ let hook ?(wide = true) mode k task =
           | Some ev -> Perf_event.disable ev
           | None -> ());
           Telemetry.incr tm_hit;
-          if not (Syscall_model.bufferable ~wide:false ~nr ()) then
+          if not (Syscall_model.original_wrapper ~nr) then
             Telemetry.incr tm_widened_hit;
           Timeline.instant ~lane:task.T.tid "syscallbuf.hit";
           regs.(0) <- r;
@@ -410,18 +409,21 @@ let hook ?(wide = true) mode k task =
             load_records task records;
             0
           | None ->
-            failwith
-              (Printf.sprintf
-                 "syscallbuf replay: task %d buffer underrun at %s"
-                 task.T.tid (Sysno.name nr))
+            raise
+              (Replay_mismatch
+                 (Printf.sprintf
+                    "syscallbuf replay: task %d buffer underrun at %s"
+                    task.T.tid (Sysno.name nr)))
         end
       in
       let br, sz = read_record task buf ~off:(Layout.sb_hdr_size + cursor) in
       write_hdr task buf Layout.sb_read_cursor (cursor + sz);
       if br.Event.br_nr <> nr then
-        failwith
-          (Printf.sprintf "syscallbuf replay divergence: recorded %s, got %s"
-             (Sysno.name br.Event.br_nr) (Sysno.name nr));
+        raise
+          (Replay_mismatch
+             (Printf.sprintf
+                "syscallbuf replay divergence: recorded %s, got %s (task %d)"
+                (Sysno.name br.Event.br_nr) (Sysno.name nr) task.T.tid));
       if br.Event.br_aborted then begin
         (* Recording aborted to a traced syscall here; hand control to
            the replayer to apply the via-abort syscall frame. *)
@@ -470,11 +472,60 @@ let inject_rr_page k task =
       (K.supervisor_map k task ~len:Layout.globals_size ~prot:Mem.prot_rw
          ~kind:A.Rr_page ~addr:Layout.globals_page ())
 
+(* Thread-locals contents are swapped on context switches because threads
+   of one process share the page (paper §3.6).  [owner] names, per space
+   id, the thread whose locals the page holds; [saved] keeps each
+   thread's as it last left the page. *)
+type locals = {
+  owner : (int, int) Hashtbl.t;
+  saved : (int, Codec.slice) Hashtbl.t;
+}
+
+let locals () = { owner = Hashtbl.create 8; saved = Hashtbl.create 16 }
+
+let has_locals task =
+  A.find_region (space task) Layout.thread_locals_page <> None
+
+(* A copy of the page, in a string of its own. *)
+let save_locals task =
+  Codec.whole
+    (Bytes.unsafe_to_string
+       (A.read_bytes ~force:true (space task) Layout.thread_locals_page
+          Layout.thread_locals_size))
+
+(* Before [task] takes its space's page, the locals of the thread that
+   holds it are saved, if that is a live sibling. *)
+let save_owner l k task owner =
+  if owner <> task.T.tid then
+    match K.find_task k owner with
+    | Some o when T.is_alive o -> Hashtbl.replace l.saved owner (save_locals o)
+    | Some _ | None -> ()
+
+let switch_locals l k task =
+  if has_locals task then begin
+    let sid = (space task).A.id in
+    match Hashtbl.find_opt l.owner sid with
+    | Some owner when owner = task.T.tid -> ()
+    | Some owner ->
+      save_owner l k task owner;
+      (* Saved locals are read where they lie: a decoded checkpoint's
+         are a view of its blob. *)
+      (match Hashtbl.find_opt l.saved task.T.tid with
+      | Some s when s.Codec.len > 0 ->
+        A.write_sub ~force:true (space task) Layout.thread_locals_page s.str
+          s.pos s.len
+      | Some _ | None -> ());
+      Hashtbl.replace l.owner sid task.T.tid
+    | None -> Hashtbl.replace l.owner sid task.T.tid
+  end
+
 (* Map a task's scratch and trace-buffer pages at explicit addresses and
-   initialize its thread-locals.  The recorder picks addresses by slot;
-   the replayer passes the recorded addresses so layouts agree. *)
-let setup_task_at k task ~scratch ~buf ~is_replay =
+   initialize its thread-locals, keeping a sibling's.  The recorder picks
+   addresses by slot; the replayer passes the recorded addresses so
+   layouts agree. *)
+let setup_task l k task ~scratch ~buf ~is_replay =
   let sp = space task in
+  Option.iter (save_owner l k task) (Hashtbl.find_opt l.owner sp.A.id);
   if A.find_region sp scratch = None then
     ignore
       (K.supervisor_map k task ~len:Layout.scratch_size ~prot:Mem.prot_rw
@@ -492,23 +543,9 @@ let setup_task_at k task ~scratch ~buf ~is_replay =
   write_hdr task buf Layout.sb_read_cursor 0;
   write_hdr task buf Layout.sb_is_replay (if is_replay then 1 else 0);
   write_hdr task buf Layout.sb_abort_commit 0;
+  Hashtbl.replace l.saved task.T.tid (save_locals task);
+  Hashtbl.replace l.owner sp.A.id task.T.tid;
   (scratch, buf)
-
-let setup_task k task ~slot ~is_replay =
-  setup_task_at k task ~scratch:(Layout.scratch_for ~slot)
-    ~buf:(Layout.syscallbuf_for ~slot) ~is_replay
-
-(* Thread-locals contents are swapped on context switches because threads
-   of one process share the page (paper §3.6). *)
-let save_locals task =
-  Codec.whole
-    (Bytes.unsafe_to_string
-       (A.read_bytes ~force:true (space task) Layout.thread_locals_page
-          Layout.thread_locals_size))
-
-let restore_locals task (saved : Codec.slice) =
-  A.write_sub ~force:true (space task) Layout.thread_locals_page saved.str
-    saved.pos saved.len
 
 (* Is the following instruction a shape the interception library's stubs
    know (paper §3.1: "frequently executed system call instructions are

@@ -36,12 +36,14 @@ type mode =
 val hook_number : int
 (** The hook id patched over syscall instructions. *)
 
-val hook : ?wide:bool -> mode -> Kernel.t -> Task.t -> unit
+exception Replay_mismatch of string
+(** Replay mode: the task's buffer ran dry, or its next record is
+    another call than the one running.  The replayer reports it as a
+    divergence. *)
+
+val hook : mode -> Kernel.t -> Task.t -> unit
 (** The interception library body, to be registered with
-    {!Kernel.set_hook}.  [wide] (default) enables the widened wrapper
-    set; a trace must be replayed with the same setting it was
-    recorded with, since it changes which calls take the buffered
-    path. *)
+    {!Kernel.set_hook}. *)
 
 (** {2 Injection and patching} *)
 
@@ -50,13 +52,25 @@ val inject_rr_page : Kernel.t -> Task.t -> unit
     the thread-locals page and the preload-globals page at their fixed
     addresses (paper §2.3.5). *)
 
-val setup_task_at :
-  Kernel.t -> Task.t -> scratch:int -> buf:int -> is_replay:bool -> int * int
-(** Map a task's scratch and trace-buffer pages at explicit addresses
-    and initialize its thread-locals; returns [(scratch, buf)]. *)
+type locals = {
+  owner : (int, int) Hashtbl.t;
+      (** space id -> the thread whose locals its page holds *)
+  saved : (int, Codec.slice) Hashtbl.t;
+      (** tid -> its locals as it last left the page *)
+}
+(** The thread-locals swap state (paper §3.6) of a recording or a
+    replay: threads of one process share the page, so its contents are
+    swapped when another thread of the space runs.  Checkpoints
+    ({!Snapshot}) save and restore it. *)
 
-val setup_task : Kernel.t -> Task.t -> slot:int -> is_replay:bool -> int * int
-(** Like {!setup_task_at} with addresses derived from a slot index. *)
+val locals : unit -> locals
+
+val setup_task :
+  locals -> Kernel.t -> Task.t -> scratch:int -> buf:int -> is_replay:bool ->
+  int * int
+(** Map a task's scratch and trace-buffer pages at the given addresses
+    and initialize its thread-locals, saving first those of a live
+    sibling that held the page; returns [(scratch, buf)]. *)
 
 val can_patch : Task.t -> site:int -> bool
 (** §3.1: is the following instruction one of the known stub shapes, is
@@ -94,9 +108,9 @@ val cloned_path : Task.t -> string
 
 (** {2 Thread-locals swapping (paper §3.6)} *)
 
-val save_locals : Task.t -> Codec.slice
-(** A copy of the task's thread-locals page, in a string of its own. *)
+val has_locals : Task.t -> bool
+(** Whether the task's space maps the thread-locals page. *)
 
-val restore_locals : Task.t -> Codec.slice -> unit
-(** Writes saved locals back, reading them where they lie: a decoded
-    checkpoint's locals are a view of its blob. *)
+val switch_locals : locals -> Kernel.t -> Task.t -> unit
+(** Give [task] its space's page before it runs user code: a live
+    sibling's locals are saved and [task]'s written back. *)

@@ -20,7 +20,7 @@ let tm_encoded_bytes = Telemetry.counter "index.encoded_bytes"
    default; tests shrink the interval explicitly. *)
 let default_every n = max 1 ((n + 15) / 16)
 
-let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
+let build_and_attach ?checkpoint_every trace =
   Telemetry.incr tm_build;
   Timeline.scope "index.session" @@ fun () ->
   Telemetry.timed tm_build_span (fun () ->
@@ -30,13 +30,13 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
         | Some e -> max 1 e
         | None -> default_every n
       in
-      let r = Replayer.start ~opts trace in
+      let r = Replayer.start trace in
       let b = Trace_index.builder ~clock0:(K.now (Replayer.kernel r)) in
       let checkpoint () =
         let frame = Replayer.cursor_index r in
         let snap = Replayer.snapshot r in
         let blob =
-          Timeline.scope "index.encode" (fun () -> Replayer.encode_snapshot snap)
+          Timeline.scope "index.encode" (fun () -> Snapshot.encode snap)
         in
         Telemetry.add tm_encoded_bytes (String.length blob);
         Trace_index.note_checkpoint b ~frame ~blob
@@ -63,9 +63,6 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
             let pos = Replayer.cursor_index r in
             if pos = n || pos mod every = 0 then checkpoint ()
           done);
-      Trace_index.finish b)
-
-let build_and_attach ?opts ?checkpoint_every trace =
-  let ix = build ?opts ?checkpoint_every trace in
-  Trace.set_index trace ix;
-  ix
+      let ix = Trace_index.finish b in
+      Trace.set_index trace ix;
+      ix)

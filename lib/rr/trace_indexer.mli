@@ -1,15 +1,14 @@
 (** One-shot construction of a {!Trace_index.t}: a single forward replay
     with the {!Addr_space} write observer installed, collecting the
     per-pc, per-page and virtual-clock tables plus durable checkpoint
-    blobs ({!Replayer.encode_snapshot}) every [checkpoint_every] frames
+    blobs ({!Snapshot.encode}) every [checkpoint_every] frames
     and at both ends of the trace.
 
     Telemetry: counts [index.build], times [index.build_time], and
     counts the blobs' bytes in [index.encoded_bytes]; each encode is a
     [index.encode] timeline scope. *)
 
-val build_and_attach :
-  ?opts:Replayer.opts -> ?checkpoint_every:int -> Trace.t -> Trace_index.t
+val build_and_attach : ?checkpoint_every:int -> Trace.t -> Trace_index.t
 (** Replay [trace] start to end, build its index and attach it with
     {!Trace.set_index} — persist with {!Trace.save}.  [checkpoint_every]
     (clamped to ≥ 1) defaults to roughly n/16, capping durable

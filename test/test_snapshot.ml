@@ -1,4 +1,4 @@
-(* Tests for the durable-checkpoint codec ([Replayer.encode_snapshot] /
+(* Tests for the durable-checkpoint codec ([Snapshot.encode] /
    [decode_snapshot]) and for live checkpoints: every checkpoint of an
    indexed multi-process trace restores to the state a from-zero replay
    reaches there, and so does a live one that reused earlier forks; a
@@ -98,9 +98,9 @@ let test_serve_checkpoints_restore () =
         ignore (Replayer.step linear)
       done;
       let what = Printf.sprintf "checkpoint at frame %d" frame in
-      let snap = Replayer.decode_snapshot blob in
+      let snap = Snapshot.decode blob in
       Alcotest.(check int) (what ^ ": position") frame
-        (Replayer.snapshot_index snap);
+        (Snapshot.frame snap);
       let r = Replayer.restore_exn trace snap in
       check_state ~what ~want:(Replayer.kernel linear) (Replayer.kernel r);
       let next = if i + 1 < Array.length cps then fst cps.(i + 1) else n in
@@ -144,7 +144,7 @@ let test_live_checkpoints_reuse_forks () =
   let lag = 8 in
   let walk = Replayer.start trace and behind = Replayer.start trace in
   let check_restore ~what replay snap =
-    let pos = Replayer.snapshot_index snap in
+    let pos = Snapshot.frame snap in
     while Replayer.cursor_index replay < pos do
       ignore (Replayer.step replay)
     done;
@@ -214,7 +214,7 @@ let replay_past trace p =
   r
 
 let round_trip snap =
-  Replayer.decode_snapshot (Codec.whole (Replayer.encode_snapshot snap))
+  Snapshot.decode (Codec.whole (Snapshot.encode snap))
 
 let space r pid =
   match
@@ -291,7 +291,7 @@ let test_shared_frames_keep_identity () =
     | ps -> Alcotest.failf "%d live processes, expected 2" (List.length ps)
   in
   let snap = Replayer.snapshot live in
-  let blob = Replayer.encode_snapshot snap in
+  let blob = Snapshot.encode snap in
   (* The live session keeps writing its shared frame in place; neither
      the checkpoint nor its blob may see that. *)
   A.write_u64 ~force:true (space live parent) page_a 0x55;
@@ -299,7 +299,7 @@ let test_shared_frames_keep_identity () =
     (word (space live child) page_a);
   Alcotest.(check int) "the checkpoint does not" 0x77
     (word (space (Replayer.restore_exn trace snap) child) page_a);
-  let decoded = Replayer.decode_snapshot (Codec.whole blob) in
+  let decoded = Snapshot.decode (Codec.whole blob) in
   let r = Replayer.restore_exn trace decoded in
   let p = space r parent and c = space r child in
   Alcotest.(check bool) "parent and child alias page a" true
@@ -349,7 +349,7 @@ let test_shared_frame_spaces_fork_again () =
   let seen = ref [] in
   let note () =
     let snap = Replayer.snapshot live in
-    seen := (Replayer.snapshot_index snap, parent_view live, snap) :: !seen
+    seen := (Snapshot.frame snap, parent_view live, snap) :: !seen
   in
   note ();
   while not (Replayer.at_end live) do
@@ -374,7 +374,7 @@ let blob_size_after_mmap ~pages ~flags =
         mmap_fixed ~pages ~flags @. G.sc Sysno.getpid [] @. G.sys_exit_group 0)
   in
   let r = replay_past trace (is_syscall Sysno.getpid) in
-  String.length (Replayer.encode_snapshot (Replayer.snapshot r))
+  String.length (Snapshot.encode (Replayer.snapshot r))
 
 let test_zero_pages_cost_bytes () =
   let extra = 256 in
@@ -463,7 +463,7 @@ let test_forged_blob_bounded () =
   List.iter
     (fun (what, blob) ->
       let a0 = Gc.allocated_bytes () in
-      (match Replayer.decode_snapshot (Codec.whole blob) with
+      (match Snapshot.decode (Codec.whole blob) with
       | _ -> Alcotest.failf "%s: decoded" what
       | exception Codec.Corrupt _ -> ());
       let allocated = Gc.allocated_bytes () -. a0 in
@@ -497,7 +497,7 @@ let test_register_out_of_range () =
   Alcotest.(check bool) "checkpoints of the running process" true (live <> []);
   List.iter
     (fun (frame, blob) ->
-      match Replayer.decode_snapshot blob with
+      match Snapshot.decode blob with
       | _ -> Alcotest.failf "the checkpoint at frame %d decoded" frame
       | exception Codec.Corrupt _ -> ())
     live;

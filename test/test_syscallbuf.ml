@@ -14,7 +14,10 @@ let make_buf_task () =
   K.install_image k ~path:"/bin/x" (Guest.build b ~name:"x" ());
   let t = K.spawn k ~path:"/bin/x" ~traced:true () in
   Syscallbuf.inject_rr_page k t;
-  ignore (Syscallbuf.setup_task k t ~slot:0 ~is_replay:false);
+  ignore
+    (Syscallbuf.setup_task (Syscallbuf.locals ()) k t
+       ~scratch:(Layout.scratch_for ~slot:0) ~buf:(Layout.syscallbuf_for ~slot:0)
+       ~is_replay:false);
   (k, t)
 
 let sample_records =
@@ -146,17 +149,30 @@ let test_find_rdrand_sites () =
   Alcotest.(check bool) "both found" true
     (List.mem 0x3000 sites && List.mem 0x3005 sites)
 
+(* Two threads of one space take turns on its thread-locals page (§3.6):
+   each finds its own locals there when it is switched in. *)
 let test_locals_swap_roundtrip () =
-  let _, t = make_buf_task () in
-  let saved = Syscallbuf.save_locals t in
-  (* scribble, then restore *)
-  Addr_space.write_u64 ~force:true t.T.cpu.Cpu.space
-    (Layout.thread_locals_page + Layout.tl_tid)
-    999;
-  Syscallbuf.restore_locals t saved;
-  Alcotest.(check int) "tid restored" t.T.tid
-    (Addr_space.read_u64 ~force:true t.T.cpu.Cpu.space
-       (Layout.thread_locals_page + Layout.tl_tid))
+  let k, t = make_buf_task () in
+  let l = Syscallbuf.locals () in
+  let tid_in_page () =
+    Addr_space.read_u64 ~force:true t.T.cpu.Cpu.space
+      (Layout.thread_locals_page + Layout.tl_tid)
+  in
+  Syscallbuf.switch_locals l k t;
+  let sibling =
+    K.do_clone k t ~flags:(Sysno.clone_vm lor Sysno.clone_thread)
+      ~child_sp:0 ()
+  in
+  ignore
+    (Syscallbuf.setup_task l k sibling ~scratch:(Layout.scratch_for ~slot:1)
+       ~buf:(Layout.syscallbuf_for ~slot:1) ~is_replay:false);
+  Alcotest.(check int) "sibling's locals set up" sibling.T.tid (tid_in_page ());
+  Syscallbuf.switch_locals l k t;
+  Alcotest.(check int) "first thread's locals restored" t.T.tid
+    (tid_in_page ());
+  Syscallbuf.switch_locals l k sibling;
+  Alcotest.(check int) "sibling's locals restored" sibling.T.tid
+    (tid_in_page ())
 
 (* Layout invariants: per-slot areas must not collide. *)
 let test_layout_slots_disjoint () =

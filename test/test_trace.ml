@@ -351,7 +351,7 @@ let test_decoded_checkpoints_reencode () =
       Array.iteri
         (fun i blob ->
           let again =
-            Replayer.encode_snapshot (Replayer.decode_snapshot (Codec.whole blob))
+            Snapshot.encode (Snapshot.decode (Codec.whole blob))
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s checkpoint %d re-encodes to its bytes" name i)
@@ -379,7 +379,7 @@ let test_decoding_allocates_less_than_the_blob () =
   Array.iteri
     (fun i (_, (blob : Codec.slice)) ->
       let before = words () in
-      let snap = Replayer.decode_snapshot blob in
+      let snap = Snapshot.decode blob in
       let alloc = words () -. before in
       ignore (Sys.opaque_identity snap);
       let blob_words = float_of_int blob.len /. word_bytes in
@@ -438,7 +438,7 @@ let test_restored_frames_copy_before_writing () =
         (Printf.sprintf "checkpoint %d decodes and re-encodes to its bytes" i)
         true
         (String.equal
-           (Replayer.encode_snapshot (Replayer.decode_snapshot blob))
+           (Snapshot.encode (Snapshot.decode blob))
            stored.(i)))
     cps
 
@@ -469,7 +469,7 @@ let test_encoding_allocates_about_the_blobs () =
       done;
       let snap = Replayer.snapshot r in
       let before = words () in
-      let blob = Replayer.encode_snapshot snap in
+      let blob = Snapshot.encode snap in
       alloc := !alloc +. (words () -. before);
       Alcotest.(check bool)
         (Printf.sprintf "checkpoint %d encodes to the stored blob" i)
@@ -870,7 +870,7 @@ let qcheck_snapshot_decode_robust =
        QCheck.Gen.(triple (int_bound 5) nat damage))
     (fun case ->
       let blob = damaged_blob case in
-      match Replayer.decode_snapshot blob with
+      match Snapshot.decode blob with
       | _ -> true
       | exception Codec.Corrupt _ -> true
       | exception _ -> false)

@@ -515,7 +515,7 @@ let test_restore_rejects_mismatched_trace () =
   match Replayer.restore other snap with
   | Error e ->
     Alcotest.(check bool) "mismatch is descriptive" true
-      (String.length (Replayer.restore_error_to_string e) > 0)
+      (String.length (Snapshot.restore_error_to_string e) > 0)
   | Ok _ -> Alcotest.fail "restore accepted a mismatched trace"
 
 (* ---- checkpoints over the cursor ------------------------------------- *)

@@ -312,58 +312,6 @@ let test_recording_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "event streams identical" true (a = b)
 
-(* Record-twice equivalence: the widened wrapper set must be purely an
-   encoding/performance choice.  Recording the same workload with the
-   wide and the narrow syscallbuf must replay to the same exit status
-   and the same visible filesystem state, and each replay must apply
-   exactly the frames its own recording produced. *)
-let vfs_state_digest vfs =
-  let buf = Buffer.create 256 in
-  let rec go path =
-    match Vfs.resolve_opt vfs path with
-    | None -> ()
-    | Some { Vfs.kind = Vfs.Dir _; _ } ->
-      List.iter
-        (fun name ->
-          let p = if path = "/" then "/" ^ name else path ^ "/" ^ name in
-          (* The recorder's own output tree is not program state. *)
-          if p <> "/trace" then go p)
-        (List.sort compare (Vfs.readdir vfs path))
-    | Some { Vfs.kind = Vfs.Reg r; _ } ->
-      Buffer.add_string buf path;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf
-        (Digest.to_hex
-           (Digest.bytes (Vfs.read vfs r ~off:0 ~len:(Vfs.file_size r))));
-      Buffer.add_char buf '\n'
-  in
-  go "/";
-  Buffer.contents buf
-
-let check_wide_narrow_equivalence w =
-  let run ~wide =
-    let recd, _ = W.record ~opts:(Recorder.make_opts ~wide ()) w in
-    let rep, rk = W.replay ~opts:(Replayer.make_opts ~wide ()) recd in
-    Alcotest.(check int)
-      (Printf.sprintf "%s wide=%b replay applies every recorded frame"
-         w.W.name wide)
-      (Trace.n_events recd.W.trace)
-      rep.W.rep_stats.Replayer.events_applied;
-    (rep.W.rep_stats.Replayer.exit_status, vfs_state_digest (Kernel.vfs rk))
-  in
-  let wide_exit, wide_fs = run ~wide:true in
-  let narrow_exit, narrow_fs = run ~wide:false in
-  Alcotest.(check (option int))
-    (w.W.name ^ " wide/narrow exit statuses agree")
-    narrow_exit wide_exit;
-  Alcotest.(check string)
-    (w.W.name ^ " wide/narrow final filesystem state agrees")
-    narrow_fs wide_fs
-
-let test_cp_wide_narrow () = check_wide_narrow_equivalence (small_cp ())
-let test_make_wide_narrow () = check_wide_narrow_equivalence (small_make ())
-let test_samba_wide_narrow () = check_wide_narrow_equivalence (small_samba ())
-
 (* Different recording seeds can change scheduling, but every recording
    must still replay. *)
 let qcheck_any_seed_replays =
@@ -411,10 +359,4 @@ let suites =
         Alcotest.test_case "trace decodes" `Quick test_workload_trace_decodes;
         Alcotest.test_case "recording deterministic" `Quick
           test_recording_deterministic;
-        Alcotest.test_case "cp wide/narrow equivalence" `Quick
-          test_cp_wide_narrow;
-        Alcotest.test_case "make wide/narrow equivalence" `Quick
-          test_make_wide_narrow;
-        Alcotest.test_case "samba wide/narrow equivalence" `Quick
-          test_samba_wide_narrow;
         QCheck_alcotest.to_alcotest qcheck_any_seed_replays ] ) ]
