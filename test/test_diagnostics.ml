@@ -53,40 +53,64 @@ let test_tasks_rendered () =
   check_contains "tasks" d "pc=";
   check_contains "tasks" d "regions"
 
-(* After a divergence the dump carries the event ring's tail — the
-   frames leading up to the failure. *)
-let test_divergence_dump_has_ring () =
-  Telemetry.reset ();
-  let opts = { Recorder.default_opts with Recorder.intercept = false } in
+(* A cp recording with its first frame that [tamper] changes changed. *)
+let tampered_cp ~intercept tamper =
+  let opts = { Recorder.default_opts with Recorder.intercept } in
   let recd, _ = Workload.record ~opts (Wl_cp.make ()) in
   let tampered = ref false in
   let trace =
     Trace.map_frames
       (fun _ e ->
-        match e with
-        | Event.E_syscall ({ regs_after; _ } as sc) when not !tampered ->
+        match tamper e with
+        | Some e when not !tampered ->
           tampered := true;
-          let regs_after = Array.copy regs_after in
-          regs_after.(3) <- regs_after.(3) + 987654;
-          Event.E_syscall { sc with regs_after }
-        | e -> e)
+          e
+        | Some _ | None -> e)
       recd.Workload.trace
   in
   Alcotest.(check bool) "found a frame to tamper" true !tampered;
-  let r = Replayer.start trace in
-  let diverged = ref false in
-  (try
-     while not (Replayer.at_end r) do
-       ignore (Replayer.step r)
-     done
-   with Replayer.Divergence _ -> diverged := true);
-  Alcotest.(check bool) "tampered trace diverged" true !diverged;
-  let d = Diagnostics.dump (Replayer.kernel r) in
-  check_contains "divergence" d "--- telemetry: last";
-  (* every replayed frame left a ring event; at least one must be a
-     numbered entry with its frame index *)
-  check_contains "divergence" d "#";
-  check_contains "divergence" d "frame="
+  trace
+
+(* A syscall frame's recorded registers. *)
+let tamper_regs = function
+  | Event.E_syscall ({ regs_after; _ } as sc) ->
+    let regs_after = Array.copy regs_after in
+    regs_after.(3) <- regs_after.(3) + 987654;
+    Some (Event.E_syscall { sc with regs_after })
+  | _ -> None
+
+(* A buffered record's syscall number, which the interception hook
+   checks against the call it runs. *)
+let tamper_buffered = function
+  | Event.E_buf_flush ({ records = br :: rest; _ } as f) ->
+    Some
+      (Event.E_buf_flush
+         { f with records = { br with Event.br_nr = Sysno.getppid } :: rest })
+  | _ -> None
+
+(* After a divergence the dump carries the event ring's tail — the
+   frames leading up to the failure — whether a frame's registers
+   disagree or the syscallbuf's next record is another call. *)
+let test_divergence_dump_has_ring () =
+  List.iter
+    (fun (what, intercept, tamper) ->
+      Telemetry.reset ();
+      let r = Replayer.start (tampered_cp ~intercept tamper) in
+      let diverged = ref false in
+      (try
+         while not (Replayer.at_end r) do
+           ignore (Replayer.step r)
+         done
+       with Replayer.Divergence _ -> diverged := true);
+      Alcotest.(check bool) (what ^ ": tampered trace diverged") true !diverged;
+      let d = Diagnostics.dump (Replayer.kernel r) in
+      check_contains what d "--- telemetry: last";
+      (* every replayed frame left a ring event; at least one must be a
+         numbered entry with its frame index *)
+      check_contains what d "#";
+      check_contains what d "frame=")
+    [ ("registers", false, tamper_regs);
+      ("buffered record", true, tamper_buffered) ]
 
 let suites =
   [ ( "diagnostics",

@@ -643,7 +643,14 @@ let test_poll_roundtrip () =
    with the time.  Last, poll gets two entries for the open file, the
    first ready, whose array ends 4 bytes past the page, so the second
    revents straddles onto the unmapped page: it returns -EFAULT and
-   writes neither, so the pattern in the first revents survives.  Each
+   writes neither, so the pattern in the first revents survives.  Then
+   a UDP socket sends itself an 8-byte datagram, and recvfrom takes it
+   twice with an output that straddles the page's end, first the
+   address slot, then the payload: each returns -EFAULT, writes
+   nothing and leaves the datagram queued, so a third recvfrom gets
+   its 8 bytes.  Last, a wait4 whose status slot straddles the page's
+   end reaps the forked child all the same and returns -EFAULT, as
+   Linux's does, writing nothing: the next wait4 gets -ECHILD.  Each
    call exits with its own status when its result is wrong. *)
 let partial_reads_prog ~vdso _k b =
   let fds = G.bss b 16 in
@@ -656,6 +663,9 @@ let partial_reads_prog ~vdso _k b =
   in
   let read fd buf = G.sys_read ~fd:(G.reg fd) ~buf:(G.reg buf) ~len:(G.imm 64) in
   let getrandom buf = G.sc Sysno.getrandom [ G.reg buf; G.imm 64 ] in
+  let recvfrom ~buf ~src =
+    G.sys_recvfrom ~fd:(G.reg 13) ~buf ~len:(G.imm 8) ~src_addr:src
+  in
   let efault = -Errno.efault in
   let pattern = 0x1a5a_5a5a_5a5a_5a5a in
   let survives code = [ Asm.load 0 9 8 ] @. expect pattern code in
@@ -716,6 +726,27 @@ let partial_reads_prog ~vdso _k b =
          Asm.movi 8 pattern; Asm.store 8 12 16 ]
     @. G.sc Sysno.poll [ G.reg 12; G.imm 2 ] @. expect efault 23
     @. [ Asm.load 0 12 16 ] @. expect pattern 24
+    (* r13: the socket; the pattern fills the page's last 16 bytes, the
+       payload buffer r9 and the 8 bytes after it; r12: the last 4 *)
+    @. G.sys_socket @. [ Asm.movr 13 0 ]
+    @. G.sys_bind ~fd:(G.reg 13) ~port:(G.imm 4242) @. expect 0 25
+    @. G.sys_sendto ~fd:(G.reg 13) ~buf:(G.reg 7) ~len:(G.imm 8)
+         ~port:(G.imm 4242)
+    @. expect 8 26
+    @. [ Asm.movi 8 pattern; Asm.store 8 9 0; Asm.store 8 9 8;
+         Asm.movr 12 7; Asm.addi 12 (Mem.page_size - 4) ]
+    @. recvfrom ~buf:(G.reg 9) ~src:(G.reg 12) @. expect efault 27
+    @. [ Asm.load 0 9 0 ] @. expect pattern 28 @. survives 29
+    @. recvfrom ~buf:(G.reg 12) ~src:(G.imm 0) @. expect efault 30
+    @. survives 31
+    @. recvfrom ~buf:(G.reg 7) ~src:(G.imm 0) @. expect 8 32
+    @. G.sys_fork @. [ Asm.jz 0 "child" ]
+    @. G.sys_wait4 ~pid:(G.imm (-1)) ~status_addr:(G.reg 12)
+    @. expect efault 33 @. survives 34
+    @. G.sys_wait4 ~pid:(G.imm (-1)) ~status_addr:(G.imm 0)
+    @. expect (-Errno.echild) 35
+    @. G.sys_exit_group 0
+    @. [ Asm.label "child" ]
     @. G.sys_exit_group 0)
 
 let partial_reads_setup k =

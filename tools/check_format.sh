@@ -150,6 +150,21 @@ check_file() {
     fi
     ;;
   esac
+  # Checkpoint state has one builder, lib/rr/snapshot.ml: a checkpoint
+  # fork copies the frames a session writes in place, and a restored or
+  # decoded space shares, fills or borrows frames and text no session
+  # may write through.  Under lib/ but outside lib/isa, no other file
+  # calls Addr_space.fork_checkpoint, shared_copies, fill or text_share,
+  # or Mem.borrow; the rest of lib/ takes a checkpoint through Snapshot.
+  case "$f" in
+  *lib/isa/* | *lib/rr/snapshot.ml | *lib/rr/snapshot.mli) ;;
+  *lib/*)
+    if grep -qE '\b(A|Addr_space)\.(fork_checkpoint|shared_copies|fill|text_share)\b|\bMem\.borrow\b' "$f"; then
+      echo "format: $f builds checkpoint state; only lib/rr/snapshot.ml may" >&2
+      status=1
+    fi
+    ;;
+  esac
   # A page the interpreter holds takes the write gate, the write
   # observer and the generation once for every write that follows in
   # the run.  Only lib/isa's Cpu.run may take that shortcut, because it
@@ -194,7 +209,7 @@ check_file() {
     ;;
   esac
   # A space's generation moves on every change to it, which is what
-  # lets Replayer.snapshot reuse the checkpoint fork of a space left
+  # lets Snapshot.capture reuse the checkpoint fork of a space left
   # untouched since: a change that skipped the count would leak into
   # every checkpoint that reuses the fork.  Under lib/, only
   # lib/isa/addr_space.ml changes an Addr_space.t: nowhere else an
