@@ -571,8 +571,8 @@ let install_hook r k =
            refill =
              (fun t ->
                let st = get_rt r t.T.tid in
-               if Queue.is_empty st.Snapshot.batches then None
-               else Some (Queue.pop st.Snapshot.batches)) })
+               if Queue.is_empty st.batches then None
+               else Some (Queue.pop st.batches)) })
   in
   K.set_hook k Syscallbuf.hook_number (fun k t ->
       try hook k t
