@@ -1,5 +1,6 @@
-(* Tests for the durable-checkpoint codec ([Snapshot.encode] /
-   [decode_snapshot]) and for live checkpoints: every checkpoint of an
+(* Tests for the Snapshot module: the durable-checkpoint codec
+   ([Snapshot.encode] / [decode]) and live checkpoints taken and
+   restored through a replay session: every checkpoint of an
    indexed multi-process trace restores to the state a from-zero replay
    reaches there, and so does a live one that reused earlier forks; a
    space mapping a shared frame forks again at every checkpoint; the
