@@ -205,15 +205,13 @@ let read_guest_string task addr =
   in
   go addr []
 
-(* Any resume that leads back to user code must first install the
-   task's thread-locals (§3.6). *)
-let switch_locals r task = Syscallbuf.switch_locals r.locals r.k task
-
-(* Run this task's user code now, or park it for the scheduler? *)
+(* Run this task's user code now, or park it for the scheduler?  Any
+   resume that leads back to user code must first install the task's
+   thread-locals (§3.6). *)
 let continue_or_park r task =
   if r.current = Some task.T.tid then begin
     if task.T.state = T.Stopped then begin
-      switch_locals r task;
+      Syscallbuf.switch_locals r.locals r.k task;
       K.resume r.k task T.R_cont ()
     end
   end
@@ -517,7 +515,7 @@ let emulate_tracee_ptrace r task (ss : T.saved_syscall) =
          kind = E.K_emulate });
   (* Suppress the real syscall and continue. *)
   if r.current = Some task.T.tid then begin
-    switch_locals r task;
+    Syscallbuf.switch_locals r.locals r.k task;
     K.resume r.k task T.R_sysemu ()
   end
 
@@ -644,7 +642,7 @@ let on_syscall_entry r task (ss : T.saved_syscall) =
     r.patched_sites <- r.patched_sites + 1;
     emit r (E.E_patch { tid = task.T.tid; site = ss.T.site });
     task.T.cpu.Cpu.pc <- ss.T.site;
-    switch_locals r task;
+    Syscallbuf.switch_locals r.locals r.k task;
     K.resume r.k task T.R_sysemu ()
   end
   else begin
@@ -847,7 +845,7 @@ let on_desched r task =
   end
   else begin
     (* Spurious desched (§3.3): suppress and continue. *)
-    switch_locals r task;
+    Syscallbuf.switch_locals r.locals r.k task;
     K.resume r.k task T.R_cont ();
     if r.current <> Some task.T.tid then K.park r.k task
   end
@@ -855,7 +853,7 @@ let on_desched r task =
 let on_app_signal r task info =
   let point = capture_point task in
   let frames_before = List.length task.T.sig_frames in
-  switch_locals r task;
+  Syscallbuf.switch_locals r.locals r.k task;
   K.resume r.k task T.R_cont ~sig_:info ();
   let disposition =
     if not (T.is_alive task) then E.Sr_fatal (256 + info.Signals.signo)
@@ -888,7 +886,7 @@ let on_tsc r task reg =
   task.T.cpu.Cpu.regs.(reg) <- value;
   emit r (E.E_insn_trap { tid = task.T.tid; reg; value });
   if r.current = Some task.T.tid then begin
-    switch_locals r task;
+    Syscallbuf.switch_locals r.locals r.k task;
     K.resume r.k task T.R_cont ()
   end
 (* else: stay parked with the emulated value applied *)
@@ -934,7 +932,7 @@ let ensure_running r =
     with
     | Some tid ->
       let t = task_exn r tid in
-      switch_locals r t;
+      Syscallbuf.switch_locals r.locals r.k t;
       (* Arm the preemption interrupt for this timeslice (§2.4). *)
       let budget = Rec_sched.timeslice r.sched in
       Pmu.program_interrupt t.T.cpu.Cpu.pmu
