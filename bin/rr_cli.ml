@@ -449,7 +449,7 @@ let index_cmd =
       & info [ "every" ] ~docv:"N"
           ~doc:
             "Durable-checkpoint cadence in frames (clamped to >= 1; default \
-             about n/16).")
+             about n/64).")
   in
   let out_arg =
     Flags.out ~doc:"Write the indexed trace to FILE (default: rewrite TRACE)."
@@ -461,13 +461,17 @@ let index_cmd =
     let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
     let out = Option.value out ~default:path in
     Trace.save_exn trace out;
-    let cps = Trace_index.checkpoints ix in
+    let cps = Trace_index.checkpoints ix and pool = Trace_index.pool ix in
     let cp_bytes =
       Array.fold_left (fun acc (_, blob) -> acc + blob.Codec.len) 0 cps
     in
-    Fmt.pr "indexed %d frames (%d durable checkpoints, %.1f MB); saved to %s@."
+    Fmt.pr
+      "indexed %d frames (%d durable checkpoints, %.1f MB; pool %d entries, \
+       %.1f MB); saved to %s@."
       (Trace.n_events trace) (Array.length cps)
       (float_of_int cp_bytes /. 1e6)
+      (Trace_index.Pool.length pool)
+      (float_of_int (Trace_index.Pool.bytes pool) /. 1e6)
       out
   in
   Cmd.v

@@ -654,6 +654,12 @@ let text_load t ~base code =
   done;
   Array.iteri (fun i insn -> text_set t (base + i) insn) code
 
+let text_reserve t ~lo ~last =
+  if lo > last || lo asr text_page_bits <> last asr text_page_bits then
+    invalid_arg "Addr_space.text_reserve";
+  changed t;
+  ignore (writable_window t.text (lo asr text_page_bits) ~lo ~last ~grow:false)
+
 let text_write t addr insn =
   text_set t addr insn;
   Hashtbl.replace t.written_text addr ()

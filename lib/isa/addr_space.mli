@@ -174,6 +174,11 @@ val text_load : t -> base:int -> Insn.t array -> unit
 (** {!text_set} of each instruction at [base + i], with each page's
     window sized once, to the code it takes. *)
 
+val text_reserve : t -> lo:int -> last:int -> unit
+(** Size the window of the page holding [lo] and [last], which must be
+    one page, to take both, as {!text_load} does: {!text_set}s between
+    them then do not regrow it. *)
+
 val text_fold_pages : (int -> text_page -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over every text page in ascending key order, with its key
     ([addr asr text_page_bits]).  A page shared with a fork is the same

@@ -7,8 +7,8 @@
    one must cost almost nothing).
 
    Seeks are *index-aware*: when the trace carries a persistent
-   {!Trace_index.t} (built by [Trace_indexer], stored as 'P'/'K'
-   records), a seek may restore a durable checkpoint decoded straight
+   {!Trace_index.t} (built by [Trace_indexer], stored as 'P', 'W' and
+   'K' records), a seek may restore a durable checkpoint decoded straight
    from the trace — so a freshly reopened trace jumps to frame N in
    O(N mod interval) instead of replaying from frame 0.  Every indexed
    answer is counted under [index.hit]; every scan fallback (no index,
@@ -160,18 +160,20 @@ let restore_mem d i =
   d.checkpoints_restored <- d.checkpoints_restored + 1
 
 (* Restore a durable checkpoint straight out of the trace.  The blob is
-   derived data: a decode or identity failure is a fallback, never an
-   error — the live checkpoint array still covers the seek. *)
-let try_restore_durable d frame blob =
-  match Snapshot.decode blob with
-  | exception Codec.Corrupt _ ->
+   derived data: a decode or identity failure, or a snapshot of another
+   frame than its record's, is a fallback, never an error — the live
+   checkpoint array still covers the seek. *)
+let try_restore_durable d pool frame blob =
+  let fallback () =
     Telemetry.incr tm_index_fallback;
     false
+  in
+  match Snapshot.decode pool blob with
+  | exception Codec.Corrupt _ -> fallback ()
+  | snap when Snapshot.frame snap <> frame -> fallback ()
   | snap -> (
     match Replayer.restore d.trace snap with
-    | Error _ ->
-      Telemetry.incr tm_index_fallback;
-      false
+    | Error _ -> fallback ()
     | Ok session ->
       d.session <- session;
       d.checkpoints_restored <- d.checkpoints_restored + 1;
@@ -193,18 +195,14 @@ let seek d target =
   let mem_i = cp_search d target in
   let mem = if mem_i >= 0 then fst d.checkpoints.(mem_i) else -1 in
   let base = max here mem in
-  let durable =
+  let restored =
     match index d with
-    | None -> None
+    | None -> false
     | Some ix -> (
       match Trace_index.nearest_checkpoint ix target with
-      | Some (frame, blob) when frame > base -> Some (frame, blob)
-      | _ -> None)
-  in
-  let restored =
-    match durable with
-    | Some (frame, blob) -> try_restore_durable d frame blob
-    | None -> false
+      | Some (frame, blob) when frame > base ->
+        try_restore_durable d (Trace_index.pool ix) frame blob
+      | _ -> false)
   in
   if (not restored) && here < 0 then begin
     if mem_i < 0 then fail "no checkpoint at or before %d" target;

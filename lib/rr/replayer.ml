@@ -54,7 +54,7 @@ type t = {
   rts : (int, Snapshot.extras) Hashtbl.t;
   locals : Syscallbuf.locals; (* the thread-locals swap (§3.6) *)
   mutable root_tid : int;
-  mutable installed : (string * Image.t) list; (* exe path -> image *)
+  mutable installed : (string * string) list; (* exe path, trace image *)
   reuse : Snapshot.reuse; (* what the next checkpoint may reuse *)
   tm_base : Telemetry.snapshot; (* registry state at session start *)
 }
@@ -298,7 +298,7 @@ let on_exec r ~tid ~image_ref ~regs_after =
     Vfs.mkdir_p (K.vfs r.k) "/replay_exe";
     Vfs.mkdir_p (K.vfs r.k) ("/replay_exe/" ^ Filename.dirname image_ref);
     K.install_image r.k ~path img;
-    r.installed <- (path, img) :: r.installed;
+    r.installed <- (path, image_ref) :: r.installed;
     let t = K.spawn r.k ~path ~traced:true ~tid () in
     r.root_tid <- tid;
     (match K.wait r.k with
@@ -329,7 +329,7 @@ let on_exec r ~tid ~image_ref ~regs_after =
       | None ->
         Vfs.mkdir_p (K.vfs r.k) (Filename.dirname path);
         K.install_image r.k ~path img;
-        r.installed <- (path, img) :: r.installed);
+        r.installed <- (path, image_ref) :: r.installed);
       K.resume r.k t T.R_syscall ();
       (match K.wait r.k with
       | K.Stopped_task (t', T.Stop_exec) when t'.T.tid = tid -> ()
@@ -659,7 +659,7 @@ let restore trace snap =
     let r = session ~opts:default_opts ~frame:(Snapshot.frame snap) trace in
     r.root_tid <- Snapshot.root snap;
     r.installed <- Snapshot.installed snap;
-    Snapshot.restore snap r.reuse r.k r.locals ~extras:(get_rt r);
+    Snapshot.restore snap r.reuse r.k r.locals ~extras:(get_rt r) trace;
     Ok r
 
 let restore_exn trace snap =

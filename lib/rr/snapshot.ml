@@ -20,6 +20,7 @@ module A = Addr_space
 module T = Task
 module K = Kernel
 module E = Event
+module Pool = Trace_index.Pool
 
 type extras = {
   batches : E.buf_record list Queue.t;
@@ -31,10 +32,17 @@ let extras () =
   { batches = Queue.create (); next_resume = T.R_cont;
     in_blocked_syscall = false }
 
+(* The bytes a checkpoint fork's space encoded to against [pool]: a
+   blob that names the fork again copies them instead of encoding the
+   space again ([put_space]). *)
+type encoded = { mutable pool : Pool.t option; mutable bytes : string }
+
+let encoded () = { pool = None; bytes = "" }
+
 (* A live space's last checkpoint fork, which still equals the space
    while it is the same space at the same generation and maps no
    [MAP_SHARED] region ([checkpoint_fork]). *)
-type fork = { live : A.t; gen : int; copy : A.t }
+type fork = { live : A.t; gen : int; copy : A.t; encoded : encoded }
 
 type reuse = {
   mutable forks : (int, fork) Hashtbl.t; (* space id -> last fork *)
@@ -92,10 +100,11 @@ let checkpoint_fork reuse forks copies (a : A.t) =
       Telemetry.incr tm_ckpt_fork;
       { live = a;
         gen = a.A.generation;
-        copy = A.fork_checkpoint copies a ~id:a.A.id }
+        copy = A.fork_checkpoint copies a ~id:a.A.id;
+        encoded = encoded () }
   in
   Hashtbl.replace forks a.A.id f;
-  f.copy
+  f
 
 type snap_task = {
   sn_tid : int;
@@ -129,6 +138,7 @@ type snap_proc = {
   sp_pid : int;
   sp_parent : int;
   sp_space : A.t; (* a checkpoint fork taken at snapshot time *)
+  sp_encoded : encoded; (* the fork's *)
   sp_threads : int list;
   sp_exit : int option;
   sp_reaped : bool;
@@ -145,7 +155,7 @@ type t = {
   snap_root : int;
   snap_procs : snap_proc list;
   snap_tasks : snap_task list;
-  snap_installed : (string * Image.t) list;
+  snap_installed : (string * string) list; (* exe path, trace image *)
   snap_clock : int;
   (* PRNG position and TSC base: restored so post-checkpoint entropy
      draws (PMU interrupt skid, TSC drift) continue the exact sequence a
@@ -181,13 +191,17 @@ let capture reuse k (locals : Syscallbuf.locals) ~extras ~frame ~root
             reuse_actions (sighand_of p.T.pid reuse.sighands) p.T.sighand
           in
           sighands := (p.T.pid, sighand) :: !sighands;
+          let sp_space, sp_encoded =
+            if p.T.exit_code = None then
+              let f = checkpoint_fork reuse forks copies p.T.space in
+              (f.copy, f.encoded)
+            else (A.create ~id:p.T.space.A.id, encoded ())
+          in
           Some
             { sp_pid = p.T.pid;
               sp_parent = p.T.parent;
-              sp_space =
-                (if p.T.exit_code = None then
-                   checkpoint_fork reuse forks copies p.T.space
-                 else A.create ~id:p.T.space.A.id);
+              sp_space;
+              sp_encoded;
               sp_threads = p.T.threads;
               sp_exit = p.T.exit_code;
               sp_reaped = p.T.reaped;
@@ -270,6 +284,11 @@ let check trace snap =
   let mismatch field snapshot trace =
     Some { re_field = field; re_snapshot = snapshot; re_trace = trace }
   in
+  let absent (_, image) =
+    match Trace.image trace image with
+    | _ -> None
+    | exception Invalid_argument _ -> mismatch "image" image "absent"
+  in
   if snap.snap_trace_exe <> Trace.initial_exe trace then
     mismatch "initial exe" snap.snap_trace_exe (Trace.initial_exe trace)
   else if snap.snap_trace_chunks <> Array.length (Trace.chunk_index trace)
@@ -281,16 +300,16 @@ let check trace snap =
     mismatch "event count"
       (string_of_int snap.snap_trace_events)
       (string_of_int (Trace.n_events trace))
-  else None
+  else List.find_map absent snap.snap_installed
 
-let restore snap reuse k (locals : Syscallbuf.locals) ~extras =
+let restore snap reuse k (locals : Syscallbuf.locals) ~extras trace =
   Telemetry.incr tm_ckpt_restore;
   Telemetry.note ~frame:snap.snap_idx ~kind:"replay.checkpoint_restore" "";
   Timeline.scope "replay.ckpt_restore" @@ fun () ->
   List.iter
-    (fun (path, img) ->
+    (fun (path, image) ->
       Vfs.mkdir_p (K.vfs k) (Filename.dirname path);
-      K.install_image k ~path img)
+      K.install_image k ~path (Trace.image trace image))
     snap.snap_installed;
   k.K.clock <- snap.snap_clock;
   Entropy.set_state k.K.entropy snap.snap_entropy;
@@ -305,7 +324,10 @@ let restore snap reuse k (locals : Syscallbuf.locals) ~extras =
       K.reserve_id k sp.sp_pid;
       let space = A.fork_checkpoint copies sp.sp_space ~id:sp.sp_space.A.id in
       Hashtbl.replace reuse.forks space.A.id
-        { live = space; gen = space.A.generation; copy = sp.sp_space };
+        { live = space;
+          gen = space.A.generation;
+          copy = sp.sp_space;
+          encoded = sp.sp_encoded };
       let p = T.make_process ~pid:sp.sp_pid ~parent:sp.sp_parent ~space in
       p.T.threads <- sp.sp_threads;
       p.T.exit_code <- sp.sp_exit;
@@ -362,20 +384,23 @@ let restore snap reuse k (locals : Syscallbuf.locals) ~extras =
 
    Durable checkpoints: a snapshot flattened to bytes so the trace can
    carry it ('K' records) and a *future process* can restore without
-   replaying from frame 0.  Each blob stands alone: its page table is
-   content-addressed within the blob (see [Page_table]), and every space
-   maps page indexes to table entries.  A space's mappings are written
-   as its own page table holds them, ascending, and decode straight into
-   the two arrays a space keeps (page indexes, frames), so neither side
-   sorts or hashes a mapping.  Decoding attaches all mappings of an
-   entry to one frame whose [refs] counts them, so the first write
-   through any of them copies it, exactly like a COW fork.  Equal
-   private frames merge, so a restored space can have a lower PSS than
-   the live one had; shared frames never merge.  A blob of another
-   version raises [Codec.Corrupt] (the debugger's [index.fallback]
-   path) until [rr_cli index] rebuilds the index. *)
+   replaying from frame 0.  A blob holds fields only: every frame's
+   bytes, task's locals and text run is an entry of the index's pool
+   ([Trace_index.Pool]), which the blob names by id, so the checkpoints
+   of one index store each distinct window once; the images a snapshot
+   installed are named by their path in the trace.  A space's mappings
+   are written as its own page table holds them, ascending, and decode
+   straight into the two arrays a space keeps (page indexes, frames), so
+   neither side sorts or hashes a mapping.  Decoding attaches all
+   mappings of one frame ([Page_table]) to one [Mem.page] whose [refs]
+   counts them, so the first write through any of them copies it,
+   exactly like a COW fork.  Equal private frames merge, so a restored
+   space can have a lower PSS than the live one had; shared frames never
+   merge.  A blob of another version, or one naming an entry the pool
+   lacks, raises [Codec.Corrupt] (the debugger's [index.fallback] path)
+   until [rr_cli index] rebuilds the index. *)
 
-let snapshot_codec_version = 2
+let snapshot_codec_version = 3
 
 let put_bpf_insn b (i : Bpf.insn) =
   let open Bpf in
@@ -483,141 +508,100 @@ let get_region s : A.region =
   let shared = Codec.get_bool s in
   { A.start; len; prot; kind; shared }
 
-(* A part of a blob being encoded.  Fields go to [fields]; a large
-   payload (a frame's bytes, a text run, a task's locals) stays where it
-   lies, noted with the length [fields] had when it came, and is copied
-   only into the blob.  Nothing writes a payload while its blob is
-   encoded. *)
-type section = {
-  fields : Codec.sink;
-  mutable payloads : (int * Codec.slice) list; (* newest first *)
-  mutable payload_bytes : int;
-}
+(* How a space names its frames.  A private frame of a prot in 0..7 is
+   named by its content: its mapping's code is 2u + 1, with u its prot
+   plus 8 times 1 + the pool id of its 4096 bytes, or plus 8 times 0
+   when it is all zero.  Equal private frames are one frame, whichever
+   spaces and addresses map them: a write copies before it lands, so
+   merging cannot be observed.  A space's section therefore depends on
+   its own frames alone, and a checkpoint fork that a later snapshot
+   reuses encodes to the same bytes ([encoded]).
 
-let section () = { fields = Codec.sink (); payloads = []; payload_bytes = 0 }
+   Any other frame is an entry of the blob's page table, and its code
+   is 2e, e the entry.  A [MAP_SHARED] frame keeps its physical
+   identity and is never merged: a write lands in place, so two shared
+   frames with equal bytes must stay two entries, which name one pool
+   id.  An entry is the frame's flags, prot and, unless it is all zero,
+   its pool id.
 
-(* A short payload costs less copied into [fields] than noted. *)
-let put_payload sec (v : Codec.slice) =
-  if v.len < 256 then Buffer.add_substring sec.fields v.str v.pos v.len
-  else begin
-    sec.payloads <- (Buffer.length sec.fields, v) :: sec.payloads;
-    sec.payload_bytes <- sec.payload_bytes + v.len
-  end
-
-let section_length sec = Buffer.length sec.fields + sec.payload_bytes
-
-(* Copies [sec] into [dst] from [pos]; returns the position after it. *)
-let blit_section sec dst pos =
-  let pos = ref pos and from = ref 0 in
-  let fields upto =
-    Buffer.blit sec.fields !from dst !pos (upto - !from);
-    pos := !pos + upto - !from;
-    from := upto
-  in
-  List.iter
-    (fun (at, (v : Codec.slice)) ->
-      fields at;
-      Bytes.blit_string v.str v.pos dst !pos v.len;
-      pos := !pos + v.len)
-    (List.rev sec.payloads);
-  fields (Buffer.length sec.fields);
-  !pos
-
-(* The page table of one blob.  An entry is a frame's flags, prot and,
-   unless it is all zero, its 4096 bytes:
-   - a private frame is keyed by its prot and its bytes, so equal
-     private frames are one entry, whichever spaces and addresses map
-     them: a write copies before it lands, so merging cannot be
-     observed.  The key carries the hash of the frame's 4 KB window, so
-     a first sight hashes the window once; a frame decoded from a blob
-     borrows its window from the whole trace, which must not be hashed
-     or compared;
-   - an all-zero private frame is keyed by prot alone and its entry
-     carries the zero flag instead of the bytes;
-   - a [MAP_SHARED] frame keeps its physical identity and is never
-     merged: a write lands in place, so two shared frames with equal
-     bytes must stay two frames.
-   A decoded entry borrows its 4 KB from the blob ([Mem.borrow]), and
+   A decoded frame borrows its 4 KB from the pool ([Mem.borrow]), and
    only a frame written after a restore copies them. *)
 module Page_table = struct
   let flag_shared = 1
   let flag_zero = 2
 
-  type key = { prot : Mem.prot; frame : Mem.page; hash : int }
-
-  module Privates = Hashtbl.Make (struct
-    type t = key
-
-    let equal a b = a.prot = b.prot && Mem.equal_bytes a.frame b.frame
-    let hash k = k.hash
-  end)
-
-  (* [zeros.(prot)] is the entry of the all-zero private frame of
-     [prot], or -1.  A zero frame of a prot beyond the array is keyed in
-     [privates] by its bytes, which only the zero frames of that prot
-     equal. *)
   type t = {
-    zeros : int array;
-    privates : int Privates.t;
+    pool : Pool.t;
     shareds : int Mem.Identity.t;
-    mutable rev_entries : (Mem.page * bool) list; (* frame, all zero *)
+    mutable rev_entries : (int * int * int) list; (* flags, prot, pool id *)
     mutable next : int;
+    mutable named : bool; (* a code named an entry since it was cleared *)
   }
 
-  let create () =
-    { zeros = Array.make 8 (-1);
-      privates = Privates.create 64;
-      shareds = Mem.Identity.create ();
-      rev_entries = [];
-      next = 0 }
+  let create pool =
+    { pool; shareds = Mem.Identity.create (); rev_entries = []; next = 0;
+      named = false }
 
-  let add t p ~zero =
-    let id = t.next in
+  (* -1 for an all-zero frame.  [key] is where the frame is mapped: its
+     bytes never change, since a checkpoint's frames are written by no
+     space (a live space copies a frame a checkpoint maps before it
+     writes). *)
+  let pool_id t ~key (p : Mem.page) =
+    if Mem.is_zero p then -1
+    else
+      Pool.intern t.pool ~key
+        { Codec.str = Bytes.unsafe_to_string p.Mem.bytes;
+          pos = p.Mem.off;
+          len = Mem.page_size }
+
+  let add t ~key (p : Mem.page) =
+    let id = t.next and w = pool_id t ~key p in
+    let flags =
+      (if p.Mem.shared then flag_shared else 0)
+      lor if w < 0 then flag_zero else 0
+    in
     t.next <- id + 1;
-    t.rev_entries <- (p, zero) :: t.rev_entries;
+    t.rev_entries <- (flags, p.Mem.prot, w) :: t.rev_entries;
     id
 
-  let id_of t (p : Mem.page) =
-    if p.Mem.shared then
-      Mem.Identity.find_or_add t.shareds p (fun () ->
-          add t p ~zero:(Mem.is_zero p))
-    else begin
-      let zero = Mem.is_zero p and prot = p.Mem.prot in
-      if zero && prot >= 0 && prot < Array.length t.zeros then begin
-        if t.zeros.(prot) < 0 then t.zeros.(prot) <- add t p ~zero;
-        t.zeros.(prot)
-      end
-      else begin
-        let key = { prot; frame = p; hash = Mem.hash p } in
-        match Privates.find t.privates key with
-        | id -> id
-        | exception Not_found ->
-          let id = add t p ~zero in
-          Privates.add t.privates key id;
-          id
-      end
+  let code t ~key (p : Mem.page) =
+    let prot = p.Mem.prot in
+    if p.Mem.shared then begin
+      t.named <- true;
+      2 * Mem.Identity.find_or_add t.shareds p (fun () -> add t ~key p)
     end
+    else if prot land lnot 7 <> 0 then begin
+      t.named <- true;
+      2 * add t ~key p
+    end
+    else (2 * (((pool_id t ~key p + 1) lsl 3) lor prot)) + 1
 
-  let put sec t =
-    let b = sec.fields in
+  let put b t =
     Codec.put_uvarint b t.next;
     List.iter
-      (fun ((p : Mem.page), zero) ->
-        Codec.put_uvarint b
-          ((if p.Mem.shared then flag_shared else 0)
-          lor if zero then flag_zero else 0);
-        Codec.put_int b p.Mem.prot;
-        if not zero then
-          put_payload sec
-            { Codec.str = Bytes.unsafe_to_string p.Mem.bytes;
-              pos = p.Mem.off;
-              len = Mem.page_size })
+      (fun (flags, prot, w) ->
+        Codec.put_uvarint b flags;
+        Codec.put_int b prot;
+        if w >= 0 then Codec.put_uvarint b w)
       (List.rev t.rev_entries)
 
-  (* [refs] starts at 0: every mapping increfs.  A zero entry maps the
-     shared zero buffer and any other entry borrows its bytes where they
-     lie in [blob], so an entry costs a frame record, not 4 KB. *)
-  let get (blob : Codec.slice) s =
+  (* [refs] starts at 0: every mapping increfs.  A zero frame maps the
+     shared zero buffer and any other borrows its bytes where they lie
+     in the pool, so a frame costs a record, not 4 KB. *)
+  let frame pool ~prot ~shared w =
+    if w < 0 then begin
+      let p = Mem.fresh_page ~prot ~shared in
+      Mem.decref p;
+      p
+    end
+    else begin
+      let w = Pool.get pool w in
+      if w.len <> Mem.page_size then
+        raise (Codec.Corrupt "snapshot: a frame's window is not a page");
+      Mem.borrow ~prot ~shared w.str ~off:w.pos
+    end
+
+  let get pool s =
     Codec.get_array s (fun s ->
         let flags = Codec.get_uvarint s in
         if flags land lnot (flag_shared lor flag_zero) <> 0 then
@@ -625,70 +609,55 @@ module Page_table = struct
             (Codec.Corrupt (Printf.sprintf "snapshot: page flags %d" flags));
         let prot = Codec.get_int s in
         let shared = flags land flag_shared <> 0 in
-        if flags land flag_zero <> 0 then begin
-          let p = Mem.fresh_page ~prot ~shared in
-          Mem.decref p;
-          p
-        end
-        else begin
-          let off = Codec.pos s in
-          Codec.skip s Mem.page_size;
-          Mem.borrow ~prot ~shared blob.str ~off
-        end)
+        frame pool ~prot ~shared
+          (if flags land flag_zero <> 0 then -1 else Codec.get_uvarint s))
 end
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
-(* A space's text section is its instruction count, then one run per
-   text page in ascending key order: the page's (address, instruction)
-   entries in address order.  A run holds absolute addresses, so its
-   bytes do not depend on the runs beside it, and the spaces of one
-   snapshot share most of their pages copy-on-write: [text_runs]
-   encodes each run once per blob, by page key and physical page. *)
-type text_run = {
-  page : A.text_page;
-  count : int;
-  run : Codec.slice;
-}
-
+(* A space's text section is the pool ids of its text runs, one per
+   non-empty text page in ascending key order: the page's last address,
+   then its (address, instruction) entries in address order, so that
+   decoding sizes the page's window once.  A run holds absolute
+   addresses, so its bytes do not depend on the runs beside it, and the
+   spaces of one snapshot share most of their pages copy-on-write:
+   [text_runs] encodes each run once per blob, by page key and physical
+   page. *)
 type text_runs = {
-  by_key : (int, text_run list) Hashtbl.t;
+  by_key : (int, (A.text_page * int) list) Hashtbl.t; (* key -> page, id *)
   scratch : Buffer.t;
 }
 
 let text_runs () = { by_key = Hashtbl.create 32; scratch = Buffer.create 4096 }
 
-let rec known_run page = function
-  | r :: rest -> if r.page == page then r else known_run page rest
-  | [] -> raise Not_found
-
-let text_run runs key page =
+let text_run pool runs key page =
   let known =
     match Hashtbl.find runs.by_key key with l -> l | exception Not_found -> []
   in
-  match known_run page known with
-  | r -> r
+  match List.assq page known with
+  | id -> id
   | exception Not_found ->
-    let b = runs.scratch in
+    let b = runs.scratch
+    and last = A.text_page_fold (fun addr _ _ -> addr) page (-1) in
     Buffer.clear b;
-    let count =
-      A.text_page_fold
-        (fun addr insn n ->
-          Codec.put_int b addr;
-          Image_codec.put_insn b insn;
-          n + 1)
-        page 0
+    Codec.put_int b last;
+    A.text_page_fold
+      (fun addr insn () ->
+        Codec.put_int b addr;
+        Image_codec.put_insn b insn)
+      page ();
+    let id =
+      if last < 0 then -1
+      else Pool.intern pool (Codec.whole (Buffer.contents b))
     in
-    let r = { page; count; run = Codec.whole (Buffer.contents b) } in
-    Hashtbl.replace runs.by_key key (r :: known);
-    r
+    Hashtbl.replace runs.by_key key ((page, id) :: known);
+    id
 
-(* Mappings are (page index, entry id) in the space's own ascending
-   index order, each index as its distance from the previous one: a run
-   of pages costs about two bytes a page. *)
-let put_space table runs sec (a : A.t) =
-  let b = sec.fields in
+(* Mappings are (page index, code) in the space's own ascending index
+   order, each index as its distance from the previous one: a run of
+   zero pages costs two bytes a page. *)
+let encode_space table runs b (a : A.t) =
   Codec.put_int b a.A.id;
   Codec.put_int b a.A.mmap_cursor;
   Codec.put_list b put_region a.A.regions;
@@ -697,56 +666,96 @@ let put_space table runs sec (a : A.t) =
     (A.fold_pages
        (fun idx p prev ->
          Codec.put_uvarint b (idx - prev - 1);
-         Codec.put_uvarint b (Page_table.id_of table p);
+         Codec.put_uvarint b
+           (Page_table.code table ~key:((idx lsl 16) lxor a.A.id) p);
          idx)
        a (-1));
   let text =
-    A.text_fold_pages (fun key page acc -> text_run runs key page :: acc) a []
+    A.text_fold_pages
+      (fun key page ids ->
+        let id = text_run table.Page_table.pool runs key page in
+        if id < 0 then ids else id :: ids)
+      a []
   in
-  Codec.put_uvarint b (List.fold_left (fun n r -> n + r.count) 0 text);
-  List.iter (fun r -> put_payload sec r.run) (List.rev text);
+  Codec.put_list b Codec.put_uvarint (List.rev text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.written_text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.breakpoints)
 
-(* What the spaces of one blob share while it decodes: the page table,
-   and the text sections decoded last.  A space whose text section is
-   byte-for-byte one of those adopts that space's pages copy-on-write
-   instead of decoding them again.  The encoding is self-delimiting, so
-   equal bytes decode to equal text, and a mismatch shows within the
-   shorter of the two sections: with a bounded candidate list, a forged
-   blob cannot make the comparisons quadratic.  Offsets are into
-   [blob.str], and a comparison stops at the blob's end, not the
-   string's. *)
+(* A section that names no entry of the blob's page table is kept with
+   the fork it encodes. *)
+let put_space table runs b (e : encoded) (a : A.t) =
+  match e.pool with
+  | Some pool when pool == table.Page_table.pool -> Buffer.add_string b e.bytes
+  | Some _ | None ->
+    let at = Buffer.length b in
+    table.Page_table.named <- false;
+    encode_space table runs b a;
+    if not table.Page_table.named then begin
+      e.pool <- Some table.Page_table.pool;
+      e.bytes <- Buffer.sub b at (Buffer.length b - at)
+    end
+
+(* What the spaces of one blob share while it decodes: the pool, the
+   page table, and each distinct text section decoded so far, by its
+   bytes (its runs' ids).  A space whose text section is one of those
+   adopts that space's pages copy-on-write instead of decoding them
+   again. *)
 type decoding = {
-  blob : Codec.slice;
-  pages : Mem.page array;
-  mutable texts : (int * int * A.t) list; (* offset, length, decoded by *)
+  blob : string;
+  pool : Pool.t;
+  pages : Mem.page array; (* the page table's entries *)
+  zeros : Mem.page option array; (* prot -> the private zero frame *)
+  privates : (int, Mem.page) Hashtbl.t; (* code -> a private frame *)
+  texts : (string, A.t) Hashtbl.t;
 }
 
-let text_candidates = 4
-
-(* The section at [a] ends before [b], so only [b]'s end needs a check. *)
-let same_bytes (blob : Codec.slice) a b len =
-  b + len <= blob.pos + blob.len && Compress.match_len blob.str a b len = len
+let frame_of_code d code =
+  if code land 1 = 0 then begin
+    if code lsr 1 >= Array.length d.pages then
+      raise (Codec.Corrupt "snapshot: page entry out of range");
+    d.pages.(code lsr 1)
+  end
+  else
+    let u = code lsr 1 in
+    match
+      if u < Array.length d.zeros then d.zeros.(u)
+      else Hashtbl.find_opt d.privates code
+    with
+    | Some p -> p
+    | None ->
+      let p =
+        Page_table.frame d.pool ~prot:(u land 7) ~shared:false ((u lsr 3) - 1)
+      in
+      if u < Array.length d.zeros then d.zeros.(u) <- Some p
+      else Hashtbl.add d.privates code p;
+      p
 
 let get_text d s a =
   let at = Codec.pos s in
-  match
-    List.find_opt (fun (off, len, _) -> same_bytes d.blob off at len) d.texts
-  with
-  | Some (_, len, from) ->
-    A.text_share a ~from;
-    Codec.skip s len
-  | None ->
-    let n_text = Codec.get_count s in
-    for _ = 1 to n_text do
-      let addr = Codec.get_int s in
-      A.text_set a addr (Image_codec.get_insn s)
-    done;
-    d.texts <-
-      List.filteri
-        (fun i _ -> i < text_candidates)
-        ((at, Codec.pos s - at, a) :: d.texts)
+  let runs =
+    Codec.get_list s (fun s -> Pool.get d.pool (Codec.get_uvarint s))
+  in
+  let key = String.sub d.blob at (Codec.pos s - at) in
+  match Hashtbl.find d.texts key with
+  | from -> A.text_share a ~from
+  | exception Not_found ->
+    List.iter
+      (fun (run : Codec.slice) ->
+        let r = Codec.source ~pos:run.pos ~len:run.len run.str in
+        let last = Codec.get_int r in
+        let addr = ref (Codec.get_int r) in
+        let page a = a asr A.text_page_bits in
+        if !addr > last || page !addr <> page last then
+          raise (Codec.Corrupt "snapshot: text run span");
+        A.text_reserve a ~lo:!addr ~last;
+        A.text_set a !addr (Image_codec.get_insn r);
+        while not (Codec.eof r) do
+          addr := Codec.get_int r;
+          A.text_set a !addr (Image_codec.get_insn r)
+        done;
+        if !addr <> last then raise (Codec.Corrupt "snapshot: text run span"))
+      runs;
+    Hashtbl.add d.texts key a
 
 let get_space d s : A.t =
   let id = Codec.get_int s in
@@ -759,11 +768,8 @@ let get_space d s : A.t =
     let idx = prev + 1 + Codec.get_uvarint s in
     if idx <= prev then raise (Codec.Corrupt "snapshot: page index order");
     idxs.(i) <- idx;
-    let pid = Codec.get_uvarint s in
-    if pid < 0 || pid >= Array.length d.pages then
-      raise (Codec.Corrupt "snapshot: page id out of range");
-    if i = 0 then frames := Array.make n_pages d.pages.(pid)
-    else !frames.(i) <- d.pages.(pid)
+    let p = frame_of_code d (Codec.get_uvarint s) in
+    if i = 0 then frames := Array.make n_pages p else !frames.(i) <- p
   done;
   let a = A.create ~id in
   get_text d s a;
@@ -809,9 +815,6 @@ let put_sig_action b (a : Signals.action) =
   Codec.put_int b a.Signals.mask;
   Codec.put_int b a.Signals.flags
 
-(* Actions are immutable, so every slot holding the default triple, most
-   of a handler table's 65, decodes to [Signals.default_action] itself
-   and allocates nothing. *)
 let get_sig_action s =
   let disposition =
     match Codec.get_uvarint s with
@@ -829,11 +832,45 @@ let get_sig_action s =
     dflt
   | _ -> { Signals.disposition; mask; flags }
 
-let put_snap_proc table runs sec sp =
-  let b = sec.fields in
+(* A handler table has a slot per signal, and most of its 65 hold the
+   default action: it is written as the others, each as its signal
+   number plus one and its action, then a 0.  Actions are immutable, so
+   every other slot decodes to [Signals.default_action] itself. *)
+let is_default (a : Signals.action) =
+  let d = Signals.default_action in
+  a == d
+  ||
+  match a.Signals.disposition with
+  | Signals.Default ->
+    a.Signals.mask = d.Signals.mask && a.Signals.flags = d.Signals.flags
+  | Signals.Ignore | Signals.Handler _ -> false
+
+let put_sighand b h =
+  Array.iteri
+    (fun signo a ->
+      if not (is_default a) then begin
+        Codec.put_uvarint b (signo + 1);
+        put_sig_action b a
+      end)
+    h;
+  Codec.put_uvarint b 0
+
+let get_sighand s =
+  let h = Array.make (Signals.max_signal + 1) Signals.default_action in
+  let rec slots () =
+    match Codec.get_uvarint s with
+    | 0 -> h
+    | n when n <= Array.length h ->
+      h.(n - 1) <- get_sig_action s;
+      slots ()
+    | n -> raise (Codec.Corrupt (Printf.sprintf "signal slot %d" n))
+  in
+  slots ()
+
+let put_snap_proc table runs b sp =
   Codec.put_int b sp.sp_pid;
   Codec.put_int b sp.sp_parent;
-  put_space table runs sec sp.sp_space;
+  put_space table runs b sp.sp_encoded sp.sp_space;
   Codec.put_list b Codec.put_int sp.sp_threads;
   (match sp.sp_exit with
   | None -> Codec.put_uvarint b 0
@@ -850,7 +887,7 @@ let put_snap_proc table runs sec sp =
     Codec.put_uvarint b 1;
     Codec.put_int b tid);
   Codec.put_list b put_sig_info sp.sp_shared_pending;
-  Codec.put_array b put_sig_action sp.sp_sighand
+  put_sighand b sp.sp_sighand
 
 let get_snap_proc d s =
   let sp_pid = Codec.get_int s in
@@ -874,12 +911,13 @@ let get_snap_proc d s =
     | n -> raise (Codec.Corrupt (Printf.sprintf "owner tag %d" n))
   in
   let sp_shared_pending = Codec.get_list s get_sig_info in
-  let sp_sighand = Codec.get_array s get_sig_action in
-  { sp_pid; sp_parent; sp_space; sp_threads; sp_exit; sp_reaped; sp_cwd;
+  let sp_sighand = get_sighand s in
+  { sp_pid; sp_parent; sp_space; sp_encoded = encoded (); sp_threads;
+    sp_exit; sp_reaped; sp_cwd;
     sp_cmd; sp_children; sp_owner; sp_shared_pending; sp_sighand }
 
-let put_snap_task sec sn =
-  let b = sec.fields in
+(* A task's locals are 0 when it has none, else 1 + their pool id. *)
+let put_snap_task pool b sn =
   Codec.put_int b sn.sn_tid;
   Codec.put_int b sn.sn_pid;
   Codec.put_array b Codec.put_int sn.sn_regs;
@@ -898,15 +936,16 @@ let put_snap_task sec sn =
   Codec.put_list b
     (fun b batch -> Codec.put_list b E.put_buf_record batch)
     sn.sn_batches;
-  Codec.put_uvarint b sn.sn_locals.Codec.len;
-  put_payload sec sn.sn_locals;
+  Codec.put_uvarint b
+    (if sn.sn_locals.Codec.len = 0 then 0
+     else 1 + Pool.intern pool ~key:(lnot sn.sn_tid) sn.sn_locals);
   put_resume b sn.sn_next_resume;
   Codec.put_bool b sn.sn_in_blocked;
   Codec.put_int b sn.sn_tick_born;
   Codec.put_int b sn.sn_last_wake;
   Codec.put_list b put_sig_info sn.sn_pending
 
-let get_snap_task s =
+let get_snap_task pool s =
   let sn_tid = Codec.get_int s in
   let sn_pid = Codec.get_int s in
   let sn_regs = Codec.get_array s Codec.get_int in
@@ -925,7 +964,11 @@ let get_snap_task s =
   let sn_batches =
     Codec.get_list s (fun s -> Codec.get_list s E.get_buf_record)
   in
-  let sn_locals = Codec.get_slice s in
+  let sn_locals =
+    match Codec.get_uvarint s with
+    | 0 -> no_locals
+    | id -> Pool.get pool (id - 1)
+  in
   let sn_next_resume = get_resume s in
   let sn_in_blocked = Codec.get_bool s in
   let sn_tick_born = Codec.get_int s in
@@ -936,9 +979,9 @@ let get_snap_task s =
     sn_batches; sn_locals; sn_next_resume; sn_in_blocked; sn_tick_born;
     sn_last_wake; sn_pending }
 
-let encode snap =
-  let head = section () in
-  let b = head.fields in
+let encode pool snap =
+  Pool.batch pool;
+  let b = Codec.sink () in
   Codec.put_uvarint b snapshot_codec_version;
   (* The frame, then the frames applied, which every session keeps
      equal to it. *)
@@ -954,26 +997,28 @@ let encode snap =
   Codec.put_uvarint b snap.snap_trace_chunks;
   Codec.put_string b snap.snap_trace_exe;
   Codec.put_list b
-    (fun b (path, img) ->
+    (fun b (path, image) ->
       Codec.put_string b path;
-      Image_codec.put_image b img)
+      Codec.put_string b image)
     snap.snap_installed;
   (* Entry ids are assigned while the procs are encoded, and the page
-     table goes first so that decoding is one pass: it ends [head], the
-     procs and tasks make [body], and the blob is assembled once, at
-     its final length. *)
-  let table = Page_table.create () and runs = text_runs () in
-  let body = section () in
-  Codec.put_uvarint body.fields (List.length snap.snap_procs);
+     table goes first so that decoding is one pass: it ends [b], the
+     procs and tasks make [body], and the blob is assembled once, at its
+     final length. *)
+  let table = Page_table.create pool and runs = text_runs () in
+  let body = Codec.sink () in
+  Codec.put_uvarint body (List.length snap.snap_procs);
   List.iter (put_snap_proc table runs body) snap.snap_procs;
-  Codec.put_uvarint body.fields (List.length snap.snap_tasks);
-  List.iter (put_snap_task body) snap.snap_tasks;
-  Page_table.put head table;
-  let blob = Bytes.create (section_length head + section_length body) in
-  ignore (blit_section body blob (blit_section head blob 0));
+  Codec.put_uvarint body (List.length snap.snap_tasks);
+  List.iter (put_snap_task pool body) snap.snap_tasks;
+  Page_table.put b table;
+  let head = Buffer.length b in
+  let blob = Bytes.create (head + Buffer.length body) in
+  Buffer.blit b 0 blob 0 head;
+  Buffer.blit body 0 blob head (Buffer.length body);
   Bytes.unsafe_to_string blob
 
-let decode (blob : Codec.slice) =
+let decode pool (blob : Codec.slice) =
   let s = Codec.source ~pos:blob.pos ~len:blob.len blob.str in
   let v = Codec.get_uvarint s in
   if v <> snapshot_codec_version then
@@ -993,12 +1038,15 @@ let decode (blob : Codec.slice) =
   let snap_installed =
     Codec.get_list s (fun s ->
         let path = Codec.get_string s in
-        let img = Image_codec.get_image s in
-        (path, img))
+        (path, Codec.get_string s))
   in
-  let d = { blob; pages = Page_table.get blob s; texts = [] } in
+  let d =
+    { blob = blob.str; pool; pages = Page_table.get pool s;
+      zeros = Array.make 8 None; privates = Hashtbl.create 16;
+      texts = Hashtbl.create 8 }
+  in
   let snap_procs = Codec.get_list s (get_snap_proc d) in
-  let snap_tasks = Codec.get_list s get_snap_task in
+  let snap_tasks = Codec.get_list s (get_snap_task pool) in
   if not (Codec.eof s) then
     raise (Codec.Corrupt "snapshot: trailing bytes");
   { snap_idx; snap_root; snap_procs; snap_tasks;

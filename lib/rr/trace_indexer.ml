@@ -5,7 +5,7 @@
    so a later session seeks in O(delta) from a cold open.
 
    The pass costs one full replay; the point is to pay it once and store
-   the result in the trace ('P'/'K' records). *)
+   the result in the trace ('P', 'W' and 'K' records). *)
 
 module K = Kernel
 module A = Addr_space
@@ -14,11 +14,11 @@ let tm_build = Telemetry.counter "index.build"
 let tm_build_span = Telemetry.span "index.build_time"
 let tm_encoded_bytes = Telemetry.counter "index.encoded_bytes"
 
-(* Cap the durable-checkpoint count by default: each blob stands alone,
-   so it repeats every distinct non-zero page of every live process (no
-   page pool across blobs), and "a handful per trace" is the deployable
-   default; tests shrink the interval explicitly. *)
-let default_every n = max 1 ((n + 15) / 16)
+(* About 64 durable checkpoints a trace by default.  The blobs name
+   their frames, locals and text runs in the index's one pool, so a
+   checkpoint costs its fields and the windows that changed since the
+   last one; tests shrink the interval explicitly. *)
+let default_every n = max 1 ((n + 63) / 64)
 
 let build_and_attach ?checkpoint_every trace =
   Telemetry.incr tm_build;
@@ -31,12 +31,13 @@ let build_and_attach ?checkpoint_every trace =
         | None -> default_every n
       in
       let r = Replayer.start trace in
-      let b = Trace_index.builder ~clock0:(K.now (Replayer.kernel r)) in
+      let pool = Trace_index.Pool.create () in
+      let b = Trace_index.builder ~clock0:(K.now (Replayer.kernel r)) ~pool in
       let checkpoint () =
         let frame = Replayer.cursor_index r in
         let snap = Replayer.snapshot r in
         let blob =
-          Timeline.scope "index.encode" (fun () -> Snapshot.encode snap)
+          Timeline.scope "index.encode" (fun () -> Snapshot.encode pool snap)
         in
         Telemetry.add tm_encoded_bytes (String.length blob);
         Trace_index.note_checkpoint b ~frame ~blob

@@ -2,7 +2,7 @@
     with the {!Addr_space} write observer installed, collecting the
     per-pc, per-page and virtual-clock tables plus durable checkpoint
     blobs ({!Snapshot.encode}) every [checkpoint_every] frames
-    and at both ends of the trace.
+    and at both ends of the trace, all encoded against one pool.
 
     Telemetry: counts [index.build], times [index.build_time], and
     counts the blobs' bytes in [index.encoded_bytes]; each encode is a
@@ -11,6 +11,6 @@
 val build_and_attach : ?checkpoint_every:int -> Trace.t -> Trace_index.t
 (** Replay [trace] start to end, build its index and attach it with
     {!Trace.set_index} — persist with {!Trace.save}.  [checkpoint_every]
-    (clamped to ≥ 1) defaults to roughly n/16, capping durable
-    checkpoints at a handful per trace.  Raises {!Replayer.Divergence}
-    if the trace does not replay. *)
+    (clamped to ≥ 1) defaults to roughly n/64, about 64 durable
+    checkpoints a trace.  Raises {!Replayer.Divergence} if the trace
+    does not replay. *)

@@ -61,9 +61,14 @@ let code_of_dist dist =
   let d = dist - 1 in
   if d < 256 then dist_code.(d) else dist_code.(256 + (d lsr 7))
 
+(* The four reads are written out: a local reader would be a closure,
+   allocated at every position the parse hashes. *)
 let hash4 s i =
-  let b k = Char.code (String.unsafe_get s (i + k)) in
-  (b 0 + (b 1 lsl 5) + (b 2 lsl 10) + (b 3 lsl 15)) land (hash_size - 1)
+  (Char.code (String.unsafe_get s i)
+  + (Char.code (String.unsafe_get s (i + 1)) lsl 5)
+  + (Char.code (String.unsafe_get s (i + 2)) lsl 10)
+  + (Char.code (String.unsafe_get s (i + 3)) lsl 15))
+  land (hash_size - 1)
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 

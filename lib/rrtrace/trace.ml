@@ -266,6 +266,7 @@ let tag_journal = 'J'
 let tag_trailer = 'T'
 let tag_index = 'P' (* sidecar index tables (Trace_index meta) *)
 let tag_index_cp = 'K' (* one durable checkpoint blob *)
+let tag_pool = 'W' (* one window of the checkpoints' pool *)
 
 (* Write one record, its payload the fields [fill] puts followed by
    [tail]: a large trailing field (a chunk's stored bytes, a file
@@ -1124,11 +1125,11 @@ let save_io t io =
     Option.iter
       (fun ix ->
         write_record io ~tag:tag_index (fun b -> Trace_index.put_meta b ix);
-        Array.iter
-          (fun (frame, blob) ->
-            write_record io ~tag:tag_index_cp ~tail:blob (fun b ->
-                Trace_index.put_checkpoint_head b ~frame ~blob))
-          (Trace_index.checkpoints ix))
+        let put tag n tail =
+          write_record io ~tag ~tail (fun b -> Trace_index.put_head b n tail)
+        in
+        Trace_index.records ix ~pool:(put tag_pool)
+          ~checkpoint:(put tag_index_cp))
       t.sidecar
   in
   match send ~before_commit:sidecar t (Sink.of_io io) with
@@ -1192,7 +1193,10 @@ type scan = {
   mutable sc_at : int; (* offset of the record being applied *)
   mutable sc_trailer : (int * stats * chunk_info list) option;
   mutable sc_index : Trace_index.t option;
-  mutable sc_rev_cps : (int * slice) list; (* checkpoint records, reversed *)
+  sc_pool : Trace_index.Pool.t; (* pool records *)
+  mutable sc_rev_cps : (int * slice * int) list;
+      (* checkpoint records, reversed, each with the pool records before
+         it *)
 }
 
 (* Apply one CRC-valid record, its payload read where it lies in the
@@ -1237,10 +1241,18 @@ let apply_record sc ~path tag data ~body ~len =
     let index = Codec.get_list s get_chunk_info in
     sc.sc_trailer <- consumed (Some (sc.sc_at, stats, index))
   end
-  else if tag = tag_index then
-    sc.sc_index <- consumed (Some (Trace_index.get_meta s))
-  else if tag = tag_index_cp then
-    sc.sc_rev_cps <- consumed (Trace_index.get_checkpoint s) :: sc.sc_rev_cps
+  else if tag = tag_index then sc.sc_index <- consumed (Trace_index.get_meta s)
+  else if tag = tag_index_cp then begin
+    let frame, blob = consumed (Trace_index.get_head s) in
+    sc.sc_rev_cps <- (frame, blob, Trace_index.Pool.length sc.sc_pool)
+                     :: sc.sc_rev_cps
+  end
+  else if tag = tag_pool then begin
+    let id, w = consumed (Trace_index.get_head s) in
+    if id <> Trace_index.Pool.length sc.sc_pool then
+      raise (Codec.Corrupt (Fmt.str "pool record %d out of order" id));
+    Trace_index.Pool.add sc.sc_pool w
+  end
   else raise (Codec.Corrupt (Fmt.str "unknown record tag %C" tag))
 
 let corrupt ~path detail = Corrupt { path; detail }
@@ -1256,6 +1268,7 @@ let scan_records ~path data ~limit =
       sc_at = 8;
       sc_trailer = None;
       sc_index = None;
+      sc_pool = Trace_index.Pool.create ();
       sc_rev_cps = [] }
   in
   let rec go pos =
@@ -1285,8 +1298,9 @@ let scan_records ~path data ~limit =
 let attach_scanned_index sc t =
   match sc.sc_index with
   | Some ix when Trace_index.n_events ix = t.stats.n_events ->
-    Trace_index.set_checkpoints ix
-      (List.filter (fun (frame, _) -> frame <= t.stats.n_events) sc.sc_rev_cps);
+    Trace_index.set_checkpoints ix ~pool:sc.sc_pool
+      (List.filter (fun (frame, _, _) -> frame <= t.stats.n_events)
+         sc.sc_rev_cps);
     t.sidecar <- Some ix
   | Some _ | None -> ()
 

@@ -287,8 +287,9 @@ val chunk_stored : t -> int -> string
     carries them; a copy when they lie in a loaded file's bytes. *)
 
 val index : t -> Trace_index.t option
-(** The trace's sidecar index, if one was built (or loaded from 'P'/'K'
-    records).  Derived data: queries must work without it. *)
+(** The trace's sidecar index, if one was built (or loaded from 'P',
+    'W' and 'K' records).  Derived data: queries must work without
+    it. *)
 
 val set_index : t -> Trace_index.t -> unit
 (** Attach a sidecar index; persisted by {!save}.  Raises

@@ -1,9 +1,128 @@
 (* Persistent sidecar indexes: per-pc frames, per-page writer frames,
-   the virtual-clock curve, and durable checkpoint blobs.  See the mli
-   for the query contract (write candidates are a verified superset).
+   the virtual-clock curve, and durable checkpoint blobs with the pool
+   of byte windows they name.  See the mli for the query contract
+   (write candidates are a verified superset).
 
    All frame arrays are ascending, so every query is a binary search;
    on disk they are delta-coded uvarints. *)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* ----- the pool ----------------------------------------------------- *)
+
+module Pool = struct
+  (* Entry [id] is [entries.(id)], for [id < n].  [ids] maps a window's
+     hash to the entries of that hash; it covers the first [hashed]
+     entries, and [intern] hashes the rest, which a loader added, before
+     it looks one up.  [seen] holds the windows this batch interned
+     under a key, with their ids, and [seen_before] the last batch's. *)
+  type t = {
+    mutable entries : Codec.slice array;
+    mutable n : int;
+    mutable hashed : int;
+    ids : (int, int list) Hashtbl.t;
+    mutable seen : (int, Codec.slice * int) Hashtbl.t;
+    mutable seen_before : (int, Codec.slice * int) Hashtbl.t;
+  }
+
+  let create () =
+    { entries = [||]; n = 0; hashed = 0; ids = Hashtbl.create 64;
+      seen = Hashtbl.create 64; seen_before = Hashtbl.create 1 }
+
+  let batch t =
+    t.seen_before <- t.seen;
+    t.seen <- Hashtbl.create (max 16 (Hashtbl.length t.seen))
+
+  let length t = t.n
+
+  let bytes t =
+    let total = ref 0 in
+    for i = 0 to t.n - 1 do
+      total := !total + t.entries.(i).Codec.len
+    done;
+    !total
+
+  let get t id =
+    if id < 0 || id >= t.n then
+      raise (Codec.Corrupt (Printf.sprintf "pool entry %d of %d" id t.n));
+    t.entries.(id)
+
+  let add t w =
+    if t.n = Array.length t.entries then begin
+      let grown = Array.make (max 16 (2 * t.n)) w in
+      Array.blit t.entries 0 grown 0 t.n;
+      t.entries <- grown
+    end;
+    t.entries.(t.n) <- w;
+    t.n <- t.n + 1
+
+  (* FNV-style over the window's words, then its last bytes. *)
+  let hash (w : Codec.slice) =
+    let h = ref w.len and i = ref 0 in
+    while !i + 8 <= w.len do
+      h := (!h lxor Int64.to_int (get64u w.str (w.pos + !i))) * 0x100000001b3;
+      i := !i + 8
+    done;
+    while !i < w.len do
+      h := (!h lxor Char.code (String.unsafe_get w.str (w.pos + !i)))
+           * 0x100000001b3;
+      incr i
+    done;
+    (!h lxor (!h lsr 32)) land max_int
+
+  let equal (a : Codec.slice) (b : Codec.slice) =
+    a.len = b.len
+    &&
+    let i = ref 0 in
+    while
+      !i + 8 <= a.len && get64u a.str (a.pos + !i) = get64u b.str (b.pos + !i)
+    do
+      i := !i + 8
+    done;
+    while
+      !i < a.len
+      && String.unsafe_get a.str (a.pos + !i)
+         = String.unsafe_get b.str (b.pos + !i)
+    do
+      incr i
+    done;
+    !i = a.len
+
+  let bucket t h = Option.value ~default:[] (Hashtbl.find_opt t.ids h)
+
+  (* A first sight copies the window: a live frame may be written after
+     the checkpoint that names it. *)
+  let by_content t w =
+    while t.hashed < t.n do
+      let h = hash t.entries.(t.hashed) in
+      Hashtbl.replace t.ids h (t.hashed :: bucket t h);
+      t.hashed <- t.hashed + 1
+    done;
+    let h = hash w in
+    let same = bucket t h in
+    match List.find_opt (fun id -> equal t.entries.(id) w) same with
+    | Some id -> id
+    | None ->
+      let id = t.n in
+      Hashtbl.replace t.ids h (id :: same);
+      add t (Codec.whole (String.sub w.str w.pos w.len));
+      t.hashed <- t.n;
+      id
+
+  let intern t ?key (w : Codec.slice) =
+    match key with
+    | None -> by_content t w
+    | Some key ->
+      let id =
+        match Hashtbl.find t.seen_before key with
+        | (v : Codec.slice), id
+          when v.str == w.str && v.pos = w.pos && v.len = w.len ->
+          id
+        | _ | (exception Not_found) -> by_content t w
+      in
+      Hashtbl.replace t.seen key (w, id);
+      id
+end
 
 type t = {
   n_events : int;
@@ -11,7 +130,9 @@ type t = {
   pages : (int, int array) Hashtbl.t; (* page index -> frames, ascending *)
   globals : int array; (* frames with unbounded effects, ascending *)
   clock : int array; (* clock.(p) = virtual clock at position p *)
-  mutable cps : (int * Codec.slice) array; (* (frame, blob), ascending *)
+  mutable pool : Pool.t;
+  mutable cps : (int * Codec.slice * int) array;
+      (* (frame, blob, pool entries before its record), ascending *)
 }
 
 let n_events t = t.n_events
@@ -89,15 +210,20 @@ let nearest_checkpoint t target =
   let lo = ref 0 and hi = ref (Array.length t.cps - 1) and best = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst t.cps.(mid) <= target then begin
+    let frame, _, _ = t.cps.(mid) in
+    if frame <= target then begin
       best := mid;
       lo := mid + 1
     end
     else hi := mid - 1
   done;
-  if !best < 0 then None else Some t.cps.(!best)
+  if !best < 0 then None
+  else
+    let frame, blob, _ = t.cps.(!best) in
+    Some (frame, blob)
 
-let checkpoints t = t.cps
+let checkpoints t = Array.map (fun (frame, blob, _) -> (frame, blob)) t.cps
+let pool t = t.pool
 
 (* ----- building ---------------------------------------------------- *)
 
@@ -107,15 +233,17 @@ type builder = {
   mutable b_globals : int list;
   mutable b_clock : int list; (* newest first *)
   mutable b_next : int; (* frame about to be noted *)
-  mutable b_cps : (int * Codec.slice) list;
+  b_pool : Pool.t;
+  mutable b_cps : (int * Codec.slice * int) list;
 }
 
-let builder ~clock0 =
+let builder ~clock0 ~pool =
   { b_pcs = Hashtbl.create 64;
     b_pages = Hashtbl.create 256;
     b_globals = [];
     b_clock = [ clock0 ];
     b_next = 0;
+    b_pool = pool;
     b_cps = [] }
 
 let bucket tbl key =
@@ -162,7 +290,7 @@ let note_frame b e ~pages ~clock =
   | _ -> ()
 
 let note_checkpoint b ~frame ~blob =
-  b.b_cps <- (frame, Codec.whole blob) :: b.b_cps
+  b.b_cps <- (frame, Codec.whole blob, Pool.length b.b_pool) :: b.b_cps
 
 let rev_table tbl =
   let out = Hashtbl.create (Hashtbl.length tbl) in
@@ -171,18 +299,31 @@ let rev_table tbl =
     tbl;
   out
 
+let by_frame (a, _, _) (b, _, _) = compare a b
+
 let finish b =
   { n_events = b.b_next;
     pcs = rev_table b.b_pcs;
     pages = rev_table b.b_pages;
     globals = Array.of_list (List.rev b.b_globals);
     clock = Array.of_list (List.rev b.b_clock);
-    cps =
-      Array.of_list
-        (List.sort (fun a b -> compare (fst a) (fst b)) (List.rev b.b_cps)) }
+    pool = b.b_pool;
+    cps = Array.of_list (List.stable_sort by_frame (List.rev b.b_cps)) }
 
-let set_checkpoints t cps =
-  t.cps <- Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) cps)
+let set_checkpoints t ~pool cps =
+  t.pool <- pool;
+  t.cps <- Array.of_list (List.stable_sort by_frame cps)
+
+let records t ~pool ~checkpoint =
+  let written = ref 0 in
+  Array.iter
+    (fun (frame, blob, upto) ->
+      while !written < upto do
+        pool !written (Pool.get t.pool !written);
+        incr written
+      done;
+      checkpoint frame blob)
+    t.cps
 
 (* ----- codec -------------------------------------------------------- *)
 
@@ -197,9 +338,7 @@ let put_ascending b a =
     a
 
 let get_ascending s =
-  let n = Codec.get_uvarint s in
-  if n < 0 || n > Sys.max_array_length then
-    raise (Codec.Corrupt "index: bad array length");
+  let n = Codec.get_count s in
   let a = Array.make n 0 in
   let prev = ref 0 in
   for i = 0 to n - 1 do
@@ -221,7 +360,7 @@ let put_table b tbl =
     entries
 
 let get_table s =
-  let n = Codec.get_uvarint s in
+  let n = Codec.get_count s in
   let tbl = Hashtbl.create (max 16 n) in
   for _ = 1 to n do
     let k = Codec.get_int s in
@@ -229,7 +368,7 @@ let get_table s =
   done;
   tbl
 
-let index_version = 1
+let index_version = 2
 
 let put_meta b t =
   Codec.put_uvarint b index_version;
@@ -240,25 +379,31 @@ let put_meta b t =
   put_table b t.pages
 
 let get_meta s =
-  let v = Codec.get_uvarint s in
-  if v <> index_version then
-    raise (Codec.Corrupt (Printf.sprintf "index version %d" v));
-  let n_events = Codec.get_uvarint s in
-  let clock = get_ascending s in
-  let globals = get_ascending s in
-  let pcs = get_table s in
-  let pages = get_table s in
-  if Array.length clock <> n_events + 1 then
-    raise (Codec.Corrupt "index: clock curve length mismatch");
-  { n_events; pcs; pages; globals; clock; cps = [||] }
+  if Codec.get_uvarint s <> index_version then begin
+    ignore (Codec.rest s : Codec.slice);
+    None
+  end
+  else begin
+    let n_events = Codec.get_uvarint s in
+    let clock = get_ascending s in
+    let globals = get_ascending s in
+    let pcs = get_table s in
+    let pages = get_table s in
+    if Array.length clock <> n_events + 1 then
+      raise (Codec.Corrupt "index: clock curve length mismatch");
+    Some
+      { n_events; pcs; pages; globals; clock; pool = Pool.create ();
+        cps = [||] }
+  end
 
-(* A 'K' record's payload is these fields followed by the blob itself,
-   which the writer appends without copying it, and [get_checkpoint]
-   leaves where it lies. *)
-let put_checkpoint_head b ~frame ~(blob : Codec.slice) =
-  Codec.put_uvarint b frame;
-  Codec.put_uvarint b blob.len
+(* A 'K' record's payload is its frame followed by the blob, and a pool
+   record's is its id followed by the window: the writer appends the
+   blob or window without copying it, and the readers leave it where it
+   lies. *)
+let put_head b n (tail : Codec.slice) =
+  Codec.put_uvarint b n;
+  Codec.put_uvarint b tail.len
 
-let get_checkpoint s =
-  let frame = Codec.get_uvarint s in
-  (frame, Codec.get_slice s)
+let get_head s =
+  let n = Codec.get_uvarint s in
+  (n, Codec.get_slice s)

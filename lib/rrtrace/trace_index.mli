@@ -17,13 +17,48 @@
     - {b per-time}: the frame position whose virtual-clock reading is
       the latest not exceeding T ([frame_of_time] — seek_to_time).
 
-    It also carries durable checkpoint images (opaque blobs encoded by
-    the replayer) so a freshly reopened trace seeks in O(delta) without
-    replaying from frame 0.
+    It also carries durable checkpoints ({!Snapshot} blobs) so a freshly
+    reopened trace seeks in O(delta) without replaying from frame 0.
+    The blobs name their frames' bytes, task-locals windows and text
+    runs in one {!Pool} of byte windows shared by every checkpoint of
+    the index, so each distinct window is stored once.
 
     The index is derived data: traces remain fully usable without one,
     and a corrupt index record is dropped on salvage while the frame
     stream stays readable. *)
+
+(** Content-addressed byte windows, numbered in the order they are
+    first added. *)
+module Pool : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val bytes : t -> int
+  (** The entries' total length. *)
+
+  val intern : t -> ?key:int -> Codec.slice -> int
+  (** The id of the entry holding the window's bytes (a hash, then a
+      comparison with the entry), added on first sight as a copy: the
+      window may change after it is interned.  [key] names where the
+      caller found the window (a frame's space and page, a task): a
+      window that lies where the last batch's window of that key did,
+      in the same string, physically, is that window's entry, without a
+      hash.  With a key, the caller promises that the string's bytes
+      there never change. *)
+
+  val batch : t -> unit
+  (** Start a batch of interns (one checkpoint's): keys of the batch
+      before the last are forgotten. *)
+
+  val add : t -> Codec.slice -> unit
+  (** Loader hook: append the next entry where it lies, without looking
+      for an equal one. *)
+
+  val get : t -> int -> Codec.slice
+  (** Raises {!Codec.Corrupt} when the pool has no such entry. *)
+end
 
 type t
 
@@ -54,13 +89,17 @@ val nearest_checkpoint : t -> int -> (int * Codec.slice) option
 val checkpoints : t -> (int * Codec.slice) array
 (** All durable checkpoints, ascending by frame. *)
 
+val pool : t -> Pool.t
+(** The windows the checkpoint blobs name. *)
+
 (* ----- building ---------------------------------------------------- *)
 
 type builder
 
-val builder : clock0:int -> builder
+val builder : clock0:int -> pool:Pool.t -> builder
 (** [clock0] is the virtual-clock reading at position 0 (after replay
-    setup, before any frame). *)
+    setup, before any frame); the checkpoints noted name entries of
+    [pool], which becomes the index's. *)
 
 val note_frame : builder -> Event.t -> pages:int list -> clock:int -> unit
 (** Record the next frame in order: the event, the page indexes its
@@ -68,27 +107,42 @@ val note_frame : builder -> Event.t -> pages:int list -> clock:int -> unit
     virtual clock after applying it. *)
 
 val note_checkpoint : builder -> frame:int -> blob:string -> unit
-(** Attach a durable checkpoint image restoring to position [frame]. *)
+(** Attach a durable checkpoint image restoring to position [frame],
+    encoded against the builder's pool as it stands. *)
 
 val finish : builder -> t
 
-val set_checkpoints : t -> (int * Codec.slice) list -> unit
-(** Loader hook: replace the durable checkpoints with [(frame, blob)]s
-    read from their own records, in any order. *)
+val set_checkpoints :
+  t -> pool:Pool.t -> (int * Codec.slice * int) list -> unit
+(** Loader hook: replace the pool, and the durable checkpoints with
+    [(frame, blob, upto)]s read from their own records, in any order;
+    [upto] is how many pool entries precede the record. *)
+
+val records :
+  t -> pool:(int -> Codec.slice -> unit) ->
+  checkpoint:(int -> Codec.slice -> unit) -> unit
+(** The pool entries and checkpoints in the order they are saved: by
+    frame, each checkpoint after the entries that precede its record
+    ([pool id window], [checkpoint frame blob]). *)
 
 (* ----- codec -------------------------------------------------------- *)
 
 val put_meta : Codec.sink -> t -> unit
-(** The index tables {e without} checkpoints (those travel as their own
-    records so one corrupt blob never takes down the whole index). *)
+(** The index tables {e without} checkpoints or pool entries (those
+    travel as their own records so one corrupt blob never takes down
+    the whole index). *)
 
-val get_meta : Codec.source -> t
-(** Raises {!Codec.Corrupt} on malformed input. *)
+val get_meta : Codec.source -> t option
+(** [None] for the tables of another index version, which a loader
+    drops with the checkpoints: the index is derived data, and
+    [rr_cli index] builds it again.  Raises {!Codec.Corrupt} on
+    malformed input. *)
 
-val put_checkpoint_head : Codec.sink -> frame:int -> blob:Codec.slice -> unit
-(** A checkpoint record's fields before the blob: the blob's bytes
-    follow them, written by the caller without a copy. *)
+val put_head : Codec.sink -> int -> Codec.slice -> unit
+(** A checkpoint record's fields before its blob, or a pool record's
+    before its window: the frame or id, and the length of the bytes the
+    caller then writes without a copy. *)
 
-val get_checkpoint : Codec.source -> int * Codec.slice
-(** A checkpoint record's frame and blob, the blob where it lies in the
-    source's string. *)
+val get_head : Codec.source -> int * Codec.slice
+(** A checkpoint record's frame and blob, or a pool record's id and
+    window, the bytes where they lie in the source's string. *)

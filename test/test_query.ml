@@ -214,12 +214,12 @@ let test_cold_reopen_seeks_without_full_replay () =
 (* ----- fault injection over the sidecar records -------------------- *)
 
 (* Walk the v3 record stream (tag, uvarint len, payload, crc32) from
-   just past the magic and return the payload span of the first record
-   carrying [tag]. *)
-let find_record data tag =
+   just past the magic and return the payload spans of the records
+   carrying [tag], in file order. *)
+let find_records data tag =
   let n = String.length data in
   let rec walk pos =
-    if pos + 1 >= n then None
+    if pos + 1 >= n then []
     else begin
       let t = data.[pos] in
       let p = ref (pos + 1) in
@@ -233,10 +233,13 @@ let find_record data tag =
         incr p;
         if b < 0x80 then fin := true
       done;
-      if t = tag then Some (!p, !len) else walk (!p + !len + 4)
+      let rest = walk (!p + !len + 4) in
+      if t = tag then (!p, !len) :: rest else rest
     end
   in
   walk 8
+
+let find_record data tag = List.nth_opt (find_records data tag) 0
 
 let corrupt_record path tag =
   let ic = open_in_bin path in
@@ -297,6 +300,104 @@ let test_corrupt_index_record_salvages tag () =
       reference answer);
   Sys.remove tmp
 
+(* The state a scan-only session reaches at [target], beside [d]'s. *)
+let check_scan_state what trace d target =
+  let d0 = dbg ~use_index:false trace in
+  Debugger.seek d0 target;
+  Alcotest.(check (list int)) (what ^ ": the scan session's registers")
+    (live_regs d0) (live_regs d);
+  Alcotest.(check int) (what ^ ": the scan session's clock")
+    (Debugger.clock d0) (Debugger.clock d)
+
+(* A durable checkpoint is used only where its record says it restores
+   to, and only with every pool entry its blob names.  The loader's hook
+   is given checkpoint 2's blob under checkpoint 1's frame, and then
+   every checkpoint with an empty pool: either way a seek just past
+   checkpoint 1 counts one index.fallback and no index.hit, and lands
+   on its target in the scan session's state. *)
+let test_misplaced_checkpoint_falls_back () =
+  let trace = record_counter () in
+  let ix = Trace_indexer.build_and_attach ~checkpoint_every:4 trace in
+  let cps = Array.to_list (Trace_index.checkpoints ix)
+  and pool = Trace_index.pool ix in
+  let frame1 = fst (List.nth cps 1) and blob2 = snd (List.nth cps 2) in
+  let upto = Trace_index.Pool.length pool in
+  let seek_falls_back what ~pool cps =
+    Trace_index.set_checkpoints ix ~pool
+      (List.map (fun (frame, blob) -> (frame, blob, upto)) cps);
+    let count name = Telemetry.counter_value (Telemetry.counter name) in
+    let h0 = count "index.hit" and f0 = count "index.fallback" in
+    let d = dbg trace and target = frame1 + 1 in
+    (match Debugger.Query.seek_to_frame d target with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Debugger.Query.error_to_string e));
+    Alcotest.(check int) (what ^ ": lands on its target") target
+      (Debugger.pos d);
+    Alcotest.(check (pair int int)) (what ^ ": (fallbacks, hits)") (1, 0)
+      (count "index.fallback" - f0, count "index.hit" - h0);
+    check_scan_state what trace d target
+  in
+  seek_falls_back "checkpoint 2's blob at checkpoint 1's frame" ~pool
+    (List.mapi (fun i (frame, blob) -> (frame, if i = 1 then blob2 else blob))
+       cps);
+  seek_falls_back "a pool without the blobs' entries"
+    ~pool:(Trace_index.Pool.create ()) cps
+
+(* Every pool record precedes the first checkpoint record whose blob
+   names it, so a file cut inside a pool record salvages every frame and
+   the checkpoints before the cut, and each of those restores.  The cut
+   lands in the first pool record after the second checkpoint record
+   with pool records before it; a seek to the last checkpoint kept
+   counts an index.hit and reaches the scan session's state. *)
+let test_cut_in_pool_salvages () =
+  let trace = record_counter () in
+  let ix = Trace_indexer.build_and_attach ~checkpoint_every:1 trace in
+  let tmp = Filename.temp_file "rr_query_cut" ".rrtrace" in
+  Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
+  Trace.save_exn trace tmp;
+  let data = In_channel.with_open_bin tmp In_channel.input_all in
+  let pool = find_records data 'W' in
+  let named =
+    List.filter
+      (fun (k, _) -> List.exists (fun (w, _) -> w < k) pool)
+      (find_records data 'K')
+  in
+  let off, len =
+    match named with
+    | _ :: (second, _) :: _ -> (
+      match List.find_opt (fun (w, _) -> w > second) pool with
+      | Some w -> w
+      | None -> Alcotest.fail "no pool record after the second checkpoint")
+    | _ -> Alcotest.fail "fewer than two checkpoints name pool entries"
+  in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (String.sub data 0 (off + (len / 2))));
+  match Trace.salvage tmp with
+  | Error e -> Alcotest.failf "salvage failed: %s" (Trace.error_to_string e)
+  | Ok (s, _) ->
+    Alcotest.(check int) "every frame survives" (Trace.n_events trace)
+      (Trace.n_events s);
+    let cps =
+      match Trace.index s with
+      | Some ix -> Trace_index.checkpoints ix
+      | None -> Alcotest.fail "the salvaged trace lost its index"
+    in
+    let kept = Array.length cps in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d of %d checkpoints kept" kept
+         (Array.length (Trace_index.checkpoints ix)))
+      true
+      (kept > 1 && kept < Array.length (Trace_index.checkpoints ix));
+    let target = fst cps.(kept - 1) in
+    let hits = Telemetry.counter "index.hit" in
+    let h0 = Telemetry.counter_value hits in
+    let d = dbg s in
+    Debugger.seek d target;
+    Alcotest.(check int) "one index.hit" 1 (Telemetry.counter_value hits - h0);
+    Alcotest.(check int) "lands on the last kept checkpoint" target
+      (Debugger.pos d);
+    check_scan_state "the last kept checkpoint" s d target
+
 let suites =
   [ ( "rr.query",
       [ QCheck_alcotest.to_alcotest qcheck_indexed_equals_scan;
@@ -307,4 +408,10 @@ let suites =
         Alcotest.test_case "corrupt index meta record salvages" `Quick
           (test_corrupt_index_record_salvages 'P');
         Alcotest.test_case "corrupt checkpoint record salvages" `Quick
-          (test_corrupt_index_record_salvages 'K') ] ) ]
+          (test_corrupt_index_record_salvages 'K');
+        Alcotest.test_case "misplaced checkpoint falls back" `Quick
+          test_misplaced_checkpoint_falls_back;
+        Alcotest.test_case "corrupt pool record salvages" `Quick
+          (test_corrupt_index_record_salvages 'W');
+        Alcotest.test_case "file cut in the pool salvages" `Quick
+          test_cut_in_pool_salvages ] ) ]

@@ -1,8 +1,10 @@
 (* Tests for the Snapshot module: the durable-checkpoint codec
-   ([Snapshot.encode] / [decode]) and live checkpoints taken and
+   ([Snapshot.encode] / [decode], against a pool of byte windows) and
+   live checkpoints taken and
    restored through a replay session: every checkpoint of an
    indexed multi-process trace restores to the state a from-zero replay
-   reaches there, and so does a live one that reused earlier forks; a
+   reaches there and re-encodes to its blob against the reopened
+   file's pool, and so does a live one that reused earlier forks; a
    space mapping a shared frame forks again at every checkpoint; the
    page table's rules hold (equal private frames merge and split on
    write, shared frames keep their identity and their aliasing); zero
@@ -99,9 +101,17 @@ let test_serve_checkpoints_restore () =
         ignore (Replayer.step linear)
       done;
       let what = Printf.sprintf "checkpoint at frame %d" frame in
-      let snap = Snapshot.decode blob in
+      let pool = Trace_index.pool ix in
+      let entries = Trace_index.Pool.length pool in
+      let snap = Snapshot.decode pool blob in
       Alcotest.(check int) (what ^ ": position") frame
         (Snapshot.frame snap);
+      Alcotest.(check bool)
+        (what ^ ": re-encodes to its blob against the loaded pool")
+        true
+        (String.equal (Snapshot.encode pool snap) (Codec.slice_string blob));
+      Alcotest.(check int) (what ^ ": adds no pool entry") entries
+        (Trace_index.Pool.length pool);
       let r = Replayer.restore_exn trace snap in
       check_state ~what ~want:(Replayer.kernel linear) (Replayer.kernel r);
       let next = if i + 1 < Array.length cps then fst cps.(i + 1) else n in
@@ -215,7 +225,8 @@ let replay_past trace p =
   r
 
 let round_trip snap =
-  Snapshot.decode (Codec.whole (Snapshot.encode snap))
+  let pool = Trace_index.Pool.create () in
+  Snapshot.decode pool (Codec.whole (Snapshot.encode pool snap))
 
 let space r pid =
   match
@@ -292,17 +303,25 @@ let test_shared_frames_keep_identity () =
     | ps -> Alcotest.failf "%d live processes, expected 2" (List.length ps)
   in
   let snap = Replayer.snapshot live in
-  let blob = Snapshot.encode snap in
+  let pool = Trace_index.Pool.create () in
+  let blob = Snapshot.encode pool snap in
   (* The live session keeps writing its shared frame in place; neither
-     the checkpoint nor its blob may see that. *)
+     the checkpoint nor its pool entries may see that. *)
   A.write_u64 ~force:true (space live parent) page_a 0x55;
   Alcotest.(check int) "live child sees the live parent's write" 0x55
     (word (space live child) page_a);
   Alcotest.(check int) "the checkpoint does not" 0x77
     (word (space (Replayer.restore_exn trace snap) child) page_a);
-  let decoded = Snapshot.decode (Codec.whole blob) in
+  let decoded = Snapshot.decode pool (Codec.whole blob) in
   let r = Replayer.restore_exn trace decoded in
   let p = space r parent and c = space r child in
+  let window addr =
+    let f = frame p addr in
+    (f.Mem.bytes, f.Mem.off)
+  in
+  Alcotest.(check bool) "equal shared frames borrow one pool window" true
+    (let (a, i), (b, j) = (window page_a, window page_b) in
+     a == b && i = j);
   Alcotest.(check bool) "parent and child alias page a" true
     (frame p page_a == frame c page_a);
   Alcotest.(check bool) "parent and child alias page b" true
@@ -375,7 +394,8 @@ let blob_size_after_mmap ~pages ~flags =
         mmap_fixed ~pages ~flags @. G.sc Sysno.getpid [] @. G.sys_exit_group 0)
   in
   let r = replay_past trace (is_syscall Sysno.getpid) in
-  String.length (Snapshot.encode (Replayer.snapshot r))
+  String.length
+    (Snapshot.encode (Trace_index.Pool.create ()) (Replayer.snapshot r))
 
 let test_zero_pages_cost_bytes () =
   let extra = 256 in
@@ -402,16 +422,18 @@ let test_old_version_blob_falls_back () =
         @. G.sys_exit_group 0)
   in
   let ix = Trace_indexer.build_and_attach ~checkpoint_every:2 trace in
-  Trace_index.set_checkpoints ix
+  let pool = Trace_index.pool ix in
+  Trace_index.set_checkpoints ix ~pool
     (List.map
        (fun (frame, (blob : Codec.slice)) ->
-         (* The version is the blob's leading uvarint; version 1 wrote
-            every distinct frame in full. *)
-         Alcotest.(check char) "blobs lead with their version" '\002'
+         (* The version is the blob's leading uvarint; version 2 carried
+            every distinct frame of its blob in the blob. *)
+         Alcotest.(check char) "blobs lead with their version" '\003'
            blob.str.[blob.pos];
          ( frame,
            Codec.whole
-             ("\001" ^ String.sub blob.str (blob.pos + 1) (blob.len - 1)) ))
+             ("\002" ^ String.sub blob.str (blob.pos + 1) (blob.len - 1)),
+           Trace_index.Pool.length pool ))
        (Array.to_list (Trace_index.checkpoints ix)));
   let tmp = Filename.temp_file "rr_snapshot_v1" ".rrtrace" in
   Trace.save_exn trace tmp;
@@ -445,7 +467,7 @@ let test_old_version_blob_falls_back () =
    missing, so decoding must end in [Codec.Corrupt]. *)
 let forged_blob ~entries ~declared =
   let b = Codec.sink () in
-  Codec.put_uvarint b 2 (* codec version *);
+  Codec.put_uvarint b 3 (* codec version *);
   List.iter (Codec.put_uvarint b) [ 0; 0 ] (* frame, events applied *);
   List.iter (Codec.put_int b) [ 1; 0 ] (* root, clock *);
   Codec.put_bytes b (Bytes.make 8 '\000') (* entropy *);
@@ -464,7 +486,8 @@ let test_forged_blob_bounded () =
   List.iter
     (fun (what, blob) ->
       let a0 = Gc.allocated_bytes () in
-      (match Snapshot.decode (Codec.whole blob) with
+      let pool = Trace_index.Pool.create () in
+      (match Snapshot.decode pool (Codec.whole blob) with
       | _ -> Alcotest.failf "%s: decoded" what
       | exception Codec.Corrupt _ -> ());
       let allocated = Gc.allocated_bytes () -. a0 in
@@ -498,7 +521,7 @@ let test_register_out_of_range () =
   Alcotest.(check bool) "checkpoints of the running process" true (live <> []);
   List.iter
     (fun (frame, blob) ->
-      match Snapshot.decode blob with
+      match Snapshot.decode (Trace_index.pool ix) blob with
       | _ -> Alcotest.failf "the checkpoint at frame %d decoded" frame
       | exception Codec.Corrupt _ -> ())
     live;

@@ -206,16 +206,19 @@ let saved_file t =
   Trace.save_exn t path;
   In_channel.with_open_bin path In_channel.input_all
 
-(* A trace's saved file before and after indexing, pinned, and its
-   durable checkpoint blobs in frame order.  Indexing attaches the index
-   to the trace, so the plain file is saved first. *)
+(* A trace's saved file before indexing, the file after it, pinned, and
+   its durable checkpoint blobs in frame order with the pool they name.
+   Indexing attaches the index to the trace, so the plain file is saved
+   first. *)
 let saved_and_indexed t =
-  let plain = pin (saved_file t) in
+  let plain = saved_file t in
   let ix = Trace_indexer.build_and_attach t in
   ( plain,
     pin (saved_file t),
-    Array.map (fun (_, b) -> Codec.slice_string b) (Trace_index.checkpoints ix)
-  )
+    ( Array.map
+        (fun (_, b) -> Codec.slice_string b)
+        (Trace_index.checkpoints ix),
+      Trace_index.pool ix ) )
 
 (* The seed-1 traces indexed once per test run. *)
 let seed1_indexed =
@@ -248,31 +251,32 @@ let seed1_checkpoints =
    record, a changed trailer or a changed schedule fails here. *)
 let saved_files_expected =
   [ ( "cp",
-      ((0xac964bc5, 4195998), (0x34ad9f76, 4309743)),
-      "a49beae3fe9b86b6af96164faea75c59" );
+      ((0xac964bc5, 4195998), (0xa4e6192e, 4222390)),
+      "0928398f35cb3c117843424163639c8a" );
     ( "make",
-      ((0xa803c7bf, 866227), (0x341be6af, 4992693)),
-      "196bc5c9d645d789e9a4487ce60ccabd" );
+      ((0xa803c7bf, 866227), (0xd76784aa, 1767907)),
+      "371677a9f7e05479ae344533d8f2304c" );
     ( "octane",
-      ((0x8afda5e0, 1282), (0x414a8584, 485801)),
-      "4b3f642587d196872fe83b701ee64615" );
+      ((0x8afda5e0, 1282), (0xba57163f, 99315)),
+      "305a1911496838052d3ef427dd92d915" );
     ( "htmltest",
-      ((0x7d705f8d, 984399), (0x309de70a, 1549292)),
-      "49399d35b7f70973debc4d02e658045c" );
+      ((0x7d705f8d, 984399), (0xfc5a0bc4, 1452812)),
+      "00a915f5a24026b4023ea1635bed8cbd" );
     ( "sambatest",
-      ((0xc27e9603, 1879), (0x4e2ccb17, 832290)),
-      "e7880447a340fca6584525907d64bbb0" );
+      ((0xc27e9603, 1879), (0xb4dc8507, 140094)),
+      "9b58fa092312e96227c8f64ba46dc9df" );
     ( "serve",
-      ((0x1596a4ed, 8731), (0xecb3e8df, 3687250)),
-      "c64578f28a94cb3b5c5097b52426316c" );
+      ((0x1596a4ed, 8731), (0x5bda8681, 1179500)),
+      "3323253661f3f5baa9603b2b409d3dcc" );
     ( "serve-chaos",
-      ((0x09327df6, 10689), (0x96fbaca7, 3686180)),
-      "27d93ffe88af6b7d1b7635a1fefd669f" ) ]
+      ((0x09327df6, 10689), (0x23c724a0, 1154901)),
+      "52a4ec148b38202c462468074c3a15f2" ) ]
 
 let test_saved_files_tripwire () =
   let crc_len = Alcotest.(pair int int) in
   List.iter2
     (fun (name, (plain, indexed, _)) (name', crc_lens', md5') ->
+      let plain = pin plain in
       Alcotest.(check (pair string (pair crc_len crc_len)))
         "plain and indexed file: CRC-32 and length" (name', crc_lens')
         (name, (plain.crc_len, indexed.crc_len));
@@ -282,27 +286,29 @@ let test_saved_files_tripwire () =
     (Lazy.force seed1_indexed @ [ Lazy.force serve_chaos ])
     saved_files_expected
 
-(* A cold open keeps every payload, chunk, file and checkpoint blob,
-   where it lies in the bytes read, so it holds those bytes once.
-   Opening a saved cp trace, nearly all of it one cloned file, allocates
-   about the file once (the read), not twice, and keeps it.  Opening
-   each indexed seed-1 trace, mostly checkpoint blobs, allocates and
-   keeps little more than the file.  Words are counted, not time. *)
+(* A cold open keeps every payload, chunk, file, checkpoint blob and
+   pool window, where it lies in the bytes read, so it holds those bytes
+   once.  Opening a saved cp trace, nearly all of it one cloned file,
+   allocates about the file once (the read), not twice, and keeps it.
+   Opening each indexed seed-1 trace allocates and keeps what opening
+   its plain file does, plus its index records' bytes once and a little
+   bookkeeping a record: at most 1 KB allocated and 256 bytes kept.
+   Words are counted, not time. *)
 let test_cold_open_holds_the_file_once () =
-  let opened t =
+  let opened_file data =
     let path = Filename.temp_file "rr_open" ".trace" in
     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    Trace.save_exn t path;
-    let size = In_channel.with_open_bin path In_channel.length in
+    Out_channel.with_open_bin path (fun oc -> output_string oc data);
     let before = words () in
     let o = Trace.open_exn path in
     let alloc = (words () -. before) *. word_bytes in
     let kept = float_of_int (Obj.reachable_words (Obj.repr o)) *. word_bytes in
-    (o, Int64.to_float size, alloc, kept)
+    (o, float_of_int (String.length data), alloc, kept)
   in
-  let check name what x bound =
+  let opened t = opened_file (saved_file t) in
+  let check ?(of_ = "the file") name what x bound =
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %s %.2fx the file, < %.2fx" name what x bound)
+      (Printf.sprintf "%s: %s %.2fx %s, < %.2fx" name what x of_ bound)
       true (x < bound)
   in
   let recd, _ =
@@ -315,81 +321,114 @@ let test_cold_open_holds_the_file_once () =
   check "cp" "open allocates" (alloc /. size) 1.1;
   check "cp" "the opened trace holds" (kept /. size) 1.2;
   (* Indexing the seed-1 traces attaches the index to each. *)
-  ignore (Lazy.force seed1_indexed);
-  List.iter
-    (fun (name, t) ->
-      if Trace.index t = None then Alcotest.failf "%s carries no index" name;
+  List.iter2
+    (fun (name, t) (_, (plain, _, _)) ->
+      let ix =
+        match Trace.index t with
+        | Some ix -> ix
+        | None -> Alcotest.failf "%s carries no index" name
+      in
+      let records =
+        1 + Array.length (Trace_index.checkpoints ix)
+        + Trace_index.Pool.length (Trace_index.pool ix)
+        |> float_of_int
+      in
+      let _, plain_size, plain_alloc, plain_kept = opened_file plain in
       let _, size, alloc, kept = opened t in
-      let name = "indexed " ^ name in
-      check name "open allocates" (alloc /. size) 1.15;
-      check name "the opened trace holds" (kept /. size) 1.15)
-    (Lazy.force seed1_traces)
+      let index = size -. plain_size in
+      let name = Printf.sprintf "indexed %s (%.0f records)" name records in
+      let of_ = "the index's bytes" in
+      check ~of_ name "beyond the plain open and 1 KB a record, open allocates"
+        ((alloc -. plain_alloc -. (1024. *. records)) /. index)
+        1.15;
+      check ~of_ name "beyond the plain trace and 256 B a record, it holds"
+        ((kept -. plain_kept -. (256. *. records)) /. index)
+        1.15)
+    (Lazy.force seed1_traces) (Lazy.force seed1_indexed)
 
 (* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each
-   seed-1 trace's checkpoint blobs, concatenated.  A change to the
-   snapshot codec, or to the state a checkpoint captures, fails here. *)
+   seed-1 trace's checkpoint blobs, then its pool's entries,
+   concatenated.  A change to the snapshot codec, or to the state a
+   checkpoint captures, fails here. *)
 let checkpoint_bytes_expected =
-  [ ("cp", 0xc96eccb6, 113460); ("make", 0x16426303, 4121495);
-    ("octane", 0x08355425, 482933); ("htmltest", 0x1effd918, 563571);
-    ("sambatest", 0xbe26a02f, 827635); ("serve", 0x8627baa2, 3673344) ]
+  [ ("cp", 0xe7d77e12, 25963); ("make", 0x94455a65, 894990);
+    ("octane", 0xbcfecd07, 95839); ("htmltest", 0x7eef4c5c, 465242);
+    ("sambatest", 0xa17d7985, 134839); ("serve", 0xa97a3bf1, 1163350) ]
 
 let test_checkpoint_bytes_tripwire () =
   List.iter2
-    (fun (name, blobs) (name', crc, len) ->
-      let all = String.concat "" (Array.to_list blobs) in
+    (fun (name, (blobs, pool)) (name', crc, len) ->
+      let entries =
+        List.init (Trace_index.Pool.length pool) (fun i ->
+            Codec.slice_string (Trace_index.Pool.get pool i))
+      in
+      let all = String.concat "" (Array.to_list blobs @ entries) in
       Alcotest.(check (pair string (pair int int)))
         "checkpoint blobs' CRC-32 and length" (name', (crc, len))
         (name, (Crc32.string all, String.length all)))
     (Lazy.force seed1_checkpoints) checkpoint_bytes_expected
 
-(* A blob holds each space's text as per-page runs encoded once per
-   blob, and decoded spaces share text and frames differently from live
-   ones: each decoded checkpoint must encode to the bytes it came from. *)
+(* A blob names each space's text as per-page runs in the pool, and
+   decoded spaces share text and frames differently from live ones: each
+   decoded checkpoint must encode to the bytes it came from, against the
+   index's pool, without adding an entry to it. *)
 let test_decoded_checkpoints_reencode () =
   List.iter
-    (fun (name, blobs) ->
+    (fun (name, (blobs, pool)) ->
+      let entries = Trace_index.Pool.length pool in
       Array.iteri
         (fun i blob ->
           let again =
-            Snapshot.encode (Snapshot.decode (Codec.whole blob))
+            Snapshot.encode pool (Snapshot.decode pool (Codec.whole blob))
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s checkpoint %d re-encodes to its bytes" name i)
-            true (String.equal again blob))
+            true (String.equal again blob);
+          Alcotest.(check int)
+            (Printf.sprintf "%s checkpoint %d adds no pool entry" name i)
+            entries
+            (Trace_index.Pool.length pool))
         blobs)
     (Lazy.force seed1_checkpoints)
 
-(* The indexed seed-1 serve trace's checkpoints: each frame with its
-   blob where the trace holds it. *)
-let serve_checkpoints () =
+(* The indexed seed-1 serve trace's index. *)
+let serve_index () =
   ignore (Lazy.force seed1_indexed);
   match Trace.index (List.assoc "serve" (Lazy.force seed1_traces)) with
-  | Some ix -> Trace_index.checkpoints ix
+  | Some ix -> ix
   | None -> Alcotest.fail "serve carries no index"
 
+(* Its checkpoints: each frame with its blob where the trace holds it. *)
+let serve_checkpoints () = Trace_index.checkpoints (serve_index ())
+
 (* A decoded checkpoint borrows the bytes of its frames and of each
-   task's locals from the blob, and its processes share their signal
-   actions, so decoding a blob allocates less than the blob: each
-   seed-1 serve checkpoint's decode may allocate at most [c] times the
-   blob's words plus [k] words.  A decoder that copies every non-zero
-   frame and all locals out of the blob allocates more than the blob's
-   words. *)
+   task's locals from the pool, and its processes share their signal
+   actions, so decoding a blob allocates less than the blob and the
+   pool entries it names: each seed-1 serve checkpoint's decode may
+   allocate at most [c] times their words plus [k] words.  The entries a
+   blob names are those a fresh pool receives when its decoded snapshot
+   is encoded again.  A decoder that copies every non-zero frame out of
+   the pool allocates more than that. *)
 let test_decoding_allocates_less_than_the_blob () =
   let c = 0.75 and k = 2048. in
+  let pool = Trace_index.pool (serve_index ()) in
   Array.iteri
     (fun i (_, (blob : Codec.slice)) ->
       let before = words () in
-      let snap = Snapshot.decode blob in
+      let snap = Snapshot.decode pool blob in
       let alloc = words () -. before in
-      ignore (Sys.opaque_identity snap);
-      let blob_words = float_of_int blob.len /. word_bytes in
+      let named = Trace_index.Pool.create () in
+      ignore (Snapshot.encode named snap);
+      let in_words =
+        float_of_int (blob.len + Trace_index.Pool.bytes named) /. word_bytes
+      in
       Alcotest.(check bool)
         (Printf.sprintf
-           "checkpoint %d: %.0f words for %.0f blob words (%.2fx), <= %.2fx \
-            + %.0f"
-           i alloc blob_words (alloc /. blob_words) c k)
+           "checkpoint %d: %.0f words for %.0f blob and entry words (%.2fx), \
+            <= %.2fx + %.0f"
+           i alloc in_words (alloc /. in_words) c k)
         true
-        (alloc <= (c *. blob_words) +. k))
+        (alloc <= (c *. in_words) +. k))
     (serve_checkpoints ())
 
 (* A restored frame borrows its bytes from the trace's own blob until
@@ -398,15 +437,16 @@ let test_decoding_allocates_less_than_the_blob () =
    steps a few frames past each, writing through frames it restored:
    forward, each seek restores the durable checkpoint there; backward,
    the last one restores the decoded snapshot kept from the first pass.
-   Afterwards every blob still holds its bytes and decodes and
-   re-encodes to them. *)
+   Afterwards every pool entry and every blob still holds its bytes, and
+   each blob decodes and re-encodes to them. *)
 let test_restored_frames_copy_before_writing () =
   let t = List.assoc "serve" (Lazy.force seed1_traces) in
-  let cps = serve_checkpoints () in
-  let stored =
-    Array.map
-      (fun (_, (b : Codec.slice)) -> String.sub b.str b.pos b.len)
-      cps
+  let cps = serve_checkpoints () and pool = Trace_index.pool (serve_index ()) in
+  let copy (b : Codec.slice) = String.sub b.str b.pos b.len in
+  let stored = Array.map (fun (_, b) -> copy b) cps in
+  let entries =
+    Array.init (Trace_index.Pool.length pool) (fun i ->
+        copy (Trace_index.Pool.get pool i))
   in
   let d = Debugger.create t in
   let base = Telemetry.snapshot () in
@@ -429,6 +469,12 @@ let test_restored_frames_copy_before_writing () =
     (hits >= Array.length cps - 1);
   Array.iter visit (Array.of_list (List.rev (Array.to_list cps)));
   Array.iteri
+    (fun i bytes ->
+      let now = Codec.slice_string (Trace_index.Pool.get pool i) in
+      if not (String.equal now bytes) then
+        Alcotest.failf "pool entry %d changed" i)
+    entries;
+  Array.iteri
     (fun i (_, blob) ->
       Alcotest.(check bool)
         (Printf.sprintf "checkpoint %d's blob holds its bytes" i)
@@ -438,23 +484,24 @@ let test_restored_frames_copy_before_writing () =
         (Printf.sprintf "checkpoint %d decodes and re-encodes to its bytes" i)
         true
         (String.equal
-           (Snapshot.encode (Snapshot.decode blob))
+           (Snapshot.encode pool (Snapshot.decode pool blob))
            stored.(i)))
     cps
 
 (* Encoding a checkpoint allocates about its blob: the text of each page
-   is encoded once per blob, frames and locals are copied only into the
-   blob, and the blob is assembled once at its final length.  Seed-1
-   serve is replayed to each frame its index holds a checkpoint for; the
-   live snapshot there must encode to the stored blob, and the encodes
-   together may allocate at most [c] times the blobs' words plus [k]
-   words: [k] covers each encode's three 4 KB working buffers.  An
-   encoder that grows one buffer by doubling and copies the blob out of
-   it allocates over 4 times the blobs' words. *)
+   is encoded once per blob, frames and locals the pool already holds
+   are not copied, and the blob is assembled once at its final length.
+   Seed-1 serve is replayed to each frame its index holds a checkpoint
+   for; the live snapshot there must encode to the stored blob against
+   the index's pool, and the encodes together may allocate at most [c]
+   times the blobs' words plus [k] words an encode: [k] covers each
+   encode's three 4 KB working buffers and its tables.  An encoder that
+   copies every window it names allocates over 20,000 words an encode
+   more. *)
 let test_encoding_allocates_about_the_blobs () =
-  let c = 1.5 and k = 32_768. in
+  let c = 1.5 and k = 8_192. in
   let t = List.assoc "serve" (Lazy.force seed1_traces) in
-  let blobs = List.assoc "serve" (Lazy.force seed1_checkpoints) in
+  let blobs, pool = List.assoc "serve" (Lazy.force seed1_checkpoints) in
   let frames =
     match Trace.index t with
     | Some ix -> Array.map fst (Trace_index.checkpoints ix)
@@ -469,7 +516,7 @@ let test_encoding_allocates_about_the_blobs () =
       done;
       let snap = Replayer.snapshot r in
       let before = words () in
-      let blob = Snapshot.encode snap in
+      let blob = Snapshot.encode pool snap in
       alloc := !alloc +. (words () -. before);
       Alcotest.(check bool)
         (Printf.sprintf "checkpoint %d encodes to the stored blob" i)
@@ -480,11 +527,68 @@ let test_encoding_allocates_about_the_blobs () =
     |> float_of_int
     |> fun n -> n /. word_bytes
   in
+  let encodes = float_of_int (Array.length frames) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f words for %.0f blob words (%.2fx), <= %.2fx + %.0f"
-       !alloc blob_words (!alloc /. blob_words) c k)
+    (Printf.sprintf
+       "%.0f words for %.0f blob words (%.2fx), <= %.2fx + %.0f x %.0f encodes"
+       !alloc blob_words (!alloc /. blob_words) c k encodes)
     true
-    (!alloc <= (c *. blob_words) +. k)
+    (!alloc <= (c *. blob_words) +. (k *. encodes))
+
+(* Deflate's parse hashes four bytes at every position it inserts or
+   looks up, and allocates nothing there: deflating the largest seed-1
+   serve chunk (57 KB) allocates at most 3 words an input byte, most of
+   them the hash chains' two arrays.  A hash that reads its bytes
+   through a local closure allocates at every call, over 6 words a
+   byte. *)
+let test_deflate_allocation () =
+  let raw =
+    List.fold_left
+      (fun a s -> if String.length s > String.length a then s else a)
+      "" (Lazy.force serve_raw_chunks)
+  in
+  let before = words () in
+  let stored = Compress.deflate raw in
+  let alloc = words () -. before in
+  ignore (Sys.opaque_identity stored);
+  let per_byte = alloc /. float_of_int (String.length raw) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d bytes (%.2f a byte), <= 3" alloc
+       (String.length raw) per_byte)
+    true (per_byte <= 3.)
+
+(* An index's counts are checked against the bytes after them before
+   anything is sized by them: a 7-byte meta payload declaring a clock
+   curve of 2^22 entries is [Codec.Corrupt] at once, with under 64 KB
+   allocated, where an array of that count takes 33.6 MB.  The same
+   payload under another index version is dropped, as an older file's
+   index is. *)
+let test_index_counts_bounded () =
+  ignore (Lazy.force seed1_indexed);
+  let version =
+    match Trace.index (List.assoc "cp" (Lazy.force seed1_traces)) with
+    | Some ix ->
+      let b = Codec.sink () in
+      Trace_index.put_meta b ix;
+      Codec.get_uvarint (Codec.source (Buffer.contents b))
+    | None -> Alcotest.fail "cp carries no index"
+  in
+  let b = Codec.sink () in
+  List.iter (Codec.put_uvarint b) [ version; 0; 1 lsl 22; 0 ];
+  let payload = Buffer.contents b in
+  Alcotest.(check int) "a 7-byte payload" 7 (String.length payload);
+  let before = words () in
+  (match Trace_index.get_meta (Codec.source payload) with
+  | _ -> Alcotest.fail "a forged clock count decoded"
+  | exception Codec.Corrupt _ -> ());
+  let alloc = (words () -. before) *. word_bytes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated, < 64 KB" alloc)
+    true (alloc < 65536.);
+  let other = Bytes.of_string payload in
+  Bytes.set other 0 (Char.chr (version + 1));
+  Alcotest.(check bool) "another version's tables are dropped" true
+    (Trace_index.get_meta (Codec.source (Bytes.to_string other)) = None)
 
 let test_codec_varint () =
   let b = Codec.sink () in
@@ -832,9 +936,10 @@ let qcheck_inflate_robust =
 type blob_damage = Truncate of int | Flip of (int * int) list
 
 let damaged_blob (trace, cp, damage) =
-  let blobs = snd (List.nth (Lazy.force seed1_checkpoints) trace) in
+  let blobs, pool = snd (List.nth (Lazy.force seed1_checkpoints) trace) in
   let blob = blobs.(cp mod Array.length blobs) in
   let n = String.length blob in
+  pool,
   match damage with
   | Truncate k -> { Codec.str = blob; pos = 0; len = k mod n }
   | Flip flips ->
@@ -869,8 +974,8 @@ let qcheck_snapshot_decode_robust =
                (List.map (fun (p, b) -> Printf.sprintf "flip %d.%d" p b) l)))
        QCheck.Gen.(triple (int_bound 5) nat damage))
     (fun case ->
-      let blob = damaged_blob case in
-      match Snapshot.decode blob with
+      let pool, blob = damaged_blob case in
+      match Snapshot.decode pool blob with
       | _ -> true
       | exception Codec.Corrupt _ -> true
       | exception _ -> false)
@@ -1018,6 +1123,10 @@ let suites =
           test_saved_files_tripwire;
         Alcotest.test_case "a cold open holds the file once" `Quick
           test_cold_open_holds_the_file_once;
+        Alcotest.test_case "deflate allocates under 3 words a byte" `Quick
+          test_deflate_allocation;
+        Alcotest.test_case "index counts bounded by their bytes" `Quick
+          test_index_counts_bounded;
         Alcotest.test_case "declared size beyond the body" `Quick
           test_inflate_size_bound;
         Alcotest.test_case "empty or incomplete code table" `Quick
