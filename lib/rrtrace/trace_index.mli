@@ -40,13 +40,13 @@ module Pool : sig
 
   val intern : t -> ?key:int -> Codec.slice -> int
   (** The id of the entry holding the window's bytes (a hash, then a
-      comparison with the entry), added on first sight as a copy: the
-      window may change after it is interned.  [key] names where the
-      caller found the window (a frame's space and page, a task): a
-      window that lies where the last batch's window of that key did,
-      in the same string, physically, is that window's entry, without a
-      hash.  With a key, the caller promises that the string's bytes
-      there never change. *)
+      comparison with the entry), added on first sight as a copy, so an
+      entry's bytes never change whatever becomes of the window.  [key]
+      names where the caller found the window (a frame's space and page,
+      a task): a window that lies where the previous batch's window of
+      that key did, in the same string, physically, is taken to be that
+      window's entry without a hash, so with a key the caller promises
+      that those bytes have not changed since. *)
 
   val batch : t -> unit
   (** Start a batch of interns (one checkpoint's): keys of the batch
