@@ -32,12 +32,17 @@ let extras () =
   { batches = Queue.create (); next_resume = T.R_cont;
     in_blocked_syscall = false }
 
-(* The bytes a checkpoint fork's space encoded to against [pool]: a
-   blob that names the fork again copies them instead of encoding the
-   space again ([put_space]). *)
-type encoded = { mutable pool : Pool.t option; mutable bytes : string }
+(* Where a checkpoint fork's space lies encoded against [pool]: [len]
+   bytes of [blob] from [at].  A blob that names the fork again copies
+   them instead of encoding the space again ([put_space]). *)
+type encoded = {
+  mutable pool : Pool.t option;
+  mutable blob : string;
+  mutable at : int;
+  mutable len : int;
+}
 
-let encoded () = { pool = None; bytes = "" }
+let encoded () = { pool = None; blob = ""; at = 0; len = 0 }
 
 (* A live space's last checkpoint fork, which still equals the space
    while it is the same space at the same generation and maps no
@@ -542,20 +547,17 @@ module Page_table = struct
     { pool; shareds = Mem.Identity.create (); rev_entries = []; next = 0;
       named = false }
 
-  (* -1 for an all-zero frame.  [key] is where the frame is mapped: its
-     bytes never change, since a checkpoint's frames are written by no
-     space (a live space copies a frame a checkpoint maps before it
-     writes). *)
-  let pool_id t ~key (p : Mem.page) =
+  (* -1 for an all-zero frame. *)
+  let pool_id t (p : Mem.page) =
     if Mem.is_zero p then -1
     else
-      Pool.intern t.pool ~key
+      Pool.intern t.pool
         { Codec.str = Bytes.unsafe_to_string p.Mem.bytes;
           pos = p.Mem.off;
           len = Mem.page_size }
 
-  let add t ~key (p : Mem.page) =
-    let id = t.next and w = pool_id t ~key p in
+  let add t (p : Mem.page) =
+    let id = t.next and w = pool_id t p in
     let flags =
       (if p.Mem.shared then flag_shared else 0)
       lor if w < 0 then flag_zero else 0
@@ -564,17 +566,17 @@ module Page_table = struct
     t.rev_entries <- (flags, p.Mem.prot, w) :: t.rev_entries;
     id
 
-  let code t ~key (p : Mem.page) =
+  let code t (p : Mem.page) =
     let prot = p.Mem.prot in
     if p.Mem.shared then begin
       t.named <- true;
-      2 * Mem.Identity.find_or_add t.shareds p (fun () -> add t ~key p)
+      2 * Mem.Identity.find_or_add t.shareds p (fun () -> add t p)
     end
     else if prot land lnot 7 <> 0 then begin
       t.named <- true;
-      2 * add t ~key p
+      2 * add t p
     end
-    else (2 * (((pool_id t ~key p + 1) lsl 3) lor prot)) + 1
+    else (2 * (((pool_id t p + 1) lsl 3) lor prot)) + 1
 
   let put b t =
     Codec.put_uvarint b t.next;
@@ -613,8 +615,26 @@ module Page_table = struct
           (if flags land flag_zero <> 0 then -1 else Codec.get_uvarint s))
 end
 
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+(* What an encode works in, kept from one encode to the next so that an
+   encode allocates about its blob and the pool entries it adds: the
+   blob's head (fields and page table) and body (procs and tasks), one
+   text run and the bytes the pool reads it from, the text runs of the
+   blob so far, and the spaces whose sections the blob holds ([put_space]).
+   The program runs in one domain and an encode starts no other, so one
+   of each serves every encode. *)
+type scratch = {
+  head : Buffer.t;
+  body : Buffer.t;
+  run : Buffer.t;
+  mutable run_bytes : Bytes.t;
+  runs : (int, (A.text_page * int) list) Hashtbl.t; (* key -> page, id *)
+  mutable sections : (encoded * int * int) list; (* at in [body], len *)
+}
+
+let scratch =
+  { head = Buffer.create 4096; body = Buffer.create 4096;
+    run = Buffer.create 4096; run_bytes = Bytes.create 4096;
+    runs = Hashtbl.create 32; sections = [] }
 
 (* A space's text section is the pool ids of its text runs, one per
    non-empty text page in ascending key order: the page's last address,
@@ -622,23 +642,16 @@ let sorted_keys tbl =
    decoding sizes the page's window once.  A run holds absolute
    addresses, so its bytes do not depend on the runs beside it, and the
    spaces of one snapshot share most of their pages copy-on-write:
-   [text_runs] encodes each run once per blob, by page key and physical
-   page. *)
-type text_runs = {
-  by_key : (int, (A.text_page * int) list) Hashtbl.t; (* key -> page, id *)
-  scratch : Buffer.t;
-}
-
-let text_runs () = { by_key = Hashtbl.create 32; scratch = Buffer.create 4096 }
-
-let text_run pool runs key page =
+   [scratch.runs] encodes each run once per blob, by page key and
+   physical page. *)
+let text_run pool key page =
   let known =
-    match Hashtbl.find runs.by_key key with l -> l | exception Not_found -> []
+    match Hashtbl.find scratch.runs key with l -> l | exception Not_found -> []
   in
   match List.assq page known with
   | id -> id
   | exception Not_found ->
-    let b = runs.scratch
+    let b = scratch.run
     and last = A.text_page_fold (fun addr _ _ -> addr) page (-1) in
     Buffer.clear b;
     Codec.put_int b last;
@@ -647,17 +660,30 @@ let text_run pool runs key page =
         Codec.put_int b addr;
         Image_codec.put_insn b insn)
       page ();
+    let len = Buffer.length b in
+    if Bytes.length scratch.run_bytes < len then
+      scratch.run_bytes <- Bytes.create (2 * len);
+    Buffer.blit b 0 scratch.run_bytes 0 len;
     let id =
       if last < 0 then -1
-      else Pool.intern pool (Codec.whole (Buffer.contents b))
+      else
+        Pool.intern pool
+          { Codec.str = Bytes.unsafe_to_string scratch.run_bytes; pos = 0; len }
     in
-    Hashtbl.replace runs.by_key key ((page, id) :: known);
+    Hashtbl.replace scratch.runs key ((page, id) :: known);
     id
+
+let sorted_keys tbl =
+  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+
+let put_keys b tbl =
+  if Hashtbl.length tbl = 0 then Codec.put_uvarint b 0
+  else Codec.put_list b Codec.put_int (sorted_keys tbl)
 
 (* Mappings are (page index, code) in the space's own ascending index
    order, each index as its distance from the previous one: a run of
    zero pages costs two bytes a page. *)
-let encode_space table runs b (a : A.t) =
+let encode_space table b (a : A.t) =
   Codec.put_int b a.A.id;
   Codec.put_int b a.A.mmap_cursor;
   Codec.put_list b put_region a.A.regions;
@@ -666,34 +692,33 @@ let encode_space table runs b (a : A.t) =
     (A.fold_pages
        (fun idx p prev ->
          Codec.put_uvarint b (idx - prev - 1);
-         Codec.put_uvarint b
-           (Page_table.code table ~key:((idx lsl 16) lxor a.A.id) p);
+         Codec.put_uvarint b (Page_table.code table p);
          idx)
        a (-1));
   let text =
     A.text_fold_pages
       (fun key page ids ->
-        let id = text_run table.Page_table.pool runs key page in
+        let id = text_run table.Page_table.pool key page in
         if id < 0 then ids else id :: ids)
       a []
   in
   Codec.put_list b Codec.put_uvarint (List.rev text);
-  Codec.put_list b Codec.put_int (sorted_keys a.A.written_text);
-  Codec.put_list b Codec.put_int (sorted_keys a.A.breakpoints)
+  put_keys b a.A.written_text;
+  put_keys b a.A.breakpoints
 
 (* A section that names no entry of the blob's page table is kept with
-   the fork it encodes. *)
-let put_space table runs b (e : encoded) (a : A.t) =
+   the fork it encodes, as a window of the blob ([encode] notes where
+   once the blob exists). *)
+let put_space table b (e : encoded) (a : A.t) =
   match e.pool with
-  | Some pool when pool == table.Page_table.pool -> Buffer.add_string b e.bytes
+  | Some pool when pool == table.Page_table.pool ->
+    Buffer.add_substring b e.blob e.at e.len
   | Some _ | None ->
     let at = Buffer.length b in
     table.Page_table.named <- false;
-    encode_space table runs b a;
-    if not table.Page_table.named then begin
-      e.pool <- Some table.Page_table.pool;
-      e.bytes <- Buffer.sub b at (Buffer.length b - at)
-    end
+    encode_space table b a;
+    if not table.Page_table.named then
+      scratch.sections <- (e, at, Buffer.length b - at) :: scratch.sections
 
 (* What the spaces of one blob share while it decodes: the pool, the
    page table, and each distinct text section decoded so far, by its
@@ -832,45 +857,10 @@ let get_sig_action s =
     dflt
   | _ -> { Signals.disposition; mask; flags }
 
-(* A handler table has a slot per signal, and most of its 65 hold the
-   default action: it is written as the others, each as its signal
-   number plus one and its action, then a 0.  Actions are immutable, so
-   every other slot decodes to [Signals.default_action] itself. *)
-let is_default (a : Signals.action) =
-  let d = Signals.default_action in
-  a == d
-  ||
-  match a.Signals.disposition with
-  | Signals.Default ->
-    a.Signals.mask = d.Signals.mask && a.Signals.flags = d.Signals.flags
-  | Signals.Ignore | Signals.Handler _ -> false
-
-let put_sighand b h =
-  Array.iteri
-    (fun signo a ->
-      if not (is_default a) then begin
-        Codec.put_uvarint b (signo + 1);
-        put_sig_action b a
-      end)
-    h;
-  Codec.put_uvarint b 0
-
-let get_sighand s =
-  let h = Array.make (Signals.max_signal + 1) Signals.default_action in
-  let rec slots () =
-    match Codec.get_uvarint s with
-    | 0 -> h
-    | n when n <= Array.length h ->
-      h.(n - 1) <- get_sig_action s;
-      slots ()
-    | n -> raise (Codec.Corrupt (Printf.sprintf "signal slot %d" n))
-  in
-  slots ()
-
-let put_snap_proc table runs b sp =
+let put_snap_proc table b sp =
   Codec.put_int b sp.sp_pid;
   Codec.put_int b sp.sp_parent;
-  put_space table runs b sp.sp_encoded sp.sp_space;
+  put_space table b sp.sp_encoded sp.sp_space;
   Codec.put_list b Codec.put_int sp.sp_threads;
   (match sp.sp_exit with
   | None -> Codec.put_uvarint b 0
@@ -887,7 +877,7 @@ let put_snap_proc table runs b sp =
     Codec.put_uvarint b 1;
     Codec.put_int b tid);
   Codec.put_list b put_sig_info sp.sp_shared_pending;
-  put_sighand b sp.sp_sighand
+  Codec.put_array b put_sig_action sp.sp_sighand
 
 let get_snap_proc d s =
   let sp_pid = Codec.get_int s in
@@ -911,7 +901,7 @@ let get_snap_proc d s =
     | n -> raise (Codec.Corrupt (Printf.sprintf "owner tag %d" n))
   in
   let sp_shared_pending = Codec.get_list s get_sig_info in
-  let sp_sighand = get_sighand s in
+  let sp_sighand = Codec.get_array s get_sig_action in
   { sp_pid; sp_parent; sp_space; sp_encoded = encoded (); sp_threads;
     sp_exit; sp_reaped; sp_cwd;
     sp_cmd; sp_children; sp_owner; sp_shared_pending; sp_sighand }
@@ -938,7 +928,7 @@ let put_snap_task pool b sn =
     sn.sn_batches;
   Codec.put_uvarint b
     (if sn.sn_locals.Codec.len = 0 then 0
-     else 1 + Pool.intern pool ~key:(lnot sn.sn_tid) sn.sn_locals);
+     else 1 + Pool.intern pool sn.sn_locals);
   put_resume b sn.sn_next_resume;
   Codec.put_bool b sn.sn_in_blocked;
   Codec.put_int b sn.sn_tick_born;
@@ -980,8 +970,11 @@ let get_snap_task pool s =
     sn_last_wake; sn_pending }
 
 let encode pool snap =
-  Pool.batch pool;
-  let b = Codec.sink () in
+  let b = scratch.head and body = scratch.body in
+  Buffer.clear b;
+  Buffer.clear body;
+  Hashtbl.clear scratch.runs;
+  scratch.sections <- [];
   Codec.put_uvarint b snapshot_codec_version;
   (* The frame, then the frames applied, which every session keeps
      equal to it. *)
@@ -1002,13 +995,12 @@ let encode pool snap =
       Codec.put_string b image)
     snap.snap_installed;
   (* Entry ids are assigned while the procs are encoded, and the page
-     table goes first so that decoding is one pass: it ends [b], the
-     procs and tasks make [body], and the blob is assembled once, at its
-     final length. *)
-  let table = Page_table.create pool and runs = text_runs () in
-  let body = Codec.sink () in
+     table goes first so that decoding is one pass: it ends the head,
+     the procs and tasks make the body, and the blob is assembled once,
+     at its final length. *)
+  let table = Page_table.create pool in
   Codec.put_uvarint body (List.length snap.snap_procs);
-  List.iter (put_snap_proc table runs body) snap.snap_procs;
+  List.iter (put_snap_proc table body) snap.snap_procs;
   Codec.put_uvarint body (List.length snap.snap_tasks);
   List.iter (put_snap_task pool body) snap.snap_tasks;
   Page_table.put b table;
@@ -1016,7 +1008,16 @@ let encode pool snap =
   let blob = Bytes.create (head + Buffer.length body) in
   Buffer.blit b 0 blob 0 head;
   Buffer.blit body 0 blob head (Buffer.length body);
-  Bytes.unsafe_to_string blob
+  let blob = Bytes.unsafe_to_string blob in
+  List.iter
+    (fun ((e : encoded), at, len) ->
+      e.pool <- Some pool;
+      e.blob <- blob;
+      e.at <- head + at;
+      e.len <- len)
+    scratch.sections;
+  scratch.sections <- [];
+  blob
 
 let decode pool (blob : Codec.slice) =
   let s = Codec.source ~pos:blob.pos ~len:blob.len blob.str in

@@ -35,13 +35,23 @@ let put_bytes b s =
   put_uvarint b (Bytes.length s);
   Buffer.add_bytes b s
 
+(* Without a closure over [b] per call: the checkpoint encoder writes
+   several lists for every task and space. *)
+let rec put_each b f = function
+  | [] -> ()
+  | x :: rest ->
+    f b x;
+    put_each b f rest
+
 let put_list b f xs =
   put_uvarint b (List.length xs);
-  List.iter (f b) xs
+  put_each b f xs
 
 let put_array b f xs =
   put_uvarint b (Array.length xs);
-  Array.iter (f b) xs
+  for i = 0 to Array.length xs - 1 do
+    f b (Array.unsafe_get xs i)
+  done
 
 let put_bool b v = put_uvarint b (if v then 1 else 0)
 
@@ -49,6 +59,26 @@ let put_bool b v = put_uvarint b (if v then 1 else 0)
 type slice = { str : string; pos : int; len : int }
 
 let whole str = { str; pos = 0; len = String.length str }
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Eight bytes at a time, then the last ones; the slices lie within
+   their strings. *)
+let slice_equal a b =
+  a.len = b.len
+  &&
+  let i = ref 0 in
+  while !i + 8 <= a.len && get64u a.str (a.pos + !i) = get64u b.str (b.pos + !i)
+  do
+    i := !i + 8
+  done;
+  while
+    !i < a.len
+    && String.unsafe_get a.str (a.pos + !i) = String.unsafe_get b.str (b.pos + !i)
+  do
+    incr i
+  done;
+  !i = a.len
 
 (* The bytes as a string: the string itself when the slice is all of
    it, else a copy. *)
@@ -60,11 +90,15 @@ type source = { data : string; mutable pos : int; limit : int }
 
 exception Corrupt of string
 
-let source ?(pos = 0) ?len data =
-  let limit = match len with Some n -> pos + n | None -> String.length data in
+let source_at data ~pos ~len =
+  let limit = pos + len in
   if pos < 0 || pos > limit || limit > String.length data then
     invalid_arg "Codec.source";
   { data; pos; limit }
+
+let source ?(pos = 0) ?len data =
+  source_at data ~pos
+    ~len:(match len with Some n -> n | None -> String.length data - pos)
 
 let eof s = s.pos >= s.limit
 

@@ -28,6 +28,9 @@ type slice = { str : string; pos : int; len : int }
 
 val whole : string -> slice
 
+val slice_equal : slice -> slice -> bool
+(** Whether the two windows hold the same bytes. *)
+
 val slice_string : slice -> string
 (** The bytes as a string: [str] itself when the slice is all of it,
     else a copy. *)
@@ -40,6 +43,10 @@ val source : ?pos:int -> ?len:int -> string -> source
 (** Reads the [len] bytes of [data] from [pos] (default: all of it)
     where they lie, copying nothing.  Raises [Invalid_argument] if the
     range is not within [data]. *)
+
+val source_at : string -> pos:int -> len:int -> source
+(** {!source} with both bounds given, which a caller passes without
+    boxing them: the loader makes one per record. *)
 
 val eof : source -> bool
 

@@ -25,33 +25,47 @@ let tables =
      done;
      t)
 
-let sub ?(crc = 0) s ~pos ~len =
+let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Crc32.sub: range out of bounds";
   let t = Lazy.force tables in
   (* Bounds were checked above, and the running value stays below 2^32,
-     so every table index is below 8 * 256. *)
-  let tb k i = Array.unsafe_get t ((k * 256) + i) in
-  let byte i = Char.code (String.unsafe_get s i) in
+     so every table index is below 8 * 256.  The loads are written out:
+     local helpers over [t] and [s] would cost a closure a call. *)
   let c = ref ((crc lxor 0xffffffff) land 0xffffffff) in
   let i = ref pos in
   let stop8 = pos + len - 8 in
   while !i <= stop8 do
     let p = !i and x = !c in
     c :=
-      tb 7 ((x lxor byte p) land 0xff)
-      lxor tb 6 (((x lsr 8) lxor byte (p + 1)) land 0xff)
-      lxor tb 5 (((x lsr 16) lxor byte (p + 2)) land 0xff)
-      lxor tb 4 ((x lsr 24) lxor byte (p + 3))
-      lxor tb 3 (byte (p + 4))
-      lxor tb 2 (byte (p + 5))
-      lxor tb 1 (byte (p + 6))
-      lxor tb 0 (byte (p + 7));
+      Array.unsafe_get t
+        ((7 * 256) + ((x lxor Char.code (String.unsafe_get s p)) land 0xff))
+      lxor Array.unsafe_get t
+             ((6 * 256)
+             + (((x lsr 8) lxor Char.code (String.unsafe_get s (p + 1)))
+               land 0xff))
+      lxor Array.unsafe_get t
+             ((5 * 256)
+             + (((x lsr 16) lxor Char.code (String.unsafe_get s (p + 2)))
+               land 0xff))
+      lxor Array.unsafe_get t
+             ((4 * 256)
+             + ((x lsr 24) lxor Char.code (String.unsafe_get s (p + 3))))
+      lxor Array.unsafe_get t
+             ((3 * 256) + Char.code (String.unsafe_get s (p + 4)))
+      lxor Array.unsafe_get t
+             ((2 * 256) + Char.code (String.unsafe_get s (p + 5)))
+      lxor Array.unsafe_get t (256 + Char.code (String.unsafe_get s (p + 6)))
+      lxor Array.unsafe_get t (Char.code (String.unsafe_get s (p + 7)));
     i := p + 8
   done;
   for p = !i to pos + len - 1 do
-    c := tb 0 ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
+    c :=
+      Array.unsafe_get t
+        ((!c lxor Char.code (String.unsafe_get s p)) land 0xff)
+      lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
 
+let sub ?(crc = 0) s ~pos ~len = update crc s ~pos ~len
 let string ?crc s = sub ?crc s ~pos:0 ~len:(String.length s)

@@ -15,3 +15,7 @@ val string : ?crc:int -> string -> int
 val sub : ?crc:int -> string -> pos:int -> len:int -> int
 (** CRC of [len] bytes of [s] starting at [pos].  Raises
     [Invalid_argument] if the range is out of bounds. *)
+
+val update : int -> string -> pos:int -> len:int -> int
+(** [update crc] is [sub ~crc], for a caller that continues a CRC per
+    record without boxing it. *)

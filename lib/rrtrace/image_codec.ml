@@ -188,6 +188,32 @@ let get_insn s =
   | 22 -> Insn.Halt
   | n -> corrupt "insn tag %d" n
 
+(* What each tag's fields are, in the order [get_insn] reads them: a
+   register (r), an operand (o), a condition (c), an ALU op (a) or an
+   int (i). *)
+let insn_fields =
+  [| ""; "ro"; "aro"; "rri"; "rri"; "rri"; "rri"; "i"; "croi"; "i"; "r";
+     ""; "o"; "r"; ""; "r"; "r"; "r"; "rrrr"; ""; "rr"; "i"; "" |]
+
+let check_operand s =
+  match C.get_uvarint s with
+  | 0 -> ignore (C.get_int s : int)
+  | 1 -> ignore (get_reg s : int)
+  | n -> corrupt "operand tag %d" n
+
+let check_insn s =
+  let tag = C.get_uvarint s in
+  if tag < 0 || tag >= Array.length insn_fields then corrupt "insn tag %d" tag;
+  let fields = insn_fields.(tag) in
+  for i = 0 to String.length fields - 1 do
+    match fields.[i] with
+    | 'r' -> ignore (get_reg s : int)
+    | 'o' -> check_operand s
+    | 'c' -> ignore (cond_of (C.get_uvarint s) : Insn.cond)
+    | 'a' -> ignore (alu_of (C.get_uvarint s) : Insn.alu)
+    | _ -> ignore (C.get_int s : int)
+  done
+
 (* ---- programs and images --------------------------------------------- *)
 
 let put_program b (p : Asm.program) =
@@ -224,6 +250,29 @@ let put_image b (img : Image.t) =
       C.put_string b data)
     img.Image.data_init;
   C.put_int b img.Image.stack_size
+
+let check_string s = C.skip s (C.get_uvarint s)
+
+let check_image s =
+  check_string s;
+  ignore (C.get_int s : int);
+  for _ = 1 to C.get_count s do
+    check_insn s
+  done;
+  for _ = 1 to C.get_count s do
+    check_string s;
+    ignore (C.get_int s : int)
+  done;
+  ignore (C.get_int s : int);
+  for _ = 1 to C.get_count s do
+    ignore (C.get_int s : int);
+    ignore (C.get_int s : int)
+  done;
+  for _ = 1 to C.get_count s do
+    ignore (C.get_int s : int);
+    check_string s
+  done;
+  ignore (C.get_int s : int)
 
 let get_image s : Image.t =
   let name = C.get_string s in

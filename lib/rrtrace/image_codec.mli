@@ -11,3 +11,9 @@ val get_insn : Codec.source -> Insn.t
 
 val put_image : Codec.sink -> Image.t -> unit
 val get_image : Codec.source -> Image.t
+
+val check_insn : Codec.source -> unit
+val check_image : Codec.source -> unit
+(** Read what {!get_insn} and {!get_image} read, raising where they
+    raise, and build nothing: a loader checks an image at open and
+    decodes it at first use. *)

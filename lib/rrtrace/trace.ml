@@ -129,7 +129,9 @@ type t = {
   index : chunk_info array;
   chunks : slice array; (* stored (possibly deflated) chunk bytes *)
   compressed : bool;
-  images : (string, Image.t) Hashtbl.t; (* trace path -> executable image *)
+  images : (string, Image.t Lazy.t) Hashtbl.t;
+      (* trace path -> executable image; a loaded one decodes at first
+         use *)
   files : (string, slice) Hashtbl.t; (* trace path -> snapshotted bytes *)
   stats : stats;
   initial_exe : string;
@@ -284,7 +286,7 @@ let write_record io ~tag ?(tail = whole "") fill =
   Io.write io head;
   if tail.len > 0 then Io.write_sub io tail.str ~pos:tail.pos ~len:tail.len;
   let crc = Crc32.string ~crc:(Crc32.string tag_s) head in
-  let crc = Crc32.sub ~crc tail.str ~pos:tail.pos ~len:tail.len in
+  let crc = Crc32.update crc tail.str ~pos:tail.pos ~len:tail.len in
   let cb = Bytes.create 4 in (* chunk-lifecycle *)
   Bytes.set_int32_le cb 0 (Int32.of_int crc);
   Io.write io (Bytes.to_string cb)
@@ -345,7 +347,7 @@ type trace = t
 module Sink = struct
   type event =
     | Header of { compressed : bool; initial_exe : string }
-    | Image of { path : string; img : Image.t }
+    | Image of { path : string; img : Image.t Lazy.t }
     | File_delta of { path : string; offset : int; data : slice }
     | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : slice }
     | Journal of stats
@@ -375,7 +377,7 @@ module Sink = struct
       | Image { path; img } ->
         write_record io ~tag:tag_image (fun b ->
             Codec.put_string b path;
-            Image_codec.put_image b img)
+            Image_codec.put_image b (Lazy.force img))
       | File_delta { path; offset; data } ->
         write_record io ~tag:tag_file ~tail:data (fun b ->
             Codec.put_string b path;
@@ -416,7 +418,7 @@ type assembly = {
   mutable as_n : int; (* chunks so far *)
   mutable as_frames : int; (* frames they cover *)
   mutable as_off : int; (* their stored bytes *)
-  as_images : (string, Image.t) Hashtbl.t;
+  as_images : (string, Image.t Lazy.t) Hashtbl.t;
   as_files : File_deltas.t;
   mutable as_journals : stats list; (* newest first *)
 }
@@ -764,7 +766,7 @@ module Writer = struct
      it. *)
   let add_image w ~path img =
     if not (Hashtbl.mem w.parts.as_images path) then begin
-      let image = Sink.Image { path; img } in
+      let image = Sink.Image { path; img = Lazy.from_val img } in
       assemble w.parts image;
       let size = Image.byte_size img in
       w.stats.cloned_bytes <- w.stats.cloned_bytes + size;
@@ -862,7 +864,7 @@ let set_index t ix =
 
 let image t path =
   match Hashtbl.find_opt t.images path with
-  | Some img -> img
+  | Some img -> Lazy.force img
   | None -> Fmt.invalid_arg "trace: no image %s" path
 
 (* The one copy a reader of a file makes: its bytes from [off], [len] of
@@ -1041,9 +1043,11 @@ end
 
 let chunk_stored t i = slice_string t.chunks.(i)
 
-let images t =
+let image_entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.images []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
+
+let images t = List.map (fun (k, v) -> (k, Lazy.force v)) (image_entries t)
 
 let file_slices t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.files []
@@ -1063,7 +1067,9 @@ let events ?(chunk = fun _ ci stored ->
         kinds = ci.kinds;
         stored }) t put =
   put (Sink.Header { compressed = t.compressed; initial_exe = t.initial_exe });
-  List.iter (fun (path, img) -> put (Sink.Image { path; img })) (images t);
+  List.iter
+    (fun (path, img) -> put (Sink.Image { path; img }))
+    (image_entries t);
   List.iter
     (fun (path, data) -> put (Sink.File_delta { path; offset = 0; data }))
     (file_slices t);
@@ -1146,46 +1152,6 @@ let save_exn t path =
 
 (* ---- loading --------------------------------------------------------- *)
 
-(* One parsed record attempt.  [R_short] covers both genuine truncation
-   and a corrupted length varint that points past the scan region —
-   indistinguishable without the CRC, and treated the same way by both
-   the strict and lax paths. *)
-type rec_result =
-  | R_ok of { tag : char; body : int; len : int; next : int }
-      (* the payload is [len] bytes at [body]; [next] is past the record *)
-  | R_short
-  | R_bad_crc of char
-  | R_bad of string
-
-let parse_record data ~limit pos =
-  if pos >= limit then R_short
-  else begin
-    let tag = data.[pos] in
-    let rec uv p shift acc =
-      if p >= limit then Error `Short
-      else if shift > 62 then Error `Bad
-      else begin
-        let b = Char.code data.[p] in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Ok (acc, p + 1) else uv (p + 1) (shift + 7) acc
-      end
-    in
-    match uv (pos + 1) 0 0 with
-    | Error `Short -> R_short
-    | Error `Bad -> R_bad "record length varint too long"
-    | Ok (len, body) ->
-      if body + len + 4 > limit then R_short
-      else begin
-        let crc = Crc32.sub data ~pos ~len:1 in
-        let crc = Crc32.sub ~crc data ~pos:body ~len in
-        if Int32.of_int crc <> String.get_int32_le data (body + len) then begin
-          Telemetry.incr tm_crc_fail;
-          R_bad_crc tag
-        end
-        else R_ok { tag; body; len; next = body + len + 4 }
-      end
-  end
-
 (* What a scan has read so far: the records a recording sends, in an
    assembly; the trailer with its offset; the sidecar index records. *)
 type scan = {
@@ -1193,22 +1159,84 @@ type scan = {
   mutable sc_at : int; (* offset of the record being applied *)
   mutable sc_trailer : (int * stats * chunk_info list) option;
   mutable sc_index : Trace_index.t option;
-  sc_pool : Trace_index.Pool.t; (* pool records *)
-  mutable sc_rev_cps : (int * slice * int) list;
-      (* checkpoint records, reversed, each with the pool records before
-         it *)
+  sc_loading : Trace_index.loading; (* pool and checkpoint records *)
+  mutable sc_images : (slice * Image.t Lazy.t) list;
+      (* each distinct image payload so far *)
+  mutable sc_body : int; (* where the record [parse_record] read ... *)
+  mutable sc_len : int; (* ... keeps its payload *)
 }
+
+(* One parsed record attempt.  [R_short] covers both genuine truncation
+   and a corrupted length varint that points past the scan region —
+   indistinguishable without the CRC, and treated the same way by both
+   the strict and lax paths. *)
+type rec_result =
+  | R_ok (* the payload is [sc_len] bytes at [sc_body], the CRC after it *)
+  | R_short
+  | R_bad_crc of char
+  | R_bad of string
+
+let parse_record sc data ~limit pos =
+  if pos >= limit then R_short
+  else begin
+    let tag = data.[pos] in
+    (* The payload length, a uvarint read in place. *)
+    let p = ref (pos + 1) and shift = ref 0 and len = ref 0
+    and more = ref true in
+    while !more && !p < limit && !shift <= 62 do
+      let b = Char.code data.[!p] in
+      len := !len lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr p;
+      more := b land 0x80 <> 0
+    done;
+    let body = !p and len = !len in
+    if !more && !p >= limit then R_short
+    else if !more then R_bad "record length varint too long"
+    else if len < 0 then R_bad "record length out of range"
+    else if len > limit - body - 4 then R_short
+    else begin
+      let crc = Crc32.sub data ~pos ~len:1 in
+      let crc = Crc32.update crc data ~pos:body ~len in
+      if Int32.of_int crc <> String.get_int32_le data (body + len) then begin
+        Telemetry.incr tm_crc_fail;
+        R_bad_crc tag
+      end
+      else begin
+        sc.sc_body <- body;
+        sc.sc_len <- len;
+        R_ok
+      end
+    end
+  end
+
+let consumed s v =
+  if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
+  v
+
+(* An image is checked at open and decoded at first use, once for
+   every path that holds its bytes: a build's many execs of one binary
+   clone it under as many paths, and images are immutable. *)
+let rec loaded_image sc data (payload : slice) = function
+  | (p, img) :: rest ->
+    if Codec.slice_equal p payload then img
+    else loaded_image sc data payload rest
+  | [] ->
+    let source () = Codec.source ~pos:payload.pos ~len:payload.len data in
+    let s = source () in
+    Image_codec.check_image s;
+    consumed s ();
+    let img = lazy (Image_codec.get_image (source ())) in
+    sc.sc_images <- (payload, img) :: sc.sc_images;
+    img
 
 (* Apply one CRC-valid record, its payload read where it lies in the
    file.  Raises [Codec.Corrupt] on a malformed payload and
    {!Format_error} on version skew. *)
+let event sc s ev = assemble sc.sc_parts (consumed s ev)
+
 let apply_record sc ~path tag data ~body ~len =
-  let s = Codec.source ~pos:body ~len data in
-  let consumed v =
-    if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
-    v
-  in
-  let event ev = assemble sc.sc_parts (consumed ev) in
+  let s = Codec.source_at data ~pos:body ~len in
   if tag = tag_header then begin
     let version = Codec.get_uvarint s in
     if version <> format_version then
@@ -1217,42 +1245,35 @@ let apply_record sc ~path tag data ~body ~len =
            (Version_skew { path; found = version; expected = format_version }));
     let compressed = Codec.get_bool s in
     let initial_exe = Codec.get_string s in
-    event (Sink.Header { compressed; initial_exe })
+    event sc s (Sink.Header { compressed; initial_exe })
   end
   else if tag = tag_image then begin
     let path = Codec.get_string s in
-    let img = Image_codec.get_image s in
-    event (Sink.Image { path; img })
+    let img = loaded_image sc data (Codec.rest s) sc.sc_images in
+    event sc s (Sink.Image { path; img })
   end
   else if tag = tag_file then begin
     let path = Codec.get_string s in
     let offset = Codec.get_uvarint s in
-    event (Sink.File_delta { path; offset; data = Codec.get_slice s })
+    event sc s (Sink.File_delta { path; offset; data = Codec.get_slice s })
   end
   else if tag = tag_chunk then begin
     let first_frame = Codec.get_uvarint s in
     let n_frames = Codec.get_uvarint s in
     let kinds = Codec.get_uvarint s in
-    event (Sink.Chunk { first_frame; n_frames; kinds; stored = Codec.rest s })
+    event sc s
+      (Sink.Chunk { first_frame; n_frames; kinds; stored = Codec.rest s })
   end
-  else if tag = tag_journal then event (Sink.Journal (get_stats s))
+  else if tag = tag_journal then event sc s (Sink.Journal (get_stats s))
   else if tag = tag_trailer then begin
     let stats = get_stats s in
     let index = Codec.get_list s get_chunk_info in
-    sc.sc_trailer <- consumed (Some (sc.sc_at, stats, index))
+    sc.sc_trailer <- consumed s (Some (sc.sc_at, stats, index))
   end
-  else if tag = tag_index then sc.sc_index <- consumed (Trace_index.get_meta s)
-  else if tag = tag_index_cp then begin
-    let frame, blob = consumed (Trace_index.get_head s) in
-    sc.sc_rev_cps <- (frame, blob, Trace_index.Pool.length sc.sc_pool)
-                     :: sc.sc_rev_cps
-  end
-  else if tag = tag_pool then begin
-    let id, w = consumed (Trace_index.get_head s) in
-    if id <> Trace_index.Pool.length sc.sc_pool then
-      raise (Codec.Corrupt (Fmt.str "pool record %d out of order" id));
-    Trace_index.Pool.add sc.sc_pool w
-  end
+  else if tag = tag_index then
+    sc.sc_index <- consumed s (Trace_index.get_meta s)
+  else if tag = tag_index_cp then Trace_index.load_checkpoint sc.sc_loading s
+  else if tag = tag_pool then Trace_index.load_entry sc.sc_loading s
   else raise (Codec.Corrupt (Fmt.str "unknown record tag %C" tag))
 
 let corrupt ~path detail = Corrupt { path; detail }
@@ -1268,26 +1289,28 @@ let scan_records ~path data ~limit =
       sc_at = 8;
       sc_trailer = None;
       sc_index = None;
-      sc_pool = Trace_index.Pool.create ();
-      sc_rev_cps = [] }
+      sc_loading = Trace_index.loading ();
+      sc_images = [];
+      sc_body = 0;
+      sc_len = 0 }
   in
   let rec go pos =
-    let damage e = (sc, pos, Some e) in
     if pos >= limit then (sc, pos, None)
     else
-      match parse_record data ~limit pos with
-      | R_ok { tag; body; len; next } -> (
+      match parse_record sc data ~limit pos with
+      | R_ok -> (
         sc.sc_at <- pos;
-        match apply_record sc ~path tag data ~body ~len with
-        | () -> go next
-        | exception Codec.Corrupt msg -> damage (corrupt ~path msg)
-        | exception Format_error e -> damage e)
-      | R_short -> damage (corrupt ~path "truncated record")
+        let body = sc.sc_body and len = sc.sc_len in
+        match apply_record sc ~path data.[pos] data ~body ~len with
+        | () -> go (body + len + 4)
+        | exception Codec.Corrupt msg -> (sc, pos, Some (corrupt ~path msg))
+        | exception Format_error e -> (sc, pos, Some e))
+      | R_short -> (sc, pos, Some (corrupt ~path "truncated record"))
       | R_bad_crc tag when tag = tag_chunk ->
-        damage (Chunk_crc sc.sc_parts.as_n)
+        (sc, pos, Some (Chunk_crc sc.sc_parts.as_n))
       | R_bad_crc tag ->
-        damage (corrupt ~path (Fmt.str "record %C failed CRC" tag))
-      | R_bad msg -> damage (corrupt ~path msg)
+        (sc, pos, Some (corrupt ~path (Fmt.str "record %C failed CRC" tag)))
+      | R_bad msg -> (sc, pos, Some (corrupt ~path msg))
   in
   go 8
 
@@ -1298,9 +1321,7 @@ let scan_records ~path data ~limit =
 let attach_scanned_index sc t =
   match sc.sc_index with
   | Some ix when Trace_index.n_events ix = t.stats.n_events ->
-    Trace_index.set_checkpoints ix ~pool:sc.sc_pool
-      (List.filter (fun (frame, _, _) -> frame <= t.stats.n_events)
-         sc.sc_rev_cps);
+    Trace_index.attach ix sc.sc_loading ~upto:t.stats.n_events;
     t.sidecar <- Some ix
   | Some _ | None -> ()
 

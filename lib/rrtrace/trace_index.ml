@@ -14,24 +14,15 @@ module Pool = struct
   (* Entry [id] is [entries.(id)], for [id < n].  [ids] maps a window's
      hash to the entries of that hash; it covers the first [hashed]
      entries, and [intern] hashes the rest, which a loader added, before
-     it looks one up.  [seen] holds the windows this batch interned
-     under a key, with their ids, and [seen_before] the last batch's. *)
+     it looks one up. *)
   type t = {
     mutable entries : Codec.slice array;
     mutable n : int;
     mutable hashed : int;
     ids : (int, int list) Hashtbl.t;
-    mutable seen : (int, Codec.slice * int) Hashtbl.t;
-    mutable seen_before : (int, Codec.slice * int) Hashtbl.t;
   }
 
-  let create () =
-    { entries = [||]; n = 0; hashed = 0; ids = Hashtbl.create 64;
-      seen = Hashtbl.create 64; seen_before = Hashtbl.create 1 }
-
-  let batch t =
-    t.seen_before <- t.seen;
-    t.seen <- Hashtbl.create (max 16 (Hashtbl.length t.seen))
+  let create () = { entries = [||]; n = 0; hashed = 0; ids = Hashtbl.create 16 }
 
   let length t = t.n
 
@@ -70,29 +61,16 @@ module Pool = struct
     done;
     (!h lxor (!h lsr 32)) land max_int
 
-  let equal (a : Codec.slice) (b : Codec.slice) =
-    a.len = b.len
-    &&
-    let i = ref 0 in
-    while
-      !i + 8 <= a.len && get64u a.str (a.pos + !i) = get64u b.str (b.pos + !i)
-    do
-      i := !i + 8
-    done;
-    while
-      !i < a.len
-      && String.unsafe_get a.str (a.pos + !i)
-         = String.unsafe_get b.str (b.pos + !i)
-    do
-      incr i
-    done;
-    !i = a.len
+  let bucket t h =
+    match Hashtbl.find t.ids h with ids -> ids | exception Not_found -> []
 
-  let bucket t h = Option.value ~default:[] (Hashtbl.find_opt t.ids h)
+  let rec find t w = function
+    | [] -> -1
+    | id :: rest -> if Codec.slice_equal t.entries.(id) w then id else find t w rest
 
-  (* A first sight copies the window: a live frame may be written after
-     the checkpoint that names it. *)
-  let by_content t w =
+  (* A first sight copies the window: the caller may write its bytes
+     after the checkpoint that names it. *)
+  let intern t w =
     while t.hashed < t.n do
       let h = hash t.entries.(t.hashed) in
       Hashtbl.replace t.ids h (t.hashed :: bucket t h);
@@ -100,36 +78,27 @@ module Pool = struct
     done;
     let h = hash w in
     let same = bucket t h in
-    match List.find_opt (fun id -> equal t.entries.(id) w) same with
-    | Some id -> id
-    | None ->
+    match find t w same with
+    | -1 ->
       let id = t.n in
       Hashtbl.replace t.ids h (id :: same);
       add t (Codec.whole (String.sub w.str w.pos w.len));
       t.hashed <- t.n;
       id
-
-  let intern t ?key (w : Codec.slice) =
-    match key with
-    | None -> by_content t w
-    | Some key ->
-      let id =
-        match Hashtbl.find t.seen_before key with
-        | (v : Codec.slice), id
-          when v.str == w.str && v.pos = w.pos && v.len = w.len ->
-          id
-        | _ | (exception Not_found) -> by_content t w
-      in
-      Hashtbl.replace t.seen key (w, id);
-      id
+    | id -> id
 end
 
-type t = {
-  n_events : int;
+type tables = {
   pcs : (int, int array) Hashtbl.t; (* pc -> frames, ascending *)
   pages : (int, int array) Hashtbl.t; (* page index -> frames, ascending *)
   globals : int array; (* frames with unbounded effects, ascending *)
   clock : int array; (* clock.(p) = virtual clock at position p *)
+}
+
+type t = {
+  n_events : int;
+  tables : tables Lazy.t;
+      (* a loaded index's decode at its first query ([get_meta]) *)
   mutable pool : Pool.t;
   mutable cps : (int * Codec.slice * int) array;
       (* (frame, blob, pool entries before its record), ascending *)
@@ -153,7 +122,7 @@ let rank_below a limit =
   !best
 
 let prev_exec t ~pc ~before =
-  match Hashtbl.find_opt t.pcs pc with
+  match Hashtbl.find_opt (Lazy.force t.tables).pcs pc with
   | None -> None
   | Some frames ->
     let i = rank_below frames before in
@@ -176,28 +145,31 @@ let write_candidates t ~addr ~len ~before =
       done
     in
     let first = Mem.page_index addr and last = Mem.page_index (addr + len - 1) in
+    let tables = Lazy.force t.tables in
     for p = first to last do
-      match Hashtbl.find_opt t.pages p with
+      match Hashtbl.find_opt tables.pages p with
       | Some frames -> collect frames
       | None -> ()
     done;
-    collect t.globals;
+    collect tables.globals;
     List.sort (fun a b -> compare b a) !out
   end
 
 let clock_at t p =
-  if p < 0 || p >= Array.length t.clock then
+  let clock = (Lazy.force t.tables).clock in
+  if p < 0 || p >= Array.length clock then
     invalid_arg "Trace_index.clock_at: position out of range";
-  t.clock.(p)
+  clock.(p)
 
 let frame_of_time t time =
-  if Array.length t.clock = 0 || t.clock.(0) > time then None
+  let clock = (Lazy.force t.tables).clock in
+  if Array.length clock = 0 || clock.(0) > time then None
   else begin
     (* largest p with clock.(p) <= time; clock is nondecreasing *)
-    let lo = ref 0 and hi = ref (Array.length t.clock - 1) and best = ref 0 in
+    let lo = ref 0 and hi = ref (Array.length clock - 1) and best = ref 0 in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      if t.clock.(mid) <= time then begin
+      if clock.(mid) <= time then begin
         best := mid;
         lo := mid + 1
       end
@@ -303,16 +275,20 @@ let by_frame (a, _, _) (b, _, _) = compare a b
 
 let finish b =
   { n_events = b.b_next;
-    pcs = rev_table b.b_pcs;
-    pages = rev_table b.b_pages;
-    globals = Array.of_list (List.rev b.b_globals);
-    clock = Array.of_list (List.rev b.b_clock);
+    tables =
+      Lazy.from_val
+        { pcs = rev_table b.b_pcs;
+          pages = rev_table b.b_pages;
+          globals = Array.of_list (List.rev b.b_globals);
+          clock = Array.of_list (List.rev b.b_clock) };
     pool = b.b_pool;
     cps = Array.of_list (List.stable_sort by_frame (List.rev b.b_cps)) }
 
 let set_checkpoints t ~pool cps =
+  let cps = Array.of_list cps in
+  Array.stable_sort by_frame cps;
   t.pool <- pool;
-  t.cps <- Array.of_list (List.stable_sort by_frame cps)
+  t.cps <- cps
 
 let records t ~pool ~checkpoint =
   let written = ref 0 in
@@ -371,13 +347,38 @@ let get_table s =
 let index_version = 2
 
 let put_meta b t =
+  let tables = Lazy.force t.tables in
   Codec.put_uvarint b index_version;
   Codec.put_uvarint b t.n_events;
-  put_ascending b t.clock;
-  put_ascending b t.globals;
-  put_table b t.pcs;
-  put_table b t.pages
+  put_ascending b tables.clock;
+  put_ascending b tables.globals;
+  put_table b tables.pcs;
+  put_table b tables.pages
 
+let get_tables s =
+  let clock = get_ascending s in
+  let globals = get_ascending s in
+  let pcs = get_table s in
+  let pages = get_table s in
+  { pcs; pages; globals; clock }
+
+(* What [get_tables] reads, read without keeping it. *)
+let skip_ascending s =
+  let n = Codec.get_count s in
+  for _ = 1 to n do
+    ignore (Codec.get_uvarint s : int)
+  done;
+  n
+
+let skip_table s =
+  for _ = 1 to Codec.get_count s do
+    ignore (Codec.get_int s : int);
+    ignore (skip_ascending s : int)
+  done
+
+(* A cold open keeps the tables' bytes where they lie and decodes them
+   at the first query: it reads them through here, so a malformed table
+   is damage at open, and allocates nothing for them. *)
 let get_meta s =
   if Codec.get_uvarint s <> index_version then begin
     ignore (Codec.rest s : Codec.slice);
@@ -385,25 +386,81 @@ let get_meta s =
   end
   else begin
     let n_events = Codec.get_uvarint s in
-    let clock = get_ascending s in
-    let globals = get_ascending s in
-    let pcs = get_table s in
-    let pages = get_table s in
-    if Array.length clock <> n_events + 1 then
+    let at = Codec.rest s in
+    let s = Codec.source ~pos:at.pos ~len:at.len at.str in
+    if skip_ascending s <> n_events + 1 then
       raise (Codec.Corrupt "index: clock curve length mismatch");
+    ignore (skip_ascending s : int);
+    skip_table s;
+    skip_table s;
+    if not (Codec.eof s) then raise (Codec.Corrupt "index: trailing bytes");
     Some
-      { n_events; pcs; pages; globals; clock; pool = Pool.create ();
+      { n_events;
+        tables =
+          lazy (get_tables (Codec.source ~pos:at.pos ~len:at.len at.str));
+        pool = Pool.create ();
         cps = [||] }
   end
 
 (* A 'K' record's payload is its frame followed by the blob, and a pool
    record's is its id followed by the window: the writer appends the
-   blob or window without copying it, and the readers leave it where it
+   blob or window without copying it, and the loader leaves it where it
    lies. *)
 let put_head b n (tail : Codec.slice) =
   Codec.put_uvarint b n;
   Codec.put_uvarint b tail.len
 
-let get_head s =
-  let n = Codec.get_uvarint s in
-  (n, Codec.get_slice s)
+type loading = {
+  l_pool : Pool.t;
+  mutable l_cps : (int * Codec.slice * int) array;
+      (* the first [l_n]: checkpoint records, each with the pool records
+         before it *)
+  mutable l_n : int;
+}
+
+let loading () = { l_pool = Pool.create (); l_cps = [||]; l_n = 0 }
+
+(* A record is read whole before it is kept: a damaged one keeps
+   nothing. *)
+let load_entry l s =
+  let id = Codec.get_uvarint s in
+  let w = Codec.get_slice s in
+  if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
+  if id <> Pool.length l.l_pool then
+    raise (Codec.Corrupt (Printf.sprintf "pool record %d out of order" id));
+  Pool.add l.l_pool w
+
+let load_checkpoint l s =
+  let frame = Codec.get_uvarint s in
+  let blob = Codec.get_slice s in
+  if not (Codec.eof s) then raise (Codec.Corrupt "trailing record bytes");
+  let cp = (frame, blob, Pool.length l.l_pool) in
+  if l.l_n = Array.length l.l_cps then begin
+    let grown = Array.make (max 16 (2 * l.l_n)) cp in
+    Array.blit l.l_cps 0 grown 0 l.l_n;
+    l.l_cps <- grown
+  end;
+  l.l_cps.(l.l_n) <- cp;
+  l.l_n <- l.l_n + 1
+
+(* Records are saved in frame order, so the loaded checkpoints usually
+   need neither a sort nor a filter. *)
+let attach t l ~upto =
+  let cps = Array.sub l.l_cps 0 l.l_n in
+  let frame i =
+    let f, _, _ = cps.(i) in
+    f
+  in
+  let rec kept_in_order i =
+    i = l.l_n
+    || frame i <= upto
+       && (i = 0 || frame (i - 1) <= frame i)
+       && kept_in_order (i + 1)
+  in
+  if kept_in_order 0 then begin
+    t.pool <- l.l_pool;
+    t.cps <- cps
+  end
+  else
+    set_checkpoints t ~pool:l.l_pool
+      (List.filter (fun (f, _, _) -> f <= upto) (Array.to_list cps))

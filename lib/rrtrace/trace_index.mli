@@ -38,19 +38,10 @@ module Pool : sig
   val bytes : t -> int
   (** The entries' total length. *)
 
-  val intern : t -> ?key:int -> Codec.slice -> int
+  val intern : t -> Codec.slice -> int
   (** The id of the entry holding the window's bytes (a hash, then a
       comparison with the entry), added on first sight as a copy, so an
-      entry's bytes never change whatever becomes of the window.  [key]
-      names where the caller found the window (a frame's space and page,
-      a task): a window that lies where the previous batch's window of
-      that key did, in the same string, physically, is taken to be that
-      window's entry without a hash, so with a key the caller promises
-      that those bytes have not changed since. *)
-
-  val batch : t -> unit
-  (** Start a batch of interns (one checkpoint's): keys of the batch
-      before the last are forgotten. *)
+      entry's bytes never change whatever becomes of the window. *)
 
   val add : t -> Codec.slice -> unit
   (** Loader hook: append the next entry where it lies, without looking
@@ -143,6 +134,21 @@ val put_head : Codec.sink -> int -> Codec.slice -> unit
     before its window: the frame or id, and the length of the bytes the
     caller then writes without a copy. *)
 
-val get_head : Codec.source -> int * Codec.slice
-(** A checkpoint record's frame and blob, or a pool record's id and
-    window, the bytes where they lie in the source's string. *)
+type loading
+(** The pool and checkpoint records a loader has read so far. *)
+
+val loading : unit -> loading
+
+val load_entry : loading -> Codec.source -> unit
+(** Read a pool record's payload, its window where it lies.  Raises
+    {!Codec.Corrupt} on a malformed payload or an id out of order, and
+    then keeps nothing of it. *)
+
+val load_checkpoint : loading -> Codec.source -> unit
+(** Read a checkpoint record's payload, its blob where it lies, noting
+    how many pool records precede it.  Raises {!Codec.Corrupt} on a
+    malformed payload, and then keeps nothing of it. *)
+
+val attach : t -> loading -> upto:int -> unit
+(** {!set_checkpoints} with what was loaded, keeping the checkpoints at
+    frames up to [upto]. *)

@@ -251,26 +251,26 @@ let seed1_checkpoints =
    record, a changed trailer or a changed schedule fails here. *)
 let saved_files_expected =
   [ ( "cp",
-      ((0xac964bc5, 4195998), (0xa4e6192e, 4222390)),
-      "0928398f35cb3c117843424163639c8a" );
+      ((0xac964bc5, 4195998), (0x35e47a6c, 4225120)),
+      "30381755e1d778ccf4f9cb31def81d9a" );
     ( "make",
-      ((0xa803c7bf, 866227), (0xd76784aa, 1767907)),
-      "371677a9f7e05479ae344533d8f2304c" );
+      ((0xa803c7bf, 866227), (0x63af5f95, 2380271)),
+      "896faaddb3e99cf77a72a674aeb490d2" );
     ( "octane",
-      ((0x8afda5e0, 1282), (0xba57163f, 99315)),
-      "305a1911496838052d3ef427dd92d915" );
+      ((0x8afda5e0, 1282), (0xed6303de, 108285)),
+      "ad774202f112966f67eea75d3d1fc34c" );
     ( "htmltest",
-      ((0x7d705f8d, 984399), (0xfc5a0bc4, 1452812)),
-      "00a915f5a24026b4023ea1635bed8cbd" );
+      ((0x7d705f8d, 984399), (0x8280da26, 1462952)),
+      "7fda84cb1af6c232b8ce6cb61fbd12ac" );
     ( "sambatest",
-      ((0xc27e9603, 1879), (0xb4dc8507, 140094)),
-      "9b58fa092312e96227c8f64ba46dc9df" );
+      ((0xc27e9603, 1879), (0x2b919cdd, 176559)),
+      "979a2eba6e1f57cf3d01660a066a4041" );
     ( "serve",
-      ((0x1596a4ed, 8731), (0x5bda8681, 1179500)),
-      "3323253661f3f5baa9603b2b409d3dcc" );
+      ((0x1596a4ed, 8731), (0x72c1a695, 1404530)),
+      "a10569f51e4e64974a66b011f5159b9b" );
     ( "serve-chaos",
-      ((0x09327df6, 10689), (0x23c724a0, 1154901)),
-      "52a4ec148b38202c462468074c3a15f2" ) ]
+      ((0x09327df6, 10689), (0xd74eb827, 1381491)),
+      "996d03bf241c7044d8cf91aa40460df2" ) ]
 
 let test_saved_files_tripwire () =
   let crc_len = Alcotest.(pair int int) in
@@ -290,25 +290,24 @@ let test_saved_files_tripwire () =
    pool window, where it lies in the bytes read, so it holds those bytes
    once.  Opening a saved cp trace, nearly all of it one cloned file,
    allocates about the file once (the read), not twice, and keeps it.
-   Opening each indexed seed-1 trace allocates and keeps what opening
-   its plain file does, plus its index records' bytes once and a little
-   bookkeeping a record: at most 1 KB allocated and 256 bytes kept.
-   Words are counted, not time. *)
+   Opening each indexed seed-1 trace, mostly checkpoint blobs and pool
+   windows, allocates and keeps little more than the file.  Words are
+   counted, not time. *)
 let test_cold_open_holds_the_file_once () =
-  let opened_file data =
+  let opened t =
     let path = Filename.temp_file "rr_open" ".trace" in
     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    Out_channel.with_open_bin path (fun oc -> output_string oc data);
+    Trace.save_exn t path;
+    let size = In_channel.with_open_bin path In_channel.length in
     let before = words () in
     let o = Trace.open_exn path in
     let alloc = (words () -. before) *. word_bytes in
     let kept = float_of_int (Obj.reachable_words (Obj.repr o)) *. word_bytes in
-    (o, float_of_int (String.length data), alloc, kept)
+    (o, Int64.to_float size, alloc, kept)
   in
-  let opened t = opened_file (saved_file t) in
-  let check ?(of_ = "the file") name what x bound =
+  let check name what x bound =
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %s %.2fx %s, < %.2fx" name what x of_ bound)
+      (Printf.sprintf "%s: %s %.2fx the file, < %.2fx" name what x bound)
       true (x < bound)
   in
   let recd, _ =
@@ -321,39 +320,24 @@ let test_cold_open_holds_the_file_once () =
   check "cp" "open allocates" (alloc /. size) 1.1;
   check "cp" "the opened trace holds" (kept /. size) 1.2;
   (* Indexing the seed-1 traces attaches the index to each. *)
-  List.iter2
-    (fun (name, t) (_, (plain, _, _)) ->
-      let ix =
-        match Trace.index t with
-        | Some ix -> ix
-        | None -> Alcotest.failf "%s carries no index" name
-      in
-      let records =
-        1 + Array.length (Trace_index.checkpoints ix)
-        + Trace_index.Pool.length (Trace_index.pool ix)
-        |> float_of_int
-      in
-      let _, plain_size, plain_alloc, plain_kept = opened_file plain in
+  ignore (Lazy.force seed1_indexed);
+  List.iter
+    (fun (name, t) ->
+      if Trace.index t = None then Alcotest.failf "%s carries no index" name;
       let _, size, alloc, kept = opened t in
-      let index = size -. plain_size in
-      let name = Printf.sprintf "indexed %s (%.0f records)" name records in
-      let of_ = "the index's bytes" in
-      check ~of_ name "beyond the plain open and 1 KB a record, open allocates"
-        ((alloc -. plain_alloc -. (1024. *. records)) /. index)
-        1.15;
-      check ~of_ name "beyond the plain trace and 256 B a record, it holds"
-        ((kept -. plain_kept -. (256. *. records)) /. index)
-        1.15)
-    (Lazy.force seed1_traces) (Lazy.force seed1_indexed)
+      let name = "indexed " ^ name in
+      check name "open allocates" (alloc /. size) 1.15;
+      check name "the opened trace holds" (kept /. size) 1.15)
+    (Lazy.force seed1_traces)
 
 (* Tripwire for durable-checkpoint bytes: the CRC-32 and length of each
    seed-1 trace's checkpoint blobs, then its pool's entries,
    concatenated.  A change to the snapshot codec, or to the state a
    checkpoint captures, fails here. *)
 let checkpoint_bytes_expected =
-  [ ("cp", 0xe7d77e12, 25963); ("make", 0x94455a65, 894990);
-    ("octane", 0xbcfecd07, 95839); ("htmltest", 0x7eef4c5c, 465242);
-    ("sambatest", 0xa17d7985, 134839); ("serve", 0xa97a3bf1, 1163350) ]
+  [ ("cp", 0x84ae4517, 28693); ("make", 0xa31b054d, 1507290);
+    ("octane", 0x1345fbd6, 104809); ("htmltest", 0x13ff677b, 475382);
+    ("sambatest", 0xa4973977, 171304); ("serve", 0x23b34d8d, 1388380) ]
 
 let test_checkpoint_bytes_tripwire () =
   List.iter2
@@ -488,25 +472,25 @@ let test_restored_frames_copy_before_writing () =
            stored.(i)))
     cps
 
-(* Encoding a checkpoint allocates about its blob: the text of each page
-   is encoded once per blob, frames and locals the pool already holds
-   are not copied, and the blob is assembled once at its final length.
-   Seed-1 serve is replayed to each frame its index holds a checkpoint
-   for; the live snapshot there must encode to the stored blob against
-   the index's pool, and the encodes together may allocate at most [c]
-   times the blobs' words plus [k] words an encode: [k] covers each
-   encode's three 4 KB working buffers and its tables.  An encoder that
-   copies every window it names allocates over 20,000 words an encode
-   more. *)
+(* Encoding a checkpoint allocates about its blob and the pool entries
+   it adds: the text of each page is encoded once per blob, a window is
+   copied only when the pool first sees it, and the blob is assembled
+   once at its final length.  Seed-1 serve is replayed to each frame its
+   index holds a checkpoint for, as the indexer does; the live snapshot
+   there, encoded against a pool that starts empty, must be the stored
+   blob, and the encodes together may allocate at most [c] times the
+   words of the blobs and of the entries they added, plus [k] words.  An
+   encoder that copies every window it names allocates more. *)
 let test_encoding_allocates_about_the_blobs () =
-  let c = 1.5 and k = 8_192. in
+  let c = 1.5 and k = 32_768. in
   let t = List.assoc "serve" (Lazy.force seed1_traces) in
-  let blobs, pool = List.assoc "serve" (Lazy.force seed1_checkpoints) in
+  let blobs, _ = List.assoc "serve" (Lazy.force seed1_checkpoints) in
   let frames =
     match Trace.index t with
     | Some ix -> Array.map fst (Trace_index.checkpoints ix)
     | None -> Alcotest.fail "serve carries no index"
   in
+  let pool = Trace_index.Pool.create () in
   let r = Replayer.start t in
   let alloc = ref 0. in
   Array.iteri
@@ -522,18 +506,16 @@ let test_encoding_allocates_about_the_blobs () =
         (Printf.sprintf "checkpoint %d encodes to the stored blob" i)
         true (String.equal blob blobs.(i)))
     frames;
-  let blob_words =
-    Array.fold_left (fun n b -> n + String.length b) 0 blobs
-    |> float_of_int
-    |> fun n -> n /. word_bytes
+  let blob_bytes = Array.fold_left (fun n b -> n + String.length b) 0 blobs in
+  let in_words =
+    float_of_int (blob_bytes + Trace_index.Pool.bytes pool) /. word_bytes
   in
-  let encodes = float_of_int (Array.length frames) in
   Alcotest.(check bool)
     (Printf.sprintf
-       "%.0f words for %.0f blob words (%.2fx), <= %.2fx + %.0f x %.0f encodes"
-       !alloc blob_words (!alloc /. blob_words) c k encodes)
+       "%.0f words for %.0f blob and entry words (%.2fx), <= %.2fx + %.0f"
+       !alloc in_words (!alloc /. in_words) c k)
     true
-    (!alloc <= (c *. blob_words) +. (k *. encodes))
+    (!alloc <= (c *. in_words) +. k)
 
 (* Deflate's parse hashes four bytes at every position it inserts or
    looks up, and allocates nothing there: deflating the largest seed-1
@@ -589,6 +571,51 @@ let test_index_counts_bounded () =
   Bytes.set other 0 (Char.chr (version + 1));
   Alcotest.(check bool) "another version's tables are dropped" true
     (Trace_index.get_meta (Codec.source (Bytes.to_string other)) = None)
+
+(* A loader checks an image at open and decodes it at first use, so the
+   check reads every instruction tag's fields as the decoder does: one
+   instruction of each of the 23 tags reads to its end and decodes
+   back, and a register field out of range fails both. *)
+let test_image_check_reads_as_decode () =
+  let open Insn in
+  let insns =
+    [ Nop; Mov (1, Imm (-5)); Alu (Xor, 2, Reg 3); Load (4, 5, 16);
+      Store (6, 7, -8); Load8 (8, 9, 1); Store8 (10, 11, 2); Jmp 0x4000;
+      Jcc (Lt, 12, Imm 7, 0x4010); Call 0x4020; Callr 13; Ret; Push (Reg 14);
+      Pop 15; Syscall; Rdtsc 0; Rdrand 1; Cpuid_core 2; Cas (3, 4, 5, 6);
+      Pause; Emit (7, 8); Hook 3; Halt ]
+  in
+  let encoded insn =
+    let b = Codec.sink () in
+    Image_codec.put_insn b insn;
+    Buffer.contents b
+  in
+  Alcotest.(check (list int)) "one instruction of each tag"
+    (List.init 23 Fun.id)
+    (List.map (fun i -> Char.code (encoded i).[0]) insns);
+  List.iter
+    (fun insn ->
+      let bytes = encoded insn in
+      let s = Codec.source bytes in
+      Image_codec.check_insn s;
+      Alcotest.(check bool) "the check reads the instruction" true
+        (Codec.eof s);
+      Alcotest.(check bool) "it decodes back" true
+        (Image_codec.get_insn (Codec.source bytes) = insn))
+    insns;
+  List.iter
+    (fun insn ->
+      let bytes = encoded insn in
+      let refused f =
+        match f (Codec.source bytes) with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true
+      in
+      Alcotest.(check (pair bool bool)) "both refuse r16" (true, true)
+        ( refused Image_codec.check_insn,
+          refused (fun s -> ignore (Image_codec.get_insn s)) ))
+    [ Mov (16, Imm 0); Alu (Add, 0, Reg 16); Jcc (Eq, 16, Imm 0, 0);
+      Cas (0, 0, 0, 16); Emit (16, 0); Push (Reg 16) ]
 
 let test_codec_varint () =
   let b = Codec.sink () in
@@ -1133,6 +1160,8 @@ let suites =
           test_inflate_empty_code_table ] );
     ( "trace.codec",
       [ Alcotest.test_case "varint" `Quick test_codec_varint;
+        Alcotest.test_case "image check reads as decode" `Quick
+          test_image_check_reads_as_decode;
         Alcotest.test_case "string list" `Quick test_codec_string_list;
         Alcotest.test_case "get_bytes copies its payload once" `Quick
           test_codec_get_bytes_copies_once;
