@@ -1162,8 +1162,8 @@ type scan = {
   sc_loading : Trace_index.loading; (* pool and checkpoint records *)
   mutable sc_images : (slice * Image.t Lazy.t) list;
       (* each distinct image payload so far *)
-  mutable sc_body : int; (* where the record [parse_record] read ... *)
-  mutable sc_len : int; (* ... keeps its payload *)
+  mutable sc_body : int; (* the payload of [parse_record]'s last record: *)
+  mutable sc_len : int; (* its offset and length *)
 }
 
 (* One parsed record attempt.  [R_short] covers both genuine truncation
@@ -1230,11 +1230,11 @@ let rec loaded_image sc data (payload : slice) = function
     sc.sc_images <- (payload, img) :: sc.sc_images;
     img
 
+let event sc s ev = assemble sc.sc_parts (consumed s ev)
+
 (* Apply one CRC-valid record, its payload read where it lies in the
    file.  Raises [Codec.Corrupt] on a malformed payload and
    {!Format_error} on version skew. *)
-let event sc s ev = assemble sc.sc_parts (consumed s ev)
-
 let apply_record sc ~path tag data ~body ~len =
   let s = Codec.source_at data ~pos:body ~len in
   if tag = tag_header then begin

@@ -105,9 +105,9 @@ val finish : builder -> t
 
 val set_checkpoints :
   t -> pool:Pool.t -> (int * Codec.slice * int) list -> unit
-(** Loader hook: replace the pool, and the durable checkpoints with
-    [(frame, blob, upto)]s read from their own records, in any order;
-    [upto] is how many pool entries precede the record. *)
+(** Replace the pool, and the durable checkpoints with
+    [(frame, blob, upto)]s in any order (kept sorted by frame, stably);
+    [upto] is how many pool entries precede the checkpoint's record. *)
 
 val records :
   t -> pool:(int -> Codec.slice -> unit) ->
@@ -127,7 +127,8 @@ val get_meta : Codec.source -> t option
 (** [None] for the tables of another index version, which a loader
     drops with the checkpoints: the index is derived data, and
     [rr_cli index] builds it again.  Raises {!Codec.Corrupt} on
-    malformed input. *)
+    malformed input.  The tables are read through here, building
+    nothing, and decoded where they lie at the first query. *)
 
 val put_head : Codec.sink -> int -> Codec.slice -> unit
 (** A checkpoint record's fields before its blob, or a pool record's
